@@ -88,8 +88,6 @@ from .foxwright_bc import (
 )
 from .foxwright_bc import evaluate as evaluate_bc
 from .gammafn import (
-    DEFAULT_GAMMA_CONFIG,
-    GammaConfig,
     gamma,
     gamma_bicomplex,
     is_gamma_pole,

@@ -14,6 +14,21 @@ k, so neither the gamma products nor k! are ever exponentiated on their
 own.  Lower-pair gamma poles at some k > 0 null that term (the analytic
 1/Gamma convention); upper-pair poles raise.
 
+Only k log z depends on z.  The other columns of log t_k are cached per
+FWParams: log Gamma(k+1); one log Gamma(a_l + k A_l) per upper pair,
+with the first k at which it meets a pole; one log Gamma(b_r + k B_r)
+per lower pair, with its pole mask.  The cache is an LRU of
+_COLUMN_CACHE_SIZE parameter sets, so equal parameters built anywhere
+share one entry.  An entry grows to the end of the block a call asks
+for and never past that call's max_terms.  It grows into new arrays
+published by one assignment, so threads never see a half-grown entry.
+Terms stay bit-identical to forming every column afresh: log_gamma_vec
+is elementwise, the block combines the same columns with the same
+operations in the same order, and a zero's sign in a parameter (the one
+thing FWParams equality ignores) is dropped by the addition a + k A.
+The running sums are a sequential cumsum seeded with the carried total,
+so they add in the order a per-term loop would.
+
 The oracle_* functions are deliberately independent evaluation routes
 (raw Pochhammer products, scipy gammas) used only for conformance
 checking; they never call evaluate().
@@ -24,6 +39,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special as _sc
@@ -41,6 +58,9 @@ CLASSIFY_TOL = 1e-12
 
 DEFAULT_TOL = 1e-14
 DEFAULT_MAX_TERMS = 10000
+
+# parameter sets whose log-gamma columns stay cached
+_COLUMN_CACHE_SIZE = 32
 
 
 def _pole_mask(args: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -142,25 +162,98 @@ def boundary_exponent(params: FWParams) -> complex:
     )
 
 
-def _log_terms(params: FWParams, log_z: complex, ks: np.ndarray) -> np.ndarray:
-    """log of terms t_k for an integer block ks; lower poles mapped to -inf."""
-    kf = ks.astype(float)
-    acc = kf * log_z - log_gamma_vec(kf + 1.0)
-    for a, A in params.upper:
+class _Columns(NamedTuple):
+    """The z-independent parts of log t_k for k = 0 .. n-1."""
+
+    n: int
+    log_fact: np.ndarray  # log Gamma(k + 1)
+    upper: tuple[np.ndarray, ...]  # log Gamma(a_l + k A_l), one per upper pair
+    upper_poles: tuple  # per upper pair: (first k, argument) at a gamma pole, or None
+    lower: tuple[np.ndarray, ...]  # log Gamma(b_r + k B_r), one per lower pair
+    lower_poles: tuple[np.ndarray, ...]  # per lower pair: b_r + k B_r is a gamma pole
+
+
+def _append(col: np.ndarray, new: np.ndarray) -> np.ndarray:
+    return np.concatenate((col, new)) if col.size else new
+
+
+def _grow(params: FWParams, cols: _Columns, end: int) -> _Columns:
+    """cols extended to k < end, as new arrays (cols itself is not touched)."""
+    kf = np.arange(cols.n, end, dtype=float)
+    upper, upper_poles = [], []
+    for (a, A), col, pole in zip(params.upper, cols.upper, cols.upper_poles):
         args = a + kf * A
-        bad = _pole_mask(args)
-        if bad.any():
-            raise PoleError(
-                f"upper gamma pole at k={ks[bad][0]} (argument {args[bad][0]})"
-            )
-        acc = acc + log_gamma_vec(args)
-    for b, B in params.lower:
+        if pole is None:
+            bad = np.flatnonzero(_pole_mask(args))
+            if bad.size:
+                pole = (cols.n + int(bad[0]), args[bad[0]])
+        upper.append(_append(col, log_gamma_vec(args)))
+        upper_poles.append(pole)
+    lower, lower_poles = [], []
+    for (b, B), col, poles in zip(params.lower, cols.lower, cols.lower_poles):
         args = b + kf * B
-        acc = acc - log_gamma_vec(args)
-        bad = _pole_mask(args)
-        if bad.any():
-            acc[bad] = complex(-math.inf, 0.0)
-    return acc
+        lower.append(_append(col, log_gamma_vec(args)))
+        lower_poles.append(_append(poles, _pole_mask(args)))
+    return _Columns(
+        end,
+        _append(cols.log_fact, log_gamma_vec(kf + 1.0)),
+        tuple(upper),
+        tuple(upper_poles),
+        tuple(lower),
+        tuple(lower_poles),
+    )
+
+
+class _ColumnCache:
+    """Columns of one FWParams, grown on demand to the block end asked for."""
+
+    __slots__ = ("params", "cols")
+
+    def __init__(self, params: FWParams):
+        empty = np.empty(0, dtype=complex)
+        self.params = params
+        self.cols = _Columns(
+            0,
+            empty,
+            (empty,) * params.p,
+            (None,) * params.p,
+            (empty,) * params.q,
+            (np.empty(0, dtype=bool),) * params.q,
+        )
+
+    def upto(self, end: int) -> _Columns:
+        cols = self.cols
+        if cols.n < end:
+            cols = _grow(self.params, cols, end)
+            # one assignment publishes the grown columns, so a concurrent
+            # caller sees either the old or the new record, never a mix
+            self.cols = cols
+        return cols
+
+
+@lru_cache(maxsize=_COLUMN_CACHE_SIZE)
+def _column_cache(params: FWParams) -> _ColumnCache:
+    return _ColumnCache(params)
+
+
+def _abs(x: np.ndarray) -> np.ndarray:
+    """|x| elementwise, bit for bit as scalar abs() (np.abs on complex is not)."""
+    return np.hypot(x.real, x.imag)
+
+
+def _streak_end(ok: np.ndarray, streak: int) -> tuple[int, int]:
+    """First index where ok completes 3 consecutive trues, and the streak after.
+
+    streak counts the trues carried in just before ok[0] (at most 2).
+    With no such index the first value is -1 and the second is the run
+    of trues at the end of ok, carried-in ones included.
+    """
+    # a bool array's bytes are 0 and 1, so a byte search finds the run
+    run = b"\x01" * streak + ok.tobytes()
+    end = run.find(b"\x01\x01\x01")
+    if end >= 0:
+        return end + 2 - streak, 3
+    return -1, len(run) - 1 - run.rfind(b"\x00")
 
 
 def _term_zero(params: FWParams) -> complex:
@@ -215,40 +308,45 @@ def evaluate(
             on_boundary = True
 
     log_z = cmath.log(z)
+    cache = _column_cache(params)
     total = 0j
-    consec = 0
+    streak = 0
     terms_used = 0
-    mag_hist = [0.0, 0.0, 0.0]
+    recent = np.empty(0, dtype=complex)  # the last (up to) three terms summed
+    stopped = False
     k0 = 0
     block = 32
-    while k0 < max_terms:
-        ks = np.arange(k0, min(k0 + block, max_terms))
-        logt = _log_terms(params, log_z, ks)
+    while k0 < max_terms and not stopped:
+        end = min(k0 + block, max_terms)
+        cols = cache.upto(end)
+        for pole in cols.upper_poles:
+            if pole is not None and pole[0] < end:
+                raise PoleError(f"upper gamma pole at k={pole[0]} (argument {pole[1]})")
+        logt = np.arange(k0, end, dtype=float) * log_z - cols.log_fact[k0:end]
+        for col in cols.upper:
+            logt = logt + col[k0:end]
+        for col, poles in zip(cols.lower, cols.lower_poles):
+            logt = logt - col[k0:end]
+            logt[poles[k0:end]] = complex(-math.inf, 0.0)
         if (logt.real > 709.0).any():
             raise OverflowError(
                 "series term exceeds the floating-point range; value not representable"
             )
         with np.errstate(under="ignore", invalid="ignore"):
             terms = np.exp(logt)
-        stopped = False
-        for i in range(len(ks)):
-            total += terms[i]
-            terms_used += 1
-            m = abs(terms[i])
-            mag_hist = [mag_hist[1], mag_hist[2], m]
-            if m <= tol * abs(total):
-                consec += 1
-            else:
-                consec = 0
-            if consec >= 3:
-                stopped = True
-                break
-        if stopped:
-            break
-        k0 += len(ks)
+        # cumsum adds in sequence from the carried total
+        sums = np.cumsum(np.concatenate(([total], terms)))[1:]
+        ok = _abs(terms) <= tol * _abs(sums)
+        stop, streak = _streak_end(ok, streak)
+        stopped = stop >= 0
+        used = stop + 1 if stopped else terms.size
+        total = sums[used - 1]
+        terms_used += used
+        summed = terms[:used]
+        recent = summed[-3:] if used >= 3 else np.concatenate((recent, summed))[-3:]
+        k0 = end
         block = min(2 * block, 512)
-    else:
-        stopped = False
+    mag_hist = [0.0] * (3 - recent.size) + [abs(t) for t in recent]
 
     if not stopped and not on_boundary:
         raise MaxTermsExceeded(

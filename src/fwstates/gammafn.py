@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bicomplex import Bicomplex
-from .errors import PoleError, ValidationError
+from .errors import PoleError
 
 # Godfrey's coefficient set for g = 7, 9 terms; relative error ~1e-15 on
 # the real axis, comfortably below the 1e-13 target for Re(w) >= 0.5.
@@ -38,26 +37,6 @@ _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
 
 POLE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class GammaConfig:
-    lanczos_g: float = _LANCZOS_G
-    lanczos_coeff_count: int = len(_LANCZOS_COEFFS)
-    reflection_threshold: float = 0.5
-
-
-DEFAULT_GAMMA_CONFIG = GammaConfig()
-
-
-def _require_supported(config: GammaConfig) -> None:
-    if (config.lanczos_g, config.lanczos_coeff_count) != (
-        _LANCZOS_G,
-        len(_LANCZOS_COEFFS),
-    ):
-        raise ValidationError(
-            "only the shipped (g=7, 9-term) Lanczos coefficient set is available"
-        )
 
 
 def is_gamma_pole(w: complex, tol: float = POLE_TOL) -> bool:
@@ -133,23 +112,22 @@ def log_gamma_vec(z) -> np.ndarray:
     return out
 
 
-def log_gamma(w: complex, config: GammaConfig = DEFAULT_GAMMA_CONFIG) -> complex:
+def log_gamma(w: complex) -> complex:
     """Principal-branch log Gamma for Re(w) >= 0.5; exp-accurate elsewhere.
 
     exp(log_gamma(w)) matches Gamma(w) to relative error <= 1e-12 for
     |w| <= 170.  On the reflection side the imaginary part may differ
     from the principal branch by a multiple of 2 pi.
     """
-    _require_supported(config)
     w = complex(w)
     if is_gamma_pole(w):
         raise PoleError(f"log_gamma pole at w={w}")
     return complex(log_gamma_vec(np.array([w]))[0])
 
 
-def gamma(w: complex, config: GammaConfig = DEFAULT_GAMMA_CONFIG) -> complex:
+def gamma(w: complex) -> complex:
     """Gamma(w) = exp(log_gamma(w))."""
-    return cmath.exp(log_gamma(w, config))
+    return cmath.exp(log_gamma(w))
 
 
 def gamma_bicomplex(W: Bicomplex) -> Bicomplex:

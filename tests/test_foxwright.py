@@ -2,14 +2,30 @@
 
 import cmath
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from fwstates.errors import DomainViolation, PoleError, ValidationError
+from fwstates.bicomplex import Hyperbolic, compose_idempotent
+from fwstates.errors import (
+    DomainViolation,
+    FWError,
+    MaxTermsExceeded,
+    PoleError,
+    ValidationError,
+)
 from fwstates.foxwright import (
+    EvalResult,
     FWParams,
+    _abs,
+    _column_cache,
+    _pole_mask,
+    _streak_end,
     as_pfq,
     boundary_exponent,
     evaluate,
@@ -19,7 +35,9 @@ from fwstates.foxwright import (
     oracle_pfq,
     radius,
 )
-from fwstates.gammafn import log_gamma_ratio
+from fwstates.foxwright_bc import BCFWParams
+from fwstates.foxwright_bc import evaluate as evaluate_bc
+from fwstates.gammafn import log_gamma_ratio, log_gamma_vec
 
 # 50-digit mpmath sums, frozen
 GENERIC_PARAMS = FWParams(upper=[(0.7, 1.3)], lower=[(1.2, 0.9), (0.8, 1.1)])
@@ -216,3 +234,298 @@ def test_param_validation():
         FWParams(upper=[(0.0, 1.0)], lower=[])  # k=0 pole in an upper pair
     with pytest.raises(ValidationError):
         evaluate(FWParams(upper=[], lower=[]), 1.0, tol=0.0)
+
+
+# -- the block kernel against the per-term loop it replaced ---------------
+
+
+def _reference_log_terms(params, log_z, ks):
+    kf = ks.astype(float)
+    acc = kf * log_z - log_gamma_vec(kf + 1.0)
+    for a, A in params.upper:
+        args = a + kf * A
+        bad = _pole_mask(args)
+        if bad.any():
+            raise PoleError(
+                f"upper gamma pole at k={ks[bad][0]} (argument {args[bad][0]})"
+            )
+        acc = acc + log_gamma_vec(args)
+    for b, B in params.lower:
+        args = b + kf * B
+        acc = acc - log_gamma_vec(args)
+        bad = _pole_mask(args)
+        if bad.any():
+            acc[bad] = complex(-math.inf, 0.0)
+    return acc
+
+
+def _reference_evaluate(params, z, tol=1e-14, max_terms=10000, allow_boundary=False):
+    """evaluate() as it was with a per-term Python loop and no caching."""
+    if tol <= 0:
+        raise ValidationError("tol must be > 0")
+    z = complex(z)
+    if z == 0:
+        return evaluate(params, z)
+    r = radius(params)
+    on_boundary = False
+    if not math.isinf(r):
+        az = abs(z)
+        if r == 0.0 or az > r * (1.0 + 1e-12):
+            raise DomainViolation("outside")
+        if az >= r * (1.0 - 1e-12):
+            if not allow_boundary or boundary_exponent(params).real <= 0.5:
+                raise DomainViolation("boundary")
+            on_boundary = True
+    log_z = cmath.log(z)
+    total = 0j
+    consec = 0
+    terms_used = 0
+    mag_hist = [0.0, 0.0, 0.0]
+    k0 = 0
+    block = 32
+    while k0 < max_terms:
+        ks = np.arange(k0, min(k0 + block, max_terms))
+        logt = _reference_log_terms(params, log_z, ks)
+        if (logt.real > 709.0).any():
+            raise OverflowError("overflow")
+        with np.errstate(under="ignore", invalid="ignore"):
+            terms = np.exp(logt)
+        stopped = False
+        for i in range(len(ks)):
+            total += terms[i]
+            terms_used += 1
+            m = abs(terms[i])
+            mag_hist = [mag_hist[1], mag_hist[2], m]
+            if m <= tol * abs(total):
+                consec += 1
+            else:
+                consec = 0
+            if consec >= 3:
+                stopped = True
+                break
+        if stopped:
+            break
+        k0 += len(ks)
+        block = min(2 * block, 512)
+    else:
+        stopped = False
+    if not stopped and not on_boundary:
+        raise MaxTermsExceeded("max terms")
+    if on_boundary and not stopped:
+        lam_re = boundary_exponent(params).real
+        tail = abs(mag_hist[2]) * terms_used / (lam_re - 0.5)
+    else:
+        last = mag_hist[2]
+        prev = mag_hist[1]
+        ratio = last / prev if prev > 0 else 0.5
+        ratio = min(max(ratio, 0.0), 0.9)
+        tail = 4.0 * max(mag_hist) * ratio / (1.0 - ratio)
+        tail = max(tail, max(mag_hist))
+    return EvalResult(total, terms_used, tail)
+
+
+def _outcome(fn, *args, **kwargs):
+    """repr of the result (bits and types of every field) or the exception type."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except (FWError, OverflowError) as exc:
+        return type(exc)
+
+
+def _assert_same_as_reference(params, z, **kwargs):
+    got = _outcome(evaluate, params, z, **kwargs)
+    assert got == _outcome(_reference_evaluate, params, z, **kwargs)
+    return got
+
+
+FIXED_CASES = [
+    # right half-plane
+    (GENERIC_PARAMS, GENERIC_Z, {}),
+    (FWParams(upper=[(1.0, 1.0)], lower=[(1.0, 1.0)]), 7.5 + 2.0j, {}),
+    (DISK_PARAMS, 0.2 + 0.1j, {}),
+    # left half-plane, including the cancelling exp sums
+    (FWParams(upper=[(1.0, 1.0)], lower=[(1.0, 1.0)]), -20.0, {}),
+    (FWParams(upper=[(1.3, 0.8)], lower=[(2.1, 1.1)]), -6.0 + 3.0j, {}),
+    (FWParams(upper=[], lower=[(1.5, 1.0)]), -2.25, {}),
+    # on the convergence circle: runs to max_terms with the majorant tail
+    (BOUNDARY_PARAMS, 0.25, {"allow_boundary": True}),
+    (BOUNDARY_PARAMS, 0.25j, {"allow_boundary": True, "max_terms": 700}),
+    (
+        FWParams(upper=[(0.5, 1.0), (0.7, 1.0)], lower=[(2.0, 1.0)]),
+        -1.0,
+        {"allow_boundary": True},
+    ),
+    # a lower pole nulls term k = 1; an upper pole at k = 3 raises
+    (FWParams(upper=[(1.0, 1.0)], lower=[(-1.5, 1.0)]), 0.7 + 0.6j, {}),
+    (FWParams(upper=[(1.0, 1.0)], lower=[(-0.5, 0.5)]), 1.1 + 0.6j, {}),
+    (FWParams(upper=[(-1.5, 0.5)], lower=[]), 0.5, {}),
+    (FWParams(upper=[(0.5, 1.0), (-1.5, 0.5)], lower=[(2.0, 1.0)]), 0.5, {}),
+    # too few terms, overflow, refused points
+    (GENERIC_PARAMS, GENERIC_Z, {"max_terms": 5}),
+    (FWParams(upper=[(1.0, 1.0)], lower=[(1.0, 1.0)]), 800.0, {}),
+    (DISK_PARAMS, 0.3, {}),
+    (BOUNDARY_PARAMS, 0.25, {}),
+]
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 1e-15])
+@pytest.mark.parametrize("case", range(len(FIXED_CASES)))
+def test_block_kernel_matches_per_term_loop(case, tol):
+    params, z, kwargs = FIXED_CASES[case]
+    _assert_same_as_reference(params, z, tol=tol, **kwargs)
+
+
+@pytest.mark.parametrize("z, terms", [(10.4, 33), (10.95, 34)])
+def test_stop_streak_carries_across_blocks(z, terms):
+    # the three small terms that end the sum start in the first block
+    params = FWParams(upper=[(1.0, 1.0)], lower=[(1.0, 1.0)])
+    res = _assert_same_as_reference(params, z, tol=1e-6)
+    assert f"terms_used={terms}," in res
+
+
+@settings(deadline=None, derandomize=True)
+@given(ok=st.lists(st.booleans(), max_size=40), streak=st.integers(0, 2))
+def test_streak_end_matches_per_term_counter(ok, streak):
+    count, expect = streak, None
+    for i, flag in enumerate(ok):
+        count = count + 1 if flag else 0
+        if count >= 3:
+            expect = (i, 3)
+            break
+    assert _streak_end(np.array(ok, dtype=bool), streak) == (expect or (-1, count))
+
+
+def test_magnitudes_match_scalar_abs():
+    rng = np.random.default_rng(77)
+    scale = 10.0 ** rng.uniform(-300, 300, 20000)
+    x = (rng.standard_normal(20000) + 1j * rng.standard_normal(20000)) * scale
+    x[::5] = x[::5].real
+    assert _abs(x).tolist() == [abs(t) for t in x]
+
+
+def test_fixed_cases_cover_every_outcome():
+    outcomes = {
+        _outcome(evaluate, params, z, **kwargs) for params, z, kwargs in FIXED_CASES
+    }
+    for exc in (PoleError, MaxTermsExceeded, OverflowError, DomainViolation):
+        assert exc in outcomes
+    assert sum(isinstance(o, str) for o in outcomes) >= 10
+
+
+_VALUES = st.one_of(
+    st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False),
+    st.floats(-4.0, 4.0),
+    # a + k A lands on a gamma pole at some k > 0
+    st.sampled_from([-0.5, -1.5, -2.25, -3.5 + 0j]),
+)
+_WEIGHTS = st.sampled_from([0.25, 0.5, 0.75, 1.0, 1.3, 2.0])
+_PAIRS = st.lists(st.tuples(_VALUES, _WEIGHTS), max_size=2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    upper=_PAIRS,
+    lower=_PAIRS,
+    scale=st.floats(0.0, 1.0),
+    angle=st.floats(-math.pi, math.pi),
+    tol=st.sampled_from([1e-6, 1e-9, 1e-12, 1e-14, 1e-15]),
+    max_terms=st.sampled_from([2, 40, 10000]),
+    allow_boundary=st.booleans(),
+)
+def test_block_kernel_matches_per_term_loop_random(
+    upper, lower, scale, angle, tol, max_terms, allow_boundary
+):
+    try:
+        params = FWParams(upper=upper, lower=lower)
+    except ValidationError:
+        assume(False)
+    r = radius(params)
+    # finite radius: inside, and exactly on the circle; else |z| up to 40
+    if 0.0 < r < math.inf:
+        modulus = r if scale > 0.8 else r * scale
+    else:
+        modulus = 40.0 * scale
+    z = modulus * cmath.exp(1j * angle)
+    _assert_same_as_reference(
+        params, z, tol=tol, max_terms=max_terms, allow_boundary=allow_boundary
+    )
+
+
+# -- the per-parameter column cache ---------------------------------------
+
+
+def test_column_cache_stays_bounded():
+    bound = _column_cache.cache_info().maxsize
+    for i in range(bound + 8):
+        evaluate(FWParams(upper=[(0.5 + i / 64.0, 1.0)], lower=[(1.7, 0.8)]), 1.5)
+    assert _column_cache.cache_info().currsize == bound
+
+
+def test_equal_bicomplex_params_share_one_entry():
+    def make():
+        return BCFWParams(
+            upper=[(compose_idempotent(1.2, 0.8 + 0.1j), Hyperbolic(1.0, 0.9))],
+            lower=[(compose_idempotent(2.0, 2.5), Hyperbolic(1.1, 1.3))],
+        )
+
+    first, second = make(), make()
+    assert first is not second
+    for p in (1, 2):
+        assert _column_cache(first.component_params(p)) is _column_cache(
+            second.component_params(p)
+        )
+    evaluate_bc(first, compose_idempotent(0.5, 0.25))
+    hits = _column_cache.cache_info().hits
+    evaluate_bc(second, compose_idempotent(0.5, 0.25))
+    assert _column_cache.cache_info().hits >= hits + 2
+
+
+def test_columns_stop_at_max_terms():
+    params = FWParams(upper=[(0.9, 1.0), (0.6, 1.0)], lower=[(1.8, 1.0)])  # radius 1
+    cache = _column_cache(params)
+    assert cache.cols.n == 0
+    with pytest.raises(MaxTermsExceeded):
+        evaluate(params, 0.3, max_terms=10)
+    assert cache.cols.n == 10
+    evaluate(params, 0.3)
+    assert cache.cols.n == 32  # the first block's end
+    with pytest.raises(MaxTermsExceeded):
+        evaluate(params, 0.999, max_terms=100)
+    assert cache.cols.n == 100
+    res = evaluate(params, -1.0, allow_boundary=True, max_terms=1000)
+    assert res.terms_used == 1000 and cache.cols.n == 1000
+    cols = cache.cols
+    for col in (cols.log_fact, *cols.upper, *cols.lower, *cols.lower_poles):
+        assert col.shape == (1000,)
+
+
+def test_concurrent_evaluation_matches_serial():
+    # fresh parameter sets, so the threads grow the same entries at once
+    models = [
+        FWParams(
+            upper=[(0.3 + 0.01 * i, 1.0), (0.45, 1.0)], lower=[(1.9 + 0.01 * i, 1.0)]
+        )
+        for i in range(6)
+    ]
+    jobs = [
+        (params, z, max_terms)
+        for params in models
+        for z in (0.4, -0.7 + 0.2j, 1.0j)
+        for max_terms in (10000, 300, 2000)
+    ]
+    expect = [
+        _outcome(_reference_evaluate, p, z, max_terms=m, allow_boundary=True)
+        for p, z, m in jobs
+    ]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [
+                pool.submit(_outcome, evaluate, p, z, max_terms=m, allow_boundary=True)
+                for p, z, m in jobs
+            ]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    assert got == expect
