@@ -29,13 +29,22 @@ from .bicomplex import Bicomplex, Hyperbolic, compose_idempotent
 from .coherent import (
     BCCoherentModel,
     CoherentModel,
+    _log_rho_vec,
     annihilation_residual,
-    f_factor,
     log_rho,
     make_state,
     make_state_b,
+    recurrence_worst,
 )
-from .foxwright import FWParams, as_pfq, evaluate, oracle_bessel_j, oracle_pfq, radius
+from .foxwright import (
+    FWParams,
+    as_pfq,
+    evaluate,
+    margin,
+    oracle_bessel_j,
+    oracle_pfq,
+    radius,
+)
 from .foxwright_bc import BCFWParams, Domain, classify
 from .foxwright_bc import evaluate as evaluate_bc
 from .gammafn import gamma, gamma_bicomplex, log_gamma_ratio
@@ -168,23 +177,7 @@ def criterion_radius_law(seed: int = DEFAULT_SEED) -> CriterionResult:
                     lower=[(rng.uniform(0.3, 3.0), float(Bi)) for Bi in B],
                 )
             )
-        bc = BCFWParams(
-            upper=[
-                (
-                    compose_idempotent(comps[0].upper[i][0], comps[1].upper[i][0]),
-                    Hyperbolic(comps[0].upper[i][1], comps[1].upper[i][1]),
-                )
-                for i in range(p)
-            ],
-            lower=[
-                (
-                    compose_idempotent(comps[0].lower[i][0], comps[1].lower[i][0]),
-                    Hyperbolic(comps[0].lower[i][1], comps[1].lower[i][1]),
-                )
-                for i in range(q)
-            ],
-        )
-        report = classify(bc)
+        report = classify(BCFWParams.from_components(*comps))
         for comp_idx in (0, 1):
             v = report.v_radius[comp_idx]
             emp = _ratio_radius(comps[comp_idx])
@@ -307,23 +300,16 @@ def criterion_idempotent(seed: int = DEFAULT_SEED) -> CriterionResult:
     )
 
 
-def _random_margin_model(rng) -> FWParams:
+def random_margin_model(rng) -> FWParams:
+    """Real positive parameters, at most two pairs a side, margin >= 0.3."""
     while True:
         p = int(rng.integers(0, 3))
         q = int(rng.integers(p, 3))
         upper = [(rng.uniform(0.3, 3.0), rng.uniform(0.5, 1.5)) for _ in range(p)]
         lower = [(rng.uniform(0.3, 3.0), rng.uniform(0.5, 1.5)) for _ in range(q)]
         params = FWParams(upper=upper, lower=lower)
-        if 1.0 + sum(B for _, B in params.lower) - sum(A for _, A in params.upper) >= 0.3:
+        if margin(params) >= 0.3:
             return params
-
-
-def _recurrence_worst(model: CoherentModel, k_max: int = 100) -> float:
-    worst = 0.0
-    for k in range(k_max):
-        delta = log_rho(model, k) + 2.0 * math.log(f_factor(model, k)) - log_rho(model, k + 1)
-        worst = max(worst, abs(math.expm1(delta)))
-    return worst
 
 
 def criterion_state_structure(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -334,8 +320,8 @@ def criterion_state_structure(seed: int = DEFAULT_SEED) -> CriterionResult:
     worst_norm = 0.0
     worst_res = 0.0
     for _ in range(10):
-        model = CoherentModel(_random_margin_model(rng))
-        worst_rec = max(worst_rec, _recurrence_worst(model))
+        model = CoherentModel(random_margin_model(rng))
+        worst_rec = max(worst_rec, recurrence_worst(model))
         for r in (0.5, 1.25, 2.0):
             for theta in (0.0, 2.1, 4.2):
                 z = r * cmath.exp(1j * theta)
@@ -344,44 +330,20 @@ def criterion_state_structure(seed: int = DEFAULT_SEED) -> CriterionResult:
                 worst_norm = max(worst_norm, abs(norm_sq - 1.0))
                 worst_res = max(worst_res, annihilation_residual(model, state))
     for _ in range(4):
-        comp = [_random_margin_model(rng), None]
-        p, q = comp[0].p, comp[0].q
-        while True:
-            other = _random_margin_model(rng)
-            if other.p == p and other.q == q:
-                comp[1] = other
-                break
-        bc = BCFWParams(
-            upper=[
-                (
-                    compose_idempotent(comp[0].upper[i][0], comp[1].upper[i][0]),
-                    Hyperbolic(comp[0].upper[i][1], comp[1].upper[i][1]),
-                )
-                for i in range(p)
-            ],
-            lower=[
-                (
-                    compose_idempotent(comp[0].lower[i][0], comp[1].lower[i][0]),
-                    Hyperbolic(comp[0].lower[i][1], comp[1].lower[i][1]),
-                )
-                for i in range(q)
-            ],
-        )
-        bmodel = BCCoherentModel(bc)
-        for pc in (1, 2):
-            worst_rec = max(worst_rec, _recurrence_worst(bmodel.component_model(pc)))
+        first = random_margin_model(rng)
+        second = random_margin_model(rng)
+        while (second.p, second.q) != (first.p, first.q):
+            second = random_margin_model(rng)
+        bmodel = BCCoherentModel(BCFWParams.from_components(first, second))
         Z = compose_idempotent(
             1.5 * cmath.exp(1j * rng.uniform(0, 6.28)),
             0.8 * cmath.exp(1j * rng.uniform(0, 6.28)),
         )
-        bstate = make_state_b(bmodel, Z)
-        for pc in (0, 1):
-            st = bstate.components[pc]
+        for cmodel, st in zip(bmodel.decompose(), make_state_b(bmodel, Z).components):
+            worst_rec = max(worst_rec, recurrence_worst(cmodel))
             norm_sq = sum(abs(c) ** 2 for c in st.coeffs)
             worst_norm = max(worst_norm, abs(norm_sq - 1.0))
-            worst_res = max(
-                worst_res, annihilation_residual(bmodel.component_model(pc + 1), st)
-            )
+            worst_res = max(worst_res, annihilation_residual(cmodel, st))
     ok = worst_rec <= 1e-11 and worst_norm <= 1e-10 and worst_res <= 1e-8
     return _result(
         "coherent-structure",
@@ -431,11 +393,12 @@ def criterion_nu() -> CriterionResult:
             vg = continuum.nu(model, zeta, scheme="gk")
             vt = continuum.nu(model, zeta, scheme="ts")
             worst_dual = max(worst_dual, abs(vg - vt) / abs(vg))
+    # scalar log_rho (math.lgamma) against the array form (Lanczos)
     worst_int = 0.0
     for model in models:
+        vec = _log_rho_vec(model, np.arange(51))
         for k in range(51):
-            delta = continuum.log_rho_tilde(model, float(k)) - log_rho(model, k)
-            worst_int = max(worst_int, abs(math.expm1(delta)))
+            worst_int = max(worst_int, abs(math.expm1(log_rho(model, k) - vec[k])))
     cfg = continuum.DEFAULT_QUAD
     worst_norm = 0.0
     for model in models:

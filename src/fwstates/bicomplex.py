@@ -14,6 +14,10 @@ Zero divisors are exactly the nonzero elements with one idempotent
 component equal to zero.  Hyperbolic numbers are the subring with both
 components real; they carry the partial order `leq_h` and host norms,
 exponent weights and convergence radii.
+
+Every bicomplex routine of the package is the complex routine run on
+each idempotent component; `componentwise` is that construction, used
+by the bicomplex Fox-Wright series, gamma, states, nu and measure.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import math
 from typing import Union
 
-from .errors import DomainError, SingularElement, ValidationError
+from .errors import DomainError, FWError, SingularElement, ValidationError
 
 Scalar = Union[int, float, complex]
 
@@ -278,6 +282,25 @@ E1 = Bicomplex(1.0, 0.0)
 E2 = Bicomplex(0.0, 1.0)
 ONE = Bicomplex(1.0, 1.0)
 ZERO = Bicomplex(0.0, 0.0)
+
+
+def componentwise(fn, *args) -> tuple:
+    """The pair (fn on component 1, fn on component 2).
+
+    Arguments with a `decompose()` method (Bicomplex, Hyperbolic,
+    BCFWParams, BCCoherentModel) are split into their idempotent
+    components; any other argument goes to both calls unchanged.  A
+    package error or overflow in component p is re-raised as the same
+    type with a "component p: " prefix.
+    """
+    parts = zip(*[a.decompose() if hasattr(a, "decompose") else (a, a) for a in args])
+    out = []
+    for p, part in enumerate(parts, start=1):
+        try:
+            out.append(fn(*part))
+        except (FWError, OverflowError) as exc:
+            raise type(exc)(f"component {p}: {exc}") from exc
+    return tuple(out)
 
 
 def compose_idempotent(z1: Scalar, z2: Scalar) -> Bicomplex:

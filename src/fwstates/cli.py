@@ -17,17 +17,21 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import acceptance
 from .bicomplex import Bicomplex
-from .coherent import CoherentModel, annihilation_residual, make_state, overlap
+from .coherent import (
+    CoherentModel,
+    annihilation_residual,
+    make_state,
+    overlap,
+    recurrence_worst,
+)
 from .continuum import DEFAULT_QUAD, SCHEMES, QuadConfig, nu_with_error
 from .errors import (
     ContourFailure,
@@ -143,19 +147,6 @@ def _parse_orders(text: str) -> list[int]:
         raise ValidationError(f"cannot parse {text!r} as moment orders") from exc
 
 
-def _pool_map(fn, items):
-    """Order-preserving map; FW_THREADS > 1 switches to a worker pool."""
-    items = list(items)
-    try:
-        workers = int(os.environ.get("FW_THREADS", "1"))
-    except ValueError:
-        workers = 1
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _load_model(path: str, k_flag: int) -> CoherentModel:
     # a "K" entry in the file wins over the command-line default
     params, k_file = load_fw_params(path)
@@ -263,7 +254,7 @@ def _verify_model(label: str, model: CoherentModel) -> list[tuple[str, str, floa
         for t in (0.0, 2.4)
     ]
     worst = {name: 0.0 for name in _VERIFY_TOLS}
-    worst["recurrence"] = acceptance._recurrence_worst(model, min(100, 4 * model.K))
+    worst["recurrence"] = recurrence_worst(model, min(100, 4 * model.K))
     for z in zs:
         state = make_state(model, z)
         total = sum(abs(c) ** 2 for c in state.coeffs) + state.tail_mass
@@ -277,7 +268,7 @@ def cmd_cs_verify(args) -> int:
     models = [("file", _load_model(args.params, args.K))]
     rng = np.random.default_rng(args.seed)
     for i in range(args.random):
-        models.append((f"rng{i}", CoherentModel(acceptance._random_margin_model(rng), 32)))
+        models.append((f"rng{i}", CoherentModel(acceptance.random_margin_model(rng), 32)))
     sys.stdout.write("model,check,worst,tol,pass\n")
     ok = True
     for label, model in models:
@@ -301,7 +292,7 @@ def cmd_nu_eval(args) -> int:
     except ValueError as exc:
         raise ValidationError(f"cannot parse {args.zeta!r} as zeta values") from exc
     cfg = QuadConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
-    results = _pool_map(lambda zeta: nu_with_error(model, zeta, cfg, args.scheme), zetas)
+    results = [nu_with_error(model, zeta, cfg, args.scheme) for zeta in zetas]
     if len(zetas) == 1:
         value, err = results[0]
         _emit_json({"value": value, "err_est": err, "scheme": args.scheme})
@@ -316,7 +307,7 @@ def cmd_nu_eval(args) -> int:
 def cmd_measure_check(args) -> int:
     model = _load_model(args.model, args.K)
     orders = _parse_orders(args.k)
-    results = _pool_map(lambda k: moment_check(model, k), orders)
+    results = [moment_check(model, k) for k in orders]
     sys.stdout.write("k,lhs,rhs,rel_err,pass\n")
     ok = True
     for k, res in zip(orders, results):

@@ -16,8 +16,12 @@ recurrence rho(k+1) = rho(k) f(k)^2 and the eigenstate property are
 genuine cross-checks rather than tautologies.
 
 Parameters are restricted to real a_l, b_r > 0 with positive margin;
-that keeps rho positive and N entire.  Bicomplex models delegate per
-idempotent component.
+that keeps rho positive and N entire.  log_rho and rho accept any real
+k >= 0, so they are also the continuous interpolation rho_tilde(E) of
+`continuum`; _log_rho_vec is the array form (Lanczos log-gamma, which
+may differ from the scalar math.lgamma form in the last bits).
+Bicomplex models run each complex routine per idempotent component
+through `bicomplex.componentwise`.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bicomplex import Bicomplex, Hyperbolic
+from .bicomplex import Bicomplex, Hyperbolic, componentwise
 from .errors import TruncationError, ValidationError
 from .foxwright import CLASSIFY_TOL, FWParams, margin
 from .foxwright import evaluate as fw_evaluate
@@ -98,7 +102,8 @@ def _log_prefactor(model: CoherentModel) -> float:
     return s
 
 
-def log_rho(model: CoherentModel, k: int) -> float:
+def log_rho(model: CoherentModel, k: float) -> float:
+    """log rho(k) for real k >= 0."""
     if k < 0:
         raise ValidationError("k must be >= 0")
     s = math.lgamma(k + 1.0)
@@ -119,8 +124,8 @@ def _log_rho_vec(model: CoherentModel, ks: np.ndarray) -> np.ndarray:
     return s
 
 
-def rho(model: CoherentModel, k: int) -> float:
-    """Parameter function rho(k); raises when it leaves the float range."""
+def rho(model: CoherentModel, k: float) -> float:
+    """Parameter function rho(k), real k >= 0; raises when it leaves the float range."""
     lr = log_rho(model, k)
     if lr > _LOG_FLOAT_MAX:
         raise OverflowError(
@@ -139,6 +144,15 @@ def f_factor(model: CoherentModel, s: int) -> float:
     for a, A in model.params.upper:
         acc -= log_gamma_ratio(a.real, A, s).real
     return math.exp(0.5 * acc)
+
+
+def recurrence_worst(model: CoherentModel, k_max: int = 100) -> float:
+    """Worst relative gap of rho(k+1) = rho(k) f(k)^2 over k < k_max."""
+    worst = 0.0
+    for k in range(k_max):
+        delta = log_rho(model, k) + 2.0 * math.log(f_factor(model, k)) - log_rho(model, k + 1)
+        worst = max(worst, abs(math.expm1(delta)))
+    return worst
 
 
 def normalization_at(model: CoherentModel, zeta: complex) -> complex:
@@ -252,10 +266,11 @@ class BCCoherentModel:
     )
 
     def __post_init__(self):
-        comps = tuple(
-            CoherentModel(self.params.component_params(p), self.K) for p in (1, 2)
-        )
+        comps = componentwise(CoherentModel, self.params, self.K)
         object.__setattr__(self, "_components", comps)
+
+    def decompose(self) -> tuple[CoherentModel, CoherentModel]:
+        return self._components
 
     def component_model(self, p: int) -> CoherentModel:
         if p not in (1, 2):
@@ -264,21 +279,15 @@ class BCCoherentModel:
 
 
 def rho_b(model: BCCoherentModel, k: int) -> Hyperbolic:
-    return Hyperbolic(
-        rho(model.component_model(1), k), rho(model.component_model(2), k)
-    )
+    return Hyperbolic(*componentwise(rho, model, k))
 
 
 def log_rho_b(model: BCCoherentModel, k: int) -> Hyperbolic:
-    return Hyperbolic(
-        log_rho(model.component_model(1), k), log_rho(model.component_model(2), k)
-    )
+    return Hyperbolic(*componentwise(log_rho, model, k))
 
 
 def f_b(model: BCCoherentModel, s: int) -> Hyperbolic:
-    return Hyperbolic(
-        f_factor(model.component_model(1), s), f_factor(model.component_model(2), s)
-    )
+    return Hyperbolic(*componentwise(f_factor, model, s))
 
 
 def normalization_b(model: BCCoherentModel, W) -> "Hyperbolic | Bicomplex":
@@ -286,24 +295,16 @@ def normalization_b(model: BCCoherentModel, W) -> "Hyperbolic | Bicomplex":
     if isinstance(W, Hyperbolic):
         if not W.in_dplus():
             raise ValidationError(f"normalization argument must lie in D+, got {W!r}")
-        return Hyperbolic(
-            normalization(model.component_model(1), W.c1),
-            normalization(model.component_model(2), W.c2),
-        )
+        return Hyperbolic(*componentwise(normalization, model, W))
     if not isinstance(W, Bicomplex):
         W = Bicomplex.from_scalar(W)
-    return Bicomplex(
-        normalization_at(model.component_model(1), W.z1),
-        normalization_at(model.component_model(2), W.z2),
-    )
+    return Bicomplex(*componentwise(normalization_at, model, W))
 
 
 def make_state_b(model: BCCoherentModel, Z: Bicomplex, tail_target: float = 1e-12) -> BCStateVector:
     if not isinstance(Z, Bicomplex):
         Z = Bicomplex.from_scalar(Z)
-    s1 = make_state(model.component_model(1), Z.z1, tail_target)
-    s2 = make_state(model.component_model(2), Z.z2, tail_target)
-    return BCStateVector(components=(s1, s2), z=Z)
+    return BCStateVector(components=componentwise(make_state, model, Z, tail_target), z=Z)
 
 
 def overlap_b(model: BCCoherentModel, Z: Bicomplex, Zp: Bicomplex) -> Bicomplex:
@@ -312,7 +313,4 @@ def overlap_b(model: BCCoherentModel, Z: Bicomplex, Zp: Bicomplex) -> Bicomplex:
         Z = Bicomplex.from_scalar(Z)
     if not isinstance(Zp, Bicomplex):
         Zp = Bicomplex.from_scalar(Zp)
-    return Bicomplex(
-        overlap(model.component_model(1), Z.z1, Zp.z1),
-        overlap(model.component_model(2), Z.z2, Zp.z2),
-    )
+    return Bicomplex(*componentwise(overlap, model, Z, Zp))

@@ -13,6 +13,11 @@ log-integrand has dropped e_max_drop below its peak.
 Two independent quadrature schemes are provided on purpose: "gk"
 (adaptive Gauss-Kronrod via QUADPACK) and "ts" (an in-package tanh-sinh
 rule).  Their agreement is the correctness check for every nu value.
+
+rho_tilde and log_rho_tilde are `coherent.rho` and `coherent.log_rho`,
+which take any real argument >= 0; the integrands use the array form
+`coherent._log_rho_vec`.  nu_bicomplex runs nu per idempotent component
+through `bicomplex.componentwise`.
 """
 
 from __future__ import annotations
@@ -24,10 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate as _si
 
-from .bicomplex import Hyperbolic
-from .coherent import BCCoherentModel, CoherentModel
+from .bicomplex import Hyperbolic, componentwise
+from .coherent import BCCoherentModel, CoherentModel, _log_rho_vec, log_rho, rho
 from .errors import QuadratureFailure, ValidationError
-from .gammafn import log_gamma_vec
 
 
 @dataclass(frozen=True)
@@ -47,32 +51,9 @@ DEFAULT_QUAD = QuadConfig()
 SCHEMES = ("gk", "ts")
 
 
-def log_rho_tilde(model: CoherentModel, E: float) -> float:
-    if E < 0:
-        raise ValidationError("E must be >= 0")
-    s = math.lgamma(E + 1.0)
-    for a, A in model.params.upper:
-        s += math.lgamma(a.real) - math.lgamma(a.real + E * A)
-    for b, B in model.params.lower:
-        s += math.lgamma(b.real + E * B) - math.lgamma(b.real)
-    return s
-
-
-def _log_rho_tilde_vec(model: CoherentModel, Es: np.ndarray) -> np.ndarray:
-    s = log_gamma_vec(Es + 1.0).real
-    for a, A in model.params.upper:
-        s += math.lgamma(a.real) - log_gamma_vec(a.real + Es * A).real
-    for b, B in model.params.lower:
-        s += log_gamma_vec(b.real + Es * B).real - math.lgamma(b.real)
-    return s
-
-
-def rho_tilde(model: CoherentModel, E: float) -> float:
-    """Continuous interpolation of rho; equals rho(k) at integer E."""
-    lr = log_rho_tilde(model, E)
-    if lr > math.log(np.finfo(float).max):
-        raise OverflowError(f"rho_tilde({E}) overflows float64; use log_rho_tilde")
-    return math.exp(lr)
+# the continuous interpolation of rho is rho itself at real argument
+log_rho_tilde = log_rho
+rho_tilde = rho
 
 
 def _e_max(model: CoherentModel, log_zeta: float, drop: float) -> float:
@@ -80,7 +61,7 @@ def _e_max(model: CoherentModel, log_zeta: float, drop: float) -> float:
     hi = 8.0
     for _ in range(80):
         grid = np.linspace(0.0, hi, 257)
-        logf = grid * log_zeta - _log_rho_tilde_vec(model, grid)
+        logf = grid * log_zeta - _log_rho_vec(model, grid)
         peak = logf.max()
         if logf[-1] <= peak - drop:
             return hi
@@ -170,7 +151,7 @@ def nu_with_error(
 
     def integrand(Es):
         with np.errstate(under="ignore"):
-            return np.exp(Es * log_zeta - _log_rho_tilde_vec(model, Es))
+            return np.exp(Es * log_zeta - _log_rho_vec(model, Es))
 
     return _integrate(integrand, 0.0, e_hi, cfg, scheme)
 
@@ -196,13 +177,7 @@ def nu_bicomplex(
         W = Hyperbolic.from_scalar(W)
     if not W.in_dplus():
         raise ValidationError(f"nu_bicomplex argument must lie in D+, got {W!r}")
-    values = []
-    for p, wp in zip((1, 2), W.decompose()):
-        try:
-            values.append(nu(model.component_model(p), wp, cfg, scheme))
-        except QuadratureFailure as exc:
-            raise QuadratureFailure(f"component {p}: {exc}") from exc
-    return Hyperbolic(values[0], values[1])
+    return Hyperbolic(*componentwise(nu, model, W, cfg, scheme))
 
 
 def overlap_tilde(
@@ -227,7 +202,7 @@ def overlap_tilde(
 
     def integrand(Es):
         with np.errstate(under="ignore"):
-            return np.exp(Es * log_zeta - _log_rho_tilde_vec(model, Es))
+            return np.exp(Es * log_zeta - _log_rho_vec(model, Es))
 
     if scheme == "gk":
         value, err = _si.quad(

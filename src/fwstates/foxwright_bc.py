@@ -13,17 +13,30 @@ On the finite-radius circles the boundary exponent
 
 decides absolute convergence: both components need Re(lambda_p) > 1/2,
 which in cartesian form reads Re(Lambda_1) - 1/2 > |Im(Lambda_2)|.
+
+BCFWParams keeps its two complex components (the FWParams each
+idempotent component sees).  The classifier takes each component's
+margin, radius and boundary exponent from `foxwright`, and evaluate runs
+the complex series per component through `bicomplex.componentwise`.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .bicomplex import Bicomplex, Hyperbolic
+from .bicomplex import Bicomplex, Hyperbolic, componentwise
 from .errors import DomainViolation, ValidationError
-from .foxwright import CLASSIFY_TOL, DEFAULT_MAX_TERMS, DEFAULT_TOL, FWParams
+from .foxwright import (
+    CLASSIFY_TOL,
+    DEFAULT_MAX_TERMS,
+    DEFAULT_TOL,
+    FWParams,
+    boundary_exponent,
+    margin,
+    radius,
+)
 from .foxwright import evaluate as evaluate_complex
 
 
@@ -58,13 +71,34 @@ class BCFWParams:
 
     upper: tuple[tuple[Bicomplex, Hyperbolic], ...]
     lower: tuple[tuple[Bicomplex, Hyperbolic], ...]
+    _components: tuple[FWParams, FWParams] = field(init=False, repr=False, compare=False)
 
     def __init__(self, upper=(), lower=()):
         object.__setattr__(self, "upper", _normalize_bc_pairs(upper, "upper"))
         object.__setattr__(self, "lower", _normalize_bc_pairs(lower, "lower"))
         # per-component restriction must give two valid complex parameter sets
-        self.component_params(1)
-        self.component_params(2)
+        comps = tuple(
+            FWParams(
+                upper=[(mu.decompose()[i], M.decompose()[i]) for mu, M in self.upper],
+                lower=[(nu.decompose()[i], N.decompose()[i]) for nu, N in self.lower],
+            )
+            for i in (0, 1)
+        )
+        object.__setattr__(self, "_components", comps)
+
+    @classmethod
+    def from_components(cls, p1: FWParams, p2: FWParams) -> "BCFWParams":
+        """Parameters whose idempotent components are p1 and p2 (same shape)."""
+        if (p1.p, p1.q) != (p2.p, p2.q):
+            raise ValidationError("component parameter lists must have equal lengths")
+
+        def join(pairs1, pairs2):
+            return [
+                (Bicomplex(v1, v2), Hyperbolic(w1, w2))
+                for (v1, w1), (v2, w2) in zip(pairs1, pairs2)
+            ]
+
+        return cls(join(p1.upper, p2.upper), join(p1.lower, p2.lower))
 
     @property
     def m(self) -> int:
@@ -74,16 +108,14 @@ class BCFWParams:
     def n(self) -> int:
         return len(self.lower)
 
+    def decompose(self) -> tuple[FWParams, FWParams]:
+        return self._components
+
     def component_params(self, p: int) -> FWParams:
         """Complex FWParams seen by idempotent component p (1 or 2)."""
         if p not in (1, 2):
             raise ValidationError("component index must be 1 or 2")
-        pick_c = (lambda Z: Z.z1) if p == 1 else (lambda Z: Z.z2)
-        pick_h = (lambda P: P.c1) if p == 1 else (lambda P: P.c2)
-        return FWParams(
-            upper=[(pick_c(mu), pick_h(M)) for mu, M in self.upper],
-            lower=[(pick_c(nu), pick_h(N)) for nu, N in self.lower],
-        )
+        return self._components[p - 1]
 
     def to_json(self) -> dict:
         return {
@@ -176,39 +208,14 @@ def classify(params: BCFWParams) -> ConvergenceReport:
     for _, M in params.upper:
         upsilon = upsilon - M
 
-    signs = (
-        _sign_with_tol(upsilon.c1 + 1.0, CLASSIFY_TOL),
-        _sign_with_tol(upsilon.c2 + 1.0, CLASSIFY_TOL),
-    )
-    domain = _DOMAIN_BY_SIGNS[signs]
-
-    radii = []
-    for p, s in zip((1, 2), signs):
-        if s > 0:
-            radii.append(math.inf)
-        elif s < 0:
-            radii.append(0.0)
-        else:
-            pick = (lambda P: P.c1) if p == 1 else (lambda P: P.c2)
-            log_v = sum(pick(N) * math.log(pick(N)) for _, N in params.lower) - sum(
-                pick(M) * math.log(pick(M)) for _, M in params.upper
-            )
-            radii.append(math.exp(log_v))
-
-    lam = []
-    for p in (1, 2):
-        pick = (lambda Z: Z.z1) if p == 1 else (lambda Z: Z.z2)
-        lam.append(
-            sum((pick(nu) for nu, _ in params.lower), 0j)
-            - sum((pick(mu) for mu, _ in params.upper), 0j)
-            - (params.n - params.m) / 2.0
-        )
-    lam1, lam2 = lam
+    comps = params.decompose()
+    domain = _DOMAIN_BY_SIGNS[tuple(_sign_with_tol(margin(P), CLASSIFY_TOL) for P in comps)]
+    lam1, lam2 = (boundary_exponent(P) for P in comps)
     lambda_cart = ((lam1 + lam2) / 2.0, 0.5j * (lam1 - lam2))
 
     return ConvergenceReport(
         upsilon=upsilon,
-        v_radius=(radii[0], radii[1]),
+        v_radius=tuple(radius(P) for P in comps),
         lambda_idem=(lam1, lam2),
         lambda_cart=lambda_cart,
         domain=domain,
@@ -252,26 +259,17 @@ def evaluate(
     report = classify(params)
 
     status = []
-    for p, zp in zip((1, 2), Z.decompose()):
-        v = report.v_radius[p - 1]
+    for p, v, zp in zip((1, 2), report.v_radius, Z.decompose()):
         az = abs(zp)
-        if math.isinf(v) or az == 0.0:
+        if math.isinf(v) or az == 0.0 or az < v * (1.0 - 1e-12):
             status.append("inside")
-        elif v == 0.0:
-            status.append("outside")
-        elif az > v * (1.0 + 1e-12):
-            status.append("outside")
-        elif az >= v * (1.0 - 1e-12):
-            status.append("boundary")
-        else:
-            status.append("inside")
-
-    for p, st in zip((1, 2), status):
-        if st == "outside":
+        elif v == 0.0 or az > v * (1.0 + 1e-12):
             raise DomainViolation(
-                f"component {p}: |z{p}|={abs(Z.decompose()[p - 1]):.6g} outside "
-                f"radius {report.v_radius[p - 1]:.6g} ({report.domain.value})"
+                f"component {p}: |z{p}|={az:.6g} outside "
+                f"radius {v:.6g} ({report.domain.value})"
             )
+        else:
+            status.append("boundary")
     if "boundary" in status:
         if report.domain is Domain.HYPERBOLIC_BALL and status != ["boundary", "boundary"]:
             raise DomainViolation(
@@ -284,20 +282,8 @@ def evaluate(
                 "under the Re(lambda) > 1/2 condition"
             )
 
-    values = []
-    for p, zp in zip((1, 2), Z.decompose()):
-        try:
-            res = evaluate_complex(
-                params.component_params(p),
-                zp,
-                tol=tol,
-                max_terms=max_terms,
-                allow_boundary=allow_boundary,
-            )
-        except DomainViolation as exc:
-            raise DomainViolation(f"component {p}: {exc}") from exc
-        values.append(res.value)
-    return Bicomplex(values[0], values[1])
+    r1, r2 = componentwise(evaluate_complex, params, Z, tol, max_terms, allow_boundary)
+    return Bicomplex(r1.value, r2.value)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .bicomplex import Bicomplex
+from .bicomplex import Bicomplex, componentwise
 from .errors import PoleError
 
 # Godfrey's coefficient set for g = 7, 9 terms; relative error ~1e-15 on
@@ -132,12 +132,7 @@ def gamma(w: complex) -> complex:
 
 def gamma_bicomplex(W: Bicomplex) -> Bicomplex:
     """Idempotent bicomplex gamma: Gamma(w1) e1 + Gamma(w2) e2."""
-    bad = [p for p, wp in zip((1, 2), W.decompose()) if is_gamma_pole(wp)]
-    if bad:
-        which = " and ".join(f"component {p}" for p in bad)
-        raise PoleError(f"gamma_bicomplex pole in {which} of W={W!r}")
-    z1, z2 = W.decompose()
-    return Bicomplex(gamma(z1), gamma(z2))
+    return Bicomplex(*componentwise(gamma, W))
 
 
 def pochhammer(a: complex, E: float) -> complex:

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import integrate as _si
 
-from .bicomplex import Hyperbolic
+from .bicomplex import Hyperbolic, componentwise
 from .coherent import BCCoherentModel, CoherentModel, rho
 from .continuum import DEFAULT_QUAD, QuadConfig
 from .errors import (
@@ -290,13 +290,7 @@ def measure_density_b(
         X = Hyperbolic.from_scalar(X)
     if not X.in_dplus():
         raise ValidationError(f"measure density needs a radius pair in D+, got {X!r}")
-    values = []
-    for p, xp in zip((1, 2), X.decompose()):
-        try:
-            values.append(measure_density(model.component_model(p), xp, cc))
-        except (DomainError, ContourFailure) as exc:
-            raise type(exc)(f"component {p}: {exc}") from exc
-    return Hyperbolic(values[0], values[1])
+    return Hyperbolic(*componentwise(measure_density, model, X, cc))
 
 
 class MomentResult(NamedTuple):

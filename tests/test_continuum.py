@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate as si
 
 from fwstates.bicomplex import Bicomplex, Hyperbolic
-from fwstates.coherent import BCCoherentModel, CoherentModel, log_rho, rho
+from fwstates.coherent import BCCoherentModel, CoherentModel, _log_rho_vec, log_rho, rho
 from fwstates.continuum import (
     QuadConfig,
     log_rho_tilde,
@@ -41,10 +41,14 @@ def test_rho_tilde_examples():
 
 
 def test_integer_consistency():
+    # rho_tilde is rho; the independent comparison is scalar log_rho
+    # (math.lgamma) against the array form (Lanczos) at integer k
+    assert log_rho_tilde is log_rho and rho_tilde is rho
+    ks = np.arange(51)
     for model in (VACUUM, GENERIC):
-        for k in range(51):
-            assert log_rho_tilde(model, float(k)) == log_rho(model, k)
-            assert rho_tilde(model, float(k)) == pytest.approx(rho(model, k), rel=1e-12)
+        vec = _log_rho_vec(model, ks)
+        for k in ks:
+            assert abs(math.expm1(log_rho(model, int(k)) - vec[k])) <= 1e-12
 
 
 def test_rho_tilde_overflow():
