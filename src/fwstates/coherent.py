@@ -291,10 +291,8 @@ def f_b(model: BCCoherentModel, s: int) -> Hyperbolic:
 
 
 def normalization_b(model: BCCoherentModel, W) -> "Hyperbolic | Bicomplex":
-    """Per-component normalization; hyperbolic in, hyperbolic out."""
+    """Per-component normalization; hyperbolic in (D+), hyperbolic out."""
     if isinstance(W, Hyperbolic):
-        if not W.in_dplus():
-            raise ValidationError(f"normalization argument must lie in D+, got {W!r}")
         return Hyperbolic(*componentwise(normalization, model, W))
     if not isinstance(W, Bicomplex):
         W = Bicomplex.from_scalar(W)

@@ -125,13 +125,16 @@ def _integrate(f, a, b, cfg: QuadConfig, scheme: str):
             limit=cfg.max_subdivisions,
             full_output=1,
         )
-        value, err = out[0], out[1]
         if len(out) > 3:
             raise QuadratureFailure(f"Gauss-Kronrod failed: {out[3]}")
-        return value, err
-    if scheme == "ts":
-        return _tanh_sinh(f, a, b, cfg.rel_tol, cfg.abs_tol)
-    raise ValidationError(f"unknown quadrature scheme {scheme!r}; use one of {SCHEMES}")
+    elif scheme == "ts":
+        out = _tanh_sinh(f, a, b, cfg.rel_tol, cfg.abs_tol)
+    else:
+        raise ValidationError(f"unknown quadrature scheme {scheme!r}; use one of {SCHEMES}")
+    value, err = out[0], out[1]
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise OverflowError(f"integral {value!r} (error {err!r}) leaves the float64 range")
+    return value, err
 
 
 def nu_with_error(
@@ -172,11 +175,9 @@ def nu_bicomplex(
     cfg: QuadConfig = DEFAULT_QUAD,
     scheme: str = "gk",
 ) -> Hyperbolic:
-    """Componentwise nu on a hyperbolic argument in D+."""
+    """Componentwise nu on a hyperbolic argument in D+ (nu rejects zeta < 0)."""
     if not isinstance(W, Hyperbolic):
         W = Hyperbolic.from_scalar(W)
-    if not W.in_dplus():
-        raise ValidationError(f"nu_bicomplex argument must lie in D+, got {W!r}")
     return Hyperbolic(*componentwise(nu, model, W, cfg, scheme))
 
 

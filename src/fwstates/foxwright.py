@@ -140,17 +140,31 @@ def margin(params: FWParams) -> float:
     return 1.0 + sum(B for _, B in params.lower) - sum(A for _, A in params.upper)
 
 
+def margin_sign(params: FWParams) -> int:
+    """1, 0 or -1 as Delta lies above, within or below +-CLASSIFY_TOL."""
+    d = margin(params)
+    return (d > CLASSIFY_TOL) - (d < -CLASSIFY_TOL)
+
+
 def radius(params: FWParams) -> float:
     """Convergence radius: inf (Delta>0), prod B^B prod A^(-A) (Delta=0), 0."""
-    d = margin(params)
-    if d > CLASSIFY_TOL:
-        return math.inf
-    if d < -CLASSIFY_TOL:
-        return 0.0
+    sign = margin_sign(params)
+    if sign:
+        return math.inf if sign > 0 else 0.0
     log_v = sum(B * math.log(B) for _, B in params.lower) - sum(
         A * math.log(A) for _, A in params.upper
     )
     return math.exp(log_v)
+
+
+def _circle_side(az: float, r: float) -> int:
+    """1, 0 or -1 as a modulus az lies outside, on or inside radius r.
+
+    "On" is within 1e-12 relative; a zero radius puts every az outside.
+    """
+    if r == 0.0 or az > r * (1.0 + 1e-12):
+        return 1
+    return 0 if az >= r * (1.0 - 1e-12) else -1
 
 
 def boundary_exponent(params: FWParams) -> complex:
@@ -290,11 +304,12 @@ def evaluate(
     on_boundary = False
     if not math.isinf(r):
         az = abs(z)
-        if r == 0.0 or az > r * (1.0 + 1e-12):
+        side = _circle_side(az, r)
+        if side > 0:
             raise DomainViolation(
                 f"|z|={az:.6g} outside convergence radius {r:.6g}"
             )
-        if az >= r * (1.0 - 1e-12):
+        if side == 0:
             lam = boundary_exponent(params)
             if not allow_boundary:
                 raise DomainViolation(

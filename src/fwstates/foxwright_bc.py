@@ -16,8 +16,11 @@ which in cartesian form reads Re(Lambda_1) - 1/2 > |Im(Lambda_2)|.
 
 BCFWParams keeps its two complex components (the FWParams each
 idempotent component sees).  The classifier takes each component's
-margin, radius and boundary exponent from `foxwright`, and evaluate runs
-the complex series per component through `bicomplex.componentwise`.
+margin sign, radius and boundary exponent from `foxwright`.  evaluate
+runs the complex series per component through `bicomplex.componentwise`,
+so the complex domain rules apply to each component as they stand; the
+one bicomplex rule is the rejection of a mixed boundary point of the
+hyperbolic ball.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ from .foxwright import (
     DEFAULT_MAX_TERMS,
     DEFAULT_TOL,
     FWParams,
+    _circle_side,
     boundary_exponent,
-    margin,
+    margin_sign,
     radius,
 )
 from .foxwright import evaluate as evaluate_complex
@@ -192,14 +196,6 @@ class ConvergenceReport:
         }
 
 
-def _sign_with_tol(x: float, tol: float) -> int:
-    if x > tol:
-        return 1
-    if x < -tol:
-        return -1
-    return 0
-
-
 def classify(params: BCFWParams) -> ConvergenceReport:
     """Convergence report: Upsilon, effective radii, lambda, domain variant."""
     upsilon = Hyperbolic(0.0, 0.0)
@@ -209,7 +205,7 @@ def classify(params: BCFWParams) -> ConvergenceReport:
         upsilon = upsilon - M
 
     comps = params.decompose()
-    domain = _DOMAIN_BY_SIGNS[tuple(_sign_with_tol(margin(P), CLASSIFY_TOL) for P in comps)]
+    domain = _DOMAIN_BY_SIGNS[tuple(margin_sign(P) for P in comps)]
     lam1, lam2 = (boundary_exponent(P) for P in comps)
     lambda_cart = ((lam1 + lam2) / 2.0, 0.5j * (lam1 - lam2))
 
@@ -245,43 +241,28 @@ def evaluate(
     max_terms: int = DEFAULT_MAX_TERMS,
     allow_boundary: bool = False,
 ) -> Bicomplex:
-    """Componentwise evaluation inside the classified domain.
+    """The complex series run on each idempotent component.
 
     Equals the direct bicomplex partial sums by the idempotent
-    homomorphism.  Points with a component on its convergence circle are
-    rejected unless allow_boundary is set; for the hyperbolic-ball
-    domain a mixed point (one component on the circle, the other
-    strictly inside) is rejected either way, the boundary statement only
+    homomorphism.  Each component obeys the complex `evaluate` rules
+    (outside, on the circle without allow_boundary, Re(lambda) <= 1/2),
+    and its errors are prefixed with the component.  One rule is
+    bicomplex: with allow_boundary, a point with both radii finite and
+    nonzero, one component on its circle and the other inside, is
+    rejected, as the boundary statement of the hyperbolic ball only
     covers the full sphere.
     """
     if not isinstance(Z, Bicomplex):
         Z = Bicomplex.from_scalar(Z)
-    report = classify(params)
-
-    status = []
-    for p, v, zp in zip((1, 2), report.v_radius, Z.decompose()):
-        az = abs(zp)
-        if math.isinf(v) or az == 0.0 or az < v * (1.0 - 1e-12):
-            status.append("inside")
-        elif v == 0.0 or az > v * (1.0 + 1e-12):
-            raise DomainViolation(
-                f"component {p}: |z{p}|={az:.6g} outside "
-                f"radius {v:.6g} ({report.domain.value})"
-            )
-        else:
-            status.append("boundary")
-    if "boundary" in status:
-        if report.domain is Domain.HYPERBOLIC_BALL and status != ["boundary", "boundary"]:
-            raise DomainViolation(
-                "mixed boundary point of the hyperbolic ball (one component on its "
-                "circle, one inside) is not covered by the convergence theorem"
-            )
-        if not allow_boundary:
-            raise DomainViolation(
-                "component on its convergence circle; pass allow_boundary to evaluate "
-                "under the Re(lambda) > 1/2 condition"
-            )
-
+    if allow_boundary:
+        radii = [radius(P) for P in params.decompose()]
+        if all(0.0 < r < math.inf for r in radii):
+            sides = sorted(_circle_side(abs(z), r) for z, r in zip(Z.decompose(), radii))
+            if sides == [-1, 0]:
+                raise DomainViolation(
+                    "mixed boundary point of the hyperbolic ball (one component on its "
+                    "circle, one inside) is not covered by the convergence theorem"
+                )
     r1, r2 = componentwise(evaluate_complex, params, Z, tol, max_terms, allow_boundary)
     return Bicomplex(r1.value, r2.value)
 

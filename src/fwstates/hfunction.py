@@ -288,6 +288,7 @@ def measure_density_b(
     """Componentwise measure density on a hyperbolic radius pair in D+."""
     if not isinstance(X, Hyperbolic):
         X = Hyperbolic.from_scalar(X)
+    # kept: weight itself rejects x < 0 as a DomainError, not a ValidationError
     if not X.in_dplus():
         raise ValidationError(f"measure density needs a radius pair in D+, got {X!r}")
     return Hyperbolic(*componentwise(measure_density, model, X, cc))

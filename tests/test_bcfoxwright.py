@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fwstates.bicomplex import Bicomplex, Hyperbolic, compose_idempotent
-from fwstates.errors import DomainViolation, ValidationError
+from fwstates.bicomplex import Bicomplex, Hyperbolic, componentwise, compose_idempotent
+from fwstates.errors import DomainViolation, FWError, ValidationError
 from fwstates.foxwright import FWParams
 from fwstates.foxwright import evaluate as evaluate_c
 from fwstates.foxwright import oracle_pfq
+from fwstates.foxwright import radius as radius_c
 from fwstates.foxwright_bc import (
     BCFWParams,
     Domain,
@@ -243,8 +246,12 @@ def test_ball_boundary_cases_rejected():
     Z_full = Bicomplex(0.25, 0.25)
     with pytest.raises(DomainViolation):
         evaluate(params, Z_full)  # no allow_boundary
-    with pytest.raises(DomainViolation, match="mixed boundary"):
-        evaluate(params, Bicomplex(0.25, 0.1), allow_boundary=True)
+    for Z in (Bicomplex(0.25, 0.1), Bicomplex(0.1j, 0.25 * (1 + 5e-13))):
+        with pytest.raises(DomainViolation, match="^mixed boundary"):
+            evaluate(params, Z, allow_boundary=True)
+        # without the flag the on-circle component's own test rejects it
+        with pytest.raises(DomainViolation, match="^component [12]: .* convergence circle"):
+            evaluate(params, Z)
     weak = _bc([(2.0, H(2, 2))], [(2.2, H(1, 1))])  # lambda = 0.2
     assert not classify(weak).boundary_abs_convergent
     with pytest.raises(DomainViolation):
@@ -301,3 +308,128 @@ def test_params_validation():
         _bc([(Bicomplex(0.0, 1.0), H(1, 1))], [])  # component-1 pole at k=0
     with pytest.raises(ValidationError):
         GridSpec(-1.0, 1.0)
+
+
+# -- evaluate is componentwise plus the mixed-ball rule --------------------
+
+
+def _reference_evaluate(params, Z, tol=1e-14, max_terms=10000, allow_boundary=False):
+    """Reference: each component placed against classify's radii before either is summed."""
+    if not isinstance(Z, Bicomplex):
+        Z = Bicomplex.from_scalar(Z)
+    report = classify(params)
+    status = []
+    for p, v, zp in zip((1, 2), report.v_radius, Z.decompose()):
+        az = abs(zp)
+        if math.isinf(v) or az == 0.0 or az < v * (1.0 - 1e-12):
+            status.append("inside")
+        elif v == 0.0 or az > v * (1.0 + 1e-12):
+            raise DomainViolation(f"component {p}: |z{p}|={az:.6g} outside radius {v:.6g}")
+        else:
+            status.append("boundary")
+    if "boundary" in status:
+        if report.domain is Domain.HYPERBOLIC_BALL and status != ["boundary", "boundary"]:
+            raise DomainViolation("mixed boundary point of the hyperbolic ball")
+        if not allow_boundary:
+            raise DomainViolation("component on its convergence circle")
+    r1, r2 = componentwise(evaluate_c, params, Z, tol, max_terms, allow_boundary)
+    return Bicomplex(r1.value, r2.value)
+
+
+def _outcome(fn, *args, **kwargs):
+    """repr of the value (every bit of both components) or the exception type."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except (FWError, OverflowError) as exc:
+        return type(exc)
+
+
+def _assert_parity(params, Z, **kwargs):
+    got = _outcome(evaluate, params, Z, **kwargs)
+    ref = _outcome(_reference_evaluate, params, Z, **kwargs)
+    if got != ref:
+        # the one departure: component 1 is in its domain but its own sum
+        # fails, and component 2 is out of its domain.  The reference
+        # rejects component 2 before summing; componentwise reports the
+        # first component that fails.
+        assert ref is DomainViolation
+        comps = [
+            _outcome(evaluate_c, params.component_params(p), Z.decompose()[p - 1], **kwargs)
+            for p in (1, 2)
+        ]
+        assert comps[1] is DomainViolation and comps[0] is not DomainViolation
+        assert got == comps[0]
+    return got
+
+
+# upper weights per component; lower weight (1, 1), as in the nine-case table
+NINE_CASE_WEIGHTS = [(1, 1), (2, 1), (1, 2), (2, 3), (3, 2), (1, 3), (3, 1), (2, 2), (3, 3)]
+PARITY_MODELS = [_bc([(1.5, H(m1, m2))], [(1.0, H(1, 1))]) for m1, m2 in NINE_CASE_WEIGHTS] + [
+    _bc([(0.8, H(2, 2))], [(2.0, H(1, 1))]),  # the ball, lambda = 1.2
+    _bc([(2.0, H(2, 2))], [(2.2, H(1, 1))]),  # the ball, lambda = 0.2
+]
+# |z_p| / r_p: inside (the third just below the 1e-12 band), on the circle
+# (three points in the band), outside (the first just above the band)
+RELATIVE_MODULI = [0.0, 0.5, 1 - 5e-12, 1 - 5e-13, 1.0, 1 + 5e-13, 1 + 5e-12, 1.5]
+
+
+def _moduli(r):
+    if math.isinf(r):
+        return [0.0, 0.5, 3.0]
+    if r == 0.0:
+        return [0.0, 0.3]
+    return [r * x for x in RELATIVE_MODULI]
+
+
+@pytest.mark.parametrize("allow_boundary", [False, True])
+@pytest.mark.parametrize("model", range(len(PARITY_MODELS)))
+def test_evaluate_matches_reference(model, allow_boundary):
+    params = PARITY_MODELS[model]
+    r1, r2 = (radius_c(P) for P in params.decompose())
+    outcomes = set()
+    for a1 in _moduli(r1):
+        for a2 in _moduli(r2):
+            Z = Bicomplex(a1 * cmath.exp(0.3j), a2 * cmath.exp(-2.1j))
+            outcomes.add(_assert_parity(params, Z, allow_boundary=allow_boundary))
+    assert any(isinstance(o, str) for o in outcomes)
+
+
+def test_first_failing_component_is_reported():
+    # component 1 overflows (exp at 800); component 2 lies outside its disk
+    params = _bc([(1.0, H(1, 2))], [(1.0, H(1, 1))])
+    Z = Bicomplex(800.0, 5.0)
+    assert _outcome(_reference_evaluate, params, Z) is DomainViolation
+    with pytest.raises(OverflowError, match="^component 1: "):
+        evaluate(params, Z)
+    _assert_parity(params, Z)
+
+
+_BC_WEIGHTS = st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])
+_BC_VALUES = st.floats(0.2, 3.0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    upper=st.lists(
+        st.tuples(_BC_VALUES, _BC_VALUES, _BC_WEIGHTS, _BC_WEIGHTS), min_size=1, max_size=2
+    ),
+    lower=st.lists(st.tuples(_BC_VALUES, _BC_VALUES, _BC_WEIGHTS, _BC_WEIGHTS), max_size=2),
+    rel=st.tuples(st.sampled_from(RELATIVE_MODULI), st.sampled_from(RELATIVE_MODULI)),
+    angle=st.floats(-math.pi, math.pi),
+    tol=st.sampled_from([1e-8, 1e-14]),
+    max_terms=st.sampled_from([40, 10000]),
+    allow_boundary=st.booleans(),
+)
+def test_evaluate_matches_reference_random(
+    upper, lower, rel, angle, tol, max_terms, allow_boundary
+):
+    params = _bc(
+        [(Bicomplex(v1, v2), H(w1, w2)) for v1, v2, w1, w2 in upper],
+        [(Bicomplex(v1, v2), H(w1, w2)) for v1, v2, w1, w2 in lower],
+    )
+    # finite radius: rel times it; infinite: 4 rel; zero: 0 or 0.3
+    moduli = []
+    for r, x in zip((radius_c(P) for P in params.decompose()), rel):
+        moduli.append(4.0 * x if math.isinf(r) else r * x if r > 0 else 0.3 * (x > 0.7))
+    Z = Bicomplex(moduli[0] * cmath.exp(1j * angle), moduli[1] * cmath.exp(-2j * angle))
+    _assert_parity(params, Z, tol=tol, max_terms=max_terms, allow_boundary=allow_boundary)

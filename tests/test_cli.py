@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -319,6 +320,20 @@ def test_nu_eval_single(files, capsys):
         capsys, "nu", "eval", "--model", files["vacuum"], "--zeta", "1", "--scheme", "ts"
     )
     assert json.loads(out)["value"] == pytest.approx(NU_VACUUM_AT_1, rel=1e-8)
+
+
+@pytest.mark.parametrize("scheme", ["gk", "ts"])
+def test_nu_eval_overflow_is_numeric_failure(files, capsys, scheme):
+    # nu(800) on the vacuum model is about e^800, past float64
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, out, err = run_cli(
+            capsys, "nu", "eval", "--model", files["vacuum"], "--zeta", "800",
+            "--scheme", scheme,
+        )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numeric failure: ")
 
 
 def test_nu_eval_grid_monotone(files, capsys):

@@ -30,7 +30,7 @@ from fwstates.coherent import (
     rho_b,
 )
 from fwstates.continuum import nu, nu_bicomplex
-from fwstates.errors import DomainError, PoleError, QuadratureFailure
+from fwstates.errors import DomainError, PoleError, QuadratureFailure, ValidationError
 from fwstates.foxwright import EvalResult, evaluate
 from fwstates.foxwright_bc import BCFWParams
 from fwstates.foxwright_bc import evaluate as evaluate_bc
@@ -129,3 +129,24 @@ def test_entry_point_is_componentwise(name):
             bc_fn(*bad)
     assert type(got_exc.value) is type(ref_exc.value)
     assert str(got_exc.value) == f"component 2: {ref_exc.value}"
+
+
+@pytest.mark.parametrize(
+    "bc_fn, W, p",
+    [
+        (nu_bicomplex, H(0.5, -1.0), 2),
+        (normalization_b, H(-0.5, 1.0), 1),
+    ],
+)
+def test_argument_outside_dplus_names_component(bc_fn, W, p):
+    # the complex routine rejects the negative component itself
+    with pytest.raises(ValidationError, match=f"^component {p}: "):
+        bc_fn(HEAVY, W)
+
+
+def test_nu_bicomplex_overflow_names_component():
+    vacuum = BCCoherentModel(BCFWParams(upper=[], lower=[]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(OverflowError, match="^component 2: "):
+            nu_bicomplex(vacuum, H(1.0, 800.0))
