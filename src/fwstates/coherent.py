@@ -134,23 +134,35 @@ def rho(model: CoherentModel, k: float) -> float:
     return math.exp(lr)
 
 
-def f_factor(model: CoherentModel, s: int) -> float:
-    """Ladder factor f(s) = sqrt[(s+1) prod ratios], from the gamma-ratio form."""
-    if s < 0:
+def f_factor(model: CoherentModel, s: int | np.ndarray) -> float | np.ndarray:
+    """Ladder factor f(s) = sqrt[(s+1) prod ratios], from the gamma-ratio form.
+
+    s may be an array; the result is then a float array of its shape,
+    each entry bit-identical to the scalar call (one batched
+    log_gamma_ratio per parameter, then math.log/math.exp per entry).
+    """
+    ss = np.asarray(s)
+    flat = ss.ravel()
+    if (flat < 0).any():
         raise ValidationError("s must be >= 0")
-    acc = math.log(s + 1.0)
-    for b, B in model.params.lower:
-        acc += log_gamma_ratio(b.real, B, s).real
-    for a, A in model.params.upper:
-        acc -= log_gamma_ratio(a.real, A, s).real
-    return math.exp(0.5 * acc)
+    lower = [log_gamma_ratio(b.real, B, flat).real.tolist() for b, B in model.params.lower]
+    upper = [log_gamma_ratio(a.real, A, flat).real.tolist() for a, A in model.params.upper]
+    out = []
+    for i, v in enumerate(flat.tolist()):
+        acc = math.log(v + 1.0)
+        for r in lower:
+            acc += r[i]
+        for r in upper:
+            acc -= r[i]
+        out.append(math.exp(0.5 * acc))
+    return out[0] if ss.ndim == 0 else np.array(out).reshape(ss.shape)
 
 
 def recurrence_worst(model: CoherentModel, k_max: int = 100) -> float:
     """Worst relative gap of rho(k+1) = rho(k) f(k)^2 over k < k_max."""
     worst = 0.0
-    for k in range(k_max):
-        delta = log_rho(model, k) + 2.0 * math.log(f_factor(model, k)) - log_rho(model, k + 1)
+    for k, f in enumerate(f_factor(model, np.arange(k_max)).tolist()):
+        delta = log_rho(model, k) + 2.0 * math.log(f) - log_rho(model, k + 1)
         worst = max(worst, abs(math.expm1(delta)))
     return worst
 
@@ -228,8 +240,9 @@ def ladder_elements(model: CoherentModel, k: int) -> tuple[float, float, float, 
     """(f(k-1), f(k), f(k)^2, f(k-1)^2) with f(-1) = 0: the diagonal ladder data."""
     if k < 0:
         raise ValidationError("k must be >= 0")
-    f_up = f_factor(model, k)
-    f_down = f_factor(model, k - 1) if k > 0 else 0.0
+    fs = f_factor(model, np.arange(max(k - 1, 0), k + 1)).tolist()
+    f_up = fs[-1]
+    f_down = fs[0] if k > 0 else 0.0
     return (f_down, f_up, f_up * f_up, f_down * f_down)
 
 
@@ -244,7 +257,7 @@ def annihilation_residual(model: CoherentModel, state: StateVector) -> float:
     if K == 0:
         return 0.0
     c = np.asarray(state.coeffs)
-    fs = np.array([f_factor(model, k) for k in range(K)])
+    fs = f_factor(model, np.arange(K))
     r = fs * c[1:] - state.z * c[:-1]
     return float(np.linalg.norm(r))
 

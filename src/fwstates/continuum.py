@@ -91,24 +91,24 @@ def _tanh_sinh(f, a: float, b: float, rel_tol: float, abs_tol: float, max_level:
         w = half * 0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2
         return x_off, w
 
-    h = 1.0
-    x_off, w = level_nodes(h, only_odd=False)
     w0 = half * 0.5 * math.pi
-    total = w0 * f(np.array([mid]))[0] + np.sum(
-        w * (f(mid + x_off) + f(mid - x_off))
-    )
-    value = h * total
-    err = math.inf
-    for _ in range(max_level):
+    total = w0 * f(np.array([mid]))[0]
+    h = 2.0
+    value, err = None, math.inf
+    for level in range(max_level + 1):
         h *= 0.5
-        x_off, w = level_nodes(h, only_odd=True)
+        x_off, w = level_nodes(h, only_odd=level > 0)
         # total excludes the step h, so the halved h rescales old nodes for us
         total = total + np.sum(w * (f(mid + x_off) + f(mid - x_off)))
+        if not np.isfinite(total):
+            # halving further would only turn inf - inf into nan
+            raise OverflowError(f"tanh-sinh sum {total} leaves the float64 range")
         new_value = h * total
-        err = abs(new_value - value)
+        if value is not None:
+            err = abs(new_value - value)
+            if err <= max(abs_tol, rel_tol * abs(new_value)):
+                return new_value, err
         value = new_value
-        if err <= max(abs_tol, rel_tol * abs(value)):
-            return value, err
     raise QuadratureFailure(
         f"tanh-sinh did not reach tolerance (last step error {err:.3g})"
     )
@@ -153,7 +153,8 @@ def nu_with_error(
     e_hi = _e_max(model, log_zeta, cfg.e_max_drop)
 
     def integrand(Es):
-        with np.errstate(under="ignore"):
+        # an overflow here surfaces as an inf integral, which _integrate rejects
+        with np.errstate(under="ignore", over="ignore"):
             return np.exp(Es * log_zeta - _log_rho_vec(model, Es))
 
     return _integrate(integrand, 0.0, e_hi, cfg, scheme)

@@ -6,6 +6,15 @@ wrapper.  The Lanczos approximation with g = 7 and 9 coefficients covers
 Re(w) >= 0.5; the reflection formula handles the left half plane, with
 log(sin(pi w)) computed in a factored form that cannot overflow for
 large |Im w|.
+
+The Lanczos partial-fraction sum is one fused array operation: a single
+division builds all eight tail terms for every point, and a cumsum along
+the coefficient axis adds them left to right.  Each point's sum is
+therefore bit-identical whether it is computed alone or in any array, so
+scalar callers can be batched without moving a bit.  log_gamma_ratio
+batches only that sum; the rest of its formula stays scalar in cmath and
+math, because numpy's log and exp differ from them in the last bit
+(vectorising it moved 7 of 32 ladder factors by 1 ulp).
 """
 
 from __future__ import annotations
@@ -32,6 +41,8 @@ _LANCZOS_COEFFS = (
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 )
+_LANCZOS_TAIL = np.array(_LANCZOS_COEFFS[1:])
+_LANCZOS_SHIFT = np.arange(len(_LANCZOS_TAIL))
 
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
@@ -49,11 +60,18 @@ def is_gamma_pole(w: complex, tol: float = POLE_TOL) -> bool:
 
 
 def _lanczos_series(z):
-    """Lanczos partial-fraction sum A(z) for Re(z) >= 0.5; numpy-friendly."""
-    acc = np.full_like(np.asarray(z, dtype=complex), _LANCZOS_COEFFS[0])
-    for k in range(1, len(_LANCZOS_COEFFS)):
-        acc = acc + _LANCZOS_COEFFS[k] / (z + (k - 1))
-    return acc
+    """Lanczos partial-fraction sum A(z) for Re(z) >= 0.5, over any array shape.
+
+    c_0 + sum_k c_k / (z + k - 1), added left to right: the tail terms
+    form one (8, *z.shape) block and a cumsum along its first axis adds
+    them in that order, so every entry is bit-identical to the scalar loop
+    and independent of the array's length.
+    """
+    z = np.asarray(z, dtype=complex)
+    col = (-1,) + (1,) * z.ndim
+    terms = _LANCZOS_TAIL.reshape(col) / (z + _LANCZOS_SHIFT.reshape(col))
+    terms[0] += _LANCZOS_COEFFS[0]
+    return terms.cumsum(axis=0)[-1]
 
 
 def _lanczos_log(z):
@@ -155,7 +173,7 @@ def _log1p_c(x: complex) -> complex:
     return cmath.log(u) * (x / (u - 1.0))
 
 
-def log_gamma_ratio(a: complex, A: float, k: int) -> complex:
+def log_gamma_ratio(a: complex, A: float, k: int | np.ndarray) -> complex | np.ndarray:
     """log[Gamma(a+(k+1)A) / Gamma(a+kA)], stable at large k.
 
     With w = a + kA and both w, w+A right of the reflection threshold the
@@ -166,17 +184,27 @@ def log_gamma_ratio(a: complex, A: float, k: int) -> complex:
     t = w + g - 1/2, S the Lanczos partial-fraction sum.  No
     large-minus-large cancellation remains.  Left of the threshold the
     plain difference of log_gamma calls is used.
+
+    k may be an array; the result is then a complex array of its shape,
+    each entry bit-identical to the scalar call.  The Lanczos sums of all
+    w and w + A come from one array call, while the pole checks, the
+    reflection branch and the cmath remainder above run per entry.
     """
-    w = complex(a) + k * A
-    wA = w + A
-    if is_gamma_pole(w) or is_gamma_pole(wA):
-        raise PoleError(f"log_gamma_ratio crosses a pole at w={w}, A={A}")
-    if w.real >= 0.5 and wA.real >= 0.5:
-        t = w + (_LANCZOS_G - 0.5)
-        s_ratio = complex(_lanczos_series(np.array([wA]))[0]) / complex(
-            _lanczos_series(np.array([w]))[0]
-        )
-        return (w - 0.5) * _log1p_c(A / t) + A * cmath.log(t + A) - A + cmath.log(
-            s_ratio
-        )
-    return log_gamma(wA) - log_gamma(w)
+    ks = np.asarray(k)
+    ws = [complex(a) + kk * A for kk in ks.ravel().tolist()]
+    for w in ws:
+        if is_gamma_pole(w) or is_gamma_pole(w + A):
+            raise PoleError(f"log_gamma_ratio crosses a pole at w={w}, A={A}")
+    n = len(ws)
+    sums = _lanczos_series(np.array(ws + [w + A for w in ws])).tolist()
+    out = []
+    for w, s_w, s_wA in zip(ws, sums[:n], sums[n:]):
+        wA = w + A
+        if w.real >= 0.5 and wA.real >= 0.5:
+            t = w + (_LANCZOS_G - 0.5)
+            out.append(
+                (w - 0.5) * _log1p_c(A / t) + A * cmath.log(t + A) - A + cmath.log(s_wA / s_w)
+            )
+        else:
+            out.append(log_gamma(wA) - log_gamma(w))
+    return out[0] if ks.ndim == 0 else np.array(out, dtype=complex).reshape(ks.shape)

@@ -10,10 +10,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fwstates.bicomplex import Bicomplex
 from fwstates.errors import PoleError
 from fwstates.gammafn import (
+    _LANCZOS_COEFFS,
+    _LANCZOS_G,
+    _lanczos_series,
+    _log1p_c,
     gamma,
     gamma_bicomplex,
     is_gamma_pole,
@@ -183,3 +189,104 @@ def test_stirling_modulus_at_100():
     w = 100.0
     envelope = 0.5 * math.log(2 * math.pi) + (w - 0.5) * math.log(w) - w
     assert abs(math.expm1(log_gamma(w).real - envelope)) <= 1e-3
+
+
+# -- bit identity of the batched Lanczos work -----------------------------
+
+
+def _reference_lanczos_series(z):
+    """The Lanczos sum as one numpy call per coefficient, left to right."""
+    acc = np.full_like(np.asarray(z, dtype=complex), _LANCZOS_COEFFS[0])
+    for k in range(1, len(_LANCZOS_COEFFS)):
+        acc = acc + _LANCZOS_COEFFS[k] / (z + (k - 1))
+    return acc
+
+
+def _reference_log_gamma_ratio(a, A, k):
+    """Scalar log_gamma_ratio with 1-element Lanczos sums from the reference loop."""
+    w = complex(a) + k * A
+    wA = w + A
+    if is_gamma_pole(w) or is_gamma_pole(wA):
+        raise PoleError(f"log_gamma_ratio crosses a pole at w={w}, A={A}")
+    if w.real >= 0.5 and wA.real >= 0.5:
+        t = w + (_LANCZOS_G - 0.5)
+        s_ratio = complex(_reference_lanczos_series(np.array([wA]))[0]) / complex(
+            _reference_lanczos_series(np.array([w]))[0]
+        )
+        return (w - 0.5) * _log1p_c(A / t) + A * cmath.log(t + A) - A + cmath.log(
+            s_ratio
+        )
+    return log_gamma(wA) - log_gamma(w)
+
+
+def _bits(x):
+    return np.atleast_1d(np.asarray(x, dtype=complex)).view(float).tobytes()
+
+
+_REAL_PART = st.floats(0.5, 1e6)
+_POINT = st.one_of(
+    st.builds(complex, _REAL_PART, st.floats(-1e6, 1e6)),
+    # the real axis, with both signs of a zero imaginary part
+    st.builds(complex, _REAL_PART, st.sampled_from([0.0, -0.0])),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(zs=st.lists(_POINT, min_size=1, max_size=40))
+def test_lanczos_series_bit_identical_to_loop(zs):
+    z = np.array(zs, dtype=complex)
+    ref = _reference_lanczos_series(z)
+    assert _bits(_lanczos_series(z)) == _bits(ref)
+    for i, zi in enumerate(zs):
+        assert _bits(_lanczos_series(np.array([zi]))) == _bits(ref[i])
+        zero_d = _lanczos_series(np.asarray(zi))
+        assert np.ndim(zero_d) == 0
+        assert _bits(zero_d) == _bits(ref[i])
+
+
+def test_lanczos_series_bit_identical_on_grid():
+    rng = np.random.default_rng(606)
+    z = rng.uniform(0.5, 400.0, 20000) + 1j * rng.normal(0.0, 30.0, 20000)
+    z = np.concatenate([z, z.real + 0j, z.real - 0j, 0.5 + 0.25 * np.arange(2000) + 0j])
+    assert _bits(_lanczos_series(z)) == _bits(_reference_lanczos_series(z))
+
+
+# (a, A, ks): right of the threshold, the reflection branch at small k
+# (a < 0.5), complex a, and runs that reach a pole of w or w + A
+_RATIO_CASES = [
+    (1.0, 1.0, range(60)),
+    (0.3, 0.45, range(20)),
+    (0.05, 1.7, range(10)),
+    (-2.6, 0.8, range(12)),
+    (0.2 + 1.0j, 0.7, range(50)),
+    (0.7, 1.1, [10**4, 10**8]),
+    (-2.0, 1.0, range(6)),
+    (-0.5, 0.25, range(8)),
+    (-3.5, 1.5, range(6)),
+]
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except PoleError as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("a, A, ks", _RATIO_CASES)
+def test_log_gamma_ratio_array_matches_scalar_reference(a, A, ks):
+    ks = list(ks)
+    scalar = [_outcome(_reference_log_gamma_ratio, a, A, k) for k in ks]
+    assert [_outcome(log_gamma_ratio, a, A, k) for k in ks] == scalar
+    errors = [o for o in scalar if o.startswith("PoleError")]
+    if errors:
+        # the array call stops at the first pole, with the scalar's message
+        with pytest.raises(PoleError) as info:
+            log_gamma_ratio(a, A, np.array(ks))
+        assert repr(info.value) == errors[0]
+    else:
+        out = log_gamma_ratio(a, A, np.array(ks))
+        assert out.shape == (len(ks),)
+        assert [repr(v) for v in out.tolist()] == scalar
+        grid = log_gamma_ratio(a, A, np.array(ks).reshape(1, -1))
+        assert grid.shape == (1, len(ks)) and _bits(grid.ravel()) == _bits(out)

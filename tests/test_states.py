@@ -24,12 +24,14 @@ from fwstates.coherent import (
     overlap,
     overlap_b,
     photon_distribution,
+    recurrence_worst,
     rho,
     rho_b,
 )
 from fwstates.errors import ValidationError
 from fwstates.foxwright import FWParams
 from fwstates.foxwright_bc import BCFWParams
+from fwstates.gammafn import log_gamma_ratio
 
 H = Hyperbolic
 
@@ -102,6 +104,73 @@ def test_product_identity():
             err = abs(math.expm1(acc - 0.5 * log_rho(model, k)))
             worst = max(worst, err)
     assert worst <= 1e-10
+
+
+def _reference_f_factor(model, s):
+    """Scalar f(s): one log_gamma_ratio call per parameter, summed left to right."""
+    if s < 0:
+        raise ValidationError("s must be >= 0")
+    acc = math.log(s + 1.0)
+    for b, B in model.params.lower:
+        acc += log_gamma_ratio(b.real, B, s).real
+    for a, A in model.params.upper:
+        acc -= log_gamma_ratio(a.real, A, s).real
+    return math.exp(0.5 * acc)
+
+
+def _bit_models():
+    rng = np.random.default_rng(6006)
+    models = []
+    while len(models) < 40:
+        p, q = rng.integers(0, 3, size=2)
+        upper = [(rng.uniform(0.05, 3.0), rng.uniform(0.1, 2.0)) for _ in range(p)]
+        lower = [(rng.uniform(0.05, 3.0), rng.uniform(0.1, 2.0)) for _ in range(q)]
+        if 1.0 + sum(w for _, w in lower) - sum(w for _, w in upper) >= 0.3:
+            models.append(CoherentModel(FWParams(upper=upper, lower=lower)))
+    # s = 0 with a parameter below 1/2 takes the reflection branch
+    models.append(CoherentModel(FWParams(upper=[(0.2, 0.6)], lower=[(0.35, 0.9)])))
+    return models
+
+
+def test_f_factor_array_bit_identical_to_scalar():
+    reflection_seen = 0
+    for model in _bit_models():
+        ss = np.arange(200)
+        ref = [repr(_reference_f_factor(model, s)) for s in range(200)]
+        out = f_factor(model, ss)
+        assert out.shape == (200,)
+        assert [repr(v) for v in out.tolist()] == ref
+        for s in (0, 1, 57, 199):
+            assert repr(f_factor(model, s)) == ref[s]
+        grid = f_factor(model, ss.reshape(20, 10))
+        assert grid.shape == (20, 10) and [repr(v) for v in grid.ravel().tolist()] == ref
+        pairs = model.params.upper + model.params.lower
+        reflection_seen += any(v.real < 0.5 for v, _ in pairs)
+    assert reflection_seen >= 5
+    with pytest.raises(ValidationError):
+        f_factor(GENERIC, np.array([3, -1]))
+
+
+def test_ladder_data_bit_identical_to_scalar_loops():
+    for model in _bit_models()[::4]:
+        for k in (0, 1, 2, 31, 59):
+            f_up = _reference_f_factor(model, k)
+            f_down = _reference_f_factor(model, k - 1) if k > 0 else 0.0
+            want = (f_down, f_up, f_up * f_up, f_down * f_down)
+            assert repr(ladder_elements(model, k)) == repr(want)
+        worst = 0.0
+        for k in range(60):
+            f = _reference_f_factor(model, k)
+            delta = log_rho(model, k) + 2.0 * math.log(f) - log_rho(model, k + 1)
+            worst = max(worst, abs(math.expm1(delta)))
+        assert repr(recurrence_worst(model, 60)) == repr(worst)
+        for z in (0.4 + 0.3j, -1.1 + 0.2j):
+            state = make_state(model, z)
+            c = np.asarray(state.coeffs)
+            K = len(c) - 1
+            fs = np.array([_reference_f_factor(model, k) for k in range(K)])
+            want = float(np.linalg.norm(fs * c[1:] - state.z * c[:-1]))
+            assert repr(annihilation_residual(model, state)) == repr(want)
 
 
 def test_normalization_examples():
