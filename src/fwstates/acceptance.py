@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate as _si
 
 from . import continuum, hfunction
 from .bicomplex import Bicomplex, Hyperbolic, compose_idempotent
@@ -382,6 +381,7 @@ def criterion_moments() -> CriterionResult:
 
 def criterion_nu() -> CriterionResult:
     """Dual-scheme nu agreement, integer consistency, density normalization."""
+    from scipy import integrate
     t0 = time.perf_counter()
     models = [
         CoherentModel(FWParams(upper=[], lower=[])),
@@ -414,7 +414,7 @@ def criterion_nu() -> CriterionResult:
                     - log_nu
                 )
 
-            total, _ = _si.quad(dens_sq, 0.0, e_hi, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol)
+            total, _ = integrate.quad(dens_sq, 0.0, e_hi, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol)
             worst_norm = max(worst_norm, abs(total - 1.0))
     norm_tol = 10.0 * max(cfg.rel_tol, cfg.abs_tol)
     ok = worst_dual <= 1e-8 and worst_int <= 1e-12 and worst_norm <= norm_tol

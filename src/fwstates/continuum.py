@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _si
 
 from .bicomplex import Hyperbolic, componentwise
 from .coherent import BCCoherentModel, CoherentModel, _log_rho_vec, log_rho, rho
@@ -116,7 +115,8 @@ def _tanh_sinh(f, a: float, b: float, rel_tol: float, abs_tol: float, max_level:
 
 def _integrate(f, a, b, cfg: QuadConfig, scheme: str):
     if scheme == "gk":
-        out = _si.quad(
+        from scipy import integrate
+        out = integrate.quad(
             lambda x: f(np.array([x]))[0],
             a,
             b,
@@ -131,8 +131,12 @@ def _integrate(f, a, b, cfg: QuadConfig, scheme: str):
         out = _tanh_sinh(f, a, b, cfg.rel_tol, cfg.abs_tol)
     else:
         raise ValidationError(f"unknown quadrature scheme {scheme!r}; use one of {SCHEMES}")
-    value, err = out[0], out[1]
-    if not (math.isfinite(value) and math.isfinite(err)):
+    return _finite(out[0], out[1])
+
+
+def _finite(value, err):
+    """(value, err) unchanged, or OverflowError if either is not finite."""
+    if not (cmath.isfinite(value) and cmath.isfinite(err)):
         raise OverflowError(f"integral {value!r} (error {err!r}) leaves the float64 range")
     return value, err
 
@@ -203,24 +207,27 @@ def overlap_tilde(
     e_hi = _e_max(model, log_zeta.real, cfg.e_max_drop)
 
     def integrand(Es):
-        with np.errstate(under="ignore"):
-            return np.exp(Es * log_zeta - _log_rho_vec(model, Es))
+        return np.exp(Es * log_zeta - _log_rho_vec(model, Es))
 
-    if scheme == "gk":
-        value, err = _si.quad(
-            lambda x: integrand(np.array([x]))[0],
-            0.0,
-            e_hi,
-            epsabs=cfg.abs_tol,
-            epsrel=cfg.rel_tol,
-            limit=cfg.max_subdivisions,
-            complex_func=True,
-        )
-        num = value
-    elif scheme == "ts":
-        num, _ = _tanh_sinh(integrand, 0.0, e_hi, cfg.rel_tol, cfg.abs_tol)
-    else:
-        raise ValidationError(f"unknown quadrature scheme {scheme!r}; use one of {SCHEMES}")
+    # an overflow (inf, or inf+nanj from the complex exp) surfaces as a
+    # non-finite integral, which _finite rejects
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        if scheme == "gk":
+            from scipy import integrate
+            out = integrate.quad(
+                lambda x: integrand(np.array([x]))[0],
+                0.0,
+                e_hi,
+                epsabs=cfg.abs_tol,
+                epsrel=cfg.rel_tol,
+                limit=cfg.max_subdivisions,
+                complex_func=True,
+            )
+        elif scheme == "ts":
+            out = _tanh_sinh(integrand, 0.0, e_hi, cfg.rel_tol, cfg.abs_tol)
+        else:
+            raise ValidationError(f"unknown quadrature scheme {scheme!r}; use one of {SCHEMES}")
+    num, _ = _finite(*out)
 
     den = math.sqrt(
         nu(model, abs(z) ** 2, cfg, scheme) * nu(model, abs(zp) ** 2, cfg, scheme)

@@ -31,7 +31,8 @@ so they add in the order a per-term loop would.
 
 The oracle_* functions are deliberately independent evaluation routes
 (raw Pochhammer products, scipy gammas) used only for conformance
-checking; they never call evaluate().
+checking; they never call evaluate().  They import scipy.special when
+first called, so importing this module does not load scipy.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special as _sc
 
 from .errors import (
     DomainViolation,
@@ -432,12 +432,13 @@ def oracle_mittag_leffler(
     """Two-parameter Mittag-Leffler E_{B1,b1}(z) = sum z^k / Gamma(b1 + k B1)."""
     if B1 <= 0:
         raise ValidationError("Mittag-Leffler weight must be positive")
+    from scipy import special
     z = complex(z)
     zk = 1.0 + 0j
     total = 0j
     consec = 0
     for k in range(max_terms):
-        term = zk * complex(_sc.rgamma(complex(b1) + k * B1))
+        term = zk * complex(special.rgamma(complex(b1) + k * B1))
         total += term
         consec = consec + 1 if abs(term) <= tol * abs(total) else 0
         if consec >= 3:
@@ -452,8 +453,9 @@ def oracle_bessel_j(v: float, y: float, tol: float = 1e-16, max_terms: int = 200
         raise ValidationError("oracle_bessel_j expects v, y >= 0")
     if y == 0.0:
         return 1.0 if v == 0 else 0.0
+    from scipy import special
     half = 0.5 * y
-    term = half**v / float(_sc.gamma(v + 1.0))
+    term = half**v / float(special.gamma(v + 1.0))
     total = term
     q = half * half
     consec = 0

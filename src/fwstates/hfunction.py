@@ -26,7 +26,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate as _si
 
 from .bicomplex import Hyperbolic, componentwise
 from .coherent import BCCoherentModel, CoherentModel, rho
@@ -337,8 +336,9 @@ def moment_check(
     def density(x: float) -> float:
         return pref * eval_h(hp, x, cc)
 
+    from scipy import integrate
     x_max = _density_scan(density, k)
-    out = _si.quad(
+    out = integrate.quad(
         lambda x: (x ** k) * density(x),
         0.0,
         x_max,

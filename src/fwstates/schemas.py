@@ -22,8 +22,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import jsonschema
-
 from .errors import ValidationError
 from .foxwright import FWParams
 from .foxwright_bc import BCFWParams
@@ -102,6 +100,7 @@ def _load_json(path: str | Path) -> object:
 
 
 def _validate(obj: object, schema: dict, path: str | Path) -> None:
+    import jsonschema
     validator = jsonschema.Draft202012Validator(schema)
     errors = sorted(validator.iter_errors(obj), key=lambda e: list(e.absolute_path))
     if errors:

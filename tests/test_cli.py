@@ -441,3 +441,74 @@ def test_console_script_installed(files, capsys):
     assert proc.returncode == 2
     assert proc.stdout == b""
     assert b"domain error" in proc.stderr
+
+
+def _fresh_python(code, *argv):
+    """stdout of `code` run in a new interpreter on this checkout's package."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True, env=_checkout_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+# prints the scipy and jsonschema modules loaded so far
+_LOADED_DEPS = (
+    "import sys; print(sorted(m for m in sys.modules"
+    " if m.partition('.')[0] in ('scipy', 'jsonschema')))"
+)
+
+
+def test_cli_import_loads_no_scipy_or_jsonschema():
+    # only quadrature, the oracles and the parameter-file loaders need them
+    assert _fresh_python(f"import fwstates.cli; {_LOADED_DEPS}") == b"[]\n"
+
+
+# reprs frozen at d5642ce, which imported scipy and jsonschema at module top
+COLD_PATHS = {
+    "oracle_bessel_j": ("oracle_bessel_j(0.5, 2.0)", "0.5130161365618278"),
+    "oracle_mittag_leffler": (
+        "oracle_mittag_leffler(0.7, 1.5, 0.3 + 0.2j)",
+        "(1.4239784708931387+0.2609563657668671j)",
+    ),
+    "nu_gk": ('nu(SHIFT, 2.5, scheme="gk")', "4.014732999111425"),
+    "overlap_tilde": (
+        "overlap_tilde(SHIFT, 1.1 + 0.3j, 0.7 - 0.2j)",
+        "(0.8027890089308615-0.36827726527188526j)",
+    ),
+    "moment_check": (
+        "moment_check(CoherentModel(FWParams(upper=[], lower=[])), 2)",
+        "MomentResult(lhs=2.0000000000000013, rhs=1.9999999999999993,"
+        " rel_err=9.992007221626413e-16)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", COLD_PATHS)
+def test_cold_path_output_unchanged(name):
+    """The first call that needs scipy imports it and returns the same bits."""
+    call, expected = COLD_PATHS[name]
+    code = (
+        "from fwstates import CoherentModel, FWParams, moment_check, nu,"
+        " oracle_bessel_j, oracle_mittag_leffler, overlap_tilde\n"
+        "SHIFT = CoherentModel(FWParams(upper=[(1.0, 1.0)], lower=[(2.0, 1.0)]))\n"
+        f"{_LOADED_DEPS}\n"
+        f"print(repr({call}))\n"
+    )
+    assert _fresh_python(code).decode() == f"[]\n{expected}\n"
+
+
+def test_cold_path_schema_error_unchanged(files):
+    code = (
+        "import sys\n"
+        "from fwstates import ValidationError, load_fw_params\n"
+        f"{_LOADED_DEPS}\n"
+        "try:\n"
+        "    load_fw_params(sys.argv[1])\n"
+        "except ValidationError as exc:\n"
+        "    print(exc)\n"
+    )
+    path = files["bad_schema"]
+    out = _fresh_python(code, path)
+    assert out == f"[]\n{path}: at $.upper[0]: [1.0, 0.0] is too short\n".encode()

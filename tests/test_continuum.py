@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,16 @@ def test_overlap_tilde_vacuum_ratio():
             nu(VACUUM, 1.0, scheme=scheme) * nu(VACUUM, 4.0, scheme=scheme)
         )
         assert abs(got - ref) <= 1e-7 * abs(ref)
+
+
+@pytest.mark.parametrize("scheme", ["gk", "ts"])
+def test_overlap_tilde_overflow_raises_without_warnings(scheme):
+    # the numerator integral is about e^800, past float64; its inf (gk) or
+    # inf+nanj (ts) must end in OverflowError with nothing on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="leaves the float64 range"):
+            overlap_tilde(VACUUM, 28.3, 28.3, scheme=scheme)
 
 
 def test_state_density_at_zero_energy():
