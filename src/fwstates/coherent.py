@@ -29,6 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -114,13 +115,23 @@ def log_rho(model: CoherentModel, k: float) -> float:
     return s
 
 
+@lru_cache(maxsize=256)
+def _rho_columns(params: FWParams, ndim: int) -> np.ndarray:
+    """Offsets and weights of rho's gamma arguments k+1, a+kA, b+kB, for ndim-d k."""
+    cols = np.array([(1.0, 1.0)] + [(v.real, w) for v, w in params.upper + params.lower])
+    return cols.T.reshape((2, -1) + (1,) * ndim)
+
+
 def _log_rho_vec(model: CoherentModel, ks: np.ndarray) -> np.ndarray:
-    kf = ks.astype(float)
-    s = log_gamma_vec(kf + 1.0).real
-    for a, A in model.params.upper:
-        s += math.lgamma(a.real) - log_gamma_vec(a.real + kf * A).real
-    for b, B in model.params.lower:
-        s += log_gamma_vec(b.real + kf * B).real - math.lgamma(b.real)
+    """log rho at each k: one log_gamma_vec call, its rows added in log_rho's order."""
+    kf = np.atleast_1d(ks).astype(float)
+    off, wt = _rho_columns(model.params, kf.ndim)
+    lg = log_gamma_vec(off + wt * kf).real
+    s = lg[0]
+    for j, (a, _) in enumerate(model.params.upper, 1):
+        s += math.lgamma(a.real) - lg[j]
+    for j, (b, _) in enumerate(model.params.lower, 1 + model.params.p):
+        s += lg[j] - math.lgamma(b.real)
     return s
 
 

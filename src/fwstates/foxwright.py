@@ -148,7 +148,10 @@ def margin_sign(params: FWParams) -> int:
 
 def radius(params: FWParams) -> float:
     """Convergence radius: inf (Delta>0), prod B^B prod A^(-A) (Delta=0), 0."""
-    sign = margin_sign(params)
+    return _radius_for_sign(params, margin_sign(params))
+
+
+def _radius_for_sign(params: FWParams, sign: int) -> float:
     if sign:
         return math.inf if sign > 0 else 0.0
     log_v = sum(B * math.log(B) for _, B in params.lower) - sum(

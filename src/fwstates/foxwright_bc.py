@@ -37,6 +37,7 @@ from .foxwright import (
     DEFAULT_TOL,
     FWParams,
     _circle_side,
+    _radius_for_sign,
     boundary_exponent,
     margin_sign,
     radius,
@@ -205,16 +206,15 @@ def classify(params: BCFWParams) -> ConvergenceReport:
         upsilon = upsilon - M
 
     comps = params.decompose()
-    domain = _DOMAIN_BY_SIGNS[tuple(margin_sign(P) for P in comps)]
+    signs = tuple(margin_sign(P) for P in comps)
     lam1, lam2 = (boundary_exponent(P) for P in comps)
-    lambda_cart = ((lam1 + lam2) / 2.0, 0.5j * (lam1 - lam2))
 
     return ConvergenceReport(
         upsilon=upsilon,
-        v_radius=tuple(radius(P) for P in comps),
+        v_radius=tuple(_radius_for_sign(P, s) for P, s in zip(comps, signs)),
         lambda_idem=(lam1, lam2),
-        lambda_cart=lambda_cart,
-        domain=domain,
+        lambda_cart=((lam1 + lam2) / 2.0, 0.5j * (lam1 - lam2)),
+        domain=_DOMAIN_BY_SIGNS[signs],
         boundary_abs_convergent=(lam1.real > 0.5 and lam2.real > 0.5),
     )
 

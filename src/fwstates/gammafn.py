@@ -116,17 +116,19 @@ def log_gamma_vec(z) -> np.ndarray:
     No pole screening: entries at or near poles come back huge or
     non-finite, which downstream log-domain sums turn into 0 or inf
     terms as appropriate.  Scalar callers wanting diagnostics should use
-    log_gamma.
+    log_gamma.  When every entry has Re >= 0.5 the Lanczos form runs on
+    the whole array, skipping the masked gather and scatter.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = np.empty_like(z)
     right = z.real >= 0.5
+    if right.all():
+        return _lanczos_log(z)
+    out = np.empty_like(z)
     if right.any():
         out[right] = _lanczos_log(z[right])
     left = ~right
-    if left.any():
-        zl = z[left]
-        out[left] = _LOG_PI - _log_sin_pi(zl) - _lanczos_log(1.0 - zl)
+    zl = z[left]
+    out[left] = _LOG_PI - _log_sin_pi(zl) - _lanczos_log(1.0 - zl)
     return out
 
 

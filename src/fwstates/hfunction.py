@@ -14,8 +14,8 @@ Gamma(k+1) prod Gamma(b+kB) / prod Gamma(a+kA), which is what turns the
 moment integral into rho(k).
 
 The contour integrand decays like exp(-(pi/2)(1+sum B-sum A)|t|), so a
-trapezoid rule on a truncated line converges spectrally; nodes are cached
-per parameter block and refined by doubling.
+trapezoid rule on a truncated line converges spectrally; each line keeps
+one finest node grid, refined by doubling, and its coarser levels are views.
 """
 
 from __future__ import annotations
@@ -74,6 +74,13 @@ class HWeightParams:
                 "kernel does not decay on vertical lines "
                 f"(sum of lower weights - sum of upper weights = {decay:g} <= 0)"
             )
+        # not fields, so equality and hashing stay on upper and lower
+        log_kappa = (sum(B * math.log(B) for _, B in self.lower)
+                     - sum(A * math.log(A) for _, A in self.upper))
+        consts = {"_mu": decay, "_log_kappa": log_kappa, "_right": max(0.0, self.rightmost_pole())}
+        consts["_off"], consts["_wt"] = np.array(self.lower + self.upper).T[:, :, None]
+        for name, value in consts.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_model(cls, model: CoherentModel) -> "HWeightParams":
@@ -95,11 +102,13 @@ class HWeightParams:
 
 
 def _log_mellin_vec(hp: HWeightParams, s: np.ndarray) -> np.ndarray:
+    """One log_gamma_vec call over a 1-d s; lower rows added, then upper subtracted."""
+    lg = log_gamma_vec(hp._off + hp._wt * s)
     out = np.zeros(s.shape, dtype=complex)
-    for beta, B in hp.lower:
-        out += log_gamma_vec(beta + s * B)
-    for alpha, A in hp.upper:
-        out -= log_gamma_vec(alpha + s * A)
+    for row in lg[: len(hp.lower)]:
+        out += row
+    for row in lg[len(hp.lower) :]:
+        out -= row
     return out
 
 
@@ -125,10 +134,6 @@ DEFAULT_CONTOUR = ContourConfig()
 _ABSCISSA_STEP = 4.0  # quantization of the saddle-following abscissa
 
 
-def _base_abscissa(hp: HWeightParams, cc: ContourConfig) -> float:
-    return max(0.0, hp.rightmost_pole()) + cc.c_offset
-
-
 def _abscissa_level(hp: HWeightParams, cc: ContourConfig, x: float) -> int:
     """Quantized shift of the contour toward the saddle point.
 
@@ -142,12 +147,8 @@ def _abscissa_level(hp: HWeightParams, cc: ContourConfig, x: float) -> int:
     shift is quantized in steps of _ABSCISSA_STEP so nearby x share one
     cached contour.
     """
-    mu = sum(B for _, B in hp.lower) - sum(A for _, A in hp.upper)
-    log_kappa = sum(B * math.log(B) for _, B in hp.lower) - sum(
-        A * math.log(A) for _, A in hp.upper
-    )
-    sigma = math.exp((math.log(x) - log_kappa) / mu)
-    base = _base_abscissa(hp, cc)
+    sigma = math.exp((math.log(x) - hp._log_kappa) / hp._mu)
+    base = hp._right + cc.c_offset
     if sigma <= base:
         return 0
     return math.ceil((sigma - base) / _ABSCISSA_STEP)
@@ -159,11 +160,13 @@ class _ContourState:
     Node values are stored scaled by the on-axis peak M(c), so the arrays
     stay inside float range even when the shifted abscissa makes M(c)
     astronomically large; the log of the scale is reapplied at the end.
+    Only the finest grid (vals, t) on N+1 nodes is kept: level n is the
+    view (vals[::N//n], t[::N//n]), cached with its step and roundoff floor.
     """
 
     def __init__(self, hp: HWeightParams, cc: ContourConfig, level: int):
         self.hp = hp
-        self.c = _base_abscissa(hp, cc) + _ABSCISSA_STEP * level
+        self.c = hp._right + cc.c_offset + _ABSCISSA_STEP * level
         self.log_m0 = hp.log_mellin(complex(self.c, 0.0)).real
         if cc.t_max is not None:
             self.T = cc.t_max
@@ -177,26 +180,31 @@ class _ContourState:
             else:
                 raise ContourFailure("could not truncate the contour; kernel decays too slowly")
             self.T = T
-        self._vals: dict[int, np.ndarray] = {}
+        self.t = np.linspace(0.0, self.T, cc.n_nodes + 1)
+        self.vals = self._scaled(self.t)
+        self._levels: dict[int, tuple] = {}
 
     def _scaled(self, t: np.ndarray) -> np.ndarray:
         with np.errstate(under="ignore"):
             return np.exp(_log_mellin_vec(self.hp, self.c + 1j * t) - self.log_m0)
 
-    def values(self, n: int) -> np.ndarray:
-        """Scaled kernel M(c+it)/M(c) on the n+1 point grid over [0, T]."""
-        if n in self._vals:
-            return self._vals[n]
-        if n // 2 in self._vals:
-            coarse = self._vals[n // 2]
-            t_odd = (2 * np.arange(n // 2) + 1) * (self.T / n)
-            vals = np.empty(n + 1, dtype=complex)
-            vals[0::2] = coarse
-            vals[1::2] = self._scaled(t_odd)
-        else:
-            vals = self._scaled(np.linspace(0.0, self.T, n + 1))
-        self._vals[n] = vals
-        return vals
+    def level(self, n: int) -> tuple:
+        """(vals, t, h, floor) of level n; the finest grid doubles to reach n."""
+        if n not in self._levels:
+            if n > len(self.t) - 1:
+                vals = np.empty(n + 1, dtype=complex)
+                vals[0::2] = self.vals
+                vals[1::2] = self._scaled((2 * np.arange(n // 2) + 1) * (self.T / n))
+                self.vals, self.t = vals, np.linspace(0.0, self.T, n + 1)
+                self._levels = {m: self._view(m) + lev[2:] for m, lev in self._levels.items()}
+            vals, t = self._view(n)
+            floor = 16.0 * _EPS * float(np.trapezoid(np.abs(vals), dx=self.T / n))
+            self._levels[n] = (vals, t, self.T / n, floor)
+        return self._levels[n]
+
+    def _view(self, n: int) -> tuple:
+        step = (len(self.t) - 1) // n
+        return self.vals[::step], self.t[::step]
 
 
 @lru_cache(maxsize=256)
@@ -223,18 +231,14 @@ def eval_h(hp: HWeightParams, x: float, cc: ContourConfig = DEFAULT_CONTOUR) -> 
     n = cc.n_nodes
     prev = None
     while n <= cc.max_nodes:
-        vals = st.values(n)
-        t = np.linspace(0.0, st.T, n + 1)
-        h = st.T / n
+        vals, t, h, floor = st.level(n)
         f = vals * np.exp(-1j * (t * log_x))
-        bracket = float(np.trapezoid(f, dx=h).real)
-        if prev is not None:
-            floor = 16.0 * _EPS * float(np.trapezoid(np.abs(vals), dx=h))
-            if abs(bracket - prev) <= max(_REL_STOP * abs(bracket), floor):
-                if bracket == 0.0:
-                    return 0.0
-                with np.errstate(under="ignore"):
-                    return float(bracket * np.exp(log_scale))
+        bracket = float((h * (f[1:] + f[:-1]) / 2.0).sum().real)  # np.trapezoid(f, dx=h)
+        if prev is not None and abs(bracket - prev) <= max(_REL_STOP * abs(bracket), floor):
+            if bracket == 0.0:
+                return 0.0
+            with np.errstate(under="ignore"):
+                return float(bracket * np.exp(log_scale))
         prev = bracket
         n *= 2
     raise ContourFailure(f"node doubling stalled below tolerance at n={n // 2} for x={x:g}")
