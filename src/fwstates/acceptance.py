@@ -396,7 +396,7 @@ def criterion_nu() -> CriterionResult:
     # scalar log_rho (math.lgamma) against the array form (Lanczos)
     worst_int = 0.0
     for model in models:
-        vec = _log_rho_vec(model, np.arange(51))
+        vec = _log_rho_vec(model.params, np.arange(51))
         for k in range(51):
             worst_int = max(worst_int, abs(math.expm1(log_rho(model, k) - vec[k])))
     cfg = continuum.DEFAULT_QUAD

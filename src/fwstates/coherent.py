@@ -122,15 +122,15 @@ def _rho_columns(params: FWParams, ndim: int) -> np.ndarray:
     return cols.T.reshape((2, -1) + (1,) * ndim)
 
 
-def _log_rho_vec(model: CoherentModel, ks: np.ndarray) -> np.ndarray:
+def _log_rho_vec(params: FWParams, ks: np.ndarray) -> np.ndarray:
     """log rho at each k: one log_gamma_vec call, its rows added in log_rho's order."""
     kf = np.atleast_1d(ks).astype(float)
-    off, wt = _rho_columns(model.params, kf.ndim)
+    off, wt = _rho_columns(params, kf.ndim)
     lg = log_gamma_vec(off + wt * kf).real
     s = lg[0]
-    for j, (a, _) in enumerate(model.params.upper, 1):
+    for j, (a, _) in enumerate(params.upper, 1):
         s += math.lgamma(a.real) - lg[j]
-    for j, (b, _) in enumerate(model.params.lower, 1 + model.params.p):
+    for j, (b, _) in enumerate(params.lower, 1 + params.p):
         s += lg[j] - math.lgamma(b.real)
     return s
 
@@ -215,7 +215,7 @@ def make_state(model: CoherentModel, z: complex, tail_target: float = 1e-12) -> 
     log_zeta = math.log(zeta)
     while True:
         ks = np.arange(K + 1)
-        log_rho_k = _log_rho_vec(model, ks)
+        log_rho_k = _log_rho_vec(model.params, ks)
         with np.errstate(under="ignore"):
             probs = np.exp(ks * log_zeta - log_rho_k - log_n)
         tail = max(1.0 - float(probs.sum()), 0.0)

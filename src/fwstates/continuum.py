@@ -18,6 +18,16 @@ rho_tilde and log_rho_tilde are `coherent.rho` and `coherent.log_rho`,
 which take any real argument >= 0; the integrands use the array form
 `coherent._log_rho_vec`.  nu_bicomplex runs nu per idempotent component
 through `bicomplex.componentwise`.
+
+Gauss-Kronrod calls its integrand one node at a time, and the nodes recur
+from call to call, because the upper limit comes from the fixed ladder
+8 * 1.5^j.  So the one-node integrand takes log rho(E) from a 4,096-entry
+LRU keyed on (params, E) (`_log_rho_node`; K does not enter rho), and
+_e_max takes its 257-point log-rho grid from a 128-entry LRU keyed on
+(params, hi) (`_rho_grid`), since that grid does not depend on zeta.  A hit
+returns the stored float64 values, so every output keeps its bits.
+Tanh-sinh node arrays are not cached: they hold up to 8,192 nodes, so a
+bound on the entry count would not bound the memory.
 """
 
 from __future__ import annotations
@@ -25,12 +35,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .bicomplex import Hyperbolic, componentwise
 from .coherent import BCCoherentModel, CoherentModel, _log_rho_vec, log_rho, rho
 from .errors import QuadratureFailure, ValidationError
+from .foxwright import FWParams
 
 
 @dataclass(frozen=True)
@@ -59,8 +71,8 @@ def _e_max(model: CoherentModel, log_zeta: float, drop: float) -> float:
     """Upper truncation: log-integrand fallen `drop` below its peak."""
     hi = 8.0
     for _ in range(80):
-        grid = np.linspace(0.0, hi, 257)
-        logf = grid * log_zeta - _log_rho_vec(model, grid)
+        grid, log_rho_grid = _rho_grid(model.params, hi)
+        logf = grid * log_zeta - log_rho_grid
         peak = logf.max()
         if logf[-1] <= peak - drop:
             return hi
@@ -68,6 +80,52 @@ def _e_max(model: CoherentModel, log_zeta: float, drop: float) -> float:
     raise QuadratureFailure("could not locate a decaying tail for the nu integrand")
 
 
+@lru_cache(maxsize=128)
+def _rho_grid(params: FWParams, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """_e_max's 257-point grid on [0, hi] and log rho on it, read-only."""
+    grid = np.linspace(0.0, hi, 257)
+    # a copy, so the entry does not hold the whole log-gamma block alive
+    log_rho_grid = _log_rho_vec(params, grid).copy()
+    grid.flags.writeable = log_rho_grid.flags.writeable = False
+    return grid, log_rho_grid
+
+
+@lru_cache(maxsize=4096)
+def _log_rho_node(params: FWParams, E: float) -> float:
+    """log rho(E) at one Gauss-Kronrod node: the float _log_rho_vec gives on [E]."""
+    return float(_log_rho_vec(params, np.array([E]))[0])
+
+
+def _integrands(params: FWParams, log_zeta):
+    """zeta^E / rho(E) on a node array (tanh-sinh) and at one node (Gauss-Kronrod).
+
+    The one-node form takes log rho from the node memo and agrees with the
+    array form on [E] bit for bit.  For a real log_zeta it works on Python
+    floats, whose product and difference round as numpy's do, and np.exp
+    runs the same loop on them.  numpy's complex product may fuse a
+    multiply-add, which Python's complex arithmetic does not (the sign of
+    an underflowed zero can differ), so a complex log_zeta keeps a
+    1-element array.  An overflow is left to the caller's finite check.
+    """
+
+    def on_nodes(Es):
+        return np.exp(Es * log_zeta - _log_rho_vec(params, Es))
+
+    if isinstance(log_zeta, complex):
+
+        def at_node(E):
+            return np.exp(np.array([E]) * log_zeta - _log_rho_node(params, E))[0]
+
+    else:
+
+        def at_node(E):
+            return np.exp(E * log_zeta - _log_rho_node(params, E))
+
+    return on_nodes, at_node
+
+
+# an overflowing product or sum is reported by the finite check alone
+@np.errstate(over="ignore")
 def _tanh_sinh(f, a: float, b: float, rel_tol: float, abs_tol: float, max_level: int = 12):
     """Tanh-sinh rule on [a, b]; f must accept numpy arrays.
 
@@ -113,11 +171,12 @@ def _tanh_sinh(f, a: float, b: float, rel_tol: float, abs_tol: float, max_level:
     )
 
 
-def _integrate(f, a, b, cfg: QuadConfig, scheme: str):
+def _integrate(f, f_node, a, b, cfg: QuadConfig, scheme: str):
+    """f on node arrays for "ts", f_node at one node for "gk"."""
     if scheme == "gk":
         from scipy import integrate
         out = integrate.quad(
-            lambda x: f(np.array([x]))[0],
+            f_node,
             a,
             b,
             epsabs=cfg.abs_tol,
@@ -155,13 +214,10 @@ def nu_with_error(
         return 0.0, 0.0
     log_zeta = math.log(zeta)
     e_hi = _e_max(model, log_zeta, cfg.e_max_drop)
-
-    def integrand(Es):
-        # an overflow here surfaces as an inf integral, which _integrate rejects
-        with np.errstate(under="ignore", over="ignore"):
-            return np.exp(Es * log_zeta - _log_rho_vec(model, Es))
-
-    return _integrate(integrand, 0.0, e_hi, cfg, scheme)
+    on_nodes, at_node = _integrands(model.params, log_zeta)
+    # an overflow surfaces as an inf integral, which _integrate rejects
+    with np.errstate(under="ignore", over="ignore"):
+        return _integrate(on_nodes, at_node, 0.0, e_hi, cfg, scheme)
 
 
 def nu(
@@ -205,17 +261,14 @@ def overlap_tilde(
     zeta_c = z.conjugate() * zp
     log_zeta = cmath.log(zeta_c)
     e_hi = _e_max(model, log_zeta.real, cfg.e_max_drop)
-
-    def integrand(Es):
-        return np.exp(Es * log_zeta - _log_rho_vec(model, Es))
-
+    on_nodes, at_node = _integrands(model.params, log_zeta)
     # an overflow (inf, or inf+nanj from the complex exp) surfaces as a
     # non-finite integral, which _finite rejects
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         if scheme == "gk":
             from scipy import integrate
             out = integrate.quad(
-                lambda x: integrand(np.array([x]))[0],
+                at_node,
                 0.0,
                 e_hi,
                 epsabs=cfg.abs_tol,
@@ -224,7 +277,7 @@ def overlap_tilde(
                 complex_func=True,
             )
         elif scheme == "ts":
-            out = _tanh_sinh(integrand, 0.0, e_hi, cfg.rel_tol, cfg.abs_tol)
+            out = _tanh_sinh(on_nodes, 0.0, e_hi, cfg.rel_tol, cfg.abs_tol)
         else:
             raise ValidationError(f"unknown quadrature scheme {scheme!r}; use one of {SCHEMES}")
     num, _ = _finite(*out)

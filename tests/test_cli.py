@@ -341,6 +341,29 @@ def test_nu_eval_overflow_is_numeric_failure(files, scheme):
     assert proc.stderr.decode() == f"numeric failure: {NU_OVERFLOW_MESSAGES[scheme]}\n"
 
 
+def test_nu_eval_ts_product_overflow_is_numeric_failure(tmp_path):
+    # every integrand value is finite, but a tanh-sinh weight times one of
+    # them overflows; only the OverflowError may reach stderr
+    path = tmp_path / "ts_overflow.json"
+    path.write_text(
+        json.dumps(
+            {
+                "upper": [[0.603, 0.0, 1.104], [1.594, 0.0, 1.095]],
+                "lower": [[2.08, 0.0, 0.807], [2.896, 0.0, 0.966]],
+            }
+        ),
+        encoding="utf-8",
+    )
+    args = ("nu", "eval", "--model", str(path), "--zeta", "40", "--scheme", "ts")
+    proc = subprocess.run(
+        [sys.executable, "-m", "fwstates.cli", *args],
+        capture_output=True, env=_checkout_env(), timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == f"numeric failure: {NU_OVERFLOW_MESSAGES['ts']}\n"
+
+
 def test_nu_eval_grid_monotone(files, capsys):
     code, out, _ = run_cli(
         capsys, "nu", "eval", "--model", files["shift"], "--zeta", "0.5,1,2"

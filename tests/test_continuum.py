@@ -47,7 +47,7 @@ def test_integer_consistency():
     assert log_rho_tilde is log_rho and rho_tilde is rho
     ks = np.arange(51)
     for model in (VACUUM, GENERIC):
-        vec = _log_rho_vec(model, ks)
+        vec = _log_rho_vec(model.params, ks)
         for k in ks:
             assert abs(math.expm1(log_rho(model, int(k)) - vec[k])) <= 1e-12
 

@@ -8,17 +8,23 @@ references below are the plain forms those replaced: one log_gamma_vec
 call per gamma factor, the masked route throughout, one array per level
 built by doubling, and np.trapezoid at every step.  Every output must
 match them bit for bit.
+
+H values, log rho at Gauss-Kronrod nodes and _e_max's log-rho grids are
+memoized; each output must also match the same call with the memos
+bypassed (their `__wrapped__` functions), cold and warm.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fwstates import coherent, continuum, hfunction
 from fwstates.bicomplex import Bicomplex, Hyperbolic
+from fwstates.cli import main
 from fwstates.coherent import CoherentModel
 from fwstates.errors import ContourFailure, QuadratureFailure
 from fwstates.foxwright import FWParams, boundary_exponent, margin_sign, radius
@@ -27,6 +33,8 @@ from fwstates.gammafn import _LOG_PI, _lanczos_log, _log_sin_pi, log_gamma_vec
 from fwstates.hfunction import ContourConfig, HWeightParams
 
 _EPS = float(np.finfo(float).eps)
+# the node-value memos: H(x), log rho at one node, and _e_max's log-rho grid
+_MEMOS = ((hfunction, "_h_value"), (continuum, "_log_rho_node"), (continuum, "_rho_grid"))
 
 
 def _ref_log_gamma_vec(z):
@@ -42,12 +50,12 @@ def _ref_log_gamma_vec(z):
     return out
 
 
-def _ref_log_rho_vec(model, ks):
+def _ref_log_rho_vec(params, ks):
     kf = ks.astype(float)
     s = _ref_log_gamma_vec(kf + 1.0).real
-    for a, A in model.params.upper:
+    for a, A in params.upper:
         s += math.lgamma(a.real) - _ref_log_gamma_vec(a.real + kf * A).real
-    for b, B in model.params.lower:
+    for b, B in params.lower:
         s += _ref_log_gamma_vec(b.real + kf * B).real - math.lgamma(b.real)
     return s
 
@@ -179,7 +187,9 @@ _KS = st.sampled_from(
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_models(), _KS)
 def test_log_rho_vec_bits(model, ks):
-    assert _bits(coherent._log_rho_vec(model, ks)) == _bits(_ref_log_rho_vec(model, ks))
+    assert _bits(coherent._log_rho_vec(model.params, ks)) == _bits(
+        _ref_log_rho_vec(model.params, ks)
+    )
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -263,12 +273,15 @@ def test_eval_h_stops_on_the_cached_floor():
     converged = hfunction.eval_h(hp, x, cc)
     st_ = hfunction._contour_state(hp, cc, hfunction._abscissa_level(hp, cc, x))
     saved = dict(st_._levels)
+    # the H memo would answer from the converged value without running the loop
+    hfunction._h_value.cache_clear()
     try:
         for n, (vals, t, h, _) in saved.items():
             st_._levels[n] = (vals, t, h, math.inf)
         early = hfunction.eval_h(hp, x, cc)
     finally:
         st_._levels.update(saved)
+        hfunction._h_value.cache_clear()
     assert _bits(early) == _bits(_ref_eval_h(hp, x, cc, floor=math.inf))
     assert early != converged
     assert _bits(hfunction.eval_h(hp, x, cc)) == _bits(converged)
@@ -295,7 +308,14 @@ def test_contour_memory_after_several_doublings():
             assert _owner(vals) is _owner(st_.vals) and _owner(t) is _owner(st_.t)
 
 
+def _uncached(monkeypatch):
+    """The memos bypassed: each call runs the function they wrap."""
+    for module, name in _MEMOS:
+        monkeypatch.setattr(module, name, getattr(module, name).__wrapped__)
+
+
 def _patched(monkeypatch):
+    _uncached(monkeypatch)
     monkeypatch.setattr(continuum, "_log_rho_vec", _ref_log_rho_vec)
     monkeypatch.setattr(hfunction, "eval_h", _ref_eval_h)
 
@@ -343,6 +363,111 @@ def test_measure_outputs_bits(model, k, r, x):
     with pytest.MonkeyPatch.context() as mp:
         _patched(mp)
         assert ours == run()
+
+
+_UNIT = CoherentModel(FWParams([(1.0, 1.0)], [(2.0, 1.0)]))
+_WRIGHT = CoherentModel(FWParams([(1.3, 0.8)], [(2.1, 1.1)]))
+_ZETAS = (0.37, 2.5, 7.9)
+_PAIRS = ((1.1 + 0.3j, 0.7 - 0.2j), (0.4j, 1.5 + 0.1j))
+
+
+def _each(calls):
+    """Every call's value, or its exception's type and text."""
+    row = []
+    for call in calls:
+        try:
+            row.append(call())
+        except (ArithmeticError, QuadratureFailure, ContourFailure) as exc:
+            row.append(type(exc).__name__ + str(exc))
+    return row
+
+
+_MEMO_OUTPUTS = {
+    "moment_check": lambda m: [hfunction.moment_check(m, k) for k in range(7)],
+    "nu_with_error": lambda m: _each(
+        lambda z=z, s=s: continuum.nu_with_error(m, z, scheme=s)
+        for z in _ZETAS
+        for s in continuum.SCHEMES
+    ),
+    "overlap_tilde": lambda m: _each(
+        lambda p=p, s=s: continuum.overlap_tilde(m, *p, scheme=s)
+        for p in _PAIRS
+        for s in continuum.SCHEMES
+    ),
+    "state_density": lambda m: [continuum.state_density(m, 0.8 - 0.6j, E) for E in (0.0, 2.5)],
+    "weight": lambda m: [hfunction.weight(m, x) for x in (0.0, 0.3, 4.2, 17.0)],
+    "eval_h": lambda m: [
+        hfunction.eval_h(HWeightParams.from_model(m), x, cc)
+        for x in (0.05, 0.9, 6.5, 29.0)
+        for cc in (hfunction.DEFAULT_CONTOUR, ContourConfig(c_offset=1.5))
+    ],
+}
+
+
+@pytest.mark.parametrize("model", [_UNIT, _WRIGHT], ids=["unit", "wright"])
+@pytest.mark.parametrize("name", _MEMO_OUTPUTS)
+def test_memo_bits_cold_and_warm(name, model):
+    """Each output through the memos, cold after cache_clear() and then
+    warm, has the bits of the same call with every memo bypassed."""
+    run = _MEMO_OUTPUTS[name]
+    with pytest.MonkeyPatch.context() as mp:
+        _uncached(mp)
+        want = _bits(run(model))
+    for module, memo in _MEMOS:
+        getattr(module, memo).cache_clear()
+    assert _bits(run(model)) == want
+    assert _bits(run(model)) == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_models(), st.lists(st.floats(0.02, 80.0), min_size=1, max_size=6))
+def test_eval_h_memo_bits(model, xs):
+    """eval_h, cold and then warm, gives the bits of the uncached loop."""
+    hp = HWeightParams.from_model(model)
+    loop = hfunction._h_value.__wrapped__
+    for x in xs + xs:
+        assert _bits(_each([lambda: hfunction.eval_h(hp, x)])) == _bits(
+            _each([lambda: loop(hp, x, hfunction.DEFAULT_CONTOUR)])
+        ), x
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    _models(),
+    st.floats(0.0, 60.0),
+    st.one_of(st.floats(-3.0, 6.0), st.complex_numbers(max_magnitude=6.0)),
+)
+# E * Im(log_zeta) underflows: Python's complex product gives +0j there,
+# numpy's fused one -0j
+@example(CoherentModel(FWParams()), 4.2989726191302816e-159, -7.686563769251845e-204j)
+def test_node_integrand_bits(model, E, log_zeta):
+    """The one-node integrand Gauss-Kronrod calls has the bits of the
+    array form on [E], and of the plain kernel there."""
+    on_nodes, at_node = continuum._integrands(model.params, log_zeta)
+    Es = np.array([E])
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        got = at_node(E)
+        assert _bits(got) == _bits(on_nodes(Es)[0])
+        assert _bits(got) == _bits(np.exp(Es * log_zeta - _ref_log_rho_vec(model.params, Es))[0])
+
+
+def test_rho_grid_entries_are_read_only_copies():
+    grid, log_rho_grid = continuum._rho_grid(_WRIGHT.params, 12.0)
+    assert not grid.flags.writeable and not log_rho_grid.flags.writeable
+    assert log_rho_grid.flags.owndata and log_rho_grid.shape == (257,)
+
+
+def test_measure_check_memo_counts(tmp_path, capsys):
+    """One `measure check --k 0..6` on the unit-weight model evaluates H at
+    193 distinct x; its other 941 eval_h calls are answered by the memo."""
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps(_UNIT.params.to_json()), encoding="utf-8")
+    hfunction._h_value.cache_clear()
+    assert main(["measure", "check", "--model", str(path), "--k", "0..6"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 7 and all(row.endswith(",pass") for row in rows)
+    info = hfunction._h_value.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (193, 941, 193)
 
 
 def test_hweight_constants_stay_off_equality():
