@@ -100,32 +100,19 @@ def _integrands(params: FWParams, log_zeta):
     """zeta^E / rho(E) on a node array (tanh-sinh) and at one node (Gauss-Kronrod).
 
     The one-node form takes log rho from the node memo and agrees with the
-    array form on [E] bit for bit.  For a real log_zeta it works on Python
-    floats, whose product and difference round as numpy's do, and np.exp
-    runs the same loop on them.  numpy's complex product may fuse a
-    multiply-add, which Python's complex arithmetic does not (the sign of
-    an underflowed zero can differ), so a complex log_zeta keeps a
-    1-element array.  An overflow is left to the caller's finite check.
+    array form on [E] bit for bit.  An overflow is left to the caller's
+    finite check.
     """
 
     def on_nodes(Es):
         return np.exp(Es * log_zeta - _log_rho_vec(params, Es))
 
-    if isinstance(log_zeta, complex):
-
-        def at_node(E):
-            return np.exp(np.array([E]) * log_zeta - _log_rho_node(params, E))[0]
-
-    else:
-
-        def at_node(E):
-            return np.exp(E * log_zeta - _log_rho_node(params, E))
+    def at_node(E):
+        return np.exp(np.array([E]) * log_zeta - _log_rho_node(params, E))[0]
 
     return on_nodes, at_node
 
 
-# an overflowing product or sum is reported by the finite check alone
-@np.errstate(over="ignore")
 def _tanh_sinh(f, a: float, b: float, rel_tol: float, abs_tol: float, max_level: int = 12):
     """Tanh-sinh rule on [a, b]; f must accept numpy arrays.
 

@@ -437,8 +437,7 @@ def test_eval_h_memo_bits(model, xs):
     st.floats(0.0, 60.0),
     st.one_of(st.floats(-3.0, 6.0), st.complex_numbers(max_magnitude=6.0)),
 )
-# E * Im(log_zeta) underflows: Python's complex product gives +0j there,
-# numpy's fused one -0j
+# E * Im(log_zeta) underflows, and the sign of that zero must survive
 @example(CoherentModel(FWParams()), 4.2989726191302816e-159, -7.686563769251845e-204j)
 def test_node_integrand_bits(model, E, log_zeta):
     """The one-node integrand Gauss-Kronrod calls has the bits of the
