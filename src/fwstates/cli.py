@@ -20,6 +20,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -438,6 +439,12 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser tree, built on first use and shared by every main() call."""
+    return build_parser()
+
+
 def _manifest(args) -> RunManifest:
     tols = {}
     for key in ("tol", "tail", "rel_tol", "abs_tol"):
@@ -454,7 +461,7 @@ def _manifest(args) -> RunManifest:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -18,8 +18,13 @@ genuine cross-checks rather than tautologies.
 Parameters are restricted to real a_l, b_r > 0 with positive margin;
 that keeps rho positive and N entire.  log_rho and rho accept any real
 k >= 0, so they are also the continuous interpolation rho_tilde(E) of
-`continuum`; _log_rho_vec is the array form (Lanczos log-gamma, which
-may differ from the scalar math.lgamma form in the last bits).
+`continuum`.  The array form (Lanczos log-gamma, which may differ from
+the scalar math.lgamma form in the last bits) adds its rows in
+_log_rho_rows, in log_rho's order.  make_state reads those rows for
+integer k from the series' cached column table
+(`foxwright.log_gamma_rows`); _log_rho_vec forms them afresh for real E
+and serves `continuum` (its node values and its log-rho grids) and the
+acceptance battery.
 Bicomplex models run each complex routine per idempotent component
 through `bicomplex.componentwise`.
 """
@@ -35,7 +40,7 @@ import numpy as np
 
 from .bicomplex import Bicomplex, Hyperbolic, componentwise
 from .errors import TruncationError, ValidationError
-from .foxwright import CLASSIFY_TOL, FWParams, margin
+from .foxwright import CLASSIFY_TOL, FWParams, log_gamma_rows, margin
 from .foxwright import evaluate as fw_evaluate
 from .foxwright_bc import BCFWParams
 from .gammafn import log_gamma_ratio, log_gamma_vec
@@ -122,17 +127,21 @@ def _rho_columns(params: FWParams, ndim: int) -> np.ndarray:
     return cols.T.reshape((2, -1) + (1,) * ndim)
 
 
-def _log_rho_vec(params: FWParams, ks: np.ndarray) -> np.ndarray:
-    """log rho at each k: one log_gamma_vec call, its rows added in log_rho's order."""
-    kf = np.atleast_1d(ks).astype(float)
-    off, wt = _rho_columns(params, kf.ndim)
-    lg = log_gamma_vec(off + wt * kf).real
-    s = lg[0]
+def _log_rho_rows(params: FWParams, lg) -> np.ndarray:
+    """log rho from real log Gamma rows at k+1, a_l + k A_l, b_r + k B_r, in log_rho's order."""
+    s = lg[0].copy()
     for j, (a, _) in enumerate(params.upper, 1):
         s += math.lgamma(a.real) - lg[j]
     for j, (b, _) in enumerate(params.lower, 1 + params.p):
         s += lg[j] - math.lgamma(b.real)
     return s
+
+
+def _log_rho_vec(params: FWParams, ks: np.ndarray) -> np.ndarray:
+    """log rho at each real k: one log_gamma_vec call, its rows added by _log_rho_rows."""
+    kf = np.atleast_1d(ks).astype(float)
+    off, wt = _rho_columns(params, kf.ndim)
+    return _log_rho_rows(params, log_gamma_vec(off + wt * kf).real)
 
 
 def rho(model: CoherentModel, k: float) -> float:
@@ -215,7 +224,8 @@ def make_state(model: CoherentModel, z: complex, tail_target: float = 1e-12) -> 
     log_zeta = math.log(zeta)
     while True:
         ks = np.arange(K + 1)
-        log_rho_k = _log_rho_vec(model.params, ks)
+        rows = log_gamma_rows(model.params, K + 1)
+        log_rho_k = _log_rho_rows(model.params, [row.real for row in rows])
         with np.errstate(under="ignore"):
             probs = np.exp(ks * log_zeta - log_rho_k - log_n)
         tail = max(1.0 - float(probs.sum()), 0.0)

@@ -15,19 +15,23 @@ own.  Lower-pair gamma poles at some k > 0 null that term (the analytic
 1/Gamma convention); upper-pair poles raise.
 
 Only k log z depends on z.  The other columns of log t_k are cached per
-FWParams: log Gamma(k+1); one log Gamma(a_l + k A_l) per upper pair,
-with the first k at which it meets a pole; one log Gamma(b_r + k B_r)
-per lower pair, with its pole mask.  The cache is an LRU of
-_COLUMN_CACHE_SIZE parameter sets, so equal parameters built anywhere
-share one entry.  An entry grows to the end of the block a call asks
-for and never past that call's max_terms.  It grows into new arrays
-published by one assignment, so threads never see a half-grown entry.
-Terms stay bit-identical to forming every column afresh: log_gamma_vec
-is elementwise, the block combines the same columns with the same
+FWParams: k itself; log Gamma(k+1); one log Gamma(a_l + k A_l) per upper
+pair, with the first k at which it meets a pole; one log Gamma(b_r +
+k B_r) per lower pair, with its pole mask and first pole.  All of them
+come from one log_gamma_vec call per growth step.  The cache is an LRU
+of _COLUMN_CACHE_SIZE parameter sets, so equal parameters built
+anywhere share one entry, and this one table serves both evaluate and
+coherent.make_state (through log_gamma_rows), so a model's states reuse
+the gamma values of its normalization.  An entry grows to the end of
+the block a call asks for (evaluate never past its max_terms,
+make_state to its K+1).  It grows into new read-only arrays published
+by one assignment, so threads never see a half-grown entry.  Terms stay
+bit-identical to forming every column afresh: log_gamma_vec is
+elementwise, the block combines the same columns with the same
 operations in the same order, and a zero's sign in a parameter (the one
 thing FWParams equality ignores) is dropped by the addition a + k A.
-The running sums are a sequential cumsum seeded with the carried total,
-so they add in the order a per-term loop would.
+The running sums are a sequential cumsum whose first term has the
+carried total added, so they add in the order a per-term loop would.
 
 The oracle_* functions are deliberately independent evaluation routes
 (raw Pochhammer products, scipy gammas) used only for conformance
@@ -51,7 +55,7 @@ from .errors import (
     PoleError,
     ValidationError,
 )
-from .gammafn import is_gamma_pole, log_gamma, log_gamma_vec
+from .gammafn import is_gamma_pole, log_gamma, log_gamma_vec, pole_mask
 
 # classification tolerance for margin == 0 and weight == 1 tests
 CLASSIFY_TOL = 1e-12
@@ -61,13 +65,6 @@ DEFAULT_MAX_TERMS = 10000
 
 # parameter sets whose log-gamma columns stay cached
 _COLUMN_CACHE_SIZE = 32
-
-
-def _pole_mask(args: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Vectorized gamma-pole proximity test."""
-    near_axis = np.abs(args.imag) <= tol
-    rounded = np.round(args.real)
-    return near_axis & (rounded <= 0) & (np.abs(args.real - rounded) <= tol)
 
 
 @dataclass(frozen=True)
@@ -180,77 +177,107 @@ def boundary_exponent(params: FWParams) -> complex:
 
 
 class _Columns(NamedTuple):
-    """The z-independent parts of log t_k for k = 0 .. n-1."""
+    """The z-independent parts of log t_k for k = 0 .. n-1 (read-only arrays)."""
 
     n: int
+    k: np.ndarray  # k as floats
     log_fact: np.ndarray  # log Gamma(k + 1)
     upper: tuple[np.ndarray, ...]  # log Gamma(a_l + k A_l), one per upper pair
     upper_poles: tuple  # per upper pair: (first k, argument) at a gamma pole, or None
     lower: tuple[np.ndarray, ...]  # log Gamma(b_r + k B_r), one per lower pair
     lower_poles: tuple[np.ndarray, ...]  # per lower pair: b_r + k B_r is a gamma pole
+    lower_first_pole: tuple  # per lower pair: the first k at a gamma pole, or None
 
 
 def _append(col: np.ndarray, new: np.ndarray) -> np.ndarray:
-    return np.concatenate((col, new)) if col.size else new
-
-
-def _grow(params: FWParams, cols: _Columns, end: int) -> _Columns:
-    """cols extended to k < end, as new arrays (cols itself is not touched)."""
-    kf = np.arange(cols.n, end, dtype=float)
-    upper, upper_poles = [], []
-    for (a, A), col, pole in zip(params.upper, cols.upper, cols.upper_poles):
-        args = a + kf * A
-        if pole is None:
-            bad = np.flatnonzero(_pole_mask(args))
-            if bad.size:
-                pole = (cols.n + int(bad[0]), args[bad[0]])
-        upper.append(_append(col, log_gamma_vec(args)))
-        upper_poles.append(pole)
-    lower, lower_poles = [], []
-    for (b, B), col, poles in zip(params.lower, cols.lower, cols.lower_poles):
-        args = b + kf * B
-        lower.append(_append(col, log_gamma_vec(args)))
-        lower_poles.append(_append(poles, _pole_mask(args)))
-    return _Columns(
-        end,
-        _append(cols.log_fact, log_gamma_vec(kf + 1.0)),
-        tuple(upper),
-        tuple(upper_poles),
-        tuple(lower),
-        tuple(lower_poles),
-    )
+    out = np.concatenate((col, new)) if col.size else new
+    out.flags.writeable = False
+    return out
 
 
 class _ColumnCache:
     """Columns of one FWParams, grown on demand to the block end asked for."""
 
-    __slots__ = ("params", "cols")
+    __slots__ = ("params", "cols", "_off", "_wt")
 
     def __init__(self, params: FWParams):
         empty = np.empty(0, dtype=complex)
         self.params = params
         self.cols = _Columns(
             0,
+            np.empty(0),
             empty,
             (empty,) * params.p,
             (None,) * params.p,
             (empty,) * params.q,
             (np.empty(0, dtype=bool),) * params.q,
+            (None,) * params.q,
         )
+        # offsets and weights of the gamma arguments k+1, a_l + k A_l, b_r + k B_r
+        pairs = ((1.0, 1.0),) + params.upper + params.lower
+        self._off = np.array([v for v, _ in pairs], dtype=complex)[:, None]
+        self._wt = np.array([w for _, w in pairs])[:, None]
 
     def upto(self, end: int) -> _Columns:
         cols = self.cols
         if cols.n < end:
-            cols = _grow(self.params, cols, end)
+            cols = self._grow(cols, end)
             # one assignment publishes the grown columns, so a concurrent
             # caller sees either the old or the new record, never a mix
             self.cols = cols
         return cols
 
+    def _grow(self, cols: _Columns, end: int) -> _Columns:
+        """cols extended to k < end, as new arrays (cols itself is not touched).
+
+        Every column's gamma arguments form one block, so one
+        log_gamma_vec call and one pole test serve a whole growth step.
+        """
+        p = self.params.p
+        kf = np.arange(cols.n, end, dtype=float)
+        args = self._off + self._wt * kf
+        lg = log_gamma_vec(args)
+        poles = pole_mask(args[1:])
+        upper_poles = []
+        for j, pole in enumerate(cols.upper_poles):
+            if pole is None:
+                bad = np.flatnonzero(poles[j])
+                if bad.size:
+                    pole = (cols.n + int(bad[0]), args[1 + j, bad[0]])
+            upper_poles.append(pole)
+        lower_first = []
+        for r, first in enumerate(cols.lower_first_pole):
+            if first is None:
+                bad = np.flatnonzero(poles[p + r])
+                if bad.size:
+                    first = cols.n + int(bad[0])
+            lower_first.append(first)
+        return _Columns(
+            end,
+            _append(cols.k, kf),
+            _append(cols.log_fact, lg[0]),
+            tuple(_append(col, row) for col, row in zip(cols.upper, lg[1 : 1 + p])),
+            tuple(upper_poles),
+            tuple(_append(col, row) for col, row in zip(cols.lower, lg[1 + p :])),
+            tuple(_append(m, row) for m, row in zip(cols.lower_poles, poles[p:])),
+            tuple(lower_first),
+        )
+
 
 @lru_cache(maxsize=_COLUMN_CACHE_SIZE)
 def _column_cache(params: FWParams) -> _ColumnCache:
     return _ColumnCache(params)
+
+
+def log_gamma_rows(params: FWParams, n: int) -> tuple[np.ndarray, ...]:
+    """log Gamma at k+1, then each a_l + k A_l, then each b_r + k B_r, for k < n.
+
+    Read-only views of the cached columns, so a model's series and its
+    coherent states share one table.  No pole screening, as in
+    log_gamma_vec.
+    """
+    cols = _column_cache(params).upto(n)
+    return tuple(col[:n] for col in (cols.log_fact, *cols.upper, *cols.lower))
 
 
 def _abs(x: np.ndarray) -> np.ndarray:
@@ -334,36 +361,39 @@ def evaluate(
     stopped = False
     k0 = 0
     block = 32
-    while k0 < max_terms and not stopped:
-        end = min(k0 + block, max_terms)
-        cols = cache.upto(end)
-        for pole in cols.upper_poles:
-            if pole is not None and pole[0] < end:
-                raise PoleError(f"upper gamma pole at k={pole[0]} (argument {pole[1]})")
-        logt = np.arange(k0, end, dtype=float) * log_z - cols.log_fact[k0:end]
-        for col in cols.upper:
-            logt = logt + col[k0:end]
-        for col, poles in zip(cols.lower, cols.lower_poles):
-            logt = logt - col[k0:end]
-            logt[poles[k0:end]] = complex(-math.inf, 0.0)
-        if (logt.real > 709.0).any():
-            raise OverflowError(
-                "series term exceeds the floating-point range; value not representable"
-            )
-        with np.errstate(under="ignore", invalid="ignore"):
+    with np.errstate(under="ignore", invalid="ignore"):
+        while k0 < max_terms and not stopped:
+            end = min(k0 + block, max_terms)
+            cols = cache.upto(end)
+            for pole in cols.upper_poles:
+                if pole is not None and pole[0] < end:
+                    raise PoleError(f"upper gamma pole at k={pole[0]} (argument {pole[1]})")
+            logt = cols.k[k0:end] * log_z - cols.log_fact[k0:end]
+            for col in cols.upper:
+                logt = logt + col[k0:end]
+            for col, poles, first in zip(cols.lower, cols.lower_poles, cols.lower_first_pole):
+                logt = logt - col[k0:end]
+                if first is not None and first < end:
+                    logt[poles[k0:end]] = complex(-math.inf, 0.0)
+            if (logt.real > 709.0).any():
+                raise OverflowError(
+                    "series term exceeds the floating-point range; value not representable"
+                )
             terms = np.exp(logt)
-        # cumsum adds in sequence from the carried total
-        sums = np.cumsum(np.concatenate(([total], terms)))[1:]
-        ok = _abs(terms) <= tol * _abs(sums)
-        stop, streak = _streak_end(ok, streak)
-        stopped = stop >= 0
-        used = stop + 1 if stopped else terms.size
-        total = sums[used - 1]
-        terms_used += used
-        summed = terms[:used]
-        recent = summed[-3:] if used >= 3 else np.concatenate((recent, summed))[-3:]
-        k0 = end
-        block = min(2 * block, 512)
+            # cumsum adds in sequence from the carried total
+            sums = terms.copy()
+            sums[0] += total
+            sums = sums.cumsum()
+            ok = _abs(terms) <= tol * _abs(sums)
+            stop, streak = _streak_end(ok, streak)
+            stopped = stop >= 0
+            used = stop + 1 if stopped else terms.size
+            total = sums[used - 1]
+            terms_used += used
+            summed = terms[:used]
+            recent = summed[-3:] if used >= 3 else np.concatenate((recent, summed))[-3:]
+            k0 = end
+            block = min(2 * block, 512)
     mag_hist = [0.0] * (3 - recent.size) + [abs(t) for t in recent]
 
     if not stopped and not on_boundary:

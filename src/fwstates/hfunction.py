@@ -17,13 +17,16 @@ The contour integrand decays like exp(-(pi/2)(1+sum B-sum A)|t|), so a
 trapezoid rule on a truncated line converges spectrally; each line keeps
 one finest node grid, refined by doubling, and its coarser levels are views.
 
-Two bounded LRU caches hold what depends only on the parameters: the 256
-most recent lines (`_contour_state`), and the 4,096 most recent H values,
-keyed on (parameter block, x, contour config) (`_h_value`).  Quadratures
-revisit their nodes: one `measure check --k 0..6` on the unit-weight model
-makes 1,134 eval_h calls at 193 distinct x.  moment_check, weight and
-repeated eval_h calls share the H values, and a hit returns the float the
-contour loop returned, so every output keeps its bits.
+Three bounded LRU caches hold what depends only on the parameters: the
+256 most recent models' parameter blocks (`_model_block`, which
+HWeightParams.from_model returns, so weight does not rebuild its block
+on every call), the 256 most recent lines (`_contour_state`), and the
+4,096 most recent H values, keyed on (parameter block, x, contour
+config) (`_h_value`).  Quadratures revisit their nodes: one `measure
+check --k 0..6` on the unit-weight model makes 1,134 eval_h calls at
+193 distinct x.  moment_check, weight and repeated eval_h calls share
+the H values, and a hit returns the float the contour loop returned, so
+every output keeps its bits.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .errors import (
     QuadratureFailure,
     ValidationError,
 )
+from .foxwright import FWParams
 from .foxwright import evaluate as fw_evaluate
 from .gammafn import gamma, is_gamma_pole, log_gamma_vec
 
@@ -92,10 +96,8 @@ class HWeightParams:
 
     @classmethod
     def from_model(cls, model: CoherentModel) -> "HWeightParams":
-        p = model.params
-        upper = [(a.real - A, A) for a, A in p.upper]
-        lower = [(0.0, 1.0)] + [(b.real - B, B) for b, B in p.lower]
-        return cls(upper=upper, lower=lower)
+        """The model's kernel block, built once per parameter set (_model_block)."""
+        return _model_block(model.params)
 
     def rightmost_pole(self) -> float:
         """Largest real pole of the numerator gamma product."""
@@ -107,6 +109,13 @@ class HWeightParams:
     def mellin(self, s: complex) -> complex:
         """The Mellin transform of the kernel at s."""
         return complex(np.exp(self.log_mellin(s)))
+
+
+@lru_cache(maxsize=256)
+def _model_block(params: FWParams) -> HWeightParams:
+    upper = [(a.real - A, A) for a, A in params.upper]
+    lower = [(0.0, 1.0)] + [(b.real - B, B) for b, B in params.lower]
+    return HWeightParams(upper=upper, lower=lower)
 
 
 def _log_mellin_vec(hp: HWeightParams, s: np.ndarray) -> np.ndarray:

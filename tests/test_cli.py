@@ -392,6 +392,25 @@ def test_repeat_runs_byte_identical(files, capsys):
         assert first == second and first.endswith("\n")
 
 
+def test_one_parser_serves_runs_around_a_usage_error(files, capsys):
+    from fwstates.cli import _parser, build_parser
+
+    good = ("cs", "overlap", "--params", files["shift"], "--z", "0.5", "--zp", "0.2,0.1")
+    bad = ("cs", "overlap", "--params", files["shift"], "--z", "0.5")
+    first = run_cli(capsys, *good)
+    code, out, err = run_cli(capsys, *bad)
+    assert first[0] == 0 and run_cli(capsys, *good) == first
+    # the usage error reads as it does from a freshly built parser
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args(list(bad))
+    assert (code, out, err) == (info.value.code, "", capsys.readouterr().err)
+    assert "the following arguments are required: --zp" in err
+    assert _parser() is _parser()
+    for argv in (["--help"], ["cs", "overlap", "--help"]):
+        assert run_cli(capsys, *argv) == run_cli(capsys, *argv)
+    assert _parser().format_help() == build_parser().format_help()
+
+
 def test_print_manifest_on_stderr(files, capsys):
     base = ("fw", "radius", "--params", files["disk"])
     _, plain_out, plain_err = run_cli(capsys, *base)

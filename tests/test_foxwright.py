@@ -24,7 +24,6 @@ from fwstates.foxwright import (
     FWParams,
     _abs,
     _column_cache,
-    _pole_mask,
     _streak_end,
     as_pfq,
     boundary_exponent,
@@ -38,6 +37,7 @@ from fwstates.foxwright import (
 from fwstates.foxwright_bc import BCFWParams
 from fwstates.foxwright_bc import evaluate as evaluate_bc
 from fwstates.gammafn import log_gamma_ratio, log_gamma_vec
+from fwstates.gammafn import pole_mask as _pole_mask
 
 # 50-digit mpmath sums, frozen
 GENERIC_PARAMS = FWParams(upper=[(0.7, 1.3)], lower=[(1.2, 0.9), (0.8, 1.1)])

@@ -1,0 +1,444 @@
+"""Bit identity of the coherent-state path against the routes it replaced.
+
+The series' column cache forms every column's gamma arguments as one
+block and makes one log_gamma_vec call per growth step; make_state reads
+log rho(k) from that cache (`foxwright.log_gamma_rows`) instead of a
+second `_log_rho_vec` call; the evaluate block loop seeds its cumsum by
+adding the carried total to the first term, enters np.errstate once per
+call, takes k from the cache and skips the pole write for lower columns
+without a pole; log_gamma_ratio screens every argument for poles with
+one array test.  The references below are frozen copies of the routes
+before those changes, and every output must match them bit for bit.
+"""
+
+import cmath
+import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
+
+import numpy as np
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from fwstates import coherent
+from fwstates.coherent import CoherentModel, StateVector, make_state, normalization
+from fwstates.errors import (
+    DomainViolation,
+    FWError,
+    MaxTermsExceeded,
+    PoleError,
+    TruncationError,
+    ValidationError,
+)
+from fwstates.foxwright import (
+    EvalResult,
+    FWParams,
+    _abs,
+    _column_cache,
+    _ColumnCache,
+    _streak_end,
+    _term_zero,
+    boundary_exponent,
+    evaluate,
+    log_gamma_rows,
+    radius,
+)
+from fwstates.gammafn import is_gamma_pole, log_gamma_ratio, log_gamma_vec, pole_mask
+
+# -- frozen references ------------------------------------------------------
+
+
+class _RefColumns(NamedTuple):
+    n: int
+    log_fact: np.ndarray
+    upper: tuple
+    upper_poles: tuple
+    lower: tuple
+    lower_poles: tuple
+
+
+def _ref_append(col, new):
+    return np.concatenate((col, new)) if col.size else new
+
+
+def _ref_grow(params, cols, end):
+    """Column growth with one log_gamma_vec call and one pole mask per column."""
+    kf = np.arange(cols.n, end, dtype=float)
+    upper, upper_poles = [], []
+    for (a, A), col, pole in zip(params.upper, cols.upper, cols.upper_poles):
+        args = a + kf * A
+        if pole is None:
+            bad = np.flatnonzero(pole_mask(args))
+            if bad.size:
+                pole = (cols.n + int(bad[0]), args[bad[0]])
+        upper.append(_ref_append(col, log_gamma_vec(args)))
+        upper_poles.append(pole)
+    lower, lower_poles = [], []
+    for (b, B), col, poles in zip(params.lower, cols.lower, cols.lower_poles):
+        args = b + kf * B
+        lower.append(_ref_append(col, log_gamma_vec(args)))
+        lower_poles.append(_ref_append(poles, pole_mask(args)))
+    return _RefColumns(
+        end,
+        _ref_append(cols.log_fact, log_gamma_vec(kf + 1.0)),
+        tuple(upper),
+        tuple(upper_poles),
+        tuple(lower),
+        tuple(lower_poles),
+    )
+
+
+def _ref_empty(params):
+    empty = np.empty(0, dtype=complex)
+    return _RefColumns(
+        0,
+        empty,
+        (empty,) * params.p,
+        (None,) * params.p,
+        (empty,) * params.q,
+        (np.empty(0, dtype=bool),) * params.q,
+    )
+
+
+def _ref_evaluate(params, z, tol=1e-14, max_terms=10000, allow_boundary=False):
+    """evaluate() with the block loop it had before: a concatenated cumsum,
+    np.errstate per block, np.arange for k and a pole write per lower column."""
+    if tol <= 0:
+        raise ValidationError("tol must be > 0")
+    z = complex(z)
+    if z == 0:
+        return EvalResult(_term_zero(params), 1, 0.0)
+    r = radius(params)
+    on_boundary = False
+    if not math.isinf(r):
+        az = abs(z)
+        if r == 0.0 or az > r * (1.0 + 1e-12):
+            raise DomainViolation(f"|z|={az:.6g} outside convergence radius {r:.6g}")
+        if az >= r * (1.0 - 1e-12):
+            lam = boundary_exponent(params)
+            if not allow_boundary:
+                raise DomainViolation(
+                    f"|z|={az:.6g} lies on the convergence circle (radius {r:.6g}); "
+                    "pass allow_boundary to evaluate under the Re(lambda) > 1/2 condition"
+                )
+            if lam.real <= 0.5:
+                raise DomainViolation(
+                    f"boundary evaluation needs Re(lambda) > 1/2, got {lam.real:.6g}"
+                )
+            on_boundary = True
+    log_z = cmath.log(z)
+    cols = _ref_empty(params)
+    total = 0j
+    streak = 0
+    terms_used = 0
+    recent = np.empty(0, dtype=complex)
+    stopped = False
+    k0 = 0
+    block = 32
+    while k0 < max_terms and not stopped:
+        end = min(k0 + block, max_terms)
+        if cols.n < end:
+            cols = _ref_grow(params, cols, end)
+        for pole in cols.upper_poles:
+            if pole is not None and pole[0] < end:
+                raise PoleError(f"upper gamma pole at k={pole[0]} (argument {pole[1]})")
+        logt = np.arange(k0, end, dtype=float) * log_z - cols.log_fact[k0:end]
+        for col in cols.upper:
+            logt = logt + col[k0:end]
+        for col, poles in zip(cols.lower, cols.lower_poles):
+            logt = logt - col[k0:end]
+            logt[poles[k0:end]] = complex(-math.inf, 0.0)
+        if (logt.real > 709.0).any():
+            raise OverflowError(
+                "series term exceeds the floating-point range; value not representable"
+            )
+        with np.errstate(under="ignore", invalid="ignore"):
+            terms = np.exp(logt)
+        sums = np.cumsum(np.concatenate(([total], terms)))[1:]
+        ok = _abs(terms) <= tol * _abs(sums)
+        stop, streak = _streak_end(ok, streak)
+        stopped = stop >= 0
+        used = stop + 1 if stopped else terms.size
+        total = sums[used - 1]
+        terms_used += used
+        summed = terms[:used]
+        recent = summed[-3:] if used >= 3 else np.concatenate((recent, summed))[-3:]
+        k0 = end
+        block = min(2 * block, 512)
+    mag_hist = [0.0] * (3 - recent.size) + [abs(t) for t in recent]
+    if not stopped and not on_boundary:
+        raise MaxTermsExceeded(
+            f"no convergence after {terms_used} terms (tol={tol:g}, |z|={abs(z):.6g})"
+        )
+    if on_boundary and not stopped:
+        lam_re = boundary_exponent(params).real
+        tail = abs(mag_hist[2]) * terms_used / (lam_re - 0.5)
+    else:
+        last = mag_hist[2]
+        prev = mag_hist[1]
+        ratio = last / prev if prev > 0 else 0.5
+        ratio = min(max(ratio, 0.0), 0.9)
+        tail = 4.0 * max(mag_hist) * ratio / (1.0 - ratio)
+        tail = max(tail, max(mag_hist))
+    return EvalResult(total, terms_used, tail)
+
+
+def _ref_make_state(model, z, tail_target=1e-12):
+    """make_state with log rho(k) from its own _log_rho_vec call per K."""
+    z = complex(z)
+    zeta = abs(z) ** 2
+    log_n = math.log(normalization(model, zeta))
+    pref = math.exp(-0.5 * log_n)
+    K = model.K
+    if zeta == 0.0:
+        coeffs = (1.0 + 0j,) + (0j,) * K
+        return StateVector(coeffs=coeffs, norm_prefactor=pref, z=z, tail_mass=0.0)
+    log_zeta = math.log(zeta)
+    while True:
+        ks = np.arange(K + 1)
+        log_rho_k = coherent._log_rho_vec(model.params, ks)
+        with np.errstate(under="ignore"):
+            probs = np.exp(ks * log_zeta - log_rho_k - log_n)
+        tail = max(1.0 - float(probs.sum()), 0.0)
+        if tail <= tail_target:
+            break
+        if K >= coherent.K_MAX:
+            raise TruncationError(f"tail mass {tail:.3g} above target {tail_target:g} at K={K}")
+        K = min(2 * K, coherent.K_MAX)
+    log_z = cmath.log(z)
+    with np.errstate(under="ignore"):
+        coeffs = np.exp(ks * log_z - 0.5 * log_rho_k - 0.5 * log_n)
+    return StateVector(coeffs=tuple(coeffs.tolist()), norm_prefactor=pref, z=z, tail_mass=tail)
+
+
+def _ref_log_gamma_ratio_screen(a, A, ks):
+    """The per-entry pole check log_gamma_ratio made before its array test."""
+    for kk in np.asarray(ks).ravel().tolist():
+        w = complex(a) + kk * A
+        if is_gamma_pole(w) or is_gamma_pole(w + A):
+            raise PoleError(f"log_gamma_ratio crosses a pole at w={w}, A={A}")
+
+
+# -- helpers ----------------------------------------------------------------
+
+
+def _bits(a):
+    return a.shape, a.dtype.str, a.tobytes()
+
+
+def _outcome(fn, *args, **kwargs):
+    """Type and repr of each field of a result, or the error raised."""
+    try:
+        res = fn(*args, **kwargs)
+    except FWError as exc:
+        return type(exc).__name__, str(exc)
+    except OverflowError as exc:
+        return "OverflowError", str(exc)
+    return [(type(v).__name__, repr(v)) for v in vars(res).values()]
+
+
+# values include nonpositive half-integers and integers, so some a + kA
+# and b + kB land on gamma poles at k > 0
+_VALUE = st.one_of(
+    st.sampled_from([-2.5, -1.5, -1.0, -0.5, 0.5, 1.0, 2.0]),
+    st.floats(-3.0, 3.0),
+    st.builds(complex, st.floats(-3.0, 3.0), st.floats(-1.0, 1.0)),
+)
+_WEIGHT = st.one_of(st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0]), st.floats(0.2, 2.5))
+_PAIRS = st.lists(st.tuples(_VALUE, _WEIGHT), max_size=3)
+
+
+@st.composite
+def _params(draw):
+    try:
+        return FWParams(upper=draw(_PAIRS), lower=draw(_PAIRS))
+    except ValidationError:
+        assume(False)
+
+
+# -- the one-call column growth ---------------------------------------------
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_params(), st.lists(st.integers(1, 300), min_size=1, max_size=4))
+@example(FWParams(upper=[(-0.5, 0.5)], lower=[(-1.5, 0.5), (2.0, 1.0)]), [3, 40])
+@example(FWParams(upper=[(1.0, 1.0)], lower=[(-2.5, 1.0), (-0.5, 0.25)]), [1, 2, 33])
+def test_grow_matches_per_column_growth(params, ends):
+    cache = _ColumnCache(params)
+    ref = _ref_empty(params)
+    for end in sorted(ends):
+        cols = cache.upto(end)
+        ref = _ref_grow(params, ref, end) if ref.n < end else ref
+        assert cols.n == ref.n
+        assert _bits(cols.k) == _bits(np.arange(cols.n, dtype=float))
+        assert _bits(cols.log_fact) == _bits(ref.log_fact)
+        for got, want in zip(cols.upper + cols.lower, ref.upper + ref.lower):
+            assert _bits(got) == _bits(want)
+        assert repr(cols.upper_poles) == repr(ref.upper_poles)
+        for mask, want, first in zip(
+            cols.lower_poles, ref.lower_poles, cols.lower_first_pole
+        ):
+            assert _bits(mask) == _bits(want)
+            hits = np.flatnonzero(want)
+            assert first == (int(hits[0]) if hits.size else None)
+        for col in (cols.k, cols.log_fact, *cols.upper, *cols.lower, *cols.lower_poles):
+            assert not col.flags.writeable
+
+
+def test_grow_finds_an_upper_pole_and_lower_pole_masks():
+    params = FWParams(upper=[(-0.5, 0.25)], lower=[(-1.5, 0.5)])
+    cols = _ColumnCache(params).upto(12)
+    assert cols.upper_poles[0][0] == 2  # -0.5 + 2 * 0.25 = 0
+    assert cols.lower_first_pole == (1,)  # -1.5 + 0.5 = -1
+    assert np.flatnonzero(cols.lower_poles[0]).tolist() == [1, 3]
+    with pytest.raises(PoleError, match="upper gamma pole at k=2"):
+        evaluate(params, 0.5)
+
+
+# -- make_state from the column table ----------------------------------------
+
+_PAIR = st.tuples(st.floats(0.3, 3.0), st.floats(0.5, 1.5))
+
+
+@st.composite
+def _models(draw):
+    upper = draw(st.lists(_PAIR, max_size=2))
+    lower = draw(st.lists(_PAIR, min_size=len(upper), max_size=2))
+    assume(1.0 + sum(B for _, B in lower) - sum(A for _, A in upper) >= 0.3)
+    return CoherentModel(FWParams(upper=upper, lower=lower), draw(st.sampled_from([1, 2, 8, 32])))
+
+
+_Z = st.one_of(
+    st.just(0j),
+    st.builds(cmath.rect, st.floats(0.0, 2.5), st.floats(-math.pi, math.pi)),
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_models(), _Z, st.sampled_from([1e-12, 1e-15, 1e-6]))
+@example(CoherentModel(FWParams(upper=[], lower=[]), 1), 2.4 + 0.3j, 1e-12)  # K doubles
+@example(CoherentModel(FWParams(upper=[(1.2, 0.9)], lower=[(2.0, 1.1)]), 4), 0j, 1e-12)
+def test_make_state_matches_log_rho_vec_route(model, z, tail_target):
+    want = _outcome(_ref_make_state, model, z, tail_target)
+    _column_cache.cache_clear()
+    assert _outcome(make_state, model, z, tail_target) == want  # cold column table
+    assert _outcome(make_state, model, z, tail_target) == want  # warm
+    _column_cache.cache_clear()
+    log_gamma_rows(model.params, 4 * model.K + 100)  # table grown past K+1 first
+    assert _outcome(make_state, model, z, tail_target) == want
+
+
+def test_make_state_doubles_k_and_leaves_the_table_intact():
+    model = CoherentModel(FWParams(upper=[(1.1, 0.9)], lower=[(2.0, 0.6)]), 1)
+    _column_cache.cache_clear()
+    state = make_state(model, 2.0)
+    assert len(state.coeffs) - 1 > 8
+    rows = log_gamma_rows(model.params, len(state.coeffs))
+    assert all(not row.flags.writeable for row in rows)
+    assert _bits(coherent._log_rho_rows(model.params, [r.real for r in rows])) == _bits(
+        coherent._log_rho_vec(model.params, np.arange(len(state.coeffs)))
+    )
+
+
+def test_concurrent_states_and_sums_share_the_table():
+    # fresh parameter sets, so make_state and evaluate grow the same
+    # entries at once, to different ends
+    models = [
+        CoherentModel(FWParams(upper=[(0.9 + 0.01 * i, 0.8)], lower=[(1.7, 0.6)]), 2)
+        for i in range(6)
+    ]
+    jobs = [(m, z) for m in models for z in (0.3, 1.5 - 0.7j, 2.2j)]
+    expect = [(_outcome(_ref_make_state, m, z), _outcome(_ref_evaluate, m.params, -4 * z))
+              for m, z in jobs]
+    _column_cache.cache_clear()
+
+    def run(m, z):
+        return _outcome(make_state, m, z), _outcome(evaluate, m.params, -4 * z)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(run, m, z) for m, z in jobs]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    assert got == expect
+
+
+# -- the evaluate block loop -------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    _params(),
+    st.floats(0.0, 1.0),
+    st.floats(-math.pi, math.pi),
+    st.sampled_from([1e-14, 1e-10, 1e-6]),
+    st.sampled_from([10000, 700, 40, 5]),
+    st.booleans(),
+)
+def test_block_loop_matches_parent_loop(params, scale, angle, tol, max_terms, allow_boundary):
+    r = radius(params)
+    # finite radius: inside, and exactly on the circle; else |z| up to 40
+    if 0.0 < r < math.inf:
+        modulus = r if scale > 0.8 else r * scale
+    else:
+        modulus = 40.0 * scale
+    z = modulus * cmath.exp(1j * angle)
+    kwargs = dict(tol=tol, max_terms=max_terms, allow_boundary=allow_boundary)
+    want = _outcome(_ref_evaluate, params, z, **kwargs)
+    _column_cache.cache_clear()
+    assert _outcome(evaluate, params, z, **kwargs) == want
+    assert _outcome(evaluate, params, z, **kwargs) == want
+
+
+@pytest.mark.parametrize(
+    "params, z, kwargs",
+    [
+        # right and left half-plane points of an entire series
+        (FWParams(upper=[(0.7, 1.3)], lower=[(1.2, 0.9), (0.8, 1.1)]), 2.5 + 1.5j, {}),
+        (FWParams(upper=[(0.7, 1.3)], lower=[(1.2, 0.9), (0.8, 1.1)]), -30.0 + 4.0j, {}),
+        (FWParams(upper=[], lower=[(1.5, 0.7)]), -12.0, {}),
+        # boundary sums that stop at max_terms, with their tail majorant
+        (FWParams(upper=[(0.8, 2.0)], lower=[(2.0, 1.0)]), 0.25, {"allow_boundary": True}),
+        (FWParams(upper=[(0.8, 2.0)], lower=[(2.0, 1.0)]), -0.25j, {"allow_boundary": True}),
+        # lower poles null terms in the middle of a block; -1.5 + 0.5 k
+        # lands on -1 and 0, where log_gamma_vec is finite, so only the
+        # pole write zeroes those terms
+        (FWParams(upper=[(1.0, 1.0)], lower=[(-2.5, 1.0), (-0.5, 0.25)]), 0.5 - 2.0j, {}),
+        (FWParams(upper=[], lower=[(-1.5, 0.5)]), 0.7 + 0.2j, {}),
+        (FWParams(upper=[], lower=[(2.0, 1.0), (-1.5, 0.5)]), -3.0, {}),
+    ],
+)
+def test_block_loop_matches_parent_loop_on_fixed_points(params, z, kwargs):
+    want = _outcome(_ref_evaluate, params, z, **kwargs)
+    assert want[0][0] == "complex128"  # a sum, not an error
+    assert _outcome(evaluate, params, z, **kwargs) == want
+
+
+# -- log_gamma_ratio's batched pole screen ----------------------------------
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.one_of(st.sampled_from([-3.5, -2.0, -1.0, -0.5, 0.25, 1.0]), st.floats(-4.0, 3.0)),
+    st.one_of(st.sampled_from([0.25, 0.5, 1.0, 1.5]), st.floats(0.1, 2.0)),
+    st.lists(st.integers(0, 40), max_size=12),
+)
+@example(-2.0, 1.0, [5, 0, 1])  # poles at two entries: the error names the first
+def test_log_gamma_ratio_pole_error_matches_per_entry_check(a, A, ks):
+    ks = np.array(ks, dtype=int)
+    try:
+        _ref_log_gamma_ratio_screen(a, A, ks)
+        want = None
+    except PoleError as exc:
+        want = str(exc)
+    try:
+        log_gamma_ratio(a, A, ks)
+        got = None
+    except PoleError as exc:
+        got = str(exc)
+    assert got == want
