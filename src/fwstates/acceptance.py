@@ -404,7 +404,7 @@ def criterion_nu() -> CriterionResult:
     for model in models:
         for z_abs in (0.7, 1.8):
             log_nu = math.log(continuum.nu(model, z_abs**2, cfg))
-            e_hi = continuum._e_max(model, 2.0 * math.log(z_abs), cfg.e_max_drop)
+            e_hi = continuum._e_max(model, 2.0 * math.log(z_abs))
 
             def dens_sq(E, model=model, log_nu=log_nu, z_abs=z_abs):
                 # |z^E / sqrt(rho_tilde nu)|^2, written in logs
@@ -459,16 +459,9 @@ def criterion_determinism(
     if elapsed_others is None:
         # standalone invocation: time the remaining criteria here
         elapsed_others = sum(
-            r.elapsed
-            for r in (
-                criterion_reduction(seed),
-                criterion_ml_bessel(),
-                criterion_nine_case(seed),
-                criterion_idempotent(seed),
-                criterion_state_structure(seed),
-                criterion_moments(),
-                criterion_nu(),
-            )
+            run(seed).elapsed
+            for name, run in CRITERIA.items()
+            if name not in ("radius-law", "determinism-runtime")
         ) + r1.elapsed
     total = elapsed_others + (time.perf_counter() - t0)
     ok = deterministic and total <= 120.0

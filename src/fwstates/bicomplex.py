@@ -144,9 +144,6 @@ class Bicomplex:
 
     # -- predicates and norms --------------------------------------------
 
-    def is_zero(self) -> bool:
-        return self.z1 == 0 and self.z2 == 0
-
     def is_zero_divisor(self) -> bool:
         """True iff exactly one idempotent component vanishes."""
         return (self.z1 == 0) != (self.z2 == 0)

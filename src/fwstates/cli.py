@@ -19,7 +19,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -68,26 +67,6 @@ _NUMERIC_ERRORS = (
 )
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """What a run consumed: command, inputs, tolerances, seed, format."""
-
-    command: str
-    params_file: str | None
-    tolerances: dict
-    seed: int | None
-    output_format: str
-
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "params_file": self.params_file,
-            "tolerances": dict(sorted(self.tolerances.items())),
-            "seed": self.seed,
-            "output_format": self.output_format,
-        }
-
-
 class _Parser(argparse.ArgumentParser):
     # usage errors are "bad input", not argparse's default exit 2
     def error(self, message):
@@ -103,12 +82,16 @@ def _emit_json(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def _parse_complex(text: str) -> complex:
-    parts = [p.strip() for p in text.split(",")]
+def _floats(text: str, what: str) -> list[float]:
+    """Comma-separated floats; `what` names the expected form in the error."""
     try:
-        nums = [float(p) for p in parts]
+        return [float(p.strip()) for p in text.split(",")]
     except ValueError as exc:
-        raise ValidationError(f"cannot parse {text!r} as re[,im]") from exc
+        raise ValidationError(f"cannot parse {text!r} as {what}") from exc
+
+
+def _parse_complex(text: str) -> complex:
+    nums = _floats(text, "re[,im]")
     if len(nums) == 1:
         return complex(nums[0], 0.0)
     if len(nums) == 2:
@@ -117,11 +100,7 @@ def _parse_complex(text: str) -> complex:
 
 
 def _parse_bicomplex(text: str) -> Bicomplex:
-    parts = [p.strip() for p in text.split(",")]
-    try:
-        nums = [float(p) for p in parts]
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse {text!r} as a bicomplex point") from exc
+    nums = _floats(text, "a bicomplex point")
     if len(nums) == 4:
         return Bicomplex(complex(nums[0], nums[1]), complex(nums[2], nums[3]))
     if len(nums) == 2:
@@ -288,10 +267,7 @@ def cmd_cs_verify(args) -> int:
 
 def cmd_nu_eval(args) -> int:
     model = _load_model(args.model, args.K)
-    try:
-        zetas = [float(p) for p in args.zeta.split(",")]
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse {args.zeta!r} as zeta values") from exc
+    zetas = _floats(args.zeta, "zeta values")
     cfg = QuadConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     results = [nu_with_error(model, zeta, cfg, args.scheme) for zeta in zetas]
     if len(zetas) == 1:
@@ -445,19 +421,20 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _manifest(args) -> RunManifest:
+def _manifest(args) -> dict:
+    """What a run consumed: command, inputs, tolerances, seed, format."""
     tols = {}
     for key in ("tol", "tail", "rel_tol", "abs_tol"):
         value = getattr(args, key, None)
         if value is not None:
             tols[key] = value
-    return RunManifest(
-        command=getattr(args, "manifest_command", "help"),
-        params_file=getattr(args, "params", None) or getattr(args, "model", None),
-        tolerances=tols,
-        seed=getattr(args, "seed", None),
-        output_format=getattr(args, "output_format", "text"),
-    )
+    return {
+        "command": getattr(args, "manifest_command", "help"),
+        "params_file": getattr(args, "params", None) or getattr(args, "model", None),
+        "tolerances": tols,
+        "seed": getattr(args, "seed", None),
+        "output_format": getattr(args, "output_format", "text"),
+    }
 
 
 def main(argv=None) -> int:
@@ -470,7 +447,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_BAD_INPUT
     if args.print_manifest:
-        sys.stderr.write(json.dumps(_manifest(args).to_json(), sort_keys=True) + "\n")
+        sys.stderr.write(json.dumps(_manifest(args), sort_keys=True) + "\n")
     try:
         return args.func(args)
     except ValidationError as exc:

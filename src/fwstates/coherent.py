@@ -23,8 +23,9 @@ the scalar math.lgamma form in the last bits) adds its rows in
 _log_rho_rows, in log_rho's order.  make_state reads those rows for
 integer k from the series' cached column table
 (`foxwright.log_gamma_rows`); _log_rho_vec forms them afresh for real E
-and serves `continuum` (its node values and its log-rho grids) and the
-acceptance battery.
+from the same table's gamma-argument offsets and weights, and serves
+`continuum` (its node values and its log-rho grids) and the acceptance
+battery.
 Bicomplex models run each complex routine per idempotent component
 through `bicomplex.componentwise`.
 """
@@ -34,13 +35,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .bicomplex import Bicomplex, Hyperbolic, componentwise
 from .errors import TruncationError, ValidationError
-from .foxwright import CLASSIFY_TOL, FWParams, log_gamma_rows, margin
+from .foxwright import CLASSIFY_TOL, FWParams, _column_cache, log_gamma_rows, margin
 from .foxwright import evaluate as fw_evaluate
 from .foxwright_bc import BCFWParams
 from .gammafn import log_gamma_ratio, log_gamma_vec
@@ -120,13 +120,6 @@ def log_rho(model: CoherentModel, k: float) -> float:
     return s
 
 
-@lru_cache(maxsize=256)
-def _rho_columns(params: FWParams, ndim: int) -> np.ndarray:
-    """Offsets and weights of rho's gamma arguments k+1, a+kA, b+kB, for ndim-d k."""
-    cols = np.array([(1.0, 1.0)] + [(v.real, w) for v, w in params.upper + params.lower])
-    return cols.T.reshape((2, -1) + (1,) * ndim)
-
-
 def _log_rho_rows(params: FWParams, lg) -> np.ndarray:
     """log rho from real log Gamma rows at k+1, a_l + k A_l, b_r + k B_r, in log_rho's order."""
     s = lg[0].copy()
@@ -138,10 +131,16 @@ def _log_rho_rows(params: FWParams, lg) -> np.ndarray:
 
 
 def _log_rho_vec(params: FWParams, ks: np.ndarray) -> np.ndarray:
-    """log rho at each real k: one log_gamma_vec call, its rows added by _log_rho_rows."""
+    """log rho at each real k: one log_gamma_vec call, its rows added by _log_rho_rows.
+
+    The offsets and weights of the arguments k+1, a+kA, b+kB are the
+    column table's, reshaped for k of any dimension.
+    """
     kf = np.atleast_1d(ks).astype(float)
-    off, wt = _rho_columns(params, kf.ndim)
-    return _log_rho_rows(params, log_gamma_vec(off + wt * kf).real)
+    cache = _column_cache(params)
+    col = (-1,) + (1,) * kf.ndim
+    args = cache.off.reshape(col) + cache.wt.reshape(col) * kf
+    return _log_rho_rows(params, log_gamma_vec(args).real)
 
 
 def rho(model: CoherentModel, k: float) -> float:
@@ -253,7 +252,11 @@ def overlap(model: CoherentModel, z: complex, zp: complex) -> complex:
     z = complex(z)
     zp = complex(zp)
     num = normalization_at(model, z.conjugate() * zp)
-    den = math.sqrt(normalization(model, abs(z) ** 2) * normalization(model, abs(zp) ** 2))
+    n1, n2 = float(normalization(model, abs(z) ** 2)), float(normalization(model, abs(zp) ** 2))
+    den = math.sqrt(n1 * n2)
+    if math.isinf(den):
+        # N1 * N2 can overflow although each factor fits
+        den = math.sqrt(n1) * math.sqrt(n2)
     return num / den
 
 

@@ -8,11 +8,13 @@ Sums over the Fock index k become integrals over E >= 0:
 and the continuous states have density z^E / sqrt(rho_tilde(E) nu(|z|^2)).
 Since margin > 0 the integrand decays superexponentially (the 1/Gamma(E+1)
 factor wins), so the infinite range truncates at the point where the
-log-integrand has dropped e_max_drop below its peak.
+log-integrand has dropped E_MAX_DROP below its peak.
 
 Two independent quadrature schemes are provided on purpose: "gk"
 (adaptive Gauss-Kronrod via QUADPACK) and "ts" (an in-package tanh-sinh
 rule).  Their agreement is the correctness check for every nu value.
+QuadConfig sets their two tolerances; the Gauss-Kronrod subinterval limit
+MAX_SUBDIVISIONS and the tanh-sinh level cap are fixed.
 
 rho_tilde and log_rho_tilde are `coherent.rho` and `coherent.log_rho`,
 which take any real argument >= 0; the integrands use the array form
@@ -45,12 +47,17 @@ from .errors import QuadratureFailure, ValidationError
 from .foxwright import FWParams
 
 
+# Gauss-Kronrod's subinterval limit, the drop (in nats) of the log-integrand
+# below its peak where the infinite range is cut, and tanh-sinh's last level
+MAX_SUBDIVISIONS = 200
+E_MAX_DROP = 40.0
+_TS_MAX_LEVEL = 12
+
+
 @dataclass(frozen=True)
 class QuadConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_subdivisions: int = 200
-    e_max_drop: float = 40.0
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -67,14 +74,14 @@ log_rho_tilde = log_rho
 rho_tilde = rho
 
 
-def _e_max(model: CoherentModel, log_zeta: float, drop: float) -> float:
-    """Upper truncation: log-integrand fallen `drop` below its peak."""
+def _e_max(model: CoherentModel, log_zeta: float) -> float:
+    """Upper truncation: log-integrand fallen E_MAX_DROP below its peak."""
     hi = 8.0
     for _ in range(80):
         grid, log_rho_grid = _rho_grid(model.params, hi)
         logf = grid * log_zeta - log_rho_grid
         peak = logf.max()
-        if logf[-1] <= peak - drop:
+        if logf[-1] <= peak - E_MAX_DROP:
             return hi
         hi *= 1.5
     raise QuadratureFailure("could not locate a decaying tail for the nu integrand")
@@ -113,7 +120,7 @@ def _integrands(params: FWParams, log_zeta):
     return on_nodes, at_node
 
 
-def _tanh_sinh(f, a: float, b: float, rel_tol: float, abs_tol: float, max_level: int = 12):
+def _tanh_sinh(f, a: float, b: float, rel_tol: float, abs_tol: float):
     """Tanh-sinh rule on [a, b]; f must accept numpy arrays.
 
     Returns (value, error_estimate).  The double-exponential substitution
@@ -139,7 +146,7 @@ def _tanh_sinh(f, a: float, b: float, rel_tol: float, abs_tol: float, max_level:
     total = w0 * f(np.array([mid]))[0]
     h = 2.0
     value, err = None, math.inf
-    for level in range(max_level + 1):
+    for level in range(_TS_MAX_LEVEL + 1):
         h *= 0.5
         x_off, w = level_nodes(h, only_odd=level > 0)
         # total excludes the step h, so the halved h rescales old nodes for us
@@ -168,7 +175,7 @@ def _integrate(f, f_node, a, b, cfg: QuadConfig, scheme: str):
             b,
             epsabs=cfg.abs_tol,
             epsrel=cfg.rel_tol,
-            limit=cfg.max_subdivisions,
+            limit=MAX_SUBDIVISIONS,
             full_output=1,
         )
         if len(out) > 3:
@@ -200,7 +207,7 @@ def nu_with_error(
     if zeta == 0.0:
         return 0.0, 0.0
     log_zeta = math.log(zeta)
-    e_hi = _e_max(model, log_zeta, cfg.e_max_drop)
+    e_hi = _e_max(model, log_zeta)
     on_nodes, at_node = _integrands(model.params, log_zeta)
     # an overflow surfaces as an inf integral, which _integrate rejects
     with np.errstate(under="ignore", over="ignore"):
@@ -247,7 +254,7 @@ def overlap_tilde(
         raise ValidationError("overlap_tilde needs |z|, |z'| > 0")
     zeta_c = z.conjugate() * zp
     log_zeta = cmath.log(zeta_c)
-    e_hi = _e_max(model, log_zeta.real, cfg.e_max_drop)
+    e_hi = _e_max(model, log_zeta.real)
     on_nodes, at_node = _integrands(model.params, log_zeta)
     # an overflow (inf, or inf+nanj from the complex exp) surfaces as a
     # non-finite integral, which _finite rejects
@@ -260,7 +267,7 @@ def overlap_tilde(
                 e_hi,
                 epsabs=cfg.abs_tol,
                 epsrel=cfg.rel_tol,
-                limit=cfg.max_subdivisions,
+                limit=MAX_SUBDIVISIONS,
                 complex_func=True,
             )
         elif scheme == "ts":

@@ -198,7 +198,7 @@ def _append(col: np.ndarray, new: np.ndarray) -> np.ndarray:
 class _ColumnCache:
     """Columns of one FWParams, grown on demand to the block end asked for."""
 
-    __slots__ = ("params", "cols", "_off", "_wt")
+    __slots__ = ("params", "cols", "off", "wt")
 
     def __init__(self, params: FWParams):
         empty = np.empty(0, dtype=complex)
@@ -213,10 +213,11 @@ class _ColumnCache:
             (np.empty(0, dtype=bool),) * params.q,
             (None,) * params.q,
         )
-        # offsets and weights of the gamma arguments k+1, a_l + k A_l, b_r + k B_r
+        # offsets and weights of the gamma arguments k+1, a_l + k A_l, b_r + k B_r;
+        # coherent._log_rho_vec reads them too
         pairs = ((1.0, 1.0),) + params.upper + params.lower
-        self._off = np.array([v for v, _ in pairs], dtype=complex)[:, None]
-        self._wt = np.array([w for _, w in pairs])[:, None]
+        self.off = np.array([v for v, _ in pairs], dtype=complex)[:, None]
+        self.wt = np.array([w for _, w in pairs])[:, None]
 
     def upto(self, end: int) -> _Columns:
         cols = self.cols
@@ -235,7 +236,7 @@ class _ColumnCache:
         """
         p = self.params.p
         kf = np.arange(cols.n, end, dtype=float)
-        args = self._off + self._wt * kf
+        args = self.off + self.wt * kf
         lg = log_gamma_vec(args)
         poles = pole_mask(args[1:])
         upper_poles = []

@@ -14,8 +14,11 @@ Gamma(k+1) prod Gamma(b+kB) / prod Gamma(a+kA), which is what turns the
 moment integral into rho(k).
 
 The contour integrand decays like exp(-(pi/2)(1+sum B-sum A)|t|), so a
-trapezoid rule on a truncated line converges spectrally; each line keeps
-one finest node grid, refined by doubling, and its coarser levels are views.
+trapezoid rule on a truncated line converges spectrally; the line is cut
+at the first height T = 8 * 1.5^j where the integrand has fallen to 1e-18
+of its on-axis value.  Each line keeps one finest node grid, refined by
+doubling up to MAX_NODES nodes, and its coarser levels are views.
+ContourConfig sets the abscissa offset and the first node count.
 
 Three bounded LRU caches hold what depends only on the parameters: the
 256 most recent models' parameter blocks (`_model_block`, which
@@ -40,7 +43,7 @@ import numpy as np
 
 from .bicomplex import Hyperbolic, componentwise
 from .coherent import BCCoherentModel, CoherentModel, rho
-from .continuum import DEFAULT_QUAD, QuadConfig
+from .continuum import DEFAULT_QUAD, MAX_SUBDIVISIONS, QuadConfig
 from .errors import (
     ContourFailure,
     DomainError,
@@ -54,6 +57,7 @@ from .gammafn import gamma, is_gamma_pole, log_gamma_vec
 _LOG_DECAY_TARGET = math.log(1e-18)
 _REL_STOP = 1e-10
 _EPS = float(np.finfo(float).eps)
+MAX_NODES = 1 << 20  # node doubling gives up past this many nodes
 
 
 def _real_pairs(entries, what: str) -> tuple[tuple[float, float], ...]:
@@ -132,17 +136,13 @@ def _log_mellin_vec(hp: HWeightParams, s: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class ContourConfig:
     c_offset: float = 0.5
-    t_max: float | None = None
     n_nodes: int = 64
-    max_nodes: int = 1 << 20
 
     def __post_init__(self):
         if self.c_offset <= 0:
             raise ValidationError("c_offset must be > 0 to clear the pole at the abscissa")
-        if self.t_max is not None and self.t_max <= 0:
-            raise ValidationError("t_max must be > 0")
-        if self.n_nodes < 8 or self.max_nodes < self.n_nodes:
-            raise ValidationError("need 8 <= n_nodes <= max_nodes")
+        if self.n_nodes < 8 or MAX_NODES < self.n_nodes:
+            raise ValidationError(f"need 8 <= n_nodes <= {MAX_NODES}")
 
 
 DEFAULT_CONTOUR = ContourConfig()
@@ -185,18 +185,15 @@ class _ContourState:
         self.hp = hp
         self.c = hp._right + cc.c_offset + _ABSCISSA_STEP * level
         self.log_m0 = hp.log_mellin(complex(self.c, 0.0)).real
-        if cc.t_max is not None:
-            self.T = cc.t_max
+        T = 8.0
+        for _ in range(120):
+            top = _log_mellin_vec(hp, np.array([complex(self.c, T)]))[0].real
+            if top <= self.log_m0 + _LOG_DECAY_TARGET:
+                break
+            T *= 1.5
         else:
-            T = 8.0
-            for _ in range(120):
-                top = _log_mellin_vec(hp, np.array([complex(self.c, T)]))[0].real
-                if top <= self.log_m0 + _LOG_DECAY_TARGET:
-                    break
-                T *= 1.5
-            else:
-                raise ContourFailure("could not truncate the contour; kernel decays too slowly")
-            self.T = T
+            raise ContourFailure("could not truncate the contour; kernel decays too slowly")
+        self.T = T
         self.t = np.linspace(0.0, self.T, cc.n_nodes + 1)
         self.vals = self._scaled(self.t)
         self._levels: dict[int, tuple] = {}
@@ -253,7 +250,7 @@ def _h_value(hp: HWeightParams, x: float, cc: ContourConfig) -> float:
     log_scale = st.log_m0 - st.c * log_x - math.log(math.pi)
     n = cc.n_nodes
     prev = None
-    while n <= cc.max_nodes:
+    while n <= MAX_NODES:
         vals, t, h, floor = st.level(n)
         f = vals * np.exp(-1j * (t * log_x))
         bracket = float((h * (f[1:] + f[:-1]) / 2.0).sum().real)  # np.trapezoid(f, dx=h)
@@ -371,7 +368,7 @@ def moment_check(
         x_max,
         epsabs=cfg.abs_tol,
         epsrel=cfg.rel_tol,
-        limit=cfg.max_subdivisions,
+        limit=MAX_SUBDIVISIONS,
         full_output=1,
     )
     if len(out) > 3:

@@ -423,6 +423,60 @@ def test_print_manifest_on_stderr(files, capsys):
     assert manifest["output_format"] == "json"
 
 
+@pytest.mark.parametrize(
+    "argv, command, tolerances",
+    [
+        (
+            ("nu", "eval", "--model", "shift", "--zeta", "2.5", "--rel-tol", "1e-9",
+             "--abs-tol", "1e-11"),
+            "nu eval",
+            '{"abs_tol": 1e-11, "rel_tol": 1e-09}',
+        ),
+        (
+            ("cs", "coeffs", "--params", "shift", "--z", "0.7,0.2", "--tail", "1e-10"),
+            "cs coeffs",
+            '{"tail": 1e-10}',
+        ),
+    ],
+)
+def test_print_manifest_bytes(files, capsys, argv, command, tolerances):
+    argv = tuple(files.get(a, a) for a in argv)
+    code, _, err = run_cli(capsys, "--print-manifest", *argv)
+    assert code == 0
+    assert err == (
+        f'{{"command": "{command}", "output_format": "json", "params_file": '
+        f'{json.dumps(files["shift"])}, "seed": null, "tolerances": {tolerances}}}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("fw", "eval", "--params", "vacuum", "--z", "1,x"), "cannot parse '1,x' as re[,im]"),
+        (("fw", "eval", "--params", "vacuum", "--z", ""), "cannot parse '' as re[,im]"),
+        (
+            ("fw", "eval", "--params", "vacuum", "--z", "1,2,3"),
+            "expected 1 or 2 comma-separated numbers, got 3",
+        ),
+        (
+            ("bcfw", "eval", "--params", "bc_entire", "--z", "q,1"),
+            "cannot parse 'q,1' as a bicomplex point",
+        ),
+        (
+            ("bcfw", "eval", "--params", "bc_entire", "--z", "1,2,3"),
+            "bicomplex point takes z1_re,z1_im,z2_re,z2_im (idempotent parts), re,im, or re",
+        ),
+        (
+            ("bcfw", "eval", "--params", "bc_entire", "--z", "1,2,3,4,5"),
+            "bicomplex point takes z1_re,z1_im,z2_re,z2_im (idempotent parts), re,im, or re",
+        ),
+    ],
+)
+def test_bad_point_error_text(files, capsys, argv, message):
+    argv = tuple(files.get(a, a) for a in argv)
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 def test_selftest_subset(capsys):
     code, out, _ = run_cli(
         capsys, "selftest", "--only", "radius-law", "--only", "nine-case-classifier"

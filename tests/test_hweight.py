@@ -13,6 +13,7 @@ from fwstates.errors import DomainError, ValidationError
 from fwstates.foxwright import FWParams, oracle_mittag_leffler
 from fwstates.foxwright_bc import BCFWParams
 from fwstates.hfunction import (
+    MAX_NODES,
     ContourConfig,
     HWeightParams,
     eval_h,
@@ -204,6 +205,6 @@ def test_contour_config_validation():
     with pytest.raises(ValidationError):
         ContourConfig(c_offset=0.0)
     with pytest.raises(ValidationError):
-        ContourConfig(t_max=-2.0)
-    with pytest.raises(ValidationError):
         ContourConfig(n_nodes=4)
+    with pytest.raises(ValidationError):
+        ContourConfig(n_nodes=2 * MAX_NODES)

@@ -87,16 +87,14 @@ class _RefContour:
         self.hp = hp
         self.c = _ref_abscissa(hp, cc, x)
         self.log_m0 = _ref_log_mellin_vec(hp, np.array([complex(self.c, 0.0)]))[0].real
-        T = cc.t_max
-        if T is None:
-            T = 8.0
-            for _ in range(120):
-                top = _ref_log_mellin_vec(hp, np.array([complex(self.c, T)]))[0].real
-                if top <= self.log_m0 + hfunction._LOG_DECAY_TARGET:
-                    break
-                T *= 1.5
-            else:
-                raise ContourFailure("could not truncate the contour")
+        T = 8.0
+        for _ in range(120):
+            top = _ref_log_mellin_vec(hp, np.array([complex(self.c, T)]))[0].real
+            if top <= self.log_m0 + hfunction._LOG_DECAY_TARGET:
+                break
+            T *= 1.5
+        else:
+            raise ContourFailure("could not truncate the contour")
         self.T = T
         self._vals = {}
 
@@ -132,7 +130,7 @@ def _ref_eval_h(hp, x, cc=hfunction.DEFAULT_CONTOUR, floor=None):
     log_scale = st_.log_m0 - st_.c * log_x - math.log(math.pi)
     n = cc.n_nodes
     prev = None
-    while n <= cc.max_nodes:
+    while n <= hfunction.MAX_NODES:
         vals = st_.values(n)
         t = np.linspace(0.0, st_.T, n + 1)
         h = st_.T / n
@@ -224,14 +222,8 @@ def test_log_gamma_vec_all_right_matches_mixed(right, left):
 # x spans several abscissa levels; each list is evaluated in order, so the
 # first call on a contour is cold and the later ones warm
 _XS = st.lists(st.floats(0.02, 80.0), min_size=1, max_size=8)
-# a t_max off the 8 * 1.5^j ladder makes T/n inexact, so the grid nodes round
 _CONTOURS = st.sampled_from(
-    [
-        hfunction.DEFAULT_CONTOUR,
-        ContourConfig(c_offset=1.5),
-        ContourConfig(n_nodes=8),
-        ContourConfig(t_max=37.3, n_nodes=24),
-    ]
+    [hfunction.DEFAULT_CONTOUR, ContourConfig(c_offset=1.5), ContourConfig(n_nodes=8)]
 )
 
 
@@ -249,7 +241,7 @@ def test_contour_levels_are_views_of_the_finest_grid(model, cc):
     """Each cached level is a strided view of the state's finest arrays,
     with the nodes, step and floor the per-level arrays had."""
     hp = HWeightParams.from_model(model)
-    cc = ContourConfig(c_offset=cc.c_offset, t_max=cc.t_max, n_nodes=8)
+    cc = ContourConfig(c_offset=cc.c_offset, n_nodes=8)
     hfunction.eval_h(hp, 0.9, cc)
     st_ = hfunction._contour_state(hp, cc, hfunction._abscissa_level(hp, cc, 0.9))
     assert len(st_._levels) >= 3

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -240,6 +241,28 @@ def test_overlap_cauchy_schwarz():
         zp = rng.uniform(0, 3) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         model = VACUUM if rng.integers(0, 2) else GENERIC
         assert abs(overlap(model, z, zp)) <= 1.0 + 1e-10
+
+
+def test_overlap_when_the_normalization_product_overflows():
+    # N(|z|^2) = N(|z'|^2) = 2.5e263, so their product leaves float64
+    model = CoherentModel(
+        FWParams(
+            upper=[(2.929550738930658, 1.4472416378738564), (2.0862003957136137, 0.831315097839454)],
+            lower=[(2.668222991444634, 0.520648631953876), (1.6246481863813942, 1.0825954364681925)],
+        )
+    )
+    w = 5.871836056699253 + 1.6089414839369796j
+    z = complex(math.sqrt(abs(w)), 0.0)
+    zp = w / z.real
+    n1, n2 = float(normalization(model, abs(z) ** 2)), float(normalization(model, abs(zp) ** 2))
+    assert math.isinf(n1 * n2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = overlap(model, z, zp)
+    assert got == normalization_at(model, z.conjugate() * zp) / (math.sqrt(n1) * math.sqrt(n2))
+    # the N(w) series cancels by about 1e83 (a 200-digit mpmath series gives
+    # an overlap of 4.2e-84), so only the absolute size can be checked
+    assert 0.0 < abs(got) <= 1e-12
 
 
 def test_ladder_elements():
