@@ -18,20 +18,37 @@ Only k log z depends on z.  The other columns of log t_k are cached per
 FWParams: k itself; log Gamma(k+1); one log Gamma(a_l + k A_l) per upper
 pair, with the first k at which it meets a pole; one log Gamma(b_r +
 k B_r) per lower pair, with its pole mask and first pole.  All of them
-come from one log_gamma_vec call per growth step.  The cache is an LRU
-of _COLUMN_CACHE_SIZE parameter sets, so equal parameters built
-anywhere share one entry, and this one table serves both evaluate and
-coherent.make_state (through log_gamma_rows), so a model's states reuse
-the gamma values of its normalization.  An entry grows to the end of
-the block a call asks for (evaluate never past its max_terms,
-make_state to its K+1).  It grows into new read-only arrays published
-by one assignment, so threads never see a half-grown entry.  Terms stay
-bit-identical to forming every column afresh: log_gamma_vec is
-elementwise, the block combines the same columns with the same
-operations in the same order, and a zero's sign in a parameter (the one
-thing FWParams equality ignores) is dropped by the addition a + k A.
-The running sums are a sequential cumsum whose first term has the
-carried total added, so they add in the order a per-term loop would.
+come from one log_gamma_vec call per chunk of at most _GROW_CHUNK
+columns, so a long growth step never builds a large Lanczos block.  The
+cache is an LRU of _COLUMN_CACHE_SIZE parameter sets, so equal
+parameters built anywhere share one entry, and this one table serves
+both evaluate and coherent.make_state (through log_gamma_rows), so a
+model's states reuse the gamma values of its normalization.  An entry
+grows to the end of the block a call asks for (evaluate never past its
+max_terms, make_state to its K+1).  It grows into new read-only arrays
+published by one assignment per call, so threads never see a half-grown
+entry.  Terms stay bit-identical to forming every column afresh:
+log_gamma_vec and the pole test are elementwise, so chunking moves no
+bit, the block combines the same columns with the same operations in
+the same order, and a zero's sign in a parameter (the one thing FWParams
+equality ignores) is dropped by the addition a + k A.
+
+evaluate sums in blocks of 32, 64, ... terms, doubling up to
+_BLOCK_CAP.  The running sums are a sequential cumsum whose first term
+has the carried total added, so they add in the order a per-term loop
+would, and the first index that completes the stop streak does not
+depend on where blocks start or end.  Block length therefore moves no
+bit of the value, the terms used or the tail.  Blocks longer than
+_SHORT_BLOCK (those from k = 992 on) differ from _SHORT_BLOCK-term
+blocks in two ways, and neither shows in a result:
+
+- Their stop test is screened first (_none_small), which settles most
+  blocks where no term is small without the two hypot passes, and never
+  calls a block settled when the exact test would pass somewhere.
+- An upper pole or an overflowing term in such a block need not be
+  reached by a sum that stops earlier in it, so the block is redone in
+  _SHORT_BLOCK-term blocks, which raise exactly where those blocks
+  always have.
 
 The oracle_* functions are deliberately independent evaluation routes
 (raw Pochhammer products, scipy gammas) used only for conformance
@@ -65,6 +82,12 @@ DEFAULT_MAX_TERMS = 10000
 
 # parameter sets whose log-gamma columns stay cached
 _COLUMN_CACHE_SIZE = 32
+# columns per log_gamma_vec call when a column table grows
+_GROW_CHUNK = 512
+# evaluate's blocks double from 32 terms up to _BLOCK_CAP; blocks longer
+# than _SHORT_BLOCK get the screened stop test
+_SHORT_BLOCK = 512
+_BLOCK_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -231,28 +254,32 @@ class _ColumnCache:
     def _grow(self, cols: _Columns, end: int) -> _Columns:
         """cols extended to k < end, as new arrays (cols itself is not touched).
 
-        Every column's gamma arguments form one block, so one
-        log_gamma_vec call and one pole test serve a whole growth step.
+        Every column's gamma arguments form one block per chunk of at
+        most _GROW_CHUNK columns, so one log_gamma_vec call and one pole
+        test serve a whole chunk.
         """
         p = self.params.p
-        kf = np.arange(cols.n, end, dtype=float)
-        args = self.off + self.wt * kf
-        lg = log_gamma_vec(args)
-        poles = pole_mask(args[1:])
-        upper_poles = []
-        for j, pole in enumerate(cols.upper_poles):
-            if pole is None:
-                bad = np.flatnonzero(poles[j])
-                if bad.size:
-                    pole = (cols.n + int(bad[0]), args[1 + j, bad[0]])
-            upper_poles.append(pole)
-        lower_first = []
-        for r, first in enumerate(cols.lower_first_pole):
-            if first is None:
-                bad = np.flatnonzero(poles[p + r])
-                if bad.size:
-                    first = cols.n + int(bad[0])
-            lower_first.append(first)
+        upper_poles = list(cols.upper_poles)
+        lower_first = list(cols.lower_first_pole)
+        kfs, lgs, masks = [], [], []
+        for lo in range(cols.n, end, _GROW_CHUNK):
+            kf = np.arange(lo, min(lo + _GROW_CHUNK, end), dtype=float)
+            args = self.off + self.wt * kf
+            poles = pole_mask(args[1:])
+            for j, pole in enumerate(upper_poles):
+                if pole is None:
+                    bad = np.flatnonzero(poles[j])
+                    if bad.size:
+                        upper_poles[j] = (lo + int(bad[0]), args[1 + j, bad[0]])
+            for r, first in enumerate(lower_first):
+                if first is None:
+                    bad = np.flatnonzero(poles[p + r])
+                    if bad.size:
+                        lower_first[r] = lo + int(bad[0])
+            kfs.append(kf)
+            lgs.append(log_gamma_vec(args))
+            masks.append(poles[p:])
+        kf, lg, poles = (np.concatenate(parts, axis=-1) for parts in (kfs, lgs, masks))
         return _Columns(
             end,
             _append(cols.k, kf),
@@ -260,7 +287,7 @@ class _ColumnCache:
             tuple(_append(col, row) for col, row in zip(cols.upper, lg[1 : 1 + p])),
             tuple(upper_poles),
             tuple(_append(col, row) for col, row in zip(cols.lower, lg[1 + p :])),
-            tuple(_append(m, row) for m, row in zip(cols.lower_poles, poles[p:])),
+            tuple(_append(m, row) for m, row in zip(cols.lower_poles, poles)),
             tuple(lower_first),
         )
 
@@ -301,6 +328,62 @@ def _streak_end(ok: np.ndarray, streak: int) -> tuple[int, int]:
     return -1, len(run) - 1 - run.rfind(b"\x00")
 
 
+def _none_small(terms: np.ndarray, sums: np.ndarray, tol: float) -> bool:
+    """True only if _abs(terms) <= tol * _abs(sums) holds at no index.
+
+    A screen in squared magnitudes, without hypot: True when
+    min t2 > tol^2 (1 + 1e-9) max s2 + 1e-300 and max s2 is finite,
+    where t2 and s2 are |t|^2 and |S|^2 formed with plain multiplies.
+    False says nothing, and the exact test must run.  Any tol outside
+    [1e-150, 1] gives False.
+
+    Within it tol^2 is a normal float and at most 1, and the screen is
+    exact.  Say the exact test passes at index i, and let
+    u = 2^-53.  If |t_i|^2 < 5e-301, t2_i lies below the 1e-300 slack
+    alone.  Otherwise |t_i|, tol |S_i| and |S_i| are normal floats, and
+    hypot and the product tol * |S| are each within 1 ulp, so
+    |t_i|^2 <= tol^2 |S_i|^2 (1 + 16u).  A computed square sum lies
+    within a factor 1 +- 3u of the exact one, give or take 3 * 2^-1075
+    from squares rounded in the subnormal range, and the three products
+    and one sum on the right lose at most a factor (1 - u)^4 and
+    2^-1075.  So t2_i <= tol^2 s2_i (1 + 2e-15) + 2^-1070, while the
+    right-hand side is at least tol^2 max s2 (1 + 0.99e-9) + 0.99e-300:
+    the 1e-9 margin covers the relative errors and the 1e-300 slack the
+    absolute ones.  Then min t2 <= t2_i <= the right-hand side, and the
+    screen does not fire.  An infinite t2_i forces, by the same chain,
+    an infinite right-hand side or max s2, and inf > inf is False; a NaN
+    makes min t2 NaN or max s2 non-finite.
+    """
+    if not 1e-150 <= tol <= 1.0:
+        return False
+    with np.errstate(over="ignore"):
+        t2 = np.square(terms.real)
+        t2 += np.square(terms.imag)
+        s2 = np.square(sums.real)
+        s2 += np.square(sums.imag)
+    s_max = float(s2.max())
+    return math.isfinite(s_max) and float(t2.min()) > tol * tol * (1.0 + 1e-9) * s_max + 1e-300
+
+
+def _block_terms(cols: _Columns, log_z: complex, k0: int, end: int) -> np.ndarray:
+    """t_k for k0 <= k < end; raises at an upper pole or a term past the float range."""
+    for pole in cols.upper_poles:
+        if pole is not None and pole[0] < end:
+            raise PoleError(f"upper gamma pole at k={pole[0]} (argument {pole[1]})")
+    logt = cols.k[k0:end] * log_z - cols.log_fact[k0:end]
+    for col in cols.upper:
+        logt = logt + col[k0:end]
+    for col, poles, first in zip(cols.lower, cols.lower_poles, cols.lower_first_pole):
+        logt = logt - col[k0:end]
+        if first is not None and first < end:
+            logt[poles[k0:end]] = complex(-math.inf, 0.0)
+    if (logt.real > 709.0).any():
+        raise OverflowError(
+            "series term exceeds the floating-point range; value not representable"
+        )
+    return np.exp(logt)
+
+
 def _term_zero(params: FWParams) -> complex:
     s = 0j
     for a, _ in params.upper:
@@ -324,9 +407,18 @@ def evaluate(
     circle are refused unless allow_boundary is set and the boundary
     exponent satisfies Re(lambda) > 1/2; such sums are capped at
     max_terms and the tail comes from the k^-(lambda+1/2) majorant.
+
+    Terms are summed in blocks of 32, 64, ... up to _BLOCK_CAP terms
+    (never past max_terms), so a 10,000-term sum takes 9 blocks.  On
+    blocks longer than _SHORT_BLOCK terms, _none_small screens the stop
+    test.  An upper pole or overflow there redoes the block in
+    _SHORT_BLOCK-term blocks, so every result and every raise is the one
+    _SHORT_BLOCK-capped blocks give.
     """
     if tol <= 0:
         raise ValidationError("tol must be > 0")
+    if max_terms < 1:
+        raise ValidationError("max_terms must be >= 1")
     z = complex(z)
     if z == 0:
         return EvalResult(_term_zero(params), 1, 0.0)
@@ -362,31 +454,29 @@ def evaluate(
     stopped = False
     k0 = 0
     block = 32
+    cap = _BLOCK_CAP
     with np.errstate(under="ignore", invalid="ignore"):
         while k0 < max_terms and not stopped:
             end = min(k0 + block, max_terms)
-            cols = cache.upto(end)
-            for pole in cols.upper_poles:
-                if pole is not None and pole[0] < end:
-                    raise PoleError(f"upper gamma pole at k={pole[0]} (argument {pole[1]})")
-            logt = cols.k[k0:end] * log_z - cols.log_fact[k0:end]
-            for col in cols.upper:
-                logt = logt + col[k0:end]
-            for col, poles, first in zip(cols.lower, cols.lower_poles, cols.lower_first_pole):
-                logt = logt - col[k0:end]
-                if first is not None and first < end:
-                    logt[poles[k0:end]] = complex(-math.inf, 0.0)
-            if (logt.real > 709.0).any():
-                raise OverflowError(
-                    "series term exceeds the floating-point range; value not representable"
-                )
-            terms = np.exp(logt)
+            long = end - k0 > _SHORT_BLOCK
+            try:
+                terms = _block_terms(cache.upto(end), log_z, k0, end)
+            except (PoleError, OverflowError):
+                if not long:
+                    raise
+                # the sum may stop before the pole or overflow: go on in
+                # short blocks, which raise only if they reach it
+                block = cap = _SHORT_BLOCK
+                continue
             # cumsum adds in sequence from the carried total
             sums = terms.copy()
             sums[0] += total
             sums = sums.cumsum()
-            ok = _abs(terms) <= tol * _abs(sums)
-            stop, streak = _streak_end(ok, streak)
+            if long and _none_small(terms, sums, tol):
+                stop, streak = -1, 0
+            else:
+                ok = _abs(terms) <= tol * _abs(sums)
+                stop, streak = _streak_end(ok, streak)
             stopped = stop >= 0
             used = stop + 1 if stopped else terms.size
             total = sums[used - 1]
@@ -394,7 +484,7 @@ def evaluate(
             summed = terms[:used]
             recent = summed[-3:] if used >= 3 else np.concatenate((recent, summed))[-3:]
             k0 = end
-            block = min(2 * block, 512)
+            block = min(2 * block, cap)
     mag_hist = [0.0] * (3 - recent.size) + [abs(t) for t in recent]
 
     if not stopped and not on_boundary:

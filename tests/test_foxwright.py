@@ -8,9 +8,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 import scipy.special as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fwstates import foxwright
 from fwstates.bicomplex import Hyperbolic, compose_idempotent
 from fwstates.errors import (
     DomainViolation,
@@ -24,6 +25,8 @@ from fwstates.foxwright import (
     FWParams,
     _abs,
     _column_cache,
+    _ColumnCache,
+    _none_small,
     _streak_end,
     as_pfq,
     boundary_exponent,
@@ -529,3 +532,119 @@ def test_concurrent_evaluation_matches_serial():
     finally:
         sys.setswitchinterval(old)
     assert got == expect
+
+
+# -- long blocks: the screened stop test and chunked column growth ----------
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    pole_k=st.integers(993, 8191),
+    scale=st.sampled_from([0.97, 0.98, 0.99, 0.995, 1.0]),
+    angle=st.floats(-math.pi, math.pi),
+    tol=st.sampled_from([1e-14, 1e-10, 1e-6]),
+)
+def test_long_sums_with_an_upper_pole_match_reference(pole_k, scale, angle, tol):
+    # Delta = 0 and radius 1; -pole_k/8192 + k/8192 first meets a pole at
+    # k = pole_k, which a long block may hold past the point the sum stops
+    w = 2.0**-13
+    params = FWParams(upper=[(1.0, 1.0), (-pole_k * w, w)], lower=[(2.0, w)])
+    z = scale * cmath.exp(1j * angle)
+    _column_cache.cache_clear()
+    _assert_same_as_reference(params, z, tol=tol, allow_boundary=True)
+
+
+_PARTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e-160, 1e-150,
+         1.34e154, 1e300, -1.7976931348623157e308, math.inf, -math.inf, math.nan]
+    ),
+)
+_ENTRIES = st.builds(complex, _PARTS, _PARTS)
+
+
+@st.composite
+def _blocks(draw):
+    """(terms, sums, tol): arbitrary entries, or sums a few ulp around |t|/tol."""
+    terms = np.array(draw(st.lists(_ENTRIES, min_size=1, max_size=12)), dtype=complex)
+    tol = draw(st.one_of(st.floats(1e-300, 10.0), st.sampled_from([1e-150, 1e-14, 1.0])))
+    if draw(st.booleans()):
+        sums = draw(st.lists(_ENTRIES, min_size=terms.size, max_size=terms.size))
+    else:
+        phase = draw(st.floats(-math.pi, math.pi))
+        factor = 1.0 + draw(st.integers(-3, 3)) * 2.0**-52
+        with np.errstate(all="ignore"):
+            sums = _abs(terms) / tol * factor * cmath.exp(1j * phase)
+    return terms, np.array(sums, dtype=complex), tol
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_blocks())
+# squares rounded in the subnormal range: only the 1e-300 slack holds here
+@example(
+    (
+        np.array([3.647482804919992e-162 + 5.754897867529307e-164j]),
+        np.array([1.3511343186335238e-162 + 3.388492105663566e-162j]),
+        1.0,
+    )
+)
+def test_screen_never_hides_a_small_term(block):
+    terms, sums, tol = block
+    with np.errstate(all="ignore"):
+        exact = _abs(terms) <= tol * _abs(sums)
+        none_small = _none_small(terms, sums, tol)
+    assert not (none_small and exact.any())
+
+
+def test_screen_skips_the_exact_test_on_long_boundary_blocks(monkeypatch):
+    # 10,000 terms in blocks of 32 .. 512 (five exact tests), then 1024,
+    # 2048, 4096 and 1840 terms, which the screen settles
+    calls = []
+
+    def counted(x):
+        calls.append(x.size)
+        return _abs(x)
+
+    params = FWParams(upper=[(0.5, 1.0), (0.7, 1.0)], lower=[(2.0, 1.0)])
+    want = repr(evaluate(params, cmath.exp(0.3j), allow_boundary=True))
+    monkeypatch.setattr(foxwright, "_abs", counted)
+    assert repr(evaluate(params, cmath.exp(0.3j), allow_boundary=True)) == want
+    assert calls == [32, 32, 64, 64, 128, 128, 256, 256, 512, 512]
+
+
+def _column_bytes(cols):
+    arrays = (cols.k, cols.log_fact, *cols.upper, *cols.lower, *cols.lower_poles)
+    return (
+        cols.n,
+        [col.tobytes() for col in arrays],
+        repr(cols.upper_poles),
+        cols.lower_first_pole,
+    )
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        FWParams(upper=[(0.5, 1.0), (0.7, 1.0)], lower=[(2.0, 1.0)]),
+        FWParams(upper=[(0.7 + 0.4j, 0.9), (1.1, 0.6)], lower=[(1.9 - 0.2j, 0.9)]),
+        # upper poles at k = 1792 and 3072; lower poles at k = 480 and at
+        # 1504, where a chunk of the growth 992 -> 2016 starts
+        FWParams(upper=[(-0.875, 2.0**-11), (-0.75, 2.0**-12)], lower=[]),
+        FWParams(upper=[(1.0, 1.0)], lower=[(2.0, 1.0), (-1.46875, 2.0**-10)]),
+        FWParams(upper=[], lower=[(-0.5, 2.0**-10)]),
+    ],
+)
+def test_chunked_growth_matches_one_shot(params, monkeypatch):
+    steps = [(32, 96, 224, 480, 992, 2016, 4064, 8160, 10000), (1, 511, 512, 513, 5000), (3000,)]
+    grown = []
+    for ends in steps:
+        cache = _ColumnCache(params)
+        for end in ends:
+            cache.upto(end)
+        grown.append(_column_bytes(cache.cols))
+    monkeypatch.setattr(foxwright, "_GROW_CHUNK", 1 << 30)
+    for ends, got in zip(steps, grown):
+        ref = _ColumnCache(params)
+        ref.upto(ends[-1])
+        assert got == _column_bytes(ref.cols)
