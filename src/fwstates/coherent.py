@@ -210,6 +210,8 @@ def make_state(model: CoherentModel, z: complex, tail_target: float = 1e-12) -> 
     probability mass 1 - sum |c_k|^2 drops below tail_target, capped at
     K_MAX.
     """
+    if not tail_target >= 0:  # NaN fails this test too
+        raise ValidationError("tail_target must be >= 0")
     z = complex(z)
     zeta = abs(z) ** 2
     log_n = math.log(normalization(model, zeta))

@@ -60,7 +60,7 @@ class QuadConfig:
     abs_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
+        if not (self.rel_tol > 0 and self.abs_tol > 0):  # NaN fails this test too
             raise ValidationError("quadrature tolerances must be > 0")
 
 
@@ -125,8 +125,12 @@ def _tanh_sinh(f, a: float, b: float, rel_tol: float, abs_tol: float):
 
     Returns (value, error_estimate).  The double-exponential substitution
     x = mid + half*tanh((pi/2) sinh t) concentrates nodes at both ends;
-    halving the step h reuses nothing but converges roughly quadratically
-    in digits, so a handful of levels suffices for smooth integrands.
+    halving the step h keeps the running sum, so each level adds only its
+    new (odd) nodes, and it converges roughly quadratically in digits, so
+    a handful of levels suffices for smooth integrands.  f is called once
+    on the midpoint and then once per level, on the level's nodes right
+    and left of the midpoint together; f must act entry by entry, so that
+    each value is the one a separate call would give.
     """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
@@ -150,7 +154,8 @@ def _tanh_sinh(f, a: float, b: float, rel_tol: float, abs_tol: float):
         h *= 0.5
         x_off, w = level_nodes(h, only_odd=level > 0)
         # total excludes the step h, so the halved h rescales old nodes for us
-        total = total + np.sum(w * (f(mid + x_off) + f(mid - x_off)))
+        fx = f(np.concatenate((mid + x_off, mid - x_off)))
+        total = total + np.sum(w * (fx[: len(w)] + fx[len(w) :]))
         if not np.isfinite(total):
             # halving further would only turn inf - inf into nan
             raise OverflowError(f"tanh-sinh sum {total} leaves the float64 range")

@@ -415,7 +415,7 @@ def evaluate(
     _SHORT_BLOCK-term blocks, so every result and every raise is the one
     _SHORT_BLOCK-capped blocks give.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN fails this test too
         raise ValidationError("tol must be > 0")
     if max_terms < 1:
         raise ValidationError("max_terms must be >= 1")

@@ -7,10 +7,13 @@ Re(w) >= 0.5; the reflection formula handles the left half plane, with
 log(sin(pi w)) computed in a factored form that cannot overflow for
 large |Im w|.
 
-The Lanczos partial-fraction sum is one fused array operation: a single
-division builds all eight tail terms for every point, and a cumsum along
-the coefficient axis adds them left to right.  Each point's sum is
-therefore bit-identical whether it is computed alone or in any array, so
+The Lanczos partial-fraction sum adds its eight tail terms left to right
+for every point.  On short arrays it is one fused array operation: a
+single division builds all the tail terms, and a cumsum along the
+coefficient axis adds them.  From _ROW_SUM_MIN entries up, where that
+(8, ...) block costs more than it saves, the same divisions and
+additions run one coefficient row at a time.  Either way each point's
+sum is bit-identical whether it is computed alone or in any array, so
 scalar callers can be batched without moving a bit.  log_gamma_ratio
 batches only that sum; the rest of its formula stays scalar in cmath and
 math, because numpy's log and exp differ from them in the last bit
@@ -43,6 +46,9 @@ _LANCZOS_COEFFS = (
 )
 _LANCZOS_TAIL = np.array(_LANCZOS_COEFFS[1:])
 _LANCZOS_SHIFT = np.arange(len(_LANCZOS_TAIL))
+# array size from which _lanczos_series sums row by row, at the measured
+# crossover: fused 50 us and rows 52 us at 384 entries, 68 and 60 us at 512
+_ROW_SUM_MIN = 512
 
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
@@ -69,12 +75,23 @@ def pole_mask(w: np.ndarray, tol: float = POLE_TOL) -> np.ndarray:
 def _lanczos_series(z):
     """Lanczos partial-fraction sum A(z) for Re(z) >= 0.5, over any array shape.
 
-    c_0 + sum_k c_k / (z + k - 1), added left to right: the tail terms
-    form one (8, *z.shape) block and a cumsum along its first axis adds
-    them in that order, so every entry is bit-identical to the scalar loop
-    and independent of the array's length.
+    c_0 + sum_k c_k / (z + k - 1), added left to right.  Below
+    _ROW_SUM_MIN entries the tail terms form one (8, *z.shape) block and
+    a cumsum along its first axis adds them in that order; from there up
+    the rows are formed and added one at a time.  Both do the same
+    operations in the same order, so every entry is bit-identical to the
+    scalar loop and independent of the array's length.
     """
     z = np.asarray(z, dtype=complex)
+    if z.size >= _ROW_SUM_MIN:
+        out = _LANCZOS_TAIL[0] / (z + _LANCZOS_SHIFT[0])
+        out += _LANCZOS_COEFFS[0]
+        row = np.empty_like(out)
+        for tail, shift in zip(_LANCZOS_TAIL[1:], _LANCZOS_SHIFT[1:]):
+            np.add(z, shift, out=row)
+            np.divide(tail, row, out=row)
+            out += row
+        return out
     col = (-1,) + (1,) * z.ndim
     terms = _LANCZOS_TAIL.reshape(col) / (z + _LANCZOS_SHIFT.reshape(col))
     terms[0] += _LANCZOS_COEFFS[0]

@@ -18,7 +18,15 @@ trapezoid rule on a truncated line converges spectrally; the line is cut
 at the first height T = 8 * 1.5^j where the integrand has fallen to 1e-18
 of its on-axis value.  Each line keeps one finest node grid, refined by
 doubling up to MAX_NODES nodes, and its coarser levels are views.
-ContourConfig sets the abscissa offset and the first node count.
+ContourConfig sets the abscissa offset and the first node count n.
+
+The log-gamma work comes in few, large calls, because each call has a
+fixed cost that small arrays do not repay: a new line tests M(c) and its
+first eight heights in one call (and each further eight in one more),
+its first grid holds the 2n + 1 nodes of level 2n, which every H value
+needs, with level n as the stride-2 view, and each doubling forms only
+the new odd nodes.  The trapezoid loop likewise keeps the even entries
+of the integrand from the level below and forms only the odd ones.
 
 Three bounded LRU caches hold what depends only on the parameters: the
 256 most recent models' parameter blocks (`_model_block`, which
@@ -94,9 +102,14 @@ class HWeightParams:
         log_kappa = (sum(B * math.log(B) for _, B in self.lower)
                      - sum(A * math.log(A) for _, A in self.upper))
         consts = {"_mu": decay, "_log_kappa": log_kappa, "_right": max(0.0, self.rightmost_pole())}
+        # the dataclass's field hash, formed once: every memo lookup hashes the block
+        consts["_hash"] = hash((self.upper, self.lower))
         consts["_off"], consts["_wt"] = np.array(self.lower + self.upper).T[:, :, None]
         for name, value in consts.items():
             object.__setattr__(self, name, value)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_model(cls, model: CoherentModel) -> "HWeightParams":
@@ -149,6 +162,7 @@ DEFAULT_CONTOUR = ContourConfig()
 
 
 _ABSCISSA_STEP = 4.0  # quantization of the saddle-following abscissa
+_HEIGHT_BATCH = 8  # truncation heights tested per _log_mellin_vec call
 
 
 def _abscissa_level(hp: HWeightParams, cc: ContourConfig, x: float) -> int:
@@ -171,6 +185,26 @@ def _abscissa_level(hp: HWeightParams, cc: ContourConfig, x: float) -> int:
     return math.ceil((sigma - base) / _ABSCISSA_STEP)
 
 
+def _truncation(hp: HWeightParams, c: float) -> tuple[float, float]:
+    """log M(c) and the first height T = 8 * 1.5^j, j < 120, where the
+    integrand on the line Re s = c has fallen to 1e-18 of M(c)."""
+    heights = [0.0]  # M(c) rides with the first batch
+    T = 8.0
+    log_m0 = None
+    for _ in range(120 // _HEIGHT_BATCH):
+        for _ in range(_HEIGHT_BATCH):
+            heights.append(T)
+            T *= 1.5
+        logs = _log_mellin_vec(hp, np.array([complex(c, h) for h in heights])).real
+        if log_m0 is None:
+            log_m0 = float(logs[0])
+        hit = np.flatnonzero(logs[-_HEIGHT_BATCH:] <= log_m0 + _LOG_DECAY_TARGET)
+        if hit.size:
+            return log_m0, heights[hit[0] - _HEIGHT_BATCH]
+        heights = []
+    raise ContourFailure("could not truncate the contour; kernel decays too slowly")
+
+
 class _ContourState:
     """One vertical line: abscissa, truncation height, cached node values.
 
@@ -179,22 +213,20 @@ class _ContourState:
     astronomically large; the log of the scale is reapplied at the end.
     Only the finest grid (vals, t) on N+1 nodes is kept: level n is the
     view (vals[::N//n], t[::N//n]), cached with its step and roundoff floor.
+
+    _truncation tests log M(c) and the heights 8 * 1.5^j in batches of
+    _HEIGHT_BATCH per _log_mellin_vec call.  The first grid is level
+    2n (n = cc.n_nodes, unless 2n passes MAX_NODES), since eval_h always
+    needs it; linspace makes its even nodes (2m)(T/2n) == m(T/n), so level
+    n, its stride-2 view, holds the values a grid on n + 1 nodes would.
     """
 
     def __init__(self, hp: HWeightParams, cc: ContourConfig, level: int):
         self.hp = hp
         self.c = hp._right + cc.c_offset + _ABSCISSA_STEP * level
-        self.log_m0 = hp.log_mellin(complex(self.c, 0.0)).real
-        T = 8.0
-        for _ in range(120):
-            top = _log_mellin_vec(hp, np.array([complex(self.c, T)]))[0].real
-            if top <= self.log_m0 + _LOG_DECAY_TARGET:
-                break
-            T *= 1.5
-        else:
-            raise ContourFailure("could not truncate the contour; kernel decays too slowly")
-        self.T = T
-        self.t = np.linspace(0.0, self.T, cc.n_nodes + 1)
+        self.log_m0, self.T = _truncation(hp, self.c)
+        n = 2 * cc.n_nodes if 2 * cc.n_nodes <= MAX_NODES else cc.n_nodes
+        self.t = np.linspace(0.0, self.T, n + 1)
         self.vals = self._scaled(self.t)
         self._levels: dict[int, tuple] = {}
 
@@ -249,10 +281,16 @@ def _h_value(hp: HWeightParams, x: float, cc: ContourConfig) -> float:
     log_x = math.log(x)
     log_scale = st.log_m0 - st.c * log_x - math.log(math.pi)
     n = cc.n_nodes
-    prev = None
+    prev = f = None
     while n <= MAX_NODES:
         vals, t, h, floor = st.level(n)
-        f = vals * np.exp(-1j * (t * log_x))
+        if f is None:
+            f = vals * np.exp(-1j * (t * log_x))
+        else:
+            # the even nodes are the level below's; only the odd ones are new
+            f_even, f = f, np.empty(n + 1, dtype=complex)
+            f[0::2] = f_even
+            f[1::2] = vals[1::2] * np.exp(-1j * (t[1::2] * log_x))
         bracket = float((h * (f[1:] + f[:-1]) / 2.0).sum().real)  # np.trapezoid(f, dx=h)
         if prev is not None and abs(bracket - prev) <= max(_REL_STOP * abs(bracket), floor):
             if bracket == 0.0:
