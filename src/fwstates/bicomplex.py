@@ -15,14 +15,17 @@ component equal to zero.  Hyperbolic numbers are the subring with both
 components real; they carry the partial order `leq_h` and host norms,
 exponent weights and convergence radii.
 
-Every bicomplex routine of the package is the complex routine run on
-each idempotent component; `componentwise` is that construction, used
-by the bicomplex Fox-Wright series, gamma, states, nu and measure.
+Both types derive from `_IdempotentPair`, which holds the componentwise
+ring operations once; its `of` embeds a scalar argument of an entry
+point.  Every bicomplex routine of the package is the complex routine
+run on each idempotent component; `componentwise` is that construction,
+used by the bicomplex Fox-Wright series, gamma, states, nu and measure.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Union
 
 from .errors import DomainError, FWError, SingularElement, ValidationError
@@ -44,7 +47,84 @@ def _check_finite_real(value: float, what: str) -> float:
     return x
 
 
-class Bicomplex:
+def _rsub(a, b):
+    return b - a
+
+
+class _IdempotentPair:
+    """An element stored as its two idempotent components.
+
+    Every ring operation acts on each component, so + - * and negation,
+    equality, hashing and repr live here once.  A subclass names the two
+    slots, checks its components in __init__, and sets _coerce, which
+    turns the other operand into its own type or None.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._pair = operator.attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def from_scalar(cls, c: Scalar):
+        """Embed a scalar diagonally: the same value in both components."""
+        return cls(c, c)
+
+    @classmethod
+    def of(cls, x):
+        """x itself if it is of this type, else the scalar x embedded."""
+        return x if isinstance(x, cls) else cls.from_scalar(x)
+
+    def decompose(self) -> tuple:
+        """The idempotent components."""
+        return self._pair(self)
+
+    def _combine(self, other, op):
+        w = self._coerce(other)
+        if w is None:
+            return NotImplemented
+        (a1, a2), (b1, b2) = self._pair(self), self._pair(w)
+        return type(self)(op(a1, b1), op(a2, b2))
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._combine(other, operator.sub)
+
+    def __rsub__(self, other):
+        return self._combine(other, _rsub)
+
+    def __mul__(self, other):
+        return self._combine(other, operator.mul)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        a1, a2 = self._pair(self)
+        return type(self)(-a1, -a2)
+
+    def __eq__(self, other):
+        w = self._coerce(other)
+        if w is None:
+            return NotImplemented
+        return self._pair(self) == self._pair(w)
+
+    def __hash__(self):
+        return hash(self._pair(self))
+
+    def __repr__(self):
+        a1, a2 = self._pair(self)
+        return f"{type(self).__name__}({a1!r}, {a2!r})"
+
+
+class Bicomplex(_IdempotentPair):
     """Bicomplex number stored as the idempotent pair (z1, z2)."""
 
     __slots__ = ("z1", "z2")
@@ -53,11 +133,6 @@ class Bicomplex:
         object.__setattr__(self, "z1", _check_finite_complex(z1, "z1"))
         object.__setattr__(self, "z2", _check_finite_complex(z2, "z2"))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Bicomplex is immutable")
-
-    # -- constructors and views ------------------------------------------
-
     @classmethod
     def from_cartesian(cls, a: Scalar, b: Scalar = 0) -> "Bicomplex":
         """Build from the a + jb form."""
@@ -65,21 +140,10 @@ class Bicomplex:
         b = complex(b)
         return cls(a - 1j * b, a + 1j * b)
 
-    @classmethod
-    def from_scalar(cls, c: Scalar) -> "Bicomplex":
-        """Embed a complex scalar diagonally (a = c, b = 0)."""
-        c = complex(c)
-        return cls(c, c)
-
     @property
     def cartesian(self) -> tuple[complex, complex]:
         """The (a, b) pair with Z = a + jb."""
         return ((self.z1 + self.z2) / 2, 0.5j * (self.z1 - self.z2))
-
-    def decompose(self) -> tuple[complex, complex]:
-        return (self.z1, self.z2)
-
-    # -- ring structure --------------------------------------------------
 
     def _coerce(self, other) -> "Bicomplex | None":
         if isinstance(other, Bicomplex):
@@ -89,46 +153,6 @@ class Bicomplex:
         if isinstance(other, Hyperbolic):
             return other.as_bicomplex()
         return None
-
-    def __add__(self, other):
-        w = self._coerce(other)
-        if w is None:
-            return NotImplemented
-        return Bicomplex(self.z1 + w.z1, self.z2 + w.z2)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        w = self._coerce(other)
-        if w is None:
-            return NotImplemented
-        return Bicomplex(self.z1 - w.z1, self.z2 - w.z2)
-
-    def __rsub__(self, other):
-        w = self._coerce(other)
-        if w is None:
-            return NotImplemented
-        return Bicomplex(w.z1 - self.z1, w.z2 - self.z2)
-
-    def __mul__(self, other):
-        w = self._coerce(other)
-        if w is None:
-            return NotImplemented
-        return Bicomplex(self.z1 * w.z1, self.z2 * w.z2)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Bicomplex(-self.z1, -self.z2)
-
-    def __eq__(self, other):
-        w = self._coerce(other)
-        if w is None:
-            return NotImplemented
-        return self.z1 == w.z1 and self.z2 == w.z2
-
-    def __hash__(self):
-        return hash((self.z1, self.z2))
 
     def inverse(self) -> "Bicomplex":
         """Multiplicative inverse; zero divisors (and zero) have none."""
@@ -142,8 +166,6 @@ class Bicomplex:
         """Componentwise conjugate, the involution with conj(Z)*Z = |Z|_h^2."""
         return Bicomplex(self.z1.conjugate(), self.z2.conjugate())
 
-    # -- predicates and norms --------------------------------------------
-
     def is_zero_divisor(self) -> bool:
         """True iff exactly one idempotent component vanishes."""
         return (self.z1 == 0) != (self.z2 == 0)
@@ -151,11 +173,6 @@ class Bicomplex:
     def hyper_norm(self) -> "Hyperbolic":
         """Hyperbolic norm |Z|_h = |z1| e1 + |z2| e2, always in D+."""
         return Hyperbolic(abs(self.z1), abs(self.z2))
-
-    def __repr__(self):
-        return f"Bicomplex({self.z1!r}, {self.z2!r})"
-
-    # -- JSON ------------------------------------------------------------
 
     def to_json(self) -> dict:
         return {
@@ -173,7 +190,7 @@ class Bicomplex:
         return cls(z1, z2)
 
 
-class Hyperbolic:
+class Hyperbolic(_IdempotentPair):
     """Hyperbolic number: both idempotent components real."""
 
     __slots__ = ("c1", "c2")
@@ -182,25 +199,14 @@ class Hyperbolic:
         object.__setattr__(self, "c1", _check_finite_real(c1, "c1"))
         object.__setattr__(self, "c2", _check_finite_real(c2, "c2"))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Hyperbolic is immutable")
-
     @classmethod
     def from_cartesian(cls, x1: float, x4: float = 0.0) -> "Hyperbolic":
         """Build from x1 + ij*x4 form."""
         return cls(x1 + x4, x1 - x4)
 
-    @classmethod
-    def from_scalar(cls, x: float) -> "Hyperbolic":
-        x = float(x)
-        return cls(x, x)
-
     @property
     def cartesian(self) -> tuple[float, float]:
         return ((self.c1 + self.c2) / 2, (self.c1 - self.c2) / 2)
-
-    def decompose(self) -> tuple[float, float]:
-        return (self.c1, self.c2)
 
     def as_bicomplex(self) -> Bicomplex:
         return Bicomplex(self.c1, self.c2)
@@ -212,46 +218,6 @@ class Hyperbolic:
             return Hyperbolic.from_scalar(other)
         return None
 
-    def __add__(self, other):
-        w = self._coerce(other)
-        if w is None:
-            return NotImplemented
-        return Hyperbolic(self.c1 + w.c1, self.c2 + w.c2)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        w = self._coerce(other)
-        if w is None:
-            return NotImplemented
-        return Hyperbolic(self.c1 - w.c1, self.c2 - w.c2)
-
-    def __rsub__(self, other):
-        w = self._coerce(other)
-        if w is None:
-            return NotImplemented
-        return Hyperbolic(w.c1 - self.c1, w.c2 - self.c2)
-
-    def __mul__(self, other):
-        w = self._coerce(other)
-        if w is None:
-            return NotImplemented
-        return Hyperbolic(self.c1 * w.c1, self.c2 * w.c2)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Hyperbolic(-self.c1, -self.c2)
-
-    def __eq__(self, other):
-        w = self._coerce(other)
-        if w is None:
-            return NotImplemented
-        return self.c1 == w.c1 and self.c2 == w.c2
-
-    def __hash__(self):
-        return hash((self.c1, self.c2))
-
     def in_dplus(self) -> bool:
         """Membership in D+ (both components nonnegative)."""
         return self.c1 >= 0 and self.c2 >= 0
@@ -259,9 +225,6 @@ class Hyperbolic:
     def strictly_positive(self) -> bool:
         """Membership in D+ minus the zero divisors (both components > 0)."""
         return self.c1 > 0 and self.c2 > 0
-
-    def __repr__(self):
-        return f"Hyperbolic({self.c1!r}, {self.c2!r})"
 
     def to_json(self) -> dict:
         return {"c1": self.c1, "c2": self.c2}
@@ -322,8 +285,7 @@ def lt_h(P: Hyperbolic, Q: Hyperbolic) -> bool:
 
 def pow_real(P: Hyperbolic, t: Union[Hyperbolic, float]) -> Hyperbolic:
     """Componentwise real power (c1^t1, c2^t2); base must be strictly positive."""
-    if not isinstance(t, Hyperbolic):
-        t = Hyperbolic.from_scalar(t)
+    t = Hyperbolic.of(t)
     if not P.strictly_positive():
         raise DomainError(f"pow_real base must be strictly positive, got {P!r}")
     return Hyperbolic(P.c1 ** t.c1, P.c2 ** t.c2)

@@ -282,6 +282,8 @@ def cmd_nu_eval(args) -> int:
 
 
 def cmd_measure_check(args) -> int:
+    if not args.tol > 0:  # NaN fails this test too
+        raise ValidationError("tol must be > 0")
     model = _load_model(args.model, args.K)
     orders = _parse_orders(args.k)
     results = [moment_check(model, k) for k in orders]

@@ -333,21 +333,14 @@ def normalization_b(model: BCCoherentModel, W) -> "Hyperbolic | Bicomplex":
     """Per-component normalization; hyperbolic in (D+), hyperbolic out."""
     if isinstance(W, Hyperbolic):
         return Hyperbolic(*componentwise(normalization, model, W))
-    if not isinstance(W, Bicomplex):
-        W = Bicomplex.from_scalar(W)
-    return Bicomplex(*componentwise(normalization_at, model, W))
+    return Bicomplex(*componentwise(normalization_at, model, Bicomplex.of(W)))
 
 
 def make_state_b(model: BCCoherentModel, Z: Bicomplex, tail_target: float = 1e-12) -> BCStateVector:
-    if not isinstance(Z, Bicomplex):
-        Z = Bicomplex.from_scalar(Z)
+    Z = Bicomplex.of(Z)
     return BCStateVector(components=componentwise(make_state, model, Z, tail_target), z=Z)
 
 
 def overlap_b(model: BCCoherentModel, Z: Bicomplex, Zp: Bicomplex) -> Bicomplex:
     """<Z|Z'> with conj per component, so overlap_b(Z, Z) = 1 exactly in structure."""
-    if not isinstance(Z, Bicomplex):
-        Z = Bicomplex.from_scalar(Z)
-    if not isinstance(Zp, Bicomplex):
-        Zp = Bicomplex.from_scalar(Zp)
-    return Bicomplex(*componentwise(overlap, model, Z, Zp))
+    return Bicomplex(*componentwise(overlap, model, Bicomplex.of(Z), Bicomplex.of(Zp)))

@@ -14,7 +14,12 @@ Two independent quadrature schemes are provided on purpose: "gk"
 (adaptive Gauss-Kronrod via QUADPACK) and "ts" (an in-package tanh-sinh
 rule).  Their agreement is the correctness check for every nu value.
 QuadConfig sets their two tolerances; the Gauss-Kronrod subinterval limit
-MAX_SUBDIVISIONS and the tanh-sinh level cap are fixed.
+MAX_SUBDIVISIONS and the tanh-sinh level cap are fixed.  `_integrate` is
+the package's one quadrature driver: nu, overlap_tilde (the nu integral
+at the complex log zeta = Log(conj(z) z')) and hfunction.moment_check
+all run through it.  Gauss-Kronrod takes a complex integrand as two real
+passes; a QUADPACK failure in any pass raises QuadratureFailure, and a
+non-finite integral raises OverflowError.
 
 rho_tilde and log_rho_tilde are `coherent.rho` and `coherent.log_rho`,
 which take any real argument >= 0; the integrands use the array form
@@ -170,21 +175,28 @@ def _tanh_sinh(f, a: float, b: float, rel_tol: float, abs_tol: float):
     )
 
 
-def _integrate(f, f_node, a, b, cfg: QuadConfig, scheme: str):
-    """f on node arrays for "ts", f_node at one node for "gk"."""
+def _integrate(f, f_node, a, b, cfg: QuadConfig, scheme: str, complex_func: bool = False):
+    """Integral over [a, b] and its error estimate: f on node arrays for
+    "ts", f_node at one node for "gk".
+
+    Gauss-Kronrod takes a complex f_node (complex_func) as two real passes,
+    real part then imaginary part, as scipy's own complex_func does, and a
+    QUADPACK failure in either pass raises QuadratureFailure.
+    """
     if scheme == "gk":
         from scipy import integrate
-        out = integrate.quad(
-            f_node,
-            a,
-            b,
-            epsabs=cfg.abs_tol,
-            epsrel=cfg.rel_tol,
-            limit=MAX_SUBDIVISIONS,
-            full_output=1,
-        )
-        if len(out) > 3:
-            raise QuadratureFailure(f"Gauss-Kronrod failed: {out[3]}")
+        parts = (lambda x: f_node(x).real, lambda x: f_node(x).imag) if complex_func else (f_node,)
+        outs = []
+        for part in parts:
+            out = integrate.quad(
+                part, a, b, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=MAX_SUBDIVISIONS,
+                full_output=1,
+            )
+            if len(out) > 3:
+                raise QuadratureFailure(f"Gauss-Kronrod failed: {out[3]}")
+            outs.append(out[:2])
+        # (value, err), or the real pass's plus 1j times the imaginary pass's
+        out = outs[0] if len(outs) == 1 else [re + 1j * im for re, im in zip(*outs)]
     elif scheme == "ts":
         out = _tanh_sinh(f, a, b, cfg.rel_tol, cfg.abs_tol)
     else:
@@ -199,6 +211,20 @@ def _finite(value, err):
     return value, err
 
 
+def _nu_integral(model: CoherentModel, log_zeta, cfg: QuadConfig, scheme: str):
+    """integral_0^inf exp(E log_zeta) / rho(E) dE and its error estimate.
+
+    A complex log_zeta (the principal Log of a complex zeta) makes the
+    integrand complex; the range is cut where its modulus has fallen.
+    """
+    e_hi = _e_max(model, log_zeta.real)
+    on_nodes, at_node = _integrands(model.params, log_zeta)
+    # an overflow (inf, or inf+nanj from the complex exp) surfaces as a
+    # non-finite integral, which _integrate rejects
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        return _integrate(on_nodes, at_node, 0.0, e_hi, cfg, scheme, isinstance(log_zeta, complex))
+
+
 def nu_with_error(
     model: CoherentModel,
     zeta: float,
@@ -211,12 +237,7 @@ def nu_with_error(
         raise ValidationError("zeta must be >= 0")
     if zeta == 0.0:
         return 0.0, 0.0
-    log_zeta = math.log(zeta)
-    e_hi = _e_max(model, log_zeta)
-    on_nodes, at_node = _integrands(model.params, log_zeta)
-    # an overflow surfaces as an inf integral, which _integrate rejects
-    with np.errstate(under="ignore", over="ignore"):
-        return _integrate(on_nodes, at_node, 0.0, e_hi, cfg, scheme)
+    return _nu_integral(model, math.log(zeta), cfg, scheme)
 
 
 def nu(
@@ -229,16 +250,9 @@ def nu(
     return nu_with_error(model, zeta, cfg, scheme)[0]
 
 
-def nu_bicomplex(
-    model: BCCoherentModel,
-    W: Hyperbolic,
-    cfg: QuadConfig = DEFAULT_QUAD,
-    scheme: str = "gk",
-) -> Hyperbolic:
+def nu_bicomplex(model: BCCoherentModel, W: Hyperbolic, scheme: str = "gk") -> Hyperbolic:
     """Componentwise nu on a hyperbolic argument in D+ (nu rejects zeta < 0)."""
-    if not isinstance(W, Hyperbolic):
-        W = Hyperbolic.from_scalar(W)
-    return Hyperbolic(*componentwise(nu, model, W, cfg, scheme))
+    return Hyperbolic(*componentwise(nu, model, Hyperbolic.of(W), DEFAULT_QUAD, scheme))
 
 
 def overlap_tilde(
@@ -250,37 +264,14 @@ def overlap_tilde(
 ) -> complex:
     """Continuous-state overlap nu(conj(z) z') / sqrt(nu(|z|^2) nu(|z'|^2)).
 
-    The complex-argument nu uses the principal branch zeta^E =
-    exp(E Log zeta) in the integrand.
+    The complex-argument nu is the nu integral at log zeta = Log(conj(z) z'),
+    the principal branch, so zeta^E = exp(E Log zeta).
     """
     z = complex(z)
     zp = complex(zp)
     if z == 0 or zp == 0:
         raise ValidationError("overlap_tilde needs |z|, |z'| > 0")
-    zeta_c = z.conjugate() * zp
-    log_zeta = cmath.log(zeta_c)
-    e_hi = _e_max(model, log_zeta.real)
-    on_nodes, at_node = _integrands(model.params, log_zeta)
-    # an overflow (inf, or inf+nanj from the complex exp) surfaces as a
-    # non-finite integral, which _finite rejects
-    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        if scheme == "gk":
-            from scipy import integrate
-            out = integrate.quad(
-                at_node,
-                0.0,
-                e_hi,
-                epsabs=cfg.abs_tol,
-                epsrel=cfg.rel_tol,
-                limit=MAX_SUBDIVISIONS,
-                complex_func=True,
-            )
-        elif scheme == "ts":
-            out = _tanh_sinh(on_nodes, 0.0, e_hi, cfg.rel_tol, cfg.abs_tol)
-        else:
-            raise ValidationError(f"unknown quadrature scheme {scheme!r}; use one of {SCHEMES}")
-    num, _ = _finite(*out)
-
+    num, _ = _nu_integral(model, cmath.log(z.conjugate() * zp), cfg, scheme)
     den = math.sqrt(
         nu(model, abs(z) ** 2, cfg, scheme) * nu(model, abs(zp) ** 2, cfg, scheme)
     )

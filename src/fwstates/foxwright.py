@@ -138,8 +138,11 @@ def _normalize_pairs(pairs, side: str) -> tuple[tuple[complex, float], ...]:
             a, A = entry
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"{side} entries must be (value, weight) pairs") from exc
-        a = complex(a)
-        A = float(A)
+        try:
+            a = complex(a)
+            A = float(A)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{side} entry {entry!r} is not a number pair") from exc
         if not (math.isfinite(a.real) and math.isfinite(a.imag) and math.isfinite(A)):
             raise ValidationError(f"non-finite {side} entry ({a}, {A})")
         if A <= 0:
@@ -526,14 +529,18 @@ def as_pfq(params: FWParams):
 
 # -- conformance oracles (independent routes, never call evaluate) -------
 
+# each oracle stops after three terms in a row below this share of the sum,
+# and gives up after 20,000 terms (the Bessel series after 2,000)
+_ORACLE_TOL = 1e-16
 
-def oracle_pfq(upper, lower, z, tol: float = 1e-16, max_terms: int = 20000) -> complex:
+
+def oracle_pfq(upper, lower, z) -> complex:
     """Generalized hypergeometric series by running Pochhammer products."""
     z = complex(z)
     term = 1.0 + 0j
     total = term
     consec = 0
-    for k in range(max_terms):
+    for k in range(20000):
         num = 1.0 + 0j
         for a in upper:
             num *= a + k
@@ -544,15 +551,13 @@ def oracle_pfq(upper, lower, z, tol: float = 1e-16, max_terms: int = 20000) -> c
             raise PoleError(f"pFq lower parameter produces zero factor at k={k}")
         term = term * num / den * z / (k + 1)
         total += term
-        consec = consec + 1 if abs(term) <= tol * abs(total) else 0
+        consec = consec + 1 if abs(term) <= _ORACLE_TOL * abs(total) else 0
         if consec >= 3:
             return total
     raise MaxTermsExceeded("oracle_pfq did not converge")
 
 
-def oracle_mittag_leffler(
-    B1: float, b1: complex, z, tol: float = 1e-16, max_terms: int = 20000
-) -> complex:
+def oracle_mittag_leffler(B1: float, b1: complex, z) -> complex:
     """Two-parameter Mittag-Leffler E_{B1,b1}(z) = sum z^k / Gamma(b1 + k B1)."""
     if B1 <= 0:
         raise ValidationError("Mittag-Leffler weight must be positive")
@@ -561,17 +566,17 @@ def oracle_mittag_leffler(
     zk = 1.0 + 0j
     total = 0j
     consec = 0
-    for k in range(max_terms):
+    for k in range(20000):
         term = zk * complex(special.rgamma(complex(b1) + k * B1))
         total += term
-        consec = consec + 1 if abs(term) <= tol * abs(total) else 0
+        consec = consec + 1 if abs(term) <= _ORACLE_TOL * abs(total) else 0
         if consec >= 3:
             return total
         zk *= z
     raise MaxTermsExceeded("oracle_mittag_leffler did not converge")
 
 
-def oracle_bessel_j(v: float, y: float, tol: float = 1e-16, max_terms: int = 2000) -> float:
+def oracle_bessel_j(v: float, y: float) -> float:
     """Bessel J_v(y) for v, y >= 0 by its power series."""
     if y < 0 or v < 0:
         raise ValidationError("oracle_bessel_j expects v, y >= 0")
@@ -583,10 +588,10 @@ def oracle_bessel_j(v: float, y: float, tol: float = 1e-16, max_terms: int = 200
     total = term
     q = half * half
     consec = 0
-    for k in range(max_terms):
+    for k in range(2000):
         term *= -q / ((k + 1) * (v + k + 1))
         total += term
-        consec = consec + 1 if abs(term) <= tol * abs(total) else 0
+        consec = consec + 1 if abs(term) <= _ORACLE_TOL * abs(total) else 0
         if consec >= 3:
             return total
     raise MaxTermsExceeded("oracle_bessel_j did not converge")

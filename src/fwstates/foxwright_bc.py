@@ -155,8 +155,7 @@ def _normalize_bc_pairs(pairs, side):
             value, weight = entry
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"{side} entries must be (value, weight) pairs") from exc
-        if not isinstance(value, Bicomplex):
-            value = Bicomplex.from_scalar(value)
+        value = Bicomplex.of(value)
         if isinstance(weight, (int, float)):
             weight = Hyperbolic.from_scalar(weight)
         if not isinstance(weight, Hyperbolic):
@@ -177,7 +176,6 @@ class ConvergenceReport:
     lambda_cart: tuple[complex, complex]
     domain: Domain
     boundary_abs_convergent: bool
-    sign_tol: float = CLASSIFY_TOL
 
     def to_json(self) -> dict:
         def enc_r(v):
@@ -193,7 +191,7 @@ class ConvergenceReport:
             "lambda_cart": [enc_c(self.lambda_cart[0]), enc_c(self.lambda_cart[1])],
             "domain": self.domain.value,
             "boundary_abs_convergent": self.boundary_abs_convergent,
-            "sign_tol": self.sign_tol,
+            "sign_tol": CLASSIFY_TOL,
         }
 
 
@@ -252,8 +250,7 @@ def evaluate(
     rejected, as the boundary statement of the hyperbolic ball only
     covers the full sphere.
     """
-    if not isinstance(Z, Bicomplex):
-        Z = Bicomplex.from_scalar(Z)
+    Z = Bicomplex.of(Z)
     if allow_boundary:
         radii = [radius(P) for P in params.decompose()]
         if all(0.0 < r < math.inf for r in radii):

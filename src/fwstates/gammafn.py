@@ -56,20 +56,20 @@ _LOG_PI = math.log(math.pi)
 POLE_TOL = 1e-12
 
 
-def is_gamma_pole(w: complex, tol: float = POLE_TOL) -> bool:
-    """True if w lies within tol of a nonpositive integer."""
+def is_gamma_pole(w: complex) -> bool:
+    """True if w lies within POLE_TOL of a nonpositive integer."""
     w = complex(w)
-    if abs(w.imag) > tol:
+    if abs(w.imag) > POLE_TOL:
         return False
     n = round(w.real)
-    return n <= 0 and abs(w.real - n) <= tol
+    return n <= 0 and abs(w.real - n) <= POLE_TOL
 
 
-def pole_mask(w: np.ndarray, tol: float = POLE_TOL) -> np.ndarray:
-    """is_gamma_pole over an array: True where w lies within tol of a nonpositive integer."""
-    near_axis = np.abs(w.imag) <= tol
+def pole_mask(w: np.ndarray) -> np.ndarray:
+    """is_gamma_pole over an array: True where w lies within POLE_TOL of a nonpositive integer."""
+    near_axis = np.abs(w.imag) <= POLE_TOL
     rounded = np.round(w.real)
-    return near_axis & (rounded <= 0) & (np.abs(w.real - rounded) <= tol)
+    return near_axis & (rounded <= 0) & (np.abs(w.real - rounded) <= POLE_TOL)
 
 
 def _lanczos_series(z):

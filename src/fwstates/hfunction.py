@@ -18,7 +18,10 @@ trapezoid rule on a truncated line converges spectrally; the line is cut
 at the first height T = 8 * 1.5^j where the integrand has fallen to 1e-18
 of its on-axis value.  Each line keeps one finest node grid, refined by
 doubling up to MAX_NODES nodes, and its coarser levels are views.
-ContourConfig sets the abscissa offset and the first node count n.
+ContourConfig sets the abscissa offset and the first node count n.  A
+line whose abscissa is a zero of M (a pole of an upper gamma) has no
+scale to decay from, so that line alone moves half an offset right.
+The moment integral runs through `continuum._integrate`.
 
 The log-gamma work comes in few, large calls, because each call has a
 fixed cost that small arrays do not repay: a new line tests M(c) and its
@@ -51,14 +54,14 @@ import numpy as np
 
 from .bicomplex import Hyperbolic, componentwise
 from .coherent import BCCoherentModel, CoherentModel, rho
-from .continuum import DEFAULT_QUAD, MAX_SUBDIVISIONS, QuadConfig
+from .continuum import DEFAULT_QUAD, _integrate
 from .errors import (
     ContourFailure,
     DomainError,
     QuadratureFailure,
     ValidationError,
 )
-from .foxwright import FWParams
+from .foxwright import FWParams, _normalize_pairs
 from .foxwright import evaluate as fw_evaluate
 from .gammafn import gamma, is_gamma_pole, log_gamma_vec
 
@@ -68,18 +71,13 @@ _EPS = float(np.finfo(float).eps)
 MAX_NODES = 1 << 20  # node doubling gives up past this many nodes
 
 
-def _real_pairs(entries, what: str) -> tuple[tuple[float, float], ...]:
-    out = []
-    for entry in entries:
-        g, w = entry
-        g = float(g)
-        w = float(w)
-        if not (math.isfinite(g) and math.isfinite(w)):
-            raise ValidationError(f"{what} entry {entry!r} is not finite")
-        if w <= 0:
-            raise ValidationError(f"{what} weight must be > 0, got {w}")
-        out.append((g, w))
-    return tuple(out)
+def _real_pairs(pairs, side: str) -> tuple[tuple[float, float], ...]:
+    """FWParams' pair check, with real offsets."""
+    out = _normalize_pairs(pairs, side)
+    for g, _ in out:
+        if g.imag:
+            raise ValidationError(f"{side} offset must be real, got {g}")
+    return tuple((g.real, w) for g, w in out)
 
 
 @dataclass(frozen=True)
@@ -255,7 +253,15 @@ class _ContourState:
 
 @lru_cache(maxsize=256)
 def _contour_state(hp: HWeightParams, cc: ContourConfig, level: int) -> _ContourState:
-    return _ContourState(hp, cc, level)
+    """The line of this level; if M(c) = 0 there, so that no height can
+    fall below 1e-18 of it, the line half an offset further right."""
+    try:
+        return _ContourState(hp, cc, level)
+    except ContourFailure:
+        c = hp._right + cc.c_offset + _ABSCISSA_STEP * level
+        if hp.log_mellin(c).real != -math.inf:
+            raise
+    return _ContourState(hp, ContourConfig(1.5 * cc.c_offset, cc.n_nodes), level)
 
 
 def eval_h(hp: HWeightParams, x: float, cc: ContourConfig = DEFAULT_CONTOUR) -> float:
@@ -326,7 +332,7 @@ def _h_at_zero(model: CoherentModel) -> float:
     return math.exp(log_num) / den
 
 
-def weight(model: CoherentModel, x: float, cc: ContourConfig = DEFAULT_CONTOUR) -> float:
+def weight(model: CoherentModel, x: float) -> float:
     """Radial weight W(x) = psi(x) H(x) of the resolution-of-unity measure."""
     x = float(x)
     if not math.isfinite(x) or x < 0.0:
@@ -335,24 +341,20 @@ def weight(model: CoherentModel, x: float, cc: ContourConfig = DEFAULT_CONTOUR) 
     if x == 0.0:
         return psi * _h_at_zero(model)
     hp = HWeightParams.from_model(model)
-    return psi * eval_h(hp, x, cc)
+    return psi * eval_h(hp, x)
 
 
-def measure_density(model: CoherentModel, x: float, cc: ContourConfig = DEFAULT_CONTOUR) -> float:
-    """Density of the measure over x = |z|^2, angular factor integrated out."""
-    return weight(model, x, cc)
+# the density of the measure over x = |z|^2, angular factor integrated out
+measure_density = weight
 
 
-def measure_density_b(
-    model: BCCoherentModel, X: Hyperbolic, cc: ContourConfig = DEFAULT_CONTOUR
-) -> Hyperbolic:
+def measure_density_b(model: BCCoherentModel, X: Hyperbolic) -> Hyperbolic:
     """Componentwise measure density on a hyperbolic radius pair in D+."""
-    if not isinstance(X, Hyperbolic):
-        X = Hyperbolic.from_scalar(X)
+    X = Hyperbolic.of(X)
     # kept: weight itself rejects x < 0 as a DomainError, not a ValidationError
     if not X.in_dplus():
         raise ValidationError(f"measure density needs a radius pair in D+, got {X!r}")
-    return Hyperbolic(*componentwise(measure_density, model, X, cc))
+    return Hyperbolic(*componentwise(weight, model, X))
 
 
 class MomentResult(NamedTuple):
@@ -374,12 +376,7 @@ def _density_scan(density, k: int) -> float:
     raise QuadratureFailure("moment integrand does not decay below 1e-16 of its peak")
 
 
-def moment_check(
-    model: CoherentModel,
-    k: int,
-    cfg: QuadConfig = DEFAULT_QUAD,
-    cc: ContourConfig = DEFAULT_CONTOUR,
-) -> MomentResult:
+def moment_check(model: CoherentModel, k: int) -> MomentResult:
     """Check the moment identity integral x^k W(x)/N(x) dx = rho(k).
 
     The Fox-Wright factor of W cancels against the normalization N, so
@@ -396,21 +393,9 @@ def moment_check(
     hp = HWeightParams.from_model(model)
 
     def density(x: float) -> float:
-        return pref * eval_h(hp, x, cc)
+        return pref * eval_h(hp, x)
 
-    from scipy import integrate
     x_max = _density_scan(density, k)
-    out = integrate.quad(
-        lambda x: (x ** k) * density(x),
-        0.0,
-        x_max,
-        epsabs=cfg.abs_tol,
-        epsrel=cfg.rel_tol,
-        limit=MAX_SUBDIVISIONS,
-        full_output=1,
-    )
-    if len(out) > 3:
-        raise QuadratureFailure(f"outer moment quadrature failed: {out[3]}")
-    lhs = out[0]
+    lhs, _ = _integrate(None, lambda x: (x ** k) * density(x), 0.0, x_max, DEFAULT_QUAD, "gk")
     rhs = rho(model, k)
     return MomentResult(lhs, rhs, abs(lhs - rhs) / abs(rhs))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fwstates.bicomplex import (
     E1,
@@ -172,3 +174,61 @@ def test_hyperbolic_bicomplex_embedding():
     x1, x4 = P.cartesian
     assert x1 == (1.25 - 0.5) / 2 and x4 == (1.25 + 0.5) / 2
     assert math.isclose(x1 + x4, 1.25) and math.isclose(x1 - x4, -0.5)
+
+
+_REALS = st.floats(-1e3, 1e3)
+_COMPLEX = st.builds(complex, _REALS, _REALS)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_COMPLEX, _COMPLEX, _REALS, _REALS, _COMPLEX, _REALS)
+def test_pair_operations_act_on_each_component(z1, z2, c1, c2, s, x):
+    """Every ring operation, reflected form and mixed-type case is the
+    operation on each component, bit for bit (compared by repr)."""
+    Z, P = Bicomplex(z1, z2), Hyperbolic(c1, c2)
+    cases = [
+        (Z + P, Bicomplex(z1 + c1, z2 + c2)),
+        (P + Z, Bicomplex(z1 + c1, z2 + c2)),
+        (Z - P, Bicomplex(z1 - c1, z2 - c2)),
+        (P - Z, Bicomplex(c1 - z1, c2 - z2)),
+        (Z * P, Bicomplex(z1 * c1, z2 * c2)),
+        (s - Z, Bicomplex(s - z1, s - z2)),
+        (Z - s, Bicomplex(z1 - s, z2 - s)),
+        (s * Z, Bicomplex(s * z1, s * z2)),
+        (Z + s, Bicomplex(z1 + s, z2 + s)),
+        (-Z, Bicomplex(-z1, -z2)),
+        (x - P, Hyperbolic(x - c1, x - c2)),
+        (P * x, Hyperbolic(c1 * x, c2 * x)),
+        (x + P, Hyperbolic(x + c1, x + c2)),
+        (-P, Hyperbolic(-c1, -c2)),
+    ]
+    for got, want in cases:
+        assert type(got) is type(want) and repr(got) == repr(want)
+    assert repr(Z) == f"Bicomplex({complex(z1)!r}, {complex(z2)!r})"
+    assert hash(Z) == hash((z1, z2)) and hash(P) == hash((c1, c2))
+    assert (Z == Bicomplex(z1, z2)) and (P == Hyperbolic(c1, c2))
+    assert (Z == s) == (z1 == s and z2 == s)
+    assert (P == Z) == (c1 == z1 and c2 == z2)
+
+
+def test_of_embeds_scalars_and_keeps_elements():
+    Z = Bicomplex(1j, 2.0)
+    assert Bicomplex.of(Z) is Z and Bicomplex.of(0.5j) == Bicomplex(0.5j, 0.5j)
+    P = Hyperbolic(1.0, 2.0)
+    assert Hyperbolic.of(P) is P and Hyperbolic.of(3) == Hyperbolic(3.0, 3.0)
+    assert Hyperbolic.from_scalar(2).decompose() == (2.0, 2.0)
+    with pytest.raises(TypeError):
+        Hyperbolic.of(Z)
+    with pytest.raises(ValidationError, match="^c1 must be finite, got nan$"):
+        Hyperbolic.of(math.nan)
+
+
+def test_pairs_are_immutable_and_refuse_other_operands():
+    for value, name in ((Bicomplex(1, 2), "Bicomplex"), (Hyperbolic(1, 2), "Hyperbolic")):
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            value.extra = 1
+        with pytest.raises(TypeError):
+            value + "x"
+        assert (value == "x") is False
+    with pytest.raises(TypeError):
+        Hyperbolic(1, 2) * 1j

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import fwstates
+from fwstates import cli
 from fwstates.cli import main
 from fwstates.foxwright import oracle_mittag_leffler
 
@@ -304,6 +305,26 @@ def test_measure_check_fail_exit4(files, capsys):
     )
     assert code == 4
     assert out.splitlines()[1].endswith(",fail")
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_measure_check_refuses_bad_tol(files, capsys, monkeypatch, tol):
+    # refused before any quadrature runs; it printed every row as fail, exit 4
+    monkeypatch.setattr(cli, "moment_check", lambda *a: pytest.fail("quadrature ran"))
+    code, out, err = run_cli(
+        capsys, "measure", "check", "--model", files["vacuum"], "--k", "0,1", "--tol", tol
+    )
+    assert (code, out, err) == (1, "", "error: tol must be > 0\n")
+
+
+def test_measure_check_with_a_zero_of_the_kernel_on_the_line(tmp_path, capsys):
+    # upper (0.25, 0.5) puts 1/Gamma(-0.25 + s/2) = 0 at the abscissa 0.5;
+    # this exited 3 with "kernel decays too slowly"
+    path = tmp_path / "pole.json"
+    path.write_text('{"upper": [[0.25, 0.0, 0.5]], "lower": [[1.0, 0.0, 1.0]]}\n')
+    code, out, err = run_cli(capsys, "measure", "check", "--model", str(path), "--k", "0..2")
+    assert (code, err) == (0, "")
+    assert [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]] == ["pass"] * 3
 
 
 def test_nu_eval_single(files, capsys):

@@ -9,13 +9,15 @@ from scipy import integrate as si
 
 from fwstates.bicomplex import Bicomplex, Hyperbolic
 from fwstates.coherent import BCCoherentModel, CoherentModel
-from fwstates.errors import DomainError, ValidationError
+from fwstates.errors import ContourFailure, DomainError, ValidationError
 from fwstates.foxwright import FWParams, oracle_mittag_leffler
 from fwstates.foxwright_bc import BCFWParams
 from fwstates.hfunction import (
+    DEFAULT_CONTOUR,
     MAX_NODES,
     ContourConfig,
     HWeightParams,
+    _contour_state,
     eval_h,
     measure_density,
     measure_density_b,
@@ -199,6 +201,45 @@ def test_hweight_params_validation():
     hp = HWeightParams.from_model(SHIFT)
     assert hp.upper == ((0.0, 1.0),)
     assert hp.lower == ((0.0, 1.0), (1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "upper, text",
+    [
+        ([1.0], "upper entries must be (value, weight) pairs"),
+        ([("x", 1.0)], "upper entry ('x', 1.0) is not a number pair"),
+        ([(0.5, "w")], "upper entry (0.5, 'w') is not a number pair"),
+        ([(1 + 1j, 0.5)], "upper offset must be real, got (1+1j)"),
+    ],
+)
+def test_malformed_pairs_are_validation_errors(upper, text):
+    # the first three were a raw TypeError or ValueError
+    with pytest.raises(ValidationError) as exc:
+        HWeightParams(upper, [(0.0, 1.0)])
+    assert str(exc.value) == text
+    if "offset" not in text:
+        with pytest.raises(ValidationError) as exc:
+            FWParams(upper)
+        assert str(exc.value) == text
+
+
+def test_kernel_zero_on_the_line_moves_only_that_line():
+    # 1/Gamma(-0.25 + s/2) vanishes at the level-0 abscissa 0.5
+    hp = HWeightParams([(-0.25, 0.5)], [(0.0, 1.0), (0.0, 1.0)])
+    assert _contour_state(hp, DEFAULT_CONTOUR, 0).c == 0.75
+    assert _contour_state(hp, DEFAULT_CONTOUR, 1).c == 4.5
+    assert _contour_state(hp, ContourConfig(c_offset=1.5), 0).c == 1.5
+    far = eval_h(hp, 0.3, ContourConfig(c_offset=1.5))
+    assert repr(far) == "0.0783073451765581"
+    assert eval_h(hp, 0.3) == pytest.approx(far, rel=1e-12, abs=0.0)
+
+
+def test_kernel_zero_on_both_lines_still_fails():
+    # 1/Gamma(-0.125 + s/4) vanishes at 0.5 and 1/Gamma(-0.1875 + s/4) at
+    # 0.75, the moved line; a second move is not tried
+    hp = HWeightParams([(-0.125, 0.25), (-0.1875, 0.25)], [(0.0, 1.0), (0.0, 1.0)])
+    with pytest.raises(ContourFailure, match="kernel decays too slowly"):
+        eval_h(hp, 0.3)
 
 
 def test_contour_config_validation():
