@@ -34,14 +34,20 @@ Scalar = Union[int, float, complex]
 
 
 def _check_finite_complex(value: complex, what: str) -> complex:
-    z = complex(value)
+    try:
+        z = complex(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must be a complex number, got {value!r}") from exc
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValidationError(f"{what} must be finite, got {z!r}")
     return z
 
 
 def _check_finite_real(value: float, what: str) -> float:
-    x = float(value)
+    try:
+        x = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must be a real number, got {value!r}") from exc
     if not math.isfinite(x):
         raise ValidationError(f"{what} must be finite, got {x!r}")
     return x

@@ -1,0 +1,312 @@
+"""Frozen copies of foxwright.evaluate, for the bit-identity tests.
+
+Each copy is evaluate() as it was before a change that had to keep every
+output bit; the tests compare the live routine with them, result for
+result and error for error.
+
+- evaluate_per_term: a per-term Python loop over uncached columns, in
+  blocks of 32 .. 512 terms (tests/test_foxwright.py).
+- evaluate_blocks: the 512-capped block loop with a concatenated cumsum,
+  np.errstate per block, np.arange for k and a pole write per lower
+  column, over columns grown by grow_columns with one log_gamma_vec call
+  per column (tests/test_states_bits.py).
+
+On the convergence circle both copies sum to max_terms and return the
+majorant tail.  evaluate still does that wherever its Levin route does
+not apply; takes_levin_route says which boundary calls leave the
+frozen copies, so those are checked against mpmath (gauss_psi) or
+against the capped sum within both bounds instead.
+"""
+
+import cmath
+import math
+from typing import NamedTuple
+
+import numpy as np
+
+from fwstates import foxwright
+from fwstates.errors import DomainViolation, MaxTermsExceeded, PoleError, ValidationError
+from fwstates.foxwright import (
+    EvalResult,
+    _abs,
+    _streak_end,
+    _term_zero,
+    boundary_exponent,
+    evaluate,
+    radius,
+)
+from fwstates.gammafn import log_gamma_vec, pole_mask
+
+
+def takes_levin_route(params, z, max_terms=10000):
+    """True if evaluate(params, z, allow_boundary=True, max_terms=...) sums
+    by Levin transforms rather than the capped sum of the frozen copies."""
+    z = complex(z)
+    r = radius(params)
+    if z == 0 or not 0.0 < r < math.inf or foxwright._circle_side(abs(z), r) != 0:
+        return False
+    if boundary_exponent(params).real <= 0.5 or max_terms < 1:
+        return False
+    with np.errstate(all="ignore"):
+        return foxwright._boundary_sum(params, z, cmath.log(z), max_terms, r) is not None
+
+
+def gauss_psi(params, z):
+    """psi(z) from mpmath's 2F1 at 30 digits, a route independent of the series.
+
+    A unit-weight model upper ((a1, 1), (a2, 1)), lower ((b, 1)) is
+    Gamma(a1) Gamma(a2) / Gamma(b) 2F1(a1, a2; b; z).  A model upper
+    ((a, 2)), lower ((b, 1)) has Gamma(a + 2k) = Gamma(a) 4^k (a/2)_k
+    ((a+1)/2)_k by Legendre's duplication, so it is Gamma(a) / Gamma(b)
+    2F1(a/2, (a+1)/2; b; 4z).
+    """
+    import mpmath
+
+    with mpmath.workdps(30):
+        z = mpmath.mpc(z)
+        ((b, _),) = params.lower
+        b = mpmath.mpc(b)
+        if len(params.upper) == 1:
+            ((a, A),) = params.upper
+            assert A == 2.0
+            a = mpmath.mpc(a)
+            value = mpmath.gamma(a) * mpmath.rgamma(b) * mpmath.hyp2f1(a / 2, (a + 1) / 2, b, 4 * z)
+        else:
+            a1, a2 = (mpmath.mpc(a) for a, _ in params.upper)
+            value = mpmath.gamma(a1) * mpmath.gamma(a2) * mpmath.rgamma(b) * mpmath.hyp2f1(a1, a2, b, z)
+        return complex(value)
+
+
+def assert_levin_within_capped(copy, params, z, **kwargs):
+    """A Levin-route result and a frozen copy's capped sum lie within the
+    sum of their two bounds of each other."""
+    got = evaluate(params, z, **kwargs)
+    capped = copy(params, z, **kwargs)
+    assert abs(got.value - capped.value) <= got.tail_bound + capped.tail_bound
+    return got
+
+
+# -- the per-term loop --------------------------------------------------------
+
+
+def _per_term_log_terms(params, log_z, ks):
+    kf = ks.astype(float)
+    acc = kf * log_z - log_gamma_vec(kf + 1.0)
+    for a, A in params.upper:
+        args = a + kf * A
+        bad = pole_mask(args)
+        if bad.any():
+            raise PoleError(
+                f"upper gamma pole at k={ks[bad][0]} (argument {args[bad][0]})"
+            )
+        acc = acc + log_gamma_vec(args)
+    for b, B in params.lower:
+        args = b + kf * B
+        acc = acc - log_gamma_vec(args)
+        bad = pole_mask(args)
+        if bad.any():
+            acc[bad] = complex(-math.inf, 0.0)
+    return acc
+
+
+def evaluate_per_term(params, z, tol=1e-14, max_terms=10000, allow_boundary=False):
+    """evaluate() as it was with a per-term Python loop and no caching."""
+    if tol <= 0:
+        raise ValidationError("tol must be > 0")
+    z = complex(z)
+    if z == 0:
+        return evaluate(params, z)
+    r = radius(params)
+    on_boundary = False
+    if not math.isinf(r):
+        az = abs(z)
+        if r == 0.0 or az > r * (1.0 + 1e-12):
+            raise DomainViolation("outside")
+        if az >= r * (1.0 - 1e-12):
+            if not allow_boundary or boundary_exponent(params).real <= 0.5:
+                raise DomainViolation("boundary")
+            on_boundary = True
+    log_z = cmath.log(z)
+    total = 0j
+    consec = 0
+    terms_used = 0
+    mag_hist = [0.0, 0.0, 0.0]
+    k0 = 0
+    block = 32
+    while k0 < max_terms:
+        ks = np.arange(k0, min(k0 + block, max_terms))
+        logt = _per_term_log_terms(params, log_z, ks)
+        if (logt.real > 709.0).any():
+            raise OverflowError("overflow")
+        with np.errstate(under="ignore", invalid="ignore"):
+            terms = np.exp(logt)
+        stopped = False
+        for i in range(len(ks)):
+            total += terms[i]
+            terms_used += 1
+            m = abs(terms[i])
+            mag_hist = [mag_hist[1], mag_hist[2], m]
+            if m <= tol * abs(total):
+                consec += 1
+            else:
+                consec = 0
+            if consec >= 3:
+                stopped = True
+                break
+        if stopped:
+            break
+        k0 += len(ks)
+        block = min(2 * block, 512)
+    else:
+        stopped = False
+    if not stopped and not on_boundary:
+        raise MaxTermsExceeded("max terms")
+    if on_boundary and not stopped:
+        lam_re = boundary_exponent(params).real
+        tail = abs(mag_hist[2]) * terms_used / (lam_re - 0.5)
+    else:
+        last = mag_hist[2]
+        prev = mag_hist[1]
+        ratio = last / prev if prev > 0 else 0.5
+        ratio = min(max(ratio, 0.0), 0.9)
+        tail = 4.0 * max(mag_hist) * ratio / (1.0 - ratio)
+        tail = max(tail, max(mag_hist))
+    return EvalResult(total, terms_used, tail)
+
+
+# -- the block loop -----------------------------------------------------------
+
+
+class RefColumns(NamedTuple):
+    n: int
+    log_fact: np.ndarray
+    upper: tuple
+    upper_poles: tuple
+    lower: tuple
+    lower_poles: tuple
+
+
+def _append(col, new):
+    return np.concatenate((col, new)) if col.size else new
+
+
+def grow_columns(params, cols, end):
+    """Column growth with one log_gamma_vec call and one pole mask per column."""
+    kf = np.arange(cols.n, end, dtype=float)
+    upper, upper_poles = [], []
+    for (a, A), col, pole in zip(params.upper, cols.upper, cols.upper_poles):
+        args = a + kf * A
+        if pole is None:
+            bad = np.flatnonzero(pole_mask(args))
+            if bad.size:
+                pole = (cols.n + int(bad[0]), args[bad[0]])
+        upper.append(_append(col, log_gamma_vec(args)))
+        upper_poles.append(pole)
+    lower, lower_poles = [], []
+    for (b, B), col, poles in zip(params.lower, cols.lower, cols.lower_poles):
+        args = b + kf * B
+        lower.append(_append(col, log_gamma_vec(args)))
+        lower_poles.append(_append(poles, pole_mask(args)))
+    return RefColumns(
+        end,
+        _append(cols.log_fact, log_gamma_vec(kf + 1.0)),
+        tuple(upper),
+        tuple(upper_poles),
+        tuple(lower),
+        tuple(lower_poles),
+    )
+
+
+def empty_columns(params):
+    empty = np.empty(0, dtype=complex)
+    return RefColumns(
+        0,
+        empty,
+        (empty,) * params.p,
+        (None,) * params.p,
+        (empty,) * params.q,
+        (np.empty(0, dtype=bool),) * params.q,
+    )
+
+
+def evaluate_blocks(params, z, tol=1e-14, max_terms=10000, allow_boundary=False):
+    """evaluate() with the block loop it had before: a concatenated cumsum,
+    np.errstate per block, np.arange for k and a pole write per lower column."""
+    if tol <= 0:
+        raise ValidationError("tol must be > 0")
+    z = complex(z)
+    if z == 0:
+        return EvalResult(_term_zero(params), 1, 0.0)
+    r = radius(params)
+    on_boundary = False
+    if not math.isinf(r):
+        az = abs(z)
+        if r == 0.0 or az > r * (1.0 + 1e-12):
+            raise DomainViolation(f"|z|={az:.6g} outside convergence radius {r:.6g}")
+        if az >= r * (1.0 - 1e-12):
+            lam = boundary_exponent(params)
+            if not allow_boundary:
+                raise DomainViolation(
+                    f"|z|={az:.6g} lies on the convergence circle (radius {r:.6g}); "
+                    "pass allow_boundary to evaluate under the Re(lambda) > 1/2 condition"
+                )
+            if lam.real <= 0.5:
+                raise DomainViolation(
+                    f"boundary evaluation needs Re(lambda) > 1/2, got {lam.real:.6g}"
+                )
+            on_boundary = True
+    log_z = cmath.log(z)
+    cols = empty_columns(params)
+    total = 0j
+    streak = 0
+    terms_used = 0
+    recent = np.empty(0, dtype=complex)
+    stopped = False
+    k0 = 0
+    block = 32
+    while k0 < max_terms and not stopped:
+        end = min(k0 + block, max_terms)
+        if cols.n < end:
+            cols = grow_columns(params, cols, end)
+        for pole in cols.upper_poles:
+            if pole is not None and pole[0] < end:
+                raise PoleError(f"upper gamma pole at k={pole[0]} (argument {pole[1]})")
+        logt = np.arange(k0, end, dtype=float) * log_z - cols.log_fact[k0:end]
+        for col in cols.upper:
+            logt = logt + col[k0:end]
+        for col, poles in zip(cols.lower, cols.lower_poles):
+            logt = logt - col[k0:end]
+            logt[poles[k0:end]] = complex(-math.inf, 0.0)
+        if (logt.real > 709.0).any():
+            raise OverflowError(
+                "series term exceeds the floating-point range; value not representable"
+            )
+        with np.errstate(under="ignore", invalid="ignore"):
+            terms = np.exp(logt)
+        sums = np.cumsum(np.concatenate(([total], terms)))[1:]
+        ok = _abs(terms) <= tol * _abs(sums)
+        stop, streak = _streak_end(ok, streak)
+        stopped = stop >= 0
+        used = stop + 1 if stopped else terms.size
+        total = sums[used - 1]
+        terms_used += used
+        summed = terms[:used]
+        recent = summed[-3:] if used >= 3 else np.concatenate((recent, summed))[-3:]
+        k0 = end
+        block = min(2 * block, 512)
+    mag_hist = [0.0] * (3 - recent.size) + [abs(t) for t in recent]
+    if not stopped and not on_boundary:
+        raise MaxTermsExceeded(
+            f"no convergence after {terms_used} terms (tol={tol:g}, |z|={abs(z):.6g})"
+        )
+    if on_boundary and not stopped:
+        lam_re = boundary_exponent(params).real
+        tail = abs(mag_hist[2]) * terms_used / (lam_re - 0.5)
+    else:
+        last = mag_hist[2]
+        prev = mag_hist[1]
+        ratio = last / prev if prev > 0 else 0.5
+        ratio = min(max(ratio, 0.0), 0.9)
+        tail = 4.0 * max(mag_hist) * ratio / (1.0 - ratio)
+        tail = max(tail, max(mag_hist))
+    return EvalResult(total, terms_used, tail)

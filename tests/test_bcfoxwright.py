@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from _frozen import gauss_psi, takes_levin_route
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -235,10 +236,12 @@ def test_ball_boundary_evaluation_when_predicate_holds():
     Z = Bicomplex(0.25, 0.25 * cmath.exp(0.7j))
     got = evaluate(params, Z, allow_boundary=True)
     for p in (1, 2):
-        ref = evaluate_c(
-            params.component_params(p), Z.decompose()[p - 1], allow_boundary=True
-        ).value
-        assert got.decompose()[p - 1] == ref
+        comp, zp = params.component_params(p), Z.decompose()[p - 1]
+        res = evaluate_c(comp, zp, allow_boundary=True)
+        assert got.decompose()[p - 1] == res.value
+        # each component takes the Levin route, checked against mpmath
+        assert takes_levin_route(comp, zp)
+        assert abs(res.value - gauss_psi(comp, zp)) <= res.tail_bound <= 1e-6 * abs(res.value)
 
 
 def test_ball_boundary_cases_rejected():
@@ -270,9 +273,12 @@ def test_ball_majorant_tail_is_cauchy():
         assert m[K : 20 * K].sum() <= tail <= 2.0 * m[K:].sum()
     ratio = (m[199999] * 200000) / (m[99999] * 100000)
     assert abs(ratio - 2.0**-0.7) < 2e-5
-    # and the actual boundary partial sums are consistent with it
-    r1 = evaluate_c(params, 0.25, allow_boundary=True, max_terms=5000)
-    r2 = evaluate_c(params, 0.25, allow_boundary=True, max_terms=10000)
+    # and the actual boundary partial sums are consistent with it; a phase
+    # below the Levin route's keeps the capped sums at z = 0.25 e^{0.01i}
+    z = 0.25 * cmath.exp(0.01j)
+    r1 = evaluate_c(params, z, allow_boundary=True, max_terms=5000)
+    r2 = evaluate_c(params, z, allow_boundary=True, max_terms=10000)
+    assert (r1.terms_used, r2.terms_used) == (5000, 10000)
     assert abs(r1.value - r2.value) <= r1.tail_bound
 
 

@@ -217,8 +217,10 @@ def test_of_embeds_scalars_and_keeps_elements():
     P = Hyperbolic(1.0, 2.0)
     assert Hyperbolic.of(P) is P and Hyperbolic.of(3) == Hyperbolic(3.0, 3.0)
     assert Hyperbolic.from_scalar(2).decompose() == (2.0, 2.0)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValidationError, match="^c1 must be a real number, got Bicomplex"):
         Hyperbolic.of(Z)
+    with pytest.raises(ValidationError, match="^z1 must be a complex number, got 'x'$"):
+        Bicomplex("x", 0)
     with pytest.raises(ValidationError, match="^c1 must be finite, got nan$"):
         Hyperbolic.of(math.nan)
 

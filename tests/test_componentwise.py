@@ -10,7 +10,7 @@ import warnings
 
 import pytest
 
-from fwstates.bicomplex import Bicomplex, Hyperbolic
+from fwstates.bicomplex import Bicomplex, Hyperbolic, pow_real
 from fwstates.coherent import (
     BCCoherentModel,
     BCStateVector,
@@ -142,6 +142,22 @@ def test_argument_outside_dplus_names_component(bc_fn, W, p):
     # the complex routine rejects the negative component itself
     with pytest.raises(ValidationError, match=f"^component {p}: "):
         bc_fn(HEAVY, W)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda X: nu_bicomplex(HEAVY, X),
+        lambda X: measure_density_b(HEAVY, X),
+        lambda X: pow_real(H(2.0, 3.0), X),
+    ],
+    ids=["nu_bicomplex", "measure_density_b", "pow_real"],
+)
+@pytest.mark.parametrize("X", [Bicomplex(1, 2), 0.5 + 1j, "x"], ids=repr)
+def test_non_hyperbolic_argument_is_a_validation_error(call, X):
+    # Hyperbolic.of(X) raised float()'s TypeError or ValueError here
+    with pytest.raises(ValidationError, match="^c1 must be a real number, got "):
+        call(X)
 
 
 def test_nu_bicomplex_overflow_names_component():

@@ -5,9 +5,16 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
+from _frozen import (
+    assert_levin_within_capped,
+    evaluate_per_term,
+    gauss_psi,
+    takes_levin_route,
+)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +28,6 @@ from fwstates.errors import (
     ValidationError,
 )
 from fwstates.foxwright import (
-    EvalResult,
     FWParams,
     _abs,
     _column_cache,
@@ -39,8 +45,7 @@ from fwstates.foxwright import (
 )
 from fwstates.foxwright_bc import BCFWParams
 from fwstates.foxwright_bc import evaluate as evaluate_bc
-from fwstates.gammafn import log_gamma_ratio, log_gamma_vec
-from fwstates.gammafn import pole_mask as _pole_mask
+from fwstates.gammafn import log_gamma_ratio
 
 # 50-digit mpmath sums, frozen
 GENERIC_PARAMS = FWParams(upper=[(0.7, 1.3)], lower=[(1.2, 0.9), (0.8, 1.1)])
@@ -198,10 +203,9 @@ def test_boundary_refused_by_default():
 def test_boundary_allowed_when_exponent_large():
     res = evaluate(BOUNDARY_PARAMS, 0.25, allow_boundary=True)
     err = abs(res.value - BOUNDARY_VALUE)
-    # polynomial k^-1.7 tail: the majorant bound must cover the truncation
-    assert err <= 3.0 * res.tail_bound
-    assert res.tail_bound < 5e-3
-    assert err < 2e-3
+    # polynomial k^-1.7 tail, summed by Levin transforms: the bound covers
+    # the error, and both are far below the 10,000-term majorant's 1.7e-3
+    assert err <= res.tail_bound <= 1e-6 * abs(res.value)
 
 
 def test_boundary_rejected_when_exponent_small():
@@ -239,92 +243,75 @@ def test_param_validation():
         evaluate(FWParams(upper=[], lower=[]), 1.0, tol=0.0)
 
 
+# -- the Levin route on the convergence circle -------------------------------
+
+
+def _assert_levin_covers(params, z, ref, **kwargs):
+    """The Levin route: the error is within tail_bound, itself within 1e-6 |value|."""
+    assert takes_levin_route(params, z, kwargs.get("max_terms", 10000))
+    res = evaluate(params, z, allow_boundary=True, **kwargs)
+    assert abs(res.value - ref) <= res.tail_bound <= 1e-6 * abs(res.value)
+    assert res.terms_used < 100
+    return res
+
+
+GAUSS_A = FWParams(upper=[(0.5, 1.0), (0.7, 1.0)], lower=[(2.0, 1.0)])
+
+# the boundary points FIXED_CASES held before the Levin route took them
+LEVIN_CASES = [
+    (BOUNDARY_PARAMS, 0.25, {}),
+    (BOUNDARY_PARAMS, 0.25j, {"max_terms": 700}),
+    (BOUNDARY_PARAMS, -0.25j, {}),
+    (GAUSS_A, -1.0, {}),
+    (GAUSS_A, cmath.exp(0.3j), {"max_terms": 1000}),
+]
+
+
+@pytest.mark.parametrize("case", range(len(LEVIN_CASES)))
+def test_levin_route_matches_mpmath(case):
+    params, z, kwargs = LEVIN_CASES[case]
+    _assert_levin_covers(params, z, gauss_psi(params, z), **kwargs)
+    assert gauss_psi(BOUNDARY_PARAMS, 0.25) == pytest.approx(BOUNDARY_VALUE, rel=1e-15)
+
+
+@pytest.mark.parametrize("lam", [0.6, 0.7, 0.8, 1.5])
+def test_levin_route_at_v_matches_gauss_closed_form(lam):
+    # 2F1(1, 1; b; 1) / Gamma(b) = Gamma(b - 2) / Gamma(b - 1)^2 with
+    # b = lambda + 3/2; at lambda = 0.7 the 10,000-term majorant
+    # 0.79243708714653 lay below the capped sum's error 0.79243708715044
+    b = lam + 1.5
+    params = FWParams(upper=[(1.0, 1.0), (1.0, 1.0)], lower=[(b, 1.0)])
+    assert abs(boundary_exponent(params) - lam) < 1e-15
+    with mpmath.workdps(30):
+        bm = mpmath.mpf(b)
+        ref = float(mpmath.gamma(bm - 2) / mpmath.gamma(bm - 1) ** 2)
+    _assert_levin_covers(params, 1.0, ref)
+
+
+# 2F1 models a1 = 0.6, a2 = 0.45 + 0.2j, b = a1 + a2 + lambda - 1/2
+_LAMBDAS = st.sampled_from([0.55, 0.6, 0.7, 0.8, 1.0, 1.5, 2.5, 1.2 - 0.7j])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    lam=_LAMBDAS,
+    phase=st.floats(-math.pi, math.pi),
+    model=st.sampled_from(["2F1", "duplication"]),
+)
+@example(lam=0.7, phase=0.0, model="duplication")  # z = V: the frozen 19 digits
+def test_boundary_tail_bound_covers_mpmath(lam, phase, model):
+    if model == "duplication":
+        params = BOUNDARY_PARAMS
+    else:
+        a1, a2 = 0.6, 0.45 + 0.2j
+        params = FWParams(upper=[(a1, 1.0), (a2, 1.0)], lower=[(a1 + a2 + lam - 0.5, 1.0)])
+    z = radius(params) * cmath.exp(1j * phase)
+    res = evaluate(params, z, allow_boundary=True)
+    ref = BOUNDARY_VALUE if params == BOUNDARY_PARAMS and phase == 0.0 else gauss_psi(params, z)
+    assert abs(res.value - ref) <= res.tail_bound
+
+
 # -- the block kernel against the per-term loop it replaced ---------------
-
-
-def _reference_log_terms(params, log_z, ks):
-    kf = ks.astype(float)
-    acc = kf * log_z - log_gamma_vec(kf + 1.0)
-    for a, A in params.upper:
-        args = a + kf * A
-        bad = _pole_mask(args)
-        if bad.any():
-            raise PoleError(
-                f"upper gamma pole at k={ks[bad][0]} (argument {args[bad][0]})"
-            )
-        acc = acc + log_gamma_vec(args)
-    for b, B in params.lower:
-        args = b + kf * B
-        acc = acc - log_gamma_vec(args)
-        bad = _pole_mask(args)
-        if bad.any():
-            acc[bad] = complex(-math.inf, 0.0)
-    return acc
-
-
-def _reference_evaluate(params, z, tol=1e-14, max_terms=10000, allow_boundary=False):
-    """evaluate() as it was with a per-term Python loop and no caching."""
-    if tol <= 0:
-        raise ValidationError("tol must be > 0")
-    z = complex(z)
-    if z == 0:
-        return evaluate(params, z)
-    r = radius(params)
-    on_boundary = False
-    if not math.isinf(r):
-        az = abs(z)
-        if r == 0.0 or az > r * (1.0 + 1e-12):
-            raise DomainViolation("outside")
-        if az >= r * (1.0 - 1e-12):
-            if not allow_boundary or boundary_exponent(params).real <= 0.5:
-                raise DomainViolation("boundary")
-            on_boundary = True
-    log_z = cmath.log(z)
-    total = 0j
-    consec = 0
-    terms_used = 0
-    mag_hist = [0.0, 0.0, 0.0]
-    k0 = 0
-    block = 32
-    while k0 < max_terms:
-        ks = np.arange(k0, min(k0 + block, max_terms))
-        logt = _reference_log_terms(params, log_z, ks)
-        if (logt.real > 709.0).any():
-            raise OverflowError("overflow")
-        with np.errstate(under="ignore", invalid="ignore"):
-            terms = np.exp(logt)
-        stopped = False
-        for i in range(len(ks)):
-            total += terms[i]
-            terms_used += 1
-            m = abs(terms[i])
-            mag_hist = [mag_hist[1], mag_hist[2], m]
-            if m <= tol * abs(total):
-                consec += 1
-            else:
-                consec = 0
-            if consec >= 3:
-                stopped = True
-                break
-        if stopped:
-            break
-        k0 += len(ks)
-        block = min(2 * block, 512)
-    else:
-        stopped = False
-    if not stopped and not on_boundary:
-        raise MaxTermsExceeded("max terms")
-    if on_boundary and not stopped:
-        lam_re = boundary_exponent(params).real
-        tail = abs(mag_hist[2]) * terms_used / (lam_re - 0.5)
-    else:
-        last = mag_hist[2]
-        prev = mag_hist[1]
-        ratio = last / prev if prev > 0 else 0.5
-        ratio = min(max(ratio, 0.0), 0.9)
-        tail = 4.0 * max(mag_hist) * ratio / (1.0 - ratio)
-        tail = max(tail, max(mag_hist))
-    return EvalResult(total, terms_used, tail)
 
 
 def _outcome(fn, *args, **kwargs):
@@ -336,8 +323,13 @@ def _outcome(fn, *args, **kwargs):
 
 
 def _assert_same_as_reference(params, z, **kwargs):
+    """Bit identity with the frozen per-term loop, except on the Levin route."""
+    if kwargs.get("allow_boundary") and takes_levin_route(
+        params, z, kwargs.get("max_terms", 10000)
+    ):
+        return repr(assert_levin_within_capped(evaluate_per_term, params, z, **kwargs))
     got = _outcome(evaluate, params, z, **kwargs)
-    assert got == _outcome(_reference_evaluate, params, z, **kwargs)
+    assert got == _outcome(evaluate_per_term, params, z, **kwargs)
     return got
 
 
@@ -350,13 +342,15 @@ FIXED_CASES = [
     (FWParams(upper=[(1.0, 1.0)], lower=[(1.0, 1.0)]), -20.0, {}),
     (FWParams(upper=[(1.3, 0.8)], lower=[(2.1, 1.1)]), -6.0 + 3.0j, {}),
     (FWParams(upper=[], lower=[(1.5, 1.0)]), -2.25, {}),
-    # on the convergence circle: runs to max_terms with the majorant tail
-    (BOUNDARY_PARAMS, 0.25, {"allow_boundary": True}),
-    (BOUNDARY_PARAMS, 0.25j, {"allow_boundary": True, "max_terms": 700}),
+    # on the convergence circle where the capped sum still runs to
+    # max_terms with the majorant tail: max_terms below K + 1, a phase
+    # below _LEVIN_MIN_PHASE, max_terms short of the second window
+    (BOUNDARY_PARAMS, 0.25, {"allow_boundary": True, "max_terms": 30}),
+    (BOUNDARY_PARAMS, 0.25 * cmath.exp(0.01j), {"allow_boundary": True, "max_terms": 700}),
     (
         FWParams(upper=[(0.5, 1.0), (0.7, 1.0)], lower=[(2.0, 1.0)]),
         -1.0,
-        {"allow_boundary": True},
+        {"allow_boundary": True, "max_terms": 44},
     ),
     # a lower pole nulls term k = 1; an upper pole at k = 3 raises
     (FWParams(upper=[(1.0, 1.0)], lower=[(-1.5, 1.0)]), 0.7 + 0.6j, {}),
@@ -404,6 +398,13 @@ def test_magnitudes_match_scalar_abs():
     x = (rng.standard_normal(20000) + 1j * rng.standard_normal(20000)) * scale
     x[::5] = x[::5].real
     assert _abs(x).tolist() == [abs(t) for t in x]
+
+
+def test_fixed_boundary_cases_keep_the_capped_sum():
+    boundary = [(p, z, kw) for p, z, kw in FIXED_CASES if kw.get("allow_boundary")]
+    assert len(boundary) == 3
+    for params, z, kwargs in boundary:
+        assert not takes_levin_route(params, z, kwargs.get("max_terms", 10000))
 
 
 def test_fixed_cases_cover_every_outcome():
@@ -495,11 +496,23 @@ def test_columns_stop_at_max_terms():
     with pytest.raises(MaxTermsExceeded):
         evaluate(params, 0.999, max_terms=100)
     assert cache.cols.n == 100
-    res = evaluate(params, -1.0, allow_boundary=True, max_terms=1000)
+    # a phase below _LEVIN_MIN_PHASE keeps the capped sum, to max_terms
+    res = evaluate(params, cmath.exp(0.01j), allow_boundary=True, max_terms=1000)
     assert res.terms_used == 1000 and cache.cols.n == 1000
     cols = cache.cols
     for col in (cols.log_fact, *cols.upper, *cols.lower, *cols.lower_poles):
         assert col.shape == (1000,)
+
+
+def test_levin_route_grows_the_table_only_to_its_windows():
+    # windows from n0 = 3 and n1 = 14, so the route reads 45 terms
+    params = FWParams(upper=[(0.9, 1.0), (0.65, 1.0)], lower=[(1.85, 1.0)])
+    cache = _column_cache(params)
+    res = evaluate(params, -1.0, allow_boundary=True, max_terms=44)
+    assert res.terms_used == 44 and cache.cols.n == 44  # the capped sum
+    assert takes_levin_route(params, -1.0, 45) and cache.cols.n == 45
+    res = evaluate(params, -1.0, allow_boundary=True)
+    assert res.terms_used < 45 and cache.cols.n == 45
 
 
 def test_concurrent_evaluation_matches_serial():
@@ -516,10 +529,17 @@ def test_concurrent_evaluation_matches_serial():
         for z in (0.4, -0.7 + 0.2j, 1.0j)
         for max_terms in (10000, 300, 2000)
     ]
+    # the frozen copy, or on the Levin route (every job at 1.0j) the
+    # serial result, checked against that copy's capped sum
     expect = [
-        _outcome(_reference_evaluate, p, z, max_terms=m, allow_boundary=True)
+        repr(assert_levin_within_capped(evaluate_per_term, p, z, max_terms=m, allow_boundary=True))
+        if takes_levin_route(p, z, m)
+        else _outcome(evaluate_per_term, p, z, max_terms=m, allow_boundary=True)
         for p, z, m in jobs
     ]
+    assert sum(takes_levin_route(p, z, m) for p, z, m in jobs) == 18
+    _column_cache.cache_clear()
+    foxwright._boundary_plan.cache_clear()
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -599,7 +619,8 @@ def test_screen_never_hides_a_small_term(block):
 
 def test_screen_skips_the_exact_test_on_long_boundary_blocks(monkeypatch):
     # 10,000 terms in blocks of 32 .. 512 (five exact tests), then 1024,
-    # 2048, 4096 and 1840 terms, which the screen settles
+    # 2048, 4096 and 1840 terms, which the screen settles; the phase lies
+    # below _LEVIN_MIN_PHASE, so the capped sum runs
     calls = []
 
     def counted(x):
@@ -607,9 +628,11 @@ def test_screen_skips_the_exact_test_on_long_boundary_blocks(monkeypatch):
         return _abs(x)
 
     params = FWParams(upper=[(0.5, 1.0), (0.7, 1.0)], lower=[(2.0, 1.0)])
-    want = repr(evaluate(params, cmath.exp(0.3j), allow_boundary=True))
+    z = cmath.exp(0.01j)
+    assert not takes_levin_route(params, z)
+    want = repr(evaluate(params, z, allow_boundary=True))
     monkeypatch.setattr(foxwright, "_abs", counted)
-    assert repr(evaluate(params, cmath.exp(0.3j), allow_boundary=True)) == want
+    assert repr(evaluate(params, z, allow_boundary=True)) == want
     assert calls == [32, 32, 64, 64, 128, 128, 256, 256, 512, 512]
 
 

@@ -12,6 +12,7 @@ integrand call per side of the midpoint.  Every output, every error
 text and the level where an error is raised must match them bit for bit.
 """
 
+import cmath
 import math
 from functools import lru_cache
 
@@ -199,6 +200,8 @@ def _clear_memos():
         continuum._log_rho_node,
         continuum._rho_grid,
         foxwright._column_cache,
+        foxwright._boundary_plan,
+        foxwright._log_coefficient_modulus,
     ):
         memo.cache_clear()
 
@@ -515,13 +518,16 @@ def test_measure_outputs_match_frozen_copies(model, k, zeta, r, x):
 _GAUSS_B = FWParams([(0.6, 1.0), (0.8, 1.0)], [(1.9, 1.0)])
 _BOUNDARY = FWParams([(0.5, 1.0), (0.7, 1.0)], [(2.0, 1.0)])  # Delta = 0, Re lambda = 0.8
 _SERIES_OUTPUTS = {
-    # 10,000 terms: the column table grows in chunks that take the row sum
-    "boundary": lambda: evaluate(_BOUNDARY, complex(0.6, 0.8), allow_boundary=True),
+    # 10,000 terms: the column table grows in chunks that take the row sum;
+    # phases below foxwright._LEVIN_MIN_PHASE keep the capped sum
+    "boundary": lambda: evaluate(_BOUNDARY, cmath.exp(0.01j), allow_boundary=True),
     "bicomplex": lambda: evaluate_bc(
         BCFWParams.from_components(_BOUNDARY, _GAUSS_B),
-        compose_idempotent(complex(0.6, 0.8), -1.0),
+        compose_idempotent(cmath.exp(0.01j), cmath.exp(-0.015j)),
         allow_boundary=True,
     ),
+    # the Levin route reads 45 terms from the same table
+    "boundary_levin": lambda: evaluate(_BOUNDARY, complex(0.6, 0.8), allow_boundary=True),
     "make_state": lambda: make_state(CoherentModel(FWParams([(1.1, 0.9)], [(2.0, 0.6)]), 8), 3.5j),
     "f_factor": lambda: coherent.f_factor(_WRIGHT, np.arange(700)),
     "log_gamma_ratio": lambda: gammafn.log_gamma_ratio(0.3 + 1j, 0.7, np.arange(300)),

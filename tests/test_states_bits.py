@@ -7,182 +7,44 @@ second `_log_rho_vec` call; the evaluate block loop seeds its cumsum by
 adding the carried total to the first term, enters np.errstate once per
 call, takes k from the cache and skips the pole write for lower columns
 without a pole; log_gamma_ratio screens every argument for poles with
-one array test.  The references below are frozen copies of the routes
-before those changes, and every output must match them bit for bit.
+one array test.  The references are frozen copies of the routes before
+those changes (the evaluate loop and its column growth in _frozen.py),
+and every output must match them bit for bit.  The one exception is a
+boundary sum that evaluate now takes by Levin transforms: it must lie
+within both bounds of the frozen capped sum.
 """
 
 import cmath
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from typing import NamedTuple
 
 import numpy as np
 import pytest
+from _frozen import (
+    assert_levin_within_capped,
+    empty_columns,
+    evaluate_blocks,
+    grow_columns,
+    takes_levin_route,
+)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fwstates import coherent
 from fwstates.coherent import CoherentModel, StateVector, make_state, normalization
-from fwstates.errors import (
-    DomainViolation,
-    FWError,
-    MaxTermsExceeded,
-    PoleError,
-    TruncationError,
-    ValidationError,
-)
+from fwstates.errors import FWError, PoleError, TruncationError, ValidationError
 from fwstates.foxwright import (
-    EvalResult,
     FWParams,
-    _abs,
     _column_cache,
     _ColumnCache,
-    _streak_end,
-    _term_zero,
-    boundary_exponent,
     evaluate,
     log_gamma_rows,
     radius,
 )
-from fwstates.gammafn import is_gamma_pole, log_gamma_ratio, log_gamma_vec, pole_mask
+from fwstates.gammafn import is_gamma_pole, log_gamma_ratio
 
 # -- frozen references ------------------------------------------------------
-
-
-class _RefColumns(NamedTuple):
-    n: int
-    log_fact: np.ndarray
-    upper: tuple
-    upper_poles: tuple
-    lower: tuple
-    lower_poles: tuple
-
-
-def _ref_append(col, new):
-    return np.concatenate((col, new)) if col.size else new
-
-
-def _ref_grow(params, cols, end):
-    """Column growth with one log_gamma_vec call and one pole mask per column."""
-    kf = np.arange(cols.n, end, dtype=float)
-    upper, upper_poles = [], []
-    for (a, A), col, pole in zip(params.upper, cols.upper, cols.upper_poles):
-        args = a + kf * A
-        if pole is None:
-            bad = np.flatnonzero(pole_mask(args))
-            if bad.size:
-                pole = (cols.n + int(bad[0]), args[bad[0]])
-        upper.append(_ref_append(col, log_gamma_vec(args)))
-        upper_poles.append(pole)
-    lower, lower_poles = [], []
-    for (b, B), col, poles in zip(params.lower, cols.lower, cols.lower_poles):
-        args = b + kf * B
-        lower.append(_ref_append(col, log_gamma_vec(args)))
-        lower_poles.append(_ref_append(poles, pole_mask(args)))
-    return _RefColumns(
-        end,
-        _ref_append(cols.log_fact, log_gamma_vec(kf + 1.0)),
-        tuple(upper),
-        tuple(upper_poles),
-        tuple(lower),
-        tuple(lower_poles),
-    )
-
-
-def _ref_empty(params):
-    empty = np.empty(0, dtype=complex)
-    return _RefColumns(
-        0,
-        empty,
-        (empty,) * params.p,
-        (None,) * params.p,
-        (empty,) * params.q,
-        (np.empty(0, dtype=bool),) * params.q,
-    )
-
-
-def _ref_evaluate(params, z, tol=1e-14, max_terms=10000, allow_boundary=False):
-    """evaluate() with the block loop it had before: a concatenated cumsum,
-    np.errstate per block, np.arange for k and a pole write per lower column."""
-    if tol <= 0:
-        raise ValidationError("tol must be > 0")
-    z = complex(z)
-    if z == 0:
-        return EvalResult(_term_zero(params), 1, 0.0)
-    r = radius(params)
-    on_boundary = False
-    if not math.isinf(r):
-        az = abs(z)
-        if r == 0.0 or az > r * (1.0 + 1e-12):
-            raise DomainViolation(f"|z|={az:.6g} outside convergence radius {r:.6g}")
-        if az >= r * (1.0 - 1e-12):
-            lam = boundary_exponent(params)
-            if not allow_boundary:
-                raise DomainViolation(
-                    f"|z|={az:.6g} lies on the convergence circle (radius {r:.6g}); "
-                    "pass allow_boundary to evaluate under the Re(lambda) > 1/2 condition"
-                )
-            if lam.real <= 0.5:
-                raise DomainViolation(
-                    f"boundary evaluation needs Re(lambda) > 1/2, got {lam.real:.6g}"
-                )
-            on_boundary = True
-    log_z = cmath.log(z)
-    cols = _ref_empty(params)
-    total = 0j
-    streak = 0
-    terms_used = 0
-    recent = np.empty(0, dtype=complex)
-    stopped = False
-    k0 = 0
-    block = 32
-    while k0 < max_terms and not stopped:
-        end = min(k0 + block, max_terms)
-        if cols.n < end:
-            cols = _ref_grow(params, cols, end)
-        for pole in cols.upper_poles:
-            if pole is not None and pole[0] < end:
-                raise PoleError(f"upper gamma pole at k={pole[0]} (argument {pole[1]})")
-        logt = np.arange(k0, end, dtype=float) * log_z - cols.log_fact[k0:end]
-        for col in cols.upper:
-            logt = logt + col[k0:end]
-        for col, poles in zip(cols.lower, cols.lower_poles):
-            logt = logt - col[k0:end]
-            logt[poles[k0:end]] = complex(-math.inf, 0.0)
-        if (logt.real > 709.0).any():
-            raise OverflowError(
-                "series term exceeds the floating-point range; value not representable"
-            )
-        with np.errstate(under="ignore", invalid="ignore"):
-            terms = np.exp(logt)
-        sums = np.cumsum(np.concatenate(([total], terms)))[1:]
-        ok = _abs(terms) <= tol * _abs(sums)
-        stop, streak = _streak_end(ok, streak)
-        stopped = stop >= 0
-        used = stop + 1 if stopped else terms.size
-        total = sums[used - 1]
-        terms_used += used
-        summed = terms[:used]
-        recent = summed[-3:] if used >= 3 else np.concatenate((recent, summed))[-3:]
-        k0 = end
-        block = min(2 * block, 512)
-    mag_hist = [0.0] * (3 - recent.size) + [abs(t) for t in recent]
-    if not stopped and not on_boundary:
-        raise MaxTermsExceeded(
-            f"no convergence after {terms_used} terms (tol={tol:g}, |z|={abs(z):.6g})"
-        )
-    if on_boundary and not stopped:
-        lam_re = boundary_exponent(params).real
-        tail = abs(mag_hist[2]) * terms_used / (lam_re - 0.5)
-    else:
-        last = mag_hist[2]
-        prev = mag_hist[1]
-        ratio = last / prev if prev > 0 else 0.5
-        ratio = min(max(ratio, 0.0), 0.9)
-        tail = 4.0 * max(mag_hist) * ratio / (1.0 - ratio)
-        tail = max(tail, max(mag_hist))
-    return EvalResult(total, terms_used, tail)
 
 
 def _ref_make_state(model, z, tail_target=1e-12):
@@ -267,10 +129,10 @@ def _params(draw):
 @example(FWParams(upper=[(1.0, 1.0)], lower=[(-2.5, 1.0), (-0.5, 0.25)]), [1, 2, 33])
 def test_grow_matches_per_column_growth(params, ends):
     cache = _ColumnCache(params)
-    ref = _ref_empty(params)
+    ref = empty_columns(params)
     for end in sorted(ends):
         cols = cache.upto(end)
-        ref = _ref_grow(params, ref, end) if ref.n < end else ref
+        ref = grow_columns(params, ref, end) if ref.n < end else ref
         assert cols.n == ref.n
         assert _bits(cols.k) == _bits(np.arange(cols.n, dtype=float))
         assert _bits(cols.log_fact) == _bits(ref.log_fact)
@@ -350,7 +212,7 @@ def test_concurrent_states_and_sums_share_the_table():
         for i in range(6)
     ]
     jobs = [(m, z) for m in models for z in (0.3, 1.5 - 0.7j, 2.2j)]
-    expect = [(_outcome(_ref_make_state, m, z), _outcome(_ref_evaluate, m.params, -4 * z))
+    expect = [(_outcome(_ref_make_state, m, z), _outcome(evaluate_blocks, m.params, -4 * z))
               for m, z in jobs]
     _column_cache.cache_clear()
 
@@ -389,10 +251,16 @@ def test_block_loop_matches_parent_loop(params, scale, angle, tol, max_terms, al
         modulus = 40.0 * scale
     z = modulus * cmath.exp(1j * angle)
     kwargs = dict(tol=tol, max_terms=max_terms, allow_boundary=allow_boundary)
-    want = _outcome(_ref_evaluate, params, z, **kwargs)
+    if allow_boundary and takes_levin_route(params, z, max_terms):
+        assert_levin_within_capped(evaluate_blocks, params, z, **kwargs)
+        return
+    want = _outcome(evaluate_blocks, params, z, **kwargs)
     _column_cache.cache_clear()
     assert _outcome(evaluate, params, z, **kwargs) == want
     assert _outcome(evaluate, params, z, **kwargs) == want
+
+
+_CAPPED = {"allow_boundary": True, "max_terms": 44}
 
 
 @pytest.mark.parametrize(
@@ -402,9 +270,10 @@ def test_block_loop_matches_parent_loop(params, scale, angle, tol, max_terms, al
         (FWParams(upper=[(0.7, 1.3)], lower=[(1.2, 0.9), (0.8, 1.1)]), 2.5 + 1.5j, {}),
         (FWParams(upper=[(0.7, 1.3)], lower=[(1.2, 0.9), (0.8, 1.1)]), -30.0 + 4.0j, {}),
         (FWParams(upper=[], lower=[(1.5, 0.7)]), -12.0, {}),
-        # boundary sums that stop at max_terms, with their tail majorant
-        (FWParams(upper=[(0.8, 2.0)], lower=[(2.0, 1.0)]), 0.25, {"allow_boundary": True}),
-        (FWParams(upper=[(0.8, 2.0)], lower=[(2.0, 1.0)]), -0.25j, {"allow_boundary": True}),
+        # boundary sums that stop at max_terms, with their tail majorant:
+        # 44 terms cannot hold the Levin route's second window
+        (FWParams(upper=[(0.8, 2.0)], lower=[(2.0, 1.0)]), 0.25, _CAPPED),
+        (FWParams(upper=[(0.8, 2.0)], lower=[(2.0, 1.0)]), -0.25j, _CAPPED),
         # lower poles null terms in the middle of a block; -1.5 + 0.5 k
         # lands on -1 and 0, where log_gamma_vec is finite, so only the
         # pole write zeroes those terms
@@ -414,7 +283,8 @@ def test_block_loop_matches_parent_loop(params, scale, angle, tol, max_terms, al
     ],
 )
 def test_block_loop_matches_parent_loop_on_fixed_points(params, z, kwargs):
-    want = _outcome(_ref_evaluate, params, z, **kwargs)
+    assert not (kwargs and takes_levin_route(params, z, kwargs["max_terms"]))
+    want = _outcome(evaluate_blocks, params, z, **kwargs)
     assert want[0][0] == "complex128"  # a sum, not an error
     assert _outcome(evaluate, params, z, **kwargs) == want
 
