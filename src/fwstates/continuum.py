@@ -26,23 +26,26 @@ which take any real argument >= 0; the integrands use the array form
 `coherent._log_rho_vec`.  nu_bicomplex runs nu per idempotent component
 through `bicomplex.componentwise`.
 
-Gauss-Kronrod calls its integrand one node at a time, and the nodes recur
-from call to call, because the upper limit comes from the fixed ladder
-8 * 1.5^j.  So the one-node integrand takes log rho(E) from a 4,096-entry
-LRU keyed on (params, E) (`_log_rho_node`; K does not enter rho), and
-_e_max takes its 257-point log-rho grid from a 128-entry LRU keyed on
-(params, hi) (`_rho_grid`), since that grid does not depend on zeta.  A hit
-returns the stored float64 values, so every output keeps its bits.
-Tanh-sinh node arrays are not cached: they hold up to 8,192 nodes, so a
-bound on the entry count would not bound the memory.
+Nothing a nu quadrature needs but zeta^E depends on zeta, and the ranges
+[0, hi] recur from call to call, because hi comes from the fixed ladder
+8 * 1.5^j.  So each (params, hi) has one node table (`_NodeTable`; K does
+not enter rho): _e_max's 257-point log-rho grid, log rho at every
+Gauss-Kronrod node met so far, and per tanh-sinh level its weights, its
+nodes and log rho on them, built on first use.  A nu call then forms only
+exp(E log zeta - log rho).  The tables sit in one LRU (`_node_table`)
+bounded by their retained bytes, not by their count, since a range taken
+to the last tanh-sinh level holds 32,768 nodes.  A hit returns the stored
+float64 values, and the one-node integrand's numpy-scalar arithmetic has
+the bits of the array form on [E], so every output keeps its bits.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -57,6 +60,14 @@ from .foxwright import FWParams
 MAX_SUBDIVISIONS = 200
 E_MAX_DROP = 40.0
 _TS_MAX_LEVEL = 12
+
+# the node tables' retained bytes: at most _TABLE_BYTES, counting each table
+# as _TABLE_FIXED_BYTES (object, dicts, array headers) plus its arrays' data
+# plus _GK_ENTRY_BYTES per Gauss-Kronrod node (a float-to-float dict entry
+# with both floats takes up to 108 bytes)
+_TABLE_BYTES = 1 << 22
+_TABLE_FIXED_BYTES = 2048
+_GK_ENTRY_BYTES = 112
 
 
 @dataclass(frozen=True)
@@ -83,8 +94,8 @@ def _e_max(model: CoherentModel, log_zeta: float) -> float:
     """Upper truncation: log-integrand fallen E_MAX_DROP below its peak."""
     hi = 8.0
     for _ in range(80):
-        grid, log_rho_grid = _rho_grid(model.params, hi)
-        logf = grid * log_zeta - log_rho_grid
+        table = _node_table(model.params, hi)
+        logf = table.grid * log_zeta - table.log_rho_grid
         peak = logf.max()
         if logf[-1] <= peak - E_MAX_DROP:
             return hi
@@ -92,74 +103,183 @@ def _e_max(model: CoherentModel, log_zeta: float) -> float:
     raise QuadratureFailure("could not locate a decaying tail for the nu integrand")
 
 
-@lru_cache(maxsize=128)
-def _rho_grid(params: FWParams, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """_e_max's 257-point grid on [0, hi] and log rho on it, read-only."""
-    grid = np.linspace(0.0, hi, 257)
-    # a copy, so the entry does not hold the whole log-gamma block alive
-    log_rho_grid = _log_rho_vec(params, grid).copy()
-    grid.flags.writeable = log_rho_grid.flags.writeable = False
-    return grid, log_rho_grid
+class _NodeTable:
+    """What a nu quadrature on [0, hi] needs that does not depend on zeta.
 
-
-@lru_cache(maxsize=4096)
-def _log_rho_node(params: FWParams, E: float) -> float:
-    """log rho(E) at one Gauss-Kronrod node: the float _log_rho_vec gives on [E]."""
-    return float(_log_rho_vec(params, np.array([E]))[0])
-
-
-def _integrands(params: FWParams, log_zeta):
-    """zeta^E / rho(E) on a node array (tanh-sinh) and at one node (Gauss-Kronrod).
-
-    The one-node form takes log rho from the node memo and agrees with the
-    array form on [E] bit for bit.  An overflow is left to the caller's
-    finite check.
+    grid, log_rho_grid: _e_max's 257-point grid on [0, hi] and log rho on
+    it, read-only.  gk: log rho at each Gauss-Kronrod node met so far, as
+    the float _log_rho_vec gives on [E].  ts_nodes(level): _ts_nodes(0, hi,
+    level) with log rho on the nodes, built on first use.  nbytes is what
+    the table retains, charged to its owning cache as it grows.
     """
 
-    def on_nodes(Es):
-        return np.exp(Es * log_zeta - _log_rho_vec(params, Es))
+    def __init__(self, params: FWParams, hi: float):
+        self.params, self.hi = params, hi
+        self.gk: dict[float, float] = {}
+        self._ts: dict[int, tuple] = {}
+        self.owner = None
+        grid = np.linspace(0.0, hi, 257)
+        log_rho_grid = _log_rho_vec(params, grid)  # a fresh array, not a view of the gamma block
+        grid.flags.writeable = log_rho_grid.flags.writeable = False
+        self.grid, self.log_rho_grid = grid, log_rho_grid
+        self.nbytes = _TABLE_FIXED_BYTES + grid.nbytes + log_rho_grid.nbytes
+
+    def ts_nodes(self, level: int):
+        """(weights, (nodes, log rho on them)) of one tanh-sinh level."""
+        out = self._ts.get(level)
+        if out is None:
+            w, xs = _ts_nodes(0.0, self.hi, level)
+            log_rho = _log_rho_vec(self.params, xs)
+            arrays = np.asarray(w), xs, log_rho  # w is a float at level -1
+            for a in arrays:
+                a.flags.writeable = False
+            out = self._ts[level] = w, (xs, log_rho)
+            self._charge(sum(a.nbytes for a in arrays))
+        return out
+
+    def log_rho_at(self, E: float) -> float:
+        """log rho at a Gauss-Kronrod node not met before, now stored in gk."""
+        lr = self.gk[E] = float(_log_rho_vec(self.params, np.array([E]))[0])
+        self._charge(_GK_ENTRY_BYTES)
+        return lr
+
+    def _charge(self, nbytes: int) -> None:
+        owner = self.owner
+        if owner is None:
+            self.nbytes += nbytes
+        else:
+            owner.charge(self, nbytes)
+
+
+class _NodeTableCache:
+    """The node tables keyed on (params, hi), least recently used first
+    out once their retained bytes pass max_bytes.
+
+    Calling it returns the range's table; its __wrapped__ builds a fresh
+    one each call, which is the route with no memo.
+    """
+
+    __wrapped__ = _NodeTable
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._tables: OrderedDict[tuple[FWParams, float], _NodeTable] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __call__(self, params: FWParams, hi: float) -> _NodeTable:
+        key = params, hi
+        with self._lock:
+            table = self._tables.get(key)
+            if table is not None:
+                self._tables.move_to_end(key)
+                return table
+        table = _NodeTable(params, hi)
+        with self._lock:
+            if key in self._tables:  # another thread built it meanwhile
+                self._tables.move_to_end(key)
+                return self._tables[key]
+            self._tables[key] = table
+            table.owner = self
+            self.nbytes += table.nbytes
+            self._trim()
+        return table
+
+    def charge(self, table: _NodeTable, nbytes: int) -> None:
+        """Count nbytes more for table, and drop old tables past the cap."""
+        with self._lock:
+            table.nbytes += nbytes
+            if table.owner is self:
+                self.nbytes += nbytes
+                self._trim()
+
+    def _trim(self) -> None:
+        while self.nbytes > self.max_bytes:
+            _, old = self._tables.popitem(last=False)
+            old.owner = None
+            self.nbytes -= old.nbytes
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            for table in self._tables.values():
+                table.owner = None
+            self._tables.clear()
+            self.nbytes = 0
+
+
+_node_table = _NodeTableCache(_TABLE_BYTES)
+
+
+def _integrands(table: _NodeTable, log_zeta):
+    """zeta^E / rho(E) on a tanh-sinh level of the table and at one
+    Gauss-Kronrod node.
+
+    Both take log rho from the table.  At one node the numpy-scalar
+    product has the bits of the array form on [E].  An overflow is left
+    to the caller's finite check.
+    """
+    gk = table.gk
+
+    def on_nodes(nodes):
+        xs, log_rho = nodes
+        return np.exp(xs * log_zeta - log_rho)
 
     def at_node(E):
-        return np.exp(np.array([E]) * log_zeta - _log_rho_node(params, E))[0]
+        lr = gk.get(E)
+        if lr is None:
+            lr = table.log_rho_at(E)
+        return np.exp(np.float64(E) * log_zeta - lr)
 
     return on_nodes, at_node
 
 
-def _tanh_sinh(f, a: float, b: float, rel_tol: float, abs_tol: float):
-    """Tanh-sinh rule on [a, b]; f must accept numpy arrays.
+def _ts_nodes(a: float, b: float, level: int):
+    """Tanh-sinh weights and nodes on [a, b]: at level -1 the midpoint's
+    weight and the midpoint; at level l >= 0 the weights of the level's new
+    nodes, and those nodes right of the midpoint and then left of it.
 
-    Returns (value, error_estimate).  The double-exponential substitution
-    x = mid + half*tanh((pi/2) sinh t) concentrates nodes at both ends;
-    halving the step h keeps the running sum, so each level adds only its
-    new (odd) nodes, and it converges roughly quadratically in digits, so
-    a handful of levels suffices for smooth integrands.  f is called once
-    on the midpoint and then once per level, on the level's nodes right
-    and left of the midpoint together; f must act entry by entry, so that
-    each value is the one a separate call would give.
+    The double-exponential substitution x = mid + half*tanh((pi/2) sinh t)
+    concentrates nodes at both ends.  Level l has the step h = 2^-l in t;
+    past level 0 only its odd multiples of h are new.  The weights leave
+    out the step h.
     """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
+    if level < 0:
+        return half * 0.5 * math.pi, np.array([mid])
     t_cap = 4.0
+    h = 0.5**level
+    j = np.arange(1, int(t_cap / h) + 1)
+    if level > 0:
+        j = j[j % 2 == 1]
+    t = j * h
+    u = 0.5 * math.pi * np.sinh(t)
+    x_off = half * np.tanh(u)
+    w = half * 0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2
+    return w, np.concatenate((mid + x_off, mid - x_off))
 
-    def level_nodes(h, only_odd):
-        j = np.arange(1, int(t_cap / h) + 1)
-        if only_odd:
-            j = j[j % 2 == 1]
-        t = j * h
-        u = 0.5 * math.pi * np.sinh(t)
-        x_off = half * np.tanh(u)
-        w = half * 0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2
-        return x_off, w
 
-    w0 = half * 0.5 * math.pi
-    total = w0 * f(np.array([mid]))[0]
+def _tanh_sinh(f, nodes, rel_tol: float, abs_tol: float):
+    """Tanh-sinh rule: nodes(level) gives weights and what f takes, as
+    _ts_nodes does; f must return numpy arrays.
+
+    Returns (value, error_estimate).  Halving the step h keeps the running
+    sum, so each level adds only its new (odd) nodes, and it converges
+    roughly quadratically in digits, so a handful of levels suffices for
+    smooth integrands.  f is called once on the midpoint and then once per
+    level, on the level's nodes right and left of the midpoint together;
+    f must act entry by entry, so that each value is the one a separate
+    call would give.
+    """
+    w0, x = nodes(-1)
+    total = w0 * f(x)[0]
     h = 2.0
     value, err = None, math.inf
     for level in range(_TS_MAX_LEVEL + 1):
         h *= 0.5
-        x_off, w = level_nodes(h, only_odd=level > 0)
+        w, x = nodes(level)
         # total excludes the step h, so the halved h rescales old nodes for us
-        fx = f(np.concatenate((mid + x_off, mid - x_off)))
+        fx = f(x)
         total = total + np.sum(w * (fx[: len(w)] + fx[len(w) :]))
         if not np.isfinite(total):
             # halving further would only turn inf - inf into nan
@@ -175,9 +295,10 @@ def _tanh_sinh(f, a: float, b: float, rel_tol: float, abs_tol: float):
     )
 
 
-def _integrate(f, f_node, a, b, cfg: QuadConfig, scheme: str, complex_func: bool = False):
-    """Integral over [a, b] and its error estimate: f on node arrays for
-    "ts", f_node at one node for "gk".
+def _integrate(f, f_node, a, b, cfg: QuadConfig, scheme: str, complex_func: bool = False,
+               nodes=None):
+    """Integral over [a, b] and its error estimate: for "ts", f on what
+    nodes(level) gives (see _tanh_sinh); for "gk", f_node at one node.
 
     Gauss-Kronrod takes a complex f_node (complex_func) as two real passes,
     real part then imaginary part, as scipy's own complex_func does, and a
@@ -198,7 +319,7 @@ def _integrate(f, f_node, a, b, cfg: QuadConfig, scheme: str, complex_func: bool
         # (value, err), or the real pass's plus 1j times the imaginary pass's
         out = outs[0] if len(outs) == 1 else [re + 1j * im for re, im in zip(*outs)]
     elif scheme == "ts":
-        out = _tanh_sinh(f, a, b, cfg.rel_tol, cfg.abs_tol)
+        out = _tanh_sinh(f, nodes, cfg.rel_tol, cfg.abs_tol)
     else:
         raise ValidationError(f"unknown quadrature scheme {scheme!r}; use one of {SCHEMES}")
     return _finite(out[0], out[1])
@@ -217,12 +338,15 @@ def _nu_integral(model: CoherentModel, log_zeta, cfg: QuadConfig, scheme: str):
     A complex log_zeta (the principal Log of a complex zeta) makes the
     integrand complex; the range is cut where its modulus has fallen.
     """
-    e_hi = _e_max(model, log_zeta.real)
-    on_nodes, at_node = _integrands(model.params, log_zeta)
+    table = _node_table(model.params, _e_max(model, log_zeta.real))
+    on_nodes, at_node = _integrands(table, log_zeta)
     # an overflow (inf, or inf+nanj from the complex exp) surfaces as a
     # non-finite integral, which _integrate rejects
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        return _integrate(on_nodes, at_node, 0.0, e_hi, cfg, scheme, isinstance(log_zeta, complex))
+        return _integrate(
+            on_nodes, at_node, 0.0, table.hi, cfg, scheme, isinstance(log_zeta, complex),
+            table.ts_nodes,
+        )
 
 
 def nu_with_error(

@@ -127,6 +127,12 @@ class FWParams:
         for b, _ in self.lower:
             if is_gamma_pole(b):
                 raise ValidationError(f"lower parameter b={b} is a gamma pole at k=0")
+        # the dataclass's field hash, formed once: every memo lookup hashes the
+        # parameters; not a field, so equality and repr stay on upper and lower
+        object.__setattr__(self, "_hash", hash((self.upper, self.lower)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def p(self) -> int:

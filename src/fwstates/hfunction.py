@@ -154,6 +154,11 @@ class ContourConfig:
             raise ValidationError("c_offset must be > 0 to clear the pole at the abscissa")
         if self.n_nodes < 8 or MAX_NODES < self.n_nodes:
             raise ValidationError(f"need 8 <= n_nodes <= {MAX_NODES}")
+        # the field hash, formed once, as in HWeightParams
+        object.__setattr__(self, "_hash", hash((self.c_offset, self.n_nodes)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 DEFAULT_CONTOUR = ContourConfig()

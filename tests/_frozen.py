@@ -1,6 +1,6 @@
-"""Frozen copies of foxwright.evaluate, for the bit-identity tests.
+"""Frozen copies of replaced routines, for the bit-identity tests.
 
-Each copy is evaluate() as it was before a change that had to keep every
+Each copy is a routine as it was before a change that had to keep every
 output bit; the tests compare the live routine with them, result for
 result and error for error.
 
@@ -16,6 +16,20 @@ majorant tail.  evaluate still does that wherever its Levin route does
 not apply; takes_levin_route says which boundary calls leave the
 frozen copies, so those are checked against mpmath (gauss_psi) or
 against the capped sum within both bounds instead.
+
+The measure layer's copies:
+
+- log_gamma_vec_masked: log_gamma_vec on the masked route throughout, over
+  the live Lanczos sum (tests/test_measure_bits.py).
+- lanczos_series_fused, log_gamma_vec_fused: the Lanczos sum as one fused
+  (8, ...) block and a cumsum, and log_gamma_vec over it
+  (tests/test_log_gamma_batching.py).
+- tanh_sinh_per_side: the tanh-sinh rule with one integrand call per side
+  of the midpoint (tests/test_log_gamma_batching.py).
+- e_max, integrands, nu_integral: the nu integral with no node table: the
+  truncation grid and log rho at every node formed afresh, the one-node
+  integrand on a 1-element array, and tanh_sinh_per_side on the node
+  arrays (tests/test_node_table.py, tests/test_quadrature_driver.py).
 """
 
 import cmath
@@ -24,8 +38,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from fwstates import foxwright
-from fwstates.errors import DomainViolation, MaxTermsExceeded, PoleError, ValidationError
+from fwstates import continuum, foxwright
+from fwstates.coherent import _log_rho_vec
+from fwstates.errors import (
+    DomainViolation,
+    MaxTermsExceeded,
+    PoleError,
+    QuadratureFailure,
+    ValidationError,
+)
 from fwstates.foxwright import (
     EvalResult,
     _abs,
@@ -35,7 +56,18 @@ from fwstates.foxwright import (
     evaluate,
     radius,
 )
-from fwstates.gammafn import log_gamma_vec, pole_mask
+from fwstates.gammafn import (
+    _LANCZOS_COEFFS,
+    _LANCZOS_G,
+    _LANCZOS_SHIFT,
+    _LANCZOS_TAIL,
+    _LOG_PI,
+    _LOG_SQRT_TWO_PI,
+    _lanczos_log,
+    _log_sin_pi,
+    log_gamma_vec,
+    pole_mask,
+)
 
 
 def takes_levin_route(params, z, max_terms=10000):
@@ -310,3 +342,140 @@ def evaluate_blocks(params, z, tol=1e-14, max_terms=10000, allow_boundary=False)
         tail = 4.0 * max(mag_hist) * ratio / (1.0 - ratio)
         tail = max(tail, max(mag_hist))
     return EvalResult(total, terms_used, tail)
+
+
+# -- the measure layer -------------------------------------------------------
+
+
+def log_gamma_vec_masked(z):
+    """log_gamma_vec with the masked route for every array, also when every
+    entry lies right of Re = 1/2."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    out = np.empty_like(z)
+    right = z.real >= 0.5
+    if right.any():
+        out[right] = _lanczos_log(z[right])
+    left = ~right
+    if left.any():
+        zl = z[left]
+        out[left] = _LOG_PI - _log_sin_pi(zl) - _lanczos_log(1.0 - zl)
+    return out
+
+
+def lanczos_series_fused(z):
+    """The fused form: one (8, *z.shape) block of tail terms and a cumsum."""
+    z = np.asarray(z, dtype=complex)
+    col = (-1,) + (1,) * z.ndim
+    terms = _LANCZOS_TAIL.reshape(col) / (z + _LANCZOS_SHIFT.reshape(col))
+    terms[0] += _LANCZOS_COEFFS[0]
+    return terms.cumsum(axis=0)[-1]
+
+
+def _lanczos_log_fused(z):
+    t = z + (_LANCZOS_G - 0.5)
+    return _LOG_SQRT_TWO_PI + (z - 0.5) * np.log(t) - t + np.log(lanczos_series_fused(z))
+
+
+def log_gamma_vec_fused(z):
+    """log_gamma_vec over the fused Lanczos block."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    right = z.real >= 0.5
+    if right.all():
+        return _lanczos_log_fused(z)
+    out = np.empty_like(z)
+    if right.any():
+        out[right] = _lanczos_log_fused(z[right])
+    zl = z[~right]
+    out[~right] = _LOG_PI - _log_sin_pi(zl) - _lanczos_log_fused(1.0 - zl)
+    return out
+
+
+def tanh_sinh_per_side(f, a, b, rel_tol, abs_tol):
+    """Tanh-sinh with one integrand call per side of the midpoint."""
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    t_cap = 4.0
+
+    def level_nodes(h, only_odd):
+        j = np.arange(1, int(t_cap / h) + 1)
+        if only_odd:
+            j = j[j % 2 == 1]
+        t = j * h
+        u = 0.5 * math.pi * np.sinh(t)
+        x_off = half * np.tanh(u)
+        w = half * 0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2
+        return x_off, w
+
+    w0 = half * 0.5 * math.pi
+    total = w0 * f(np.array([mid]))[0]
+    h = 2.0
+    value, err = None, math.inf
+    for level in range(continuum._TS_MAX_LEVEL + 1):
+        h *= 0.5
+        x_off, w = level_nodes(h, only_odd=level > 0)
+        total = total + np.sum(w * (f(mid + x_off) + f(mid - x_off)))
+        if not np.isfinite(total):
+            raise OverflowError(f"tanh-sinh sum {total} leaves the float64 range")
+        new_value = h * total
+        if value is not None:
+            err = abs(new_value - value)
+            if err <= max(abs_tol, rel_tol * abs(new_value)):
+                return new_value, err
+        value = new_value
+    raise QuadratureFailure(f"tanh-sinh did not reach tolerance (last step error {err:.3g})")
+
+
+def e_max(model, log_zeta):
+    """continuum._e_max with its 257-point log-rho grid formed afresh."""
+    hi = 8.0
+    for _ in range(80):
+        grid = np.linspace(0.0, hi, 257)
+        logf = grid * log_zeta - _log_rho_vec(model.params, grid)
+        peak = logf.max()
+        if logf[-1] <= peak - continuum.E_MAX_DROP:
+            return hi
+        hi *= 1.5
+    raise QuadratureFailure("could not locate a decaying tail for the nu integrand")
+
+
+def integrands(params, log_zeta):
+    """zeta^E / rho(E) on a node array, and at one node on a 1-element array."""
+
+    def on_nodes(Es):
+        return np.exp(Es * log_zeta - _log_rho_vec(params, Es))
+
+    def at_node(E):
+        log_rho = float(_log_rho_vec(params, np.array([E]))[0])
+        return np.exp(np.array([E]) * log_zeta - log_rho)[0]
+
+    return on_nodes, at_node
+
+
+def nu_integral(model, log_zeta, cfg, scheme):
+    """continuum._nu_integral with no node table: Gauss-Kronrod in one or
+    two real QUADPACK passes, tanh-sinh by tanh_sinh_per_side."""
+    e_hi = e_max(model, log_zeta.real)
+    on_nodes, at_node = integrands(model.params, log_zeta)
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        if scheme == "ts":
+            out = tanh_sinh_per_side(on_nodes, 0.0, e_hi, cfg.rel_tol, cfg.abs_tol)
+        else:
+            from scipy import integrate
+
+            parts = (at_node,)
+            if isinstance(log_zeta, complex):
+                parts = (lambda x: at_node(x).real, lambda x: at_node(x).imag)
+            outs = []
+            for part in parts:
+                res = integrate.quad(
+                    part, 0.0, e_hi, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
+                    limit=continuum.MAX_SUBDIVISIONS, full_output=1,
+                )
+                if len(res) > 3:
+                    raise QuadratureFailure(f"Gauss-Kronrod failed: {res[3]}")
+                outs.append(res[:2])
+            out = outs[0] if len(outs) == 1 else [re + 1j * im for re, im in zip(*outs)]
+    value, err = out
+    if not (cmath.isfinite(value) and cmath.isfinite(err)):
+        raise OverflowError(f"integral {value!r} (error {err!r}) leaves the float64 range")
+    return value, err

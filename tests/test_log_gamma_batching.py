@@ -5,19 +5,27 @@ sums row by row from `_ROW_SUM_MIN` entries up, a new contour line tests
 M(c) and eight heights per `_log_mellin_vec` call and builds its first
 grid at level 2n, the trapezoid loop forms only the odd nodes of each
 new level, and `_tanh_sinh` calls its integrand once per level.  The
-references below are frozen copies of the forms these replaced: the
-fused (8, ...) Lanczos block, a one-point call per height, a first grid
-at level n, the integrand formed afresh at every level, and one
-integrand call per side of the midpoint.  Every output, every error
-text and the level where an error is raised must match them bit for bit.
+references, below and in _frozen.py, are frozen copies of the forms
+these replaced: the fused (8, ...) Lanczos block, a one-point call per
+height, a first grid at level n, the integrand formed afresh at every
+level, and one integrand call per side of the midpoint.  Every output,
+every error text and the level where an error is raised must match them
+bit for bit.
 """
 
 import cmath
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
+from _frozen import (
+    integrands,
+    lanczos_series_fused,
+    log_gamma_vec_fused,
+    nu_integral,
+    tanh_sinh_per_side,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -29,18 +37,7 @@ from fwstates.errors import ContourFailure, QuadratureFailure, TruncationError, 
 from fwstates.foxwright import FWParams, evaluate
 from fwstates.foxwright_bc import BCFWParams
 from fwstates.foxwright_bc import evaluate as evaluate_bc
-from fwstates.gammafn import (
-    _LANCZOS_COEFFS,
-    _LANCZOS_G,
-    _LANCZOS_SHIFT,
-    _LANCZOS_TAIL,
-    _LOG_PI,
-    _LOG_SQRT_TWO_PI,
-    _ROW_SUM_MIN,
-    _lanczos_series,
-    _log_sin_pi,
-    log_gamma_vec,
-)
+from fwstates.gammafn import _ROW_SUM_MIN, _lanczos_series, log_gamma_vec
 from fwstates.hfunction import MAX_NODES, ContourConfig, HWeightParams
 
 _EPS = float(np.finfo(float).eps)
@@ -62,33 +59,6 @@ def _outcome(fn, *args):
 
 
 # -- frozen copies -----------------------------------------------------------
-
-
-def _ref_lanczos_series(z):
-    """The fused form: one (8, *z.shape) block of tail terms and a cumsum."""
-    z = np.asarray(z, dtype=complex)
-    col = (-1,) + (1,) * z.ndim
-    terms = _LANCZOS_TAIL.reshape(col) / (z + _LANCZOS_SHIFT.reshape(col))
-    terms[0] += _LANCZOS_COEFFS[0]
-    return terms.cumsum(axis=0)[-1]
-
-
-def _ref_lanczos_log(z):
-    t = z + (_LANCZOS_G - 0.5)
-    return _LOG_SQRT_TWO_PI + (z - 0.5) * np.log(t) - t + np.log(_ref_lanczos_series(z))
-
-
-def _ref_log_gamma_vec(z):
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    right = z.real >= 0.5
-    if right.all():
-        return _ref_lanczos_log(z)
-    out = np.empty_like(z)
-    if right.any():
-        out[right] = _ref_lanczos_log(z[right])
-    zl = z[~right]
-    out[~right] = _LOG_PI - _log_sin_pi(zl) - _ref_lanczos_log(1.0 - zl)
-    return out
 
 
 class _RefContour:
@@ -157,48 +127,12 @@ def _ref_h_value(hp, x, cc):
     raise ContourFailure(f"node doubling stalled below tolerance at n={n // 2} for x={x:g}")
 
 
-def _ref_tanh_sinh(f, a, b, rel_tol, abs_tol):
-    """Tanh-sinh with one integrand call per side of the midpoint."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    t_cap = 4.0
-
-    def level_nodes(h, only_odd):
-        j = np.arange(1, int(t_cap / h) + 1)
-        if only_odd:
-            j = j[j % 2 == 1]
-        t = j * h
-        u = 0.5 * math.pi * np.sinh(t)
-        x_off = half * np.tanh(u)
-        w = half * 0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2
-        return x_off, w
-
-    w0 = half * 0.5 * math.pi
-    total = w0 * f(np.array([mid]))[0]
-    h = 2.0
-    value, err = None, math.inf
-    for level in range(continuum._TS_MAX_LEVEL + 1):
-        h *= 0.5
-        x_off, w = level_nodes(h, only_odd=level > 0)
-        total = total + np.sum(w * (f(mid + x_off) + f(mid - x_off)))
-        if not np.isfinite(total):
-            raise OverflowError(f"tanh-sinh sum {total} leaves the float64 range")
-        new_value = h * total
-        if value is not None:
-            err = abs(new_value - value)
-            if err <= max(abs_tol, rel_tol * abs(new_value)):
-                return new_value, err
-        value = new_value
-    raise QuadratureFailure(f"tanh-sinh did not reach tolerance (last step error {err:.3g})")
-
-
 def _clear_memos():
     for memo in (
         hfunction._contour_state,
         hfunction._h_value,
         _ref_contour_state,
-        continuum._log_rho_node,
-        continuum._rho_grid,
+        continuum._node_table,
         foxwright._column_cache,
         foxwright._boundary_plan,
         foxwright._log_coefficient_modulus,
@@ -209,9 +143,9 @@ def _clear_memos():
 def _reference(mp):
     """Route the package through the frozen copies, with every memo empty."""
     _clear_memos()
-    mp.setattr(gammafn, "_lanczos_series", _ref_lanczos_series)
+    mp.setattr(gammafn, "_lanczos_series", lanczos_series_fused)
     mp.setattr(hfunction, "_h_value", _ref_h_value)
-    mp.setattr(continuum, "_tanh_sinh", _ref_tanh_sinh)
+    mp.setattr(continuum, "_nu_integral", nu_integral)
 
 
 # -- strategies --------------------------------------------------------------
@@ -278,7 +212,7 @@ def test_lanczos_series_matches_fused_block(shape, seed):
     z = _points(seed, shape)
     # reflection-side arguments meet the partial fractions' own poles
     with np.errstate(all="ignore"):
-        got, want = _lanczos_series(z), _ref_lanczos_series(z)
+        got, want = _lanczos_series(z), lanczos_series_fused(z)
     assert got.shape == shape
     assert _bits(got) == _bits(want)
 
@@ -288,7 +222,7 @@ def test_lanczos_series_matches_fused_block(shape, seed):
 def test_log_gamma_vec_matches_fused_block(shape, seed):
     z = _points(seed, shape)
     with np.errstate(all="ignore"):
-        got, want = log_gamma_vec(z), _ref_log_gamma_vec(z)
+        got, want = log_gamma_vec(z), log_gamma_vec_fused(z)
         # each entry also has the bits it gets alone
         alone = [log_gamma_vec(zi)[0] for zi in z.ravel()[:9]]
     assert _bits(got) == _bits(want)
@@ -411,21 +345,30 @@ def test_first_grid_is_level_2n_and_level_n_its_view(n_nodes):
 # -- tanh-sinh ----------------------------------------------------------------
 
 
-def _counted_ts(ts, f, a, b, rel_tol, abs_tol):
-    """(outcome, sizes of the integrand calls) of one tanh-sinh integral."""
+def _counted_ts(ts, f, *args):
+    """(outcome, sizes of the integrand calls) of one tanh-sinh integral:
+    ts(f, nodes, rel_tol, abs_tol) live, ts(f, a, b, rel_tol, abs_tol) frozen."""
     calls = []
 
     def counted(x):
-        calls.append(x.size)
+        # the node table hands the integrand (nodes, log rho on them)
+        calls.append((x[0] if isinstance(x, tuple) else x).size)
         return f(x)
 
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        return _bits(_outcome(ts, counted, a, b, rel_tol, abs_tol)), calls
+        return _bits(_outcome(ts, counted, *args)), calls
 
 
 def _nu_integral(model, log_zeta):
-    """The tanh-sinh nu integrand on its node arrays, and its range."""
-    return continuum._integrands(model.params, log_zeta)[0], 0.0, continuum._e_max(model, log_zeta.real)
+    """The tanh-sinh nu integrand and its range: live, on the node table's
+    levels, and frozen, on node arrays over [0, e_hi]."""
+    table = continuum._node_table(model.params, continuum._e_max(model, log_zeta.real))
+    live = continuum._integrands(table, log_zeta)[0], table.ts_nodes
+    return live, (integrands(model.params, log_zeta)[0], 0.0, table.hi)
+
+
+def _step(x):
+    return np.where(x > 0.3, 1.0, 0.0)
 
 
 _VACUUM = CoherentModel(FWParams())
@@ -442,13 +385,14 @@ _WRIGHT = CoherentModel(FWParams([(1.3, 0.8)], [(2.1, 1.1)]))
         (_nu_integral(_VACUUM, math.log(800.0)), 2, "OverflowError"),
         (_nu_integral(_VACUUM, math.log(700.0)), 9, None),
         # a step converges too slowly to reach the tolerance by the last level
-        ((lambda x: np.where(x > 0.3, 1.0, 0.0), 0.0, 1.0), 14, "QuadratureFailure"),
+        (((_step, partial(continuum._ts_nodes, 0.0, 1.0)), (_step, 0.0, 1.0)), 14, "QuadratureFailure"),
     ],
     ids=["nu720", "nu740", "nu800", "nu700", "step"],
 )
 def test_tanh_sinh_errors_and_their_level(integral, calls_made, error):
-    got, calls = _counted_ts(continuum._tanh_sinh, *integral, 1e-10, 1e-12)
-    want, ref_calls = _counted_ts(_ref_tanh_sinh, *integral, 1e-10, 1e-12)
+    live, ref = integral
+    got, calls = _counted_ts(continuum._tanh_sinh, *live, 1e-10, 1e-12)
+    want, ref_calls = _counted_ts(tanh_sinh_per_side, *ref, 1e-10, 1e-12)
     assert got == want
     assert (error or "(np.float64(") in got
     # one call on the midpoint, then one per level where the copy made two
@@ -468,11 +412,11 @@ def test_tanh_sinh_errors_and_their_level(integral, calls_made, error):
 def test_tanh_sinh_bits(model, log_zeta, tols):
     log_zeta = log_zeta.real if log_zeta.imag == 0.0 else log_zeta
     try:
-        integral = _nu_integral(model, log_zeta)
+        live, ref = _nu_integral(model, log_zeta)
     except QuadratureFailure:
         return  # _e_max found no decaying tail; it runs no quadrature
-    got, _ = _counted_ts(continuum._tanh_sinh, *integral, *tols)
-    assert got == _counted_ts(_ref_tanh_sinh, *integral, *tols)[0]
+    got, _ = _counted_ts(continuum._tanh_sinh, *live, *tols)
+    assert got == _counted_ts(tanh_sinh_per_side, *ref, *tols)[0]
 
 
 # -- the public measure-layer outputs ----------------------------------------
@@ -581,8 +525,9 @@ def test_cold_eval_h_log_mellin_calls(monkeypatch, model, x, sizes, one_point_ca
 
 
 def test_tanh_sinh_nu_log_rho_calls(monkeypatch):
-    """One "ts" nu makes one _log_rho_vec call on the midpoint and one per
-    level, on the level's nodes right and left of it together."""
+    """One "ts" nu on a new range makes one _log_rho_vec call on the
+    midpoint and one per level, on the level's nodes right and left of it
+    together."""
     sizes = []
     log_rho_vec = continuum._log_rho_vec
 
@@ -590,7 +535,9 @@ def test_tanh_sinh_nu_log_rho_calls(monkeypatch):
         sizes.append(np.size(ks))
         return log_rho_vec(params, ks)
 
-    continuum.nu(_WRIGHT, 2.5, scheme="ts")  # _e_max's log-rho grid is memoized
+    continuum._node_table.cache_clear()
+    # builds _e_max's log-rho grids, which the node table keeps, but no level
+    continuum.nu(_WRIGHT, 2.5, scheme="gk")
     monkeypatch.setattr(continuum, "_log_rho_vec", counted)
     continuum.nu(_WRIGHT, 2.5, scheme="ts")
     # level 0 has 4 nodes a side, level l >= 1 has 2^(l+1) new ones a side
@@ -603,6 +550,20 @@ def test_hweight_params_hash_is_the_field_hash():
     assert hash(hp) == hash((hp.upper, hp.lower))
     assert hp == HWeightParams([(0.5, 1.0)], [(0.0, 1.0), (1.0, 1.0)])
     assert hp != HWeightParams([(0.5, 1.0)], [(0.0, 1.0), (1.0, 1.5)])
+
+
+def test_fw_params_and_contour_config_hash_once():
+    """Both store the field hash; equality and repr stay on the fields,
+    so -0.0 and 0.0 parameters compare and hash equal (and share memos)."""
+    p = FWParams([(complex(1.5, -0.0), 1.0)], [(complex(-0.0, 2.0), 0.5)])
+    q = FWParams([(complex(1.5, 0.0), 1.0)], [(complex(0.0, 2.0), 0.5)])
+    assert p == q and hash(p) == hash(q) == hash((p.upper, p.lower))
+    assert p != FWParams([(1.5, 1.0)], [(2.0j, 0.75)])
+    assert repr(q) == "FWParams(upper=(((1.5+0j), 1.0),), lower=((2j, 0.5),))"
+    cc = ContourConfig(c_offset=1.5, n_nodes=8)
+    assert cc == ContourConfig(1.5, 8) and hash(cc) == hash((1.5, 8))
+    assert cc != ContourConfig(1.5, 16)
+    assert repr(cc) == "ContourConfig(c_offset=1.5, n_nodes=8)"
 
 
 # -- bad tolerances ------------------------------------------------------------

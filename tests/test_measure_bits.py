@@ -9,9 +9,10 @@ call per gamma factor, the masked route throughout, one array per level
 built by doubling, and np.trapezoid at every step.  Every output must
 match them bit for bit.
 
-H values, log rho at Gauss-Kronrod nodes and _e_max's log-rho grids are
-memoized; each output must also match the same call with the memos
-bypassed (their `__wrapped__` functions), cold and warm.
+H values and the nu node tables (log rho at Gauss-Kronrod nodes, on
+tanh-sinh levels and on _e_max's grids) are memoized; each output must
+also match the same call with the memos bypassed (their `__wrapped__`
+functions), cold and warm.
 """
 
 import json
@@ -19,6 +20,7 @@ import math
 
 import numpy as np
 import pytest
+from _frozen import log_gamma_vec_masked
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -29,43 +31,30 @@ from fwstates.coherent import CoherentModel
 from fwstates.errors import ContourFailure, QuadratureFailure
 from fwstates.foxwright import FWParams, boundary_exponent, margin_sign, radius
 from fwstates.foxwright_bc import _DOMAIN_BY_SIGNS, BCFWParams, classify
-from fwstates.gammafn import _LOG_PI, _lanczos_log, _log_sin_pi, log_gamma_vec
+from fwstates.gammafn import log_gamma_vec
 from fwstates.hfunction import ContourConfig, HWeightParams
 
 _EPS = float(np.finfo(float).eps)
-# the node-value memos: H(x), log rho at one node, and _e_max's log-rho grid
-_MEMOS = ((hfunction, "_h_value"), (continuum, "_log_rho_node"), (continuum, "_rho_grid"))
-
-
-def _ref_log_gamma_vec(z):
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = np.empty_like(z)
-    right = z.real >= 0.5
-    if right.any():
-        out[right] = _lanczos_log(z[right])
-    left = ~right
-    if left.any():
-        zl = z[left]
-        out[left] = _LOG_PI - _log_sin_pi(zl) - _lanczos_log(1.0 - zl)
-    return out
+# the node-value memos: H(x), and the nu node tables (log rho at nodes and on grids)
+_MEMOS = ((hfunction, "_h_value"), (continuum, "_node_table"))
 
 
 def _ref_log_rho_vec(params, ks):
     kf = ks.astype(float)
-    s = _ref_log_gamma_vec(kf + 1.0).real
+    s = log_gamma_vec_masked(kf + 1.0).real
     for a, A in params.upper:
-        s += math.lgamma(a.real) - _ref_log_gamma_vec(a.real + kf * A).real
+        s += math.lgamma(a.real) - log_gamma_vec_masked(a.real + kf * A).real
     for b, B in params.lower:
-        s += _ref_log_gamma_vec(b.real + kf * B).real - math.lgamma(b.real)
+        s += log_gamma_vec_masked(b.real + kf * B).real - math.lgamma(b.real)
     return s
 
 
 def _ref_log_mellin_vec(hp, s):
     out = np.zeros(s.shape, dtype=complex)
     for beta, B in hp.lower:
-        out += _ref_log_gamma_vec(beta + s * B)
+        out += log_gamma_vec_masked(beta + s * B)
     for alpha, A in hp.upper:
-        out -= _ref_log_gamma_vec(alpha + s * A)
+        out -= log_gamma_vec_masked(alpha + s * A)
     return out
 
 
@@ -215,8 +204,8 @@ def test_log_gamma_vec_all_right_matches_mixed(right, left):
     zl = np.array([complex(*p) for p in left])
     mixed = log_gamma_vec(np.concatenate([zl[:1], zr, zl[1:]]))
     assert _bits(log_gamma_vec(zr)) == _bits(mixed[1 : 1 + len(zr)])
-    assert _bits(log_gamma_vec(zr)) == _bits(_ref_log_gamma_vec(zr))
-    assert _bits(log_gamma_vec(zr.reshape(1, -1))) == _bits(_ref_log_gamma_vec(zr).reshape(1, -1))
+    assert _bits(log_gamma_vec(zr)) == _bits(log_gamma_vec_masked(zr))
+    assert _bits(log_gamma_vec(zr.reshape(1, -1))) == _bits(log_gamma_vec_masked(zr).reshape(1, -1))
 
 
 # x spans several abscissa levels; each list is evaluated in order, so the
@@ -434,18 +423,23 @@ def test_eval_h_memo_bits(model, xs):
 def test_node_integrand_bits(model, E, log_zeta):
     """The one-node integrand Gauss-Kronrod calls has the bits of the
     array form on [E], and of the plain kernel there."""
-    on_nodes, at_node = continuum._integrands(model.params, log_zeta)
+    on_nodes, at_node = continuum._integrands(continuum._NodeTable(model.params, 8.0), log_zeta)
     Es = np.array([E])
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         got = at_node(E)
-        assert _bits(got) == _bits(on_nodes(Es)[0])
+        assert _bits(got) == _bits(at_node(E))  # stored in the table, then read back
+        assert _bits(got) == _bits(on_nodes((Es, coherent._log_rho_vec(model.params, Es)))[0])
         assert _bits(got) == _bits(np.exp(Es * log_zeta - _ref_log_rho_vec(model.params, Es))[0])
 
 
 def test_rho_grid_entries_are_read_only_copies():
-    grid, log_rho_grid = continuum._rho_grid(_WRIGHT.params, 12.0)
+    table = continuum._node_table(_WRIGHT.params, 12.0)
+    grid, log_rho_grid = table.grid, table.log_rho_grid
     assert not grid.flags.writeable and not log_rho_grid.flags.writeable
     assert log_rho_grid.flags.owndata and log_rho_grid.shape == (257,)
+    w, (xs, log_rho) = table.ts_nodes(3)
+    assert not (w.flags.writeable or xs.flags.writeable or log_rho.flags.writeable)
+    assert log_rho.flags.owndata and log_rho.shape == xs.shape == (2 * w.size,)
 
 
 def test_measure_check_memo_counts(tmp_path, capsys):

@@ -16,6 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
+from _frozen import e_max, integrands, tanh_sinh_per_side
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
@@ -40,8 +41,8 @@ def _ref_overlap_tilde(model, z, zp, cfg=DEFAULT_QUAD, scheme="gk"):
     if z == 0 or zp == 0:
         raise ValidationError("overlap_tilde needs |z|, |z'| > 0")
     log_zeta = cmath.log(z.conjugate() * zp)
-    e_hi = continuum._e_max(model, log_zeta.real)
-    on_nodes, at_node = continuum._integrands(model.params, log_zeta)
+    e_hi = e_max(model, log_zeta.real)
+    on_nodes, at_node = integrands(model.params, log_zeta)
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         if scheme == "gk":
             out = integrate.quad(
@@ -49,7 +50,7 @@ def _ref_overlap_tilde(model, z, zp, cfg=DEFAULT_QUAD, scheme="gk"):
                 limit=continuum.MAX_SUBDIVISIONS, complex_func=True,
             )
         else:
-            out = continuum._tanh_sinh(on_nodes, 0.0, e_hi, cfg.rel_tol, cfg.abs_tol)
+            out = tanh_sinh_per_side(on_nodes, 0.0, e_hi, cfg.rel_tol, cfg.abs_tol)
     num, _ = continuum._finite(*out)
     den = math.sqrt(
         continuum.nu(model, abs(z) ** 2, cfg, scheme) * continuum.nu(model, abs(zp) ** 2, cfg, scheme)
