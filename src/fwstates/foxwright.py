@@ -38,17 +38,7 @@ _BLOCK_CAP.  The running sums are a sequential cumsum whose first term
 has the carried total added, so they add in the order a per-term loop
 would, and the first index that completes the stop streak does not
 depend on where blocks start or end.  Block length therefore moves no
-bit of the value, the terms used or the tail.  Blocks longer than
-_SHORT_BLOCK (those from k = 992 on) differ from _SHORT_BLOCK-term
-blocks in two ways, and neither shows in a result:
-
-- Their stop test is screened first (_none_small), which settles most
-  blocks where no term is small without the two hypot passes, and never
-  calls a block settled when the exact test would pass somewhere.
-- An upper pole or an overflowing term in such a block need not be
-  reached by a sum that stops earlier in it, so the block is redone in
-  _SHORT_BLOCK-term blocks, which raise exactly where those blocks
-  always have.
+bit of the value, the terms used or the tail.
 
 On the circle |z| = V with allow_boundary, evaluate first tries Levin
 u transforms (_boundary_sum): two windows of 31 partial sums from the
@@ -94,10 +84,8 @@ DEFAULT_MAX_TERMS = 10000
 _COLUMN_CACHE_SIZE = 32
 # columns per log_gamma_vec call when a column table grows
 _GROW_CHUNK = 512
-# evaluate's blocks double from 32 terms up to _BLOCK_CAP; blocks longer
-# than _SHORT_BLOCK get the screened stop test
-_SHORT_BLOCK = 512
-_BLOCK_CAP = 4096
+# evaluate's blocks double from 32 terms up to _BLOCK_CAP
+_BLOCK_CAP = 512
 
 # the boundary route: Levin u transforms of orders up to _LEVIN_ORDER, a
 # safety factor on the spread of successive orders, the phases
@@ -358,43 +346,6 @@ def _streak_end(ok: np.ndarray, streak: int) -> tuple[int, int]:
     return -1, len(run) - 1 - run.rfind(b"\x00")
 
 
-def _none_small(terms: np.ndarray, sums: np.ndarray, tol: float) -> bool:
-    """True only if _abs(terms) <= tol * _abs(sums) holds at no index.
-
-    A screen in squared magnitudes, without hypot: True when
-    min t2 > tol^2 (1 + 1e-9) max s2 + 1e-300 and max s2 is finite,
-    where t2 and s2 are |t|^2 and |S|^2 formed with plain multiplies.
-    False says nothing, and the exact test must run.  Any tol outside
-    [1e-150, 1] gives False.
-
-    Within it tol^2 is a normal float and at most 1, and the screen is
-    exact.  Say the exact test passes at index i, and let
-    u = 2^-53.  If |t_i|^2 < 5e-301, t2_i lies below the 1e-300 slack
-    alone.  Otherwise |t_i|, tol |S_i| and |S_i| are normal floats, and
-    hypot and the product tol * |S| are each within 1 ulp, so
-    |t_i|^2 <= tol^2 |S_i|^2 (1 + 16u).  A computed square sum lies
-    within a factor 1 +- 3u of the exact one, give or take 3 * 2^-1075
-    from squares rounded in the subnormal range, and the three products
-    and one sum on the right lose at most a factor (1 - u)^4 and
-    2^-1075.  So t2_i <= tol^2 s2_i (1 + 2e-15) + 2^-1070, while the
-    right-hand side is at least tol^2 max s2 (1 + 0.99e-9) + 0.99e-300:
-    the 1e-9 margin covers the relative errors and the 1e-300 slack the
-    absolute ones.  Then min t2 <= t2_i <= the right-hand side, and the
-    screen does not fire.  An infinite t2_i forces, by the same chain,
-    an infinite right-hand side or max s2, and inf > inf is False; a NaN
-    makes min t2 NaN or max s2 non-finite.
-    """
-    if not 1e-150 <= tol <= 1.0:
-        return False
-    with np.errstate(over="ignore"):
-        t2 = np.square(terms.real)
-        t2 += np.square(terms.imag)
-        s2 = np.square(sums.real)
-        s2 += np.square(sums.imag)
-    s_max = float(s2.max())
-    return math.isfinite(s_max) and float(t2.min()) > tol * tol * (1.0 + 1e-9) * s_max + 1e-300
-
-
 def _block_terms(cols: _Columns, log_z: complex, k0: int, end: int) -> np.ndarray:
     """t_k for k0 <= k < end; raises at an upper pole or a term past the float range."""
     for pole in cols.upper_poles:
@@ -646,16 +597,17 @@ def evaluate(
     of the truncated tail, without the rounding of the summed terms.
 
     Terms are summed in blocks of 32, 64, ... up to _BLOCK_CAP terms
-    (never past max_terms), so a 10,000-term sum takes 9 blocks.  On
-    blocks longer than _SHORT_BLOCK terms, _none_small screens the stop
-    test.  An upper pole or overflow there redoes the block in
-    _SHORT_BLOCK-term blocks, so every result and every raise is the one
-    _SHORT_BLOCK-capped blocks give.
+    (never past max_terms), so a 10,000-term sum takes 23 blocks.
+    max_terms must be a whole number >= 1; integral floats such as 1e4
+    are accepted.
     """
     if not tol > 0:  # NaN fails this test too
         raise ValidationError("tol must be > 0")
-    if max_terms < 1:
+    if not max_terms >= 1:  # NaN fails this test too
         raise ValidationError("max_terms must be >= 1")
+    if max_terms % 1 != 0:  # inf % 1 is NaN, so inf fails this test too
+        raise ValidationError(f"max_terms must be a whole number, got {max_terms!r}")
+    max_terms = int(max_terms)
     z = complex(z)
     if z == 0:
         return EvalResult(_term_zero(params), 1, 0.0)
@@ -696,29 +648,16 @@ def evaluate(
     stopped = False
     k0 = 0
     block = 32
-    cap = _BLOCK_CAP
     with np.errstate(under="ignore", invalid="ignore"):
         while k0 < max_terms and not stopped:
             end = min(k0 + block, max_terms)
-            long = end - k0 > _SHORT_BLOCK
-            try:
-                terms = _block_terms(cache.upto(end), log_z, k0, end)
-            except (PoleError, OverflowError):
-                if not long:
-                    raise
-                # the sum may stop before the pole or overflow: go on in
-                # short blocks, which raise only if they reach it
-                block = cap = _SHORT_BLOCK
-                continue
+            terms = _block_terms(cache.upto(end), log_z, k0, end)
             # cumsum adds in sequence from the carried total
             sums = terms.copy()
             sums[0] += total
             sums = sums.cumsum()
-            if long and _none_small(terms, sums, tol):
-                stop, streak = -1, 0
-            else:
-                ok = _abs(terms) <= tol * _abs(sums)
-                stop, streak = _streak_end(ok, streak)
+            ok = _abs(terms) <= tol * _abs(sums)
+            stop, streak = _streak_end(ok, streak)
             stopped = stop >= 0
             used = stop + 1 if stopped else terms.size
             total = sums[used - 1]
@@ -726,7 +665,7 @@ def evaluate(
             summed = terms[:used]
             recent = summed[-3:] if used >= 3 else np.concatenate((recent, summed))[-3:]
             k0 = end
-            block = min(2 * block, cap)
+            block = min(2 * block, _BLOCK_CAP)
     mag_hist = [0.0] * (3 - recent.size) + [abs(t) for t in recent]
 
     if not stopped and not on_boundary:

@@ -32,7 +32,6 @@ from fwstates.foxwright import (
     _abs,
     _column_cache,
     _ColumnCache,
-    _none_small,
     _streak_end,
     as_pfq,
     boundary_exponent,
@@ -554,7 +553,7 @@ def test_concurrent_evaluation_matches_serial():
     assert got == expect
 
 
-# -- long blocks: the screened stop test and chunked column growth ----------
+# -- long sums: poles past the stop, the block schedule, chunked column growth
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -566,7 +565,7 @@ def test_concurrent_evaluation_matches_serial():
 )
 def test_long_sums_with_an_upper_pole_match_reference(pole_k, scale, angle, tol):
     # Delta = 0 and radius 1; -pole_k/8192 + k/8192 first meets a pole at
-    # k = pole_k, which a long block may hold past the point the sum stops
+    # k = pole_k, which a block may hold past the point the sum stops
     w = 2.0**-13
     params = FWParams(upper=[(1.0, 1.0), (-pole_k * w, w)], lower=[(2.0, w)])
     z = scale * cmath.exp(1j * angle)
@@ -574,53 +573,10 @@ def test_long_sums_with_an_upper_pole_match_reference(pole_k, scale, angle, tol)
     _assert_same_as_reference(params, z, tol=tol, allow_boundary=True)
 
 
-_PARTS = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from(
-        [0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e-160, 1e-150,
-         1.34e154, 1e300, -1.7976931348623157e308, math.inf, -math.inf, math.nan]
-    ),
-)
-_ENTRIES = st.builds(complex, _PARTS, _PARTS)
-
-
-@st.composite
-def _blocks(draw):
-    """(terms, sums, tol): arbitrary entries, or sums a few ulp around |t|/tol."""
-    terms = np.array(draw(st.lists(_ENTRIES, min_size=1, max_size=12)), dtype=complex)
-    tol = draw(st.one_of(st.floats(1e-300, 10.0), st.sampled_from([1e-150, 1e-14, 1.0])))
-    if draw(st.booleans()):
-        sums = draw(st.lists(_ENTRIES, min_size=terms.size, max_size=terms.size))
-    else:
-        phase = draw(st.floats(-math.pi, math.pi))
-        factor = 1.0 + draw(st.integers(-3, 3)) * 2.0**-52
-        with np.errstate(all="ignore"):
-            sums = _abs(terms) / tol * factor * cmath.exp(1j * phase)
-    return terms, np.array(sums, dtype=complex), tol
-
-
-@settings(max_examples=500, deadline=None, derandomize=True)
-@given(_blocks())
-# squares rounded in the subnormal range: only the 1e-300 slack holds here
-@example(
-    (
-        np.array([3.647482804919992e-162 + 5.754897867529307e-164j]),
-        np.array([1.3511343186335238e-162 + 3.388492105663566e-162j]),
-        1.0,
-    )
-)
-def test_screen_never_hides_a_small_term(block):
-    terms, sums, tol = block
-    with np.errstate(all="ignore"):
-        exact = _abs(terms) <= tol * _abs(sums)
-        none_small = _none_small(terms, sums, tol)
-    assert not (none_small and exact.any())
-
-
-def test_screen_skips_the_exact_test_on_long_boundary_blocks(monkeypatch):
-    # 10,000 terms in blocks of 32 .. 512 (five exact tests), then 1024,
-    # 2048, 4096 and 1840 terms, which the screen settles; the phase lies
-    # below _LEVIN_MIN_PHASE, so the capped sum runs
+def test_long_boundary_sum_blocks_stop_doubling_at_512(monkeypatch):
+    # 10,000 terms in blocks of 32 .. 512, then 17 more of 512 and one of
+    # 304, each with the two magnitude passes of the stop test; the phase
+    # lies below _LEVIN_MIN_PHASE, so the capped sum runs
     calls = []
 
     def counted(x):
@@ -633,7 +589,7 @@ def test_screen_skips_the_exact_test_on_long_boundary_blocks(monkeypatch):
     want = repr(evaluate(params, z, allow_boundary=True))
     monkeypatch.setattr(foxwright, "_abs", counted)
     assert repr(evaluate(params, z, allow_boundary=True)) == want
-    assert calls == [32, 32, 64, 64, 128, 128, 256, 256, 512, 512]
+    assert calls == [32, 32, 64, 64, 128, 128, 256, 256, 512, 512] + [512, 512] * 17 + [304, 304]
 
 
 def _column_bytes(cols):

@@ -1,19 +1,20 @@
 """Frozen results of long Fox-Wright sums, and the max_terms check.
 
-evaluate sums blocks of up to foxwright._BLOCK_CAP terms past k = 992,
-screens the stop test on those long blocks, and grows its column table
-in chunks of foxwright._GROW_CHUNK columns.  None of that may move a
-bit.  The expected strings below are repr(result), or the error's type
-and text, as blocks capped at 512 terms gave them; they were taken from
-that code.  A None marks a boundary call that evaluate now takes by
-Levin transforms: its value is checked against mpmath's 2F1 instead,
-with the error within tail_bound and tail_bound within 1e-6 |value|.
-The capped sums at phases below foxwright._LEVIN_MIN_PHASE, at the end
-of the list, keep long boundary blocks frozen.
+evaluate sums blocks that double up to foxwright._BLOCK_CAP terms and
+grows its column table in chunks of foxwright._GROW_CHUNK columns.
+Neither may move a bit.  The expected strings below are repr(result),
+or the error's type and text, as blocks capped at 512 terms gave them;
+they were taken from that code.  A None marks a boundary call that
+evaluate now takes by Levin transforms: its value is checked against
+mpmath's 2F1 instead, with the error within tail_bound and tail_bound
+within 1e-6 |value|.  The capped sums at phases below
+foxwright._LEVIN_MIN_PHASE, at the end of the list, keep long boundary
+sums frozen.
 """
 
 import cmath
 import math
+import re
 
 import pytest
 from _frozen import gauss_psi, takes_levin_route
@@ -177,12 +178,26 @@ def test_long_sums_match_frozen_results(case):
     assert _outcome(fn, params, z, **kwargs) == FROZEN[case]
 
 
-@pytest.mark.parametrize("max_terms", [0, -5])
-@pytest.mark.parametrize("z", [cmath.exp(0.7j), 0.5, 0.0])
+@pytest.mark.parametrize("max_terms", [0, -5, math.nan, 2.5, math.inf])
+@pytest.mark.parametrize("z", [cmath.exp(0.7j), 0.5, 0.0, SLOW_A])
 def test_max_terms_below_one_is_refused(z, max_terms):
-    # on the circle such a call returned 0j with a zero tail bound
-    with pytest.raises(ValidationError, match="^max_terms must be >= 1$"):
+    # on the circle a max_terms below 1 returned 0j with a zero tail bound,
+    # NaN ran no term and raised MaxTermsExceeded, 2.5 raised a TypeError,
+    # and inf left the capped sum at SLOW_A without an end
+    if max_terms >= 1:
+        text = f"max_terms must be a whole number, got {max_terms!r}"
+    else:
+        text = "max_terms must be >= 1"
+    with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
         evaluate(GAUSS_A, z, allow_boundary=True, max_terms=max_terms)
     params = BCFWParams.from_components(GAUSS_A, GAUSS_B)
-    with pytest.raises(ValidationError, match="^component 1: max_terms must be >= 1$"):
+    with pytest.raises(ValidationError, match=f"^component 1: {re.escape(text)}$"):
         evaluate_bc(params, compose_idempotent(z, z), max_terms=max_terms, allow_boundary=True)
+
+
+@pytest.mark.parametrize("max_terms", [1000, 4097, 10000])
+def test_integral_float_max_terms_sums_as_the_int(max_terms):
+    for z in (SLOW_A, cmath.exp(0.3j), 0.5j):
+        want = repr(evaluate(GAUSS_A, z, allow_boundary=True, max_terms=max_terms))
+        got = evaluate(GAUSS_A, z, allow_boundary=True, max_terms=float(max_terms))
+        assert repr(got) == want
