@@ -26,6 +26,9 @@ integer k from the series' cached column table
 from the same table's gamma-argument offsets and weights, and serves
 `continuum` (its node values and its log-rho grids) and the acceptance
 battery.
+overlap needs N at conj(z) z', |z|^2 and |z'|^2; it sums the three
+series in one block pass of the series' loop, each with the bits of its
+own sum.
 Bicomplex models run each complex routine per idempotent component
 through `bicomplex.componentwise`.
 """
@@ -38,10 +41,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bicomplex import Bicomplex, Hyperbolic, componentwise
+from .bicomplex import (
+    Bicomplex,
+    Hyperbolic,
+    _check_finite_complex,
+    _check_finite_real,
+    componentwise,
+)
 from .errors import TruncationError, ValidationError
-from .foxwright import CLASSIFY_TOL, FWParams, _column_cache, log_gamma_rows, margin
-from .foxwright import evaluate as fw_evaluate
+from .foxwright import (
+    CLASSIFY_TOL,
+    FWParams,
+    _column_cache,
+    _entire_values,
+    _whole_number,
+    log_gamma_rows,
+    margin,
+)
 from .foxwright_bc import BCFWParams
 from .gammafn import log_gamma_ratio, log_gamma_vec
 
@@ -186,18 +202,26 @@ def recurrence_worst(model: CoherentModel, k_max: int = 100) -> float:
     return worst
 
 
+def _normalizations(model: CoherentModel, zetas: list[complex]) -> list[complex]:
+    """N at each finite zeta of zetas; the nonzero ones are summed in one block pass.
+
+    Each value has the bits of its own series sum, and the first error
+    in the order of zetas is raised (foxwright._entire_values).
+    """
+    values = iter(_entire_values(model.params, [zeta for zeta in zetas if zeta != 0]))
+    pref = cmath.exp(_log_prefactor(model))
+    # rho(0) = 1: the prefactor cancels the k=0 term exactly
+    return [pref * next(values) if zeta != 0 else 1.0 + 0j for zeta in zetas]
+
+
 def normalization_at(model: CoherentModel, zeta: complex) -> complex:
     """N extended to complex argument by the same series."""
-    zeta = complex(zeta)
-    if zeta == 0:
-        return 1.0 + 0j  # rho(0) = 1: prefactor cancels the k=0 term exactly
-    res = fw_evaluate(model.params, zeta)
-    return cmath.exp(_log_prefactor(model)) * res.value
+    return _normalizations(model, [_check_finite_complex(zeta, "zeta")])[0]
 
 
 def normalization(model: CoherentModel, zeta: float) -> float:
     """N(zeta) = sum_k zeta^k / rho(k) for zeta >= 0."""
-    zeta = float(zeta)
+    zeta = _check_finite_real(zeta, "zeta")
     if zeta < 0:
         raise ValidationError("normalization argument must be >= 0")
     return normalization_at(model, zeta).real
@@ -212,7 +236,7 @@ def make_state(model: CoherentModel, z: complex, tail_target: float = 1e-12) -> 
     """
     if not tail_target >= 0:  # NaN fails this test too
         raise ValidationError("tail_target must be >= 0")
-    z = complex(z)
+    z = _check_finite_complex(z, "z")
     zeta = abs(z) ** 2
     log_n = math.log(normalization(model, zeta))
     pref = math.exp(-0.5 * log_n)
@@ -250,11 +274,27 @@ def make_state(model: CoherentModel, z: complex, tail_target: float = 1e-12) -> 
 
 
 def overlap(model: CoherentModel, z: complex, zp: complex) -> complex:
-    """<z|z'> = N(conj(z) z') / sqrt(N(|z|^2) N(|z'|^2))."""
-    z = complex(z)
-    zp = complex(zp)
-    num = normalization_at(model, z.conjugate() * zp)
-    n1, n2 = float(normalization(model, abs(z) ** 2)), float(normalization(model, abs(zp) ** 2))
+    """<z|z'> = N(conj(z) z') / sqrt(N(|z|^2) N(|z'|^2)), the three N in one block pass.
+
+    z and z' must be finite, and so must conj(z) z'.  Each N has the
+    bits of its own series sum, and the first error in the order
+    N(conj(z) z'), N(|z|^2), N(|z'|^2) is raised, so the result and any
+    error are those of the three normalizations taken one after another;
+    a |z|^2 past the float range raises after the sums before it.
+    """
+    z = _check_finite_complex(z, "z")
+    zp = _check_finite_complex(zp, "zp")
+    zetas = [_check_finite_complex(z.conjugate() * zp, "conj(z) zp")]
+    too_large = None
+    try:
+        for w in (z, zp):
+            zetas.append(abs(w) ** 2)
+    except OverflowError as exc:
+        too_large = exc
+    values = _normalizations(model, zetas)
+    if too_large is not None:
+        raise too_large
+    num, n1, n2 = values[0], float(values[1].real), float(values[2].real)
     den = math.sqrt(n1 * n2)
     if math.isinf(den):
         # N1 * N2 can overflow although each factor fits
@@ -263,9 +303,11 @@ def overlap(model: CoherentModel, z: complex, zp: complex) -> complex:
 
 
 def ladder_elements(model: CoherentModel, k: int) -> tuple[float, float, float, float]:
-    """(f(k-1), f(k), f(k)^2, f(k-1)^2) with f(-1) = 0: the diagonal ladder data."""
-    if k < 0:
-        raise ValidationError("k must be >= 0")
+    """(f(k-1), f(k), f(k)^2, f(k-1)^2) with f(-1) = 0: the diagonal ladder data.
+
+    k must be a whole number >= 0; integral floats such as 4.0 are taken.
+    """
+    k = _whole_number(k, "k", 0)
     fs = f_factor(model, np.arange(max(k - 1, 0), k + 1)).tolist()
     f_up = fs[-1]
     f_down = fs[0] if k > 0 else 0.0

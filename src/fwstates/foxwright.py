@@ -33,12 +33,18 @@ bit, the block combines the same columns with the same operations in
 the same order, and a zero's sign in a parameter (the one thing FWParams
 equality ignores) is dropped by the addition a + k A.
 
-evaluate sums in blocks of 32, 64, ... terms, doubling up to
-_BLOCK_CAP.  The running sums are a sequential cumsum whose first term
-has the carried total added, so they add in the order a per-term loop
-would, and the first index that completes the stop streak does not
-depend on where blocks start or end.  Block length therefore moves no
-bit of the value, the terms used or the tail.
+One block loop (_block_sums) sums in blocks of 32, 64, ... terms,
+doubling up to _BLOCK_CAP.  The running sums are a sequential cumsum
+whose first term has the carried total added, so they add in the order
+a per-term loop would, and the first index that completes the stop
+streak does not depend on where blocks start or end.  Block length
+therefore moves no bit of the value, the terms used or the tail.
+evaluate runs it on one z over 1-d blocks.  coherent.overlap runs it on
+its three normalization arguments at once (_entire_values), over
+(3, block) arrays: one set of numpy calls per block instead of three.
+Each row is formed, summed along the row and stop-tested by elementwise
+operations, so it gets the bits of its own evaluate call, and leaves the
+pass when it stops or fails, with the error that call would raise.
 
 On the circle |z| = V with allow_boundary, evaluate first tries Levin
 u transforms (_boundary_sum): two windows of 31 partial sums from the
@@ -66,6 +72,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .bicomplex import _check_finite_complex
 from .errors import (
     DomainViolation,
     MaxTermsExceeded,
@@ -166,6 +173,23 @@ def _normalize_pairs(pairs, side: str) -> tuple[tuple[complex, float], ...]:
     return tuple(out)
 
 
+def _whole_number(value, what: str, least: int) -> int:
+    """value as an int, refused unless a whole number >= least.
+
+    Integral floats such as 1e4 are taken; NaN, inf, fractions and
+    non-numbers are refused with ValidationError.
+    """
+    try:
+        if not value >= least:  # NaN fails this test too
+            raise ValidationError(f"{what} must be >= {least}")
+        whole = value % 1 == 0  # inf % 1 is NaN, so inf fails this test too
+    except TypeError as exc:
+        raise ValidationError(f"{what} must be a whole number, got {value!r}") from exc
+    if not whole:
+        raise ValidationError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class EvalResult:
     value: complex
@@ -184,8 +208,12 @@ def margin_sign(params: FWParams) -> int:
     return (d > CLASSIFY_TOL) - (d < -CLASSIFY_TOL)
 
 
+@lru_cache(maxsize=_COLUMN_CACHE_SIZE)
 def radius(params: FWParams) -> float:
-    """Convergence radius: inf (Delta>0), prod B^B prod A^(-A) (Delta=0), 0."""
+    """Convergence radius: inf (Delta>0), prod B^B prod A^(-A) (Delta=0), 0.
+
+    Cached per parameter set, as every evaluate call asks for it.
+    """
     return _radius_for_sign(params, margin_sign(params))
 
 
@@ -326,6 +354,9 @@ def log_gamma_rows(params: FWParams, n: int) -> tuple[np.ndarray, ...]:
     return tuple(col[:n] for col in (cols.log_fact, *cols.upper, *cols.lower))
 
 
+_cumsum = np.add.accumulate  # ndarray.cumsum's sum, without its method overhead
+
+
 def _abs(x: np.ndarray) -> np.ndarray:
     """|x| elementwise, bit for bit as scalar abs() (np.abs on complex is not)."""
     return np.hypot(x.real, x.imag)
@@ -346,8 +377,11 @@ def _streak_end(ok: np.ndarray, streak: int) -> tuple[int, int]:
     return -1, len(run) - 1 - run.rfind(b"\x00")
 
 
-def _block_terms(cols: _Columns, log_z: complex, k0: int, end: int) -> np.ndarray:
-    """t_k for k0 <= k < end; raises at an upper pole or a term past the float range."""
+def _block_terms(cols: _Columns, log_z, k0: int, end: int) -> np.ndarray:
+    """log t_k for k0 <= k < end: 1-d at one log z, one row each at an (m, 1) array.
+
+    Raises at an upper pole, which every row meets at the same k.
+    """
     for pole in cols.upper_poles:
         if pole is not None and pole[0] < end:
             raise PoleError(f"upper gamma pole at k={pole[0]} (argument {pole[1]})")
@@ -357,12 +391,134 @@ def _block_terms(cols: _Columns, log_z: complex, k0: int, end: int) -> np.ndarra
     for col, poles, first in zip(cols.lower, cols.lower_poles, cols.lower_first_pole):
         logt = logt - col[k0:end]
         if first is not None and first < end:
-            logt[poles[k0:end]] = complex(-math.inf, 0.0)
-    if (logt.real > 709.0).any():
-        raise OverflowError(
-            "series term exceeds the floating-point range; value not representable"
-        )
-    return np.exp(logt)
+            logt[..., poles[k0:end]] = complex(-math.inf, 0.0)
+    return logt
+
+
+_NO_TERMS = np.empty(0, dtype=complex)
+_NO_TERMS.flags.writeable = False
+
+
+class _RowSum:
+    """One series in the block loop: its running sum and how it ended.
+
+    total is the sum of the terms taken so far, used their count, streak
+    the run of small terms carried into the next block and recent the
+    last (up to) three terms taken; error is what the sum raises.
+    """
+
+    __slots__ = ("total", "used", "streak", "recent", "stopped", "error")
+
+    def __init__(self):
+        self.total = 0j
+        self.used = 0
+        self.streak = 0
+        self.recent = _NO_TERMS
+        self.stopped = False
+        self.error = None
+
+    def add(self, terms: np.ndarray, sums: np.ndarray, ok: np.ndarray) -> bool:
+        """Take in this row of one block; True once the row is done."""
+        if self.error is not None:
+            return True
+        stop, self.streak = _streak_end(ok, self.streak)
+        self.stopped = stop >= 0
+        used = stop + 1 if self.stopped else terms.size
+        self.total = sums[used - 1]
+        self.used += used
+        summed = terms[:used]
+        self.recent = summed[-3:] if used >= 3 else np.concatenate((self.recent, summed))[-3:]
+        return self.stopped
+
+    def value(self, z: complex, tol: float, capped: bool = False):
+        """The sum; raises the row's error, or MaxTermsExceeded unless stopped or capped."""
+        if self.error is not None:
+            raise self.error
+        if not (self.stopped or capped):
+            raise MaxTermsExceeded(
+                f"no convergence after {self.used} terms (tol={tol:g}, |z|={abs(z):.6g})"
+            )
+        return self.total
+
+
+def _block_sums(cache: _ColumnCache, log_zs: list, tol: float, max_terms: int) -> list[_RowSum]:
+    """Sum the series at each log z of log_zs; one _RowSum per series.
+
+    Blocks of 32, 64, ... up to _BLOCK_CAP terms.  One series is summed
+    over 1-d blocks; several are summed together over (m, block) arrays,
+    which would cost a lone series up to 70% more.  A block's terms are
+    formed, added from each row's carried total by a cumsum along the
+    row, and stop-tested, all elementwise or in sequence within a row,
+    so a row gets the bits it gets alone.  A row leaves once it stops or
+    meets its error: an upper pole (every row meets it in the same
+    block) or a term past the float range (the row is nulled before exp,
+    so no other row sees the overflow).
+    """
+    several = len(log_zs) > 1
+    log_z = np.array(log_zs)[:, None] if several else log_zs[0]
+    rows = [_RowSum() for _ in log_zs]
+    live = rows
+    # what picks a row out of a block: its number, or for one series
+    # the whole 1-d block
+    index = range(len(rows)) if several else (...,)
+    carry = np.zeros(len(rows), dtype=complex) if several else 0j
+    k0 = 0
+    block = 32
+    with np.errstate(under="ignore", invalid="ignore"):
+        while k0 < max_terms:
+            end = min(k0 + block, max_terms)
+            try:
+                logt = _block_terms(cache.upto(end), log_z, k0, end)
+            except PoleError as exc:
+                for row in live:
+                    row.error = exc
+                break
+            # no NaN reaches logt (pole entries are written as -inf), so
+            # the max tests what any() of the comparison would, faster
+            if logt.real.max() > 709.0:
+                per_row = logt.reshape(len(live), -1)
+                past = (per_row.real > 709.0).any(axis=1)
+                for row, bad in zip(live, past):
+                    if bad:
+                        row.error = OverflowError(
+                            "series term exceeds the floating-point range; value not representable"
+                        )
+                per_row[past] = complex(-math.inf, 0.0)
+            terms = np.exp(logt)
+            # the carried totals are added to the first terms, so the sums
+            # add in sequence from them
+            sums = terms.copy()
+            sums.T[0] += carry
+            sums = _cumsum(sums, -1)
+            ok = _abs(terms) <= tol * _abs(sums)
+            keep = [i for i, row in zip(index, live) if not row.add(terms[i], sums[i], ok[i])]
+            if not keep:
+                break
+            if len(keep) < len(live):
+                live = [live[i] for i in keep]
+                index = range(len(keep))
+                log_z = log_z[keep]
+                sums = sums[keep]
+            carry = sums.T[-1]
+            k0 = end
+            block = min(2 * block, _BLOCK_CAP)
+    return rows
+
+
+def _entire_values(params: FWParams, zs: list[complex]) -> list:
+    """evaluate(params, z).value at each z of zs, from one block pass.
+
+    For callers that have made evaluate's checks: params entire (Delta >
+    0) and every z finite and nonzero, so that each call would go
+    straight to the block loop with the default tol and max_terms.  Each
+    row ends with its call's value or error, and the first error in the
+    order of zs is raised, as the calls made one after another raise it.
+    """
+    if not zs:
+        return []
+    log_zs = [cmath.log(z) for z in zs]
+    rows = _block_sums(_column_cache(params), log_zs, DEFAULT_TOL, DEFAULT_MAX_TERMS)
+    return [row.value(z, DEFAULT_TOL) for row, z in zip(rows, zs)]
 
 
 def _term_zero(params: FWParams) -> complex:
@@ -599,16 +755,12 @@ def evaluate(
     Terms are summed in blocks of 32, 64, ... up to _BLOCK_CAP terms
     (never past max_terms), so a 10,000-term sum takes 23 blocks.
     max_terms must be a whole number >= 1; integral floats such as 1e4
-    are accepted.
+    are accepted.  z must be finite.
     """
     if not tol > 0:  # NaN fails this test too
         raise ValidationError("tol must be > 0")
-    if not max_terms >= 1:  # NaN fails this test too
-        raise ValidationError("max_terms must be >= 1")
-    if max_terms % 1 != 0:  # inf % 1 is NaN, so inf fails this test too
-        raise ValidationError(f"max_terms must be a whole number, got {max_terms!r}")
-    max_terms = int(max_terms)
-    z = complex(z)
+    max_terms = _whole_number(max_terms, "max_terms", 1)
+    z = _check_finite_complex(z, "z")
     if z == 0:
         return EvalResult(_term_zero(params), 1, 0.0)
 
@@ -640,40 +792,12 @@ def evaluate(
             res = _boundary_sum(params, z, log_z, max_terms, r)
         if res is not None:
             return res
-    cache = _column_cache(params)
-    total = 0j
-    streak = 0
-    terms_used = 0
-    recent = np.empty(0, dtype=complex)  # the last (up to) three terms summed
-    stopped = False
-    k0 = 0
-    block = 32
-    with np.errstate(under="ignore", invalid="ignore"):
-        while k0 < max_terms and not stopped:
-            end = min(k0 + block, max_terms)
-            terms = _block_terms(cache.upto(end), log_z, k0, end)
-            # cumsum adds in sequence from the carried total
-            sums = terms.copy()
-            sums[0] += total
-            sums = sums.cumsum()
-            ok = _abs(terms) <= tol * _abs(sums)
-            stop, streak = _streak_end(ok, streak)
-            stopped = stop >= 0
-            used = stop + 1 if stopped else terms.size
-            total = sums[used - 1]
-            terms_used += used
-            summed = terms[:used]
-            recent = summed[-3:] if used >= 3 else np.concatenate((recent, summed))[-3:]
-            k0 = end
-            block = min(2 * block, _BLOCK_CAP)
-    mag_hist = [0.0] * (3 - recent.size) + [abs(t) for t in recent]
+    row = _block_sums(_column_cache(params), [log_z], tol, max_terms)[0]
+    total = row.value(z, tol, capped=on_boundary)
+    mag_hist = [0.0] * (3 - row.recent.size) + [abs(t) for t in row.recent]
+    terms_used = row.used
 
-    if not stopped and not on_boundary:
-        raise MaxTermsExceeded(
-            f"no convergence after {terms_used} terms (tol={tol:g}, |z|={abs(z):.6g})"
-        )
-
-    if on_boundary and not stopped:
+    if on_boundary and not row.stopped:
         lam_re = boundary_exponent(params).real
         tail = abs(mag_hist[2]) * terms_used / (lam_re - 0.5)
     else:

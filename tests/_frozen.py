@@ -11,6 +11,10 @@ result and error for error.
   column, over columns grown by grow_columns with one log_gamma_vec call
   per column (tests/test_states_bits.py).
 
+- overlap_three_calls: coherent.overlap as three separate sums,
+  N(conj(z) z'), N(|z|^2), N(|z'|^2) one after another, each by
+  evaluate_blocks (tests/test_states_bits.py).
+
 On the convergence circle both copies sum to max_terms and return the
 majorant tail.  evaluate still does that wherever its Levin route does
 not apply; takes_levin_route says which boundary calls leave the
@@ -39,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from fwstates import continuum, foxwright
-from fwstates.coherent import _log_rho_vec
+from fwstates.coherent import _log_prefactor, _log_rho_vec
 from fwstates.errors import (
     DomainViolation,
     MaxTermsExceeded,
@@ -342,6 +346,32 @@ def evaluate_blocks(params, z, tol=1e-14, max_terms=10000, allow_boundary=False)
         tail = 4.0 * max(mag_hist) * ratio / (1.0 - ratio)
         tail = max(tail, max(mag_hist))
     return EvalResult(total, terms_used, tail)
+
+
+def overlap_three_calls(model, z, zp):
+    """overlap() as it was before its three sums shared one block pass: one
+    evaluate call per normalization (here the frozen block loop)."""
+
+    def normalization_at(zeta):
+        zeta = complex(zeta)
+        if zeta == 0:
+            return 1.0 + 0j
+        return cmath.exp(_log_prefactor(model)) * evaluate_blocks(model.params, zeta).value
+
+    def normalization(zeta):
+        zeta = float(zeta)
+        if zeta < 0:
+            raise ValidationError("normalization argument must be >= 0")
+        return normalization_at(zeta).real
+
+    z = complex(z)
+    zp = complex(zp)
+    num = normalization_at(z.conjugate() * zp)
+    n1, n2 = float(normalization(abs(z) ** 2)), float(normalization(abs(zp) ** 2))
+    den = math.sqrt(n1 * n2)
+    if math.isinf(den):
+        den = math.sqrt(n1) * math.sqrt(n2)
+    return num / den
 
 
 # -- the measure layer -------------------------------------------------------

@@ -121,6 +121,27 @@ def test_fw_eval_overflow_exit3(files, capsys):
     assert "numeric failure" in err
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        # each ran 10,000 terms and exited 3 with "no convergence", or
+        # overflowed (exit 3)
+        (("fw", "eval", "--params", "vacuum", "--z", "nan"), "z must be finite, got (nan+0j)"),
+        (("fw", "eval", "--params", "disk", "--z", "inf"), "z must be finite, got (inf+0j)"),
+        (("cs", "coeffs", "--params", "vacuum", "--z", "1,nan"), "z must be finite, got (1+nanj)"),
+        (("cs", "overlap", "--params", "vacuum", "--z", "nan", "--zp", "1"),
+         "z must be finite, got (nan+0j)"),
+        (("cs", "overlap", "--params", "shift", "--z", "1", "--zp", "0,inf"),
+         "zp must be finite, got infj"),
+        (("cs", "overlap", "--params", "vacuum", "--z", "1e200", "--zp", "1e200"),
+         "conj(z) zp must be finite, got (inf+0j)"),
+    ],
+)
+def test_non_finite_points_exit1(files, capsys, argv, text):
+    argv = [files.get(a, a) for a in argv]  # model names to their files
+    assert run_cli(capsys, *argv) == (1, "", f"error: {text}\n")
+
+
 def test_fw_radius_output(files, capsys):
     code, out, _ = run_cli(capsys, "fw", "radius", "--params", files["disk"])
     assert code == 0

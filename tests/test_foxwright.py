@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -240,6 +241,26 @@ def test_param_validation():
         FWParams(upper=[(0.0, 1.0)], lower=[])  # k=0 pole in an upper pair
     with pytest.raises(ValidationError):
         evaluate(FWParams(upper=[], lower=[]), 1.0, tol=0.0)
+
+
+@pytest.mark.parametrize(
+    "z, text",
+    [
+        # NaN ran 10,000 terms and raised MaxTermsExceeded, inf overflowed
+        (math.nan, "z must be finite, got (nan+0j)"),
+        (complex(0.5, math.nan), "z must be finite, got (0.5+nanj)"),
+        (math.inf, "z must be finite, got (inf+0j)"),
+        (complex(-math.inf, 1.0), "z must be finite, got (-inf+1j)"),
+        # complex() raised a raw ValueError or TypeError
+        ("x", "z must be a complex number, got 'x'"),
+        (None, "z must be a complex number, got None"),
+    ],
+)
+@pytest.mark.parametrize("params", [FWParams(upper=[], lower=[]), DISK_PARAMS, BOUNDARY_PARAMS])
+def test_non_finite_and_malformed_points_are_refused(params, z, text, monkeypatch):
+    monkeypatch.setattr(foxwright, "_block_sums", lambda *a: pytest.fail("the series ran"))
+    with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
+        evaluate(params, z, allow_boundary=True)
 
 
 # -- the Levin route on the convergence circle -------------------------------

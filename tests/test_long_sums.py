@@ -195,6 +195,14 @@ def test_max_terms_below_one_is_refused(z, max_terms):
         evaluate_bc(params, compose_idempotent(z, z), max_terms=max_terms, allow_boundary=True)
 
 
+@pytest.mark.parametrize("max_terms", ["x", None, 1j])
+def test_max_terms_that_is_no_number_is_refused(max_terms):
+    # these raised a raw TypeError
+    text = f"max_terms must be a whole number, got {max_terms!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
+        evaluate(GAUSS_A, 0.5, max_terms=max_terms)
+
+
 @pytest.mark.parametrize("max_terms", [1000, 4097, 10000])
 def test_integral_float_max_terms_sums_as_the_int(max_terms):
     for z in (SLOW_A, cmath.exp(0.3j), 0.5j):

@@ -2,11 +2,13 @@
 
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from fwstates import foxwright
 from fwstates.bicomplex import E1, ZERO, Bicomplex, Hyperbolic
 from fwstates.coherent import (
     BCCoherentModel,
@@ -383,6 +385,43 @@ def test_bicomplex_overlap_delegates():
         m = bc.component_model(p + 1)
         ref = overlap(m, Z.decompose()[p], Zp.decompose()[p])
         assert abs(got.decompose()[p] - ref) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        # these ran 10,000 terms and raised MaxTermsExceeded, or overflowed
+        (lambda: make_state(VACUUM, math.nan), "z must be finite, got (nan+0j)"),
+        (lambda: make_state(VACUUM, complex(1.0, math.nan)), "z must be finite, got (1+nanj)"),
+        (lambda: make_state(VACUUM, math.inf), "z must be finite, got (inf+0j)"),
+        (lambda: normalization(VACUUM, math.nan), "zeta must be finite, got nan"),
+        (lambda: normalization_at(VACUUM, math.inf), "zeta must be finite, got (inf+0j)"),
+        (lambda: overlap(VACUUM, math.nan, 1.0), "z must be finite, got (nan+0j)"),
+        (lambda: overlap(GENERIC, 1.0, complex(math.inf, 1.0)), "zp must be finite, got (inf+1j)"),
+        (lambda: overlap(VACUUM, 1e200, 1e200), "conj(z) zp must be finite, got (inf+0j)"),
+        # these raised a raw TypeError or ValueError
+        (lambda: normalization(VACUUM, 1j), "zeta must be a real number, got 1j"),
+        (lambda: normalization(VACUUM, "x"), "zeta must be a real number, got 'x'"),
+        (lambda: make_state(VACUUM, None), "z must be a complex number, got None"),
+        (lambda: overlap(VACUUM, "x", 1), "z must be a complex number, got 'x'"),
+        (lambda: ladder_elements(VACUUM, "x"), "k must be a whole number, got 'x'"),
+        # numpy's "arange: cannot compute length"
+        (lambda: ladder_elements(VACUUM, math.nan), "k must be >= 0"),
+        (lambda: ladder_elements(VACUUM, math.inf), "k must be a whole number, got inf"),
+        # this returned f(1.5) and f(2.5)
+        (lambda: ladder_elements(VACUUM, 2.5), "k must be a whole number, got 2.5"),
+    ],
+)
+def test_malformed_and_non_finite_arguments_are_refused(call, text, monkeypatch):
+    monkeypatch.setattr(foxwright, "_block_sums", lambda *a: pytest.fail("a series ran"))
+    with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
+        call()
+
+
+def test_integral_float_k_is_taken_as_the_int():
+    for model in (VACUUM, GENERIC):
+        for k in (0, 1, 4, 30):
+            assert repr(ladder_elements(model, float(k))) == repr(ladder_elements(model, k))
 
 
 def test_model_validation():

@@ -3,7 +3,9 @@
 The series' column cache forms every column's gamma arguments as one
 block and makes one log_gamma_vec call per growth step; make_state reads
 log rho(k) from that cache (`foxwright.log_gamma_rows`) instead of a
-second `_log_rho_vec` call; the evaluate block loop seeds its cumsum by
+second `_log_rho_vec` call; overlap sums its three normalization series
+in one block pass instead of three evaluate calls; the evaluate block
+loop seeds its cumsum by
 adding the carried total to the first term, enters np.errstate once per
 call, takes k from the cache and skips the pole write for lower columns
 without a pole; log_gamma_ratio screens every argument for poles with
@@ -26,22 +28,34 @@ from _frozen import (
     empty_columns,
     evaluate_blocks,
     grow_columns,
+    overlap_three_calls,
     takes_levin_route,
 )
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fwstates import coherent
-from fwstates.coherent import CoherentModel, StateVector, make_state, normalization
+from fwstates import coherent, foxwright
+from fwstates.bicomplex import Bicomplex, Hyperbolic, componentwise, compose_idempotent
+from fwstates.coherent import (
+    BCCoherentModel,
+    CoherentModel,
+    StateVector,
+    make_state,
+    normalization,
+    overlap,
+    overlap_b,
+)
 from fwstates.errors import FWError, PoleError, TruncationError, ValidationError
 from fwstates.foxwright import (
     FWParams,
+    _abs,
     _column_cache,
     _ColumnCache,
     evaluate,
     log_gamma_rows,
     radius,
 )
+from fwstates.foxwright_bc import BCFWParams
 from fwstates.gammafn import is_gamma_pole, log_gamma_ratio
 
 # -- frozen references ------------------------------------------------------
@@ -228,6 +242,136 @@ def test_concurrent_states_and_sums_share_the_table():
     finally:
         sys.setswitchinterval(old)
     assert got == expect
+
+
+# -- overlap's shared block pass ---------------------------------------------
+
+
+def _value_outcome(fn, *args):
+    """Type and repr of a result, or the error raised."""
+    try:
+        res = fn(*args)
+    except FWError as exc:
+        return type(exc).__name__, str(exc)
+    except OverflowError as exc:
+        return "OverflowError", str(exc)
+    return type(res).__name__, repr(res)
+
+
+VACUUM = CoherentModel(FWParams(upper=[], lower=[]))
+# N(|z|^2) = N(|z'|^2) = 2.5e263 at the point below, so N N' leaves float64
+# (ROADMAP 1(d)); overlap then takes sqrt(N) sqrt(N')
+WIDE = CoherentModel(
+    FWParams(
+        upper=[(2.929550738930658, 1.4472416378738564), (2.0862003957136137, 0.831315097839454)],
+        lower=[(2.668222991444634, 0.520648631953876), (1.6246481863813942, 1.0825954364681925)],
+    )
+)
+WIDE_Z = complex(math.sqrt(abs(5.871836056699253 + 1.6089414839369796j)), 0.0)
+WIDE_ZP = (5.871836056699253 + 1.6089414839369796j) / WIDE_Z.real
+
+_OVERLAP_Z = st.one_of(
+    st.just(0j),
+    st.builds(cmath.rect, st.floats(0.0, 3.0), st.floats(-math.pi, math.pi)),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_models(), _OVERLAP_Z, _OVERLAP_Z)
+@example(VACUUM, 0.1, 3.0)  # the three rows stop in different blocks
+@example(VACUUM, 3.0j, 0.1)
+@example(VACUUM, 0.1, 40.0)  # only N(|z'|^2) overflows
+@example(VACUUM, 40.0, 0.1)  # only N(|z|^2) overflows
+@example(VACUUM, 0j, 0j)
+@example(WIDE, WIDE_Z, WIDE_ZP)
+def test_overlap_matches_three_calls(model, z, zp):
+    want = _value_outcome(overlap_three_calls, model, z, zp)
+    _column_cache.cache_clear()
+    assert _value_outcome(overlap, model, z, zp) == want  # cold column table
+    assert _value_outcome(overlap, model, z, zp) == want  # warm
+
+
+@pytest.mark.parametrize(
+    "z, zp, error",
+    [
+        (0.1, 40.0, "OverflowError"),
+        (40.0, 0.1, "OverflowError"),
+        (60.0, 60.0, "OverflowError"),  # all three rows overflow
+        (WIDE_Z, WIDE_ZP, None),
+    ],
+)
+def test_overlap_fixed_points(z, zp, error):
+    model = WIDE if z == WIDE_Z else VACUUM
+    want = _value_outcome(overlap_three_calls, model, z, zp)
+    assert (want[0] == error) if error else want[0] == "complex128"
+    assert _value_outcome(overlap, model, z, zp) == want
+
+
+def test_overlap_sums_three_rows_per_block(monkeypatch):
+    # N(0.3) and N(0.01) stop in the first block of 32 terms and N(9) in
+    # the second, of 64: two magnitude passes per block, on all live rows
+    calls = []
+
+    def counted(x):
+        calls.append(x.shape)
+        return _abs(x)
+
+    monkeypatch.setattr(foxwright, "_abs", counted)
+    overlap(VACUUM, 0.1, 3.0)
+    assert calls == [(3, 32), (3, 32), (1, 64), (1, 64)]
+
+
+@pytest.mark.parametrize(
+    "z, failing, raised",
+    [
+        (0.5, (1, 2), "row 1"),
+        (0.5, (0, 1, 2), "row 0"),
+        (0.5, (2,), "row 2"),
+        # N(conj(z) z') and N(|z|^2) are 1 at zero, so N(|z'|^2) is row 0
+        (0.0, (0,), "row 0"),
+    ],
+)
+def test_overlap_raises_the_first_error_in_row_order(monkeypatch, z, failing, raised):
+    real = foxwright._block_sums
+
+    def with_errors(cache, log_z, tol, max_terms):
+        rows = real(cache, log_z, tol, max_terms)
+        for i in failing:
+            rows[i].error = OverflowError(f"row {i}")
+        return rows
+
+    monkeypatch.setattr(foxwright, "_block_sums", with_errors)
+    with pytest.raises(OverflowError, match=f"^{raised}$"):
+        overlap(VACUUM, z, 1.5j)
+
+
+@st.composite
+def _bc_models(draw):
+    first = draw(_models())
+    p, q = first.params.p, first.params.q
+    upper = draw(st.lists(_PAIR, min_size=p, max_size=p))
+    lower = draw(st.lists(_PAIR, min_size=q, max_size=q))
+    assume(1.0 + sum(B for _, B in lower) - sum(A for _, A in upper) >= 0.3)
+
+    def side(a, b):
+        return [(compose_idempotent(x[0].real, y[0]), Hyperbolic(x[1], y[1])) for x, y in zip(a, b)]
+
+    return BCCoherentModel(
+        BCFWParams(upper=side(first.params.upper, upper), lower=side(first.params.lower, lower)),
+        first.K,
+    )
+
+
+def _overlap_b_three_calls(model, Z, Zp):
+    return Bicomplex(*componentwise(overlap_three_calls, model, Z, Zp))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_bc_models(), _OVERLAP_Z, _OVERLAP_Z, _OVERLAP_Z, _OVERLAP_Z)
+def test_overlap_b_matches_three_calls_per_component(model, z1, z2, zp1, zp2):
+    Z, Zp = Bicomplex(z1, z2), Bicomplex(zp1, zp2)
+    want = _value_outcome(_overlap_b_three_calls, model, Z, Zp)
+    assert _value_outcome(overlap_b, model, Z, Zp) == want
 
 
 # -- the evaluate block loop -------------------------------------------------
