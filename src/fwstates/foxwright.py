@@ -395,6 +395,7 @@ def _block_terms(cols: _Columns, log_z, k0: int, end: int) -> np.ndarray:
     return logt
 
 
+_TOO_LARGE = "series term exceeds the floating-point range; value not representable"
 _NO_TERMS = np.empty(0, dtype=complex)
 _NO_TERMS.flags.writeable = False
 
@@ -431,9 +432,12 @@ class _RowSum:
         return self.stopped
 
     def value(self, z: complex, tol: float, capped: bool = False):
-        """The sum; raises the row's error, or MaxTermsExceeded unless stopped or capped."""
+        """The sum; raises the row's error, OverflowError if the sum left the
+        float range, or MaxTermsExceeded unless stopped or capped."""
         if self.error is not None:
             raise self.error
+        if not cmath.isfinite(self.total):
+            raise OverflowError(_TOO_LARGE)
         if not (self.stopped or capped):
             raise MaxTermsExceeded(
                 f"no convergence after {self.used} terms (tol={tol:g}, |z|={abs(z):.6g})"
@@ -464,7 +468,7 @@ def _block_sums(cache: _ColumnCache, log_zs: list, tol: float, max_terms: int) -
     carry = np.zeros(len(rows), dtype=complex) if several else 0j
     k0 = 0
     block = 32
-    with np.errstate(under="ignore", invalid="ignore"):
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         while k0 < max_terms:
             end = min(k0 + block, max_terms)
             try:
@@ -480,9 +484,7 @@ def _block_sums(cache: _ColumnCache, log_zs: list, tol: float, max_terms: int) -
                 past = (per_row.real > 709.0).any(axis=1)
                 for row, bad in zip(live, past):
                     if bad:
-                        row.error = OverflowError(
-                            "series term exceeds the floating-point range; value not representable"
-                        )
+                        row.error = OverflowError(_TOO_LARGE)
                 per_row[past] = complex(-math.inf, 0.0)
             terms = np.exp(logt)
             # the carried totals are added to the first terms, so the sums

@@ -28,8 +28,10 @@ fixed cost that small arrays do not repay: a new line tests M(c) and its
 first eight heights in one call (and each further eight in one more),
 its first grid holds the 2n + 1 nodes of level 2n, which every H value
 needs, with level n as the stride-2 view, and each doubling forms only
-the new odd nodes.  The trapezoid loop likewise keeps the even entries
-of the integrand from the level below and forms only the odd ones.
+the new odd nodes.  The trapezoid loop likewise forms the integrand on
+level 2n in one pass, sums level n on its stride-2 view, and then forms
+only each level's odd nodes; for few numpy calls it halves steps, not
+complex sums, and enters np.errstate only where H(x) may underflow.
 
 Three bounded LRU caches hold what depends only on the parameters: the
 256 most recent models' parameter blocks (`_model_block`, which
@@ -287,27 +289,29 @@ def eval_h(hp: HWeightParams, x: float, cc: ContourConfig = DEFAULT_CONTOUR) -> 
 
 @lru_cache(maxsize=4096)
 def _h_value(hp: HWeightParams, x: float, cc: ContourConfig) -> float:
-    """The contour loop behind eval_h, memoized: quadratures revisit their nodes."""
+    """The contour loop behind eval_h, memoized: quadratures revisit their nodes.
+
+    Level n is summed on level 2n's stride-2 view, at its own step T/n = 2h."""
     st = _contour_state(hp, cc, _abscissa_level(hp, cc, x))
     log_x = math.log(x)
     log_scale = st.log_m0 - st.c * log_x - math.log(math.pi)
-    n = cc.n_nodes
-    prev = f = None
+    st.level(cc.n_nodes)  # level n stays in the line's cache, with its floor
+    n, f = 2 * cc.n_nodes, None
     while n <= MAX_NODES:
         vals, t, h, floor = st.level(n)
         if f is None:
             f = vals * np.exp(-1j * (t * log_x))
+            prev = float(((f[2::2] + f[:-2:2]) * h).sum().real)  # level n/2: stride 2, step 2h
         else:
-            # the even nodes are the level below's; only the odd ones are new
             f_even, f = f, np.empty(n + 1, dtype=complex)
-            f[0::2] = f_even
+            f[0::2] = f_even  # the level below's nodes; only the odd ones are new
             f[1::2] = vals[1::2] * np.exp(-1j * (t[1::2] * log_x))
-        bracket = float((h * (f[1:] + f[:-1]) / 2.0).sum().real)  # np.trapezoid(f, dx=h)
-        if prev is not None and abs(bracket - prev) <= max(_REL_STOP * abs(bracket), floor):
-            if bracket == 0.0:
-                return 0.0
-            with np.errstate(under="ignore"):
+        bracket = float(((f[1:] + f[:-1]) * (h / 2.0)).sum().real)  # np.trapezoid(f, dx=h)
+        if abs(bracket - prev) <= max(_REL_STOP * abs(bracket), floor):
+            if bracket and log_scale + min(0.0, math.log(abs(bracket))) > -700.0:
                 return float(bracket * np.exp(log_scale))
+            with np.errstate(under="ignore"):  # H is zero, or may underflow
+                return float(bracket * np.exp(log_scale)) if bracket else 0.0
         prev = bracket
         n *= 2
     raise ContourFailure(f"node doubling stalled below tolerance at n={n // 2} for x={x:g}")

@@ -30,6 +30,20 @@ The measure layer's copies:
   (tests/test_log_gamma_batching.py).
 - tanh_sinh_per_side: the tanh-sinh rule with one integrand call per side
   of the midpoint (tests/test_log_gamma_batching.py).
+- log_mellin_vec_per_factor, contour_abscissa, ContourPerLevel,
+  eval_h_per_level: the kernel's log Mellin transform with one
+  log_gamma_vec_masked call per gamma factor, and a contour line with one
+  array per trapezoid level, node values formed afresh or as the level
+  below plus its odd nodes, np.trapezoid at every level
+  (tests/test_measure_bits.py).
+- ContourFirstGridN, contour_state_first_grid_n, h_value_afresh: a line
+  whose height search tests one height per call and whose first grid is
+  level n, and the trapezoid loop forming its integrand afresh at every
+  level (tests/test_log_gamma_batching.py).
+- h_value_two_passes: hfunction._h_value's loop, on the live contour
+  lines, forming level n and then the odd nodes of level 2n in a second
+  pass, halving each level's complex sum, under np.errstate on every
+  return (tests/test_measure_bits.py).
 - e_max, integrands, nu_integral: the nu integral with no node table: the
   truncation grid and log rho at every node formed afresh, the one-node
   integrand on a 1-element array, and tanh_sinh_per_side on the node
@@ -38,13 +52,15 @@ The measure layer's copies:
 
 import cmath
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from fwstates import continuum, foxwright
+from fwstates import continuum, foxwright, hfunction
 from fwstates.coherent import _log_prefactor, _log_rho_vec
 from fwstates.errors import (
+    ContourFailure,
     DomainViolation,
     MaxTermsExceeded,
     PoleError,
@@ -509,3 +525,194 @@ def nu_integral(model, log_zeta, cfg, scheme):
     if not (cmath.isfinite(value) and cmath.isfinite(err)):
         raise OverflowError(f"integral {value!r} (error {err!r}) leaves the float64 range")
     return value, err
+
+
+# -- the contour lines and trapezoid loops behind eval_h ----------------------
+
+_EPS = float(np.finfo(float).eps)
+
+
+def log_mellin_vec_per_factor(hp, s):
+    """hfunction._log_mellin_vec with one log_gamma_vec_masked call per factor."""
+    out = np.zeros(s.shape, dtype=complex)
+    for beta, B in hp.lower:
+        out += log_gamma_vec_masked(beta + s * B)
+    for alpha, A in hp.upper:
+        out -= log_gamma_vec_masked(alpha + s * A)
+    return out
+
+
+def contour_abscissa(hp, cc, x):
+    """The abscissa of x's line, from the weight sums formed afresh."""
+    base = max(0.0, hp.rightmost_pole()) + cc.c_offset
+    mu = sum(B for _, B in hp.lower) - sum(A for _, A in hp.upper)
+    log_kappa = sum(B * math.log(B) for _, B in hp.lower) - sum(
+        A * math.log(A) for _, A in hp.upper
+    )
+    sigma = math.exp((math.log(x) - log_kappa) / mu)
+    level = 0 if sigma <= base else math.ceil((sigma - base) / hfunction._ABSCISSA_STEP)
+    return base + hfunction._ABSCISSA_STEP * level
+
+
+class ContourPerLevel:
+    """One array per level: n+1 fresh nodes, or the level below plus odd nodes."""
+
+    def __init__(self, hp, cc, x):
+        self.hp = hp
+        self.c = contour_abscissa(hp, cc, x)
+        self.log_m0 = log_mellin_vec_per_factor(hp, np.array([complex(self.c, 0.0)]))[0].real
+        T = 8.0
+        for _ in range(120):
+            top = log_mellin_vec_per_factor(hp, np.array([complex(self.c, T)]))[0].real
+            if top <= self.log_m0 + hfunction._LOG_DECAY_TARGET:
+                break
+            T *= 1.5
+        else:
+            raise ContourFailure("could not truncate the contour")
+        self.T = T
+        self._vals = {}
+
+    def _scaled(self, t):
+        with np.errstate(under="ignore"):
+            return np.exp(log_mellin_vec_per_factor(self.hp, self.c + 1j * t) - self.log_m0)
+
+    def values(self, n):
+        if n in self._vals:
+            return self._vals[n]
+        if n // 2 in self._vals:
+            t_odd = (2 * np.arange(n // 2) + 1) * (self.T / n)
+            vals = np.empty(n + 1, dtype=complex)
+            vals[0::2] = self._vals[n // 2]
+            vals[1::2] = self._scaled(t_odd)
+        else:
+            vals = self._scaled(np.linspace(0.0, self.T, n + 1))
+        self._vals[n] = vals
+        return vals
+
+
+_PER_LEVEL_LINES = {}
+
+
+def eval_h_per_level(hp, x, cc=hfunction.DEFAULT_CONTOUR, floor=None):
+    """The plain eval_h loop; a given floor replaces the computed one."""
+    x = float(x)
+    key = (hp, cc, contour_abscissa(hp, cc, x))
+    if key not in _PER_LEVEL_LINES:
+        _PER_LEVEL_LINES[key] = ContourPerLevel(hp, cc, x)
+    st_ = _PER_LEVEL_LINES[key]
+    log_x = math.log(x)
+    log_scale = st_.log_m0 - st_.c * log_x - math.log(math.pi)
+    n = cc.n_nodes
+    prev = None
+    while n <= hfunction.MAX_NODES:
+        vals = st_.values(n)
+        t = np.linspace(0.0, st_.T, n + 1)
+        h = st_.T / n
+        f = vals * np.exp(-1j * (t * log_x))
+        bracket = float(np.trapezoid(f, dx=h).real)
+        if prev is not None:
+            if floor is None:
+                level_floor = 16.0 * _EPS * float(np.trapezoid(np.abs(vals), dx=h))
+            else:
+                level_floor = floor
+            if abs(bracket - prev) <= max(hfunction._REL_STOP * abs(bracket), level_floor):
+                if bracket == 0.0:
+                    return 0.0
+                with np.errstate(under="ignore"):
+                    return float(bracket * np.exp(log_scale))
+        prev = bracket
+        n *= 2
+    raise ContourFailure(f"node doubling stalled below tolerance at n={n // 2} for x={x:g}")
+
+
+class ContourFirstGridN:
+    """A line with one-point height tests and a first grid on n + 1 nodes."""
+
+    def __init__(self, hp, cc, level):
+        self.hp = hp
+        self.c = hp._right + cc.c_offset + hfunction._ABSCISSA_STEP * level
+        self.log_m0 = hp.log_mellin(complex(self.c, 0.0)).real
+        T = 8.0
+        for _ in range(120):
+            top = hfunction._log_mellin_vec(hp, np.array([complex(self.c, T)]))[0].real
+            if top <= self.log_m0 + hfunction._LOG_DECAY_TARGET:
+                break
+            T *= 1.5
+        else:
+            raise ContourFailure("could not truncate the contour; kernel decays too slowly")
+        self.T = T
+        self.t = np.linspace(0.0, self.T, cc.n_nodes + 1)
+        self.vals = self._scaled(self.t)
+        self._levels = {}
+
+    def _scaled(self, t):
+        with np.errstate(under="ignore"):
+            return np.exp(hfunction._log_mellin_vec(self.hp, self.c + 1j * t) - self.log_m0)
+
+    def level(self, n):
+        if n not in self._levels:
+            if n > len(self.t) - 1:
+                vals = np.empty(n + 1, dtype=complex)
+                vals[0::2] = self.vals
+                vals[1::2] = self._scaled((2 * np.arange(n // 2) + 1) * (self.T / n))
+                self.vals, self.t = vals, np.linspace(0.0, self.T, n + 1)
+                self._levels = {m: self._view(m) + lev[2:] for m, lev in self._levels.items()}
+            vals, t = self._view(n)
+            floor = 16.0 * _EPS * float(np.trapezoid(np.abs(vals), dx=self.T / n))
+            self._levels[n] = (vals, t, self.T / n, floor)
+        return self._levels[n]
+
+    def _view(self, n):
+        step = (len(self.t) - 1) // n
+        return self.vals[::step], self.t[::step]
+
+
+contour_state_first_grid_n = lru_cache(maxsize=None)(ContourFirstGridN)
+
+
+def h_value_afresh(hp, x, cc):
+    """The trapezoid loop with the integrand formed afresh at every level."""
+    st_ = contour_state_first_grid_n(hp, cc, hfunction._abscissa_level(hp, cc, x))
+    log_x = math.log(x)
+    log_scale = st_.log_m0 - st_.c * log_x - math.log(math.pi)
+    n = cc.n_nodes
+    prev = None
+    while n <= hfunction.MAX_NODES:
+        vals, t, h, floor = st_.level(n)
+        f = vals * np.exp(-1j * (t * log_x))
+        bracket = float((h * (f[1:] + f[:-1]) / 2.0).sum().real)
+        if prev is not None and abs(bracket - prev) <= max(hfunction._REL_STOP * abs(bracket), floor):
+            if bracket == 0.0:
+                return 0.0
+            with np.errstate(under="ignore"):
+                return float(bracket * np.exp(log_scale))
+        prev = bracket
+        n *= 2
+    raise ContourFailure(f"node doubling stalled below tolerance at n={n // 2} for x={x:g}")
+
+
+def h_value_two_passes(hp, x, cc):
+    """hfunction._h_value's loop before level n was read off level 2n's pass."""
+    st = hfunction._contour_state(hp, cc, hfunction._abscissa_level(hp, cc, x))
+    log_x = math.log(x)
+    log_scale = st.log_m0 - st.c * log_x - math.log(math.pi)
+    n = cc.n_nodes
+    prev = f = None
+    while n <= hfunction.MAX_NODES:
+        vals, t, h, floor = st.level(n)
+        if f is None:
+            f = vals * np.exp(-1j * (t * log_x))
+        else:
+            # the even nodes are the level below's; only the odd ones are new
+            f_even, f = f, np.empty(n + 1, dtype=complex)
+            f[0::2] = f_even
+            f[1::2] = vals[1::2] * np.exp(-1j * (t[1::2] * log_x))
+        bracket = float((h * (f[1:] + f[:-1]) / 2.0).sum().real)  # np.trapezoid(f, dx=h)
+        if prev is not None and abs(bracket - prev) <= max(hfunction._REL_STOP * abs(bracket), floor):
+            if bracket == 0.0:
+                return 0.0
+            with np.errstate(under="ignore"):
+                return float(bracket * np.exp(log_scale))
+        prev = bracket
+        n *= 2
+    raise ContourFailure(f"node doubling stalled below tolerance at n={n // 2} for x={x:g}")

@@ -406,6 +406,38 @@ def test_nu_eval_ts_product_overflow_is_numeric_failure(tmp_path):
     assert proc.stderr.decode() == f"numeric failure: {NU_OVERFLOW_MESSAGES['ts']}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fw", "eval", "--params", "vacuum", "--z", "712"),
+        ("cs", "overlap", "--params", "vacuum", "--z", "26.7", "--zp", "26.7"),
+    ],
+)
+def test_sum_past_the_float_range_is_numeric_failure(files, argv):
+    # every term lies inside the float range but the running sum leaves
+    # it; these printed Infinity and nan with exit 0.  Run as a separate
+    # process, so a numpy RuntimeWarning would reach stderr.
+    args = [files.get(a, a) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "fwstates.cli", *args],
+        capture_output=True, env=_checkout_env(), timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == (
+        "numeric failure: series term exceeds the floating-point range; value not representable\n"
+    )
+
+
+def test_fw_eval_sum_near_the_float_range_keeps_its_value(files, capsys):
+    code, out, err = run_cli(capsys, "fw", "eval", "--params", files["vacuum"], "--z", "700")
+    assert code == 0 and err == ""
+    assert out == (
+        '{"tail_bound": 1.2831761564345894e+291, "terms": 910, '
+        '"value": [1.0142320547348437e+304, 0.0]}\n'
+    )
+
+
 def test_nu_eval_grid_monotone(files, capsys):
     code, out, _ = run_cli(
         capsys, "nu", "eval", "--model", files["shift"], "--zeta", "0.5,1,2"

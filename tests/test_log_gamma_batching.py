@@ -5,7 +5,7 @@ sums row by row from `_ROW_SUM_MIN` entries up, a new contour line tests
 M(c) and eight heights per `_log_mellin_vec` call and builds its first
 grid at level 2n, the trapezoid loop forms only the odd nodes of each
 new level, and `_tanh_sinh` calls its integrand once per level.  The
-references, below and in _frozen.py, are frozen copies of the forms
+references, in _frozen.py, are frozen copies of the forms
 these replaced: the fused (8, ...) Lanczos block, a one-point call per
 height, a first grid at level n, the integrand formed afresh at every
 level, and one integrand call per side of the midpoint.  Every output,
@@ -15,11 +15,14 @@ bit for bit.
 
 import cmath
 import math
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 import pytest
 from _frozen import (
+    ContourFirstGridN,
+    contour_state_first_grid_n,
+    h_value_afresh,
     integrands,
     lanczos_series_fused,
     log_gamma_vec_fused,
@@ -40,8 +43,6 @@ from fwstates.foxwright_bc import evaluate as evaluate_bc
 from fwstates.gammafn import _ROW_SUM_MIN, _lanczos_series, log_gamma_vec
 from fwstates.hfunction import MAX_NODES, ContourConfig, HWeightParams
 
-_EPS = float(np.finfo(float).eps)
-
 
 def _bits(v):
     """Bits of an array (shape, dtype and bytes), or the repr of anything else."""
@@ -58,80 +59,14 @@ def _outcome(fn, *args):
         return type(exc).__name__ + ": " + str(exc)
 
 
-# -- frozen copies -----------------------------------------------------------
-
-
-class _RefContour:
-    """A line with one-point height tests and a first grid on n + 1 nodes."""
-
-    def __init__(self, hp, cc, level):
-        self.hp = hp
-        self.c = hp._right + cc.c_offset + hfunction._ABSCISSA_STEP * level
-        self.log_m0 = hp.log_mellin(complex(self.c, 0.0)).real
-        T = 8.0
-        for _ in range(120):
-            top = hfunction._log_mellin_vec(hp, np.array([complex(self.c, T)]))[0].real
-            if top <= self.log_m0 + hfunction._LOG_DECAY_TARGET:
-                break
-            T *= 1.5
-        else:
-            raise ContourFailure("could not truncate the contour; kernel decays too slowly")
-        self.T = T
-        self.t = np.linspace(0.0, self.T, cc.n_nodes + 1)
-        self.vals = self._scaled(self.t)
-        self._levels = {}
-
-    def _scaled(self, t):
-        with np.errstate(under="ignore"):
-            return np.exp(hfunction._log_mellin_vec(self.hp, self.c + 1j * t) - self.log_m0)
-
-    def level(self, n):
-        if n not in self._levels:
-            if n > len(self.t) - 1:
-                vals = np.empty(n + 1, dtype=complex)
-                vals[0::2] = self.vals
-                vals[1::2] = self._scaled((2 * np.arange(n // 2) + 1) * (self.T / n))
-                self.vals, self.t = vals, np.linspace(0.0, self.T, n + 1)
-                self._levels = {m: self._view(m) + lev[2:] for m, lev in self._levels.items()}
-            vals, t = self._view(n)
-            floor = 16.0 * _EPS * float(np.trapezoid(np.abs(vals), dx=self.T / n))
-            self._levels[n] = (vals, t, self.T / n, floor)
-        return self._levels[n]
-
-    def _view(self, n):
-        step = (len(self.t) - 1) // n
-        return self.vals[::step], self.t[::step]
-
-
-_ref_contour_state = lru_cache(maxsize=None)(_RefContour)
-
-
-def _ref_h_value(hp, x, cc):
-    """The trapezoid loop with the integrand formed afresh at every level."""
-    st_ = _ref_contour_state(hp, cc, hfunction._abscissa_level(hp, cc, x))
-    log_x = math.log(x)
-    log_scale = st_.log_m0 - st_.c * log_x - math.log(math.pi)
-    n = cc.n_nodes
-    prev = None
-    while n <= MAX_NODES:
-        vals, t, h, floor = st_.level(n)
-        f = vals * np.exp(-1j * (t * log_x))
-        bracket = float((h * (f[1:] + f[:-1]) / 2.0).sum().real)
-        if prev is not None and abs(bracket - prev) <= max(hfunction._REL_STOP * abs(bracket), floor):
-            if bracket == 0.0:
-                return 0.0
-            with np.errstate(under="ignore"):
-                return float(bracket * np.exp(log_scale))
-        prev = bracket
-        n *= 2
-    raise ContourFailure(f"node doubling stalled below tolerance at n={n // 2} for x={x:g}")
+# -- the frozen route ---------------------------------------------------------
 
 
 def _clear_memos():
     for memo in (
         hfunction._contour_state,
         hfunction._h_value,
-        _ref_contour_state,
+        contour_state_first_grid_n,
         continuum._node_table,
         foxwright._column_cache,
         foxwright._boundary_plan,
@@ -144,7 +79,7 @@ def _reference(mp):
     """Route the package through the frozen copies, with every memo empty."""
     _clear_memos()
     mp.setattr(gammafn, "_lanczos_series", lanczos_series_fused)
-    mp.setattr(hfunction, "_h_value", _ref_h_value)
+    mp.setattr(hfunction, "_h_value", h_value_afresh)
     mp.setattr(continuum, "_nu_integral", nu_integral)
 
 
@@ -258,7 +193,7 @@ def _line(state_cls, hp, cc, level):
 def test_height_search_matches_one_point_search(upper, lower, level):
     hp = HWeightParams(upper, lower)
     cc = ContourConfig(n_nodes=8)
-    assert _line(hfunction._ContourState, hp, cc, level) == _line(_RefContour, hp, cc, level)
+    assert _line(hfunction._ContourState, hp, cc, level) == _line(ContourFirstGridN, hp, cc, level)
 
 
 def test_height_search_batches():
@@ -276,7 +211,7 @@ def test_height_search_batches():
 def test_height_search_bits(model, level, c_offset):
     hp = HWeightParams.from_model(model)
     cc = ContourConfig(c_offset=c_offset, n_nodes=8)
-    assert _line(hfunction._ContourState, hp, cc, level) == _line(_RefContour, hp, cc, level)
+    assert _line(hfunction._ContourState, hp, cc, level) == _line(ContourFirstGridN, hp, cc, level)
 
 
 # -- contour levels and eval_h -----------------------------------------------
@@ -292,11 +227,11 @@ def _compare_lines(hp, cc, xs):
     _clear_memos()
     for x in xs:
         assert _bits(_outcome(hfunction.eval_h, hp, x, cc)) == _bits(
-            _outcome(_ref_h_value, hp, x, cc)
+            _outcome(h_value_afresh, hp, x, cc)
         ), x
     for level in {hfunction._abscissa_level(hp, cc, x) for x in xs}:
         ours = _levels_bits(hfunction._contour_state(hp, cc, level))
-        assert ours and ours == _levels_bits(_ref_contour_state(hp, cc, level))
+        assert ours and ours == _levels_bits(contour_state_first_grid_n(hp, cc, level))
 
 
 @pytest.mark.parametrize("n_nodes", [8, 64, 100])

@@ -4,10 +4,12 @@
 log_gamma_vec call over every gamma argument, log_gamma_vec skips its
 masked route when every entry lies right of Re = 1/2, and `eval_h`
 serves each trapezoid level as a strided view of one finest grid.  The
-references below are the plain forms those replaced: one log_gamma_vec
-call per gamma factor, the masked route throughout, one array per level
-built by doubling, and np.trapezoid at every step.  Every output must
-match them bit for bit.
+references, below and in _frozen.py, are the plain forms those replaced:
+one log_gamma_vec call per gamma factor, the masked route throughout,
+one array per level built by doubling, and np.trapezoid at every step.
+The trapezoid loop reads level n off the pass over level 2n; its
+reference is the loop that formed the two levels in two passes
+(h_value_two_passes).  Every output must match them bit for bit.
 
 H values and the nu node tables (log rho at Gauss-Kronrod nodes, on
 tanh-sinh levels and on _e_max's grids) are memoized; each output must
@@ -20,7 +22,13 @@ import math
 
 import numpy as np
 import pytest
-from _frozen import log_gamma_vec_masked
+from _frozen import (
+    ContourPerLevel,
+    eval_h_per_level,
+    h_value_two_passes,
+    log_gamma_vec_masked,
+    log_mellin_vec_per_factor,
+)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -47,97 +55,6 @@ def _ref_log_rho_vec(params, ks):
     for b, B in params.lower:
         s += log_gamma_vec_masked(b.real + kf * B).real - math.lgamma(b.real)
     return s
-
-
-def _ref_log_mellin_vec(hp, s):
-    out = np.zeros(s.shape, dtype=complex)
-    for beta, B in hp.lower:
-        out += log_gamma_vec_masked(beta + s * B)
-    for alpha, A in hp.upper:
-        out -= log_gamma_vec_masked(alpha + s * A)
-    return out
-
-
-def _ref_abscissa(hp, cc, x):
-    base = max(0.0, hp.rightmost_pole()) + cc.c_offset
-    mu = sum(B for _, B in hp.lower) - sum(A for _, A in hp.upper)
-    log_kappa = sum(B * math.log(B) for _, B in hp.lower) - sum(
-        A * math.log(A) for _, A in hp.upper
-    )
-    sigma = math.exp((math.log(x) - log_kappa) / mu)
-    level = 0 if sigma <= base else math.ceil((sigma - base) / hfunction._ABSCISSA_STEP)
-    return base + hfunction._ABSCISSA_STEP * level
-
-
-class _RefContour:
-    """One array per level: n+1 fresh nodes, or the level below plus odd nodes."""
-
-    def __init__(self, hp, cc, x):
-        self.hp = hp
-        self.c = _ref_abscissa(hp, cc, x)
-        self.log_m0 = _ref_log_mellin_vec(hp, np.array([complex(self.c, 0.0)]))[0].real
-        T = 8.0
-        for _ in range(120):
-            top = _ref_log_mellin_vec(hp, np.array([complex(self.c, T)]))[0].real
-            if top <= self.log_m0 + hfunction._LOG_DECAY_TARGET:
-                break
-            T *= 1.5
-        else:
-            raise ContourFailure("could not truncate the contour")
-        self.T = T
-        self._vals = {}
-
-    def _scaled(self, t):
-        with np.errstate(under="ignore"):
-            return np.exp(_ref_log_mellin_vec(self.hp, self.c + 1j * t) - self.log_m0)
-
-    def values(self, n):
-        if n in self._vals:
-            return self._vals[n]
-        if n // 2 in self._vals:
-            t_odd = (2 * np.arange(n // 2) + 1) * (self.T / n)
-            vals = np.empty(n + 1, dtype=complex)
-            vals[0::2] = self._vals[n // 2]
-            vals[1::2] = self._scaled(t_odd)
-        else:
-            vals = self._scaled(np.linspace(0.0, self.T, n + 1))
-        self._vals[n] = vals
-        return vals
-
-
-_REF_STATES = {}
-
-
-def _ref_eval_h(hp, x, cc=hfunction.DEFAULT_CONTOUR, floor=None):
-    """The plain eval_h loop; a given floor replaces the computed one."""
-    x = float(x)
-    key = (hp, cc, _ref_abscissa(hp, cc, x))
-    if key not in _REF_STATES:
-        _REF_STATES[key] = _RefContour(hp, cc, x)
-    st_ = _REF_STATES[key]
-    log_x = math.log(x)
-    log_scale = st_.log_m0 - st_.c * log_x - math.log(math.pi)
-    n = cc.n_nodes
-    prev = None
-    while n <= hfunction.MAX_NODES:
-        vals = st_.values(n)
-        t = np.linspace(0.0, st_.T, n + 1)
-        h = st_.T / n
-        f = vals * np.exp(-1j * (t * log_x))
-        bracket = float(np.trapezoid(f, dx=h).real)
-        if prev is not None:
-            if floor is None:
-                level_floor = 16.0 * _EPS * float(np.trapezoid(np.abs(vals), dx=h))
-            else:
-                level_floor = floor
-            if abs(bracket - prev) <= max(hfunction._REL_STOP * abs(bracket), level_floor):
-                if bracket == 0.0:
-                    return 0.0
-                with np.errstate(under="ignore"):
-                    return float(bracket * np.exp(log_scale))
-        prev = bracket
-        n *= 2
-    raise ContourFailure(f"node doubling stalled below tolerance at n={n // 2} for x={x:g}")
 
 
 def _bits(v):
@@ -184,10 +101,10 @@ def test_log_rho_vec_bits(model, ks):
 def test_log_mellin_vec_bits(model, c, n):
     hp = HWeightParams.from_model(model)
     s = c + 1j * np.linspace(0.0, 60.0, n)
-    assert _bits(hfunction._log_mellin_vec(hp, s)) == _bits(_ref_log_mellin_vec(hp, s))
+    assert _bits(hfunction._log_mellin_vec(hp, s)) == _bits(log_mellin_vec_per_factor(hp, s))
     z = complex(c, -2.5)
     assert _bits(hp.log_mellin(z)) == _bits(
-        complex(_ref_log_mellin_vec(hp, np.array([z], dtype=complex))[0])
+        complex(log_mellin_vec_per_factor(hp, np.array([z], dtype=complex))[0])
     )
 
 
@@ -221,7 +138,7 @@ _CONTOURS = st.sampled_from(
 def test_eval_h_bits(model, xs, cc):
     hp = HWeightParams.from_model(model)
     for x in xs:
-        assert _bits(hfunction.eval_h(hp, x, cc)) == _bits(_ref_eval_h(hp, x, cc)), x
+        assert _bits(hfunction.eval_h(hp, x, cc)) == _bits(eval_h_per_level(hp, x, cc)), x
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -234,7 +151,7 @@ def test_contour_levels_are_views_of_the_finest_grid(model, cc):
     hfunction.eval_h(hp, 0.9, cc)
     st_ = hfunction._contour_state(hp, cc, hfunction._abscissa_level(hp, cc, 0.9))
     assert len(st_._levels) >= 3
-    ref = _RefContour(hp, cc, 0.9)
+    ref = ContourPerLevel(hp, cc, 0.9)
     for n, (vals, t, h, floor) in st_._levels.items():
         assert np.shares_memory(vals, st_.vals) and np.shares_memory(t, st_.t)
         assert _bits(vals) == _bits(ref.values(n))
@@ -263,7 +180,7 @@ def test_eval_h_stops_on_the_cached_floor():
     finally:
         st_._levels.update(saved)
         hfunction._h_value.cache_clear()
-    assert _bits(early) == _bits(_ref_eval_h(hp, x, cc, floor=math.inf))
+    assert _bits(early) == _bits(eval_h_per_level(hp, x, cc, floor=math.inf))
     assert early != converged
     assert _bits(hfunction.eval_h(hp, x, cc)) == _bits(converged)
 
@@ -298,7 +215,7 @@ def _uncached(monkeypatch):
 def _patched(monkeypatch):
     _uncached(monkeypatch)
     monkeypatch.setattr(continuum, "_log_rho_vec", _ref_log_rho_vec)
-    monkeypatch.setattr(hfunction, "eval_h", _ref_eval_h)
+    monkeypatch.setattr(hfunction, "eval_h", eval_h_per_level)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -410,6 +327,86 @@ def test_eval_h_memo_bits(model, xs):
         assert _bits(_each([lambda: hfunction.eval_h(hp, x)])) == _bits(
             _each([lambda: loop(hp, x, hfunction.DEFAULT_CONTOUR)])
         ), x
+
+
+# the measure workload's four models, with their largest x
+_MEASURE_MODELS = (
+    (CoherentModel(FWParams()), 30.0),
+    (_UNIT, 30.0),
+    (CoherentModel(FWParams([(1.0, 1.0)], [(1.5, 0.5)])), 20.0),
+    (_WRIGHT, 30.0),
+)
+
+
+def _loop_bits(hp, x, cc):
+    """Bits of the live loop and of the two-pass loop at x, value or error."""
+    loop = hfunction._h_value.__wrapped__
+    return (
+        _bits(_each([lambda: loop(hp, x, cc)])),
+        _bits(_each([lambda: h_value_two_passes(hp, x, cc)])),
+    )
+
+
+@pytest.mark.parametrize("cc", _CONTOURS.elements, ids=["default", "offset-1.5", "n-8"])
+def test_warm_h_loop_matches_the_two_pass_loop(cc):
+    """On lines warmed as a measure pass warms them (120 geometric x per
+    model), the loop gives the two-pass loop's bits at 250 log-uniform x
+    per model, mostly on warm lines."""
+    rng = np.random.default_rng(20261019)
+    for model, x_max in _MEASURE_MODELS:
+        hp = HWeightParams.from_model(model)
+        for x in np.geomspace(0.05, x_max, 120).tolist():
+            hfunction.eval_h(hp, x, cc)
+        for x in np.exp(rng.uniform(math.log(0.02), math.log(2.0 * x_max), 250)).tolist():
+            ours, ref = _loop_bits(hp, x, cc)
+            assert ours == ref, x
+
+
+@pytest.mark.parametrize("max_nodes", [8, 16, 32, 64])
+def test_h_loop_under_a_lowered_node_cap(monkeypatch, max_nodes):
+    """With MAX_NODES at 8, 2n passes the cap: the first grid is level n
+    and both loops raise at n=8.  Under caps of 16 to 64, doubling stops
+    at the cap.  Values and failures match the two-pass loop's."""
+    monkeypatch.setattr(hfunction, "MAX_NODES", max_nodes)
+    cc = ContourConfig(n_nodes=8)
+    outcomes = set()
+    # the memos hold lines and values built under the live cap, and must
+    # not keep the lowered cap's
+    hfunction._contour_state.cache_clear()
+    hfunction._h_value.cache_clear()
+    try:
+        for model, x_max in _MEASURE_MODELS:
+            hp = HWeightParams.from_model(model)
+            for x in np.geomspace(0.02, 2.0 * x_max, 40).tolist():
+                ours, ref = _loop_bits(hp, x, cc)
+                assert ours == ref, x
+                outcomes.add("ContourFailure" in ours)
+                if max_nodes == 8:
+                    assert ours.endswith(f"at n=8 for x={x:g}']"), ours
+            # the finest grid any line reached: level n alone under a cap of 8
+            level = hfunction._abscissa_level(hp, cc, 1.0)
+            finest = len(hfunction._contour_state(hp, cc, level).t) - 1
+            assert finest == 8 if max_nodes == 8 else 16 <= finest <= max_nodes
+    finally:
+        hfunction._contour_state.cache_clear()
+        hfunction._h_value.cache_clear()
+    # two levels (8 and 16 nodes) never agree here; from 32 up some x converge
+    assert True in outcomes and (False in outcomes) == (max_nodes >= 32)
+
+
+def test_h_loop_underflow_under_raise():
+    """On the vacuum kernel H(720) = e^-720 is subnormal and the line's
+    log scale lies below -700.  Under np.errstate(under="raise") the loop
+    raises nothing and returns the two-pass loop's bits."""
+    hp = HWeightParams.from_model(_MEASURE_MODELS[0][0])
+    cc, x = hfunction.DEFAULT_CONTOUR, 720.0
+    hfunction.eval_h(hp, x, cc)  # builds the line outside the raise
+    st_ = hfunction._contour_state(hp, cc, hfunction._abscissa_level(hp, cc, x))
+    assert st_.log_m0 - st_.c * math.log(x) - math.log(math.pi) < -700.0
+    with np.errstate(under="raise"):
+        ours, ref = _loop_bits(hp, x, cc)
+    assert ours == ref
+    assert 0.0 < hfunction._h_value.__wrapped__(hp, x, cc) < np.finfo(float).tiny
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
