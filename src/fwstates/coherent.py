@@ -13,19 +13,22 @@ with N(zeta) = sum_k zeta^k / rho(k), a Fox-Wright series up to a gamma
 prefactor.  The ladder strength f(s) = sqrt(rho(s+1)/rho(s)) is computed
 from its own gamma-ratio formula, not from rho differences, so the
 recurrence rho(k+1) = rho(k) f(k)^2 and the eigenstate property are
-genuine cross-checks rather than tautologies.
+genuine cross-checks rather than tautologies.  Its ratios come from one
+Lanczos pass over every parameter pair and float arithmetic on the real
+arguments (`gammafn._log_gamma_ratio_real`), with the bits of
+log_gamma_ratio.
 
 Parameters are restricted to real a_l, b_r > 0 with positive margin;
-that keeps rho positive and N entire.  log_rho and rho accept any real
-k >= 0, so they are also the continuous interpolation rho_tilde(E) of
-`continuum`.  The array form (Lanczos log-gamma, which may differ from
-the scalar math.lgamma form in the last bits) adds its rows in
-_log_rho_rows, in log_rho's order.  make_state reads those rows for
-integer k from the series' cached column table
-(`foxwright.log_gamma_rows`); _log_rho_vec forms them afresh for real E
-from the same table's gamma-argument offsets and weights, and serves
-`continuum` (its node values and its log-rho grids) and the acceptance
-battery.
+that keeps rho positive and N entire.  log_rho and rho accept any finite
+real k >= 0 (f_factor any finite s >= 0), so they are also the
+continuous interpolation rho_tilde(E) of `continuum`.  The array form
+(Lanczos log-gamma, which may differ from the scalar math.lgamma form in
+the last bits) adds its rows in _log_rho_rows, in log_rho's order.
+make_state reads those rows for integer k from the series' cached column
+table (`foxwright.log_gamma_rows`, which grows it by whole series
+blocks); _log_rho_vec forms them afresh for real E from the same table's
+gamma-argument offsets and weights, and serves `continuum` (its node
+values and its log-rho grids) and the acceptance battery.
 overlap needs N at conj(z) z', |z|^2 and |z'|^2; it sums the three
 series in one block pass of the series' loop, each with the bits of its
 own sum.
@@ -59,7 +62,7 @@ from .foxwright import (
     margin,
 )
 from .foxwright_bc import BCFWParams
-from .gammafn import log_gamma_ratio, log_gamma_vec
+from .gammafn import _log_gamma_ratio_real, log_gamma_vec
 
 K_MAX = 1 << 16
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -125,9 +128,11 @@ def _log_prefactor(model: CoherentModel) -> float:
 
 
 def log_rho(model: CoherentModel, k: float) -> float:
-    """log rho(k) for real k >= 0."""
+    """log rho(k) for real k >= 0; k must be finite."""
     if k < 0:
         raise ValidationError("k must be >= 0")
+    if not math.isfinite(k):
+        raise ValidationError(f"k must be finite, got {float(k)!r}")
     s = math.lgamma(k + 1.0)
     for a, A in model.params.upper:
         s += math.lgamma(a.real) - math.lgamma(a.real + k * A)
@@ -160,7 +165,7 @@ def _log_rho_vec(params: FWParams, ks: np.ndarray) -> np.ndarray:
 
 
 def rho(model: CoherentModel, k: float) -> float:
-    """Parameter function rho(k), real k >= 0; raises when it leaves the float range."""
+    """Parameter function rho(k), real finite k >= 0; raises when it leaves the float range."""
     lr = log_rho(model, k)
     if lr > _LOG_FLOAT_MAX:
         raise OverflowError(
@@ -173,21 +178,29 @@ def f_factor(model: CoherentModel, s: int | np.ndarray) -> float | np.ndarray:
     """Ladder factor f(s) = sqrt[(s+1) prod ratios], from the gamma-ratio form.
 
     s may be an array; the result is then a float array of its shape,
-    each entry bit-identical to the scalar call (one batched
-    log_gamma_ratio per parameter, then math.log/math.exp per entry).
+    each entry bit-identical to the scalar call.  Each ratio is
+    log_gamma_ratio(c, C, s).real, for every pair from one
+    _log_gamma_ratio_real call (one Lanczos pass, then float arithmetic
+    on the real arguments a model has); math.log and math.exp run per
+    entry.  s must be finite and >= 0.
     """
     ss = np.asarray(s)
     flat = ss.ravel()
     if (flat < 0).any():
         raise ValidationError("s must be >= 0")
-    lower = [log_gamma_ratio(b.real, B, flat).real.tolist() for b, B in model.params.lower]
-    upper = [log_gamma_ratio(a.real, A, flat).real.tolist() for a, A in model.params.upper]
+    ks = flat.tolist()
+    bad = [v for v in ks if not math.isfinite(v)]
+    if bad:
+        raise ValidationError(f"s must be finite, got {float(bad[0])!r}")
+    q = model.params.q
+    pairs = [(c.real, C) for c, C in model.params.lower + model.params.upper]
+    ratios = _log_gamma_ratio_real(pairs, ks) if pairs else []
     out = []
-    for i, v in enumerate(flat.tolist()):
+    for i, v in enumerate(ks):
         acc = math.log(v + 1.0)
-        for r in lower:
+        for r in ratios[:q]:
             acc += r[i]
-        for r in upper:
+        for r in ratios[q:]:
             acc -= r[i]
         out.append(math.exp(0.5 * acc))
     return out[0] if ss.ndim == 0 else np.array(out).reshape(ss.shape)

@@ -15,23 +15,28 @@ own.  Lower-pair gamma poles at some k > 0 null that term (the analytic
 1/Gamma convention); upper-pair poles raise.
 
 Only k log z depends on z.  The other columns of log t_k are cached per
-FWParams: k itself; log Gamma(k+1); one log Gamma(a_l + k A_l) per upper
-pair, with the first k at which it meets a pole; one log Gamma(b_r +
-k B_r) per lower pair, with its pole mask and first pole.  All of them
-come from one log_gamma_vec call per chunk of at most _GROW_CHUNK
-columns, so a long growth step never builds a large Lanczos block.  The
-cache is an LRU of _COLUMN_CACHE_SIZE parameter sets, so equal
-parameters built anywhere share one entry, and this one table serves
-both evaluate and coherent.make_state (through log_gamma_rows), so a
-model's states reuse the gamma values of its normalization.  An entry
-grows to the end of the block a call asks for (evaluate never past its
-max_terms, make_state to its K+1).  It grows into new read-only arrays
-published by one assignment per call, so threads never see a half-grown
-entry.  Terms stay bit-identical to forming every column afresh:
-log_gamma_vec and the pole test are elementwise, so chunking moves no
-bit, the block combines the same columns with the same operations in
-the same order, and a zero's sign in a parameter (the one thing FWParams
-equality ignores) is dropped by the addition a + k A.
+FWParams: k itself; log Gamma(k+1), one log Gamma(a_l + k A_l) per upper
+pair and one log Gamma(b_r + k B_r) per lower pair, as the rows of one
+(1 + p + q, n) array; the lower pairs' pole masks as the rows of one
+(q, n) array; and the first k at which each pair meets a pole.  Each
+chunk of at most _GROW_CHUNK columns comes from one log_gamma_vec call,
+so a long growth step never builds a large Lanczos block, and each
+growth joins the chunks to the table with one concatenate per array.
+Poles lie at Re <= POLE_TOL, so only a chunk with such an argument gets
+the pole test.  The cache is an LRU of _COLUMN_CACHE_SIZE parameter sets,
+so equal parameters built anywhere share one entry, and this one table
+serves both evaluate and coherent.make_state (through log_gamma_rows), so
+a model's states reuse the gamma values of its normalization.  An entry
+grows to the end of the block a call asks for: evaluate never past its
+max_terms, make_state to the end of the series block that holds its K+1
+columns, where its normalization's next block would grow it.  It grows
+into new read-only arrays published by one assignment per call, so
+threads never see a half-grown entry.  Terms stay bit-identical to
+forming every column afresh: log_gamma_vec and the pole test are
+elementwise, so chunking moves no bit, the block combines the same
+columns with the same operations in the same order, and a zero's sign in
+a parameter (the one thing FWParams equality ignores) is dropped by the
+addition a + k A.
 
 One block loop (_block_sums) sums in blocks of 32, 64, ... terms,
 doubling up to _BLOCK_CAP.  The running sums are a sequential cumsum
@@ -79,7 +84,7 @@ from .errors import (
     PoleError,
     ValidationError,
 )
-from .gammafn import is_gamma_pole, log_gamma, log_gamma_vec, pole_mask
+from .gammafn import POLE_TOL, is_gamma_pole, log_gamma, log_gamma_vec, pole_mask
 
 # classification tolerance for margin == 0 and weight == 1 tests
 CLASSIFY_TOL = 1e-12
@@ -246,22 +251,42 @@ def boundary_exponent(params: FWParams) -> complex:
 
 
 class _Columns(NamedTuple):
-    """The z-independent parts of log t_k for k = 0 .. n-1 (read-only arrays)."""
+    """The z-independent parts of log t_k for k = 0 .. n-1 (read-only arrays).
+
+    The log-gamma columns are rows of one (1 + p + q, n) array, lg, and
+    the lower pole masks rows of one (q, n) array, lower_mask.
+    """
 
     n: int
     k: np.ndarray  # k as floats
+    lg: np.ndarray  # log Gamma at k + 1, each a_l + k A_l, each b_r + k B_r
+    lower_mask: np.ndarray  # per lower pair: b_r + k B_r is a gamma pole
     log_fact: np.ndarray  # log Gamma(k + 1)
     upper: tuple[np.ndarray, ...]  # log Gamma(a_l + k A_l), one per upper pair
     upper_poles: tuple  # per upper pair: (first k, argument) at a gamma pole, or None
     lower: tuple[np.ndarray, ...]  # log Gamma(b_r + k B_r), one per lower pair
-    lower_poles: tuple[np.ndarray, ...]  # per lower pair: b_r + k B_r is a gamma pole
+    lower_poles: tuple[np.ndarray, ...]  # the rows of lower_mask
     lower_first_pole: tuple  # per lower pair: the first k at a gamma pole, or None
 
 
-def _append(col: np.ndarray, new: np.ndarray) -> np.ndarray:
-    out = np.concatenate((col, new)) if col.size else new
-    out.flags.writeable = False
-    return out
+def _columns(lg, lower_mask, upper_poles, lower_first_pole, p: int) -> _Columns:
+    """A _Columns record whose column arrays are views of lg and lower_mask."""
+    n = lg.shape[1]
+    k = np.arange(n, dtype=float)
+    for arr in (k, lg, lower_mask):
+        arr.flags.writeable = False
+    return _Columns(
+        n,
+        k,
+        lg,
+        lower_mask,
+        lg[0],
+        tuple(lg[1 : 1 + p]),
+        upper_poles,
+        tuple(lg[1 + p :]),
+        tuple(lower_mask),
+        lower_first_pole,
+    )
 
 
 class _ColumnCache:
@@ -270,17 +295,13 @@ class _ColumnCache:
     __slots__ = ("params", "cols", "off", "wt")
 
     def __init__(self, params: FWParams):
-        empty = np.empty(0, dtype=complex)
         self.params = params
-        self.cols = _Columns(
-            0,
-            np.empty(0),
-            empty,
-            (empty,) * params.p,
+        self.cols = _columns(
+            np.empty((1 + params.p + params.q, 0), dtype=complex),
+            np.empty((params.q, 0), dtype=bool),
             (None,) * params.p,
-            (empty,) * params.q,
-            (np.empty(0, dtype=bool),) * params.q,
             (None,) * params.q,
+            params.p,
         )
         # offsets and weights of the gamma arguments k+1, a_l + k A_l, b_r + k B_r;
         # coherent._log_rho_vec reads them too
@@ -301,16 +322,22 @@ class _ColumnCache:
         """cols extended to k < end, as new arrays (cols itself is not touched).
 
         Every column's gamma arguments form one block per chunk of at
-        most _GROW_CHUNK columns, so one log_gamma_vec call and one pole
-        test serve a whole chunk.
+        most _GROW_CHUNK columns, so one log_gamma_vec call serves a
+        whole chunk.  A pole lies at Re <= POLE_TOL, so the pole test
+        runs only on a chunk with such an argument; elsewhere the
+        chunk's lower masks are all False.
         """
         p = self.params.p
         upper_poles = list(cols.upper_poles)
         lower_first = list(cols.lower_first_pole)
-        kfs, lgs, masks = [], [], []
+        lgs, masks = [cols.lg], [cols.lower_mask]
         for lo in range(cols.n, end, _GROW_CHUNK):
             kf = np.arange(lo, min(lo + _GROW_CHUNK, end), dtype=float)
             args = self.off + self.wt * kf
+            lgs.append(log_gamma_vec(args))
+            if not (args.real[1:] <= POLE_TOL).any():
+                masks.append(np.zeros((len(lower_first), kf.size), dtype=bool))
+                continue
             poles = pole_mask(args[1:])
             for j, pole in enumerate(upper_poles):
                 if pole is None:
@@ -322,19 +349,13 @@ class _ColumnCache:
                     bad = np.flatnonzero(poles[p + r])
                     if bad.size:
                         lower_first[r] = lo + int(bad[0])
-            kfs.append(kf)
-            lgs.append(log_gamma_vec(args))
             masks.append(poles[p:])
-        kf, lg, poles = (np.concatenate(parts, axis=-1) for parts in (kfs, lgs, masks))
-        return _Columns(
-            end,
-            _append(cols.k, kf),
-            _append(cols.log_fact, lg[0]),
-            tuple(_append(col, row) for col, row in zip(cols.upper, lg[1 : 1 + p])),
+        return _columns(
+            np.concatenate(lgs, axis=1),
+            np.concatenate(masks, axis=1),
             tuple(upper_poles),
-            tuple(_append(col, row) for col, row in zip(cols.lower, lg[1 + p :])),
-            tuple(_append(m, row) for m, row in zip(cols.lower_poles, poles)),
             tuple(lower_first),
+            p,
         )
 
 
@@ -343,15 +364,25 @@ def _column_cache(params: FWParams) -> _ColumnCache:
     return _ColumnCache(params)
 
 
+def _block_end(n: int) -> int:
+    """The end of the series block that holds column n - 1 (blocks of 32,
+    64, ... up to _BLOCK_CAP terms, as _block_sums takes them)."""
+    end, block = 0, 32
+    while end < n:
+        end += block
+        block = min(2 * block, _BLOCK_CAP)
+    return end
+
+
 def log_gamma_rows(params: FWParams, n: int) -> tuple[np.ndarray, ...]:
     """log Gamma at k+1, then each a_l + k A_l, then each b_r + k B_r, for k < n.
 
     Read-only views of the cached columns, so a model's series and its
-    coherent states share one table.  No pole screening, as in
-    log_gamma_vec.
+    coherent states share one table.  The table grows to the end of the
+    series block that holds k = n - 1, where a later sum would take it.
+    No pole screening, as in log_gamma_vec.
     """
-    cols = _column_cache(params).upto(n)
-    return tuple(col[:n] for col in (cols.log_fact, *cols.upper, *cols.lower))
+    return tuple(_column_cache(params).upto(_block_end(n)).lg[:, :n])
 
 
 _cumsum = np.add.accumulate  # ndarray.cumsum's sum, without its method overhead

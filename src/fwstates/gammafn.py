@@ -14,10 +14,19 @@ coefficient axis adds them.  From _ROW_SUM_MIN entries up, where that
 (8, ...) block costs more than it saves, the same divisions and
 additions run one coefficient row at a time.  Either way each point's
 sum is bit-identical whether it is computed alone or in any array, so
-scalar callers can be batched without moving a bit.  log_gamma_ratio
-batches only that sum; the rest of its formula stays scalar in cmath and
-math, because numpy's log and exp differ from them in the last bit
-(vectorising it moved 7 of 32 ladder factors by 1 ulp).
+scalar callers can be batched without moving a bit.  log_gamma_vec makes
+one Lanczos call for both half planes, on z or on the reflected 1 - z.
+
+log_gamma_ratio batches the Lanczos sums and its pole screen; the rest of
+its formula stays scalar in cmath and math, because numpy's log and exp
+differ from them in the last bit (vectorising it moved 7 of 32 ladder
+factors by 1 ulp).  _log_gamma_ratio_real serves the ladder factors of
+coherent models, whose arguments are real: one Lanczos call for all of a
+model's pairs, then the same formula on floats, with cmath.log replaced
+by CPython's rule for its real part on the real axis.  Every imaginary
+part in that complex formula is then a zero, so the real parts keep
+their bits.  That rule copies CPython's complex arithmetic and cmath,
+which is why the test matrix runs every supported interpreter.
 """
 
 from __future__ import annotations
@@ -110,20 +119,17 @@ def _log_sin_pi(z):
     Factored so the exponential with the decaying modulus is the one
     inside the log1p-style term.  The branch is only guaranteed up to
     multiples of 2 pi i, which is harmless: callers feed the result into
-    exp() differences.
+    exp() differences.  When every point has Im z >= 0 the upper form
+    runs on the whole array, skipping the half-plane gather and scatter.
     """
     z = np.asarray(z, dtype=complex)
     upper = z.imag >= 0
-    out = np.empty_like(z)
     # log(0) = -inf at exact poles is the intended result, not an error
     with np.errstate(divide="ignore", invalid="ignore"):
-        # Im z >= 0: sin(pi z) = e^{-i pi z} (e^{2 i pi z} - 1) / (2 i)
-        zu = z[upper]
-        out[upper] = (
-            -1j * math.pi * zu
-            + np.log(np.expm1(2j * math.pi * zu))
-            - (math.log(2.0) + 0.5j * math.pi)
-        )
+        if upper.all():
+            return _log_sin_pi_upper(z)
+        out = np.empty_like(z)
+        out[upper] = _log_sin_pi_upper(z[upper])
         # Im z < 0: sin(pi z) = e^{i pi z} (1 - e^{-2 i pi z}) / (2 i)
         zl = z[~upper]
         out[~upper] = (
@@ -134,25 +140,31 @@ def _log_sin_pi(z):
     return out
 
 
+def _log_sin_pi_upper(z):
+    # Im z >= 0: sin(pi z) = e^{-i pi z} (e^{2 i pi z} - 1) / (2 i)
+    return (
+        -1j * math.pi * z
+        + np.log(np.expm1(2j * math.pi * z))
+        - (math.log(2.0) + 0.5j * math.pi)
+    )
+
+
 def log_gamma_vec(z) -> np.ndarray:
     """Vectorized log Gamma over complex arrays.
 
     No pole screening: entries at or near poles come back huge or
     non-finite, which downstream log-domain sums turn into 0 or inf
     terms as appropriate.  Scalar callers wanting diagnostics should use
-    log_gamma.  When every entry has Re >= 0.5 the Lanczos form runs on
-    the whole array, skipping the masked gather and scatter.
+    log_gamma.  One Lanczos call serves every entry: on z where Re z >=
+    0.5, and on 1 - z elsewhere, where the reflection formula takes it.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     right = z.real >= 0.5
     if right.all():
         return _lanczos_log(z)
-    out = np.empty_like(z)
-    if right.any():
-        out[right] = _lanczos_log(z[right])
+    out = _lanczos_log(np.where(right, z, 1.0 - z))
     left = ~right
-    zl = z[left]
-    out[left] = _LOG_PI - _log_sin_pi(zl) - _lanczos_log(1.0 - zl)
+    out[left] = _LOG_PI - _log_sin_pi(z[left]) - out[left]
     return out
 
 
@@ -189,14 +201,20 @@ def pochhammer(a: complex, E: float) -> complex:
     return cmath.exp(log_gamma(a + E) - log_gamma(a))
 
 
-def _log1p_c(x: complex) -> complex:
+def _log1p_c(x, log=cmath.log):
     # forming 1+x first would round away |x| digits; below the cutoff a
     # quartic series (remainder < 1e-20), above it Kahan's rescaling
     # log(u)*x/(u-1), which cancels the rounding of u = 1+x
     if abs(x) < 1e-4:
         return x * (1.0 - x * (0.5 - x * (1.0 / 3.0 - 0.25 * x)))
     u = 1.0 + x
-    return cmath.log(u) * (x / (u - 1.0))
+    return log(u) * (x / (u - 1.0))
+
+
+def _ratio_remainder(w, A: float, s_w, s_wA, log=cmath.log):
+    """log_gamma_ratio's formula right of the threshold, from the Lanczos sums at w and w + A."""
+    t = w + (_LANCZOS_G - 0.5)
+    return (w - 0.5) * _log1p_c(A / t, log) + A * log(t + A) - A + log(s_wA / s_w)
 
 
 def log_gamma_ratio(a: complex, A: float, k: int | np.ndarray) -> complex | np.ndarray:
@@ -232,10 +250,53 @@ def log_gamma_ratio(a: complex, A: float, k: int | np.ndarray) -> complex | np.n
     for w, s_w, s_wA in zip(ws, sums[:n], sums[n:]):
         wA = w + A
         if w.real >= 0.5 and wA.real >= 0.5:
-            t = w + (_LANCZOS_G - 0.5)
-            out.append(
-                (w - 0.5) * _log1p_c(A / t) + A * cmath.log(t + A) - A + cmath.log(s_wA / s_w)
-            )
+            out.append(_ratio_remainder(w, A, s_w, s_wA))
         else:
             out.append(log_gamma(wA) - log_gamma(w))
     return out[0] if ks.ndim == 0 else np.array(out, dtype=complex).reshape(ks.shape)
+
+
+# the float route of _log_gamma_ratio_real covers w + A up to this bound,
+# far inside the range where cmath.log's real part is log1p or log
+_REAL_RATIO_MAX = 2.0**1000
+
+
+def _cmath_log_real(v: float) -> float:
+    """cmath.log(complex(v, 0.0)).real for normal v > 0 up to DBL_MAX / 4.
+
+    CPython's rule there, in the same libm calls: log1p((v - 1)(v + 1) +
+    0.0) / 2 for 0.71 <= v <= 1.73, else log v.  The float route's
+    arguments (1 + A/t, t + A and a ratio of Lanczos sums near 1) lie
+    well inside that range.
+    """
+    if 0.71 <= v <= 1.73:
+        return math.log1p((v - 1.0) * (v + 1.0) + 0.0) / 2.0
+    return math.log(v)
+
+
+def _log_gamma_ratio_real(pairs, ks: list) -> list[list[float]]:
+    """log_gamma_ratio(a, A, ks).real as a float list, for each real pair
+    (a, A) with a, A > 0, each entry with the bits of the public call.
+
+    One _lanczos_series call forms the sums at w = a + kA and w + A of
+    every pair.  Where w >= 0.5 and w + A <= _REAL_RATIO_MAX,
+    _ratio_remainder runs on floats: for real w the sums are real, so
+    every imaginary part in the complex formula is a zero, each complex
+    product, quotient and sum has the float result as its real part, and
+    cmath.log's real part is _cmath_log_real.  Every other entry, and
+    every entry if some sum is not real, takes log_gamma_ratio itself.
+    """
+    ws = [[a + kk * A for kk in ks] for a, A in pairs]
+    sums = _lanczos_series(np.array(ws + [[w + A for w in row] for row, (_, A) in zip(ws, pairs)]))
+    if sums.imag.any():
+        return [log_gamma_ratio(a, A, np.array(ks)).real.tolist() for a, A in pairs]
+    sums = sums.real.tolist()
+    out = []
+    for (a, A), row, s_ws, s_wAs in zip(pairs, ws, sums, sums[len(pairs) :]):
+        out.append([
+            _ratio_remainder(w, A, s_w, s_wA, _cmath_log_real)
+            if w >= 0.5 and w + A <= _REAL_RATIO_MAX
+            else log_gamma_ratio(a, A, kk).real
+            for kk, w, s_w, s_wA in zip(ks, row, s_ws, s_wAs)
+        ])
+    return out

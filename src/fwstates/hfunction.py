@@ -217,7 +217,8 @@ class _ContourState:
     stay inside float range even when the shifted abscissa makes M(c)
     astronomically large; the log of the scale is reapplied at the end.
     Only the finest grid (vals, t) on N+1 nodes is kept: level n is the
-    view (vals[::N//n], t[::N//n]), cached with its step and roundoff floor.
+    view (vals[::N//n], t[::N//n]), cached with its step; its roundoff
+    floor is formed, and cached, the first time the stop test needs it.
 
     _truncation tests log M(c) and the heights 8 * 1.5^j in batches of
     _HEIGHT_BATCH per _log_mellin_vec call.  The first grid is level
@@ -234,13 +235,14 @@ class _ContourState:
         self.t = np.linspace(0.0, self.T, n + 1)
         self.vals = self._scaled(self.t)
         self._levels: dict[int, tuple] = {}
+        self._floors: dict[int, float] = {}
 
     def _scaled(self, t: np.ndarray) -> np.ndarray:
         with np.errstate(under="ignore"):
             return np.exp(_log_mellin_vec(self.hp, self.c + 1j * t) - self.log_m0)
 
     def level(self, n: int) -> tuple:
-        """(vals, t, h, floor) of level n; the finest grid doubles to reach n."""
+        """(vals, t, h) of level n; the finest grid doubles to reach n."""
         if n not in self._levels:
             if n > len(self.t) - 1:
                 vals = np.empty(n + 1, dtype=complex)
@@ -248,10 +250,15 @@ class _ContourState:
                 vals[1::2] = self._scaled((2 * np.arange(n // 2) + 1) * (self.T / n))
                 self.vals, self.t = vals, np.linspace(0.0, self.T, n + 1)
                 self._levels = {m: self._view(m) + lev[2:] for m, lev in self._levels.items()}
-            vals, t = self._view(n)
-            floor = 16.0 * _EPS * float(np.trapezoid(np.abs(vals), dx=self.T / n))
-            self._levels[n] = (vals, t, self.T / n, floor)
+            self._levels[n] = self._view(n) + (self.T / n,)
         return self._levels[n]
+
+    def floor(self, n: int) -> float:
+        """The roundoff floor of level n's node sum, formed when first asked for."""
+        if n not in self._floors:
+            vals, _, h = self.level(n)
+            self._floors[n] = 16.0 * _EPS * float(np.trapezoid(np.abs(vals), dx=h))
+        return self._floors[n]
 
     def _view(self, n: int) -> tuple:
         step = (len(self.t) - 1) // n
@@ -295,10 +302,9 @@ def _h_value(hp: HWeightParams, x: float, cc: ContourConfig) -> float:
     st = _contour_state(hp, cc, _abscissa_level(hp, cc, x))
     log_x = math.log(x)
     log_scale = st.log_m0 - st.c * log_x - math.log(math.pi)
-    st.level(cc.n_nodes)  # level n stays in the line's cache, with its floor
     n, f = 2 * cc.n_nodes, None
     while n <= MAX_NODES:
-        vals, t, h, floor = st.level(n)
+        vals, t, h = st.level(n)
         if f is None:
             f = vals * np.exp(-1j * (t * log_x))
             prev = float(((f[2::2] + f[:-2:2]) * h).sum().real)  # level n/2: stride 2, step 2h
@@ -307,7 +313,10 @@ def _h_value(hp: HWeightParams, x: float, cc: ContourConfig) -> float:
             f[0::2] = f_even  # the level below's nodes; only the odd ones are new
             f[1::2] = vals[1::2] * np.exp(-1j * (t[1::2] * log_x))
         bracket = float(((f[1:] + f[:-1]) * (h / 2.0)).sum().real)  # np.trapezoid(f, dx=h)
-        if abs(bracket - prev) <= max(_REL_STOP * abs(bracket), floor):
+        # max(_REL_STOP |bracket|, floor) as two tests, so the floor is formed
+        # only where the relative test fails; a NaN fails both, as before
+        diff = abs(bracket - prev)
+        if diff <= _REL_STOP * abs(bracket) or diff <= st.floor(n):
             if bracket and log_scale + min(0.0, math.log(abs(bracket))) > -700.0:
                 return float(bracket * np.exp(log_scale))
             with np.errstate(under="ignore"):  # H is zero, or may underflow

@@ -48,6 +48,24 @@ The measure layer's copies:
   truncation grid and log rho at every node formed afresh, the one-node
   integrand on a 1-element array, and tanh_sinh_per_side on the node
   arrays (tests/test_node_table.py, tests/test_quadrature_driver.py).
+- ref_log_rho_vec: log rho at real k with one log_gamma_vec_masked call
+  per gamma argument (tests/test_measure_bits.py).
+
+A fresh parameter set's first use:
+
+- reference_lanczos_series, reference_log_gamma_ratio: the Lanczos sum as
+  one numpy call per coefficient, and log_gamma_ratio on one k with its
+  sums from that loop (tests/test_gammafn.py).
+- ColumnCacheAppend: the column table with one array per column, each
+  grown by its own concatenate, and a pole scan of every chunk
+  (tests/test_fresh_model_bits.py).
+- f_factor_per_pair: the ladder factor with one log_gamma_ratio call per
+  parameter pair, its formula in complex arithmetic and cmath
+  (tests/test_fresh_model_bits.py).
+- log_sin_pi_split, log_gamma_vec_gathered: log_gamma_vec with one
+  Lanczos call on the right half plane's entries and one on 1 - z of the
+  left's, and log sin(pi z) split by half plane on every call
+  (tests/test_fresh_model_bits.py).
 """
 
 import cmath
@@ -84,7 +102,11 @@ from fwstates.gammafn import (
     _LOG_PI,
     _LOG_SQRT_TWO_PI,
     _lanczos_log,
+    _log1p_c,
     _log_sin_pi,
+    is_gamma_pole,
+    log_gamma,
+    log_gamma_ratio,
     log_gamma_vec,
     pole_mask,
 )
@@ -699,7 +721,8 @@ def h_value_two_passes(hp, x, cc):
     n = cc.n_nodes
     prev = f = None
     while n <= hfunction.MAX_NODES:
-        vals, t, h, floor = st.level(n)
+        vals, t, h = st.level(n)
+        floor = 16.0 * _EPS * float(np.trapezoid(np.abs(vals), dx=h))
         if f is None:
             f = vals * np.exp(-1j * (t * log_x))
         else:
@@ -716,3 +739,174 @@ def h_value_two_passes(hp, x, cc):
         prev = bracket
         n *= 2
     raise ContourFailure(f"node doubling stalled below tolerance at n={n // 2} for x={x:g}")
+
+
+def ref_log_rho_vec(params, ks):
+    kf = ks.astype(float)
+    s = log_gamma_vec_masked(kf + 1.0).real
+    for a, A in params.upper:
+        s += math.lgamma(a.real) - log_gamma_vec_masked(a.real + kf * A).real
+    for b, B in params.lower:
+        s += log_gamma_vec_masked(b.real + kf * B).real - math.lgamma(b.real)
+    return s
+
+
+# -- a fresh parameter set's first use ---------------------------------------
+
+
+def reference_lanczos_series(z):
+    """The Lanczos sum as one numpy call per coefficient, left to right."""
+    acc = np.full_like(np.asarray(z, dtype=complex), _LANCZOS_COEFFS[0])
+    for k in range(1, len(_LANCZOS_COEFFS)):
+        acc = acc + _LANCZOS_COEFFS[k] / (z + (k - 1))
+    return acc
+
+
+def reference_log_gamma_ratio(a, A, k):
+    """Scalar log_gamma_ratio with 1-element Lanczos sums from the reference loop."""
+    w = complex(a) + k * A
+    wA = w + A
+    if is_gamma_pole(w) or is_gamma_pole(wA):
+        raise PoleError(f"log_gamma_ratio crosses a pole at w={w}, A={A}")
+    if w.real >= 0.5 and wA.real >= 0.5:
+        t = w + (_LANCZOS_G - 0.5)
+        s_ratio = complex(reference_lanczos_series(np.array([wA]))[0]) / complex(
+            reference_lanczos_series(np.array([w]))[0]
+        )
+        return (w - 0.5) * _log1p_c(A / t) + A * cmath.log(t + A) - A + cmath.log(
+            s_ratio
+        )
+    return log_gamma(wA) - log_gamma(w)
+
+
+class AppendColumns(NamedTuple):
+    n: int
+    k: np.ndarray
+    log_fact: np.ndarray
+    upper: tuple
+    upper_poles: tuple
+    lower: tuple
+    lower_poles: tuple
+    lower_first_pole: tuple
+
+
+def _append_read_only(col, new):
+    out = np.concatenate((col, new)) if col.size else new
+    out.flags.writeable = False
+    return out
+
+
+class ColumnCacheAppend:
+    """The column table grown one array per column, each by one concatenate."""
+
+    def __init__(self, params, chunk=512):
+        empty = np.empty(0, dtype=complex)
+        self.params = params
+        self.chunk = chunk
+        self.cols = AppendColumns(
+            0,
+            np.empty(0),
+            empty,
+            (empty,) * params.p,
+            (None,) * params.p,
+            (empty,) * params.q,
+            (np.empty(0, dtype=bool),) * params.q,
+            (None,) * params.q,
+        )
+        pairs = ((1.0, 1.0),) + params.upper + params.lower
+        self.off = np.array([v for v, _ in pairs], dtype=complex)[:, None]
+        self.wt = np.array([w for _, w in pairs])[:, None]
+
+    def upto(self, end):
+        if self.cols.n < end:
+            self.cols = self._grow(self.cols, end)
+        return self.cols
+
+    def _grow(self, cols, end):
+        p = self.params.p
+        upper_poles = list(cols.upper_poles)
+        lower_first = list(cols.lower_first_pole)
+        kfs, lgs, masks = [], [], []
+        for lo in range(cols.n, end, self.chunk):
+            kf = np.arange(lo, min(lo + self.chunk, end), dtype=float)
+            args = self.off + self.wt * kf
+            poles = pole_mask(args[1:])
+            for j, pole in enumerate(upper_poles):
+                if pole is None:
+                    bad = np.flatnonzero(poles[j])
+                    if bad.size:
+                        upper_poles[j] = (lo + int(bad[0]), args[1 + j, bad[0]])
+            for r, first in enumerate(lower_first):
+                if first is None:
+                    bad = np.flatnonzero(poles[p + r])
+                    if bad.size:
+                        lower_first[r] = lo + int(bad[0])
+            kfs.append(kf)
+            lgs.append(log_gamma_vec_gathered(args))
+            masks.append(poles[p:])
+        kf, lg, poles = (np.concatenate(parts, axis=-1) for parts in (kfs, lgs, masks))
+        return AppendColumns(
+            end,
+            _append_read_only(cols.k, kf),
+            _append_read_only(cols.log_fact, lg[0]),
+            tuple(_append_read_only(col, row) for col, row in zip(cols.upper, lg[1 : 1 + p])),
+            tuple(upper_poles),
+            tuple(_append_read_only(col, row) for col, row in zip(cols.lower, lg[1 + p :])),
+            tuple(_append_read_only(m, row) for m, row in zip(cols.lower_poles, poles)),
+            tuple(lower_first),
+        )
+
+
+def f_factor_per_pair(model, s):
+    """f(s) with one log_gamma_ratio call per parameter pair."""
+    ss = np.asarray(s)
+    flat = ss.ravel()
+    if (flat < 0).any():
+        raise ValidationError("s must be >= 0")
+    lower = [log_gamma_ratio(b.real, B, flat).real.tolist() for b, B in model.params.lower]
+    upper = [log_gamma_ratio(a.real, A, flat).real.tolist() for a, A in model.params.upper]
+    out = []
+    for i, v in enumerate(flat.tolist()):
+        acc = math.log(v + 1.0)
+        for r in lower:
+            acc += r[i]
+        for r in upper:
+            acc -= r[i]
+        out.append(math.exp(0.5 * acc))
+    return out[0] if ss.ndim == 0 else np.array(out).reshape(ss.shape)
+
+
+def log_sin_pi_split(z):
+    """log sin(pi z), split by half plane on every call."""
+    z = np.asarray(z, dtype=complex)
+    upper = z.imag >= 0
+    out = np.empty_like(z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zu = z[upper]
+        out[upper] = (
+            -1j * math.pi * zu
+            + np.log(np.expm1(2j * math.pi * zu))
+            - (math.log(2.0) + 0.5j * math.pi)
+        )
+        zl = z[~upper]
+        out[~upper] = (
+            1j * math.pi * zl
+            + np.log(-np.expm1(-2j * math.pi * zl))
+            - (math.log(2.0) + 0.5j * math.pi)
+        )
+    return out
+
+
+def log_gamma_vec_gathered(z):
+    """log_gamma_vec with one Lanczos call per half plane's gathered entries."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    right = z.real >= 0.5
+    if right.all():
+        return _lanczos_log(z)
+    out = np.empty_like(z)
+    if right.any():
+        out[right] = _lanczos_log(z[right])
+    left = ~right
+    zl = z[left]
+    out[left] = _LOG_PI - log_sin_pi_split(zl) - _lanczos_log(1.0 - zl)
+    return out

@@ -10,16 +10,14 @@ import math
 
 import numpy as np
 import pytest
+from _frozen import reference_lanczos_series, reference_log_gamma_ratio
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fwstates.bicomplex import Bicomplex
 from fwstates.errors import PoleError
 from fwstates.gammafn import (
-    _LANCZOS_COEFFS,
-    _LANCZOS_G,
     _lanczos_series,
-    _log1p_c,
     gamma,
     gamma_bicomplex,
     is_gamma_pole,
@@ -194,31 +192,6 @@ def test_stirling_modulus_at_100():
 # -- bit identity of the batched Lanczos work -----------------------------
 
 
-def _reference_lanczos_series(z):
-    """The Lanczos sum as one numpy call per coefficient, left to right."""
-    acc = np.full_like(np.asarray(z, dtype=complex), _LANCZOS_COEFFS[0])
-    for k in range(1, len(_LANCZOS_COEFFS)):
-        acc = acc + _LANCZOS_COEFFS[k] / (z + (k - 1))
-    return acc
-
-
-def _reference_log_gamma_ratio(a, A, k):
-    """Scalar log_gamma_ratio with 1-element Lanczos sums from the reference loop."""
-    w = complex(a) + k * A
-    wA = w + A
-    if is_gamma_pole(w) or is_gamma_pole(wA):
-        raise PoleError(f"log_gamma_ratio crosses a pole at w={w}, A={A}")
-    if w.real >= 0.5 and wA.real >= 0.5:
-        t = w + (_LANCZOS_G - 0.5)
-        s_ratio = complex(_reference_lanczos_series(np.array([wA]))[0]) / complex(
-            _reference_lanczos_series(np.array([w]))[0]
-        )
-        return (w - 0.5) * _log1p_c(A / t) + A * cmath.log(t + A) - A + cmath.log(
-            s_ratio
-        )
-    return log_gamma(wA) - log_gamma(w)
-
-
 def _bits(x):
     return np.atleast_1d(np.asarray(x, dtype=complex)).view(float).tobytes()
 
@@ -235,7 +208,7 @@ _POINT = st.one_of(
 @given(zs=st.lists(_POINT, min_size=1, max_size=40))
 def test_lanczos_series_bit_identical_to_loop(zs):
     z = np.array(zs, dtype=complex)
-    ref = _reference_lanczos_series(z)
+    ref = reference_lanczos_series(z)
     assert _bits(_lanczos_series(z)) == _bits(ref)
     for i, zi in enumerate(zs):
         assert _bits(_lanczos_series(np.array([zi]))) == _bits(ref[i])
@@ -248,7 +221,7 @@ def test_lanczos_series_bit_identical_on_grid():
     rng = np.random.default_rng(606)
     z = rng.uniform(0.5, 400.0, 20000) + 1j * rng.normal(0.0, 30.0, 20000)
     z = np.concatenate([z, z.real + 0j, z.real - 0j, 0.5 + 0.25 * np.arange(2000) + 0j])
-    assert _bits(_lanczos_series(z)) == _bits(_reference_lanczos_series(z))
+    assert _bits(_lanczos_series(z)) == _bits(reference_lanczos_series(z))
 
 
 # (a, A, ks): right of the threshold, the reflection branch at small k
@@ -276,7 +249,7 @@ def _outcome(fn, *args):
 @pytest.mark.parametrize("a, A, ks", _RATIO_CASES)
 def test_log_gamma_ratio_array_matches_scalar_reference(a, A, ks):
     ks = list(ks)
-    scalar = [_outcome(_reference_log_gamma_ratio, a, A, k) for k in ks]
+    scalar = [_outcome(reference_log_gamma_ratio, a, A, k) for k in ks]
     assert [_outcome(log_gamma_ratio, a, A, k) for k in ks] == scalar
     errors = [o for o in scalar if o.startswith("PoleError")]
     if errors:

@@ -217,21 +217,25 @@ def test_height_search_bits(model, level, c_offset):
 # -- contour levels and eval_h -----------------------------------------------
 
 
-def _levels_bits(st_):
-    return {n: tuple(_bits(v) for v in lev) for n, lev in sorted(st_._levels.items())}
-
-
 def _compare_lines(hp, cc, xs):
     """eval_h at each x in turn (the first call on a line cold, later ones
-    warm), and each line's (vals, t, h, floor) at every level it reached."""
+    warm); then each line's finest grid, its (vals, t, h) at every level it
+    reached (the frozen line, which starts at level n, reaches them too),
+    and every floor it formed."""
     _clear_memos()
     for x in xs:
         assert _bits(_outcome(hfunction.eval_h, hp, x, cc)) == _bits(
             _outcome(h_value_afresh, hp, x, cc)
         ), x
     for level in {hfunction._abscissa_level(hp, cc, x) for x in xs}:
-        ours = _levels_bits(hfunction._contour_state(hp, cc, level))
-        assert ours and ours == _levels_bits(contour_state_first_grid_n(hp, cc, level))
+        ours = hfunction._contour_state(hp, cc, level)
+        ref = contour_state_first_grid_n(hp, cc, level)
+        assert (_bits(ours.vals), _bits(ours.t)) == (_bits(ref.vals), _bits(ref.t))
+        assert ours._levels.keys() <= ref._levels.keys()
+        for n, lev in ours._levels.items():
+            assert [_bits(v) for v in lev] == [_bits(v) for v in ref._levels[n][:3]], n
+        for n, floor in ours._floors.items():
+            assert _bits(floor) == _bits(ref._levels[n][3]), n
 
 
 @pytest.mark.parametrize("n_nodes", [8, 64, 100])
@@ -272,7 +276,7 @@ def test_first_grid_is_level_2n_and_level_n_its_view(n_nodes):
     st_ = hfunction._ContourState(HWeightParams([], [(0.0, 1.0)]), ContourConfig(n_nodes=n_nodes), 0)
     step = 2 if 2 * n_nodes <= MAX_NODES else 1
     assert len(st_.t) == step * n_nodes + 1 and not st_._levels
-    vals, t, _, _ = st_.level(n_nodes)
+    vals, t, _ = st_.level(n_nodes)
     assert np.shares_memory(vals, st_.vals) and vals.strides == (step * st_.vals.strides[0],)
     assert _bits(t) == _bits(np.linspace(0.0, st_.T, n_nodes + 1))
 

@@ -28,6 +28,7 @@ from _frozen import (
     h_value_two_passes,
     log_gamma_vec_masked,
     log_mellin_vec_per_factor,
+    ref_log_rho_vec,
 )
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -45,16 +46,6 @@ from fwstates.hfunction import ContourConfig, HWeightParams
 _EPS = float(np.finfo(float).eps)
 # the node-value memos: H(x), and the nu node tables (log rho at nodes and on grids)
 _MEMOS = ((hfunction, "_h_value"), (continuum, "_node_table"))
-
-
-def _ref_log_rho_vec(params, ks):
-    kf = ks.astype(float)
-    s = log_gamma_vec_masked(kf + 1.0).real
-    for a, A in params.upper:
-        s += math.lgamma(a.real) - log_gamma_vec_masked(a.real + kf * A).real
-    for b, B in params.lower:
-        s += log_gamma_vec_masked(b.real + kf * B).real - math.lgamma(b.real)
-    return s
 
 
 def _bits(v):
@@ -92,7 +83,7 @@ _KS = st.sampled_from(
 @given(_models(), _KS)
 def test_log_rho_vec_bits(model, ks):
     assert _bits(coherent._log_rho_vec(model.params, ks)) == _bits(
-        _ref_log_rho_vec(model.params, ks)
+        ref_log_rho_vec(model.params, ks)
     )
 
 
@@ -145,44 +136,66 @@ def test_eval_h_bits(model, xs, cc):
 @given(_models(), _CONTOURS)
 def test_contour_levels_are_views_of_the_finest_grid(model, cc):
     """Each cached level is a strided view of the state's finest arrays,
-    with the nodes, step and floor the per-level arrays had."""
+    with the nodes and step the per-level arrays had; each floor formed is
+    the one the per-level arrays give."""
     hp = HWeightParams.from_model(model)
     cc = ContourConfig(c_offset=cc.c_offset, n_nodes=8)
     hfunction.eval_h(hp, 0.9, cc)
     st_ = hfunction._contour_state(hp, cc, hfunction._abscissa_level(hp, cc, 0.9))
     assert len(st_._levels) >= 3
     ref = ContourPerLevel(hp, cc, 0.9)
-    for n, (vals, t, h, floor) in st_._levels.items():
+    for n, (vals, t, h) in st_._levels.items():
         assert np.shares_memory(vals, st_.vals) and np.shares_memory(t, st_.t)
         assert _bits(vals) == _bits(ref.values(n))
         assert _bits(t) == _bits(np.linspace(0.0, ref.T, n + 1))
         assert h == ref.T / n
-        assert floor == 16.0 * _EPS * float(np.trapezoid(np.abs(ref.values(n)), dx=h))
+    for n, floor in st_._floors.items():
+        assert floor == 16.0 * _EPS * float(np.trapezoid(np.abs(ref.values(n)), dx=ref.T / n))
     assert len(st_.t) - 1 == max(st_._levels)
 
 
 def test_eval_h_stops_on_the_cached_floor():
     """The stop compares with the floor each level carries, computed once
-    from |vals|: with every cached floor set to inf, eval_h stops at its
-    second level, as the plain loop does with an infinite floor."""
+    from |vals|: with every level's floor set to inf, eval_h stops at its
+    first test, as the plain loop does with an infinite floor."""
     hp = HWeightParams.from_model(CoherentModel(FWParams([(1.3, 0.8)], [(2.1, 1.1)])))
     cc = ContourConfig(n_nodes=8)
     x = 0.7
     converged = hfunction.eval_h(hp, x, cc)
     st_ = hfunction._contour_state(hp, cc, hfunction._abscissa_level(hp, cc, x))
-    saved = dict(st_._levels)
+    saved = dict(st_._floors)
     # the H memo would answer from the converged value without running the loop
     hfunction._h_value.cache_clear()
     try:
-        for n, (vals, t, h, _) in saved.items():
-            st_._levels[n] = (vals, t, h, math.inf)
+        st_._floors.update((n, math.inf) for n in st_._levels)
         early = hfunction.eval_h(hp, x, cc)
     finally:
-        st_._levels.update(saved)
+        st_._floors.clear()
+        st_._floors.update(saved)
         hfunction._h_value.cache_clear()
     assert _bits(early) == _bits(eval_h_per_level(hp, x, cc, floor=math.inf))
     assert early != converged
     assert _bits(hfunction.eval_h(hp, x, cc)) == _bits(converged)
+
+
+def test_floor_is_formed_only_where_the_relative_test_fails():
+    """A line's floors are those of the levels whose relative stop test
+    failed, formed once; a warm call forms none."""
+    hp = HWeightParams.from_model(CoherentModel(FWParams([(1.3, 0.8)], [(2.1, 1.1)])))
+    cc = ContourConfig(n_nodes=8)
+    hfunction._contour_state.cache_clear()
+    hfunction._h_value.cache_clear()
+    x = 0.7
+    hfunction.eval_h(hp, x, cc)
+    st_ = hfunction._contour_state(hp, cc, hfunction._abscissa_level(hp, cc, x))
+    assert cc.n_nodes not in st_._levels and cc.n_nodes not in st_._floors
+    # the levels below the last one failed both tests; the last passed one
+    levels = sorted(st_._levels)
+    assert set(levels[:-1]) <= set(st_._floors)
+    floors = dict(st_._floors)
+    hfunction._h_value.cache_clear()
+    hfunction.eval_h(hp, x, cc)
+    assert st_._floors == floors
 
 
 def _owner(a):
@@ -201,7 +214,7 @@ def test_contour_memory_after_several_doublings():
     for level in levels:
         st_ = hfunction._contour_state(hp, cc, level)
         assert len(st_._levels) >= 3
-        for vals, t, _, _ in st_._levels.values():
+        for vals, t, _ in st_._levels.values():
             assert not vals.flags.owndata and not t.flags.owndata
             assert _owner(vals) is _owner(st_.vals) and _owner(t) is _owner(st_.t)
 
@@ -214,7 +227,7 @@ def _uncached(monkeypatch):
 
 def _patched(monkeypatch):
     _uncached(monkeypatch)
-    monkeypatch.setattr(continuum, "_log_rho_vec", _ref_log_rho_vec)
+    monkeypatch.setattr(continuum, "_log_rho_vec", ref_log_rho_vec)
     monkeypatch.setattr(hfunction, "eval_h", eval_h_per_level)
 
 
@@ -426,7 +439,7 @@ def test_node_integrand_bits(model, E, log_zeta):
         got = at_node(E)
         assert _bits(got) == _bits(at_node(E))  # stored in the table, then read back
         assert _bits(got) == _bits(on_nodes((Es, coherent._log_rho_vec(model.params, Es)))[0])
-        assert _bits(got) == _bits(np.exp(Es * log_zeta - _ref_log_rho_vec(model.params, Es))[0])
+        assert _bits(got) == _bits(np.exp(Es * log_zeta - ref_log_rho_vec(model.params, Es))[0])
 
 
 def test_rho_grid_entries_are_read_only_copies():

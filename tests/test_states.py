@@ -466,3 +466,40 @@ def test_overlap_under_the_cancellation_cut_holds_1e10():
     zp = 1.251886073464164 + 0.9648403155148083j
     got = overlap(SEED_905_MODEL, z, zp)
     assert abs(got - SEED_905_OVERLAP) <= 1e-10 * abs(SEED_905_OVERLAP)
+
+
+# -- non-finite arguments --------------------------------------------------------
+
+_BC = BCCoherentModel(BCFWParams(upper=[(1.0, H(1, 0.8))], lower=[(2.0, H(1, 1.2))]))
+
+
+@pytest.mark.parametrize(
+    "s, shown",
+    [
+        (math.nan, "nan"),
+        (math.inf, "inf"),
+        (np.float64(math.nan), "nan"),
+        (np.array([1.0, math.inf]), "inf"),
+        (np.array([[2.0], [math.nan]]), "nan"),
+    ],
+)
+def test_f_factor_refuses_non_finite_s(s, shown):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"^s must be finite, got {shown}$"):
+            f_factor(GENERIC, s)
+        with pytest.raises(ValidationError, match=f"^component 1: s must be finite, got {shown}$"):
+            f_b(_BC, s)
+    with pytest.raises(ValidationError, match="^s must be >= 0$"):
+        f_factor(GENERIC, -math.inf)
+
+
+@pytest.mark.parametrize("fn, bc_fn", [(log_rho, log_rho_b), (rho, rho_b)])
+@pytest.mark.parametrize("k, shown", [(math.nan, "nan"), (math.inf, "inf"), (np.float64(math.inf), "inf")])
+def test_rho_refuses_non_finite_k(fn, bc_fn, k, shown):
+    with pytest.raises(ValidationError, match=f"^k must be finite, got {shown}$"):
+        fn(GENERIC, k)
+    with pytest.raises(ValidationError, match=f"^component 1: k must be finite, got {shown}$"):
+        bc_fn(_BC, k)
+    with pytest.raises(ValidationError, match="^k must be >= 0$"):
+        fn(GENERIC, -math.inf)
