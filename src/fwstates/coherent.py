@@ -24,9 +24,9 @@ real k >= 0 (f_factor any finite s >= 0), so they are also the
 continuous interpolation rho_tilde(E) of `continuum`.  The array form
 (Lanczos log-gamma, which may differ from the scalar math.lgamma form in
 the last bits) adds its rows in _log_rho_rows, in log_rho's order.
-make_state reads those rows for integer k from the series' cached column
-table (`foxwright.log_gamma_rows`, which grows it by whole series
-blocks); _log_rho_vec forms them afresh for real E from the same table's
+make_state reads those rows for integer k as one real view of the
+series' cached column table (`foxwright.log_gamma_rows`, which grows it
+by whole series blocks); _log_rho_vec forms them afresh for real E from the same table's
 gamma-argument offsets and weights, and serves `continuum` (its node
 values and its log-rho grids) and the acceptance battery.
 overlap needs N at conj(z) z', |z|^2 and |z'|^2; it sums the three
@@ -182,7 +182,8 @@ def f_factor(model: CoherentModel, s: int | np.ndarray) -> float | np.ndarray:
     log_gamma_ratio(c, C, s).real, for every pair from one
     _log_gamma_ratio_real call (one Lanczos pass, then float arithmetic
     on the real arguments a model has); math.log and math.exp run per
-    entry.  s must be finite and >= 0.
+    entry.  s must be finite and >= 0; a gamma argument c + sC or
+    c + (s+1)C past the float range raises OverflowError.
     """
     ss = np.asarray(s)
     flat = ss.ravel()
@@ -262,8 +263,7 @@ def make_state(model: CoherentModel, z: complex, tail_target: float = 1e-12) -> 
     log_zeta = math.log(zeta)
     while True:
         ks = np.arange(K + 1)
-        rows = log_gamma_rows(model.params, K + 1)
-        log_rho_k = _log_rho_rows(model.params, [row.real for row in rows])
+        log_rho_k = _log_rho_rows(model.params, log_gamma_rows(model.params, K + 1).real)
         with np.errstate(under="ignore"):
             probs = np.exp(ks * log_zeta - log_rho_k - log_n)
         tail = max(1.0 - float(probs.sum()), 0.0)

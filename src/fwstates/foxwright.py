@@ -20,23 +20,24 @@ pair and one log Gamma(b_r + k B_r) per lower pair, as the rows of one
 (1 + p + q, n) array; the lower pairs' pole masks as the rows of one
 (q, n) array; and the first k at which each pair meets a pole.  Each
 chunk of at most _GROW_CHUNK columns comes from one log_gamma_vec call,
-so a long growth step never builds a large Lanczos block, and each
-growth joins the chunks to the table with one concatenate per array.
-Poles lie at Re <= POLE_TOL, so only a chunk with such an argument gets
-the pole test.  The cache is an LRU of _COLUMN_CACHE_SIZE parameter sets,
-so equal parameters built anywhere share one entry, and this one table
-serves both evaluate and coherent.make_state (through log_gamma_rows), so
-a model's states reuse the gamma values of its normalization.  An entry
-grows to the end of the block a call asks for: evaluate never past its
-max_terms, make_state to the end of the series block that holds its K+1
-columns, where its normalization's next block would grow it.  It grows
-into new read-only arrays published by one assignment per call, so
-threads never see a half-grown entry.  Terms stay bit-identical to
-forming every column afresh: log_gamma_vec and the pole test are
-elementwise, so chunking moves no bit, the block combines the same
-columns with the same operations in the same order, and a zero's sign in
-a parameter (the one thing FWParams equality ignores) is dropped by the
-addition a + k A.
+so a long growth step never builds a large Lanczos block.  A new entry
+holds no record: its first growth publishes a lone chunk's arrays as
+they are, and other growths join the chunks with one concatenate per
+array.  Poles lie at Re <= POLE_TOL, so only a chunk with such an
+argument gets the pole test.  The cache is an LRU of _COLUMN_CACHE_SIZE
+parameter sets, so equal parameters built anywhere share one entry, and
+this one table serves both evaluate and coherent.make_state (through
+log_gamma_rows), so a model's states reuse the gamma values of its
+normalization.  An entry grows to the end of the block a call asks for:
+evaluate never past its max_terms, make_state to the end of the series
+block that holds its K+1 columns, where its normalization's next block
+would grow it.  It grows into new read-only arrays published by one
+assignment per call, so threads never see a half-grown entry.  Terms
+stay bit-identical to forming every column afresh: log_gamma_vec and the
+pole test are elementwise, so chunking moves no bit, the block combines
+the same columns with the same operations in the same order, and a
+zero's sign in a parameter (the one thing FWParams equality ignores) is
+dropped by the addition a + k A.
 
 One block loop (_block_sums) sums in blocks of 32, 64, ... terms,
 doubling up to _BLOCK_CAP.  The running sums are a sequential cumsum
@@ -269,26 +270,6 @@ class _Columns(NamedTuple):
     lower_first_pole: tuple  # per lower pair: the first k at a gamma pole, or None
 
 
-def _columns(lg, lower_mask, upper_poles, lower_first_pole, p: int) -> _Columns:
-    """A _Columns record whose column arrays are views of lg and lower_mask."""
-    n = lg.shape[1]
-    k = np.arange(n, dtype=float)
-    for arr in (k, lg, lower_mask):
-        arr.flags.writeable = False
-    return _Columns(
-        n,
-        k,
-        lg,
-        lower_mask,
-        lg[0],
-        tuple(lg[1 : 1 + p]),
-        upper_poles,
-        tuple(lg[1 + p :]),
-        tuple(lower_mask),
-        lower_first_pole,
-    )
-
-
 class _ColumnCache:
     """Columns of one FWParams, grown on demand to the block end asked for."""
 
@@ -296,13 +277,7 @@ class _ColumnCache:
 
     def __init__(self, params: FWParams):
         self.params = params
-        self.cols = _columns(
-            np.empty((1 + params.p + params.q, 0), dtype=complex),
-            np.empty((params.q, 0), dtype=bool),
-            (None,) * params.p,
-            (None,) * params.q,
-            params.p,
-        )
+        self.cols = None  # no record until the first growth
         # offsets and weights of the gamma arguments k+1, a_l + k A_l, b_r + k B_r;
         # coherent._log_rho_vec reads them too
         pairs = ((1.0, 1.0),) + params.upper + params.lower
@@ -311,15 +286,15 @@ class _ColumnCache:
 
     def upto(self, end: int) -> _Columns:
         cols = self.cols
-        if cols.n < end:
+        if cols is None or cols.n < end:
             cols = self._grow(cols, end)
             # one assignment publishes the grown columns, so a concurrent
             # caller sees either the old or the new record, never a mix
             self.cols = cols
         return cols
 
-    def _grow(self, cols: _Columns, end: int) -> _Columns:
-        """cols extended to k < end, as new arrays (cols itself is not touched).
+    def _grow(self, cols: _Columns | None, end: int) -> _Columns:
+        """cols (None before the first growth) extended to k < end, as new arrays.
 
         Every column's gamma arguments form one block per chunk of at
         most _GROW_CHUNK columns, so one log_gamma_vec call serves a
@@ -327,16 +302,18 @@ class _ColumnCache:
         runs only on a chunk with such an argument; elsewhere the
         chunk's lower masks are all False.
         """
-        p = self.params.p
-        upper_poles = list(cols.upper_poles)
-        lower_first = list(cols.lower_first_pole)
-        lgs, masks = [cols.lg], [cols.lower_mask]
-        for lo in range(cols.n, end, _GROW_CHUNK):
+        p, q = self.params.p, self.params.q
+        if cols is None:
+            start, upper_poles, lower_first, lgs, masks = 0, [None] * p, [None] * q, [], []
+        else:
+            start, lgs, masks = cols.n, [cols.lg], [cols.lower_mask]
+            upper_poles, lower_first = list(cols.upper_poles), list(cols.lower_first_pole)
+        for lo in range(start, end, _GROW_CHUNK):
             kf = np.arange(lo, min(lo + _GROW_CHUNK, end), dtype=float)
             args = self.off + self.wt * kf
             lgs.append(log_gamma_vec(args))
             if not (args.real[1:] <= POLE_TOL).any():
-                masks.append(np.zeros((len(lower_first), kf.size), dtype=bool))
+                masks.append(np.zeros((q, kf.size), dtype=bool))
                 continue
             poles = pole_mask(args[1:])
             for j, pole in enumerate(upper_poles):
@@ -349,13 +326,17 @@ class _ColumnCache:
                     bad = np.flatnonzero(poles[p + r])
                     if bad.size:
                         lower_first[r] = lo + int(bad[0])
-            masks.append(poles[p:])
-        return _columns(
-            np.concatenate(lgs, axis=1),
-            np.concatenate(masks, axis=1),
-            tuple(upper_poles),
-            tuple(lower_first),
-            p,
+            masks.append(poles[p:].copy())  # owned, so a one-chunk table keeps no upper rows
+        lg, lower_mask = lgs[0], masks[0]
+        if len(lgs) > 1:
+            lg, lower_mask = np.concatenate(lgs, axis=1), np.concatenate(masks, axis=1)
+        k = np.arange(end, dtype=float)
+        for arr in (k, lg, lower_mask):
+            arr.flags.writeable = False
+        # every column array is a view of lg or lower_mask
+        return _Columns(
+            end, k, lg, lower_mask, lg[0], tuple(lg[1 : 1 + p]), tuple(upper_poles),
+            tuple(lg[1 + p :]), tuple(lower_mask), tuple(lower_first),
         )
 
 
@@ -374,15 +355,15 @@ def _block_end(n: int) -> int:
     return end
 
 
-def log_gamma_rows(params: FWParams, n: int) -> tuple[np.ndarray, ...]:
+def log_gamma_rows(params: FWParams, n: int) -> np.ndarray:
     """log Gamma at k+1, then each a_l + k A_l, then each b_r + k B_r, for k < n.
 
-    Read-only views of the cached columns, so a model's series and its
-    coherent states share one table.  The table grows to the end of the
-    series block that holds k = n - 1, where a later sum would take it.
-    No pole screening, as in log_gamma_vec.
+    The rows of a read-only (1 + p + q, n) view of the cached table, so a
+    model's series and its coherent states share one table.  The table
+    grows to the end of the series block that holds k = n - 1, where a
+    later sum would take it.  No pole screening, as in log_gamma_vec.
     """
-    return tuple(_column_cache(params).upto(_block_end(n)).lg[:, :n])
+    return _column_cache(params).upto(_block_end(n)).lg[:, :n]
 
 
 _cumsum = np.add.accumulate  # ndarray.cumsum's sum, without its method overhead

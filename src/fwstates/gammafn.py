@@ -8,14 +8,16 @@ log(sin(pi w)) computed in a factored form that cannot overflow for
 large |Im w|.
 
 The Lanczos partial-fraction sum adds its eight tail terms left to right
-for every point.  On short arrays it is one fused array operation: a
-single division builds all the tail terms, and a cumsum along the
-coefficient axis adds them.  From _ROW_SUM_MIN entries up, where that
-(8, ...) block costs more than it saves, the same divisions and
-additions run one coefficient row at a time.  Either way each point's
-sum is bit-identical whether it is computed alone or in any array, so
-scalar callers can be batched without moving a bit.  log_gamma_vec makes
-one Lanczos call for both half planes, on z or on the reflected 1 - z.
+for every point, by one of three routes chosen by array size at measured
+crossovers.  Below _ROW_ADD_MIN entries one division forms the tail
+terms as an (8, ...) block and a cumsum along its first axis adds them;
+up to _ROW_SUM_MIN the block's rows are added one at a time, cheaper
+than that accumulate once the rows outweigh the loop; from there up,
+where the block costs more than it saves, each row is formed alone too.
+Each point's sum is bit-identical whether it is computed alone or in any
+array, so scalar callers can be batched without moving a bit.
+log_gamma_vec makes one Lanczos call for both half planes, on z or on
+the reflected 1 - z.
 
 log_gamma_ratio batches the Lanczos sums and its pole screen; the rest of
 its formula stays scalar in cmath and math, because numpy's log and exp
@@ -55,9 +57,11 @@ _LANCZOS_COEFFS = (
 )
 _LANCZOS_TAIL = np.array(_LANCZOS_COEFFS[1:])
 _LANCZOS_SHIFT = np.arange(len(_LANCZOS_TAIL))
-# array size from which _lanczos_series sums row by row, at the measured
-# crossover: fused 50 us and rows 52 us at 384 entries, 68 and 60 us at 512
-_ROW_SUM_MIN = 512
+# array sizes from which _lanczos_series adds its block's rows one at a
+# time, and from which it also forms each row alone: the crossovers measured
+# with numpy 2.4 (80 entries in 1-d, 128 as (r, 32) blocks; 1,280 both ways)
+_ROW_ADD_MIN = 128
+_ROW_SUM_MIN = 1280
 
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
@@ -85,11 +89,12 @@ def _lanczos_series(z):
     """Lanczos partial-fraction sum A(z) for Re(z) >= 0.5, over any array shape.
 
     c_0 + sum_k c_k / (z + k - 1), added left to right.  Below
-    _ROW_SUM_MIN entries the tail terms form one (8, *z.shape) block and
-    a cumsum along its first axis adds them in that order; from there up
-    the rows are formed and added one at a time.  Both do the same
-    operations in the same order, so every entry is bit-identical to the
-    scalar loop and independent of the array's length.
+    _ROW_SUM_MIN entries the tail terms form one (8, *z.shape) block,
+    added by a cumsum along its first axis below _ROW_ADD_MIN entries and
+    row by row from there; from _ROW_SUM_MIN up each row is formed and
+    added alone.  All three do the same operations in the same order, so
+    every entry is bit-identical to the scalar loop and independent of
+    the array's length.
     """
     z = np.asarray(z, dtype=complex)
     if z.size >= _ROW_SUM_MIN:
@@ -103,8 +108,13 @@ def _lanczos_series(z):
         return out
     col = (-1,) + (1,) * z.ndim
     terms = _LANCZOS_TAIL.reshape(col) / (z + _LANCZOS_SHIFT.reshape(col))
-    terms[0] += _LANCZOS_COEFFS[0]
-    return terms.cumsum(axis=0)[-1]
+    if z.size < _ROW_ADD_MIN:
+        terms[0] += _LANCZOS_COEFFS[0]
+        return terms.cumsum(axis=0)[-1]
+    out = terms[0] + _LANCZOS_COEFFS[0]
+    for row in terms[1:]:
+        out += row
+    return out
 
 
 def _lanczos_log(z):
@@ -233,12 +243,18 @@ def log_gamma_ratio(a: complex, A: float, k: int | np.ndarray) -> complex | np.n
     each entry bit-identical to the scalar call.  One array test screens
     every w and w + A for poles and one array call forms their Lanczos
     sums, while the reflection branch and the cmath remainder above run
-    per entry.
+    per entry.  A w or w + A past the float range raises OverflowError.
     """
     ks = np.asarray(k)
     ws = [complex(a) + kk * A for kk in ks.ravel().tolist()]
     n = len(ws)
     args = np.array(ws + [w + A for w in ws], dtype=complex)
+    finite = np.isfinite(args)
+    if not finite.all():
+        i = int(np.flatnonzero(~(finite[:n] & finite[n:]))[0])
+        which, v = ("a + kA", ws[i]) if not finite[i] else ("a + (k+1)A", ws[i] + A)
+        k_i = float(ks.ravel()[i])
+        raise OverflowError(f"gamma argument {which} = {v} is not finite (a={a}, A={A}, k={k_i!r})")
     # every pole lies at Re <= POLE_TOL, so most calls stop at this test
     if (args.real <= POLE_TOL).any():
         poles = pole_mask(args)

@@ -66,6 +66,16 @@ A fresh parameter set's first use:
   Lanczos call on the right half plane's entries and one on 1 - z of the
   left's, and log sin(pi z) split by half plane on every call
   (tests/test_fresh_model_bits.py).
+- lanczos_series_cumsum, log_gamma_vec_cumsum: the Lanczos sum adding
+  its (8, ...) block by a cumsum below 512 entries and forming each row
+  alone from there up, and log_gamma_vec over it
+  (tests/test_log_gamma_batching.py).
+
+The quadrature driver's copies:
+
+- ref_overlap_tilde, ref_moment_check: overlap_tilde with its own
+  QUADPACK call through scipy's complex_func, and moment_check with its
+  own outer quad and failure text (tests/test_quadrature_driver.py).
 """
 
 import cmath
@@ -74,9 +84,11 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from scipy import integrate
 
 from fwstates import continuum, foxwright, hfunction
-from fwstates.coherent import _log_prefactor, _log_rho_vec
+from fwstates.coherent import _log_prefactor, _log_rho_vec, rho
+from fwstates.continuum import DEFAULT_QUAD
 from fwstates.errors import (
     ContourFailure,
     DomainViolation,
@@ -110,6 +122,7 @@ from fwstates.gammafn import (
     log_gamma_vec,
     pole_mask,
 )
+from fwstates.hfunction import HWeightParams, MomentResult
 
 
 def takes_levin_route(params, z, max_terms=10000):
@@ -910,3 +923,86 @@ def log_gamma_vec_gathered(z):
     zl = z[left]
     out[left] = _LOG_PI - log_sin_pi_split(zl) - _lanczos_log(1.0 - zl)
     return out
+
+
+def lanczos_series_cumsum(z):
+    """The Lanczos sum with one crossover: each row formed and added alone
+    from 512 entries up, below that the fused block and its cumsum."""
+    z = np.asarray(z, dtype=complex)
+    if z.size < 512:
+        return lanczos_series_fused(z)
+    out = _LANCZOS_TAIL[0] / (z + _LANCZOS_SHIFT[0])
+    out += _LANCZOS_COEFFS[0]
+    row = np.empty_like(out)
+    for tail, shift in zip(_LANCZOS_TAIL[1:], _LANCZOS_SHIFT[1:]):
+        np.add(z, shift, out=row)
+        np.divide(tail, row, out=row)
+        out += row
+    return out
+
+
+def _lanczos_log_cumsum(z):
+    t = z + (_LANCZOS_G - 0.5)
+    return _LOG_SQRT_TWO_PI + (z - 0.5) * np.log(t) - t + np.log(lanczos_series_cumsum(z))
+
+
+def log_gamma_vec_cumsum(z):
+    """log_gamma_vec, one Lanczos call for both half planes, over lanczos_series_cumsum."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    right = z.real >= 0.5
+    if right.all():
+        return _lanczos_log_cumsum(z)
+    out = _lanczos_log_cumsum(np.where(right, z, 1.0 - z))
+    left = ~right
+    out[left] = _LOG_PI - _log_sin_pi(z[left]) - out[left]
+    return out
+
+
+# -- the quadrature driver ----------------------------------------------------
+
+
+def ref_overlap_tilde(model, z, zp, cfg=DEFAULT_QUAD, scheme="gk"):
+    z = complex(z)
+    zp = complex(zp)
+    if z == 0 or zp == 0:
+        raise ValidationError("overlap_tilde needs |z|, |z'| > 0")
+    log_zeta = cmath.log(z.conjugate() * zp)
+    e_hi = e_max(model, log_zeta.real)
+    on_nodes, at_node = integrands(model.params, log_zeta)
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        if scheme == "gk":
+            out = integrate.quad(
+                at_node, 0.0, e_hi, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
+                limit=continuum.MAX_SUBDIVISIONS, complex_func=True,
+            )
+        else:
+            out = tanh_sinh_per_side(on_nodes, 0.0, e_hi, cfg.rel_tol, cfg.abs_tol)
+    num, _ = continuum._finite(*out)
+    den = math.sqrt(
+        continuum.nu(model, abs(z) ** 2, cfg, scheme) * continuum.nu(model, abs(zp) ** 2, cfg, scheme)
+    )
+    return num / den
+
+
+def ref_moment_check(model, k):
+    k = int(k)
+    p = model.params
+    log_pref = sum(math.lgamma(a.real) for a, _ in p.upper) - sum(
+        math.lgamma(b.real) for b, _ in p.lower
+    )
+    pref = math.exp(log_pref)
+    hp = HWeightParams.from_model(model)
+
+    def density(x):
+        return pref * hfunction.eval_h(hp, x)
+
+    x_max = hfunction._density_scan(density, k)
+    out = integrate.quad(
+        lambda x: (x ** k) * density(x), 0.0, x_max, epsabs=DEFAULT_QUAD.abs_tol,
+        epsrel=DEFAULT_QUAD.rel_tol, limit=continuum.MAX_SUBDIVISIONS, full_output=1,
+    )
+    if len(out) > 3:
+        raise QuadratureFailure(f"outer moment quadrature failed: {out[3]}")
+    lhs = out[0]
+    rhs = rho(model, k)
+    return MomentResult(lhs, rhs, abs(lhs - rhs) / abs(rhs))

@@ -507,7 +507,7 @@ def test_equal_bicomplex_params_share_one_entry():
 def test_columns_stop_at_max_terms():
     params = FWParams(upper=[(0.9, 1.0), (0.6, 1.0)], lower=[(1.8, 1.0)])  # radius 1
     cache = _column_cache(params)
-    assert cache.cols.n == 0
+    assert cache.cols is None  # no record before the first growth
     with pytest.raises(MaxTermsExceeded):
         evaluate(params, 0.3, max_terms=10)
     assert cache.cols.n == 10

@@ -229,6 +229,8 @@ def test_make_state_grows_the_table_to_whole_blocks():
     # N(0.25) stops inside the first block; the 33 coefficients take the next
     assert cache.cols.n == 96
     rows = log_gamma_rows(model.params, 33)
+    # one read-only 2-D view of the table, whose rows make_state reads
+    assert rows.shape == (3, 33) and rows.base is cache.cols.lg and not rows.flags.writeable
     assert len(rows) == 3 and all(r.shape == (33,) and not r.flags.writeable for r in rows)
     ref = ColumnCacheAppend(model.params).upto(96)
     assert _bits(rows[1]) == _bits(ref.upper[0][:33])
@@ -250,3 +252,28 @@ def test_grow_chunks_and_scans_poles_only_where_they_can_be(monkeypatch):
     # -0.5 + k/4 <= 0 for k <= 2: only the first chunk holds such arguments
     _ColumnCache(FWParams([(-0.5, 0.25)], [(2.1, 1.1)])).upto(1200)
     assert calls == [(2, 512)]
+
+
+def test_first_growth_publishes_its_chunk_without_a_concatenate(monkeypatch):
+    """A new table holds no record; its first growth of one chunk publishes
+    that chunk's arrays, and a later growth joins one chunk per array."""
+    calls = []
+    concatenate = np.concatenate
+
+    def counted(arrays, *args, **kwargs):
+        calls.append(len(arrays))
+        return concatenate(arrays, *args, **kwargs)
+
+    monkeypatch.setattr(np, "concatenate", counted)
+    for params in (FWParams([(1.3, 0.8)], [(2.1, 1.1)]), FWParams([(-0.5, 0.25)], [(2.1, 1.1)])):
+        want = ColumnCacheAppend(params).upto(224)
+        calls.clear()
+        cache = _ColumnCache(params)
+        assert cache.cols is None
+        cols = cache.upto(96)
+        assert calls == [] and cols.n == 96 and cols.lg.base is None
+        assert cols.lower_mask.base is None and cols.lower_mask.shape == (1, 96)
+        _assert_same_columns(cache.upto(224), want)
+        assert calls == [2, 2]
+        _ColumnCache(params).upto(1200)  # three chunks, joined by one concatenate per array
+        assert calls == [2, 2, 3, 3]

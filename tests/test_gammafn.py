@@ -182,6 +182,16 @@ def test_log_gamma_ratio_large_k_is_stable():
     assert abs(log_gamma_ratio(0.7, 1.1, 10**8).real - frozen) <= 1e-13 * frozen
 
 
+def test_log_gamma_ratio_refuses_arguments_past_the_float_range():
+    with pytest.raises(OverflowError, match=r"^gamma argument a \+ kA = \(inf\+0j\) is not finite "
+                       r"\(a=2\.1, A=1\.1, k=1\.7e\+308\)$"):
+        log_gamma_ratio(2.1, 1.1, 1.7e308)
+    # w = a + kA fits, w + A does not; the first such k of an array is named
+    with pytest.raises(OverflowError, match=r"^gamma argument a \+ \(k\+1\)A = \(inf\+0j\) is not finite "
+                       r"\(a=1\.0, A=1e\+308, k=1\.0\)$"):
+        log_gamma_ratio(1.0, 1e308, np.array([0, 1, 2]))
+
+
 def test_stirling_modulus_at_100():
     # |Gamma(w)| against the leading Stirling envelope on the real axis
     w = 100.0

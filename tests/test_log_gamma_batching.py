@@ -1,12 +1,14 @@
 """Bit identity of the batched log-gamma work in the measure layer.
 
 The measure layer makes few, large log-gamma calls: `_lanczos_series`
-sums row by row from `_ROW_SUM_MIN` entries up, a new contour line tests
+adds its block's rows one at a time from `_ROW_ADD_MIN` entries up and
+forms each row alone from `_ROW_SUM_MIN` up, a new contour line tests
 M(c) and eight heights per `_log_mellin_vec` call and builds its first
 grid at level 2n, the trapezoid loop forms only the odd nodes of each
 new level, and `_tanh_sinh` calls its integrand once per level.  The
 references, in _frozen.py, are frozen copies of the forms
-these replaced: the fused (8, ...) Lanczos block, a one-point call per
+these replaced: the fused (8, ...) Lanczos block (and the kernel with
+its one crossover at 512, at every array length), a one-point call per
 height, a first grid at level n, the integrand formed afresh at every
 level, and one integrand call per side of the midpoint.  Every output,
 every error text and the level where an error is raised must match them
@@ -24,7 +26,9 @@ from _frozen import (
     contour_state_first_grid_n,
     h_value_afresh,
     integrands,
+    lanczos_series_cumsum,
     lanczos_series_fused,
+    log_gamma_vec_cumsum,
     log_gamma_vec_fused,
     nu_integral,
     tanh_sinh_per_side,
@@ -40,7 +44,7 @@ from fwstates.errors import ContourFailure, QuadratureFailure, TruncationError, 
 from fwstates.foxwright import FWParams, evaluate
 from fwstates.foxwright_bc import BCFWParams
 from fwstates.foxwright_bc import evaluate as evaluate_bc
-from fwstates.gammafn import _ROW_SUM_MIN, _lanczos_series, log_gamma_vec
+from fwstates.gammafn import _ROW_ADD_MIN, _ROW_SUM_MIN, _lanczos_series, log_gamma_vec
 from fwstates.hfunction import MAX_NODES, ContourConfig, HWeightParams
 
 
@@ -97,11 +101,16 @@ def _models(draw):
     return CoherentModel(FWParams(upper=upper, lower=lower))
 
 
-# sizes on both sides of the threshold: the fused block below, rows from it up
+# sizes on both sides of each threshold: the fused block's cumsum below
+# _ROW_ADD_MIN, its rows added one at a time below _ROW_SUM_MIN, rows
+# formed alone from there up
 _SHAPES = [
     (),
     (1,),
     (7,),
+    (_ROW_ADD_MIN - 1,),
+    (_ROW_ADD_MIN,),
+    (2, _ROW_ADD_MIN // 2 + 1),
     (_ROW_SUM_MIN - 1,),
     (_ROW_SUM_MIN,),
     (_ROW_SUM_MIN + 1,),
@@ -162,6 +171,33 @@ def test_log_gamma_vec_matches_fused_block(shape, seed):
         alone = [log_gamma_vec(zi)[0] for zi in z.ravel()[:9]]
     assert _bits(got) == _bits(want)
     assert [_bits(v) for v in alone] == [_bits(v) for v in got.ravel()[:9]]
+
+
+def _shape(n, ndim):
+    """A shape of n entries on ndim axes, the leading ones small factors of n (or 1)."""
+    lead = []
+    for _ in range(ndim - 1):
+        d = next((d for d in (2, 3, 5) if n % d == 0), 1)
+        lead.append(d)
+        n //= d
+    return (*lead, n)
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+def test_log_gamma_vec_matches_cumsum_kernel_at_every_length(ndim):
+    """Every length from 1 to 1,400 crosses both of _lanczos_series's
+    thresholds and the frozen kernel's one; each array mixes both half
+    planes, exact poles and both signs of a zero imaginary part."""
+    assert _ROW_ADD_MIN < 512 < _ROW_SUM_MIN < 1400
+    for n in range(1, 1401):
+        shape = _shape(n, ndim)
+        assert len(shape) == ndim
+        z = _points(n, shape)
+        with np.errstate(all="ignore"):
+            got, want = log_gamma_vec(z), log_gamma_vec_cumsum(z)
+            sums = _lanczos_series(z), lanczos_series_cumsum(z)
+        assert _bits(got) == _bits(want), shape
+        assert _bits(sums[0]) == _bits(sums[1]), shape
 
 
 # -- the height search -------------------------------------------------------

@@ -3,9 +3,10 @@
 Both used to call QUADPACK themselves: overlap_tilde through scipy's
 complex_func without full_output, so a failed pass only warned and its
 value came back, and moment_check with a failure text of its own.  The
-frozen copies below are those two routes.  Wherever a copy ran without a
-QUADPACK warning the package must give the same repr, and wherever it
-warned the package must raise QuadratureFailure.
+frozen copies ref_overlap_tilde and ref_moment_check in _frozen.py are
+those two routes.  Wherever a copy ran without a QUADPACK warning the
+package must give the same repr, and wherever it warned the package must
+raise QuadratureFailure.
 """
 
 import cmath
@@ -14,72 +15,21 @@ import inspect
 import math
 import warnings
 
-import numpy as np
 import pytest
-from _frozen import e_max, integrands, tanh_sinh_per_side
+from _frozen import ref_moment_check, ref_overlap_tilde
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
 from fwstates import continuum, foxwright, gammafn, hfunction
-from fwstates.coherent import CoherentModel, rho
+from fwstates.coherent import CoherentModel
 from fwstates.continuum import DEFAULT_QUAD, QuadConfig, overlap_tilde
-from fwstates.errors import ContourFailure, QuadratureFailure, ValidationError
+from fwstates.errors import ContourFailure, QuadratureFailure
 from fwstates.foxwright import FWParams
 from fwstates.foxwright_bc import BCFWParams, ConvergenceReport, classify
-from fwstates.hfunction import HWeightParams, MomentResult, moment_check
+from fwstates.hfunction import moment_check
 
 _VACUUM = CoherentModel(FWParams())
-
-
-# -- frozen copies -----------------------------------------------------------
-
-
-def _ref_overlap_tilde(model, z, zp, cfg=DEFAULT_QUAD, scheme="gk"):
-    z = complex(z)
-    zp = complex(zp)
-    if z == 0 or zp == 0:
-        raise ValidationError("overlap_tilde needs |z|, |z'| > 0")
-    log_zeta = cmath.log(z.conjugate() * zp)
-    e_hi = e_max(model, log_zeta.real)
-    on_nodes, at_node = integrands(model.params, log_zeta)
-    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        if scheme == "gk":
-            out = integrate.quad(
-                at_node, 0.0, e_hi, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
-                limit=continuum.MAX_SUBDIVISIONS, complex_func=True,
-            )
-        else:
-            out = tanh_sinh_per_side(on_nodes, 0.0, e_hi, cfg.rel_tol, cfg.abs_tol)
-    num, _ = continuum._finite(*out)
-    den = math.sqrt(
-        continuum.nu(model, abs(z) ** 2, cfg, scheme) * continuum.nu(model, abs(zp) ** 2, cfg, scheme)
-    )
-    return num / den
-
-
-def _ref_moment_check(model, k):
-    k = int(k)
-    p = model.params
-    log_pref = sum(math.lgamma(a.real) for a, _ in p.upper) - sum(
-        math.lgamma(b.real) for b, _ in p.lower
-    )
-    pref = math.exp(log_pref)
-    hp = HWeightParams.from_model(model)
-
-    def density(x):
-        return pref * hfunction.eval_h(hp, x)
-
-    x_max = hfunction._density_scan(density, k)
-    out = integrate.quad(
-        lambda x: (x ** k) * density(x), 0.0, x_max, epsabs=DEFAULT_QUAD.abs_tol,
-        epsrel=DEFAULT_QUAD.rel_tol, limit=continuum.MAX_SUBDIVISIONS, full_output=1,
-    )
-    if len(out) > 3:
-        raise QuadratureFailure(f"outer moment quadrature failed: {out[3]}")
-    lhs = out[0]
-    rhs = rho(model, k)
-    return MomentResult(lhs, rhs, abs(lhs - rhs) / abs(rhs))
 
 
 def _outcome(fn, *args, **kwargs):
@@ -121,7 +71,7 @@ _POINTS = st.builds(cmath.rect, st.floats(0.1, 6.0), st.floats(-math.pi, math.pi
     st.sampled_from([DEFAULT_QUAD, QuadConfig(1e-6, 1e-9)]),
 )
 def test_overlap_tilde_matches_frozen_copy(model, z, zp, scheme, cfg):
-    want, warned = _outcome(_ref_overlap_tilde, model, z, zp, cfg, scheme)
+    want, warned = _outcome(ref_overlap_tilde, model, z, zp, cfg, scheme)
     got, got_warned = _outcome(overlap_tilde, model, z, zp, cfg, scheme)
     assert not got_warned
     if warned:
@@ -133,7 +83,7 @@ def test_overlap_tilde_matches_frozen_copy(model, z, zp, scheme, cfg):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(_models(), st.integers(0, 8))
 def test_moment_check_matches_frozen_copy(model, k):
-    want, warned = _outcome(_ref_moment_check, model, k)
+    want, warned = _outcome(ref_moment_check, model, k)
     got, got_warned = _outcome(moment_check, model, k)
     assert not (warned or got_warned)
     if want.startswith("QuadratureFailure: outer moment quadrature failed: "):

@@ -503,3 +503,26 @@ def test_rho_refuses_non_finite_k(fn, bc_fn, k, shown):
         bc_fn(_BC, k)
     with pytest.raises(ValidationError, match="^k must be >= 0$"):
         fn(GENERIC, -math.inf)
+
+
+# 2.1 + 1.7e308 * 1.1 overflows to inf, while 1.3 + 1.7e308 * 0.8 does not
+_OVERFLOW_MODEL = CoherentModel(FWParams([(1.3, 0.8)], [(2.1, 1.1)]))
+_OVERFLOW_TEXT = r"^gamma argument a \+ kA = \(inf\+0j\) is not finite \(a=2\.1, A=1\.1, k=1\.7e\+308\)$"
+
+
+def test_f_factor_refuses_a_gamma_argument_past_the_float_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # a far s whose gamma arguments still fit keeps its value, bit for bit
+        assert repr(f_factor(_OVERFLOW_MODEL, 1e305)) == "2.0489434963459408e+198"
+        with pytest.raises(OverflowError, match=_OVERFLOW_TEXT):
+            f_factor(_OVERFLOW_MODEL, 1.7e308)
+        with pytest.raises(OverflowError, match=_OVERFLOW_TEXT):
+            f_factor(_OVERFLOW_MODEL, np.array([2.0, 1.7e308]))
+
+
+def test_ladder_elements_refuses_a_gamma_argument_past_the_float_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=_OVERFLOW_TEXT):
+            ladder_elements(_OVERFLOW_MODEL, 1.7e308)

@@ -213,7 +213,7 @@ def test_make_state_doubles_k_and_leaves_the_table_intact():
     assert len(state.coeffs) - 1 > 8
     rows = log_gamma_rows(model.params, len(state.coeffs))
     assert all(not row.flags.writeable for row in rows)
-    assert _bits(coherent._log_rho_rows(model.params, [r.real for r in rows])) == _bits(
+    assert _bits(coherent._log_rho_rows(model.params, rows.real)) == _bits(
         coherent._log_rho_vec(model.params, np.arange(len(state.coeffs)))
     )
 
