@@ -8,12 +8,9 @@ log(sin(pi w)) computed in a factored form that cannot overflow for
 large |Im w|.
 
 The Lanczos partial-fraction sum adds its eight tail terms left to right
-for every point, by one of three routes chosen by array size at measured
-crossovers.  Below _ROW_ADD_MIN entries one division forms the tail
-terms as an (8, ...) block and a cumsum along its first axis adds them;
-up to _ROW_SUM_MIN the block's rows are added one at a time, cheaper
-than that accumulate once the rows outweigh the loop; from there up,
-where the block costs more than it saves, each row is formed alone too.
+for every point.  Below _ROW_SUM_MIN entries one division forms them as
+an (8, ...) block whose rows are then added in order; from there up each
+row is formed alone too, as a larger block only raised the peak memory.
 Each point's sum is bit-identical whether it is computed alone or in any
 array, so scalar callers can be batched without moving a bit.
 log_gamma_vec makes one Lanczos call for both half planes, on z or on
@@ -39,7 +36,7 @@ import math
 import numpy as np
 
 from .bicomplex import Bicomplex, componentwise
-from .errors import PoleError
+from .errors import PoleError, ValidationError
 
 # Godfrey's coefficient set for g = 7, 9 terms; relative error ~1e-15 on
 # the real axis, comfortably below the 1e-13 target for Re(w) >= 0.5.
@@ -57,11 +54,10 @@ _LANCZOS_COEFFS = (
 )
 _LANCZOS_TAIL = np.array(_LANCZOS_COEFFS[1:])
 _LANCZOS_SHIFT = np.arange(len(_LANCZOS_TAIL))
-# array sizes from which _lanczos_series adds its block's rows one at a
-# time, and from which it also forms each row alone: the crossovers measured
-# with numpy 2.4 (80 entries in 1-d, 128 as (r, 32) blocks; 1,280 both ways)
-_ROW_ADD_MIN = 128
-_ROW_SUM_MIN = 1280
+# array size from which _lanczos_series forms each row alone, not one (8, ...)
+# block; the block wins in-process up to ~1,280 entries, but a threshold there
+# read the same end-to-end times and a 0.2 MB higher peak RSS (numpy 2.4)
+_ROW_SUM_MIN = 512
 
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
@@ -89,12 +85,11 @@ def _lanczos_series(z):
     """Lanczos partial-fraction sum A(z) for Re(z) >= 0.5, over any array shape.
 
     c_0 + sum_k c_k / (z + k - 1), added left to right.  Below
-    _ROW_SUM_MIN entries the tail terms form one (8, *z.shape) block,
-    added by a cumsum along its first axis below _ROW_ADD_MIN entries and
-    row by row from there; from _ROW_SUM_MIN up each row is formed and
-    added alone.  All three do the same operations in the same order, so
-    every entry is bit-identical to the scalar loop and independent of
-    the array's length.
+    _ROW_SUM_MIN entries the tail terms form one (8, *z.shape) block whose
+    rows are added in order; from there up each row is formed and added
+    alone.  Both do the same operations in the same order, so every entry
+    is bit-identical to the scalar loop and independent of the array's
+    length.
     """
     z = np.asarray(z, dtype=complex)
     if z.size >= _ROW_SUM_MIN:
@@ -108,9 +103,6 @@ def _lanczos_series(z):
         return out
     col = (-1,) + (1,) * z.ndim
     terms = _LANCZOS_TAIL.reshape(col) / (z + _LANCZOS_SHIFT.reshape(col))
-    if z.size < _ROW_ADD_MIN:
-        terms[0] += _LANCZOS_COEFFS[0]
-        return terms.cumsum(axis=0)[-1]
     out = terms[0] + _LANCZOS_COEFFS[0]
     for row in terms[1:]:
         out += row
@@ -243,18 +235,18 @@ def log_gamma_ratio(a: complex, A: float, k: int | np.ndarray) -> complex | np.n
     each entry bit-identical to the scalar call.  One array test screens
     every w and w + A for poles and one array call forms their Lanczos
     sums, while the reflection branch and the cmath remainder above run
-    per entry.  A w or w + A past the float range raises OverflowError.
+    per entry.  A non-finite k raises ValidationError; a w or w + A past
+    the float range, or a result past it, raises OverflowError.
     """
     ks = np.asarray(k)
-    ws = [complex(a) + kk * A for kk in ks.ravel().tolist()]
+    kl = ks.ravel().tolist()
+    # a sum is finite only where every k is, so one test serves most calls
+    bad = [] if math.isfinite(sum(kl)) else [kk for kk in kl if not math.isfinite(kk)]
+    if bad:
+        raise ValidationError(f"k must be finite, got {float(bad[0])!r}")
+    ws = [complex(a) + kk * A for kk in kl]
     n = len(ws)
     args = np.array(ws + [w + A for w in ws], dtype=complex)
-    finite = np.isfinite(args)
-    if not finite.all():
-        i = int(np.flatnonzero(~(finite[:n] & finite[n:]))[0])
-        which, v = ("a + kA", ws[i]) if not finite[i] else ("a + (k+1)A", ws[i] + A)
-        k_i = float(ks.ravel()[i])
-        raise OverflowError(f"gamma argument {which} = {v} is not finite (a={a}, A={A}, k={k_i!r})")
     # every pole lies at Re <= POLE_TOL, so most calls stop at this test
     if (args.real <= POLE_TOL).any():
         poles = pole_mask(args)
@@ -269,6 +261,17 @@ def log_gamma_ratio(a: complex, A: float, k: int | np.ndarray) -> complex | np.n
             out.append(_ratio_remainder(w, A, s_w, s_wA))
         else:
             out.append(log_gamma(wA) - log_gamma(w))
+    # a w past the float range gives nan, a w + A past it inf, and a large
+    # A can carry the result itself past it; only then is each entry tested
+    for kk, w, r in [] if cmath.isfinite(sum(out)) else zip(kl, ws, out):
+        if cmath.isfinite(r):
+            continue
+        if cmath.isfinite(w + A):
+            what = f"log Gamma(a + (k+1)A) - log Gamma(a + kA) = {r} is past the float range"
+        else:
+            name, v = ("a + kA", w) if not cmath.isfinite(w) else ("a + (k+1)A", w + A)
+            what = f"gamma argument {name} = {v} is not finite"
+        raise OverflowError(f"{what} (a={a}, A={A}, k={float(kk)!r})")
     return out[0] if ks.ndim == 0 else np.array(out, dtype=complex).reshape(ks.shape)
 
 

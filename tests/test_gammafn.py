@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fwstates.bicomplex import Bicomplex
-from fwstates.errors import PoleError
+from fwstates.errors import PoleError, ValidationError
 from fwstates.gammafn import (
     _lanczos_series,
     gamma,
@@ -186,10 +186,25 @@ def test_log_gamma_ratio_refuses_arguments_past_the_float_range():
     with pytest.raises(OverflowError, match=r"^gamma argument a \+ kA = \(inf\+0j\) is not finite "
                        r"\(a=2\.1, A=1\.1, k=1\.7e\+308\)$"):
         log_gamma_ratio(2.1, 1.1, 1.7e308)
-    # w = a + kA fits, w + A does not; the first such k of an array is named
+    # w = a + kA fits at k = 17, w + A does not; the first such k of an array is named
     with pytest.raises(OverflowError, match=r"^gamma argument a \+ \(k\+1\)A = \(inf\+0j\) is not finite "
-                       r"\(a=1\.0, A=1e\+308, k=1\.0\)$"):
-        log_gamma_ratio(1.0, 1e308, np.array([0, 1, 2]))
+                       r"\(a=1\.0, A=1e\+307, k=17\.0\)$"):
+        log_gamma_ratio(1.0, 1e307, np.array([17, 18]))
+
+
+def test_log_gamma_ratio_refuses_a_result_past_the_float_range():
+    # both gamma arguments fit, but log Gamma(1 + 1e308) does not
+    with pytest.raises(OverflowError, match=r"^log Gamma\(a \+ \(k\+1\)A\) - log Gamma\(a \+ kA\) = \(inf\+0j\) "
+                       r"is past the float range \(a=1\.0, A=1e\+308, k=0\.0\)$"):
+        log_gamma_ratio(1.0, 1e308, 0)
+    # k whose sum overflows, while every k and every result fits
+    assert np.isfinite(log_gamma_ratio(2.1, 1.1, np.array([1e308, 1e308]))).all()
+
+
+@pytest.mark.parametrize("k, shown", [(math.nan, "nan"), (math.inf, "inf"), (np.array([1.0, -math.inf]), "-inf")])
+def test_log_gamma_ratio_refuses_non_finite_k(k, shown):
+    with pytest.raises(ValidationError, match=f"^k must be finite, got {shown}$"):
+        log_gamma_ratio(2.1, 1.1, k)
 
 
 def test_stirling_modulus_at_100():

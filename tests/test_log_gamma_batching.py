@@ -1,8 +1,8 @@
 """Bit identity of the batched log-gamma work in the measure layer.
 
 The measure layer makes few, large log-gamma calls: `_lanczos_series`
-adds its block's rows one at a time from `_ROW_ADD_MIN` entries up and
-forms each row alone from `_ROW_SUM_MIN` up, a new contour line tests
+adds its block's rows one at a time and forms each row alone from
+`_ROW_SUM_MIN` entries up, a new contour line tests
 M(c) and eight heights per `_log_mellin_vec` call and builds its first
 grid at level 2n, the trapezoid loop forms only the odd nodes of each
 new level, and `_tanh_sinh` calls its integrand once per level.  The
@@ -44,7 +44,7 @@ from fwstates.errors import ContourFailure, QuadratureFailure, TruncationError, 
 from fwstates.foxwright import FWParams, evaluate
 from fwstates.foxwright_bc import BCFWParams
 from fwstates.foxwright_bc import evaluate as evaluate_bc
-from fwstates.gammafn import _ROW_ADD_MIN, _ROW_SUM_MIN, _lanczos_series, log_gamma_vec
+from fwstates.gammafn import _ROW_SUM_MIN, _lanczos_series, log_gamma_vec
 from fwstates.hfunction import MAX_NODES, ContourConfig, HWeightParams
 
 
@@ -101,16 +101,12 @@ def _models(draw):
     return CoherentModel(FWParams(upper=upper, lower=lower))
 
 
-# sizes on both sides of each threshold: the fused block's cumsum below
-# _ROW_ADD_MIN, its rows added one at a time below _ROW_SUM_MIN, rows
-# formed alone from there up
+# sizes on both sides of the threshold: the block's rows added one at a
+# time below it, rows formed alone from it up
 _SHAPES = [
     (),
     (1,),
     (7,),
-    (_ROW_ADD_MIN - 1,),
-    (_ROW_ADD_MIN,),
-    (2, _ROW_ADD_MIN // 2 + 1),
     (_ROW_SUM_MIN - 1,),
     (_ROW_SUM_MIN,),
     (_ROW_SUM_MIN + 1,),
@@ -185,11 +181,11 @@ def _shape(n, ndim):
 
 @pytest.mark.parametrize("ndim", [1, 2, 3])
 def test_log_gamma_vec_matches_cumsum_kernel_at_every_length(ndim):
-    """Every length from 1 to 1,400 crosses both of _lanczos_series's
-    thresholds and the frozen kernel's one; each array mixes both half
-    planes, exact poles and both signs of a zero imaginary part."""
-    assert _ROW_ADD_MIN < 512 < _ROW_SUM_MIN < 1400
-    for n in range(1, 1401):
+    """Every length from 1 to 1,100 crosses _lanczos_series's threshold
+    twice over; each array mixes both half planes, exact poles and both
+    signs of a zero imaginary part."""
+    assert 2 * _ROW_SUM_MIN < 1100
+    for n in range(1, 1101):
         shape = _shape(n, ndim)
         assert len(shape) == ndim
         z = _points(n, shape)
