@@ -11,15 +11,19 @@ factor wins), so the infinite range truncates at the point where the
 log-integrand has dropped E_MAX_DROP below its peak.
 
 Two independent quadrature schemes are provided on purpose: "gk"
-(adaptive Gauss-Kronrod via QUADPACK) and "ts" (an in-package tanh-sinh
-rule).  Their agreement is the correctness check for every nu value.
-QuadConfig sets their two tolerances; the Gauss-Kronrod subinterval limit
+(adaptive Gauss-Kronrod: QUADPACK's QAGS, ported in `quadpack`) and "ts"
+(a tanh-sinh rule).  Their agreement is the correctness check for every
+nu value.  Both run in the package, on array integrands: tanh-sinh on a
+level's nodes, Gauss-Kronrod on a subinterval's 21 nodes, with the bits
+scipy.integrate.quad gives on the same point values.  QuadConfig sets
+their two tolerances; the Gauss-Kronrod subinterval limit
 MAX_SUBDIVISIONS and the tanh-sinh level cap are fixed.  `_integrate` is
 the package's one quadrature driver: nu, overlap_tilde (the nu integral
 at the complex log zeta = Log(conj(z) z')) and hfunction.moment_check
 all run through it.  Gauss-Kronrod takes a complex integrand as two real
-passes; a QUADPACK failure in any pass raises QuadratureFailure, and a
-non-finite integral raises OverflowError.
+passes; a QUADPACK failure (ier > 0) in any pass raises
+QuadratureFailure with scipy's text, and a non-finite integral raises
+OverflowError.  `quadpack` is imported on the first "gk" integral.
 
 rho_tilde and log_rho_tilde are `coherent.rho` and `coherent.log_rho`,
 which take any real argument >= 0; the integrands use the array form
@@ -29,14 +33,15 @@ through `bicomplex.componentwise`.
 Nothing a nu quadrature needs but zeta^E depends on zeta, and the ranges
 [0, hi] recur from call to call, because hi comes from the fixed ladder
 8 * 1.5^j.  So each (params, hi) has one node table (`_NodeTable`; K does
-not enter rho): _e_max's 257-point log-rho grid, log rho at every
-Gauss-Kronrod node met so far, and per tanh-sinh level its weights, its
-nodes and log rho on them, built on first use.  A nu call then forms only
-exp(E log zeta - log rho).  The tables sit in one LRU (`_node_table`)
-bounded by their retained bytes, not by their count, since a range taken
-to the last tanh-sinh level holds 32,768 nodes.  A hit returns the stored
-float64 values, and the one-node integrand's numpy-scalar arithmetic has
-the bits of the array form on [E], so every output keeps its bits.
+not enter rho): _e_max's 257-point log-rho grid, per Gauss-Kronrod
+subinterval met so far its 21 nodes and log rho on them, and per
+tanh-sinh level its weights, its nodes and log rho on them, built on
+first use.  A nu call then forms only exp(E log zeta - log rho).  The
+tables sit in one LRU (`_node_table`) bounded by their retained bytes,
+not by their count, since a range taken to the last tanh-sinh level
+holds 32,768 nodes.  A hit returns the stored float64 values, and each
+entry of the array form has the bits of the form on [E] alone, so every
+output keeps its bits.
 """
 
 from __future__ import annotations
@@ -62,12 +67,13 @@ E_MAX_DROP = 40.0
 _TS_MAX_LEVEL = 12
 
 # the node tables' retained bytes: at most _TABLE_BYTES, counting each table
-# as _TABLE_FIXED_BYTES (object, dicts, array headers) plus its arrays' data
-# plus _GK_ENTRY_BYTES per Gauss-Kronrod node (a float-to-float dict entry
-# with both floats takes up to 108 bytes)
+# as _TABLE_FIXED_BYTES (object, dicts, array headers) plus its tanh-sinh
+# arrays' data plus _GK_ENTRY_BYTES per Gauss-Kronrod subinterval (its two
+# 21-node arrays with their headers, the key and value tuples, the key's
+# two floats and a dict slot take up to about 900 bytes)
 _TABLE_BYTES = 1 << 22
 _TABLE_FIXED_BYTES = 2048
-_GK_ENTRY_BYTES = 112
+_GK_ENTRY_BYTES = 912
 
 
 @dataclass(frozen=True)
@@ -107,15 +113,15 @@ class _NodeTable:
     """What a nu quadrature on [0, hi] needs that does not depend on zeta.
 
     grid, log_rho_grid: _e_max's 257-point grid on [0, hi] and log rho on
-    it, read-only.  gk: log rho at each Gauss-Kronrod node met so far, as
-    the float _log_rho_vec gives on [E].  ts_nodes(level): _ts_nodes(0, hi,
-    level) with log rho on the nodes, built on first use.  nbytes is what
+    it, read-only.  gk_nodes(a, b): a Gauss-Kronrod subinterval's nodes
+    and log rho on them.  ts_nodes(level): _ts_nodes(0, hi, level) with
+    log rho on the nodes.  Both are built on first use.  nbytes is what
     the table retains, charged to its owning cache as it grows.
     """
 
     def __init__(self, params: FWParams, hi: float):
         self.params, self.hi = params, hi
-        self.gk: dict[float, float] = {}
+        self._gk: dict[tuple[float, float], tuple] = {}
         self._ts: dict[int, tuple] = {}
         self.owner = None
         grid = np.linspace(0.0, hi, 257)
@@ -137,11 +143,18 @@ class _NodeTable:
             self._charge(sum(a.nbytes for a in arrays))
         return out
 
-    def log_rho_at(self, E: float) -> float:
-        """log rho at a Gauss-Kronrod node not met before, now stored in gk."""
-        lr = self.gk[E] = float(_log_rho_vec(self.params, np.array([E]))[0])
-        self._charge(_GK_ENTRY_BYTES)
-        return lr
+    def gk_nodes(self, a: float, b: float):
+        """(nodes, log rho on them) of the Gauss-Kronrod subinterval [a, b]."""
+        out = self._gk.get((a, b))
+        if out is None:
+            from .quadpack import nodes
+
+            xs = nodes(a, b)
+            log_rho = _log_rho_vec(self.params, xs)
+            xs.flags.writeable = log_rho.flags.writeable = False
+            out = self._gk[a, b] = xs, log_rho
+            self._charge(_GK_ENTRY_BYTES)
+        return out
 
     def _charge(self, nbytes: int) -> None:
         owner = self.owner
@@ -211,26 +224,18 @@ _node_table = _NodeTableCache(_TABLE_BYTES)
 
 
 def _integrands(table: _NodeTable, log_zeta):
-    """zeta^E / rho(E) on a tanh-sinh level of the table and at one
-    Gauss-Kronrod node.
+    """zeta^E / rho(E) on what a tanh-sinh level of the table gives, and
+    on a Gauss-Kronrod subinterval (a, b) of it.
 
-    Both take log rho from the table.  At one node the numpy-scalar
-    product has the bits of the array form on [E].  An overflow is left
-    to the caller's finite check.
+    Both take log rho from the table.  An overflow is left to the
+    caller's finite check.
     """
-    gk = table.gk
 
     def on_nodes(nodes):
         xs, log_rho = nodes
         return np.exp(xs * log_zeta - log_rho)
 
-    def at_node(E):
-        lr = gk.get(E)
-        if lr is None:
-            lr = table.log_rho_at(E)
-        return np.exp(np.float64(E) * log_zeta - lr)
-
-    return on_nodes, at_node
+    return on_nodes, lambda a, b: on_nodes(table.gk_nodes(a, b))
 
 
 def _ts_nodes(a: float, b: float, level: int):
@@ -295,27 +300,24 @@ def _tanh_sinh(f, nodes, rel_tol: float, abs_tol: float):
     )
 
 
-def _integrate(f, f_node, a, b, cfg: QuadConfig, scheme: str, complex_func: bool = False,
+def _integrate(f, f_sub, a, b, cfg: QuadConfig, scheme: str, complex_func: bool = False,
                nodes=None):
     """Integral over [a, b] and its error estimate: for "ts", f on what
-    nodes(level) gives (see _tanh_sinh); for "gk", f_node at one node.
+    nodes(level) gives (see _tanh_sinh); for "gk", f_sub on a subinterval
+    (lo, hi), giving its values on quadpack.nodes(lo, hi).
 
-    Gauss-Kronrod takes a complex f_node (complex_func) as two real passes,
-    real part then imaginary part, as scipy's own complex_func does, and a
+    Gauss-Kronrod takes a complex f_sub (complex_func) as two real passes,
+    real part then imaginary part, as scipy's complex_func does, and a
     QUADPACK failure in either pass raises QuadratureFailure.
     """
     if scheme == "gk":
-        from scipy import integrate
-        parts = (lambda x: f_node(x).real, lambda x: f_node(x).imag) if complex_func else (f_node,)
-        outs = []
-        for part in parts:
-            out = integrate.quad(
-                part, a, b, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=MAX_SUBDIVISIONS,
-                full_output=1,
-            )
-            if len(out) > 3:
-                raise QuadratureFailure(f"Gauss-Kronrod failed: {out[3]}")
-            outs.append(out[:2])
+        from . import quadpack
+        parts = (f_sub,)
+        if complex_func:
+            parts = (lambda lo, hi: f_sub(lo, hi).real, lambda lo, hi: f_sub(lo, hi).imag)
+        outs = [
+            quadpack.qags(part, a, b, cfg.abs_tol, cfg.rel_tol, MAX_SUBDIVISIONS) for part in parts
+        ]
         # (value, err), or the real pass's plus 1j times the imaginary pass's
         out = outs[0] if len(outs) == 1 else [re + 1j * im for re, im in zip(*outs)]
     elif scheme == "ts":
@@ -339,12 +341,12 @@ def _nu_integral(model: CoherentModel, log_zeta, cfg: QuadConfig, scheme: str):
     integrand complex; the range is cut where its modulus has fallen.
     """
     table = _node_table(model.params, _e_max(model, log_zeta.real))
-    on_nodes, at_node = _integrands(table, log_zeta)
+    on_nodes, on_sub = _integrands(table, log_zeta)
     # an overflow (inf, or inf+nanj from the complex exp) surfaces as a
     # non-finite integral, which _integrate rejects
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         return _integrate(
-            on_nodes, at_node, 0.0, table.hi, cfg, scheme, isinstance(log_zeta, complex),
+            on_nodes, on_sub, 0.0, table.hi, cfg, scheme, isinstance(log_zeta, complex),
             table.ts_nodes,
         )
 

@@ -249,6 +249,11 @@ def log_gamma_ratio(a: complex, A: float, k: int | np.ndarray) -> complex | np.n
     args = np.array(ws + [w + A for w in ws], dtype=complex)
     # every pole lies at Re <= POLE_TOL, so most calls stop at this test
     if (args.real <= POLE_TOL).any():
+        # a w or w + A at -inf would reach the pole test as inf - inf
+        finite = np.isfinite(args)
+        if not finite.all():
+            i = int(np.flatnonzero(~(finite[:n] & finite[n:]))[0])
+            raise _not_finite(a, A, kl[i], ws[i])
         poles = pole_mask(args)
         bad = np.flatnonzero(poles[:n] | poles[n:])
         if bad.size:
@@ -266,13 +271,19 @@ def log_gamma_ratio(a: complex, A: float, k: int | np.ndarray) -> complex | np.n
     for kk, w, r in [] if cmath.isfinite(sum(out)) else zip(kl, ws, out):
         if cmath.isfinite(r):
             continue
-        if cmath.isfinite(w + A):
-            what = f"log Gamma(a + (k+1)A) - log Gamma(a + kA) = {r} is past the float range"
-        else:
-            name, v = ("a + kA", w) if not cmath.isfinite(w) else ("a + (k+1)A", w + A)
-            what = f"gamma argument {name} = {v} is not finite"
-        raise OverflowError(f"{what} (a={a}, A={A}, k={float(kk)!r})")
+        if not cmath.isfinite(w + A):
+            raise _not_finite(a, A, kk, w)
+        raise OverflowError(
+            f"log Gamma(a + (k+1)A) - log Gamma(a + kA) = {r} is past the float range"
+            f" (a={a}, A={A}, k={float(kk)!r})"
+        )
     return out[0] if ks.ndim == 0 else np.array(out, dtype=complex).reshape(ks.shape)
+
+
+def _not_finite(a, A, k, w) -> OverflowError:
+    """log_gamma_ratio's refusal of a gamma argument w = a + kA or w + A past the float range."""
+    name, v = ("a + kA", w) if not cmath.isfinite(w) else ("a + (k+1)A", w + A)
+    return OverflowError(f"gamma argument {name} = {v} is not finite (a={a}, A={A}, k={float(k)!r})")
 
 
 # the float route of _log_gamma_ratio_real covers w + A up to this bound,

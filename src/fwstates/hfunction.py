@@ -21,7 +21,6 @@ doubling up to MAX_NODES nodes, and its coarser levels are views.
 ContourConfig sets the abscissa offset and the first node count n.  A
 line whose abscissa is a zero of M (a pole of an upper gamma) has no
 scale to decay from, so that line alone moves half an offset right.
-The moment integral runs through `continuum._integrate`.
 
 The log-gamma work comes in few, large calls, because each call has a
 fixed cost that small arrays do not repay: a new line tests M(c) and its
@@ -33,16 +32,23 @@ level 2n in one pass, sums level n on its stride-2 view, and then forms
 only each level's odd nodes; for few numpy calls it halves steps, not
 complex sums, and enters np.errstate only where H(x) may underflow.
 
-Three bounded LRU caches hold what depends only on the parameters: the
+Four bounded LRU caches hold what depends only on the parameters: the
 256 most recent models' parameter blocks (`_model_block`, which
 HWeightParams.from_model returns, so weight does not rebuild its block
-on every call), the 256 most recent lines (`_contour_state`), and the
-4,096 most recent H values, keyed on (parameter block, x, contour
-config) (`_h_value`).  Quadratures revisit their nodes: one `measure
-check --k 0..6` on the unit-weight model makes 1,134 eval_h calls at
-193 distinct x.  moment_check, weight and repeated eval_h calls share
-the H values, and a hit returns the float the contour loop returned, so
-every output keeps its bits.
+on every call), the 256 most recent lines (`_contour_state`), the 4,096
+most recent H values, keyed on (parameter block, x, contour config)
+(`_h_value`), and H on the 21 nodes of the 512 most recent Gauss-Kronrod
+subintervals of moment_check (`_h_nodes`, over `_h_value`).  Quadratures
+revisit their nodes: one `measure check --k 0..6` on the unit-weight
+model reads H 1,134 times at 193 distinct x, 1,071 of them on 51 visits
+to 9 distinct subintervals.  moment_check, weight and repeated eval_h
+calls share the H values, and a hit returns the float the contour loop
+returned, so every output keeps its bits.
+
+The moment integral runs through `continuum._integrate`'s Gauss-Kronrod
+(`quadpack.qags`, imported on first use), whose integrand takes a
+subinterval: moment_check reads H on its nodes from `_h_nodes` and forms
+(x ** k) * (pref * H) per node in Python floats.
 """
 
 from __future__ import annotations
@@ -71,6 +77,7 @@ _LOG_DECAY_TARGET = math.log(1e-18)
 _REL_STOP = 1e-10
 _EPS = float(np.finfo(float).eps)
 MAX_NODES = 1 << 20  # node doubling gives up past this many nodes
+_H_NODES_CACHE = 512  # Gauss-Kronrod subintervals whose H values moment_check keeps
 
 
 def _real_pairs(pairs, side: str) -> tuple[tuple[float, float], ...]:
@@ -381,6 +388,16 @@ class MomentResult(NamedTuple):
     rel_err: float
 
 
+@lru_cache(maxsize=_H_NODES_CACHE)
+def _h_nodes(hp: HWeightParams, a: float, b: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The Gauss-Kronrod nodes of [a, b] and H on them, memoized: the
+    moment orders of one model revisit their subintervals."""
+    from .quadpack import nodes
+
+    xs = tuple(nodes(a, b).tolist())
+    return xs, tuple(_h_value(hp, x, DEFAULT_CONTOUR) for x in xs)
+
+
 def _density_scan(density, k: int) -> float:
     """Truncation point: x^k * density fallen below 1e-16 of its peak."""
     x = 0.25
@@ -413,7 +430,11 @@ def moment_check(model: CoherentModel, k: int) -> MomentResult:
     def density(x: float) -> float:
         return pref * eval_h(hp, x)
 
+    def on_sub(a: float, b: float) -> list[float]:
+        xs, hs = _h_nodes(hp, a, b)
+        return [(x ** k) * (pref * h) for x, h in zip(xs, hs)]
+
     x_max = _density_scan(density, k)
-    lhs, _ = _integrate(None, lambda x: (x ** k) * density(x), 0.0, x_max, DEFAULT_QUAD, "gk")
+    lhs, _ = _integrate(None, on_sub, 0.0, x_max, DEFAULT_QUAD, "gk")
     rhs = rho(model, k)
     return MomentResult(lhs, rhs, abs(lhs - rhs) / abs(rhs))

@@ -75,7 +75,11 @@ The quadrature driver's copies:
 
 - ref_overlap_tilde, ref_moment_check: overlap_tilde with its own
   QUADPACK call through scipy's complex_func, and moment_check with its
-  own outer quad and failure text (tests/test_quadrature_driver.py).
+  own outer quad and failure text (tests/test_quadrature_driver.py,
+  tests/test_quadpack.py).
+- ref_state_density: state_density with its nu from nu_integral, which
+  calls scipy.integrate.quad at every Gauss-Kronrod node
+  (tests/test_quadpack.py).
 """
 
 import cmath
@@ -982,6 +986,14 @@ def ref_overlap_tilde(model, z, zp, cfg=DEFAULT_QUAD, scheme="gk"):
         continuum.nu(model, abs(z) ** 2, cfg, scheme) * continuum.nu(model, abs(zp) ** 2, cfg, scheme)
     )
     return num / den
+
+
+def ref_state_density(model, z, E, cfg=DEFAULT_QUAD):
+    """continuum.state_density with its nu from nu_integral's scipy route."""
+    z = complex(z)
+    log_z = cmath.log(z)
+    log_nu = math.log(nu_integral(model, math.log(abs(z) ** 2), cfg, "gk")[0])
+    return cmath.exp(E * log_z - 0.5 * continuum.log_rho_tilde(model, E) - 0.5 * log_nu)
 
 
 def ref_moment_check(model, k):

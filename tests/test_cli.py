@@ -655,18 +655,41 @@ COLD_PATHS = {
 }
 
 
+# prints the scipy.integrate modules loaded so far
+_LOADED_INTEGRATE = (
+    "import sys; print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
+)
+# the cold paths that integrate by Gauss-Kronrod, which runs in the package
+_GK_PATHS = ("nu_gk", "overlap_tilde", "moment_check")
+
+
 @pytest.mark.parametrize("name", COLD_PATHS)
 def test_cold_path_output_unchanged(name):
-    """The first call that needs scipy imports it and returns the same bits."""
+    """The first call returns the same bits as when scipy and jsonschema were
+    imported at module top; an oracle imports what it needs on that call,
+    and a Gauss-Kronrod path loads no scipy.integrate module."""
     call, expected = COLD_PATHS[name]
+    after = f"{_LOADED_INTEGRATE}\n" if name in _GK_PATHS else ""
     code = (
         "from fwstates import CoherentModel, FWParams, moment_check, nu,"
         " oracle_bessel_j, oracle_mittag_leffler, overlap_tilde\n"
         "SHIFT = CoherentModel(FWParams(upper=[(1.0, 1.0)], lower=[(2.0, 1.0)]))\n"
         f"{_LOADED_DEPS}\n"
         f"print(repr({call}))\n"
+        f"{after}"
     )
-    assert _fresh_python(code).decode() == f"[]\n{expected}\n"
+    tail = "[]\n" if after else ""
+    assert _fresh_python(code).decode() == f"[]\n{expected}\n{tail}"
+
+
+@pytest.mark.parametrize("argv", [
+    ("nu", "eval", "--model", "shift", "--zeta", "0.5,2.5,9", "--scheme", "gk"),
+    ("measure", "check", "--model", "shift", "--k", "0..6"),
+])
+def test_gauss_kronrod_commands_load_no_scipy_integrate(files, argv):
+    argv = [files.get(a, a) for a in argv]
+    code = f"import sys\nfrom fwstates.cli import main\nassert main(sys.argv[1:]) == 0\n{_LOADED_INTEGRATE}\n"
+    assert _fresh_python(code, *argv).decode().endswith("\n[]\n")
 
 
 def test_cold_path_schema_error_unchanged(files):

@@ -7,6 +7,7 @@ series cross-check), so no library gamma enters that comparison.
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,16 @@ def test_log_gamma_ratio_refuses_arguments_past_the_float_range():
     with pytest.raises(OverflowError, match=r"^gamma argument a \+ \(k\+1\)A = \(inf\+0j\) is not finite "
                        r"\(a=1\.0, A=1e\+307, k=17\.0\)$"):
         log_gamma_ratio(1.0, 1e307, np.array([17, 18]))
+
+
+@pytest.mark.parametrize("A, k, shown", [(1.1, -1.7e308, "1.1, k=-1.7e+308"), (-1.1, 1.7e308, "-1.1, k=1.7e+308")])
+def test_log_gamma_ratio_refuses_an_argument_at_minus_infinity(A, k, shown):
+    # w = a + kA at -inf lies left of every pole; it is refused by name, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError) as caught:
+            log_gamma_ratio(2.1, A, k)
+    assert str(caught.value) == f"gamma argument a + kA = (-inf+0j) is not finite (a=2.1, A={shown})"
 
 
 def test_log_gamma_ratio_refuses_a_result_past_the_float_range():

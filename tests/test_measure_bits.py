@@ -33,7 +33,7 @@ from _frozen import (
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fwstates import coherent, continuum, hfunction
+from fwstates import coherent, continuum, hfunction, quadpack
 from fwstates.bicomplex import Bicomplex, Hyperbolic
 from fwstates.cli import main
 from fwstates.coherent import CoherentModel
@@ -431,15 +431,21 @@ def test_h_loop_underflow_under_raise():
 # E * Im(log_zeta) underflows, and the sign of that zero must survive
 @example(CoherentModel(FWParams()), 4.2989726191302816e-159, -7.686563769251845e-204j)
 def test_node_integrand_bits(model, E, log_zeta):
-    """The one-node integrand Gauss-Kronrod calls has the bits of the
-    array form on [E], and of the plain kernel there."""
-    on_nodes, at_node = continuum._integrands(continuum._NodeTable(model.params, 8.0), log_zeta)
-    Es = np.array([E])
+    """The integrand Gauss-Kronrod calls on the subinterval [E, 2E] ([0, 1]
+    at E = 0) has, at each node, the bits of the array form on that node
+    alone, and of the plain kernel there; the nodes are quadpack.nodes'."""
+    table = continuum._NodeTable(model.params, 8.0)
+    _, on_sub = continuum._integrands(table, log_zeta)
+    a, b = E, 2.0 * E or 1.0
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        got = at_node(E)
-        assert _bits(got) == _bits(at_node(E))  # stored in the table, then read back
-        assert _bits(got) == _bits(on_nodes((Es, coherent._log_rho_vec(model.params, Es)))[0])
-        assert _bits(got) == _bits(np.exp(Es * log_zeta - ref_log_rho_vec(model.params, Es))[0])
+        got = on_sub(a, b)
+        assert _bits(got) == _bits(on_sub(a, b))  # stored in the table, then read back
+        xs, log_rho = table.gk_nodes(a, b)
+        assert _bits(xs) == _bits(quadpack.nodes(a, b))
+        for x, value in zip(xs.tolist(), got.tolist()):
+            one = np.array([x])
+            assert _bits(value) == _bits(np.exp(one * log_zeta - coherent._log_rho_vec(model.params, one))[0].item())
+            assert _bits(value) == _bits(np.exp(one * log_zeta - ref_log_rho_vec(model.params, one))[0].item())
 
 
 def test_rho_grid_entries_are_read_only_copies():
@@ -454,15 +460,20 @@ def test_rho_grid_entries_are_read_only_copies():
 
 def test_measure_check_memo_counts(tmp_path, capsys):
     """One `measure check --k 0..6` on the unit-weight model evaluates H at
-    193 distinct x; its other 941 eval_h calls are answered by the memo."""
+    193 distinct x: the 189 nodes of 9 distinct Gauss-Kronrod subintervals,
+    whose 42 revisits the subinterval memo answers, and 4 of the 63 points
+    the truncation scans take; the H memo answers the other 59."""
     path = tmp_path / "unit.json"
     path.write_text(json.dumps(_UNIT.params.to_json()), encoding="utf-8")
     hfunction._h_value.cache_clear()
+    hfunction._h_nodes.cache_clear()
     assert main(["measure", "check", "--model", str(path), "--k", "0..6"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert len(rows) == 7 and all(row.endswith(",pass") for row in rows)
     info = hfunction._h_value.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (193, 941, 193)
+    assert (info.misses, info.hits, info.currsize) == (193, 59, 193)
+    info = hfunction._h_nodes.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (9, 42, 9)
 
 
 def test_hweight_constants_stay_off_equality():

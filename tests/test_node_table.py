@@ -1,8 +1,8 @@
 """The nu node tables: one per (params, hi), bounded by retained bytes.
 
 Every part of a nu quadrature that does not depend on zeta comes from
-the range's table: _e_max's log-rho grid, log rho at the Gauss-Kronrod
-nodes, and the tanh-sinh levels with log rho on their nodes.  The frozen
+the range's table: _e_max's log-rho grid, the Gauss-Kronrod subintervals'
+nodes and the tanh-sinh levels, each with log rho on its nodes.  The frozen
 route in _frozen.py forms all of them afresh at every call; every output
 and every error must match it bit for bit, cold and warm.
 """
@@ -101,13 +101,14 @@ def test_second_nu_on_a_range_makes_no_log_rho_call(monkeypatch):
 
 
 def _fill(cache, hi_values, params):
-    """Every tanh-sinh level of each range, and 500 Gauss-Kronrod nodes."""
+    """Every tanh-sinh level of each range, and 200 Gauss-Kronrod subintervals."""
     for hi in hi_values:
         table = cache(params, hi)
         for level in range(-1, continuum._TS_MAX_LEVEL + 1):
             table.ts_nodes(level)
-        for E in np.linspace(0.0, hi, 500).tolist():
-            table.log_rho_at(E)
+        edges = np.linspace(0.0, hi, 201).tolist()
+        for a, b in zip(edges, edges[1:]):
+            table.gk_nodes(a, b)
         assert cache.nbytes <= cache.max_bytes
 
 

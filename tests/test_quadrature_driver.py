@@ -21,7 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from fwstates import continuum, foxwright, gammafn, hfunction
+from fwstates import continuum, foxwright, gammafn, hfunction, quadpack
 from fwstates.coherent import CoherentModel
 from fwstates.continuum import DEFAULT_QUAD, QuadConfig, overlap_tilde
 from fwstates.errors import ContourFailure, QuadratureFailure
@@ -104,28 +104,34 @@ def test_overlap_tilde_gk_failure_raises():
 
 def test_complex_integrand_takes_two_real_passes(monkeypatch):
     """A complex integrand is integrated real part first, then imaginary
-    part, each with full_output; a real one in a single pass."""
+    part, each by quadpack.qags; a real one in a single pass."""
     calls = []
-    quad = integrate.quad
+    qags = quadpack.qags
 
-    def spy(f, *args, **kwargs):
-        calls.append((f(0.5), kwargs["full_output"]))
-        return quad(f, *args, **kwargs)
+    def spy(f, *args):
+        calls.append(f(0.0, 1.0)[10])  # the value at the centre, 0.5
+        return qags(f, *args)
 
-    monkeypatch.setattr(integrate, "quad", spy)
-    f = lambda x: complex(x, -2 * x)  # noqa: E731
+    monkeypatch.setattr(quadpack, "qags", spy)
+    f = lambda a, b: quadpack.nodes(a, b) * (1 - 2j)  # noqa: E731
     value, err = continuum._integrate(None, f, 0.0, 1.0, DEFAULT_QUAD, "gk", True)
-    assert calls == [(0.5, 1), (-1.0, 1)]
+    assert calls == [0.5, -1.0]
     assert value == 0.5 - 1j and isinstance(err, complex)
     calls.clear()
-    assert continuum._integrate(None, lambda x: 3.0 * x, 0.0, 1.0, DEFAULT_QUAD, "gk")[0] == 1.5
-    assert calls == [(1.5, 1)]
+    g = lambda a, b: 3.0 * quadpack.nodes(a, b)  # noqa: E731
+    assert continuum._integrate(None, g, 0.0, 1.0, DEFAULT_QUAD, "gk")[0] == 1.5
+    assert calls == [1.5]
 
 
 def test_moment_failure_names_gauss_kronrod(monkeypatch):
     # a density no 200-subinterval rule can settle
     monkeypatch.setattr(hfunction, "_density_scan", lambda density, k: 1.0)
-    monkeypatch.setattr(hfunction, "eval_h", lambda hp, x: math.sin(1.0 / x) / x)
+
+    def h_nodes(hp, a, b):
+        xs = quadpack.nodes(a, b).tolist()
+        return xs, [math.sin(1.0 / x) / x for x in xs]
+
+    monkeypatch.setattr(hfunction, "_h_nodes", h_nodes)
     with pytest.raises(QuadratureFailure, match="^Gauss-Kronrod failed: "):
         moment_check(_VACUUM, 0)
 
