@@ -92,8 +92,11 @@ class CoherentModel:
             raise ValidationError(
                 f"coherent model needs margin > 0, got {margin(self.params)}"
             )
-        if self.K < 1:
-            raise ValidationError("truncation K must be >= 1")
+        # an integral float such as 2.0 (JSON Schema's integer) acts as its int
+        K = _whole_number(self.K, "truncation K", 1)
+        if K > K_MAX:
+            raise ValidationError(f"truncation K must be <= {K_MAX}, got {K}")
+        object.__setattr__(self, "K", K)
 
 
 @dataclass(frozen=True)

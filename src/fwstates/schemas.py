@@ -15,6 +15,14 @@ hyperbolic weights:
 
 Validation is strict (unknown keys rejected).  Syntax errors surface
 with their line and column; schema violations with their JSON path.
+
+The two schemas are the one statement of the format.  A small checker in
+this module interprets the JSON Schema keywords they use (type,
+properties, required, additionalProperties, items, minItems, maxItems and
+minimum) and refuses at import a schema with any other keyword.  It
+reports the error that jsonschema's Draft 2020-12 validator sorts first
+by path, in the same words, so loading a file imports no third-party
+package; the tests check it against jsonschema.
 """
 
 from __future__ import annotations
@@ -85,6 +93,112 @@ BC_PARAMS_SCHEMA = {
 }
 
 
+# JSON Schema's type names, as Draft 2020-12 defines them on parsed JSON:
+# a bool is neither a number nor an integer, and 2.0 is an integer
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (
+        isinstance(v, int) and not isinstance(v, bool)
+        or isinstance(v, float) and v.is_integer()
+    ),
+}
+
+
+def _type(name, obj, schema, path):
+    if not _TYPES[name](obj):
+        yield path, f"{obj!r} is not of type {name!r}"
+
+
+def _properties(props, obj, schema, path):
+    if isinstance(obj, dict):
+        for name, sub in props.items():
+            if name in obj:
+                yield from _errors(obj[name], sub, path + (name,))
+
+
+def _required(names, obj, schema, path):
+    if isinstance(obj, dict):
+        for name in names:
+            if name not in obj:
+                yield path, f"{name!r} is a required property"
+
+
+def _additional_properties(allowed, obj, schema, path):
+    # only `false` is used, and _check_schema holds that
+    if isinstance(obj, dict):
+        extras = sorted(k for k in obj if k not in schema.get("properties", {}))
+        if extras:
+            verb = "was" if len(extras) == 1 else "were"
+            listed = ", ".join(map(repr, extras))
+            yield path, f"Additional properties are not allowed ({listed} {verb} unexpected)"
+
+
+def _items(sub, obj, schema, path):
+    if isinstance(obj, list):
+        for index, item in enumerate(obj):
+            yield from _errors(item, sub, path + (index,))
+
+
+def _min_items(least, obj, schema, path):
+    if isinstance(obj, list) and len(obj) < least:
+        yield path, f"{obj!r} is too short"
+
+
+def _max_items(most, obj, schema, path):
+    if isinstance(obj, list) and len(obj) > most:
+        yield path, f"{obj!r} is too long"
+
+
+def _minimum(least, obj, schema, path):
+    if _TYPES["number"](obj) and obj < least:
+        yield path, f"{obj!r} is less than the minimum of {least!r}"
+
+
+# every keyword the checker knows, with its check; "$schema" only names the draft
+_KEYWORDS = {
+    "$schema": lambda *_: (),
+    "type": _type,
+    "properties": _properties,
+    "required": _required,
+    "additionalProperties": _additional_properties,
+    "items": _items,
+    "minItems": _min_items,
+    "maxItems": _max_items,
+    "minimum": _minimum,
+}
+
+
+def _errors(obj, schema, path):
+    """(path, message) of every violation, keywords in schema order."""
+    for keyword, value in schema.items():
+        yield from _KEYWORDS[keyword](value, obj, schema, path)
+
+
+def _check_schema(schema: dict) -> None:
+    """Refuse a schema that uses what the checker does not interpret."""
+    unknown = set(schema) - set(_KEYWORDS)
+    if unknown:
+        raise TypeError(f"schema keywords {sorted(unknown)} have no check")
+    if schema.get("additionalProperties") not in (None, False):
+        raise TypeError("additionalProperties other than false has no check")
+    for sub in schema.get("properties", {}).values():
+        _check_schema(sub)
+    if "items" in schema:
+        _check_schema(schema["items"])
+
+
+def _json_path(path: tuple) -> str:
+    # the schemas' property names are plain identifiers, which jsonschema
+    # writes as `.name` without escapes
+    return "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+
+
+for _schema in (FW_PARAMS_SCHEMA, BC_PARAMS_SCHEMA):
+    _check_schema(_schema)
+
+
 def _load_json(path: str | Path) -> object:
     path = Path(path)
     try:
@@ -100,12 +214,10 @@ def _load_json(path: str | Path) -> object:
 
 
 def _validate(obj: object, schema: dict, path: str | Path) -> None:
-    import jsonschema
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(obj), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        raise ValidationError(f"{path}: at {err.json_path}: {err.message}")
+    # the first error by path, ties in the order found, as a stable sort gives
+    first = min(_errors(obj, schema, ()), key=lambda e: e[0], default=None)
+    if first is not None:
+        raise ValidationError(f"{path}: at {_json_path(first[0])}: {first[1]}")
 
 
 def load_fw_params(path: str | Path) -> tuple[FWParams, int | None]:

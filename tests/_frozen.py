@@ -80,6 +80,18 @@ The quadrature driver's copies:
 - ref_state_density: state_density with its nu from nu_integral, which
   calls scipy.integrate.quad at every Gauss-Kronrod node
   (tests/test_quadpack.py).
+
+Earlier references, kept from the test files that first held them:
+
+- reference_evaluate_bc: bicomplex evaluate that places each component
+  against classify's radii before either is summed
+  (tests/test_bcfoxwright.py).
+- reference_f_factor: the scalar ladder factor with one log_gamma_ratio
+  call per parameter, summed left to right (tests/test_states.py).
+- ref_make_state: make_state with log rho(k) from its own _log_rho_vec
+  call per K (tests/test_states_bits.py).
+- ref_log_gamma_ratio_screen: the per-entry pole check log_gamma_ratio
+  made before its array test (tests/test_states_bits.py).
 """
 
 import cmath
@@ -90,8 +102,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy import integrate
 
-from fwstates import continuum, foxwright, hfunction
-from fwstates.coherent import _log_prefactor, _log_rho_vec, rho
+from fwstates import coherent, continuum, foxwright, hfunction
+from fwstates.bicomplex import Bicomplex, componentwise
+from fwstates.coherent import StateVector, _log_prefactor, _log_rho_vec, normalization, rho
 from fwstates.continuum import DEFAULT_QUAD
 from fwstates.errors import (
     ContourFailure,
@@ -99,6 +112,7 @@ from fwstates.errors import (
     MaxTermsExceeded,
     PoleError,
     QuadratureFailure,
+    TruncationError,
     ValidationError,
 )
 from fwstates.foxwright import (
@@ -110,6 +124,8 @@ from fwstates.foxwright import (
     evaluate,
     radius,
 )
+from fwstates.foxwright import evaluate as evaluate_c
+from fwstates.foxwright_bc import Domain, classify
 from fwstates.gammafn import (
     _LANCZOS_COEFFS,
     _LANCZOS_G,
@@ -1018,3 +1034,74 @@ def ref_moment_check(model, k):
     lhs = out[0]
     rhs = rho(model, k)
     return MomentResult(lhs, rhs, abs(lhs - rhs) / abs(rhs))
+
+
+def reference_evaluate_bc(params, Z, tol=1e-14, max_terms=10000, allow_boundary=False):
+    """Reference: each component placed against classify's radii before either is summed."""
+    if not isinstance(Z, Bicomplex):
+        Z = Bicomplex.from_scalar(Z)
+    report = classify(params)
+    status = []
+    for p, v, zp in zip((1, 2), report.v_radius, Z.decompose()):
+        az = abs(zp)
+        if math.isinf(v) or az == 0.0 or az < v * (1.0 - 1e-12):
+            status.append("inside")
+        elif v == 0.0 or az > v * (1.0 + 1e-12):
+            raise DomainViolation(f"component {p}: |z{p}|={az:.6g} outside radius {v:.6g}")
+        else:
+            status.append("boundary")
+    if "boundary" in status:
+        if report.domain is Domain.HYPERBOLIC_BALL and status != ["boundary", "boundary"]:
+            raise DomainViolation("mixed boundary point of the hyperbolic ball")
+        if not allow_boundary:
+            raise DomainViolation("component on its convergence circle")
+    r1, r2 = componentwise(evaluate_c, params, Z, tol, max_terms, allow_boundary)
+    return Bicomplex(r1.value, r2.value)
+
+
+def reference_f_factor(model, s):
+    """Scalar f(s): one log_gamma_ratio call per parameter, summed left to right."""
+    if s < 0:
+        raise ValidationError("s must be >= 0")
+    acc = math.log(s + 1.0)
+    for b, B in model.params.lower:
+        acc += log_gamma_ratio(b.real, B, s).real
+    for a, A in model.params.upper:
+        acc -= log_gamma_ratio(a.real, A, s).real
+    return math.exp(0.5 * acc)
+
+
+def ref_make_state(model, z, tail_target=1e-12):
+    """make_state with log rho(k) from its own _log_rho_vec call per K."""
+    z = complex(z)
+    zeta = abs(z) ** 2
+    log_n = math.log(normalization(model, zeta))
+    pref = math.exp(-0.5 * log_n)
+    K = model.K
+    if zeta == 0.0:
+        coeffs = (1.0 + 0j,) + (0j,) * K
+        return StateVector(coeffs=coeffs, norm_prefactor=pref, z=z, tail_mass=0.0)
+    log_zeta = math.log(zeta)
+    while True:
+        ks = np.arange(K + 1)
+        log_rho_k = coherent._log_rho_vec(model.params, ks)
+        with np.errstate(under="ignore"):
+            probs = np.exp(ks * log_zeta - log_rho_k - log_n)
+        tail = max(1.0 - float(probs.sum()), 0.0)
+        if tail <= tail_target:
+            break
+        if K >= coherent.K_MAX:
+            raise TruncationError(f"tail mass {tail:.3g} above target {tail_target:g} at K={K}")
+        K = min(2 * K, coherent.K_MAX)
+    log_z = cmath.log(z)
+    with np.errstate(under="ignore"):
+        coeffs = np.exp(ks * log_z - 0.5 * log_rho_k - 0.5 * log_n)
+    return StateVector(coeffs=tuple(coeffs.tolist()), norm_prefactor=pref, z=z, tail_mass=tail)
+
+
+def ref_log_gamma_ratio_screen(a, A, ks):
+    """The per-entry pole check log_gamma_ratio made before its array test."""
+    for kk in np.asarray(ks).ravel().tolist():
+        w = complex(a) + kk * A
+        if is_gamma_pole(w) or is_gamma_pole(w + A):
+            raise PoleError(f"log_gamma_ratio crosses a pole at w={w}, A={A}")

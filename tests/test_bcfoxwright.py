@@ -5,11 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from _frozen import gauss_psi, takes_levin_route
+from _frozen import gauss_psi, reference_evaluate_bc, takes_levin_route
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fwstates.bicomplex import Bicomplex, Hyperbolic, componentwise, compose_idempotent
+from fwstates.bicomplex import Bicomplex, Hyperbolic, compose_idempotent
 from fwstates.errors import DomainViolation, FWError, ValidationError
 from fwstates.foxwright import FWParams
 from fwstates.foxwright import evaluate as evaluate_c
@@ -319,29 +319,6 @@ def test_params_validation():
 # -- evaluate is componentwise plus the mixed-ball rule --------------------
 
 
-def _reference_evaluate(params, Z, tol=1e-14, max_terms=10000, allow_boundary=False):
-    """Reference: each component placed against classify's radii before either is summed."""
-    if not isinstance(Z, Bicomplex):
-        Z = Bicomplex.from_scalar(Z)
-    report = classify(params)
-    status = []
-    for p, v, zp in zip((1, 2), report.v_radius, Z.decompose()):
-        az = abs(zp)
-        if math.isinf(v) or az == 0.0 or az < v * (1.0 - 1e-12):
-            status.append("inside")
-        elif v == 0.0 or az > v * (1.0 + 1e-12):
-            raise DomainViolation(f"component {p}: |z{p}|={az:.6g} outside radius {v:.6g}")
-        else:
-            status.append("boundary")
-    if "boundary" in status:
-        if report.domain is Domain.HYPERBOLIC_BALL and status != ["boundary", "boundary"]:
-            raise DomainViolation("mixed boundary point of the hyperbolic ball")
-        if not allow_boundary:
-            raise DomainViolation("component on its convergence circle")
-    r1, r2 = componentwise(evaluate_c, params, Z, tol, max_terms, allow_boundary)
-    return Bicomplex(r1.value, r2.value)
-
-
 def _outcome(fn, *args, **kwargs):
     """repr of the value (every bit of both components) or the exception type."""
     try:
@@ -352,7 +329,7 @@ def _outcome(fn, *args, **kwargs):
 
 def _assert_parity(params, Z, **kwargs):
     got = _outcome(evaluate, params, Z, **kwargs)
-    ref = _outcome(_reference_evaluate, params, Z, **kwargs)
+    ref = _outcome(reference_evaluate_bc, params, Z, **kwargs)
     if got != ref:
         # the one departure: component 1 is in its domain but its own sum
         # fails, and component 2 is out of its domain.  The reference
@@ -404,7 +381,7 @@ def test_first_failing_component_is_reported():
     # component 1 overflows (exp at 800); component 2 lies outside its disk
     params = _bc([(1.0, H(1, 2))], [(1.0, H(1, 1))])
     Z = Bicomplex(800.0, 5.0)
-    assert _outcome(_reference_evaluate, params, Z) is DomainViolation
+    assert _outcome(reference_evaluate_bc, params, Z) is DomainViolation
     with pytest.raises(OverflowError, match="^component 1: "):
         evaluate(params, Z)
     _assert_parity(params, Z)

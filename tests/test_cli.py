@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import fwstates
-from fwstates import cli
+from fwstates import cli, coherent
 from fwstates.cli import main
 from fwstates.foxwright import oracle_mittag_leffler
 
@@ -262,6 +262,39 @@ def test_cs_coeffs_output_and_k(files, capsys):
         capsys, "cs", "coeffs", "--params", files["shift_k8"], "--z", "0.5"
     )
     assert len(json.loads(out)["coeffs"]) == 9
+
+
+def _shift_with_k(tmp_path, K):
+    path = tmp_path / "shift_k.json"
+    path.write_text(
+        json.dumps({"upper": [[1.0, 0.0, 1.0]], "lower": [[2.0, 0.0, 1.0]], "K": K}),
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ("cs", "coeffs", "--z", "0"),
+    ("cs", "coeffs", "--z", "0.5"),
+    ("cs", "verify", "--random", "2", "--seed", "7"),
+])
+def test_integral_float_k_acts_as_its_int(tmp_path, capsys, argv):
+    # JSON Schema counts 2.0 as an integer, so the file passes its check
+    def run(K):
+        return run_cli(capsys, *argv[:2], "--params", _shift_with_k(tmp_path, K), *argv[2:])
+
+    as_float = run(2.0)
+    assert as_float[0] == 0
+    assert as_float == run(2)
+
+
+@pytest.mark.parametrize("K", [10**15, coherent.K_MAX + 1])
+def test_k_above_k_max_exit1(tmp_path, capsys, K):
+    code, out, err = run_cli(
+        capsys, "cs", "coeffs", "--params", _shift_with_k(tmp_path, K), "--z", "0.5"
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: truncation K must be <= 65536, got {K}\n"
 
 
 def test_cs_overlap_csv(files, capsys):
@@ -631,8 +664,27 @@ _LOADED_DEPS = (
 
 
 def test_cli_import_loads_no_scipy_or_jsonschema():
-    # only quadrature, the oracles and the parameter-file loaders need them
+    # only the oracles and selftest's independent quad check need scipy;
+    # the parameter files are checked in the package, without jsonschema
     assert _fresh_python(f"import fwstates.cli; {_LOADED_DEPS}") == b"[]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("fw", "eval", "--z", "0.5"),
+    ("cs", "coeffs", "--z", "0.5"),
+    ("bcfw", "classify"),
+])
+@pytest.mark.parametrize("valid", [True, False])
+def test_file_commands_load_no_scipy_or_jsonschema(files, argv, valid):
+    model = "bc_entire" if argv[0] == "bcfw" else "shift"
+    path = files[model if valid else "bad_schema"]
+    code = (
+        "import sys\nfrom fwstates.cli import main\n"
+        "print('exit', main(sys.argv[1:]))\n"
+        f"{_LOADED_DEPS}\n"
+    )
+    out = _fresh_python(code, *argv[:2], "--params", path, *argv[2:]).decode()
+    assert out.endswith(f"exit {0 if valid else 1}\n[]\n")
 
 
 # reprs frozen at d5642ce, which imported scipy and jsonschema at module top

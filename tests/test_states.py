@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from _frozen import reference_f_factor
 
 from fwstates import foxwright
 from fwstates.bicomplex import E1, ZERO, Bicomplex, Hyperbolic
@@ -34,7 +35,6 @@ from fwstates.coherent import (
 from fwstates.errors import ValidationError
 from fwstates.foxwright import FWParams
 from fwstates.foxwright_bc import BCFWParams
-from fwstates.gammafn import log_gamma_ratio
 
 H = Hyperbolic
 
@@ -109,18 +109,6 @@ def test_product_identity():
     assert worst <= 1e-10
 
 
-def _reference_f_factor(model, s):
-    """Scalar f(s): one log_gamma_ratio call per parameter, summed left to right."""
-    if s < 0:
-        raise ValidationError("s must be >= 0")
-    acc = math.log(s + 1.0)
-    for b, B in model.params.lower:
-        acc += log_gamma_ratio(b.real, B, s).real
-    for a, A in model.params.upper:
-        acc -= log_gamma_ratio(a.real, A, s).real
-    return math.exp(0.5 * acc)
-
-
 def _bit_models():
     rng = np.random.default_rng(6006)
     models = []
@@ -139,7 +127,7 @@ def test_f_factor_array_bit_identical_to_scalar():
     reflection_seen = 0
     for model in _bit_models():
         ss = np.arange(200)
-        ref = [repr(_reference_f_factor(model, s)) for s in range(200)]
+        ref = [repr(reference_f_factor(model, s)) for s in range(200)]
         out = f_factor(model, ss)
         assert out.shape == (200,)
         assert [repr(v) for v in out.tolist()] == ref
@@ -157,13 +145,13 @@ def test_f_factor_array_bit_identical_to_scalar():
 def test_ladder_data_bit_identical_to_scalar_loops():
     for model in _bit_models()[::4]:
         for k in (0, 1, 2, 31, 59):
-            f_up = _reference_f_factor(model, k)
-            f_down = _reference_f_factor(model, k - 1) if k > 0 else 0.0
+            f_up = reference_f_factor(model, k)
+            f_down = reference_f_factor(model, k - 1) if k > 0 else 0.0
             want = (f_down, f_up, f_up * f_up, f_down * f_down)
             assert repr(ladder_elements(model, k)) == repr(want)
         worst = 0.0
         for k in range(60):
-            f = _reference_f_factor(model, k)
+            f = reference_f_factor(model, k)
             delta = log_rho(model, k) + 2.0 * math.log(f) - log_rho(model, k + 1)
             worst = max(worst, abs(math.expm1(delta)))
         assert repr(recurrence_worst(model, 60)) == repr(worst)
@@ -171,7 +159,7 @@ def test_ladder_data_bit_identical_to_scalar_loops():
             state = make_state(model, z)
             c = np.asarray(state.coeffs)
             K = len(c) - 1
-            fs = np.array([_reference_f_factor(model, k) for k in range(K)])
+            fs = np.array([reference_f_factor(model, k) for k in range(K)])
             want = float(np.linalg.norm(fs * c[1:] - state.z * c[:-1]))
             assert repr(annihilation_residual(model, state)) == repr(want)
 

@@ -29,6 +29,8 @@ from _frozen import (
     evaluate_blocks,
     grow_columns,
     overlap_three_calls,
+    ref_log_gamma_ratio_screen,
+    ref_make_state,
     takes_levin_route,
 )
 from hypothesis import assume, example, given, settings
@@ -39,13 +41,11 @@ from fwstates.bicomplex import Bicomplex, Hyperbolic, componentwise, compose_ide
 from fwstates.coherent import (
     BCCoherentModel,
     CoherentModel,
-    StateVector,
     make_state,
-    normalization,
     overlap,
     overlap_b,
 )
-from fwstates.errors import FWError, PoleError, TruncationError, ValidationError
+from fwstates.errors import FWError, PoleError, ValidationError
 from fwstates.foxwright import (
     FWParams,
     _abs,
@@ -56,46 +56,7 @@ from fwstates.foxwright import (
     radius,
 )
 from fwstates.foxwright_bc import BCFWParams
-from fwstates.gammafn import is_gamma_pole, log_gamma_ratio
-
-# -- frozen references ------------------------------------------------------
-
-
-def _ref_make_state(model, z, tail_target=1e-12):
-    """make_state with log rho(k) from its own _log_rho_vec call per K."""
-    z = complex(z)
-    zeta = abs(z) ** 2
-    log_n = math.log(normalization(model, zeta))
-    pref = math.exp(-0.5 * log_n)
-    K = model.K
-    if zeta == 0.0:
-        coeffs = (1.0 + 0j,) + (0j,) * K
-        return StateVector(coeffs=coeffs, norm_prefactor=pref, z=z, tail_mass=0.0)
-    log_zeta = math.log(zeta)
-    while True:
-        ks = np.arange(K + 1)
-        log_rho_k = coherent._log_rho_vec(model.params, ks)
-        with np.errstate(under="ignore"):
-            probs = np.exp(ks * log_zeta - log_rho_k - log_n)
-        tail = max(1.0 - float(probs.sum()), 0.0)
-        if tail <= tail_target:
-            break
-        if K >= coherent.K_MAX:
-            raise TruncationError(f"tail mass {tail:.3g} above target {tail_target:g} at K={K}")
-        K = min(2 * K, coherent.K_MAX)
-    log_z = cmath.log(z)
-    with np.errstate(under="ignore"):
-        coeffs = np.exp(ks * log_z - 0.5 * log_rho_k - 0.5 * log_n)
-    return StateVector(coeffs=tuple(coeffs.tolist()), norm_prefactor=pref, z=z, tail_mass=tail)
-
-
-def _ref_log_gamma_ratio_screen(a, A, ks):
-    """The per-entry pole check log_gamma_ratio made before its array test."""
-    for kk in np.asarray(ks).ravel().tolist():
-        w = complex(a) + kk * A
-        if is_gamma_pole(w) or is_gamma_pole(w + A):
-            raise PoleError(f"log_gamma_ratio crosses a pole at w={w}, A={A}")
-
+from fwstates.gammafn import log_gamma_ratio
 
 # -- helpers ----------------------------------------------------------------
 
@@ -197,7 +158,7 @@ _Z = st.one_of(
 @example(CoherentModel(FWParams(upper=[], lower=[]), 1), 2.4 + 0.3j, 1e-12)  # K doubles
 @example(CoherentModel(FWParams(upper=[(1.2, 0.9)], lower=[(2.0, 1.1)]), 4), 0j, 1e-12)
 def test_make_state_matches_log_rho_vec_route(model, z, tail_target):
-    want = _outcome(_ref_make_state, model, z, tail_target)
+    want = _outcome(ref_make_state, model, z, tail_target)
     _column_cache.cache_clear()
     assert _outcome(make_state, model, z, tail_target) == want  # cold column table
     assert _outcome(make_state, model, z, tail_target) == want  # warm
@@ -226,7 +187,7 @@ def test_concurrent_states_and_sums_share_the_table():
         for i in range(6)
     ]
     jobs = [(m, z) for m in models for z in (0.3, 1.5 - 0.7j, 2.2j)]
-    expect = [(_outcome(_ref_make_state, m, z), _outcome(evaluate_blocks, m.params, -4 * z))
+    expect = [(_outcome(ref_make_state, m, z), _outcome(evaluate_blocks, m.params, -4 * z))
               for m, z in jobs]
     _column_cache.cache_clear()
 
@@ -446,7 +407,7 @@ def test_block_loop_matches_parent_loop_on_fixed_points(params, z, kwargs):
 def test_log_gamma_ratio_pole_error_matches_per_entry_check(a, A, ks):
     ks = np.array(ks, dtype=int)
     try:
-        _ref_log_gamma_ratio_screen(a, A, ks)
+        ref_log_gamma_ratio_screen(a, A, ks)
         want = None
     except PoleError as exc:
         want = str(exc)
