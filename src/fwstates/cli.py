@@ -9,7 +9,8 @@ Output is machine-oriented: one-line JSON objects with sorted keys, or
 CSV with '.' decimals and '\\n' line endings.  Floats are printed via
 repr so a fixed seed gives byte-identical output.  Exit codes: 0 ok,
 1 bad input, 2 domain violation, 3 numeric failure, 4 verification
-failure.
+failure, 141 stdout closed early (as a shell reports a process that
+SIGPIPE ended).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from functools import lru_cache
@@ -55,6 +57,7 @@ EXIT_BAD_INPUT = 1
 EXIT_DOMAIN = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
+EXIT_BROKEN_PIPE = 128 + 13  # 128 + SIGPIPE, the status of `yes | head -1`'s yes
 
 _NUMERIC_ERRORS = (
     PoleError,
@@ -451,7 +454,14 @@ def main(argv=None) -> int:
     if args.print_manifest:
         sys.stderr.write(json.dumps(_manifest(args), sort_keys=True) + "\n")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left early shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout goes to devnull, so that the flush at interpreter exit
+        # does not raise again (the advice of Python's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BAD_INPUT

@@ -27,10 +27,19 @@ fixed cost that small arrays do not repay: a new line tests M(c) and its
 first eight heights in one call (and each further eight in one more),
 its first grid holds the 2n + 1 nodes of level 2n, which every H value
 needs, with level n as the stride-2 view, and each doubling forms only
-the new odd nodes.  The trapezoid loop likewise forms the integrand on
+the new odd nodes.  Each call has one Lanczos row per distinct (offset,
+weight) pair of the block, not one per factor: the unit-weight and
+Mittag-Leffler blocks carry Gamma(s) as upper (0, 1) and lower (0, 1),
+so their lines take 2 rows, not 3.  The shared row is added and
+subtracted as often as its pair is used, in block order, so the sum has
+the bits of one row per factor; the pair is never cancelled, which
+would move bits.  Grids are np.linspace's arithmetic without its Python
+wrapper (_grid).  The trapezoid loop likewise forms the integrand on
 level 2n in one pass, sums level n on its stride-2 view, and then forms
 only each level's odd nodes; for few numpy calls it halves steps, not
-complex sums, and enters np.errstate only where H(x) may underflow.
+complex sums, forms the phase as t * (-1j log x), reduces with
+np.add.reduce, forms the roundoff floor by np.trapezoid's arithmetic
+inline, and enters np.errstate only where H(x) may underflow.
 
 Four bounded LRU caches hold what depends only on the parameters: the
 256 most recent models' parameter blocks (`_model_block`, which
@@ -111,7 +120,11 @@ class HWeightParams:
         consts = {"_mu": decay, "_log_kappa": log_kappa, "_right": max(0.0, self.rightmost_pole())}
         # the dataclass's field hash, formed once: every memo lookup hashes the block
         consts["_hash"] = hash((self.upper, self.lower))
-        consts["_off"], consts["_wt"] = np.array(self.lower + self.upper).T[:, :, None]
+        # one log-gamma row per distinct pair, in order of first use
+        rows = {pair: i for i, pair in enumerate(dict.fromkeys(self.lower + self.upper))}
+        consts["_off"], consts["_wt"] = np.array(list(rows)).T[:, :, None]
+        consts["_lower_rows"] = tuple(rows[pair] for pair in self.lower)
+        consts["_upper_rows"] = tuple(rows[pair] for pair in self.upper)
         for name, value in consts.items():
             object.__setattr__(self, name, value)
 
@@ -143,13 +156,14 @@ def _model_block(params: FWParams) -> HWeightParams:
 
 
 def _log_mellin_vec(hp: HWeightParams, s: np.ndarray) -> np.ndarray:
-    """One log_gamma_vec call over a 1-d s; lower rows added, then upper subtracted."""
+    """One log_gamma_vec call over a 1-d s, one row per distinct pair; each
+    lower use's row added, then each upper use's subtracted, in block order."""
     lg = log_gamma_vec(hp._off + hp._wt * s)
     out = np.zeros(s.shape, dtype=complex)
-    for row in lg[: len(hp.lower)]:
-        out += row
-    for row in lg[len(hp.lower) :]:
-        out -= row
+    for i in hp._lower_rows:
+        out += lg[i]
+    for i in hp._upper_rows:
+        out -= lg[i]
     return out
 
 
@@ -171,6 +185,14 @@ class ContourConfig:
 
 
 DEFAULT_CONTOUR = ContourConfig()
+
+
+def _grid(T: float, n: int) -> np.ndarray:
+    """np.linspace(0.0, T, n + 1) bit for bit, by linspace's own arithmetic
+    (node k is k * (T/n), the last is T) without its Python wrapper."""
+    t = np.arange(n + 1) * (T / n)
+    t[-1] = T
+    return t
 
 
 _ABSCISSA_STEP = 4.0  # quantization of the saddle-following abscissa
@@ -230,8 +252,9 @@ class _ContourState:
     _truncation tests log M(c) and the heights 8 * 1.5^j in batches of
     _HEIGHT_BATCH per _log_mellin_vec call.  The first grid is level
     2n (n = cc.n_nodes, unless 2n passes MAX_NODES), since eval_h always
-    needs it; linspace makes its even nodes (2m)(T/2n) == m(T/n), so level
-    n, its stride-2 view, holds the values a grid on n + 1 nodes would.
+    needs it; _grid makes its even nodes (2m)(T/2n) == m(T/n), as linspace
+    does, so level n, its stride-2 view, holds the values a grid on n + 1
+    nodes would.  A doubling reads its new odd nodes off the finer grid.
     """
 
     def __init__(self, hp: HWeightParams, cc: ContourConfig, level: int):
@@ -239,7 +262,7 @@ class _ContourState:
         self.c = hp._right + cc.c_offset + _ABSCISSA_STEP * level
         self.log_m0, self.T = _truncation(hp, self.c)
         n = 2 * cc.n_nodes if 2 * cc.n_nodes <= MAX_NODES else cc.n_nodes
-        self.t = np.linspace(0.0, self.T, n + 1)
+        self.t = _grid(self.T, n)
         self.vals = self._scaled(self.t)
         self._levels: dict[int, tuple] = {}
         self._floors: dict[int, float] = {}
@@ -252,10 +275,11 @@ class _ContourState:
         """(vals, t, h) of level n; the finest grid doubles to reach n."""
         if n not in self._levels:
             if n > len(self.t) - 1:
+                t = _grid(self.T, n)
                 vals = np.empty(n + 1, dtype=complex)
                 vals[0::2] = self.vals
-                vals[1::2] = self._scaled((2 * np.arange(n // 2) + 1) * (self.T / n))
-                self.vals, self.t = vals, np.linspace(0.0, self.T, n + 1)
+                vals[1::2] = self._scaled(t[1::2])
+                self.vals, self.t = vals, t
                 self._levels = {m: self._view(m) + lev[2:] for m, lev in self._levels.items()}
             self._levels[n] = self._view(n) + (self.T / n,)
         return self._levels[n]
@@ -264,7 +288,9 @@ class _ContourState:
         """The roundoff floor of level n's node sum, formed when first asked for."""
         if n not in self._floors:
             vals, _, h = self.level(n)
-            self._floors[n] = 16.0 * _EPS * float(np.trapezoid(np.abs(vals), dx=h))
+            a = np.abs(vals)
+            # np.trapezoid(a, dx=h), its arithmetic inline
+            self._floors[n] = 16.0 * _EPS * float(np.add.reduce(h * (a[1:] + a[:-1]) / 2.0))
         return self._floors[n]
 
     def _view(self, n: int) -> tuple:
@@ -309,17 +335,19 @@ def _h_value(hp: HWeightParams, x: float, cc: ContourConfig) -> float:
     st = _contour_state(hp, cc, _abscissa_level(hp, cc, x))
     log_x = math.log(x)
     log_scale = st.log_m0 - st.c * log_x - math.log(math.pi)
+    # t * (-1j log x) has the imaginary bits of -1j * (t * log x), and a real part of +-0
+    phase = -1j * log_x
     n, f = 2 * cc.n_nodes, None
     while n <= MAX_NODES:
         vals, t, h = st.level(n)
         if f is None:
-            f = vals * np.exp(-1j * (t * log_x))
-            prev = float(((f[2::2] + f[:-2:2]) * h).sum().real)  # level n/2: stride 2, step 2h
+            f = vals * np.exp(t * phase)
+            prev = float(np.add.reduce((f[2::2] + f[:-2:2]) * h).real)  # level n/2: stride 2, step 2h
         else:
             f_even, f = f, np.empty(n + 1, dtype=complex)
             f[0::2] = f_even  # the level below's nodes; only the odd ones are new
-            f[1::2] = vals[1::2] * np.exp(-1j * (t[1::2] * log_x))
-        bracket = float(((f[1:] + f[:-1]) * (h / 2.0)).sum().real)  # np.trapezoid(f, dx=h)
+            f[1::2] = vals[1::2] * np.exp(t[1::2] * phase)
+        bracket = float(np.add.reduce((f[1:] + f[:-1]) * (h / 2.0)).real)  # np.trapezoid(f, dx=h)
         # max(_REL_STOP |bracket|, floor) as two tests, so the floor is formed
         # only where the relative test fails; a NaN fails both, as before
         diff = abs(bracket - prev)

@@ -462,6 +462,38 @@ def test_sum_past_the_float_range_is_numeric_failure(files, argv):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, lines_read",
+    [
+        # about 1.3 MB of CSV, far past a pipe's buffer: the reader leaves
+        # after one line, as `| head -1` does
+        (("bcfw", "region", "--params", "bc_ball", "--r1-max", "0.5", "--r2-max", "0.5",
+          "--n1", "200", "--n2", "200"), 1),
+        # a few hundred bytes, which a pipe would buffer: the reader leaves first
+        (("cs", "verify", "--params", "shift", "--random", "3", "--seed", "7"), 0),
+        (("fw", "radius", "--params", "disk"), 0),
+    ],
+)
+def test_closed_stdout_pipe_exits_without_traceback(files, argv, lines_read):
+    # each ended in a BrokenPipeError traceback with exit 1, the code of a bad input
+    read_end, write_end = os.pipe()
+    reader = os.fdopen(read_end, "rb")
+    if not lines_read:
+        reader.close()  # before the command starts, so no write can land
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fwstates.cli", *(files.get(a, a) for a in argv)],
+        stdout=write_end, stderr=subprocess.PIPE, env=_checkout_env(),
+    )
+    os.close(write_end)
+    for _ in range(lines_read):
+        assert reader.readline()
+    reader.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""
+
+
 def test_fw_eval_sum_near_the_float_range_keeps_its_value(files, capsys):
     code, out, err = run_cli(capsys, "fw", "eval", "--params", files["vacuum"], "--z", "700")
     assert code == 0 and err == ""

@@ -495,6 +495,34 @@ def test_cold_eval_h_log_mellin_calls(monkeypatch, model, x, sizes, one_point_ca
     assert len(calls) < one_point_calls
 
 
+_ML = CoherentModel(FWParams([(1.0, 1.0)], [(1.5, 0.5)]))
+
+
+@pytest.mark.parametrize("model, rows", [(_UNIT, 2), (_ML, 2), (_WRIGHT, 3)])
+def test_line_takes_one_log_gamma_row_per_distinct_pair(monkeypatch, model, rows):
+    """A line's log_gamma_vec calls hold one row per distinct (offset, weight)
+    pair of its block: the unit and Mittag-Leffler blocks carry Gamma(s) as
+    upper (0, 1) and lower (0, 1), which share a row."""
+    shapes, sizes = [], []
+    lgv, log_mellin = hfunction.log_gamma_vec, hfunction._log_mellin_vec
+
+    def counted_lgv(z):
+        shapes.append(z.shape)
+        return lgv(z)
+
+    def counted(hp, s):
+        sizes.append(s.size)
+        return log_mellin(hp, s)
+
+    monkeypatch.setattr(hfunction, "log_gamma_vec", counted_lgv)
+    monkeypatch.setattr(hfunction, "_log_mellin_vec", counted)
+    _clear_memos()
+    # x = 0.05 builds a line (heights, first grid) and doubles it at least once
+    hfunction.eval_h(HWeightParams.from_model(model), 0.05)
+    assert len(sizes) >= 3
+    assert shapes == [(rows, n) for n in sizes]
+
+
 def test_tanh_sinh_nu_log_rho_calls(monkeypatch):
     """One "ts" nu on a new range makes one _log_rho_vec call on the
     midpoint and one per level, on the level's nodes right and left of it

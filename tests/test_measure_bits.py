@@ -17,6 +17,7 @@ also match the same call with the memos bypassed (their `__wrapped__`
 functions), cold and warm.
 """
 
+import dataclasses
 import json
 import math
 
@@ -99,6 +100,33 @@ def test_log_mellin_vec_bits(model, c, n):
     )
 
 
+# blocks whose sides share a pair: the unit and Mittag-Leffler blocks carry
+# Gamma(s) as upper (0, 1) and lower (0, 1); the third repeats a lower pair;
+# the last has -0.0 offsets, which compare equal to 0.0 and share its row
+_SHARED_ROW_BLOCKS = [
+    (HWeightParams([(0.0, 1.0)], [(0.0, 1.0), (1.0, 1.0)]), (0, 1), (0,)),
+    (HWeightParams([(0.0, 1.0)], [(0.0, 1.0), (1.0, 0.5)]), (0, 1), (0,)),
+    (HWeightParams([(0.5, 0.5)], [(0.0, 1.0), (0.0, 1.0)]), (0, 0), (1,)),
+    (HWeightParams([(-0.0, 1.0), (0.5, 1.0)], [(0.0, 1.0), (-0.0, 1.0), (1.0, 2.0)]),
+     (0, 0, 1), (0, 2)),
+]
+
+
+@pytest.mark.parametrize("hp, lower_rows, upper_rows", _SHARED_ROW_BLOCKS)
+def test_log_mellin_vec_shared_rows_bits(hp, lower_rows, upper_rows):
+    """One log-gamma row per distinct pair, added once per lower use and
+    subtracted once per upper use: the bits of one call per factor."""
+    assert (hp._lower_rows, hp._upper_rows) == (lower_rows, upper_rows)
+    assert hp._off.shape == (max(lower_rows + upper_rows) + 1, 1)
+    lines = [c + 1j * np.linspace(0.0, 60.0, 129) for c in (0.5, 4.5, 120.5)]
+    # off the contours too: Re s = +-0 and Re s < 0, where a zero offset's
+    # sign could reach the result
+    lines.append(np.array([0.25j, -0.25j, complex(-0.0, 1.0), complex(-0.0, -0.5),
+                           -0.5 + 3j, -2.5 - 0.75j, 1e-300 + 1j]))
+    for s in lines:
+        assert _bits(hfunction._log_mellin_vec(hp, s)) == _bits(log_mellin_vec_per_factor(hp, s))
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     st.lists(
@@ -152,6 +180,31 @@ def test_contour_levels_are_views_of_the_finest_grid(model, cc):
     for n, floor in st_._floors.items():
         assert floor == 16.0 * _EPS * float(np.trapezoid(np.abs(ref.values(n)), dx=ref.T / n))
     assert len(st_.t) - 1 == max(st_._levels)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.floats(1e-3, 1e6),
+        st.integers(0, 119).map(lambda j: 8.0 * 1.5**j),  # the truncation heights
+    ),
+    st.integers(4, 20).map(lambda k: 1 << k),
+)
+@example(T=8.0 * 1.5**119, n=hfunction.MAX_NODES)
+def test_grid_is_linspace(T, n):
+    """The node grid of a line and of each doubling has linspace's bits."""
+    assert _bits(hfunction._grid(T, n)) == _bits(np.linspace(0.0, T, n + 1))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_models(), _CONTOURS)
+def test_floor_is_trapezoid_of_abs(model, cc):
+    """The roundoff floor formed inline has np.trapezoid's bits on every level."""
+    hp = HWeightParams.from_model(model)
+    st_ = hfunction._contour_state(hp, cc, hfunction._abscissa_level(hp, cc, 0.9))
+    for n in (cc.n_nodes, 2 * cc.n_nodes, 4 * cc.n_nodes, 8 * cc.n_nodes):
+        vals, _, h = st_.level(n)
+        assert st_.floor(n) == 16.0 * _EPS * float(np.trapezoid(np.abs(vals), dx=h))
 
 
 def test_eval_h_stops_on_the_cached_floor():
@@ -484,6 +537,16 @@ def test_hweight_constants_stay_off_equality():
     assert repr(a) == (
         "HWeightParams(upper=((0.5, 1.0),), lower=((0.0, 1.0), (1.0, 1.0)))"
     )
+    assert (a._lower_rows, a._upper_rows) == ((0, 1), (2,))
+    # Gamma(s) on both sides: one row, and still only the fields in equality
+    c = HWeightParams(upper=[(0.0, 1.0)], lower=[(0.0, 1.0), (1.0, 1.0)])
+    assert c != a and (c._lower_rows, c._upper_rows) == ((0, 1), (0,))
+    assert repr(c) == "HWeightParams(upper=((0.0, 1.0),), lower=((0.0, 1.0), (1.0, 1.0)))"
+    assert [f.name for f in dataclasses.fields(c)] == ["upper", "lower"]
+    # -0.0 and 0.0 offsets compare and hash equal, so they share memos and a row
+    d = HWeightParams(upper=[(-0.0, 1.0)], lower=[(0.0, 1.0), (1.0, 1.0)])
+    assert d == c and hash(d) == hash(c)
+    assert (d._lower_rows, d._upper_rows) == ((0, 1), (0,))
 
 
 _BALLS = [
