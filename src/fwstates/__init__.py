@@ -73,7 +73,6 @@ from .foxwright import (
     evaluate,
     margin,
     oracle_bessel_j,
-    oracle_mittag_leffler,
     oracle_pfq,
     radius,
 )

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bicomplex import Hyperbolic, componentwise
+from .bicomplex import Hyperbolic, _check_finite_complex, _check_finite_real, componentwise
 from .coherent import BCCoherentModel, CoherentModel, _log_rho_vec, log_rho, rho
 from .errors import QuadratureFailure, ValidationError
 from .foxwright import FWParams
@@ -358,7 +358,7 @@ def nu_with_error(
     scheme: str = "gk",
 ) -> tuple[float, float]:
     """nu value together with the scheme's error estimate."""
-    zeta = float(zeta)
+    zeta = _check_finite_real(zeta, "zeta")
     if zeta < 0:
         raise ValidationError("zeta must be >= 0")
     if zeta == 0.0:
@@ -391,13 +391,15 @@ def overlap_tilde(
     """Continuous-state overlap nu(conj(z) z') / sqrt(nu(|z|^2) nu(|z'|^2)).
 
     The complex-argument nu is the nu integral at log zeta = Log(conj(z) z'),
-    the principal branch, so zeta^E = exp(E Log zeta).
+    the principal branch, so zeta^E = exp(E Log zeta).  z, z' and
+    conj(z) z' must be finite.
     """
-    z = complex(z)
-    zp = complex(zp)
+    z = _check_finite_complex(z, "z")
+    zp = _check_finite_complex(zp, "zp")
     if z == 0 or zp == 0:
         raise ValidationError("overlap_tilde needs |z|, |z'| > 0")
-    num, _ = _nu_integral(model, cmath.log(z.conjugate() * zp), cfg, scheme)
+    zeta = _check_finite_complex(z.conjugate() * zp, "conj(z) zp")
+    num, _ = _nu_integral(model, cmath.log(zeta), cfg, scheme)
     den = math.sqrt(
         nu(model, abs(z) ** 2, cfg, scheme) * nu(model, abs(zp) ** 2, cfg, scheme)
     )
@@ -411,9 +413,10 @@ def state_density(
     cfg: QuadConfig = DEFAULT_QUAD,
 ) -> complex:
     """Continuous-state coefficient density z^E / sqrt(rho_tilde(E) nu(|z|^2))."""
-    z = complex(z)
+    z = _check_finite_complex(z, "z")
     if z == 0:
         raise ValidationError("state_density needs z != 0")
+    E = _check_finite_real(E, "E")
     if E < 0:
         raise ValidationError("E must be >= 0")
     log_z = cmath.log(z)

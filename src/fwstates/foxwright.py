@@ -63,9 +63,8 @@ max_terms too short for the windows, or a bound no better than the
 majorant's.
 
 The oracle_* functions are deliberately independent evaluation routes
-(raw Pochhammer products, scipy gammas) used only for conformance
-checking; they never call evaluate().  They import scipy.special when
-first called, so importing this module does not load scipy.
+(raw Pochhammer products, and CPython's math.gamma rather than gammafn)
+used only for conformance checking; they never call evaluate().
 """
 
 from __future__ import annotations
@@ -873,34 +872,14 @@ def oracle_pfq(upper, lower, z) -> complex:
     raise MaxTermsExceeded("oracle_pfq did not converge")
 
 
-def oracle_mittag_leffler(B1: float, b1: complex, z) -> complex:
-    """Two-parameter Mittag-Leffler E_{B1,b1}(z) = sum z^k / Gamma(b1 + k B1)."""
-    if B1 <= 0:
-        raise ValidationError("Mittag-Leffler weight must be positive")
-    from scipy import special
-    z = complex(z)
-    zk = 1.0 + 0j
-    total = 0j
-    consec = 0
-    for k in range(20000):
-        term = zk * complex(special.rgamma(complex(b1) + k * B1))
-        total += term
-        consec = consec + 1 if abs(term) <= _ORACLE_TOL * abs(total) else 0
-        if consec >= 3:
-            return total
-        zk *= z
-    raise MaxTermsExceeded("oracle_mittag_leffler did not converge")
-
-
 def oracle_bessel_j(v: float, y: float) -> float:
     """Bessel J_v(y) for v, y >= 0 by its power series."""
     if y < 0 or v < 0:
         raise ValidationError("oracle_bessel_j expects v, y >= 0")
     if y == 0.0:
         return 1.0 if v == 0 else 0.0
-    from scipy import special
     half = 0.5 * y
-    term = half**v / float(special.gamma(v + 1.0))
+    term = half**v / math.gamma(v + 1.0)
     total = term
     q = half * half
     consec = 0

@@ -220,8 +220,8 @@ def classify(params: BCFWParams) -> ConvergenceReport:
 def contains_abs(report: ConvergenceReport, r1: float, r2: float) -> bool:
     """Strict membership test on idempotent magnitudes (|z1|, |z2|)."""
     for r, v in zip((r1, r2), report.v_radius):
-        if r < 0:
-            raise ValidationError("magnitudes must be nonnegative")
+        if not 0 <= r < math.inf:  # NaN fails this test too
+            raise ValidationError("magnitudes must be finite and nonnegative")
         if math.isinf(v):
             continue
         if v == 0.0:
@@ -272,8 +272,9 @@ class GridSpec:
     n2: int = 21
 
     def __post_init__(self):
-        if self.r1_max < 0 or self.r2_max < 0 or self.n1 < 2 or self.n2 < 2:
-            raise ValidationError("grid needs nonnegative extents and >= 2 points per axis")
+        extents_ok = 0 <= self.r1_max < math.inf and 0 <= self.r2_max < math.inf  # NaN fails too
+        if not extents_ok or self.n1 < 2 or self.n2 < 2:
+            raise ValidationError("grid needs finite nonnegative extents and >= 2 points per axis")
 
 
 def region_sample(params: BCFWParams, grid_spec: GridSpec) -> list[tuple[float, float, bool]]:

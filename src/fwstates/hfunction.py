@@ -78,7 +78,7 @@ from .errors import (
     QuadratureFailure,
     ValidationError,
 )
-from .foxwright import FWParams, _normalize_pairs
+from .foxwright import FWParams, _normalize_pairs, _whole_number
 from .foxwright import evaluate as fw_evaluate
 from .gammafn import gamma, is_gamma_pole, log_gamma_vec
 
@@ -445,8 +445,8 @@ def moment_check(model: CoherentModel, k: int) -> MomentResult:
     The Fox-Wright factor of W cancels against the normalization N, so
     the integrand reduces to the gamma prefactor times the bare kernel H.
     """
-    k = int(k)
-    if not 0 <= k <= 8:
+    k = _whole_number(k, "moment order k", 0)
+    if k > 8:
         raise ValidationError("moment order k must lie in 0..8")
     p = model.params
     log_pref = sum(math.lgamma(a.real) for a, _ in p.upper) - sum(

@@ -21,6 +21,10 @@ not apply; takes_levin_route says which boundary calls leave the
 frozen copies, so those are checked against mpmath (gauss_psi) or
 against the capped sum within both bounds instead.
 
+mittag_leffler is no frozen copy but the mpmath reference for the
+two-parameter Mittag-Leffler function, which the package does not hold
+(tests/test_foxwright.py, tests/test_hweight.py, tests/test_cli.py).
+
 The measure layer's copies:
 
 - log_gamma_vec_masked: log_gamma_vec on the masked route throughout, over
@@ -182,6 +186,15 @@ def gauss_psi(params, z):
             a1, a2 = (mpmath.mpc(a) for a, _ in params.upper)
             value = mpmath.gamma(a1) * mpmath.gamma(a2) * mpmath.rgamma(b) * mpmath.hyp2f1(a1, a2, b, z)
         return complex(value)
+
+
+def mittag_leffler(B1, b1, z):
+    """E_{B1,b1}(z) = sum_k z^k / Gamma(b1 + k B1) by mpmath.nsum at 30 digits."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        z = mpmath.mpc(z)
+        return complex(mpmath.nsum(lambda k: z**k * mpmath.rgamma(b1 + k * B1), [0, mpmath.inf]))
 
 
 def assert_levin_within_capped(copy, params, z, **kwargs):

@@ -312,8 +312,13 @@ def test_params_validation():
         _bc([(1.5, H(-1, 1))], [])
     with pytest.raises(ValidationError):
         _bc([(Bicomplex(0.0, 1.0), H(1, 1))], [])  # component-1 pole at k=0
-    with pytest.raises(ValidationError):
-        GridSpec(-1.0, 1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="finite nonnegative extents"):
+            GridSpec(bad, 1.0)
+        with pytest.raises(ValidationError, match="finite nonnegative extents"):
+            GridSpec(1.0, bad)
+        with pytest.raises(ValidationError, match="^magnitudes must be finite and nonnegative$"):
+            contains_abs(classify(ENTIRE), 0.5, bad)
 
 
 # -- evaluate is componentwise plus the mixed-ball rule --------------------

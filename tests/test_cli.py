@@ -9,11 +9,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from _frozen import mittag_leffler
 
 import fwstates
 from fwstates import cli, coherent
 from fwstates.cli import main
-from fwstates.foxwright import oracle_mittag_leffler
 
 NU_VACUUM_AT_1 = 2.2665345076998488351
 
@@ -99,7 +99,7 @@ def test_fw_eval_empty_params_is_exp(files, capsys):
 def test_fw_eval_mittag_leffler(files, capsys):
     code, out, _ = run_cli(capsys, "fw", "eval", "--params", files["ml"], "--z", "1")
     assert code == 0
-    ref = oracle_mittag_leffler(0.7, 1.5, 1.0).real
+    ref = mittag_leffler(0.7, 1.5, 1.0).real
     assert json.loads(out)["value"][0] == pytest.approx(ref, rel=1e-12)
 
 
@@ -135,6 +135,12 @@ def test_fw_eval_overflow_exit3(files, capsys):
          "zp must be finite, got infj"),
         (("cs", "overlap", "--params", "vacuum", "--z", "1e200", "--zp", "1e200"),
          "conj(z) zp must be finite, got (inf+0j)"),
+        # walked the nu range ladder and exited 3, or printed NaN rows with exit 0
+        (("nu", "eval", "--model", "shift", "--zeta", "0.5,inf"), "zeta must be finite, got inf"),
+        (("bcfw", "region", "--params", "bc_ball", "--r1-max", "nan", "--r2-max", "0.5"),
+         "grid needs finite nonnegative extents and >= 2 points per axis"),
+        (("bcfw", "region", "--params", "bc_ball", "--r1-max", "0.5", "--r2-max", "inf"),
+         "grid needs finite nonnegative extents and >= 2 points per axis"),
     ],
 )
 def test_non_finite_points_exit1(files, capsys, argv, text):
@@ -696,8 +702,8 @@ _LOADED_DEPS = (
 
 
 def test_cli_import_loads_no_scipy_or_jsonschema():
-    # only the oracles and selftest's independent quad check need scipy;
-    # the parameter files are checked in the package, without jsonschema
+    # the package runs on numpy alone: its quadratures and oracles need no
+    # scipy, and the parameter files are checked without jsonschema
     assert _fresh_python(f"import fwstates.cli; {_LOADED_DEPS}") == b"[]\n"
 
 
@@ -722,10 +728,6 @@ def test_file_commands_load_no_scipy_or_jsonschema(files, argv, valid):
 # reprs frozen at d5642ce, which imported scipy and jsonschema at module top
 COLD_PATHS = {
     "oracle_bessel_j": ("oracle_bessel_j(0.5, 2.0)", "0.5130161365618278"),
-    "oracle_mittag_leffler": (
-        "oracle_mittag_leffler(0.7, 1.5, 0.3 + 0.2j)",
-        "(1.4239784708931387+0.2609563657668671j)",
-    ),
     "nu_gk": ('nu(SHIFT, 2.5, scheme="gk")', "4.014732999111425"),
     "overlap_tilde": (
         "overlap_tilde(SHIFT, 1.1 + 0.3j, 0.7 - 0.2j)",
@@ -739,40 +741,31 @@ COLD_PATHS = {
 }
 
 
-# prints the scipy.integrate modules loaded so far
-_LOADED_INTEGRATE = (
-    "import sys; print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
-)
-# the cold paths that integrate by Gauss-Kronrod, which runs in the package
-_GK_PATHS = ("nu_gk", "overlap_tilde", "moment_check")
-
-
 @pytest.mark.parametrize("name", COLD_PATHS)
 def test_cold_path_output_unchanged(name):
     """The first call returns the same bits as when scipy and jsonschema were
-    imported at module top; an oracle imports what it needs on that call,
-    and a Gauss-Kronrod path loads no scipy.integrate module."""
+    imported at module top, and loads neither."""
     call, expected = COLD_PATHS[name]
-    after = f"{_LOADED_INTEGRATE}\n" if name in _GK_PATHS else ""
     code = (
         "from fwstates import CoherentModel, FWParams, moment_check, nu,"
-        " oracle_bessel_j, oracle_mittag_leffler, overlap_tilde\n"
+        " oracle_bessel_j, overlap_tilde\n"
         "SHIFT = CoherentModel(FWParams(upper=[(1.0, 1.0)], lower=[(2.0, 1.0)]))\n"
         f"{_LOADED_DEPS}\n"
         f"print(repr({call}))\n"
-        f"{after}"
+        f"{_LOADED_DEPS}\n"
     )
-    tail = "[]\n" if after else ""
-    assert _fresh_python(code).decode() == f"[]\n{expected}\n{tail}"
+    assert _fresh_python(code).decode() == f"[]\n{expected}\n[]\n"
 
 
+# Gauss-Kronrod runs in the package, and so does selftest's norm check
 @pytest.mark.parametrize("argv", [
     ("nu", "eval", "--model", "shift", "--zeta", "0.5,2.5,9", "--scheme", "gk"),
     ("measure", "check", "--model", "shift", "--k", "0..6"),
+    ("selftest", "--only", "nu-function", "--only", "ml-bessel-conformance"),
 ])
 def test_gauss_kronrod_commands_load_no_scipy_integrate(files, argv):
     argv = [files.get(a, a) for a in argv]
-    code = f"import sys\nfrom fwstates.cli import main\nassert main(sys.argv[1:]) == 0\n{_LOADED_INTEGRATE}\n"
+    code = f"import sys\nfrom fwstates.cli import main\nassert main(sys.argv[1:]) == 0\n{_LOADED_DEPS}\n"
     assert _fresh_python(code, *argv).decode().endswith("\n[]\n")
 
 

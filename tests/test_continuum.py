@@ -2,12 +2,14 @@
 
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate as si
 
+from fwstates import continuum
 from fwstates.bicomplex import Bicomplex, Hyperbolic
 from fwstates.coherent import BCCoherentModel, CoherentModel, _log_rho_vec, log_rho, rho
 from fwstates.continuum import (
@@ -66,6 +68,29 @@ def test_nu_zero_and_validation():
         nu(VACUUM, 1.0, scheme="simpson")
     with pytest.raises(ValidationError):
         QuadConfig(rel_tol=0.0)
+
+
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        # each walked _e_max's 80-step ladder, building 80 node tables, and
+        # exited with "could not locate a decaying tail"
+        (lambda: nu_with_error(VACUUM, math.nan), "zeta must be finite, got nan"),
+        (lambda: nu(GENERIC, math.inf, scheme="ts"), "zeta must be finite, got inf"),
+        (lambda: overlap_tilde(VACUUM, complex(math.nan, 1.0), 1.0), "z must be finite, got (nan+1j)"),
+        (lambda: overlap_tilde(VACUUM, 1.0, math.inf), "zp must be finite, got (inf+0j)"),
+        (lambda: overlap_tilde(VACUUM, 1e200, 1e200j), "conj(z) zp must be finite, got infj"),
+        (lambda: state_density(VACUUM, math.inf, 1.0), "z must be finite, got (inf+0j)"),
+        # said "k must be finite", naming log rho's argument
+        (lambda: state_density(VACUUM, 1.0, math.nan), "E must be finite, got nan"),
+        (lambda: nu(VACUUM, 1j), "zeta must be a real number, got 1j"),
+    ],
+)
+def test_non_finite_arguments_refused_before_any_table(call, text):
+    continuum._node_table.cache_clear()
+    with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
+        call()
+    assert continuum._node_table.nbytes == 0
 
 
 def test_nu_monotone():

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 import scipy.special as sp
+from _frozen import mittag_leffler
 from scipy import integrate as si
 
 from fwstates.bicomplex import Bicomplex, Hyperbolic
 from fwstates.coherent import BCCoherentModel, CoherentModel
 from fwstates.errors import ContourFailure, DomainError, ValidationError
-from fwstates.foxwright import FWParams, oracle_mittag_leffler
+from fwstates.foxwright import FWParams
 from fwstates.foxwright_bc import BCFWParams
 from fwstates.hfunction import (
     DEFAULT_CONTOUR,
@@ -92,7 +93,7 @@ def test_weight_mittag_leffler_structure():
     # the Fox-Wright factor collapses to E_{B,b}, leaving the bare kernel
     hp = HWeightParams.from_model(ML)
     for x in (0.3, 1.0, 2.2):
-        ref = oracle_mittag_leffler(0.7, 1.5, x).real * eval_h(hp, x)
+        ref = mittag_leffler(0.7, 1.5, x).real * eval_h(hp, x)
         assert weight(ML, x) == pytest.approx(ref, rel=1e-9)
 
 
@@ -136,6 +137,11 @@ def test_moment_order_validation():
         moment_check(VACUUM, 9)
     with pytest.raises(ValidationError):
         moment_check(VACUUM, -1)
+    # 2.5 ran as order 2, "3" as order 3, and NaN raised a bare ValueError
+    for k in (2.5, "3", math.nan, math.inf):
+        with pytest.raises(ValidationError, match="^moment order k must be"):
+            moment_check(VACUUM, k)
+    assert moment_check(VACUUM, 2.0) == moment_check(VACUUM, 2)
 
 
 def test_mellin_round_trip():

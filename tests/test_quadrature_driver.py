@@ -147,7 +147,6 @@ def test_settings_no_caller_passed_are_gone():
     assert names(continuum.nu_bicomplex) == ["model", "W", "scheme"]
     assert names(gammafn.is_gamma_pole) == names(gammafn.pole_mask) == ["w"]
     assert names(foxwright.oracle_pfq) == ["upper", "lower", "z"]
-    assert names(foxwright.oracle_mittag_leffler) == ["B1", "b1", "z"]
     assert names(foxwright.oracle_bessel_j) == ["v", "y"]
     assert "sign_tol" not in {f.name for f in dataclasses.fields(ConvergenceReport)}
     assert classify(BCFWParams([], [])).to_json()["sign_tol"] == 1e-12
