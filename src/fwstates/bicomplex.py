@@ -53,6 +53,14 @@ def _check_finite_real(value: float, what: str) -> float:
     return x
 
 
+def _squared_modulus(z: complex, what: str) -> float:
+    """|z|^2 of a finite z; OverflowError naming z where it passes the float range."""
+    try:
+        return abs(z) ** 2
+    except OverflowError:
+        raise OverflowError(f"|{what}|^2 is past the float range, {what} = {z!r}") from None
+
+
 def _rsub(a, b):
     return b - a
 

@@ -49,6 +49,7 @@ from .bicomplex import (
     Hyperbolic,
     _check_finite_complex,
     _check_finite_real,
+    _squared_modulus,
     componentwise,
 )
 from .errors import TruncationError, ValidationError
@@ -254,7 +255,7 @@ def make_state(model: CoherentModel, z: complex, tail_target: float = 1e-12) -> 
     if not tail_target >= 0:  # NaN fails this test too
         raise ValidationError("tail_target must be >= 0")
     z = _check_finite_complex(z, "z")
-    zeta = abs(z) ** 2
+    zeta = _squared_modulus(z, "z")
     log_n = math.log(normalization(model, zeta))
     pref = math.exp(-0.5 * log_n)
 
@@ -301,15 +302,11 @@ def overlap(model: CoherentModel, z: complex, zp: complex) -> complex:
     z = _check_finite_complex(z, "z")
     zp = _check_finite_complex(zp, "zp")
     zetas = [_check_finite_complex(z.conjugate() * zp, "conj(z) zp")]
-    too_large = None
     try:
-        for w in (z, zp):
-            zetas.append(abs(w) ** 2)
-    except OverflowError as exc:
-        too_large = exc
-    values = _normalizations(model, zetas)
-    if too_large is not None:
-        raise too_large
+        for w, what in ((z, "z"), (zp, "zp")):
+            zetas.append(_squared_modulus(w, what))
+    finally:
+        values = _normalizations(model, zetas)
     num, n1, n2 = values[0], float(values[1].real), float(values[2].real)
     den = math.sqrt(n1 * n2)
     if math.isinf(den):

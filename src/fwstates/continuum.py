@@ -55,7 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bicomplex import Hyperbolic, _check_finite_complex, _check_finite_real, componentwise
-from .coherent import BCCoherentModel, CoherentModel, _log_rho_vec, log_rho, rho
+from .bicomplex import _squared_modulus
+from .coherent import _LOG_FLOAT_MAX, BCCoherentModel, CoherentModel, _log_rho_vec, log_rho, rho
 from .errors import QuadratureFailure, ValidationError
 from .foxwright import FWParams
 
@@ -103,6 +104,8 @@ def _e_max(model: CoherentModel, log_zeta: float) -> float:
         table = _node_table(model.params, hi)
         logf = table.grid * log_zeta - table.log_rho_grid
         peak = logf.max()
+        if peak > _LOG_FLOAT_MAX:  # then so is nu: refused before a longer range is built
+            raise OverflowError(f"nu(zeta) is past the float range (log-integrand peak {peak:.6g})")
         if logf[-1] <= peak - E_MAX_DROP:
             return hi
         hi *= 1.5
@@ -399,11 +402,9 @@ def overlap_tilde(
     if z == 0 or zp == 0:
         raise ValidationError("overlap_tilde needs |z|, |z'| > 0")
     zeta = _check_finite_complex(z.conjugate() * zp, "conj(z) zp")
+    n1, n2 = _squared_modulus(z, "z"), _squared_modulus(zp, "zp")
     num, _ = _nu_integral(model, cmath.log(zeta), cfg, scheme)
-    den = math.sqrt(
-        nu(model, abs(z) ** 2, cfg, scheme) * nu(model, abs(zp) ** 2, cfg, scheme)
-    )
-    return num / den
+    return num / math.sqrt(nu(model, n1, cfg, scheme) * nu(model, n2, cfg, scheme))
 
 
 def state_density(
@@ -420,5 +421,5 @@ def state_density(
     if E < 0:
         raise ValidationError("E must be >= 0")
     log_z = cmath.log(z)
-    log_nu = math.log(nu(model, abs(z) ** 2, cfg))
+    log_nu = math.log(nu(model, _squared_modulus(z, "z"), cfg))
     return cmath.exp(E * log_z - 0.5 * log_rho_tilde(model, E) - 0.5 * log_nu)

@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .bicomplex import Bicomplex, componentwise
+from .bicomplex import Bicomplex, _check_finite_complex, _check_finite_real, componentwise
 from .errors import PoleError, ValidationError
 
 # Godfrey's coefficient set for g = 7, 9 terms; relative error ~1e-15 on
@@ -66,9 +66,9 @@ POLE_TOL = 1e-12
 
 
 def is_gamma_pole(w: complex) -> bool:
-    """True if w lies within POLE_TOL of a nonpositive integer."""
+    """True if w lies within POLE_TOL of a nonpositive integer; False if w is not finite."""
     w = complex(w)
-    if abs(w.imag) > POLE_TOL:
+    if not (abs(w.imag) <= POLE_TOL and math.isfinite(w.real)):  # NaN fails this test too
         return False
     n = round(w.real)
     return n <= 0 and abs(w.real - n) <= POLE_TOL
@@ -175,9 +175,9 @@ def log_gamma(w: complex) -> complex:
 
     exp(log_gamma(w)) matches Gamma(w) to relative error <= 1e-12 for
     |w| <= 170.  On the reflection side the imaginary part may differ
-    from the principal branch by a multiple of 2 pi.
+    from the principal branch by a multiple of 2 pi.  w must be finite.
     """
-    w = complex(w)
+    w = _check_finite_complex(w, "w")
     if is_gamma_pole(w):
         raise PoleError(f"log_gamma pole at w={w}")
     return complex(log_gamma_vec(np.array([w]))[0])
@@ -194,8 +194,8 @@ def gamma_bicomplex(W: Bicomplex) -> Bicomplex:
 
 
 def pochhammer(a: complex, E: float) -> complex:
-    """Continuous Pochhammer (a)_E = Gamma(a+E)/Gamma(a), via log differences."""
-    a = complex(a)
+    """Continuous Pochhammer (a)_E = Gamma(a+E)/Gamma(a), via log differences; a, E finite."""
+    a, E = _check_finite_complex(a, "a"), _check_finite_real(E, "E")
     if is_gamma_pole(a):
         raise PoleError(f"pochhammer base at gamma pole, a={a}")
     if is_gamma_pole(a + E):

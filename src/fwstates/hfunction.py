@@ -78,7 +78,7 @@ from .errors import (
     QuadratureFailure,
     ValidationError,
 )
-from .foxwright import FWParams, _normalize_pairs, _whole_number
+from .foxwright import FWParams, _log_radius, _normalize_pairs, _whole_number
 from .foxwright import evaluate as fw_evaluate
 from .gammafn import gamma, is_gamma_pole, log_gamma_vec
 
@@ -115,9 +115,8 @@ class HWeightParams:
                 f"(sum of lower weights - sum of upper weights = {decay:g} <= 0)"
             )
         # not fields, so equality and hashing stay on upper and lower
-        log_kappa = (sum(B * math.log(B) for _, B in self.lower)
-                     - sum(A * math.log(A) for _, A in self.upper))
-        consts = {"_mu": decay, "_log_kappa": log_kappa, "_right": max(0.0, self.rightmost_pole())}
+        consts = {"_mu": decay, "_log_kappa": _log_radius(self.upper, self.lower),
+                  "_right": max(0.0, self.rightmost_pole())}
         # the dataclass's field hash, formed once: every memo lookup hashes the block
         consts["_hash"] = hash((self.upper, self.lower))
         # one log-gamma row per distinct pair, in order of first use

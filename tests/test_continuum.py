@@ -93,6 +93,17 @@ def test_non_finite_arguments_refused_before_any_table(call, text):
     assert continuum._node_table.nbytes == 0
 
 
+@pytest.mark.parametrize("zeta", [1e10, 1e16])
+@pytest.mark.parametrize("scheme", continuum.SCHEMES)
+def test_nu_past_the_float_range_is_refused_from_few_tables(zeta, scheme):
+    # nu(1e10) built 53 node tables before its sum overflowed, and nu(1e16)
+    # all 80 of the range ladder before "could not locate a decaying tail"
+    continuum._node_table.cache_clear()
+    with pytest.raises(OverflowError, match=r"^nu\(zeta\) is past the float range \(log-integrand peak "):
+        nu(VACUUM, zeta, scheme=scheme)
+    assert len(continuum._node_table._tables) < 10
+
+
 def test_nu_monotone():
     for model in (VACUUM, GENERIC):
         assert nu(model, 1.0) < nu(model, 2.0)
@@ -164,6 +175,13 @@ def test_overlap_tilde_bound_and_validation():
         assert abs(overlap_tilde(GENERIC, z, zp, cfg)) <= 1.0 + 10 * cfg.rel_tol
     with pytest.raises(ValidationError):
         overlap_tilde(GENERIC, 0.0, 1.0)
+    # |z|^2 past the float range, although conj(z) z' = 1: refused before any
+    # integral, where a bare OverflowError came after the numerator's
+    continuum._node_table.cache_clear()
+    for z, zp, name in ((1e200, 1e-200, "z"), (1e-200, 1e200j, "zp")):
+        with pytest.raises(OverflowError, match=rf"^\|{name}\|\^2 is past the float range, {name} = "):
+            overlap_tilde(VACUUM, z, zp)
+    assert continuum._node_table.nbytes == 0
 
 
 def test_overlap_tilde_vacuum_ratio():
@@ -178,11 +196,11 @@ def test_overlap_tilde_vacuum_ratio():
 
 @pytest.mark.parametrize("scheme", ["gk", "ts"])
 def test_overlap_tilde_overflow_raises_without_warnings(scheme):
-    # the numerator integral is about e^800, past float64; its inf (gk) or
-    # inf+nanj (ts) must end in OverflowError with nothing on stderr
+    # the numerator integral is about e^800, past float64: the range search
+    # refuses it with OverflowError, and nothing reaches stderr
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(OverflowError, match="leaves the float64 range"):
+        with pytest.raises(OverflowError, match=r"^nu\(zeta\) is past the float range"):
             overlap_tilde(VACUUM, 28.3, 28.3, scheme=scheme)
 
 
@@ -215,3 +233,7 @@ def test_state_density_validation():
         state_density(VACUUM, 0.0, 1.0)
     with pytest.raises(ValidationError):
         state_density(VACUUM, 1.0, -0.5)
+    continuum._node_table.cache_clear()
+    with pytest.raises(OverflowError, match=r"^\|z\|\^2 is past the float range, z = \(1e\+200\+0j\)$"):
+        state_density(VACUUM, 1e200, 1.0)
+    assert continuum._node_table.nbytes == 0

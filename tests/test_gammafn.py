@@ -7,6 +7,7 @@ series cross-check), so no library gamma enters that comparison.
 
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -140,6 +141,18 @@ def test_poles():
             log_gamma(w)
     assert not is_gamma_pole(-3.0 + 1e-9)
     assert not is_gamma_pole(0.5)
+    # no pole, and refused: these raised a raw ValueError or OverflowError
+    # from round(), and gamma(1 + inf j) returned nan+nanj with two warnings
+    for w, shown in [(math.nan, "(nan+0j)"), (math.inf, "(inf+0j)"), (complex(1.0, math.inf), "(1+infj)"),
+                     (complex(-math.inf, 0.0), "(-inf+0j)"), (complex(-2.0, math.nan), "(-2+nanj)")]:
+        assert not is_gamma_pole(w)
+        for fn in (log_gamma, gamma):
+            with pytest.raises(ValidationError, match=f"^w must be finite, got {re.escape(shown)}$"):
+                fn(w)
+    with pytest.raises(ValidationError, match="^E must be finite, got nan$"):
+        pochhammer(1.0, math.nan)
+    with pytest.raises(ValidationError, match=r"^a must be finite, got \(inf\+0j\)$"):
+        pochhammer(math.inf, 1.0)
 
 
 def test_log_gamma_vec_matches_scalar():
@@ -285,7 +298,7 @@ def _outcome(fn, *args):
 @pytest.mark.parametrize("a, A, ks", _RATIO_CASES)
 def test_log_gamma_ratio_array_matches_scalar_reference(a, A, ks):
     ks = list(ks)
-    scalar = [_outcome(reference_log_gamma_ratio, a, A, k) for k in ks]
+    scalar = [_outcome(lambda k: reference_log_gamma_ratio(a, A, [k])[0], k) for k in ks]
     assert [_outcome(log_gamma_ratio, a, A, k) for k in ks] == scalar
     errors = [o for o in scalar if o.startswith("PoleError")]
     if errors:

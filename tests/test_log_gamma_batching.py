@@ -6,11 +6,12 @@ adds its block's rows one at a time and forms each row alone from
 M(c) and eight heights per `_log_mellin_vec` call and builds its first
 grid at level 2n, the trapezoid loop forms only the odd nodes of each
 new level, and `_tanh_sinh` calls its integrand once per level.  The
-references, in _frozen.py, are frozen copies of the forms
-these replaced: the fused (8, ...) Lanczos block (and the kernel with
-its one crossover at 512, at every array length), a one-point call per
-height, a first grid at level n, the integrand formed afresh at every
-level, and one integrand call per side of the midpoint.  Every output,
+references, in _frozen.py, are the plain forms: the Lanczos sum with
+one numpy call per coefficient and log_gamma_vec on the masked route
+over it (bit-equal to the fused (8, ...) block and to the kernel with
+its one crossover at 512, which they replaced here), a line with a
+one-point call per height and one array per level, the plain trapezoid
+loop, and one integrand call per side of the midpoint.  Every output,
 every error text and the level where an error is raised must match them
 bit for bit.
 """
@@ -22,15 +23,15 @@ from functools import partial
 import numpy as np
 import pytest
 from _frozen import (
-    ContourFirstGridN,
-    contour_state_first_grid_n,
-    h_value_afresh,
+    ContourPerLevel,
+    e_max,
+    eval_h_per_level,
     integrands,
-    lanczos_series_cumsum,
-    lanczos_series_fused,
-    log_gamma_vec_cumsum,
-    log_gamma_vec_fused,
+    line_abscissa,
+    log_gamma_vec_masked,
     nu_integral,
+    per_level_line,
+    reference_lanczos_series,
     tanh_sinh_per_side,
 )
 from hypothesis import assume, given, settings
@@ -70,7 +71,7 @@ def _clear_memos():
     for memo in (
         hfunction._contour_state,
         hfunction._h_value,
-        contour_state_first_grid_n,
+        per_level_line,
         continuum._node_table,
         foxwright._column_cache,
         foxwright._boundary_plan,
@@ -82,8 +83,8 @@ def _clear_memos():
 def _reference(mp):
     """Route the package through the frozen copies, with every memo empty."""
     _clear_memos()
-    mp.setattr(gammafn, "_lanczos_series", lanczos_series_fused)
-    mp.setattr(hfunction, "_h_value", h_value_afresh)
+    mp.setattr(gammafn, "_lanczos_series", reference_lanczos_series)
+    mp.setattr(hfunction, "_h_value", eval_h_per_level)
     mp.setattr(continuum, "_nu_integral", nu_integral)
 
 
@@ -152,7 +153,7 @@ def test_lanczos_series_matches_fused_block(shape, seed):
     z = _points(seed, shape)
     # reflection-side arguments meet the partial fractions' own poles
     with np.errstate(all="ignore"):
-        got, want = _lanczos_series(z), lanczos_series_fused(z)
+        got, want = _lanczos_series(z), reference_lanczos_series(z)
     assert got.shape == shape
     assert _bits(got) == _bits(want)
 
@@ -162,7 +163,7 @@ def test_lanczos_series_matches_fused_block(shape, seed):
 def test_log_gamma_vec_matches_fused_block(shape, seed):
     z = _points(seed, shape)
     with np.errstate(all="ignore"):
-        got, want = log_gamma_vec(z), log_gamma_vec_fused(z)
+        got, want = log_gamma_vec(z), log_gamma_vec_masked(z)
         # each entry also has the bits it gets alone
         alone = [log_gamma_vec(zi)[0] for zi in z.ravel()[:9]]
     assert _bits(got) == _bits(want)
@@ -190,8 +191,8 @@ def test_log_gamma_vec_matches_cumsum_kernel_at_every_length(ndim):
         assert len(shape) == ndim
         z = _points(n, shape)
         with np.errstate(all="ignore"):
-            got, want = log_gamma_vec(z), log_gamma_vec_cumsum(z)
-            sums = _lanczos_series(z), lanczos_series_cumsum(z)
+            got, want = log_gamma_vec(z), log_gamma_vec_masked(z)
+            sums = _lanczos_series(z), reference_lanczos_series(z)
         assert _bits(got) == _bits(want), shape
         assert _bits(sums[0]) == _bits(sums[1]), shape
 
@@ -212,20 +213,27 @@ _BLOCKS = [
 ]
 
 
-def _line(state_cls, hp, cc, level):
-    try:
-        st_ = state_cls(hp, cc, level)
-    except ContourFailure as exc:
-        return "ContourFailure: " + str(exc)
-    return repr((st_.c, st_.log_m0, st_.T))
+def _lines(hp, cc, level):
+    """The live line's (c, log M(c), T) or failure, and the one-point search's."""
+    out = []
+    for make in (
+        lambda: hfunction._ContourState(hp, cc, level),
+        lambda: ContourPerLevel(hp, line_abscissa(hp, cc, level)),
+    ):
+        try:
+            st_ = make()
+        except ContourFailure as exc:
+            out.append("ContourFailure: " + str(exc))
+        else:
+            out.append(repr((st_.c, st_.log_m0, st_.T)))
+    return out
 
 
 @pytest.mark.parametrize("upper, lower", _BLOCKS)
 @pytest.mark.parametrize("level", [0, 1, 3])
 def test_height_search_matches_one_point_search(upper, lower, level):
-    hp = HWeightParams(upper, lower)
-    cc = ContourConfig(n_nodes=8)
-    assert _line(hfunction._ContourState, hp, cc, level) == _line(ContourFirstGridN, hp, cc, level)
+    ours, ref = _lines(HWeightParams(upper, lower), ContourConfig(n_nodes=8), level)
+    assert ours == ref
 
 
 def test_height_search_batches():
@@ -241,9 +249,8 @@ def test_height_search_batches():
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_models(), st.integers(0, 4), st.sampled_from([0.5, 1.5, 3.0]))
 def test_height_search_bits(model, level, c_offset):
-    hp = HWeightParams.from_model(model)
-    cc = ContourConfig(c_offset=c_offset, n_nodes=8)
-    assert _line(hfunction._ContourState, hp, cc, level) == _line(ContourFirstGridN, hp, cc, level)
+    ours, ref = _lines(HWeightParams.from_model(model), ContourConfig(c_offset=c_offset, n_nodes=8), level)
+    assert ours == ref
 
 
 # -- contour levels and eval_h -----------------------------------------------
@@ -252,22 +259,26 @@ def test_height_search_bits(model, level, c_offset):
 def _compare_lines(hp, cc, xs):
     """eval_h at each x in turn (the first call on a line cold, later ones
     warm); then each line's finest grid, its (vals, t, h) at every level it
-    reached (the frozen line, which starts at level n, reaches them too),
+    reached (the plain loop, which starts at level n, reaches them too),
     and every floor it formed."""
     _clear_memos()
     for x in xs:
         assert _bits(_outcome(hfunction.eval_h, hp, x, cc)) == _bits(
-            _outcome(h_value_afresh, hp, x, cc)
+            _outcome(eval_h_per_level, hp, x, cc)
         ), x
     for level in {hfunction._abscissa_level(hp, cc, x) for x in xs}:
         ours = hfunction._contour_state(hp, cc, level)
-        ref = contour_state_first_grid_n(hp, cc, level)
-        assert (_bits(ours.vals), _bits(ours.t)) == (_bits(ref.vals), _bits(ref.t))
-        assert ours._levels.keys() <= ref._levels.keys()
+        ref = per_level_line(hp, line_abscissa(hp, cc, level))
+        assert ours._levels.keys() <= ref._vals.keys()
+        finest = len(ours.t) - 1
+        assert (_bits(ours.vals), _bits(ours.t)) == (
+            _bits(ref.values(finest)), _bits(np.linspace(0.0, ref.T, finest + 1))
+        )
         for n, lev in ours._levels.items():
-            assert [_bits(v) for v in lev] == [_bits(v) for v in ref._levels[n][:3]], n
+            want = ref.values(n), np.linspace(0.0, ref.T, n + 1), ref.T / n
+            assert [_bits(v) for v in lev] == [_bits(v) for v in want], n
         for n, floor in ours._floors.items():
-            assert _bits(floor) == _bits(ref._levels[n][3]), n
+            assert _bits(floor) == _bits(ref.floor(n)), n
 
 
 @pytest.mark.parametrize("n_nodes", [8, 64, 100])
@@ -332,8 +343,10 @@ def _counted_ts(ts, f, *args):
 
 def _nu_integral(model, log_zeta):
     """The tanh-sinh nu integrand and its range: live, on the node table's
-    levels, and frozen, on node arrays over [0, e_hi]."""
-    table = continuum._node_table(model.params, continuum._e_max(model, log_zeta.real))
+    levels, and frozen, on node arrays over [0, e_hi].  The range is the
+    frozen e_max's, which keeps going where continuum._e_max refuses a
+    log-integrand past the float range, so the overflowing sums stay here."""
+    table = continuum._node_table(model.params, e_max(model, log_zeta.real))
     live = continuum._integrands(table, log_zeta)[0], table.ts_nodes
     return live, (integrands(model.params, log_zeta)[0], 0.0, table.hi)
 
@@ -452,7 +465,7 @@ _SERIES_OUTPUTS = {
 @pytest.mark.parametrize("name", _SERIES_OUTPUTS)
 def test_series_outputs_match_fused_block(name):
     """The series and coherent-state routines call the Lanczos sum on long
-    arrays too; their outputs keep the bits of the fused block."""
+    arrays too; their outputs keep the bits of the reference sum."""
     _clear_memos()
     ours = _bits(_outcome(_SERIES_OUTPUTS[name]))
     with pytest.MonkeyPatch.context() as mp:

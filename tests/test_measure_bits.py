@@ -3,13 +3,13 @@
 `coherent._log_rho_vec` and `hfunction._log_mellin_vec` make one
 log_gamma_vec call over every gamma argument, log_gamma_vec skips its
 masked route when every entry lies right of Re = 1/2, and `eval_h`
-serves each trapezoid level as a strided view of one finest grid.  The
-references, below and in _frozen.py, are the plain forms those replaced:
-one log_gamma_vec call per gamma factor, the masked route throughout,
-one array per level built by doubling, and np.trapezoid at every step.
-The trapezoid loop reads level n off the pass over level 2n; its
-reference is the loop that formed the two levels in two passes
-(h_value_two_passes).  Every output must match them bit for bit.
+serves each trapezoid level as a strided view of one finest grid and
+reads level n off the pass over level 2n.  The references, in
+_frozen.py, are the plain forms: one log_gamma_vec_masked call per
+gamma factor, the masked route throughout, one array per level built by
+doubling, and np.trapezoid at every step (eval_h_per_level, also the
+reference for the loop alone on warm lines and under lowered node
+caps).  Every output must match them bit for bit.
 
 H values and the nu node tables (log rho at Gauss-Kronrod nodes, on
 tanh-sinh levels and on _e_max's grids) are memoized; each output must
@@ -25,8 +25,8 @@ import numpy as np
 import pytest
 from _frozen import (
     ContourPerLevel,
+    contour_abscissa,
     eval_h_per_level,
-    h_value_two_passes,
     log_gamma_vec_masked,
     log_mellin_vec_per_factor,
     ref_log_rho_vec,
@@ -171,14 +171,14 @@ def test_contour_levels_are_views_of_the_finest_grid(model, cc):
     hfunction.eval_h(hp, 0.9, cc)
     st_ = hfunction._contour_state(hp, cc, hfunction._abscissa_level(hp, cc, 0.9))
     assert len(st_._levels) >= 3
-    ref = ContourPerLevel(hp, cc, 0.9)
+    ref = ContourPerLevel(hp, contour_abscissa(hp, cc, 0.9))
     for n, (vals, t, h) in st_._levels.items():
         assert np.shares_memory(vals, st_.vals) and np.shares_memory(t, st_.t)
         assert _bits(vals) == _bits(ref.values(n))
         assert _bits(t) == _bits(np.linspace(0.0, ref.T, n + 1))
         assert h == ref.T / n
     for n, floor in st_._floors.items():
-        assert floor == 16.0 * _EPS * float(np.trapezoid(np.abs(ref.values(n)), dx=ref.T / n))
+        assert floor == ref.floor(n)
     assert len(st_.t) - 1 == max(st_._levels)
 
 
@@ -405,19 +405,19 @@ _MEASURE_MODELS = (
 
 
 def _loop_bits(hp, x, cc):
-    """Bits of the live loop and of the two-pass loop at x, value or error."""
+    """Bits of the live loop and of the plain loop at x, value or error."""
     loop = hfunction._h_value.__wrapped__
     return (
         _bits(_each([lambda: loop(hp, x, cc)])),
-        _bits(_each([lambda: h_value_two_passes(hp, x, cc)])),
+        _bits(_each([lambda: eval_h_per_level(hp, x, cc)])),
     )
 
 
 @pytest.mark.parametrize("cc", _CONTOURS.elements, ids=["default", "offset-1.5", "n-8"])
 def test_warm_h_loop_matches_the_two_pass_loop(cc):
     """On lines warmed as a measure pass warms them (120 geometric x per
-    model), the loop gives the two-pass loop's bits at 250 log-uniform x
-    per model, mostly on warm lines."""
+    model), the loop gives the plain loop's bits at 250 log-uniform x per
+    model, mostly on warm lines."""
     rng = np.random.default_rng(20261019)
     for model, x_max in _MEASURE_MODELS:
         hp = HWeightParams.from_model(model)
@@ -432,7 +432,7 @@ def test_warm_h_loop_matches_the_two_pass_loop(cc):
 def test_h_loop_under_a_lowered_node_cap(monkeypatch, max_nodes):
     """With MAX_NODES at 8, 2n passes the cap: the first grid is level n
     and both loops raise at n=8.  Under caps of 16 to 64, doubling stops
-    at the cap.  Values and failures match the two-pass loop's."""
+    at the cap.  Values and failures match the plain loop's."""
     monkeypatch.setattr(hfunction, "MAX_NODES", max_nodes)
     cc = ContourConfig(n_nodes=8)
     outcomes = set()
@@ -463,7 +463,7 @@ def test_h_loop_under_a_lowered_node_cap(monkeypatch, max_nodes):
 def test_h_loop_underflow_under_raise():
     """On the vacuum kernel H(720) = e^-720 is subnormal and the line's
     log scale lies below -700.  Under np.errstate(under="raise") the loop
-    raises nothing and returns the two-pass loop's bits."""
+    raises nothing and returns the plain loop's bits."""
     hp = HWeightParams.from_model(_MEASURE_MODELS[0][0])
     cc, x = hfunction.DEFAULT_CONTOUR, 720.0
     hfunction.eval_h(hp, x, cc)  # builds the line outside the raise

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from _frozen import reference_f_factor
+from _frozen import f_factor_per_pair
 
 from fwstates import foxwright
 from fwstates.bicomplex import E1, ZERO, Bicomplex, Hyperbolic
@@ -127,7 +127,7 @@ def test_f_factor_array_bit_identical_to_scalar():
     reflection_seen = 0
     for model in _bit_models():
         ss = np.arange(200)
-        ref = [repr(reference_f_factor(model, s)) for s in range(200)]
+        ref = [repr(f_factor_per_pair(model, s)) for s in range(200)]
         out = f_factor(model, ss)
         assert out.shape == (200,)
         assert [repr(v) for v in out.tolist()] == ref
@@ -145,13 +145,13 @@ def test_f_factor_array_bit_identical_to_scalar():
 def test_ladder_data_bit_identical_to_scalar_loops():
     for model in _bit_models()[::4]:
         for k in (0, 1, 2, 31, 59):
-            f_up = reference_f_factor(model, k)
-            f_down = reference_f_factor(model, k - 1) if k > 0 else 0.0
+            f_up = f_factor_per_pair(model, k)
+            f_down = f_factor_per_pair(model, k - 1) if k > 0 else 0.0
             want = (f_down, f_up, f_up * f_up, f_down * f_down)
             assert repr(ladder_elements(model, k)) == repr(want)
         worst = 0.0
         for k in range(60):
-            f = reference_f_factor(model, k)
+            f = f_factor_per_pair(model, k)
             delta = log_rho(model, k) + 2.0 * math.log(f) - log_rho(model, k + 1)
             worst = max(worst, abs(math.expm1(delta)))
         assert repr(recurrence_worst(model, 60)) == repr(worst)
@@ -159,7 +159,7 @@ def test_ladder_data_bit_identical_to_scalar_loops():
             state = make_state(model, z)
             c = np.asarray(state.coeffs)
             K = len(c) - 1
-            fs = np.array([reference_f_factor(model, k) for k in range(K)])
+            fs = np.array([f_factor_per_pair(model, k) for k in range(K)])
             want = float(np.linalg.norm(fs * c[1:] - state.z * c[:-1]))
             assert repr(annihilation_residual(model, state)) == repr(want)
 
@@ -253,6 +253,16 @@ def test_overlap_when_the_normalization_product_overflows():
     # the N(w) series cancels by about 1e83 (a 200-digit mpmath series gives
     # an overlap of 4.2e-84), so only the absolute size can be checked
     assert 0.0 < abs(got) <= 1e-12
+    # |z|^2 itself past the float range, named after N(conj(z) z') is
+    # summed; an error of that sum comes first
+    for z, zp in ((1e200, 1e-200), (1e-200, 1e200)):
+        name = "z" if z == 1e200 else "zp"
+        with pytest.raises(OverflowError, match=rf"^\|{name}\|\^2 is past the float range, {name} = "):
+            overlap(VACUUM, z, zp)
+    with pytest.raises(OverflowError, match="^series term exceeds the floating-point range"):
+        overlap(VACUUM, 1e200, 1e-197)
+    with pytest.raises(OverflowError, match=r"^\|z\|\^2 is past the float range, z = \(1e\+200\+0j\)$"):
+        make_state(VACUUM, 1e200)
 
 
 def test_ladder_elements():

@@ -5,15 +5,16 @@ block and makes one log_gamma_vec call per growth step; make_state reads
 log rho(k) from that cache (`foxwright.log_gamma_rows`) instead of a
 second `_log_rho_vec` call; overlap sums its three normalization series
 in one block pass instead of three evaluate calls; the evaluate block
-loop seeds its cumsum by
-adding the carried total to the first term, enters np.errstate once per
-call, takes k from the cache and skips the pole write for lower columns
-without a pole; log_gamma_ratio screens every argument for poles with
-one array test.  The references are frozen copies of the routes before
-those changes (the evaluate loop and its column growth in _frozen.py),
-and every output must match them bit for bit.  The one exception is a
-boundary sum that evaluate now takes by Levin transforms: it must lie
-within both bounds of the frozen capped sum.
+loop seeds its cumsum by adding the carried total to the first term,
+enters np.errstate once per call, takes k from the cache and skips the
+pole write for lower columns without a pole; log_gamma_ratio screens
+every argument for poles with one array test.  The references, in
+_frozen.py, are the plain forms: the column growth one column at a time
+(grow_columns), the per-term evaluate loop (evaluate_per_term), three
+evaluate calls per overlap, and the per-entry pole check, and every
+output must match them bit for bit.  The one exception is a boundary
+sum that evaluate now takes by Levin transforms: it must lie within
+both bounds of the frozen capped sum.
 """
 
 import cmath
@@ -26,7 +27,7 @@ import pytest
 from _frozen import (
     assert_levin_within_capped,
     empty_columns,
-    evaluate_blocks,
+    evaluate_per_term,
     grow_columns,
     overlap_three_calls,
     ref_log_gamma_ratio_screen,
@@ -187,7 +188,7 @@ def test_concurrent_states_and_sums_share_the_table():
         for i in range(6)
     ]
     jobs = [(m, z) for m in models for z in (0.3, 1.5 - 0.7j, 2.2j)]
-    expect = [(_outcome(ref_make_state, m, z), _outcome(evaluate_blocks, m.params, -4 * z))
+    expect = [(_outcome(ref_make_state, m, z), _outcome(evaluate_per_term, m.params, -4 * z))
               for m, z in jobs]
     _column_cache.cache_clear()
 
@@ -357,9 +358,9 @@ def test_block_loop_matches_parent_loop(params, scale, angle, tol, max_terms, al
     z = modulus * cmath.exp(1j * angle)
     kwargs = dict(tol=tol, max_terms=max_terms, allow_boundary=allow_boundary)
     if allow_boundary and takes_levin_route(params, z, max_terms):
-        assert_levin_within_capped(evaluate_blocks, params, z, **kwargs)
+        assert_levin_within_capped(evaluate_per_term, params, z, **kwargs)
         return
-    want = _outcome(evaluate_blocks, params, z, **kwargs)
+    want = _outcome(evaluate_per_term, params, z, **kwargs)
     _column_cache.cache_clear()
     assert _outcome(evaluate, params, z, **kwargs) == want
     assert _outcome(evaluate, params, z, **kwargs) == want
@@ -389,7 +390,7 @@ _CAPPED = {"allow_boundary": True, "max_terms": 44}
 )
 def test_block_loop_matches_parent_loop_on_fixed_points(params, z, kwargs):
     assert not (kwargs and takes_levin_route(params, z, kwargs["max_terms"]))
-    want = _outcome(evaluate_blocks, params, z, **kwargs)
+    want = _outcome(evaluate_per_term, params, z, **kwargs)
     assert want[0][0] == "complex128"  # a sum, not an error
     assert _outcome(evaluate, params, z, **kwargs) == want
 
