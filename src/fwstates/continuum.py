@@ -54,8 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bicomplex import Hyperbolic, _check_finite_complex, _check_finite_real, componentwise
-from .bicomplex import _squared_modulus
+from .bicomplex import (Hyperbolic, _check_finite_complex, _check_finite_real, _squared_modulus,
+                        componentwise)
 from .coherent import _LOG_FLOAT_MAX, BCCoherentModel, CoherentModel, _log_rho_vec, log_rho, rho
 from .errors import QuadratureFailure, ValidationError
 from .foxwright import FWParams

@@ -12,7 +12,7 @@ import pytest
 from _frozen import mittag_leffler
 
 import fwstates
-from fwstates import cli, coherent
+from fwstates import cli, coherent, continuum, quadpack
 from fwstates.cli import main
 
 NU_VACUUM_AT_1 = 2.2665345076998488351
@@ -406,20 +406,27 @@ def test_nu_eval_single(files, capsys):
 # scheme integrates; a tanh-sinh sum can still overflow on a finite integrand
 NU_OVERFLOW_MESSAGE = "nu(zeta) is past the float range (log-integrand peak 711.3)"
 TS_SUM_OVERFLOW_MESSAGE = "tanh-sinh sum inf leaves the float64 range"
+# nu(711): every integrand value is finite, their sum is not
+NU_IN_GAP_MESSAGES = {
+    "gk": "Gauss-Kronrod failed: " + quadpack.message(2, continuum.MAX_SUBDIVISIONS),
+    "ts": TS_SUM_OVERFLOW_MESSAGE,
+}
 
 
 @pytest.mark.parametrize("scheme", ["gk", "ts"])
 def test_nu_eval_overflow_is_numeric_failure(files, scheme):
-    # nu(800) on the vacuum model is about e^800, past float64.  Run as a
-    # separate process, so a numpy RuntimeWarning would reach stderr.
-    args = ("nu", "eval", "--model", files["vacuum"], "--zeta", "800", "--scheme", scheme)
-    proc = subprocess.run(
-        [sys.executable, "-m", "fwstates.cli", *args],
-        capture_output=True, env=_checkout_env(), timeout=120,
-    )
-    assert proc.returncode == 3
-    assert proc.stdout == b""
-    assert proc.stderr.decode() == f"numeric failure: {NU_OVERFLOW_MESSAGE}\n"
+    # nu(800) on the vacuum model is about e^800, nu(711) about e^711, both
+    # past float64.  Run as a separate process, so a numpy RuntimeWarning
+    # would reach stderr.
+    for zeta, message in (("800", NU_OVERFLOW_MESSAGE), ("711", NU_IN_GAP_MESSAGES[scheme])):
+        args = ("nu", "eval", "--model", files["vacuum"], "--zeta", zeta, "--scheme", scheme)
+        proc = subprocess.run(
+            [sys.executable, "-m", "fwstates.cli", *args],
+            capture_output=True, env=_checkout_env(), timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == b""
+        assert proc.stderr.decode() == f"numeric failure: {message}\n"
 
 
 def test_nu_eval_ts_product_overflow_is_numeric_failure(tmp_path):

@@ -30,7 +30,7 @@ from fwstates.coherent import (
     rho_b,
 )
 from fwstates.continuum import nu, nu_bicomplex
-from fwstates.errors import DomainError, PoleError, ValidationError
+from fwstates.errors import DomainError, PoleError, QuadratureFailure, ValidationError
 from fwstates.foxwright import EvalResult, evaluate
 from fwstates.foxwright_bc import BCFWParams
 from fwstates.foxwright_bc import evaluate as evaluate_bc
@@ -162,14 +162,18 @@ def test_non_hyperbolic_argument_is_a_validation_error(call, X):
 
 def test_nu_bicomplex_overflow_names_component():
     vacuum = BCCoherentModel(BCFWParams(upper=[], lower=[]))
-    # the range search refuses before either scheme integrates
-    messages = {
-        "gk": r"nu\(zeta\) is past the float range \(log-integrand peak 711.3\)",
-        "ts": r"nu\(zeta\) is past the float range \(log-integrand peak 711.3\)",
-    }
-    for scheme, message in messages.items():
+    refusal = r"nu\(zeta\) is past the float range \(log-integrand peak 711.3\)"
+    outcomes = [
+        # the range search refuses e^800 before either scheme integrates
+        (800.0, "gk", OverflowError, refusal),
+        (800.0, "ts", OverflowError, refusal),
+        # e^711 passes it: every integrand value is finite, their sum is not
+        (711.0, "gk", QuadratureFailure, "Gauss-Kronrod failed: The occurrence of roundoff error"),
+        (711.0, "ts", OverflowError, "tanh-sinh sum inf leaves the float64 range$"),
+    ]
+    for zeta, scheme, error, message in outcomes:
         # numpy's overflow warning must not leak: the error reports it
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(OverflowError, match=f"^component 2: {message}$"):
-                nu_bicomplex(vacuum, H(1.0, 800.0), scheme=scheme)
+            with pytest.raises(error, match=f"^component 2: {message}"):
+                nu_bicomplex(vacuum, H(1.0, zeta), scheme=scheme)

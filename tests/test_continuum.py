@@ -22,7 +22,7 @@ from fwstates.continuum import (
     rho_tilde,
     state_density,
 )
-from fwstates.errors import ValidationError
+from fwstates.errors import QuadratureFailure, ValidationError
 from fwstates.foxwright import FWParams
 from fwstates.foxwright_bc import BCFWParams
 
@@ -194,14 +194,46 @@ def test_overlap_tilde_vacuum_ratio():
         assert abs(got - ref) <= 1e-7 * abs(ref)
 
 
+# a numerator integral of about e^711: every integrand value is finite but
+# their sum is not, so the range search lets it through to the schemes
+IN_GAP_OUTCOMES = {
+    "gk": (QuadratureFailure, "Gauss-Kronrod failed: The occurrence of roundoff error is detected"),
+    "ts": (OverflowError, r"tanh-sinh sum \(inf\+0j\) leaves the float64 range$"),
+}
+
+
 @pytest.mark.parametrize("scheme", ["gk", "ts"])
 def test_overlap_tilde_overflow_raises_without_warnings(scheme):
-    # the numerator integral is about e^800, past float64: the range search
-    # refuses it with OverflowError, and nothing reaches stderr
+    # about e^800, past float64: the range search refuses it before any
+    # integral; about e^711: the scheme's own check ends it.  Either way
+    # numpy's overflow warnings stay inside, and nothing reaches stderr.
+    cases = [
+        (28.3, OverflowError, r"nu\(zeta\) is past the float range \(log-integrand peak "),
+        (math.sqrt(711.0), *IN_GAP_OUTCOMES[scheme]),
+    ]
+    for z, error, text in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match="^" + text):
+                overlap_tilde(VACUUM, z, z, scheme=scheme)
+
+
+@pytest.mark.parametrize(
+    "value, complex_func, text",
+    [
+        (math.inf, False, r"integral inf \(error inf\)"),
+        (complex(math.inf, 0.0), True, r"integral \(inf\+0j\) \(error \(inf\+0j\)\)"),
+    ],
+)
+def test_non_finite_integral_leaves_the_float64_range(value, complex_func, text):
+    # the last check of every integral: since the range search refuses a
+    # log-integrand past the float range, no nu reaches it with an inf value
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(OverflowError, match=r"^nu\(zeta\) is past the float range"):
-            overlap_tilde(VACUUM, 28.3, 28.3, scheme=scheme)
+        with pytest.raises(OverflowError, match=f"^{text} leaves the float64 range$"):
+            continuum._integrate(
+                None, lambda lo, hi: np.full(21, value), 0.0, 1.0, continuum.DEFAULT_QUAD, "gk", complex_func
+            )
 
 
 def test_state_density_at_zero_energy():

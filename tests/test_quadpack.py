@@ -199,6 +199,10 @@ def test_nu_overflow_at_800_keeps_its_text():
     assert _outcome(nu_integral, _VACUUM, math.log(800.0), DEFAULT_QUAD, "gk") == (
         "OverflowError: integral inf (error inf) leaves the float64 range"
     )
+    # nu(711) passes the range search: every integrand value is finite, their
+    # sum is not, and both routes end in QUADPACK's roundoff flag
+    assert _outcome(nu, _VACUUM, 711.0) == _outcome(nu_integral, _VACUUM, math.log(711.0), DEFAULT_QUAD, "gk")
+    assert _outcome(nu, _VACUUM, 711.0).startswith("QuadratureFailure: Gauss-Kronrod failed: The occurrence of roundoff")
 
 
 @pytest.mark.parametrize("model", _MODELS)
