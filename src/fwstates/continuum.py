@@ -24,6 +24,10 @@ all run through it.  Gauss-Kronrod takes a complex integrand as two real
 passes; a QUADPACK failure (ier > 0) in any pass raises
 QuadratureFailure with scipy's text, and a non-finite integral raises
 OverflowError.  `quadpack` is imported on the first "gk" integral.
+A nu integral within 2^64 of DBL_MAX may overflow inside either scheme
+although it fits in float64; where it fails, it runs once more on the
+integrand times 2^-64 (`_nu_integral`), so both schemes return every nu
+that fits in float64 and refuse the rest as the range search does.
 
 rho_tilde and log_rho_tilde are `coherent.rho` and `coherent.log_rho`,
 which take any real argument >= 0; the integrands use the array form
@@ -66,6 +70,8 @@ from .foxwright import FWParams
 MAX_SUBDIVISIONS = 200
 E_MAX_DROP = 40.0
 _TS_MAX_LEVEL = 12
+# the exact scale of a nu integral retried near DBL_MAX (_nu_integral)
+_SCALE_BITS = 64
 
 # the node tables' retained bytes: at most _TABLE_BYTES, counting each table
 # as _TABLE_FIXED_BYTES (object, dicts, array headers) plus its tanh-sinh
@@ -97,6 +103,11 @@ log_rho_tilde = log_rho
 rho_tilde = rho
 
 
+def _past_range(peak: float) -> OverflowError:
+    """The refusal of a nu past the float range, with the range's log-integrand peak."""
+    return OverflowError(f"nu(zeta) is past the float range (log-integrand peak {peak:.6g})")
+
+
 def _e_max(model: CoherentModel, log_zeta: float) -> float:
     """Upper truncation: log-integrand fallen E_MAX_DROP below its peak."""
     hi = 8.0
@@ -105,7 +116,7 @@ def _e_max(model: CoherentModel, log_zeta: float) -> float:
         logf = table.grid * log_zeta - table.log_rho_grid
         peak = logf.max()
         if peak > _LOG_FLOAT_MAX:  # then so is nu: refused before a longer range is built
-            raise OverflowError(f"nu(zeta) is past the float range (log-integrand peak {peak:.6g})")
+            raise _past_range(peak)
         if logf[-1] <= peak - E_MAX_DROP:
             return hi
         hi *= 1.5
@@ -342,16 +353,44 @@ def _nu_integral(model: CoherentModel, log_zeta, cfg: QuadConfig, scheme: str):
 
     A complex log_zeta (the principal Log of a complex zeta) makes the
     integrand complex; the range is cut where its modulus has fallen.
+
+    An integral near DBL_MAX can overflow inside a scheme although it
+    fits in float64: tanh-sinh's running sum leaves out its step, and
+    QUADPACK's error terms pass the float range first.  So where the
+    first run fails and the range's peak times its length lies within
+    2^_SCALE_BITS of DBL_MAX, the integral runs once more on the
+    integrand times 2^-_SCALE_BITS, an exact scale, and is scaled back;
+    what is then past the float range is refused by _past_range.  Every
+    integral the first run settles keeps its bits.
     """
     table = _node_table(model.params, _e_max(model, log_zeta.real))
     on_nodes, on_sub = _integrands(table, log_zeta)
-    # an overflow (inf, or inf+nanj from the complex exp) surfaces as a
-    # non-finite integral, which _integrate rejects
-    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        return _integrate(
-            on_nodes, on_sub, 0.0, table.hi, cfg, scheme, isinstance(log_zeta, complex),
-            table.ts_nodes,
-        )
+
+    def run(on_nodes, on_sub):
+        # an overflow (inf, or inf+nanj from the complex exp) surfaces as a
+        # non-finite integral, which _integrate rejects
+        with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+            return _integrate(
+                on_nodes, on_sub, 0.0, table.hi, cfg, scheme, isinstance(log_zeta, complex),
+                table.ts_nodes,
+            )
+
+    try:
+        return run(on_nodes, on_sub)
+    except (OverflowError, QuadratureFailure):
+        peak = float((table.grid * log_zeta.real - table.log_rho_grid).max())
+        if peak + math.log(table.hi) <= _LOG_FLOAT_MAX - _SCALE_BITS * math.log(2.0):
+            raise
+    down, up = 2.0**-_SCALE_BITS, 2.0**_SCALE_BITS
+    try:
+        value, err = run(lambda nodes: on_nodes(nodes) * down, lambda a, b: on_sub(a, b) * down)
+    except OverflowError:
+        raise _past_range(peak) from None
+    with np.errstate(over="ignore"):  # tanh-sinh's value is a numpy scalar
+        value, err = value * up, err * up
+    if not (cmath.isfinite(value) and cmath.isfinite(err)):
+        raise _past_range(peak)
+    return value, err
 
 
 def nu_with_error(

@@ -16,13 +16,15 @@ array, so scalar callers can be batched without moving a bit.
 log_gamma_vec makes one Lanczos call for both half planes, on z or on
 the reflected 1 - z.
 
-log_gamma_ratio batches the Lanczos sums and its pole screen; the rest of
-its formula stays scalar in cmath and math, because numpy's log and exp
-differ from them in the last bit (vectorising it moved 7 of 32 ladder
-factors by 1 ulp).  _log_gamma_ratio_real serves the ladder factors of
-coherent models, whose arguments are real: one Lanczos call for all of a
-model's pairs, then the same formula on floats, with cmath.log replaced
-by CPython's rule for its real part on the real axis.  Every imaginary
+log_gamma_ratio batches the Lanczos sums and its pole screen, and forms
+its entries left of the reflection threshold from one log_gamma_vec call
+over their w + A and w; the rest of its formula stays scalar in cmath
+and math, because numpy's log and exp differ from them in the last bit
+(vectorising it moved 7 of 32 ladder factors by 1 ulp).
+_log_gamma_ratio_real serves the ladder factors of coherent models,
+whose arguments are real: one Lanczos call for all of a model's pairs,
+then the same formula on floats, with cmath.log replaced by CPython's
+rule for its real part on the real axis.  Every imaginary
 part in that complex formula is then a zero, so the real parts keep
 their bits.  That rule copies CPython's complex arithmetic and cmath,
 which is why the test matrix runs every supported interpreter.
@@ -229,17 +231,23 @@ def log_gamma_ratio(a: complex, A: float, k: int | np.ndarray) -> complex | np.n
 
     t = w + g - 1/2, S the Lanczos partial-fraction sum.  No
     large-minus-large cancellation remains.  Left of the threshold the
-    plain difference of log_gamma calls is used.
+    plain difference of log_gamma values is used.
 
     k may be an array; the result is then a complex array of its shape,
     each entry bit-identical to the scalar call.  One array test screens
-    every w and w + A for poles and one array call forms their Lanczos
-    sums, while the reflection branch and the cmath remainder above run
+    every w and w + A for poles, one array call forms their Lanczos sums
+    and one log_gamma_vec call the log-gammas of the entries left of the
+    threshold (_reflected_ratios), while the cmath remainder above runs
     per entry.  A non-finite k raises ValidationError; a w or w + A past
     the float range, or a result past it, raises OverflowError.
     """
     ks = np.asarray(k)
-    kl = ks.ravel().tolist()
+    out = _log_gamma_ratios(a, A, ks.ravel().tolist())
+    return out[0] if ks.ndim == 0 else np.array(out, dtype=complex).reshape(ks.shape)
+
+
+def _log_gamma_ratios(a: complex, A: float, kl: list) -> list[complex]:
+    """log_gamma_ratio at each k of a list, as a list."""
     # a sum is finite only where every k is, so one test serves most calls
     bad = [] if math.isfinite(sum(kl)) else [kk for kk in kl if not math.isfinite(kk)]
     if bad:
@@ -259,13 +267,12 @@ def log_gamma_ratio(a: complex, A: float, k: int | np.ndarray) -> complex | np.n
         if bad.size:
             raise PoleError(f"log_gamma_ratio crosses a pole at w={ws[bad[0]]}, A={A}")
     sums = _lanczos_series(args).tolist()
-    out = []
-    for w, s_w, s_wA in zip(ws, sums[:n], sums[n:]):
-        wA = w + A
-        if w.real >= 0.5 and wA.real >= 0.5:
-            out.append(_ratio_remainder(w, A, s_w, s_wA))
-        else:
-            out.append(log_gamma(wA) - log_gamma(w))
+    right = [w.real >= 0.5 and (w + A).real >= 0.5 for w in ws]
+    left = iter(() if all(right) else _reflected_ratios([w for w, r in zip(ws, right) if not r], A))
+    out = [
+        _ratio_remainder(w, A, s_w, s_wA) if r else next(left)
+        for w, r, s_w, s_wA in zip(ws, right, sums[:n], sums[n:])
+    ]
     # a w past the float range gives nan, a w + A past it inf, and a large
     # A can carry the result itself past it; only then is each entry tested
     for kk, w, r in [] if cmath.isfinite(sum(out)) else zip(kl, ws, out):
@@ -277,7 +284,19 @@ def log_gamma_ratio(a: complex, A: float, k: int | np.ndarray) -> complex | np.n
             f"log Gamma(a + (k+1)A) - log Gamma(a + kA) = {r} is past the float range"
             f" (a={a}, A={A}, k={float(kk)!r})"
         )
-    return out[0] if ks.ndim == 0 else np.array(out, dtype=complex).reshape(ks.shape)
+    return out
+
+
+def _reflected_ratios(ws: list, A: float) -> list:
+    """log_gamma(w + A) - log_gamma(w) for each w, from one log_gamma_vec
+    call over every w + A and w; each entry has the bits of the two scalar
+    calls, whose pole screen log_gamma_ratio's has already passed.  If some
+    argument is not finite, the scalar calls run and raise log_gamma's error."""
+    args = [w + A for w in ws] + ws
+    if not all(cmath.isfinite(v) for v in args):
+        return [log_gamma(w + A) - log_gamma(w) for w in ws]
+    lg = log_gamma_vec(np.array(args, dtype=complex)).tolist()
+    return [wA - w for wA, w in zip(lg, lg[len(ws) :])]
 
 
 def _not_finite(a, A, k, w) -> OverflowError:
@@ -313,20 +332,30 @@ def _log_gamma_ratio_real(pairs, ks: list) -> list[list[float]]:
     _ratio_remainder runs on floats: for real w the sums are real, so
     every imaginary part in the complex formula is a zero, each complex
     product, quotient and sum has the float result as its real part, and
-    cmath.log's real part is _cmath_log_real.  Every other entry, and
-    every entry if some sum is not real, takes log_gamma_ratio itself.
+    cmath.log's real part is _cmath_log_real.  A pair's other entries
+    take one _log_gamma_ratios call together, and every entry if some
+    sum is not real takes log_gamma_ratio itself.
     """
     ws = [[a + kk * A for kk in ks] for a, A in pairs]
     sums = _lanczos_series(np.array(ws + [[w + A for w in row] for row, (_, A) in zip(ws, pairs)]))
     if sums.imag.any():
         return [log_gamma_ratio(a, A, np.array(ks)).real.tolist() for a, A in pairs]
     sums = sums.real.tolist()
+    # w = a + kA grows with k (A > 0), so the least and greatest k bound a row
+    k_lo, k_hi = min(ks, default=0.0), max(ks, default=0.0)
     out = []
     for (a, A), row, s_ws, s_wAs in zip(pairs, ws, sums, sums[len(pairs) :]):
+        rest = ()
+        if row and (a + k_lo * A < 0.5 or a + k_hi * A + A > _REAL_RATIO_MAX):
+            # as floats: a + kA forms float(k) anyway, and a sum of large int k,
+            # each below DBL_MAX, could overflow _log_gamma_ratios' finite test
+            slow = [float(kk) for kk, w in zip(ks, row) if not (w >= 0.5 and w + A <= _REAL_RATIO_MAX)]
+            rest = [r.real for r in _log_gamma_ratios(a, A, slow)]
+        rest = iter(rest)
         out.append([
             _ratio_remainder(w, A, s_w, s_wA, _cmath_log_real)
             if w >= 0.5 and w + A <= _REAL_RATIO_MAX
-            else log_gamma_ratio(a, A, kk).real
-            for kk, w, s_w, s_wA in zip(ks, row, s_ws, s_wAs)
+            else next(rest)
+            for w, s_w, s_wA in zip(row, s_ws, s_wAs)
         ])
     return out

@@ -41,18 +41,22 @@ complex sums, forms the phase as t * (-1j log x), reduces with
 np.add.reduce, forms the roundoff floor by np.trapezoid's arithmetic
 inline, and enters np.errstate only where H(x) may underflow.
 
-Four bounded LRU caches hold what depends only on the parameters: the
+Five bounded LRU caches hold what depends only on the parameters: the
 256 most recent models' parameter blocks (`_model_block`, which
 HWeightParams.from_model returns, so weight does not rebuild its block
 on every call), the 256 most recent lines (`_contour_state`), the 4,096
 most recent H values, keyed on (parameter block, x, contour config)
-(`_h_value`), and H on the 21 nodes of the 512 most recent Gauss-Kronrod
-subintervals of moment_check (`_h_nodes`, over `_h_value`).  Quadratures
-revisit their nodes: one `measure check --k 0..6` on the unit-weight
-model reads H 1,134 times at 193 distinct x, 1,071 of them on 51 visits
-to 9 distinct subintervals.  moment_check, weight and repeated eval_h
-calls share the H values, and a hit returns the float the contour loop
-returned, so every output keeps its bits.
+(`_h_value`), H on the 21 nodes of the 512 most recent Gauss-Kronrod
+subintervals of moment_check (`_h_nodes`, over `_h_value`), and the 256
+most recent finished moment checks, keyed on (parameter set, k)
+(`_moment`; K enters nothing, so models that differ only in K share an
+entry).  Quadratures revisit their nodes: one `measure check --k 0..6`
+on the unit-weight model reads H 1,134 times at 193 distinct x, 1,071
+of them on 51 visits to 9 distinct subintervals, and a second such
+check repeats all 7 (parameter set, k) pairs, which `_moment` answers
+without a quadrature.  moment_check, weight and repeated eval_h calls
+share the H values, and a hit returns the float, or the MomentResult,
+that was computed, so every output keeps its bits; errors are not kept.
 
 The moment integral runs through `continuum._integrate`'s Gauss-Kronrod
 (`quadpack.qags`, imported on first use), whose integrand takes a
@@ -87,6 +91,7 @@ _REL_STOP = 1e-10
 _EPS = float(np.finfo(float).eps)
 MAX_NODES = 1 << 20  # node doubling gives up past this many nodes
 _H_NODES_CACHE = 512  # Gauss-Kronrod subintervals whose H values moment_check keeps
+_MOMENT_CACHE = 256  # (parameter set, k) pairs whose moment_check result is kept
 
 
 def _real_pairs(pairs, side: str) -> tuple[tuple[float, float], ...]:
@@ -443,16 +448,23 @@ def moment_check(model: CoherentModel, k: int) -> MomentResult:
 
     The Fox-Wright factor of W cancels against the normalization N, so
     the integrand reduces to the gamma prefactor times the bare kernel H.
+    The result is memoized per (parameter set, k) in `_moment`.
     """
     k = _whole_number(k, "moment order k", 0)
     if k > 8:
         raise ValidationError("moment order k must lie in 0..8")
-    p = model.params
+    return _moment(model.params, k)
+
+
+@lru_cache(maxsize=_MOMENT_CACHE)
+def _moment(p: FWParams, k: int) -> MomentResult:
+    """moment_check's quadrature, memoized: K enters nothing, and repeated
+    checks of a model's orders return the first check's result."""
     log_pref = sum(math.lgamma(a.real) for a, _ in p.upper) - sum(
         math.lgamma(b.real) for b, _ in p.lower
     )
     pref = math.exp(log_pref)
-    hp = HWeightParams.from_model(model)
+    hp = _model_block(p)
 
     def density(x: float) -> float:
         return pref * eval_h(hp, x)
@@ -463,5 +475,5 @@ def moment_check(model: CoherentModel, k: int) -> MomentResult:
 
     x_max = _density_scan(density, k)
     lhs, _ = _integrate(None, on_sub, 0.0, x_max, DEFAULT_QUAD, "gk")
-    rhs = rho(model, k)
+    rhs = rho(CoherentModel(p), k)
     return MomentResult(lhs, rhs, abs(lhs - rhs) / abs(rhs))

@@ -22,7 +22,7 @@ from fwstates.continuum import (
     rho_tilde,
     state_density,
 )
-from fwstates.errors import QuadratureFailure, ValidationError
+from fwstates.errors import ValidationError
 from fwstates.foxwright import FWParams
 from fwstates.foxwright_bc import BCFWParams
 
@@ -102,6 +102,31 @@ def test_nu_past_the_float_range_is_refused_from_few_tables(zeta, scheme):
     with pytest.raises(OverflowError, match=r"^nu\(zeta\) is past the float range \(log-integrand peak "):
         nu(VACUUM, zeta, scheme=scheme)
     assert len(continuum._node_table._tables) < 10
+
+
+_LOG_DBL_MAX = math.log(np.finfo(float).max)
+# the vacuum nu is e^zeta up to an absolute term below 1; tanh-sinh's running
+# sum overflowed from 704.93, Gauss-Kronrod's error terms from 708.8, and
+# from 709.8 to 713.98 nu is past DBL_MAX but the range search lets it through
+_EDGE_ZETAS = sorted(
+    np.linspace(704.0, 714.1, 102).tolist()
+    + [704.93, 708.8, 709.05, 709.1, 713.98, _LOG_DBL_MAX - 1e-6, _LOG_DBL_MAX + 1e-6]
+)
+
+
+@pytest.mark.parametrize("scheme", continuum.SCHEMES)
+def test_nu_near_the_float_range_edge(scheme):
+    """Every vacuum nu that fits in float64 comes back as e^zeta, and every
+    other one is refused with the range search's wording, warnings as errors."""
+    refusal = r"^nu\(zeta\) is past the float range \(log-integrand peak 7\d\d\.\d+\)$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for zeta in _EDGE_ZETAS:
+            if zeta < _LOG_DBL_MAX:
+                assert nu(VACUUM, zeta, scheme=scheme) == pytest.approx(math.exp(zeta), rel=1e-11), zeta
+            else:
+                with pytest.raises(OverflowError, match=refusal):
+                    nu(VACUUM, zeta, scheme=scheme)
 
 
 def test_nu_monotone():
@@ -194,27 +219,16 @@ def test_overlap_tilde_vacuum_ratio():
         assert abs(got - ref) <= 1e-7 * abs(ref)
 
 
-# a numerator integral of about e^711: every integrand value is finite but
-# their sum is not, so the range search lets it through to the schemes
-IN_GAP_OUTCOMES = {
-    "gk": (QuadratureFailure, "Gauss-Kronrod failed: The occurrence of roundoff error is detected"),
-    "ts": (OverflowError, r"tanh-sinh sum \(inf\+0j\) leaves the float64 range$"),
-}
-
-
 @pytest.mark.parametrize("scheme", ["gk", "ts"])
 def test_overlap_tilde_overflow_raises_without_warnings(scheme):
     # about e^800, past float64: the range search refuses it before any
-    # integral; about e^711: the scheme's own check ends it.  Either way
+    # integral; about e^711: every integrand value is finite but their sum
+    # is not, and the retry on the scaled integrand refuses it.  Either way
     # numpy's overflow warnings stay inside, and nothing reaches stderr.
-    cases = [
-        (28.3, OverflowError, r"nu\(zeta\) is past the float range \(log-integrand peak "),
-        (math.sqrt(711.0), *IN_GAP_OUTCOMES[scheme]),
-    ]
-    for z, error, text in cases:
+    for z, peak in ((28.3, "711.813"), (math.sqrt(711.0), "706.797")):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(error, match="^" + text):
+            with pytest.raises(OverflowError, match=rf"^nu\(zeta\) is past the float range \(log-integrand peak {peak}\)$"):
                 overlap_tilde(VACUUM, z, z, scheme=scheme)
 
 

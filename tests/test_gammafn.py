@@ -16,6 +16,7 @@ from _frozen import reference_lanczos_series, reference_log_gamma_ratio
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fwstates import gammafn
 from fwstates.bicomplex import Bicomplex
 from fwstates.errors import PoleError, ValidationError
 from fwstates.gammafn import (
@@ -223,6 +224,29 @@ def test_log_gamma_ratio_refuses_a_result_past_the_float_range():
         log_gamma_ratio(1.0, 1e308, 0)
     # k whose sum overflows, while every k and every result fits
     assert np.isfinite(log_gamma_ratio(2.1, 1.1, np.array([1e308, 1e308]))).all()
+
+
+def test_log_gamma_ratio_reflection_side_takes_one_log_gamma_vec_call(monkeypatch):
+    """The entries left of the reflection threshold (here k = 0..4 of 0..7)
+    take their log-gammas from one log_gamma_vec call over their w + A and
+    w, each with the bits of two scalar log_gamma calls."""
+    a, A, ks = 0.05 + 0.2j, 0.1, np.arange(8)
+    want = [repr(log_gamma(w + A) - log_gamma(w)) for w in (a + k * A for k in range(5))]
+    sizes = []
+    lgv = gammafn.log_gamma_vec
+
+    def counted(z):
+        sizes.append(np.size(z))
+        return lgv(z)
+
+    monkeypatch.setattr(gammafn, "log_gamma_vec", counted)
+    out = log_gamma_ratio(a, A, ks)
+    assert sizes == [10]
+    assert [repr(v) for v in out.tolist()[:5]] == want
+    # a w not finite there (0 * inf) is refused by log_gamma's own check, as
+    # before; the Lanczos sums warn on it first
+    with np.errstate(invalid="ignore"), pytest.raises(ValidationError, match=r"^w must be finite, got \(nan\+0j\)$"):
+        log_gamma_ratio(1.0, math.inf, np.array([0, 1]))
 
 
 @pytest.mark.parametrize("k, shown", [(math.nan, "nan"), (math.inf, "inf"), (np.array([1.0, -math.inf]), "-inf")])

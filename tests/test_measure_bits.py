@@ -11,7 +11,8 @@ doubling, and np.trapezoid at every step (eval_h_per_level, also the
 reference for the loop alone on warm lines and under lowered node
 caps).  Every output must match them bit for bit.
 
-H values and the nu node tables (log rho at Gauss-Kronrod nodes, on
+H values, H on moment_check's Gauss-Kronrod subintervals, finished
+moment checks and the nu node tables (log rho at Gauss-Kronrod nodes, on
 tanh-sinh levels and on _e_max's grids) are memoized; each output must
 also match the same call with the memos bypassed (their `__wrapped__`
 functions), cold and warm.
@@ -38,15 +39,21 @@ from fwstates import coherent, continuum, hfunction, quadpack
 from fwstates.bicomplex import Bicomplex, Hyperbolic
 from fwstates.cli import main
 from fwstates.coherent import CoherentModel
-from fwstates.errors import ContourFailure, QuadratureFailure
+from fwstates.errors import ContourFailure, QuadratureFailure, ValidationError
 from fwstates.foxwright import FWParams, boundary_exponent, margin_sign, radius
 from fwstates.foxwright_bc import _DOMAIN_BY_SIGNS, BCFWParams, classify
 from fwstates.gammafn import log_gamma_vec
 from fwstates.hfunction import ContourConfig, HWeightParams
 
 _EPS = float(np.finfo(float).eps)
-# the node-value memos: H(x), and the nu node tables (log rho at nodes and on grids)
-_MEMOS = ((hfunction, "_h_value"), (continuum, "_node_table"))
+# the measure memos: H(x), H on Gauss-Kronrod subintervals, finished moment
+# checks, and the nu node tables (log rho at nodes and on grids)
+_MEMOS = (
+    (hfunction, "_h_value"),
+    (hfunction, "_h_nodes"),
+    (hfunction, "_moment"),
+    (continuum, "_node_table"),
+)
 
 
 def _bits(v):
@@ -515,11 +522,13 @@ def test_measure_check_memo_counts(tmp_path, capsys):
     """One `measure check --k 0..6` on the unit-weight model evaluates H at
     193 distinct x: the 189 nodes of 9 distinct Gauss-Kronrod subintervals,
     whose 42 revisits the subinterval memo answers, and 4 of the 63 points
-    the truncation scans take; the H memo answers the other 59."""
+    the truncation scans take; the H memo answers the other 59.  Run
+    again, it takes all 7 results from the moment memo."""
     path = tmp_path / "unit.json"
     path.write_text(json.dumps(_UNIT.params.to_json()), encoding="utf-8")
     hfunction._h_value.cache_clear()
     hfunction._h_nodes.cache_clear()
+    hfunction._moment.cache_clear()
     assert main(["measure", "check", "--model", str(path), "--k", "0..6"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert len(rows) == 7 and all(row.endswith(",pass") for row in rows)
@@ -527,6 +536,85 @@ def test_measure_check_memo_counts(tmp_path, capsys):
     assert (info.misses, info.hits, info.currsize) == (193, 59, 193)
     info = hfunction._h_nodes.cache_info()
     assert (info.misses, info.hits, info.currsize) == (9, 42, 9)
+    # the same check again reads each order's finished result and no H value
+    h_info = hfunction._h_value.cache_info()
+    assert main(["measure", "check", "--model", str(path), "--k", "0..6"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == rows
+    assert hfunction._h_value.cache_info() == h_info
+    info = hfunction._moment.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (7, 7, 7)
+
+
+def _count_quadratures(monkeypatch) -> list:
+    """Patch moment_check's quadrature (`_integrate`) to log each call; return the log."""
+    calls = []
+    integrate = hfunction._integrate
+
+    def counted(*args):
+        calls.append(args[2:4])
+        return integrate(*args)
+
+    monkeypatch.setattr(hfunction, "_integrate", counted)
+    return calls
+
+
+def test_repeated_moment_check_runs_no_quadrature(monkeypatch):
+    """A repeated (parameter set, k) returns the first call's result object
+    without integrating; another k integrates once."""
+    calls = _count_quadratures(monkeypatch)
+    hfunction._moment.cache_clear()
+    first = hfunction.moment_check(_WRIGHT, 3)
+    assert len(calls) == 1
+    for k in (3, 3.0, np.int64(3)):
+        assert hfunction.moment_check(_WRIGHT, k) is first
+    assert len(calls) == 1
+    hfunction.moment_check(_WRIGHT, 4)
+    assert len(calls) == 2
+
+
+def test_moment_memo_is_shared_across_truncations(monkeypatch):
+    """K enters nothing: models that differ only in K share one entry."""
+    calls = _count_quadratures(monkeypatch)
+    hfunction._moment.cache_clear()
+    small, large = (CoherentModel(_WRIGHT.params, K) for K in (8, 32))
+    assert small != large
+    res = hfunction.moment_check(small, 5)
+    assert hfunction.moment_check(large, 5) is res
+    info = hfunction._moment.cache_info()
+    assert (info.misses, info.hits, info.currsize, len(calls)) == (1, 1, 1, 1)
+
+
+def test_moment_errors_are_not_memoized(monkeypatch):
+    """An order past 8 is refused on every call before the memo, and a
+    failed quadrature runs again on the next call."""
+    hfunction._moment.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="^moment order k must lie in 0..8$"):
+            hfunction.moment_check(_WRIGHT, 9)
+    assert hfunction._moment.cache_info().currsize == 0
+    scans = []
+
+    def failing_scan(density, k):
+        scans.append(k)
+        raise QuadratureFailure("moment integrand does not decay below 1e-16 of its peak")
+
+    monkeypatch.setattr(hfunction, "_density_scan", failing_scan)
+    for _ in range(2):
+        with pytest.raises(QuadratureFailure, match="^moment integrand does not decay"):
+            hfunction.moment_check(_WRIGHT, 2)
+    assert scans == [2, 2] and hfunction._moment.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("model", [_UNIT, _WRIGHT], ids=["unit", "wright"])
+def test_moment_check_after_cache_clear_keeps_its_bits(model):
+    """A check after _moment.cache_clear() integrates again, on warm H
+    values and then on cold ones, and gives the memoized result's bits."""
+    want = [repr(hfunction.moment_check(model, k)) for k in range(9)]
+    hfunction._moment.cache_clear()
+    assert [repr(hfunction.moment_check(model, k)) for k in range(9)] == want
+    for module, memo in _MEMOS:
+        getattr(module, memo).cache_clear()
+    assert [repr(hfunction.moment_check(model, k)) for k in range(9)] == want
 
 
 def test_hweight_constants_stay_off_equality():

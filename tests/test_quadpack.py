@@ -200,9 +200,19 @@ def test_nu_overflow_at_800_keeps_its_text():
         "OverflowError: integral inf (error inf) leaves the float64 range"
     )
     # nu(711) passes the range search: every integrand value is finite, their
-    # sum is not, and both routes end in QUADPACK's roundoff flag
-    assert _outcome(nu, _VACUUM, 711.0) == _outcome(nu_integral, _VACUUM, math.log(711.0), DEFAULT_QUAD, "gk")
-    assert _outcome(nu, _VACUUM, 711.0).startswith("QuadratureFailure: Gauss-Kronrod failed: The occurrence of roundoff")
+    # sum is not, and the scipy route ends in QUADPACK's roundoff flag, where
+    # the retry on the scaled integrand refuses it
+    assert _outcome(nu, _VACUUM, 711.0) == (
+        "OverflowError: nu(zeta) is past the float range (log-integrand peak 706.797)"
+    )
+    assert _outcome(nu_integral, _VACUUM, math.log(711.0), DEFAULT_QUAD, "gk").startswith(
+        "QuadratureFailure: Gauss-Kronrod failed: The occurrence of roundoff"
+    )
+    # nu(709.5), about 1.35e308, fits in float64: the scipy route fails on it
+    assert nu(_VACUUM, 709.5) == pytest.approx(math.exp(709.5), rel=1e-12)
+    assert _outcome(nu_integral, _VACUUM, math.log(709.5), DEFAULT_QUAD, "gk").startswith(
+        "QuadratureFailure: Gauss-Kronrod failed: The occurrence of roundoff"
+    )
 
 
 @pytest.mark.parametrize("model", _MODELS)
