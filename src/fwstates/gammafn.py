@@ -238,9 +238,11 @@ def log_gamma_ratio(a: complex, A: float, k: int | np.ndarray) -> complex | np.n
     every w and w + A for poles, one array call forms their Lanczos sums
     and one log_gamma_vec call the log-gammas of the entries left of the
     threshold (_reflected_ratios), while the cmath remainder above runs
-    per entry.  A non-finite k raises ValidationError; a w or w + A past
-    the float range, or a result past it, raises OverflowError.
+    per entry.  A non-finite A or k raises ValidationError; a w or w + A
+    past the float range, or a result past it, raises OverflowError.
     """
+    if not cmath.isfinite(A):
+        raise ValidationError(f"A must be finite, got {A!r}")
     ks = np.asarray(k)
     out = _log_gamma_ratios(a, A, ks.ravel().tolist())
     return out[0] if ks.ndim == 0 else np.array(out, dtype=complex).reshape(ks.shape)
@@ -248,8 +250,9 @@ def log_gamma_ratio(a: complex, A: float, k: int | np.ndarray) -> complex | np.n
 
 def _log_gamma_ratios(a: complex, A: float, kl: list) -> list[complex]:
     """log_gamma_ratio at each k of a list, as a list."""
-    # a sum is finite only where every k is, so one test serves most calls
-    bad = [] if math.isfinite(sum(kl)) else [kk for kk in kl if not math.isfinite(kk)]
+    # a sum is finite only where every k is, so one test serves most calls; it
+    # sums in floats, as a + kA forms float(k), so large int k cannot overflow it
+    bad = [] if math.isfinite(sum(kl, 0.0)) else [kk for kk in kl if not math.isfinite(kk)]
     if bad:
         raise ValidationError(f"k must be finite, got {float(bad[0])!r}")
     ws = [complex(a) + kk * A for kk in kl]

@@ -41,18 +41,17 @@ complex sums, forms the phase as t * (-1j log x), reduces with
 np.add.reduce, forms the roundoff floor by np.trapezoid's arithmetic
 inline, and enters np.errstate only where H(x) may underflow.
 
-Five bounded LRU caches hold what depends only on the parameters: the
+Four bounded LRU caches hold what depends only on the parameters: the
 256 most recent models' parameter blocks (`_model_block`, which
 HWeightParams.from_model returns, so weight does not rebuild its block
 on every call), the 256 most recent lines (`_contour_state`), the 4,096
 most recent H values, keyed on (parameter block, x, contour config)
-(`_h_value`), H on the 21 nodes of the 512 most recent Gauss-Kronrod
-subintervals of moment_check (`_h_nodes`, over `_h_value`), and the 256
-most recent finished moment checks, keyed on (parameter set, k)
-(`_moment`; K enters nothing, so models that differ only in K share an
-entry).  Quadratures revisit their nodes: one `measure check --k 0..6`
-on the unit-weight model reads H 1,134 times at 193 distinct x, 1,071
-of them on 51 visits to 9 distinct subintervals, and a second such
+(`_h_value`), and the 256 most recent finished moment checks, keyed on
+(parameter set, k) (`_moment`; K enters nothing, so models that differ
+only in K share an entry).  Quadratures revisit their nodes: one
+`measure check --k 0..6` on the unit-weight model reads H 1,134 times at
+193 distinct x, and `_h_value` answers the other 941, 882 of them on
+revisits of the 9 distinct Gauss-Kronrod subintervals; a second such
 check repeats all 7 (parameter set, k) pairs, which `_moment` answers
 without a quadrature.  moment_check, weight and repeated eval_h calls
 share the H values, and a hit returns the float, or the MomentResult,
@@ -60,7 +59,7 @@ that was computed, so every output keeps its bits; errors are not kept.
 
 The moment integral runs through `continuum._integrate`'s Gauss-Kronrod
 (`quadpack.qags`, imported on first use), whose integrand takes a
-subinterval: moment_check reads H on its nodes from `_h_nodes` and forms
+subinterval: moment_check reads H on its nodes from `_h_value` and forms
 (x ** k) * (pref * H) per node in Python floats.
 """
 
@@ -90,7 +89,6 @@ _LOG_DECAY_TARGET = math.log(1e-18)
 _REL_STOP = 1e-10
 _EPS = float(np.finfo(float).eps)
 MAX_NODES = 1 << 20  # node doubling gives up past this many nodes
-_H_NODES_CACHE = 512  # Gauss-Kronrod subintervals whose H values moment_check keeps
 _MOMENT_CACHE = 256  # (parameter set, k) pairs whose moment_check result is kept
 
 
@@ -420,16 +418,6 @@ class MomentResult(NamedTuple):
     rel_err: float
 
 
-@lru_cache(maxsize=_H_NODES_CACHE)
-def _h_nodes(hp: HWeightParams, a: float, b: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The Gauss-Kronrod nodes of [a, b] and H on them, memoized: the
-    moment orders of one model revisit their subintervals."""
-    from .quadpack import nodes
-
-    xs = tuple(nodes(a, b).tolist())
-    return xs, tuple(_h_value(hp, x, DEFAULT_CONTOUR) for x in xs)
-
-
 def _density_scan(density, k: int) -> float:
     """Truncation point: x^k * density fallen below 1e-16 of its peak."""
     x = 0.25
@@ -460,6 +448,8 @@ def moment_check(model: CoherentModel, k: int) -> MomentResult:
 def _moment(p: FWParams, k: int) -> MomentResult:
     """moment_check's quadrature, memoized: K enters nothing, and repeated
     checks of a model's orders return the first check's result."""
+    from .quadpack import nodes
+
     log_pref = sum(math.lgamma(a.real) for a, _ in p.upper) - sum(
         math.lgamma(b.real) for b, _ in p.lower
     )
@@ -470,8 +460,7 @@ def _moment(p: FWParams, k: int) -> MomentResult:
         return pref * eval_h(hp, x)
 
     def on_sub(a: float, b: float) -> list[float]:
-        xs, hs = _h_nodes(hp, a, b)
-        return [(x ** k) * (pref * h) for x, h in zip(xs, hs)]
+        return [(x ** k) * (pref * _h_value(hp, x, DEFAULT_CONTOUR)) for x in nodes(a, b).tolist()]
 
     x_max = _density_scan(density, k)
     lhs, _ = _integrate(None, on_sub, 0.0, x_max, DEFAULT_QUAD, "gk")

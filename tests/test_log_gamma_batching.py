@@ -71,7 +71,6 @@ def _clear_memos():
     for memo in (
         hfunction._contour_state,
         hfunction._h_value,
-        hfunction._h_nodes,
         hfunction._moment,
         per_level_line,
         continuum._node_table,

@@ -46,11 +46,10 @@ from fwstates.gammafn import log_gamma_vec
 from fwstates.hfunction import ContourConfig, HWeightParams
 
 _EPS = float(np.finfo(float).eps)
-# the measure memos: H(x), H on Gauss-Kronrod subintervals, finished moment
-# checks, and the nu node tables (log rho at nodes and on grids)
+# the measure memos: H(x), finished moment checks, and the nu node tables
+# (log rho at nodes and on grids)
 _MEMOS = (
     (hfunction, "_h_value"),
-    (hfunction, "_h_nodes"),
     (hfunction, "_moment"),
     (continuum, "_node_table"),
 )
@@ -520,22 +519,20 @@ def test_rho_grid_entries_are_read_only_copies():
 
 def test_measure_check_memo_counts(tmp_path, capsys):
     """One `measure check --k 0..6` on the unit-weight model evaluates H at
-    193 distinct x: the 189 nodes of 9 distinct Gauss-Kronrod subintervals,
-    whose 42 revisits the subinterval memo answers, and 4 of the 63 points
-    the truncation scans take; the H memo answers the other 59.  Run
-    again, it takes all 7 results from the moment memo."""
+    193 distinct x: the 189 nodes of 9 distinct Gauss-Kronrod subintervals
+    and 4 of the 63 points the truncation scans take.  The H memo answers
+    the other 941 reads: 59 of the scans' and the 882 nodes of 42 revisits
+    of those subintervals.  Run again, it takes all 7 results from the
+    moment memo."""
     path = tmp_path / "unit.json"
     path.write_text(json.dumps(_UNIT.params.to_json()), encoding="utf-8")
     hfunction._h_value.cache_clear()
-    hfunction._h_nodes.cache_clear()
     hfunction._moment.cache_clear()
     assert main(["measure", "check", "--model", str(path), "--k", "0..6"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert len(rows) == 7 and all(row.endswith(",pass") for row in rows)
     info = hfunction._h_value.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (193, 59, 193)
-    info = hfunction._h_nodes.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (9, 42, 9)
+    assert (info.misses, info.hits, info.currsize) == (193, 941, 193)
     # the same check again reads each order's finished result and no H value
     h_info = hfunction._h_value.cache_info()
     assert main(["measure", "check", "--model", str(path), "--k", "0..6"]) == 0

@@ -127,11 +127,7 @@ def test_moment_failure_names_gauss_kronrod(monkeypatch):
     # a density no 200-subinterval rule can settle
     monkeypatch.setattr(hfunction, "_density_scan", lambda density, k: 1.0)
 
-    def h_nodes(hp, a, b):
-        xs = quadpack.nodes(a, b).tolist()
-        return xs, [math.sin(1.0 / x) / x for x in xs]
-
-    monkeypatch.setattr(hfunction, "_h_nodes", h_nodes)
+    monkeypatch.setattr(hfunction, "_h_value", lambda hp, x, cc: math.sin(1.0 / x) / x)
     # the moment memo may hold this check's result from an earlier test
     monkeypatch.setattr(hfunction, "_moment", hfunction._moment.__wrapped__)
     with pytest.raises(QuadratureFailure, match="^Gauss-Kronrod failed: "):
