@@ -56,11 +56,12 @@ On the circle |z| = V with allow_boundary, evaluate first tries Levin
 u transforms (_boundary_sum): two windows of 31 partial sums from the
 same column table, each order's value with an error bound from the
 spread of successive orders and the rounding the transform amplifies,
-the two windows cross-checked.  The sum capped at max_terms with its
-majorant tail still runs, bit for bit, where the transforms cannot be
-trusted: phases 0 < |arg z| < _LEVIN_MIN_PHASE, gamma poles, a
-max_terms too short for the windows, or a bound no better than the
-majorant's.
+the two windows cross-checked; what they need beyond z is one memo per
+(parameter set, max_terms), _boundary_plan.  The sum capped at
+max_terms with its majorant tail still runs, bit for bit, where the
+transforms cannot be trusted: phases 0 < |arg z| < _LEVIN_MIN_PHASE,
+gamma poles, a max_terms too short for the windows, or a bound no
+better than the majorant's.
 
 The oracle_* functions are deliberately independent evaluation routes
 (raw Pochhammer products, and CPython's math.gamma rather than gammafn)
@@ -563,10 +564,9 @@ def _levin_weights(starts) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _BoundaryPlan(NamedTuple):
-    """What the Levin route needs of one FWParams beyond z (see _boundary_sum)."""
+    """What the Levin route needs of one FWParams and max_terms beyond z (see _boundary_sum)."""
 
     starts: np.ndarray  # the two windows' first partial sums n0, n1
-    meets_pole: bool
     k: np.ndarray  # 0 .. end-1, the terms read
     log_coeff: np.ndarray  # log t_k - k log z
     eps_base: np.ndarray  # a term's relative error bound, less its 8 u k |log z|
@@ -575,35 +575,39 @@ class _BoundaryPlan(NamedTuple):
     weights: np.ndarray  # _levin_weights of the two windows
     moduli: np.ndarray
     lam_re: float
-
-
-def _levin_starts(params: FWParams) -> tuple[int, int]:
-    """The first partial sums n0, n1 = 2 n0 + 8 of the two windows (_boundary_plan)."""
-    pairs = ((1.0, 1.0),) + params.upper + params.lower
-    n0 = max(math.ceil((abs(a) + 1.0) / A) for a, A in pairs)
-    return n0, 2 * n0 + 8
+    log_last: float  # log |t_N-1 / z^N-1|, N = max_terms, for the capped sum's majorant
 
 
 @lru_cache(maxsize=_COLUMN_CACHE_SIZE)
-def _boundary_plan(params: FWParams) -> _BoundaryPlan:
-    """The windows, the pole test and the term error model of one parameter set.
+def _boundary_plan(params: FWParams, max_terms: int) -> _BoundaryPlan | None:
+    """The windows, the term error model and the majorant's coefficient of
+    one parameter set and max_terms, or None where the route cannot run.
 
     n0 is the first k with k A >= |a| + 1 for every gamma argument a + k A
     (k + 1 included): from there on every argument is past its poles and
     large against its own offset, so the terms follow their expansion in
     powers of 1/k, which the u transform assumes.  The second window
-    starts at 2 n0 + 8.  A pole needs Re(a + k A) < 1/2, so only k below
-    (1/2 - Re a) / A, which is below n0, can meet one (k = 0 is refused
-    by FWParams), so the column table grown to the windows' end has
-    recorded every pole there is.  A term's relative error is taken as
-    u (32 (1 + p + q) + 8 m), m the sum of |k log z| and the moduli of
-    its log-gamma values: against mpmath on 9,300 terms of random
-    parameter sets the error never passed 0.64 of that.
+    starts at 2 n0 + 8.  None if max_terms cannot hold both windows,
+    tested before the column table grows to their end.  A pole needs
+    Re(a + k A) < 1/2, so only k below (1/2 - Re a) / A, which is below
+    n0, can meet one (k = 0 is refused by FWParams), so the grown table
+    has recorded every pole there is; None if there is one.  A term's
+    relative error is taken as u (32 (1 + p + q) + 8 m), m the sum of
+    |k log z| and the moduli of its log-gamma values: against mpmath on
+    9,300 terms of random parameter sets the error never passed 0.64 of
+    that.  log_last comes from one log_gamma_vec call on the arguments
+    at k = max_terms - 1.
     """
-    starts = np.array(_levin_starts(params))
+    pairs = ((1.0, 1.0),) + params.upper + params.lower
+    n0 = max(math.ceil((abs(a) + 1.0) / A) for a, A in pairs)
+    starts = np.array((n0, 2 * n0 + 8))
     end = int(starts[1]) + _LEVIN_ORDER + 1
-    cols = _column_cache(params).upto(end)
-    meets_pole = any(pole is not None for pole in cols.upper_poles + cols.lower_first_pole)
+    if end > max_terms:
+        return None
+    cache = _column_cache(params)
+    cols = cache.upto(end)
+    if any(pole is not None for pole in cols.upper_poles + cols.lower_first_pole):
+        return None
     log_coeff = -cols.log_fact[:end]
     mag = np.abs(cols.log_fact[:end])
     for sign, group in ((1.0, cols.upper), (-1.0, cols.lower)):
@@ -611,9 +615,9 @@ def _boundary_plan(params: FWParams) -> _BoundaryPlan:
             log_coeff = log_coeff + sign * col[:end]
             mag = mag + np.abs(col[:end])
     window = np.add.outer(starts, np.arange(_LEVIN_ORDER + 1))
+    lg = log_gamma_vec(cache.off[:, 0] + cache.wt[:, 0] * (max_terms - 1)).real
     plan = _BoundaryPlan(
         starts,
-        meets_pole,
         cols.k[:end],
         log_coeff,
         _UNIT_ROUNDOFF * (32.0 * (1 + params.p + params.q) + 8.0 * mag),
@@ -621,18 +625,11 @@ def _boundary_plan(params: FWParams) -> _BoundaryPlan:
         window + 1.0,
         *_levin_weights(starts),
         boundary_exponent(params).real,
+        float(lg[1 : 1 + params.p].sum() - lg[1 + params.p :].sum() - lg[0]),
     )
-    for arr in plan[:1] + plan[2:-1]:
+    for arr in plan[:-2]:
         arr.flags.writeable = False
     return plan
-
-
-@lru_cache(maxsize=_COLUMN_CACHE_SIZE)
-def _log_coefficient_modulus(params: FWParams, k: int) -> float:
-    """log |t_k / z^k|, from one log_gamma_vec call on the k-th arguments."""
-    cache = _column_cache(params)
-    lg = log_gamma_vec(cache.off[:, 0] + cache.wt[:, 0] * k).real
-    return float(lg[1 : 1 + params.p].sum() - lg[1 + params.p :].sum() - lg[0])
 
 
 def _levin_windows(terms, eps, plan):
@@ -698,32 +695,30 @@ def _levin_windows(terms, eps, plan):
 def _boundary_sum(params: FWParams, z: complex, log_z: complex, max_terms: int, r: float):
     """The Levin route on the circle |z| = r = V, or None to keep the capped sum.
 
-    Two windows of K + 1 partial sums (_boundary_plan) each give their
-    best transform (_levin_windows).  The one with the smaller bound is
-    returned, and its bound is raised to the other's bound plus their
-    distance, so it holds when either window's bound does.  Sweeps
-    against mpmath sums (13,400 accepted points on random Delta = 0
-    models with lambda in (0.52, 3), some with lower arguments near
-    poles, phases from 0.02 to pi and z = V) found no error above the
-    bound; the largest ratio of error to bound was 0.32.  The one error
-    above its bound they met came with a bound of 68% of |value|, where
-    the transforms had not settled, which _LEVIN_MAX_SHARE refuses.
-    Closer to V than _LEVIN_MIN_PHASE the transform converges to the
-    value at V instead.
+    Two windows of K + 1 partial sums each give their best transform
+    (_levin_windows).  The one with the smaller bound is returned, and
+    its bound is raised to the other's bound plus their distance, so it
+    holds when either window's bound does.  The windows, the term error
+    model and the majorant's coefficient come from one memo per
+    (parameter set, max_terms), _boundary_plan.  Sweeps against mpmath
+    sums (13,400 accepted points on random Delta = 0 models with lambda
+    in (0.52, 3), some with lower arguments near poles, phases from 0.02
+    to pi and z = V) found no error above the bound; the largest ratio
+    of error to bound was 0.32.  The one error above its bound they met
+    came with a bound of 68% of |value|, where the transforms had not
+    settled, which _LEVIN_MAX_SHARE refuses.  Closer to V than
+    _LEVIN_MIN_PHASE the transform converges to the value at V instead.
     So the capped sum still runs at 0 < |arg z| < _LEVIN_MIN_PHASE, at
-    z = V unless z is exactly the float radius, when max_terms cannot
-    hold both windows, when the parameters meet a gamma pole, and when
-    the bound (inf or NaN if a term leaves the float range) is not
-    below both _LEVIN_MAX_SHARE |value| and the capped sum's own
-    majorant |t_N-1| N / (Re(lambda) - 1/2), N = max_terms.
+    z = V unless z is exactly the float radius, where the plan is None
+    (max_terms cannot hold both windows, or the parameters meet a gamma
+    pole), and when the bound (inf or NaN if a term leaves the float
+    range) is not below both _LEVIN_MAX_SHARE |value| and the capped
+    sum's own majorant |t_N-1| N / (Re(lambda) - 1/2), N = max_terms.
     """
     if abs(log_z.imag) < _LEVIN_MIN_PHASE and z != r:
         return None
-    # checked before the plan grows the column table to the windows' end
-    if _levin_starts(params)[1] + _LEVIN_ORDER + 1 > max_terms:
-        return None
-    plan = _boundary_plan(params)
-    if plan.meets_pole:
+    plan = _boundary_plan(params, max_terms)
+    if plan is None:
         return None
     # a term past the float range is inf, which makes every bound inf or
     # NaN, so the capped sum runs and raises as it always has
@@ -732,7 +727,7 @@ def _boundary_sum(params: FWParams, z: complex, log_z: complex, max_terms: int, 
     values, used, bounds = _levin_windows(terms, eps, plan)
     best = int(bounds.argmin())
     bound = max(bounds[best], abs(values[0] - values[1]) + bounds[1 - best])
-    log_last = _log_coefficient_modulus(params, max_terms - 1) + (max_terms - 1) * log_z.real
+    log_last = plan.log_last + (max_terms - 1) * log_z.real
     majorant = math.exp(min(log_last, 709.0)) * max_terms / (plan.lam_re - 0.5)
     if not bound < min(majorant, _LEVIN_MAX_SHARE * abs(values[best])):
         return None

@@ -105,14 +105,6 @@ class BCFWParams:
 
         return cls(join(p1.upper, p2.upper), join(p1.lower, p2.lower))
 
-    @property
-    def m(self) -> int:
-        return len(self.upper)
-
-    @property
-    def n(self) -> int:
-        return len(self.lower)
-
     def decompose(self) -> tuple[FWParams, FWParams]:
         return self._components
 
@@ -121,16 +113,6 @@ class BCFWParams:
         if p not in (1, 2):
             raise ValidationError("component index must be 1 or 2")
         return self._components[p - 1]
-
-    def to_json(self) -> dict:
-        return {
-            "upper": [
-                {"value": mu.to_json(), "weight": M.to_json()} for mu, M in self.upper
-            ],
-            "lower": [
-                {"value": nu.to_json(), "weight": N.to_json()} for nu, N in self.lower
-            ],
-        }
 
     @classmethod
     def from_json(cls, obj: dict) -> "BCFWParams":

@@ -238,9 +238,12 @@ def log_gamma_ratio(a: complex, A: float, k: int | np.ndarray) -> complex | np.n
     every w and w + A for poles, one array call forms their Lanczos sums
     and one log_gamma_vec call the log-gammas of the entries left of the
     threshold (_reflected_ratios), while the cmath remainder above runs
-    per entry.  A non-finite A or k raises ValidationError; a w or w + A
-    past the float range, or a result past it, raises OverflowError.
+    per entry.  A non-finite a, A or k raises ValidationError; an int k,
+    a w or w + A past the float range, or a result past it, raises
+    OverflowError.
     """
+    if not cmath.isfinite(complex(a)):
+        raise ValidationError(f"a must be finite, got {a!r}")
     if not cmath.isfinite(A):
         raise ValidationError(f"A must be finite, got {A!r}")
     ks = np.asarray(k)
@@ -252,7 +255,14 @@ def _log_gamma_ratios(a: complex, A: float, kl: list) -> list[complex]:
     """log_gamma_ratio at each k of a list, as a list."""
     # a sum is finite only where every k is, so one test serves most calls; it
     # sums in floats, as a + kA forms float(k), so large int k cannot overflow it
-    bad = [] if math.isfinite(sum(kl, 0.0)) else [kk for kk in kl if not math.isfinite(kk)]
+    try:
+        total = sum(kl, 0.0)
+    except OverflowError:  # an int k that no float holds, so the longest int is one
+        bits = max(kk.bit_length() for kk in kl if isinstance(kk, int))
+        raise OverflowError(
+            f"int k of {bits} bits is past the float range (a={a}, A={A})"
+        ) from None
+    bad = [] if math.isfinite(total) else [kk for kk in kl if not math.isfinite(kk)]
     if bad:
         raise ValidationError(f"k must be finite, got {float(bad[0])!r}")
     ws = [complex(a) + kk * A for kk in kl]
@@ -336,13 +346,10 @@ def _log_gamma_ratio_real(pairs, ks: list) -> list[list[float]]:
     every imaginary part in the complex formula is a zero, each complex
     product, quotient and sum has the float result as its real part, and
     cmath.log's real part is _cmath_log_real.  A pair's other entries
-    take one _log_gamma_ratios call together, and every entry if some
-    sum is not real takes log_gamma_ratio itself.
+    take one _log_gamma_ratios call together.
     """
     ws = [[a + kk * A for kk in ks] for a, A in pairs]
     sums = _lanczos_series(np.array(ws + [[w + A for w in row] for row, (_, A) in zip(ws, pairs)]))
-    if sums.imag.any():
-        return [log_gamma_ratio(a, A, np.array(ks)).real.tolist() for a, A in pairs]
     sums = sums.real.tolist()
     # w = a + kA grows with k (A > 0), so the least and greatest k bound a row
     k_lo, k_hi = min(ks, default=0.0), max(ks, default=0.0)

@@ -296,6 +296,12 @@ def test_region_membership():
     assert not contains_abs(rep, 0.2, 0.3)
     assert contains_abs(rep, 0.2, 0.2)
     assert not contains_abs(rep, 0.25, 0.2)  # on the circle: rejected
+    # a zero radius holds its component's origin alone
+    rep = classify(_bc([(1.5, H(2, 3))], [(1.0, H(1, 1))]))
+    assert rep.domain is Domain.DISK1_ZERO2 and rep.v_radius == (0.25, 0.0)
+    assert contains_abs(rep, 0.1, 0.0)
+    assert not contains_abs(rep, 0.1, 0.1)
+    assert not contains_abs(rep, 0.0, 5e-324)
     rows = region_sample(ENTIRE, GridSpec(2.0, 2.0, 3, 3))
     assert all(inside for _, _, inside in rows)
     rows = region_sample(BALL, GridSpec(0.5, 0.5, 5, 5))
@@ -319,6 +325,10 @@ def test_params_validation():
             GridSpec(1.0, bad)
         with pytest.raises(ValidationError, match="^magnitudes must be finite and nonnegative$"):
             contains_abs(classify(ENTIRE), 0.5, bad)
+    p1, p2 = FWParams([(1.5, 1.0)], [(1.0, 1.0)]), FWParams([(2.5, 2.0)], [(3.0, 1.0)])
+    assert BCFWParams.from_components(p1, p2).decompose() == (p1, p2)
+    with pytest.raises(ValidationError, match="^component parameter lists must have equal lengths$"):
+        BCFWParams.from_components(p1, FWParams([(2.5, 2.0)], []))
 
 
 # -- evaluate is componentwise plus the mixed-ball rule --------------------

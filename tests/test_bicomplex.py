@@ -176,6 +176,15 @@ def test_hyperbolic_bicomplex_embedding():
     assert math.isclose(x1 + x4, 1.25) and math.isclose(x1 - x4, -0.5)
 
 
+def test_hyperbolic_from_cartesian_inverts_cartesian():
+    # x1 + ij x4 has idempotent components x1 + x4 and x1 - x4
+    P = Hyperbolic.from_cartesian(0.375, 0.875)
+    assert (P.c1, P.c2) == (1.25, -0.5)
+    assert P.cartesian == (0.375, 0.875)
+    assert Hyperbolic.from_cartesian(*Hyperbolic(1.25, -0.5).cartesian) == Hyperbolic(1.25, -0.5)
+    assert Hyperbolic.from_cartesian(2.0) == Hyperbolic.from_scalar(2.0)
+
+
 _REALS = st.floats(-1e3, 1e3)
 _COMPLEX = st.builds(complex, _REALS, _REALS)
 

@@ -210,6 +210,15 @@ def test_bcfw_eval_output(files, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("short, full", [("0.5,0.1", "0.5,0.1,0.5,0.1"), ("0.5", "0.5,0,0.5,0")])
+def test_bcfw_eval_scalar_point_takes_both_components(files, capsys, short, full):
+    # re,im and re name the scalar embedding, the same number in both components
+    argv = ("bcfw", "eval", "--params", files["bc_entire"], "--z")
+    code, out, err = run_cli(capsys, *argv, short)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run_cli(capsys, *argv, full)
+
+
 def test_bcfw_region_csv(files, capsys):
     code, out, _ = run_cli(
         capsys,
@@ -621,6 +630,8 @@ def test_print_manifest_bytes(files, capsys, argv, command, tolerances):
             ("bcfw", "eval", "--params", "bc_entire", "--z", "1,2,3,4,5"),
             "bicomplex point takes z1_re,z1_im,z2_re,z2_im (idempotent parts), re,im, or re",
         ),
+        (("measure", "check", "--model", "vacuum", "--k", "5..3"), "empty order range '5..3'"),
+        (("measure", "check", "--model", "vacuum", "--k", "a..b"), "cannot parse 'a..b' as moment orders"),
     ],
 )
 def test_bad_point_error_text(files, capsys, argv, message):

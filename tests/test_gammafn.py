@@ -201,6 +201,10 @@ def test_log_gamma_ratio_refuses_arguments_past_the_float_range():
     with pytest.raises(OverflowError, match=r"^gamma argument a \+ kA = \(inf\+0j\) is not finite "
                        r"\(a=2\.1, A=1\.1, k=1\.7e\+308\)$"):
         log_gamma_ratio(2.1, 1.1, 1.7e308)
+    # the largest int that a float holds is refused as its float is
+    with pytest.raises(OverflowError, match=r"^gamma argument a \+ kA = \(inf\+0j\) is not finite "
+                       r"\(a=2\.1, A=1\.1, k=1\.7976931348623157e\+308\)$"):
+        log_gamma_ratio(2.1, 1.1, 2**1024 - 2**970 - 1)
     # w = a + kA fits at k = 17, w + A does not; the first such k of an array is named
     with pytest.raises(OverflowError, match=r"^gamma argument a \+ \(k\+1\)A = \(inf\+0j\) is not finite "
                        r"\(a=1\.0, A=1e\+307, k=17\.0\)$"):
@@ -260,6 +264,29 @@ def test_log_gamma_ratio_refuses_non_finite_A(A):
     # w = 1 + 0 * inf = nan (the suite turns a RuntimeWarning into an error)
     with pytest.raises(ValidationError, match=f"^A must be finite, got {A!r}$"):
         log_gamma_ratio(1.0, A, np.array([0, 1]))
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+def test_log_gamma_ratio_refuses_non_finite_a(a):
+    # refused by name before any array work, as A is, so numpy writes no
+    # warning on w = nan (the suite turns a RuntimeWarning into an error)
+    with pytest.raises(ValidationError, match=f"^a must be finite, got {re.escape(repr(a))}$"):
+        log_gamma_ratio(a, 1.0, [0, 1])
+
+
+@pytest.mark.parametrize(
+    "k, bits",
+    [
+        (10**309, 1027),
+        ([10**309], 1027),
+        ([1, -(10**400)], 1329),
+        (np.array([2, 10**309], dtype=object), 1027),
+    ],
+    ids=["int", "list", "negative", "object-array"],
+)
+def test_log_gamma_ratio_names_an_int_k_past_the_float_range(k, bits):
+    with pytest.raises(OverflowError, match=rf"^int k of {bits} bits is past the float range \(a=2\.1, A=1\.1\)$"):
+        log_gamma_ratio(2.1, 1.1, k)
 
 
 def test_stirling_modulus_at_100():

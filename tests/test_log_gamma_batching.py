@@ -76,7 +76,6 @@ def _clear_memos():
         continuum._node_table,
         foxwright._column_cache,
         foxwright._boundary_plan,
-        foxwright._log_coefficient_modulus,
     ):
         memo.cache_clear()
 
