@@ -29,9 +29,8 @@ series' cached column table (`foxwright.log_gamma_rows`, which grows it
 by whole series blocks); _log_rho_vec forms them afresh for real E from the same table's
 gamma-argument offsets and weights, and serves `continuum` (its node
 values and its log-rho grids) and the acceptance battery.
-overlap needs N at conj(z) z', |z|^2 and |z'|^2; it sums the three
-series in one block pass of the series' loop, each with the bits of its
-own sum.
+overlap's N at conj(z) z', |z|^2 and |z'|^2 come from one foxwright._psi
+call, each with the bits of its own sum.
 Bicomplex models run each complex routine per idempotent component
 through `bicomplex.componentwise`.
 """
@@ -57,7 +56,7 @@ from .foxwright import (
     CLASSIFY_TOL,
     FWParams,
     _column_cache,
-    _entire_values,
+    _psi,
     _whole_number,
     log_gamma_rows,
     margin,
@@ -221,15 +220,16 @@ def recurrence_worst(model: CoherentModel, k_max: int = 100) -> float:
 
 
 def _normalizations(model: CoherentModel, zetas: list[complex]) -> list[complex]:
-    """N at each finite zeta of zetas; the nonzero ones are summed in one block pass.
-
-    Each value has the bits of its own series sum, and the first error
-    in the order of zetas is raised (foxwright._entire_values).
-    """
-    values = iter(_entire_values(model.params, [zeta for zeta in zetas if zeta != 0]))
+    """N at each finite zeta of zetas, psi at the nonzero ones from one
+    foxwright._psi call; the first error in the order of zetas is raised."""
+    results = _psi(model.params, [zeta for zeta in zetas if zeta != 0])
+    for res in results:
+        if isinstance(res, Exception):
+            raise res
+    values = iter(results)
     pref = cmath.exp(_log_prefactor(model))
     # rho(0) = 1: the prefactor cancels the k=0 term exactly
-    return [pref * next(values) if zeta != 0 else 1.0 + 0j for zeta in zetas]
+    return [pref * next(values).value if zeta != 0 else 1.0 + 0j for zeta in zetas]
 
 
 def normalization_at(model: CoherentModel, zeta: complex) -> complex:

@@ -39,20 +39,17 @@ the same columns with the same operations in the same order, and a
 zero's sign in a parameter (the one thing FWParams equality ignores) is
 dropped by the addition a + k A.
 
-One block loop (_block_sums) sums in blocks of 32, 64, ... terms,
-doubling up to _BLOCK_CAP.  The running sums are a sequential cumsum
-whose first term has the carried total added, so they add in the order
-a per-term loop would, and the first index that completes the stop
-streak does not depend on where blocks start or end.  Block length
-therefore moves no bit of the value, the terms used or the tail.
-evaluate runs it on one z over 1-d blocks.  coherent.overlap runs it on
-its three normalization arguments at once (_entire_values), over
-(3, block) arrays: one set of numpy calls per block instead of three.
-Each row is formed, summed along the row and stop-tested by elementwise
-operations, so it gets the bits of its own evaluate call, and leaves the
-pass when it stops or fails, with the error that call would raise.
+One front door, _psi, gives each z of a list what evaluate gives it
+(evaluate is its one-point call; coherent's normalizations, and so
+make_state and overlap, call it too).  It applies the z = 0, radius and
+circle rules and the Levin route per z, and sums the other z in one
+pass of the block loop (_block_sums), whose running sums are a
+sequential cumsum from the carried total: they add in the order a
+per-term loop would, and the stop streak does not depend on where
+blocks start or end, so block length moves no bit of the value, the
+terms used or the tail, and each row gets the bits of its own call.
 
-On the circle |z| = V with allow_boundary, evaluate first tries Levin
+On the circle |z| = V with allow_boundary, _psi first tries Levin
 u transforms (_boundary_sum): two windows of 31 partial sums from the
 same column table, each order's value with an error bound from the
 spread of successive orders and the rounding the transform amplifies,
@@ -409,25 +406,23 @@ def _block_terms(cols: _Columns, log_z, k0: int, end: int) -> np.ndarray:
 
 
 _TOO_LARGE = "series term exceeds the floating-point range; value not representable"
-_NO_TERMS = np.empty(0, dtype=complex)
-_NO_TERMS.flags.writeable = False
 
 
 class _RowSum:
     """One series in the block loop: its running sum and how it ended.
 
-    total is the sum of the terms taken so far, used their count, streak
+    value is the sum of the terms taken so far, used their count, streak
     the run of small terms carried into the next block and recent the
     last (up to) three terms taken; error is what the sum raises.
     """
 
-    __slots__ = ("total", "used", "streak", "recent", "stopped", "error")
+    __slots__ = ("value", "used", "streak", "recent", "stopped", "error", "lam_re")
 
     def __init__(self):
-        self.total = 0j
+        self.value = 0j
         self.used = 0
         self.streak = 0
-        self.recent = _NO_TERMS
+        self.recent = ()
         self.stopped = False
         self.error = None
 
@@ -438,24 +433,36 @@ class _RowSum:
         stop, self.streak = _streak_end(ok, self.streak)
         self.stopped = stop >= 0
         used = stop + 1 if self.stopped else terms.size
-        self.total = sums[used - 1]
+        self.value = sums[used - 1]
         self.used += used
         summed = terms[:used]
         self.recent = summed[-3:] if used >= 3 else np.concatenate((self.recent, summed))[-3:]
         return self.stopped
 
-    def value(self, z: complex, tol: float, capped: bool = False):
-        """The sum; raises the row's error, OverflowError if the sum left the
-        float range, or MaxTermsExceeded unless stopped or capped."""
-        if self.error is not None:
-            raise self.error
-        if not cmath.isfinite(self.total):
-            raise OverflowError(_TOO_LARGE)
-        if not (self.stopped or capped):
-            raise MaxTermsExceeded(
+    def finish(self, z: complex, tol: float, lam_re: float | None):
+        """The row, or the error evaluate raises for it; lam_re is Re(lambda)
+        on the circle, where a sum that reached max_terms is capped, not refused."""
+        if self.error is None and not cmath.isfinite(self.value):
+            self.error = OverflowError(_TOO_LARGE)
+        if self.error is None and not self.stopped and lam_re is None:
+            self.error = MaxTermsExceeded(
                 f"no convergence after {self.used} terms (tol={tol:g}, |z|={abs(z):.6g})"
             )
-        return self.total
+        self.lam_re = lam_re
+        return self if self.error is None else self.error
+
+    def result(self) -> EvalResult:
+        """The finished row's EvalResult: a sum capped on the circle gets the
+        majorant tail, a stopped one the geometric estimate of its last terms."""
+        mag_hist = [0.0] * (3 - self.recent.size) + [abs(t) for t in self.recent.tolist()]
+        _, prev, last = mag_hist
+        if not self.stopped:
+            tail = last * self.used / (self.lam_re - 0.5)
+        else:
+            ratio = min(max(last / prev if prev > 0 else 0.5, 0.0), 0.9)
+            tail = max(4.0 * max(mag_hist) * ratio / (1.0 - ratio), max(mag_hist))
+        # Python floats and complex abs() give numpy scalars' bits; the record keeps np.float64
+        return EvalResult(self.value, self.used, np.float64(tail))
 
 
 def _block_sums(cache: _ColumnCache, log_zs: list, tol: float, max_terms: int) -> list[_RowSum]:
@@ -518,22 +525,6 @@ def _block_sums(cache: _ColumnCache, log_zs: list, tol: float, max_terms: int) -
             k0 = end
             block = min(2 * block, _BLOCK_CAP)
     return rows
-
-
-def _entire_values(params: FWParams, zs: list[complex]) -> list:
-    """evaluate(params, z).value at each z of zs, from one block pass.
-
-    For callers that have made evaluate's checks: params entire (Delta >
-    0) and every z finite and nonzero, so that each call would go
-    straight to the block loop with the default tol and max_terms.  Each
-    row ends with its call's value or error, and the first error in the
-    order of zs is raised, as the calls made one after another raise it.
-    """
-    if not zs:
-        return []
-    log_zs = [cmath.log(z) for z in zs]
-    rows = _block_sums(_column_cache(params), log_zs, DEFAULT_TOL, DEFAULT_MAX_TERMS)
-    return [row.value(z, DEFAULT_TOL) for row, z in zip(rows, zs)]
 
 
 def _term_zero(params: FWParams) -> complex:
@@ -734,6 +725,57 @@ def _boundary_sum(params: FWParams, z: complex, log_z: complex, max_terms: int, 
     return EvalResult(values[best], int(used[best]), bound)
 
 
+def _psi(
+    params: FWParams,
+    zs: list,
+    tol: float = DEFAULT_TOL,
+    max_terms: int = DEFAULT_MAX_TERMS,
+    allow_boundary: bool = False,
+) -> list:
+    """evaluate(params, z, tol, max_terms, allow_boundary) at each z of zs, in
+    order, for callers that have made its argument checks: the error it raises,
+    its EvalResult, or the finished _RowSum whose result() that is (either holds
+    the value).  One _block_sums pass, made only if some z needs it, sums them all.
+    """
+    r = radius(params)
+    out = []
+    log_zs, series = [], []  # the series' log z, and (index in out, z, Re(lambda) or None)
+    for z in zs:
+        res = lam_re = None
+        if z == 0:
+            res = EvalResult(_term_zero(params), 1, 0.0)
+        elif not math.isinf(r):
+            az = abs(z)
+            side = _circle_side(az, r)
+            if side > 0:
+                res = DomainViolation(f"|z|={az:.6g} outside convergence radius {r:.6g}")
+            elif side == 0:
+                lam_re = boundary_exponent(params).real
+                if not allow_boundary:
+                    res = DomainViolation(
+                        f"|z|={az:.6g} lies on the convergence circle (radius {r:.6g}); "
+                        "pass allow_boundary to evaluate under the Re(lambda) > 1/2 condition"
+                    )
+                elif lam_re <= 0.5:
+                    res = DomainViolation(
+                        f"boundary evaluation needs Re(lambda) > 1/2, got {lam_re:.6g}"
+                    )
+        if res is None:
+            log_z = cmath.log(z)
+            if lam_re is not None:
+                with np.errstate(all="ignore"):
+                    res = _boundary_sum(params, z, log_z, max_terms, r)
+            if res is None:
+                log_zs.append(log_z)
+                series.append((len(out), z, lam_re))
+        out.append(res)
+    if series:
+        rows = _block_sums(_column_cache(params), log_zs, tol, max_terms)
+        for (i, z, lam_re), row in zip(series, rows):
+            out[i] = row.finish(z, tol, lam_re)
+    return out
+
+
 def evaluate(
     params: FWParams,
     z: complex,
@@ -752,65 +794,21 @@ def evaluate(
     heuristic bound: the spread of successive orders times a safety
     factor, plus the rounding they amplify), and terms_used counts the
     terms the returned transform read.  Where that route does not apply
-    (see _boundary_sum) the sum is capped at max_terms as before and
-    tail_bound is the asymptotic majorant |t_N-1| N / (Re(lambda) - 1/2)
-    of the truncated tail, without the rounding of the summed terms.
+    (see _boundary_sum) the sum is capped at max_terms and tail_bound is
+    the majorant |t_N-1| N / (Re(lambda) - 1/2) of the truncated tail,
+    without the rounding of the summed terms.
 
-    Terms are summed in blocks of 32, 64, ... up to _BLOCK_CAP terms
-    (never past max_terms), so a 10,000-term sum takes 23 blocks.
-    max_terms must be a whole number >= 1; integral floats such as 1e4
-    are accepted.  z must be finite.
+    The one-point call of _psi.  max_terms must be a whole number >= 1;
+    integral floats such as 1e4 are accepted.  z must be finite.
     """
     if not tol > 0:  # NaN fails this test too
         raise ValidationError("tol must be > 0")
     max_terms = _whole_number(max_terms, "max_terms", 1)
     z = _check_finite_complex(z, "z")
-    if z == 0:
-        return EvalResult(_term_zero(params), 1, 0.0)
-
-    r = radius(params)
-    on_boundary = False
-    if not math.isinf(r):
-        az = abs(z)
-        side = _circle_side(az, r)
-        if side > 0:
-            raise DomainViolation(
-                f"|z|={az:.6g} outside convergence radius {r:.6g}"
-            )
-        if side == 0:
-            lam = boundary_exponent(params)
-            if not allow_boundary:
-                raise DomainViolation(
-                    f"|z|={az:.6g} lies on the convergence circle (radius {r:.6g}); "
-                    "pass allow_boundary to evaluate under the Re(lambda) > 1/2 condition"
-                )
-            if lam.real <= 0.5:
-                raise DomainViolation(
-                    f"boundary evaluation needs Re(lambda) > 1/2, got {lam.real:.6g}"
-                )
-            on_boundary = True
-
-    log_z = cmath.log(z)
-    if on_boundary:
-        with np.errstate(all="ignore"):
-            res = _boundary_sum(params, z, log_z, max_terms, r)
-        if res is not None:
-            return res
-    row = _block_sums(_column_cache(params), [log_z], tol, max_terms)[0]
-    total = row.value(z, tol, capped=on_boundary)
-    mag_hist = [0.0] * (3 - row.recent.size) + [abs(t) for t in row.recent]
-    terms_used = row.used
-
-    if on_boundary and not row.stopped:
-        tail = abs(mag_hist[2]) * terms_used / (lam.real - 0.5)
-    else:
-        last = mag_hist[2]
-        prev = mag_hist[1]
-        ratio = last / prev if prev > 0 else 0.5
-        ratio = min(max(ratio, 0.0), 0.9)
-        tail = 4.0 * max(mag_hist) * ratio / (1.0 - ratio)
-        tail = max(tail, max(mag_hist))
-    return EvalResult(total, terms_used, tail)
+    res = _psi(params, [z], tol, max_terms, allow_boundary)[0]
+    if isinstance(res, Exception):
+        raise res
+    return res.result() if type(res) is _RowSum else res
 
 
 def as_pfq(params: FWParams):

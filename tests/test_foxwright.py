@@ -475,6 +475,86 @@ def test_block_kernel_matches_per_term_loop_random(
     )
 
 
+# -- the front door: several routes in one call ----------------------------
+
+# Delta = 0, V = 1, Re(lambda) = 0.8; and Delta = 0, V = 1, Re(lambda) = 9
+# with an upper gamma pole at k = 2, which every nonzero z meets
+_FRONT_DOOR_MODELS = [
+    GAUSS_A,
+    FWParams(upper=[(1.0, 1.0), (-7.5, 0.25)], lower=[(2.0, 0.25)]),
+]
+
+
+# one point of each kind per list, in a drawn order
+_FRONT_DOOR_POINTS = st.tuples(
+    st.just(0j),
+    # inside the radius
+    st.builds(cmath.rect, st.floats(0.01, 0.9), st.floats(-math.pi, math.pi)),
+    # on the circle at the Levin route's phases, |arg z| >= 0.02
+    st.builds(cmath.rect, st.just(1.0), st.floats(0.02, math.pi) | st.floats(-math.pi, -0.02)),
+    # on the circle at the capped sum's phases, 0 < |arg z| < 0.02, and at
+    # V itself: the float radius and a point within 1e-12 of it
+    st.builds(cmath.rect, st.just(1.0), st.floats(1e-9, 0.0199) | st.floats(-0.0199, -1e-9)),
+    st.sampled_from([1.0, 1.0 - 5e-13]),
+    # outside the radius
+    st.builds(cmath.rect, st.floats(1.1, 3.0), st.floats(-math.pi, math.pi)),
+).flatmap(lambda points: st.permutations(list(points)))
+
+
+def _front_door_outcome(res):
+    if isinstance(res, Exception):
+        return type(res), str(res)
+    return repr(res.result() if isinstance(res, foxwright._RowSum) else res)
+
+
+def _evaluate_outcome(params, z, **kwargs):
+    try:
+        return repr(evaluate(params, z, **kwargs))
+    except (FWError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    model=st.sampled_from(range(len(_FRONT_DOOR_MODELS))),
+    zs=_FRONT_DOOR_POINTS,
+    allow_boundary=st.booleans(),
+)
+def test_front_door_matches_one_evaluate_call_per_point(model, zs, allow_boundary):
+    params = _FRONT_DOOR_MODELS[model]
+    assert radius(params) == 1.0
+    got = foxwright._psi(params, zs, allow_boundary=allow_boundary)
+    assert len(got) == len(zs)
+    for res, z in zip(got, zs):
+        assert _front_door_outcome(res) == _evaluate_outcome(
+            params, z, allow_boundary=allow_boundary
+        ), z
+
+
+def test_front_door_sums_several_routes_in_one_pass(monkeypatch):
+    # an interior point and a capped circle point share one block pass; the
+    # Levin point, the z = 0 term and the refused point take no row
+    calls = []
+    real = foxwright._block_sums
+
+    def counted(cache, log_zs, tol, max_terms):
+        calls.append(len(log_zs))
+        return real(cache, log_zs, tol, max_terms)
+
+    monkeypatch.setattr(foxwright, "_block_sums", counted)
+    zs = [0.5j, cmath.exp(0.01j), 0j, cmath.exp(1.0j), 2.0]
+    got = foxwright._psi(GAUSS_A, zs, allow_boundary=True)
+    assert calls == [2]
+    assert [type(res) for res in got] == [
+        foxwright._RowSum, foxwright._RowSum, foxwright.EvalResult, foxwright.EvalResult,
+        DomainViolation,
+    ]
+    monkeypatch.setattr(foxwright, "_block_sums", lambda *a: pytest.fail("a series ran"))
+    assert [type(res) for res in foxwright._psi(GAUSS_A, [0j, cmath.exp(1.0j), 2.0])] == [
+        foxwright.EvalResult, DomainViolation, DomainViolation,
+    ]
+
+
 # -- the per-parameter column cache ---------------------------------------
 
 
