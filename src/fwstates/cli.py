@@ -49,7 +49,7 @@ from .errors import (
 from .foxwright import DEFAULT_TOL, boundary_exponent, evaluate, margin, radius
 from .foxwright_bc import GridSpec, classify, region_sample
 from .foxwright_bc import evaluate as evaluate_bc
-from .hfunction import moment_check
+from .hfunction import moment_check, moment_order
 from .schemas import load_bc_params, load_fw_params
 
 EXIT_OK = 0
@@ -116,7 +116,9 @@ def _parse_bicomplex(text: str) -> Bicomplex:
 
 
 def _parse_orders(text: str) -> list[int]:
-    """Moment orders: '0..6' (inclusive), '3', or '0,2,4'."""
+    """Moment orders: '0..6' (inclusive), '3', or '0,2,4'.  An order
+    outside moment_check's 0..8 is refused before any check runs, a
+    range's by its two ends, before its list is built."""
     text = text.strip()
     try:
         if ".." in text:
@@ -124,10 +126,11 @@ def _parse_orders(text: str) -> list[int]:
             lo, hi = int(lo_s), int(hi_s)
             if hi < lo:
                 raise ValidationError(f"empty order range {text!r}")
-            return list(range(lo, hi + 1))
-        return [int(p) for p in text.split(",")]
+            return list(range(moment_order(lo), moment_order(hi) + 1))
+        orders = [int(p) for p in text.split(",")]
     except ValueError as exc:
         raise ValidationError(f"cannot parse {text!r} as moment orders") from exc
+    return [moment_order(k) for k in orders]
 
 
 def _load_model(path: str, k_flag: int) -> CoherentModel:

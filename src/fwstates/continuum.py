@@ -36,16 +36,18 @@ through `bicomplex.componentwise`.
 
 Nothing a nu quadrature needs but zeta^E depends on zeta, and the ranges
 [0, hi] recur from call to call, because hi comes from the fixed ladder
-8 * 1.5^j.  So each (params, hi) has one node table (`_NodeTable`; K does
-not enter rho): _e_max's 257-point log-rho grid, per Gauss-Kronrod
-subinterval met so far its 21 nodes and log rho on them, and per
-tanh-sinh level its weights, its nodes and log rho on them, built on
-first use.  A nu call then forms only exp(E log zeta - log rho).  The
-tables sit in one LRU (`_node_table`) bounded by their retained bytes,
-not by their count, since a range taken to the last tanh-sinh level
-holds 32,768 nodes.  A hit returns the stored float64 values, and each
-entry of the array form has the bits of the form on [E] alone, so every
-output keeps its bits.
+8 * 1.5^j.  So what does not depend on zeta is kept in node sets (K does
+not enter rho): _e_max's 257-point grid and log rho on it per (params,
+hi), one tanh-sinh level's weights, nodes and log rho on them per
+(params, hi, level), and one Gauss-Kronrod subinterval's 21 nodes and
+log rho on them per (params, a, b).  A nu call then forms only
+exp(E log zeta - log rho).  Each set is built on first use, made
+read-only and sized once, when it is stored in the one LRU
+(`_node_sets`), which is bounded by the sets' retained bytes, not by
+their count, since the last tanh-sinh level alone holds 16,384 nodes.
+A hit returns the stored float64 values, and each entry of the array
+form has the bits of the form on [E] alone, so every output keeps its
+bits.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -73,14 +76,12 @@ _TS_MAX_LEVEL = 12
 # the exact scale of a nu integral retried near DBL_MAX (_nu_integral)
 _SCALE_BITS = 64
 
-# the node tables' retained bytes: at most _TABLE_BYTES, counting each table
-# as _TABLE_FIXED_BYTES (object, dicts, array headers) plus its tanh-sinh
-# arrays' data plus _GK_ENTRY_BYTES per Gauss-Kronrod subinterval (its two
-# 21-node arrays with their headers, the key and value tuples, the key's
-# two floats and a dict slot take up to about 900 bytes)
+# the node sets' retained bytes: at most _TABLE_BYTES, counting each set as
+# its arrays' data plus _SET_BYTES for the rest it holds (the array headers,
+# the key and value tuples, the key's floats and the LRU's slot take up to
+# about 800 bytes)
 _TABLE_BYTES = 1 << 22
-_TABLE_FIXED_BYTES = 2048
-_GK_ENTRY_BYTES = 912
+_SET_BYTES = 832
 
 
 @dataclass(frozen=True)
@@ -112,8 +113,8 @@ def _e_max(model: CoherentModel, log_zeta: float) -> float:
     """Upper truncation: log-integrand fallen E_MAX_DROP below its peak."""
     hi = 8.0
     for _ in range(80):
-        table = _node_table(model.params, hi)
-        logf = table.grid * log_zeta - table.log_rho_grid
+        grid, log_rho_grid = _node_sets(_rho_grid, model.params, hi)
+        logf = grid * log_zeta - log_rho_grid
         peak = logf.max()
         if peak > _LOG_FLOAT_MAX:  # then so is nu: refused before a longer range is built
             raise _past_range(peak)
@@ -123,133 +124,86 @@ def _e_max(model: CoherentModel, log_zeta: float) -> float:
     raise QuadratureFailure("could not locate a decaying tail for the nu integrand")
 
 
-class _NodeTable:
-    """What a nu quadrature on [0, hi] needs that does not depend on zeta.
+def _rho_grid(params: FWParams, hi: float):
+    """_e_max's 257-point grid on [0, hi] and log rho on it."""
+    grid = np.linspace(0.0, hi, 257)
+    return grid, _log_rho_vec(params, grid)  # a fresh array, not a view of the gamma block
 
-    grid, log_rho_grid: _e_max's 257-point grid on [0, hi] and log rho on
-    it, read-only.  gk_nodes(a, b): a Gauss-Kronrod subinterval's nodes
-    and log rho on them.  ts_nodes(level): _ts_nodes(0, hi, level) with
-    log rho on the nodes.  Both are built on first use.  nbytes is what
-    the table retains, charged to its owning cache as it grows.
+
+def _ts_level(params: FWParams, hi: float, level: int):
+    """The tanh-sinh level _ts_nodes(0, hi, level): its weights, nodes and log rho on them."""
+    w, xs = _ts_nodes(0.0, hi, level)
+    return w, xs, _log_rho_vec(params, xs)
+
+
+def _gk_subinterval(params: FWParams, a: float, b: float):
+    """The Gauss-Kronrod subinterval [a, b]'s nodes and log rho on them."""
+    from .quadpack import nodes
+
+    xs = nodes(a, b)
+    return xs, _log_rho_vec(params, xs)
+
+
+class _NodeSets:
+    """Finished node sets keyed on (builder, args), least recently used
+    first out once their retained bytes pass max_bytes.
+
+    Calling it with (builder, *args) returns the tuple builder(*args),
+    built on first use and stored with its arrays read-only and its size,
+    which never changes; its __wrapped__ builds afresh each call, which is
+    the route with no memo.
     """
-
-    def __init__(self, params: FWParams, hi: float):
-        self.params, self.hi = params, hi
-        self._gk: dict[tuple[float, float], tuple] = {}
-        self._ts: dict[int, tuple] = {}
-        self.owner = None
-        grid = np.linspace(0.0, hi, 257)
-        log_rho_grid = _log_rho_vec(params, grid)  # a fresh array, not a view of the gamma block
-        grid.flags.writeable = log_rho_grid.flags.writeable = False
-        self.grid, self.log_rho_grid = grid, log_rho_grid
-        self.nbytes = _TABLE_FIXED_BYTES + grid.nbytes + log_rho_grid.nbytes
-
-    def ts_nodes(self, level: int):
-        """(weights, (nodes, log rho on them)) of one tanh-sinh level."""
-        out = self._ts.get(level)
-        if out is None:
-            w, xs = _ts_nodes(0.0, self.hi, level)
-            log_rho = _log_rho_vec(self.params, xs)
-            arrays = np.asarray(w), xs, log_rho  # w is a float at level -1
-            for a in arrays:
-                a.flags.writeable = False
-            out = self._ts[level] = w, (xs, log_rho)
-            self._charge(sum(a.nbytes for a in arrays))
-        return out
-
-    def gk_nodes(self, a: float, b: float):
-        """(nodes, log rho on them) of the Gauss-Kronrod subinterval [a, b]."""
-        out = self._gk.get((a, b))
-        if out is None:
-            from .quadpack import nodes
-
-            xs = nodes(a, b)
-            log_rho = _log_rho_vec(self.params, xs)
-            xs.flags.writeable = log_rho.flags.writeable = False
-            out = self._gk[a, b] = xs, log_rho
-            self._charge(_GK_ENTRY_BYTES)
-        return out
-
-    def _charge(self, nbytes: int) -> None:
-        owner = self.owner
-        if owner is None:
-            self.nbytes += nbytes
-        else:
-            owner.charge(self, nbytes)
-
-
-class _NodeTableCache:
-    """The node tables keyed on (params, hi), least recently used first
-    out once their retained bytes pass max_bytes.
-
-    Calling it returns the range's table; its __wrapped__ builds a fresh
-    one each call, which is the route with no memo.
-    """
-
-    __wrapped__ = _NodeTable
 
     def __init__(self, max_bytes: int):
         self.max_bytes = max_bytes
         self.nbytes = 0
-        self._tables: OrderedDict[tuple[FWParams, float], _NodeTable] = OrderedDict()
+        self._sets: OrderedDict[tuple, tuple[object, int]] = OrderedDict()
         self._lock = threading.Lock()
 
-    def __call__(self, params: FWParams, hi: float) -> _NodeTable:
-        key = params, hi
-        with self._lock:
-            table = self._tables.get(key)
-            if table is not None:
-                self._tables.move_to_end(key)
-                return table
-        table = _NodeTable(params, hi)
-        with self._lock:
-            if key in self._tables:  # another thread built it meanwhile
-                self._tables.move_to_end(key)
-                return self._tables[key]
-            self._tables[key] = table
-            table.owner = self
-            self.nbytes += table.nbytes
-            self._trim()
-        return table
+    @staticmethod
+    def __wrapped__(builder, *args):
+        return builder(*args)
 
-    def charge(self, table: _NodeTable, nbytes: int) -> None:
-        """Count nbytes more for table, and drop old tables past the cap."""
+    def __call__(self, builder, *args):
+        key = builder, args
         with self._lock:
-            table.nbytes += nbytes
-            if table.owner is self:
-                self.nbytes += nbytes
-                self._trim()
-
-    def _trim(self) -> None:
-        while self.nbytes > self.max_bytes:
-            _, old = self._tables.popitem(last=False)
-            old.owner = None
-            self.nbytes -= old.nbytes
+            if key in self._sets:
+                self._sets.move_to_end(key)
+                return self._sets[key][0]
+        value = builder(*args)
+        arrays = [a for a in value if isinstance(a, np.ndarray)]  # a level -1 weight is a float
+        for a in arrays:
+            a.flags.writeable = False
+        size = _SET_BYTES + sum(a.nbytes for a in arrays)
+        with self._lock:
+            if key in self._sets:  # another thread built it meanwhile
+                self._sets.move_to_end(key)
+                return self._sets[key][0]
+            self._sets[key] = value, size
+            self.nbytes += size
+            while self.nbytes > self.max_bytes:
+                self.nbytes -= self._sets.popitem(last=False)[1][1]
+        return value
 
     def cache_clear(self) -> None:
         with self._lock:
-            for table in self._tables.values():
-                table.owner = None
-            self._tables.clear()
+            self._sets.clear()
             self.nbytes = 0
 
 
-_node_table = _NodeTableCache(_TABLE_BYTES)
+_node_sets = _NodeSets(_TABLE_BYTES)
 
 
-def _integrands(table: _NodeTable, log_zeta):
-    """zeta^E / rho(E) on what a tanh-sinh level of the table gives, and
-    on a Gauss-Kronrod subinterval (a, b) of it.
-
-    Both take log rho from the table.  An overflow is left to the
-    caller's finite check.
+def _integrands(params: FWParams, log_zeta):
+    """zeta^E / rho(E) on what a tanh-sinh level gives, and on a
+    Gauss-Kronrod subinterval (a, b), whose node set it reads from
+    _node_sets.  An overflow is left to the caller's finite check.
     """
 
-    def on_nodes(nodes):
-        xs, log_rho = nodes
+    def on_nodes(xs, log_rho):
         return np.exp(xs * log_zeta - log_rho)
 
-    return on_nodes, lambda a, b: on_nodes(table.gk_nodes(a, b))
+    return on_nodes, lambda a, b: on_nodes(*_node_sets(_gk_subinterval, params, a, b))
 
 
 def _ts_nodes(a: float, b: float, level: int):
@@ -279,8 +233,8 @@ def _ts_nodes(a: float, b: float, level: int):
 
 
 def _tanh_sinh(f, nodes, rel_tol: float, abs_tol: float):
-    """Tanh-sinh rule: nodes(level) gives weights and what f takes, as
-    _ts_nodes does; f must return numpy arrays.
+    """Tanh-sinh rule: nodes(level) gives the weights and then the
+    arguments f takes, as _ts_nodes does; f must return numpy arrays.
 
     Returns (value, error_estimate).  Halving the step h keeps the running
     sum, so each level adds only its new (odd) nodes, and it converges
@@ -290,15 +244,15 @@ def _tanh_sinh(f, nodes, rel_tol: float, abs_tol: float):
     f must act entry by entry, so that each value is the one a separate
     call would give.
     """
-    w0, x = nodes(-1)
-    total = w0 * f(x)[0]
+    w0, *x = nodes(-1)
+    total = w0 * f(*x)[0]
     h = 2.0
     value, err = None, math.inf
     for level in range(_TS_MAX_LEVEL + 1):
         h *= 0.5
-        w, x = nodes(level)
+        w, *x = nodes(level)
         # total excludes the step h, so the halved h rescales old nodes for us
-        fx = f(x)
+        fx = f(*x)
         total = total + np.sum(w * (fx[: len(w)] + fx[len(w) :]))
         if not np.isfinite(total):
             # halving further would only turn inf - inf into nan
@@ -318,7 +272,8 @@ def _integrate(f, f_sub, a, b, cfg: QuadConfig, scheme: str, complex_func: bool 
                nodes=None):
     """Integral over [a, b] and its error estimate: for "ts", f on what
     nodes(level) gives (see _tanh_sinh); for "gk", f_sub on a subinterval
-    (lo, hi), giving its values on quadpack.nodes(lo, hi).
+    (lo, hi), giving its values on quadpack.nodes(lo, hi).  The caller
+    has checked that scheme is one of SCHEMES.
 
     Gauss-Kronrod takes a complex f_sub (complex_func) as two real passes,
     real part then imaginary part, as scipy's complex_func does, and a
@@ -334,10 +289,8 @@ def _integrate(f, f_sub, a, b, cfg: QuadConfig, scheme: str, complex_func: bool 
         ]
         # (value, err), or the real pass's plus 1j times the imaginary pass's
         out = outs[0] if len(outs) == 1 else [re + 1j * im for re, im in zip(*outs)]
-    elif scheme == "ts":
-        out = _tanh_sinh(f, nodes, cfg.rel_tol, cfg.abs_tol)
     else:
-        raise ValidationError(f"unknown quadrature scheme {scheme!r}; use one of {SCHEMES}")
+        out = _tanh_sinh(f, nodes, cfg.rel_tol, cfg.abs_tol)
     return _finite(out[0], out[1])
 
 
@@ -361,29 +314,34 @@ def _nu_integral(model: CoherentModel, log_zeta, cfg: QuadConfig, scheme: str):
     2^_SCALE_BITS of DBL_MAX, the integral runs once more on the
     integrand times 2^-_SCALE_BITS, an exact scale, and is scaled back;
     what is then past the float range is refused by _past_range.  Every
-    integral the first run settles keeps its bits.
+    integral the first run settles keeps its bits.  An unknown scheme is
+    refused before the range search builds any node set.
     """
-    table = _node_table(model.params, _e_max(model, log_zeta.real))
-    on_nodes, on_sub = _integrands(table, log_zeta)
+    if scheme not in SCHEMES:
+        raise ValidationError(f"unknown quadrature scheme {scheme!r}; use one of {SCHEMES}")
+    params = model.params
+    hi = _e_max(model, log_zeta.real)
+    on_nodes, on_sub = _integrands(params, log_zeta)
 
     def run(on_nodes, on_sub):
         # an overflow (inf, or inf+nanj from the complex exp) surfaces as a
         # non-finite integral, which _integrate rejects
         with np.errstate(under="ignore", over="ignore", invalid="ignore"):
             return _integrate(
-                on_nodes, on_sub, 0.0, table.hi, cfg, scheme, isinstance(log_zeta, complex),
-                table.ts_nodes,
+                on_nodes, on_sub, 0.0, hi, cfg, scheme, isinstance(log_zeta, complex),
+                partial(_node_sets, _ts_level, params, hi),
             )
 
     try:
         return run(on_nodes, on_sub)
     except (OverflowError, QuadratureFailure):
-        peak = float((table.grid * log_zeta.real - table.log_rho_grid).max())
-        if peak + math.log(table.hi) <= _LOG_FLOAT_MAX - _SCALE_BITS * math.log(2.0):
+        grid, log_rho_grid = _node_sets(_rho_grid, params, hi)
+        peak = float((grid * log_zeta.real - log_rho_grid).max())
+        if peak + math.log(hi) <= _LOG_FLOAT_MAX - _SCALE_BITS * math.log(2.0):
             raise
     down, up = 2.0**-_SCALE_BITS, 2.0**_SCALE_BITS
     try:
-        value, err = run(lambda nodes: on_nodes(nodes) * down, lambda a, b: on_sub(a, b) * down)
+        value, err = run(lambda *nodes: on_nodes(*nodes) * down, lambda a, b: on_sub(a, b) * down)
     except OverflowError:
         raise _past_range(peak) from None
     with np.errstate(over="ignore"):  # tanh-sinh's value is a numpy scalar

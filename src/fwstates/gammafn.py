@@ -68,16 +68,14 @@ POLE_TOL = 1e-12
 
 
 def is_gamma_pole(w: complex) -> bool:
-    """True if w lies within POLE_TOL of a nonpositive integer; False if w is not finite."""
+    """pole_mask on the one entry w; False if w is not finite."""
     w = complex(w)
-    if not (abs(w.imag) <= POLE_TOL and math.isfinite(w.real)):  # NaN fails this test too
-        return False
-    n = round(w.real)
-    return n <= 0 and abs(w.real - n) <= POLE_TOL
+    # every pole lies at Re <= POLE_TOL, so most calls stop at this test (NaN fails it too)
+    return w.real <= POLE_TOL and cmath.isfinite(w) and bool(pole_mask(np.complex128(w)))
 
 
 def pole_mask(w: np.ndarray) -> np.ndarray:
-    """is_gamma_pole over an array: True where w lies within POLE_TOL of a nonpositive integer."""
+    """True where w lies within POLE_TOL of a nonpositive integer."""
     near_axis = np.abs(w.imag) <= POLE_TOL
     rounded = np.round(w.real)
     return near_axis & (rounded <= 0) & (np.abs(w.real - rounded) <= POLE_TOL)

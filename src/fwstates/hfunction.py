@@ -438,10 +438,15 @@ def moment_check(model: CoherentModel, k: int) -> MomentResult:
     the integrand reduces to the gamma prefactor times the bare kernel H.
     The result is memoized per (parameter set, k) in `_moment`.
     """
+    return _moment(model.params, moment_order(k))
+
+
+def moment_order(k) -> int:
+    """k as an int, refused unless a whole number in moment_check's 0..8."""
     k = _whole_number(k, "moment order k", 0)
     if k > 8:
         raise ValidationError("moment order k must lie in 0..8")
-    return _moment(model.params, k)
+    return k
 
 
 @lru_cache(maxsize=_MOMENT_CACHE)

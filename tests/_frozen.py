@@ -17,6 +17,7 @@ gammafn.log_gamma_vec          log_gamma_vec_masked             test_log_gamma_b
                                                                 test_fresh_model_bits,
                                                                 test_measure_bits
 gammafn.log_gamma_ratio        reference_log_gamma_ratio        test_gammafn
+gammafn.is_gamma_pole          scalar_pole_rule                 test_gammafn
   its pole screen              ref_log_gamma_ratio_screen       test_states_bits
 coherent.f_factor              f_factor_per_pair                test_fresh_model_bits,
                                                                 test_states
@@ -202,6 +203,16 @@ def _pole_mask(w):
     """True where w lies within POLE_TOL of a nonpositive integer."""
     rounded = np.round(w.real)
     return (np.abs(w.imag) <= POLE_TOL) & (rounded <= 0) & (np.abs(w.real - rounded) <= POLE_TOL)
+
+
+def scalar_pole_rule(w):
+    """is_gamma_pole as a scalar rule of its own: True if w lies within
+    POLE_TOL of a nonpositive integer; False if w is not finite."""
+    w = complex(w)
+    if not (abs(w.imag) <= POLE_TOL and math.isfinite(w.real)):  # NaN fails this test too
+        return False
+    n = round(w.real)
+    return n <= 0 and abs(w.real - n) <= POLE_TOL
 
 
 def _log1p(x):
@@ -510,7 +521,7 @@ def integrands(params, log_zeta):
 
 
 def nu_integral(model, log_zeta, cfg, scheme):
-    """continuum._nu_integral with no node table: Gauss-Kronrod in one or
+    """continuum._nu_integral with no node sets: Gauss-Kronrod in one or
     two real QUADPACK passes, tanh-sinh by tanh_sinh_per_side."""
     e_hi = e_max(model, log_zeta.real)
     on_nodes, at_node = integrands(model.params, log_zeta)

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -637,6 +638,29 @@ def test_print_manifest_bytes(files, capsys, argv, command, tolerances):
 def test_bad_point_error_text(files, capsys, argv, message):
     argv = tuple(files.get(a, a) for a in argv)
     assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "orders, message",
+    [
+        ("0..1000000", "moment order k must lie in 0..8"),
+        ("-1000000..3", "moment order k must be >= 0"),
+        ("0,2,9", "moment order k must lie in 0..8"),
+    ],
+)
+def test_measure_check_refuses_orders_before_any_check(files, capsys, monkeypatch, orders, message):
+    """An order outside 0..8 is refused before any check runs, a range's by
+    its two ends: `--k 0..30000000` built the whole order list and ran the
+    nine in-range checks first, peaking at 1.18 GB RSS before exit code 1."""
+    monkeypatch.setattr(cli, "moment_check", lambda model, k: pytest.fail(f"order {k} was checked"))
+    tracemalloc.start()
+    try:
+        got = run_cli(capsys, "measure", "check", "--model", files["vacuum"], f"--k={orders}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (1, "", f"error: {message}\n")
+    assert peak < 1 << 20
 
 
 def test_selftest_subset(capsys):

@@ -30,6 +30,9 @@ H = Hyperbolic
 
 VACUUM = CoherentModel(FWParams(upper=[], lower=[]))
 GENERIC = CoherentModel(FWParams(upper=[(0.9, 0.4)], lower=[(1.3, 0.8), (0.7, 0.5)]))
+WRIGHT = CoherentModel(FWParams([(1.3, 0.8)], [(2.1, 1.1)]))
+BC_SHIFT = BCCoherentModel(BCFWParams(upper=[(1.0, H(1, 1))], lower=[(2.0, H(1, 1))]))
+_UNKNOWN_SCHEME = "unknown quadrature scheme 'bogus'; use one of ('gk', 'ts')"
 
 # integral_0^inf dE / Gamma(E+1), 50-digit tanh-sinh via mpmath, frozen
 NU_VACUUM_AT_1 = 2.2665345076998488351
@@ -84,13 +87,18 @@ def test_nu_zero_and_validation():
         # said "k must be finite", naming log rho's argument
         (lambda: state_density(VACUUM, 1.0, math.nan), "E must be finite, got nan"),
         (lambda: nu(VACUUM, 1j), "zeta must be a real number, got 1j"),
+        # an unknown scheme was refused only after the range search had built
+        # node sets: 6 of them for nu(WRIGHT, 50.0)
+        (lambda: nu(WRIGHT, 50.0, scheme="bogus"), _UNKNOWN_SCHEME),
+        (lambda: overlap_tilde(WRIGHT, 0.7, 1.3 + 0.4j, scheme="bogus"), _UNKNOWN_SCHEME),
+        (lambda: nu_bicomplex(BC_SHIFT, H(1.5, 2.5), scheme="bogus"), "component 1: " + _UNKNOWN_SCHEME),
     ],
 )
 def test_non_finite_arguments_refused_before_any_table(call, text):
-    continuum._node_table.cache_clear()
+    continuum._node_sets.cache_clear()
     with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
         call()
-    assert continuum._node_table.nbytes == 0
+    assert continuum._node_sets.nbytes == 0
 
 
 @pytest.mark.parametrize("zeta", [1e10, 1e16])
@@ -98,10 +106,10 @@ def test_non_finite_arguments_refused_before_any_table(call, text):
 def test_nu_past_the_float_range_is_refused_from_few_tables(zeta, scheme):
     # nu(1e10) built 53 node tables before its sum overflowed, and nu(1e16)
     # all 80 of the range ladder before "could not locate a decaying tail"
-    continuum._node_table.cache_clear()
+    continuum._node_sets.cache_clear()
     with pytest.raises(OverflowError, match=r"^nu\(zeta\) is past the float range \(log-integrand peak "):
         nu(VACUUM, zeta, scheme=scheme)
-    assert len(continuum._node_table._tables) < 10
+    assert len(continuum._node_sets._sets) < 10
 
 
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
@@ -202,11 +210,11 @@ def test_overlap_tilde_bound_and_validation():
         overlap_tilde(GENERIC, 0.0, 1.0)
     # |z|^2 past the float range, although conj(z) z' = 1: refused before any
     # integral, where a bare OverflowError came after the numerator's
-    continuum._node_table.cache_clear()
+    continuum._node_sets.cache_clear()
     for z, zp, name in ((1e200, 1e-200, "z"), (1e-200, 1e200j, "zp")):
         with pytest.raises(OverflowError, match=rf"^\|{name}\|\^2 is past the float range, {name} = "):
             overlap_tilde(VACUUM, z, zp)
-    assert continuum._node_table.nbytes == 0
+    assert continuum._node_sets.nbytes == 0
 
 
 def test_overlap_tilde_vacuum_ratio():
@@ -279,7 +287,7 @@ def test_state_density_validation():
         state_density(VACUUM, 0.0, 1.0)
     with pytest.raises(ValidationError):
         state_density(VACUUM, 1.0, -0.5)
-    continuum._node_table.cache_clear()
+    continuum._node_sets.cache_clear()
     with pytest.raises(OverflowError, match=r"^\|z\|\^2 is past the float range, z = \(1e\+200\+0j\)$"):
         state_density(VACUUM, 1e200, 1.0)
-    assert continuum._node_table.nbytes == 0
+    assert continuum._node_sets.nbytes == 0

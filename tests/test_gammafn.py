@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from _frozen import reference_lanczos_series, reference_log_gamma_ratio
+from _frozen import reference_lanczos_series, reference_log_gamma_ratio, scalar_pole_rule
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -154,6 +154,26 @@ def test_poles():
         pochhammer(1.0, math.nan)
     with pytest.raises(ValidationError, match=r"^a must be finite, got \(inf\+0j\)$"):
         pochhammer(math.inf, 1.0)
+
+
+def test_is_gamma_pole_is_pole_mask_on_one_entry():
+    """is_gamma_pole is pole_mask on one entry, and decides as the scalar
+    rule does: at signed zeros, non-finite parts, huge and half-integer
+    reals, and within and just past POLE_TOL of a pole on either axis."""
+    tol = gammafn.POLE_TOL
+    points = [
+        0.0, -0.0, complex(0.0, -0.0), complex(-0.0, tol), math.inf, -math.inf, math.nan,
+        complex(math.nan, 0.0), complex(-2.0, math.nan), complex(-2.0, math.inf), complex(-2.0, -math.inf),
+        -1e300, 1e300, -0.5, 0.5, -1.5, -2.5, -4503599627370495.5, -4503599627370496.0,
+        tol, -tol, 1.1e-12, -1.1e-12, 0.5 * tol, -0.5 * tol,
+        -3.0 + 0.9e-12, -3.0 - 0.9e-12, -3.0 + 1e-12, -3.0 + 1.1e-12, -3.0 - 1.1e-12,
+        complex(-3.0, tol), complex(-3.0, -tol), complex(-3.0, 1.0000001e-12), complex(-7.0, -1.1e-12),
+    ]
+    got = [is_gamma_pole(w) for w in points]
+    assert got == [scalar_pole_rule(w) for w in points]
+    assert True in got and False in got
+    finite = [w for w in points if cmath.isfinite(w)]
+    assert gammafn.pole_mask(np.array(finite, dtype=complex)).tolist() == [is_gamma_pole(w) for w in finite]
 
 
 def test_log_gamma_vec_matches_scalar():

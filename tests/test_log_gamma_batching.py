@@ -73,7 +73,7 @@ def _clear_memos():
         hfunction._h_value,
         hfunction._moment,
         per_level_line,
-        continuum._node_table,
+        continuum._node_sets,
         foxwright._column_cache,
         foxwright._boundary_plan,
     ):
@@ -332,23 +332,25 @@ def _counted_ts(ts, f, *args):
     ts(f, nodes, rel_tol, abs_tol) live, ts(f, a, b, rel_tol, abs_tol) frozen."""
     calls = []
 
-    def counted(x):
-        # the node table hands the integrand (nodes, log rho on them)
-        calls.append((x[0] if isinstance(x, tuple) else x).size)
-        return f(x)
+    def counted(*x):
+        # a tanh-sinh node set hands the integrand its nodes and log rho on them
+        calls.append(x[0].size)
+        return f(*x)
 
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         return _bits(_outcome(ts, counted, *args)), calls
 
 
 def _nu_integral(model, log_zeta):
-    """The tanh-sinh nu integrand and its range: live, on the node table's
-    levels, and frozen, on node arrays over [0, e_hi].  The range is the
+    """The tanh-sinh nu integrand and its range: live, on the stored node
+    sets' levels, and frozen, on node arrays over [0, e_hi].  The range is the
     frozen e_max's, which keeps going where continuum._e_max refuses a
     log-integrand past the float range, so the overflowing sums stay here."""
-    table = continuum._node_table(model.params, e_max(model, log_zeta.real))
-    live = continuum._integrands(table, log_zeta)[0], table.ts_nodes
-    return live, (integrands(model.params, log_zeta)[0], 0.0, table.hi)
+    hi = e_max(model, log_zeta.real)
+    live = continuum._integrands(model.params, log_zeta)[0], partial(
+        continuum._node_sets, continuum._ts_level, model.params, hi
+    )
+    return live, (integrands(model.params, log_zeta)[0], 0.0, hi)
 
 
 def _step(x):
@@ -547,8 +549,8 @@ def test_tanh_sinh_nu_log_rho_calls(monkeypatch):
         sizes.append(np.size(ks))
         return log_rho_vec(params, ks)
 
-    continuum._node_table.cache_clear()
-    # builds _e_max's log-rho grids, which the node table keeps, but no level
+    continuum._node_sets.cache_clear()
+    # builds _e_max's log-rho grid sets, which the LRU keeps, but no level
     continuum.nu(_WRIGHT, 2.5, scheme="gk")
     monkeypatch.setattr(continuum, "_log_rho_vec", counted)
     continuum.nu(_WRIGHT, 2.5, scheme="ts")

@@ -12,7 +12,7 @@ reference for the loop alone on warm lines and under lowered node
 caps).  Every output must match them bit for bit.
 
 H values, H on moment_check's Gauss-Kronrod subintervals, finished
-moment checks and the nu node tables (log rho at Gauss-Kronrod nodes, on
+moment checks and the nu node sets (log rho at Gauss-Kronrod nodes, on
 tanh-sinh levels and on _e_max's grids) are memoized; each output must
 also match the same call with the memos bypassed (their `__wrapped__`
 functions), cold and warm.
@@ -46,12 +46,12 @@ from fwstates.gammafn import log_gamma_vec
 from fwstates.hfunction import ContourConfig, HWeightParams
 
 _EPS = float(np.finfo(float).eps)
-# the measure memos: H(x), finished moment checks, and the nu node tables
+# the measure memos: H(x), finished moment checks, and the nu node sets
 # (log rho at nodes and on grids)
 _MEMOS = (
     (hfunction, "_h_value"),
     (hfunction, "_moment"),
-    (continuum, "_node_table"),
+    (continuum, "_node_sets"),
 )
 
 
@@ -493,13 +493,13 @@ def test_node_integrand_bits(model, E, log_zeta):
     """The integrand Gauss-Kronrod calls on the subinterval [E, 2E] ([0, 1]
     at E = 0) has, at each node, the bits of the array form on that node
     alone, and of the plain kernel there; the nodes are quadpack.nodes'."""
-    table = continuum._NodeTable(model.params, 8.0)
-    _, on_sub = continuum._integrands(table, log_zeta)
+    continuum._node_sets.cache_clear()
+    _, on_sub = continuum._integrands(model.params, log_zeta)
     a, b = E, 2.0 * E or 1.0
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         got = on_sub(a, b)
-        assert _bits(got) == _bits(on_sub(a, b))  # stored in the table, then read back
-        xs, log_rho = table.gk_nodes(a, b)
+        assert _bits(got) == _bits(on_sub(a, b))  # a stored node set, then read back
+        xs, log_rho = continuum._node_sets(continuum._gk_subinterval, model.params, a, b)
         assert _bits(xs) == _bits(quadpack.nodes(a, b))
         for x, value in zip(xs.tolist(), got.tolist()):
             one = np.array([x])
@@ -508,13 +508,15 @@ def test_node_integrand_bits(model, E, log_zeta):
 
 
 def test_rho_grid_entries_are_read_only_copies():
-    table = continuum._node_table(_WRIGHT.params, 12.0)
-    grid, log_rho_grid = table.grid, table.log_rho_grid
+    sets, params = continuum._node_sets, _WRIGHT.params
+    grid, log_rho_grid = sets(continuum._rho_grid, params, 12.0)
     assert not grid.flags.writeable and not log_rho_grid.flags.writeable
     assert log_rho_grid.flags.owndata and log_rho_grid.shape == (257,)
-    w, (xs, log_rho) = table.ts_nodes(3)
+    w, xs, log_rho = sets(continuum._ts_level, params, 12.0, 3)
     assert not (w.flags.writeable or xs.flags.writeable or log_rho.flags.writeable)
     assert log_rho.flags.owndata and log_rho.shape == xs.shape == (2 * w.size,)
+    xs, log_rho = sets(continuum._gk_subinterval, params, 0.0, 12.0)
+    assert not (xs.flags.writeable or log_rho.flags.writeable) and log_rho.shape == xs.shape == (21,)
 
 
 def test_measure_check_memo_counts(tmp_path, capsys):

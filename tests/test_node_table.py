@@ -1,10 +1,11 @@
-"""The nu node tables: one per (params, hi), bounded by retained bytes.
+"""The nu node sets: one LRU of finished sets, bounded by retained bytes.
 
-Every part of a nu quadrature that does not depend on zeta comes from
-the range's table: _e_max's log-rho grid, the Gauss-Kronrod subintervals'
-nodes and the tanh-sinh levels, each with log rho on its nodes.  The frozen
-route in _frozen.py forms all of them afresh at every call; every output
-and every error must match it bit for bit, cold and warm.
+Every part of a nu quadrature that does not depend on zeta comes from a
+stored node set: _e_max's log-rho grid per (params, hi), a tanh-sinh
+level per (params, hi, level) and a Gauss-Kronrod subinterval per
+(params, a, b), each with log rho on its nodes.  The frozen route in
+_frozen.py forms all of them afresh at every call; every output and
+every error must match it bit for bit, cold and warm.
 """
 
 import gc
@@ -64,10 +65,10 @@ def _outcome(fn, *args):
 @example(_VACUUM, complex(math.log(100.0), 2.5), "gk", continuum.DEFAULT_QUAD)
 @example(_VACUUM, complex(math.log(100.0), 2.5), "ts", continuum.DEFAULT_QUAD)
 def test_nu_integral_matches_frozen_route(model, log_zeta, scheme, cfg):
-    """Cold (every table dropped), then warm, then warm at a second zeta
-    on the same tables, against the route with no tables, which has no
+    """Cold (every node set dropped), then warm, then warm at a second
+    zeta on the same sets, against the route with no sets, which has no
     refusal of a log-integrand past the float range (assert_same_nu_outcome)."""
-    continuum._node_table.cache_clear()
+    continuum._node_sets.cache_clear()
     got = [_outcome(continuum._nu_integral, model, log_zeta, cfg, scheme) for _ in range(2)]
     assert got[0] == got[1]
     assert_same_nu_outcome(got[0], _outcome(nu_integral, model, log_zeta, cfg, scheme))
@@ -79,7 +80,7 @@ def test_nu_integral_matches_frozen_route(model, log_zeta, scheme, cfg):
 
 
 def test_second_nu_on_a_range_makes_no_log_rho_call(monkeypatch):
-    """Once a range's tables hold what a nu needs, a nu at another zeta with
+    """Once the node sets hold what a nu needs, a nu at another zeta with
     the same e_hi (tanh-sinh) or at the same zeta (Gauss-Kronrod, whose
     adaptive nodes depend on zeta) forms no log rho at all."""
     sizes = []
@@ -89,7 +90,7 @@ def test_second_nu_on_a_range_makes_no_log_rho_call(monkeypatch):
         sizes.append(np.size(ks))
         return log_rho_vec(params, ks)
 
-    continuum._node_table.cache_clear()
+    continuum._node_sets.cache_clear()
     monkeypatch.setattr(continuum, "_log_rho_vec", counted)
     zeta, other = 2.5, 2.6
     assert continuum._e_max(_WRIGHT, math.log(other)) == continuum._e_max(_WRIGHT, math.log(zeta))
@@ -103,53 +104,60 @@ def test_second_nu_on_a_range_makes_no_log_rho_call(monkeypatch):
     assert sizes == []
 
 
-def _fill(cache, hi_values, params):
-    """Every tanh-sinh level of each range, and 200 Gauss-Kronrod subintervals."""
+def _sets_of(hi_values, params):
+    """(builder, args) of each range's grid and every tanh-sinh level, and
+    of 200 Gauss-Kronrod subintervals, in the order they are stored."""
+    keys = []
     for hi in hi_values:
-        table = cache(params, hi)
-        for level in range(-1, continuum._TS_MAX_LEVEL + 1):
-            table.ts_nodes(level)
+        keys.append((continuum._rho_grid, (params, hi)))
+        keys += [(continuum._ts_level, (params, hi, level)) for level in range(-1, continuum._TS_MAX_LEVEL + 1)]
         edges = np.linspace(0.0, hi, 201).tolist()
-        for a, b in zip(edges, edges[1:]):
-            table.gk_nodes(a, b)
+        keys += [(continuum._gk_subinterval, (params, a, b)) for a, b in zip(edges, edges[1:])]
+    return keys
+
+
+def _fill(cache, keys):
+    for builder, args in keys:
+        cache(builder, *args)
         assert cache.nbytes <= cache.max_bytes
 
 
 def test_retained_bytes_stay_under_the_cap():
     """Ranges taken to the last tanh-sinh level hold 32,768 nodes each
-    (about 0.66 MB); eight of them pass the cap, and the oldest go."""
+    (about 0.66 MB); eight of them pass the cap, and the oldest sets go."""
     assert continuum._TABLE_BYTES == 1 << 22
-    cache = continuum._node_table
+    cache = continuum._node_sets
     cache.cache_clear()
     params = _WRIGHT.params
     hi_values = [8.0 * 1.5**j for j in range(8)]
-    _fill(cache, hi_values[:1], params)  # the column table and numpy's lazy state
+    _fill(cache, _sets_of(hi_values[:1], params))  # the column table and numpy's lazy state
     cache.cache_clear()
+    keys = _sets_of(hi_values, params)
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        _fill(cache, hi_values, params)
+        _fill(cache, keys)
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    tables = list(cache._tables.values())
-    assert 1 < len(tables) < len(hi_values)
-    assert [t.hi for t in tables] == hi_values[-len(tables) :]
-    assert cache.nbytes == sum(t.nbytes for t in tables) <= continuum._TABLE_BYTES
-    # what the tables charge covers what they hold
+    kept = list(cache._sets)
+    assert 1 < len(kept) < len(keys) and kept == keys[-len(kept) :]
+    assert 1 < len({args[1] for builder, args in kept if builder is continuum._ts_level}) < len(hi_values)
+    assert cache.nbytes == sum(size for _, size in cache._sets.values()) <= continuum._TABLE_BYTES
+    # what the sets are charged covers what they hold
     assert retained <= cache.nbytes
     cache.cache_clear()
 
 
 def test_concurrent_nu_matches_serial(monkeypatch):
-    """Threads share the tables while the cap keeps dropping them; every
-    value is the serial one, and the byte count stays the tables' sum."""
+    """Threads share the node sets while the cap keeps dropping them; every
+    value is the serial one, and the byte count stays the sets' sum."""
     models = [CoherentModel(FWParams([(1.0 + 0.01 * i, 0.9)], [(2.0, 1.1)])) for i in range(4)]
     jobs = [(m, zeta, s) for m in models for zeta in (0.4, 2.5, 9.0) for s in continuum.SCHEMES]
     expect = [_outcome(continuum.nu_with_error, m, zeta, continuum.DEFAULT_QUAD, s) for m, zeta, s in jobs]
-    cache = continuum._node_table
+    cache = continuum._node_sets
     cache.cache_clear()
     monkeypatch.setattr(cache, "max_bytes", 64 * 1024)
     old = sys.getswitchinterval()
@@ -164,5 +172,5 @@ def test_concurrent_nu_matches_serial(monkeypatch):
     finally:
         sys.setswitchinterval(old)
     assert got == expect * 3
-    assert cache.nbytes == sum(t.nbytes for t in cache._tables.values()) <= 64 * 1024
+    assert cache.nbytes == sum(size for _, size in cache._sets.values()) <= 64 * 1024
     cache.cache_clear()

@@ -180,7 +180,7 @@ def _outcome(fn, *args):
 @pytest.mark.parametrize("model", _MODELS)
 @pytest.mark.parametrize("zeta", [1e-3, 0.4, 2.5, 9.0, 60.0, 800.0])
 def test_nu_matches_scipy_route(model, zeta):
-    continuum._node_table.cache_clear()
+    continuum._node_sets.cache_clear()
     log_zeta = math.log(zeta)
     assert_same_nu_outcome(
         _outcome(nu_with_error, model, zeta), _outcome(nu_integral, model, log_zeta, DEFAULT_QUAD, "gk")
@@ -244,7 +244,7 @@ def test_overlap_tilde_roundoff_failure_keeps_scipys_text():
 @pytest.mark.parametrize("model", _MODELS)
 @pytest.mark.parametrize("z, E", [(0.8 + 0.6j, 0.0), (1.5, 2.5), (-2.0 + 1.0j, 7.3)])
 def test_state_density_matches_scipy_route(model, z, E):
-    continuum._node_table.cache_clear()
+    continuum._node_sets.cache_clear()
     assert _outcome(state_density, model, z, E) == _outcome(ref_state_density, model, z, E)
 
 
