@@ -314,11 +314,9 @@ def _nu_integral(model: CoherentModel, log_zeta, cfg: QuadConfig, scheme: str):
     2^_SCALE_BITS of DBL_MAX, the integral runs once more on the
     integrand times 2^-_SCALE_BITS, an exact scale, and is scaled back;
     what is then past the float range is refused by _past_range.  Every
-    integral the first run settles keeps its bits.  An unknown scheme is
-    refused before the range search builds any node set.
+    integral the first run settles keeps its bits.  The callers have
+    refused an unknown scheme (_check_scheme), before any node set is built.
     """
-    if scheme not in SCHEMES:
-        raise ValidationError(f"unknown quadrature scheme {scheme!r}; use one of {SCHEMES}")
     params = model.params
     hi = _e_max(model, log_zeta.real)
     on_nodes, on_sub = _integrands(params, log_zeta)
@@ -351,6 +349,11 @@ def _nu_integral(model: CoherentModel, log_zeta, cfg: QuadConfig, scheme: str):
     return value, err
 
 
+def _check_scheme(scheme: str) -> None:
+    if scheme not in SCHEMES:
+        raise ValidationError(f"unknown quadrature scheme {scheme!r}; use one of {SCHEMES}")
+
+
 def nu_with_error(
     model: CoherentModel,
     zeta: float,
@@ -361,6 +364,7 @@ def nu_with_error(
     zeta = _check_finite_real(zeta, "zeta")
     if zeta < 0:
         raise ValidationError("zeta must be >= 0")
+    _check_scheme(scheme)
     if zeta == 0.0:
         return 0.0, 0.0
     return _nu_integral(model, math.log(zeta), cfg, scheme)
@@ -400,6 +404,7 @@ def overlap_tilde(
         raise ValidationError("overlap_tilde needs |z|, |z'| > 0")
     zeta = _check_finite_complex(z.conjugate() * zp, "conj(z) zp")
     n1, n2 = _squared_modulus(z, "z"), _squared_modulus(zp, "zp")
+    _check_scheme(scheme)
     num, _ = _nu_integral(model, cmath.log(zeta), cfg, scheme)
     return num / math.sqrt(nu(model, n1, cfg, scheme) * nu(model, n2, cfg, scheme))
 

@@ -237,7 +237,8 @@ def log_gamma_ratio(a: complex, A: float, k: int | np.ndarray) -> complex | np.n
     and one log_gamma_vec call the log-gammas of the entries left of the
     threshold (_reflected_ratios), while the cmath remainder above runs
     per entry.  A non-finite a, A or k raises ValidationError; an int k,
-    a w or w + A past the float range, or a result past it, raises
+    a w or w + A past the float range, a w right of the threshold so
+    large that A/t overflows, or a result past the float range, raises
     OverflowError.
     """
     if not cmath.isfinite(complex(a)):
@@ -277,8 +278,14 @@ def _log_gamma_ratios(a: complex, A: float, kl: list) -> list[complex]:
         bad = np.flatnonzero(poles[:n] | poles[n:])
         if bad.size:
             raise PoleError(f"log_gamma_ratio crosses a pole at w={ws[bad[0]]}, A={A}")
-    sums = _lanczos_series(args).tolist()
     right = [w.real >= 0.5 and (w + A).real >= 0.5 for w in ws]
+    # A / t, t = w + g - 1/2, is 0 where its denominator |t|^2 / max(|Re t|,
+    # |Im t|) overflows at a finite w, and the remainder then drops its A
+    # term; 1 / t is 0 exactly there, and the Lanczos sums would overflow too
+    for w, r in zip(ws, right):
+        if r and 1.0 / (w + (_LANCZOS_G - 0.5)) == 0 and cmath.isfinite(w):
+            raise OverflowError(f"A/(w + {_LANCZOS_G - 0.5}) overflows at w = a + kA = {w} (A={A})")
+    sums = _lanczos_series(args).tolist()
     left = iter(() if all(right) else _reflected_ratios([w for w, r in zip(ws, right) if not r], A))
     out = [
         _ratio_remainder(w, A, s_w, s_wA) if r else next(left)
@@ -301,11 +308,8 @@ def _log_gamma_ratios(a: complex, A: float, kl: list) -> list[complex]:
 def _reflected_ratios(ws: list, A: float) -> list:
     """log_gamma(w + A) - log_gamma(w) for each w, from one log_gamma_vec
     call over every w + A and w; each entry has the bits of the two scalar
-    calls, whose pole screen log_gamma_ratio's has already passed.  If some
-    argument is not finite, the scalar calls run and raise log_gamma's error."""
+    calls, whose pole screen log_gamma_ratio's has already passed."""
     args = [w + A for w in ws] + ws
-    if not all(cmath.isfinite(v) for v in args):
-        return [log_gamma(w + A) - log_gamma(w) for w in ws]
     lg = log_gamma_vec(np.array(args, dtype=complex)).tolist()
     return [wA - w for wA, w in zip(lg, lg[len(ws) :])]
 

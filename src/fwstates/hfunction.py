@@ -16,8 +16,8 @@ moment integral into rho(k).
 The contour integrand decays like exp(-(pi/2)(1+sum B-sum A)|t|), so a
 trapezoid rule on a truncated line converges spectrally; the line is cut
 at the first height T = 8 * 1.5^j where the integrand has fallen to 1e-18
-of its on-axis value.  Each line keeps one finest node grid, refined by
-doubling up to MAX_NODES nodes, and its coarser levels are views.
+of its on-axis value.  Its trapezoid levels double from 2n nodes up to
+MAX_NODES, and each is a finished, read-only array (_level).
 ContourConfig sets the abscissa offset and the first node count n.  A
 line whose abscissa is a zero of M (a pole of an upper gamma) has no
 scale to decay from, so that line alone moves half an offset right.
@@ -25,8 +25,8 @@ scale to decay from, so that line alone moves half an offset right.
 The log-gamma work comes in few, large calls, because each call has a
 fixed cost that small arrays do not repay: a new line tests M(c) and its
 first eight heights in one call (and each further eight in one more),
-its first grid holds the 2n + 1 nodes of level 2n, which every H value
-needs, with level n as the stride-2 view, and each doubling forms only
+its first level holds the 2n + 1 nodes of level 2n, which every H value
+needs, with level n as its stride-2 view, and each doubling forms only
 the new odd nodes.  Each call has one Lanczos row per distinct (offset,
 weight) pair of the block, not one per factor: the unit-weight and
 Mittag-Leffler blocks carry Gamma(s) as upper (0, 1) and lower (0, 1),
@@ -38,14 +38,16 @@ wrapper (_grid).  The trapezoid loop likewise forms the integrand on
 level 2n in one pass, sums level n on its stride-2 view, and then forms
 only each level's odd nodes; for few numpy calls it halves steps, not
 complex sums, forms the phase as t * (-1j log x), reduces with
-np.add.reduce, forms the roundoff floor by np.trapezoid's arithmetic
-inline, and enters np.errstate only where H(x) may underflow.
+np.add.reduce, reads each level's roundoff floor, formed by
+np.trapezoid's arithmetic when the level was built, and enters
+np.errstate only where H(x) may underflow.
 
 Four bounded LRU caches hold what depends only on the parameters: the
 256 most recent models' parameter blocks (`_model_block`, which
 HWeightParams.from_model returns, so weight does not rebuild its block
-on every call), the 256 most recent lines (`_contour_state`), the 4,096
-most recent H values, keyed on (parameter block, x, contour config)
+on every call), the 320 most recent contour levels, keyed on (parameter
+block, contour config, abscissa level, n) (`_level`), the 4,096 most
+recent H values, keyed on (parameter block, x, contour config)
 (`_h_value`), and the 256 most recent finished moment checks, keyed on
 (parameter set, k) (`_moment`; K enters nothing, so models that differ
 only in K share an entry).  Quadratures revisit their nodes: one
@@ -90,6 +92,7 @@ _REL_STOP = 1e-10
 _EPS = float(np.finfo(float).eps)
 MAX_NODES = 1 << 20  # node doubling gives up past this many nodes
 _MOMENT_CACHE = 256  # (parameter set, k) pairs whose moment_check result is kept
+_LEVEL_CACHE = 320  # contour levels kept, each keyed on (block, contour, abscissa level, n)
 
 
 def _real_pairs(pairs, side: str) -> tuple[tuple[float, float], ...]:
@@ -241,76 +244,49 @@ def _truncation(hp: HWeightParams, c: float) -> tuple[float, float]:
     raise ContourFailure("could not truncate the contour; kernel decays too slowly")
 
 
-class _ContourState:
-    """One vertical line: abscissa, truncation height, cached node values.
+def _scaled(hp: HWeightParams, c: float, log_m0: float, t: np.ndarray) -> np.ndarray:
+    """M(c + it) / M(c) at the heights t."""
+    with np.errstate(under="ignore"):
+        return np.exp(_log_mellin_vec(hp, c + 1j * t) - log_m0)
 
-    Node values are stored scaled by the on-axis peak M(c), so the arrays
-    stay inside float range even when the shifted abscissa makes M(c)
-    astronomically large; the log of the scale is reapplied at the end.
-    Only the finest grid (vals, t) on N+1 nodes is kept: level n is the
-    view (vals[::N//n], t[::N//n]), cached with its step; its roundoff
-    floor is formed, and cached, the first time the stop test needs it.
 
-    _truncation tests log M(c) and the heights 8 * 1.5^j in batches of
-    _HEIGHT_BATCH per _log_mellin_vec call.  The first grid is level
-    2n (n = cc.n_nodes, unless 2n passes MAX_NODES), since eval_h always
-    needs it; _grid makes its even nodes (2m)(T/2n) == m(T/n), as linspace
-    does, so level n, its stride-2 view, holds the values a grid on n + 1
-    nodes would.  A doubling reads its new odd nodes off the finer grid.
+@lru_cache(maxsize=_LEVEL_CACHE)
+def _level(hp: HWeightParams, cc: ContourConfig, level: int, n: int) -> tuple:
+    """Level n of this abscissa level's line: (c, log M(c), T, vals, t,
+    floor), with the node values vals = M(c + it) / M(c) on t = _grid(T,
+    n), read-only, and the roundoff floor of their node sum.
+
+    Node values are scaled by the on-axis peak M(c), so they stay inside
+    float range even when the shifted abscissa makes M(c) astronomically
+    large; the log of the scale is reapplied at the end.  The first level
+    is n = 2 cc.n_nodes: it runs the height search, and if M(c) = 0, so
+    that no height can fall below 1e-18 of it, it moves the line half an
+    offset right.  Each further level takes the level below as its even
+    nodes, since _grid gives (2m)(T/2n) == m(T/n), and forms only its odd
+    ones.
     """
-
-    def __init__(self, hp: HWeightParams, cc: ContourConfig, level: int):
-        self.hp = hp
-        self.c = hp._right + cc.c_offset + _ABSCISSA_STEP * level
-        self.log_m0, self.T = _truncation(hp, self.c)
-        n = 2 * cc.n_nodes if 2 * cc.n_nodes <= MAX_NODES else cc.n_nodes
-        self.t = _grid(self.T, n)
-        self.vals = self._scaled(self.t)
-        self._levels: dict[int, tuple] = {}
-        self._floors: dict[int, float] = {}
-
-    def _scaled(self, t: np.ndarray) -> np.ndarray:
-        with np.errstate(under="ignore"):
-            return np.exp(_log_mellin_vec(self.hp, self.c + 1j * t) - self.log_m0)
-
-    def level(self, n: int) -> tuple:
-        """(vals, t, h) of level n; the finest grid doubles to reach n."""
-        if n not in self._levels:
-            if n > len(self.t) - 1:
-                t = _grid(self.T, n)
-                vals = np.empty(n + 1, dtype=complex)
-                vals[0::2] = self.vals
-                vals[1::2] = self._scaled(t[1::2])
-                self.vals, self.t = vals, t
-                self._levels = {m: self._view(m) + lev[2:] for m, lev in self._levels.items()}
-            self._levels[n] = self._view(n) + (self.T / n,)
-        return self._levels[n]
-
-    def floor(self, n: int) -> float:
-        """The roundoff floor of level n's node sum, formed when first asked for."""
-        if n not in self._floors:
-            vals, _, h = self.level(n)
-            a = np.abs(vals)
-            # np.trapezoid(a, dx=h), its arithmetic inline
-            self._floors[n] = 16.0 * _EPS * float(np.add.reduce(h * (a[1:] + a[:-1]) / 2.0))
-        return self._floors[n]
-
-    def _view(self, n: int) -> tuple:
-        step = (len(self.t) - 1) // n
-        return self.vals[::step], self.t[::step]
-
-
-@lru_cache(maxsize=256)
-def _contour_state(hp: HWeightParams, cc: ContourConfig, level: int) -> _ContourState:
-    """The line of this level; if M(c) = 0 there, so that no height can
-    fall below 1e-18 of it, the line half an offset further right."""
-    try:
-        return _ContourState(hp, cc, level)
-    except ContourFailure:
+    if n == 2 * cc.n_nodes:
         c = hp._right + cc.c_offset + _ABSCISSA_STEP * level
-        if hp.log_mellin(c).real != -math.inf:
-            raise
-    return _ContourState(hp, ContourConfig(1.5 * cc.c_offset, cc.n_nodes), level)
+        try:
+            log_m0, T = _truncation(hp, c)
+        except ContourFailure:
+            if hp.log_mellin(c).real != -math.inf:
+                raise
+            c = hp._right + 1.5 * cc.c_offset + _ABSCISSA_STEP * level
+            log_m0, T = _truncation(hp, c)
+        t = _grid(T, n)
+        vals = _scaled(hp, c, log_m0, t)
+    else:
+        c, log_m0, T, below, _, _ = _level(hp, cc, level, n // 2)
+        t = _grid(T, n)
+        vals = np.empty(n + 1, dtype=complex)
+        vals[0::2] = below
+        vals[1::2] = _scaled(hp, c, log_m0, t[1::2])
+    vals.flags.writeable = t.flags.writeable = False
+    a = np.abs(vals)
+    # 16 eps np.trapezoid(a, dx=T/n), its arithmetic inline
+    floor = 16.0 * _EPS * float(np.add.reduce((T / n) * (a[1:] + a[:-1]) / 2.0))
+    return c, log_m0, T, vals, t, floor
 
 
 def eval_h(hp: HWeightParams, x: float, cc: ContourConfig = DEFAULT_CONTOUR) -> float:
@@ -333,15 +309,17 @@ def eval_h(hp: HWeightParams, x: float, cc: ContourConfig = DEFAULT_CONTOUR) -> 
 def _h_value(hp: HWeightParams, x: float, cc: ContourConfig) -> float:
     """The contour loop behind eval_h, memoized: quadratures revisit their nodes.
 
-    Level n is summed on level 2n's stride-2 view, at its own step T/n = 2h."""
-    st = _contour_state(hp, cc, _abscissa_level(hp, cc, x))
+    It starts on level 2n, and sums level n on its stride-2 view, at its
+    own step T/n = 2h.  Where 2n passes MAX_NODES it raises before any
+    level is built."""
+    level = _abscissa_level(hp, cc, x)
     log_x = math.log(x)
-    log_scale = st.log_m0 - st.c * log_x - math.log(math.pi)
     # t * (-1j log x) has the imaginary bits of -1j * (t * log x), and a real part of +-0
     phase = -1j * log_x
     n, f = 2 * cc.n_nodes, None
     while n <= MAX_NODES:
-        vals, t, h = st.level(n)
+        c, log_m0, T, vals, t, floor = _level(hp, cc, level, n)
+        h = T / n
         if f is None:
             f = vals * np.exp(t * phase)
             prev = float(np.add.reduce((f[2::2] + f[:-2:2]) * h).real)  # level n/2: stride 2, step 2h
@@ -350,10 +328,10 @@ def _h_value(hp: HWeightParams, x: float, cc: ContourConfig) -> float:
             f[0::2] = f_even  # the level below's nodes; only the odd ones are new
             f[1::2] = vals[1::2] * np.exp(t[1::2] * phase)
         bracket = float(np.add.reduce((f[1:] + f[:-1]) * (h / 2.0)).real)  # np.trapezoid(f, dx=h)
-        # max(_REL_STOP |bracket|, floor) as two tests, so the floor is formed
-        # only where the relative test fails; a NaN fails both, as before
+        # max(_REL_STOP |bracket|, floor) as two tests; a NaN fails both
         diff = abs(bracket - prev)
-        if diff <= _REL_STOP * abs(bracket) or diff <= st.floor(n):
+        if diff <= _REL_STOP * abs(bracket) or diff <= floor:
+            log_scale = log_m0 - c * log_x - math.log(math.pi)
             if bracket and log_scale + min(0.0, math.log(abs(bracket))) > -700.0:
                 return float(bracket * np.exp(log_scale))
             with np.errstate(under="ignore"):  # H is zero, or may underflow

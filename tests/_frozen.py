@@ -30,7 +30,7 @@ coherent.make_state            ref_make_state                   test_states_bits
 coherent._log_rho_vec          ref_log_rho_vec                  test_measure_bits
 foxwright_bc.evaluate          reference_evaluate_bc            test_bcfoxwright
 hfunction._log_mellin_vec      log_mellin_vec_per_factor        test_measure_bits
-hfunction._ContourState        ContourPerLevel, per_level_line, test_log_gamma_batching,
+hfunction._level               ContourPerLevel, per_level_line, test_log_gamma_batching,
                                line_abscissa, contour_abscissa  test_measure_bits
 hfunction._h_value (eval_h)    eval_h_per_level                 test_log_gamma_batching,
                                                                 test_measure_bits

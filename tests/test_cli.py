@@ -37,6 +37,7 @@ def files(tmp_path_factory):
             "shift_k8.json",
             {"upper": [[1.0, 0.0, 1.0]], "lower": [[2.0, 0.0, 1.0]], "K": 8},
         ),
+        "exp": put("exp.json", {"upper": [[1.0, 0.0, 1.0]], "lower": [[1.0, 0.0, 1.0]]}),
         "disk": put(
             "disk.json", {"upper": [[1.0, 0.0, 2.0]], "lower": [[1.5, 0.0, 1.0]]}
         ),
@@ -119,6 +120,13 @@ def test_fw_eval_overflow_exit3(files, capsys):
     )
     assert code == 3
     assert out == ""
+    assert "numeric failure" in err
+
+
+def test_fw_eval_sum_overflow_exit3(files, capsys):
+    # every term of the exp series at z = 710 fits in a float; their sum does not
+    code, out, err = run_cli(capsys, "fw", "eval", "--params", files["exp"], "--z", "710")
+    assert (code, out) == (3, "")
     assert "numeric failure" in err
 
 

@@ -92,6 +92,16 @@ def test_nu_zero_and_validation():
         (lambda: nu(WRIGHT, 50.0, scheme="bogus"), _UNKNOWN_SCHEME),
         (lambda: overlap_tilde(WRIGHT, 0.7, 1.3 + 0.4j, scheme="bogus"), _UNKNOWN_SCHEME),
         (lambda: nu_bicomplex(BC_SHIFT, H(1.5, 2.5), scheme="bogus"), "component 1: " + _UNKNOWN_SCHEME),
+        # at zeta = 0 any scheme was accepted, and nu returned 0.0
+        pytest.param(
+            lambda: nu(VACUUM, 0.0, scheme="simpson"),
+            "unknown quadrature scheme 'simpson'; use one of ('gk', 'ts')",
+            id="nu-zeta-0-simpson",
+        ),
+        pytest.param(lambda: nu_with_error(WRIGHT, 0.0, scheme="bogus"), _UNKNOWN_SCHEME,
+                     id="nu_with_error-zeta-0-bogus"),
+        pytest.param(lambda: nu_bicomplex(BC_SHIFT, H(0.0, 0.0), scheme="bogus"),
+                     "component 1: " + _UNKNOWN_SCHEME, id="nu_bicomplex-zeta-0-bogus"),
     ],
 )
 def test_non_finite_arguments_refused_before_any_table(call, text):

@@ -436,6 +436,14 @@ def test_fixed_cases_cover_every_outcome():
     assert sum(isinstance(o, str) for o in outcomes) >= 10
 
 
+def test_sum_past_the_float_range_with_every_term_inside_it():
+    """At z = 710 every term of the exp series lies below e^709, so the
+    block loop's term screen passes them, but their sum passes DBL_MAX:
+    the row's finish refuses it."""
+    with pytest.raises(OverflowError, match="^series term exceeds the floating-point range; value not representable$"):
+        evaluate(FWParams(upper=[(1.0, 1.0)], lower=[(1.0, 1.0)]), 710.0)
+
+
 _VALUES = st.one_of(
     st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False),
     st.floats(-4.0, 4.0),

@@ -253,6 +253,20 @@ def test_log_gamma_ratio_refuses_a_result_past_the_float_range():
     assert log_gamma_ratio(2.1, 1.1, [10**308, 10**308]).tolist() == out.tolist()
 
 
+@pytest.mark.parametrize("A", [0.5, 2.0])
+def test_log_gamma_ratio_refuses_w_where_a_over_t_overflows(A):
+    """Off the real axis near DBL_MAX, A/(w + 6.5) overflows its
+    denominator: it came out 0, and the value lost exactly A.  That w is
+    refused by name; a neighbour where the quotient fits matches A log w
+    + A(A - 1)/(2w).  mpmath at 40 digits gives 0 for these differences,
+    so it cannot be the reference."""
+    with pytest.raises(OverflowError) as caught:
+        log_gamma_ratio(1e308 + 1e308j, A, 0)
+    assert str(caught.value) == f"A/(w + 6.5) overflows at w = a + kA = (1e+308+1e+308j) (A={A})"
+    w = 6e307 + 6e307j
+    assert log_gamma_ratio(w, A, 0) == pytest.approx(A * cmath.log(w) + A * (A - 1) / (2 * w), rel=1e-15)
+
+
 def test_log_gamma_ratio_reflection_side_takes_one_log_gamma_vec_call(monkeypatch):
     """The entries left of the reflection threshold (here k = 0..4 of 0..7)
     take their log-gammas from one log_gamma_vec call over their w + A and

@@ -18,7 +18,7 @@ from fwstates.hfunction import (
     MAX_NODES,
     ContourConfig,
     HWeightParams,
-    _contour_state,
+    _level,
     eval_h,
     measure_density,
     measure_density_b,
@@ -232,9 +232,9 @@ def test_malformed_pairs_are_validation_errors(upper, text):
 def test_kernel_zero_on_the_line_moves_only_that_line():
     # 1/Gamma(-0.25 + s/2) vanishes at the level-0 abscissa 0.5
     hp = HWeightParams([(-0.25, 0.5)], [(0.0, 1.0), (0.0, 1.0)])
-    assert _contour_state(hp, DEFAULT_CONTOUR, 0).c == 0.75
-    assert _contour_state(hp, DEFAULT_CONTOUR, 1).c == 4.5
-    assert _contour_state(hp, ContourConfig(c_offset=1.5), 0).c == 1.5
+    assert _level(hp, DEFAULT_CONTOUR, 0, 128)[0] == 0.75
+    assert _level(hp, DEFAULT_CONTOUR, 1, 128)[0] == 4.5
+    assert _level(hp, ContourConfig(c_offset=1.5), 0, 128)[0] == 1.5
     far = eval_h(hp, 0.3, ContourConfig(c_offset=1.5))
     assert repr(far) == "0.0783073451765581"
     assert eval_h(hp, 0.3) == pytest.approx(far, rel=1e-12, abs=0.0)

@@ -4,9 +4,8 @@ The measure layer makes few, large log-gamma calls: `_lanczos_series`
 adds its block's rows one at a time and forms each row alone from
 `_ROW_SUM_MIN` entries up, a new contour line tests
 M(c) and eight heights per `_log_mellin_vec` call and builds its first
-grid at level 2n, the trapezoid loop forms only the odd nodes of each
-new level, and `_tanh_sinh` calls its integrand once per level.  The
-references, in _frozen.py, are the plain forms: the Lanczos sum with
+level at 2n nodes, each further level forms only its odd nodes, and
+`_tanh_sinh` calls its integrand once per level.  The references, in _frozen.py, are the plain forms: the Lanczos sum with
 one numpy call per coefficient and log_gamma_vec on the masked route
 over it (bit-equal to the fused (8, ...) block and to the kernel with
 its one crossover at 512, which they replaced here), a line with a
@@ -69,7 +68,7 @@ def _outcome(fn, *args):
 
 def _clear_memos():
     for memo in (
-        hfunction._contour_state,
+        hfunction._level,
         hfunction._h_value,
         hfunction._moment,
         per_level_line,
@@ -213,19 +212,20 @@ _BLOCKS = [
 ]
 
 
+def _one_point_search(hp, c):
+    ref = ContourPerLevel(hp, c)
+    return ref.log_m0, ref.T
+
+
 def _lines(hp, cc, level):
-    """The live line's (c, log M(c), T) or failure, and the one-point search's."""
+    """The live search's (c, log M(c), T) or failure, and the one-point search's."""
+    c = line_abscissa(hp, cc, level)
     out = []
-    for make in (
-        lambda: hfunction._ContourState(hp, cc, level),
-        lambda: ContourPerLevel(hp, line_abscissa(hp, cc, level)),
-    ):
+    for search in (hfunction._truncation, _one_point_search):
         try:
-            st_ = make()
+            out.append(repr((c, *search(hp, c))))
         except ContourFailure as exc:
             out.append("ContourFailure: " + str(exc))
-        else:
-            out.append(repr((st_.c, st_.log_m0, st_.T)))
     return out
 
 
@@ -239,11 +239,10 @@ def test_height_search_matches_one_point_search(upper, lower, level):
 def test_height_search_batches():
     """The search reaches past the first batch of heights, and raises
     ContourFailure when none of the 120 heights passes."""
-    cc = ContourConfig(n_nodes=8)
-    st_ = hfunction._ContourState(HWeightParams([(0.5, 1.0 - 1e-9)], [(0.0, 1.0)]), cc, 0)
-    assert st_.T > 8.0 * 1.5**50
+    _, T = hfunction._truncation(HWeightParams([(0.5, 1.0 - 1e-9)], [(0.0, 1.0)]), 0.5)
+    assert T > 8.0 * 1.5**50
     with pytest.raises(ContourFailure, match="^could not truncate the contour; kernel decays too slowly$"):
-        hfunction._ContourState(HWeightParams([(-0.25, 0.5)], [(0.0, 1.0)]), cc, 0)
+        hfunction._truncation(HWeightParams([(-0.25, 0.5)], [(0.0, 1.0)]), 0.5)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -258,27 +257,22 @@ def test_height_search_bits(model, level, c_offset):
 
 def _compare_lines(hp, cc, xs):
     """eval_h at each x in turn (the first call on a line cold, later ones
-    warm); then each line's finest grid, its (vals, t, h) at every level it
-    reached (the plain loop, which starts at level n, reaches them too),
-    and every floor it formed."""
+    warm); then every level each line built, (c, log M(c), T, vals, t,
+    floor), against the plain loop's, which starts at level n and reaches
+    the same levels.  Reading them back builds none."""
     _clear_memos()
     for x in xs:
         assert _bits(_outcome(hfunction.eval_h, hp, x, cc)) == _bits(
             _outcome(eval_h_per_level, hp, x, cc)
         ), x
+    misses = hfunction._level.cache_info().misses
     for level in {hfunction._abscissa_level(hp, cc, x) for x in xs}:
-        ours = hfunction._contour_state(hp, cc, level)
         ref = per_level_line(hp, line_abscissa(hp, cc, level))
-        assert ours._levels.keys() <= ref._vals.keys()
-        finest = len(ours.t) - 1
-        assert (_bits(ours.vals), _bits(ours.t)) == (
-            _bits(ref.values(finest)), _bits(np.linspace(0.0, ref.T, finest + 1))
-        )
-        for n, lev in ours._levels.items():
-            want = ref.values(n), np.linspace(0.0, ref.T, n + 1), ref.T / n
-            assert [_bits(v) for v in lev] == [_bits(v) for v in want], n
-        for n, floor in ours._floors.items():
-            assert _bits(floor) == _bits(ref.floor(n)), n
+        for n in sorted(ref._vals.keys() - {cc.n_nodes}):
+            want = (ref.c, ref.log_m0, ref.T, ref.values(n), np.linspace(0.0, ref.T, n + 1), ref.floor(n))
+            ours = hfunction._level(hp, cc, level, n)
+            assert [_bits(v) for v in ours] == [_bits(v) for v in want], n
+    assert hfunction._level.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("n_nodes", [8, 64, 100])
@@ -299,14 +293,13 @@ def test_eval_h_and_levels_bits(model, xs, n_nodes, c_offset):
 
 
 def test_contour_at_max_nodes():
-    """n_nodes = MAX_NODES keeps one grid on MAX_NODES + 1 nodes, whose one
-    level cannot converge, and the same raise."""
+    """n_nodes = MAX_NODES leaves no level to double to: eval_h raises the
+    plain loop's error, at n = MAX_NODES, and builds no level."""
     hp = HWeightParams([], [(0.0, 1.0)])
     cc = ContourConfig(n_nodes=MAX_NODES)
     try:
         _compare_lines(hp, cc, [0.7])
-        level = hfunction._abscissa_level(hp, cc, 0.7)
-        assert len(hfunction._contour_state(hp, cc, level).t) == MAX_NODES + 1
+        assert hfunction._level.cache_info().currsize == 0
         with pytest.raises(ContourFailure, match=f"at n={MAX_NODES} for x=0.7$"):
             hfunction.eval_h(hp, 0.7, cc)
     finally:
@@ -315,13 +308,24 @@ def test_contour_at_max_nodes():
 
 @pytest.mark.parametrize("n_nodes", [8, 100, MAX_NODES // 2, MAX_NODES // 2 + 1])
 def test_first_grid_is_level_2n_and_level_n_its_view(n_nodes):
-    """Unless 2n passes MAX_NODES: then the first grid is level n."""
-    st_ = hfunction._ContourState(HWeightParams([], [(0.0, 1.0)]), ContourConfig(n_nodes=n_nodes), 0)
-    step = 2 if 2 * n_nodes <= MAX_NODES else 1
-    assert len(st_.t) == step * n_nodes + 1 and not st_._levels
-    vals, t, _ = st_.level(n_nodes)
-    assert np.shares_memory(vals, st_.vals) and vals.strides == (step * st_.vals.strides[0],)
-    assert _bits(t) == _bits(np.linspace(0.0, st_.T, n_nodes + 1))
+    """The first level is 2n, and level n, which the loop sums on its
+    stride-2 view, holds the nodes of a grid on n + 1 nodes.  Where 2n
+    passes MAX_NODES, eval_h raises and builds no level."""
+    hp = HWeightParams([], [(0.0, 1.0)])
+    cc = ContourConfig(n_nodes=n_nodes)
+    _clear_memos()
+    try:
+        if 2 * n_nodes > MAX_NODES:
+            with pytest.raises(ContourFailure, match=f"at n={n_nodes} for x=0.7$"):
+                hfunction.eval_h(hp, 0.7, cc)
+            assert hfunction._level.cache_info().currsize == 0
+        else:
+            c, _, T, vals, t, _ = hfunction._level(hp, cc, 0, 2 * n_nodes)
+            assert len(t) == 2 * n_nodes + 1 and hfunction._level.cache_info().currsize == 1
+            assert _bits(vals[::2]) == _bits(ContourPerLevel(hp, c).values(n_nodes))
+            assert _bits(t[::2]) == _bits(np.linspace(0.0, T, n_nodes + 1))
+    finally:
+        _clear_memos()
 
 
 # -- tanh-sinh ----------------------------------------------------------------

@@ -3,24 +3,26 @@
 `coherent._log_rho_vec` and `hfunction._log_mellin_vec` make one
 log_gamma_vec call over every gamma argument, log_gamma_vec skips its
 masked route when every entry lies right of Re = 1/2, and `eval_h`
-serves each trapezoid level as a strided view of one finest grid and
-reads level n off the pass over level 2n.  The references, in
-_frozen.py, are the plain forms: one log_gamma_vec_masked call per
-gamma factor, the masked route throughout, one array per level built by
-doubling, and np.trapezoid at every step (eval_h_per_level, also the
-reference for the loop alone on warm lines and under lowered node
-caps).  Every output must match them bit for bit.
+reads each trapezoid level from one memo of finished levels, each built
+from the level below and its new odd nodes, and reads level n off the
+pass over level 2n.  The references, in _frozen.py, are the plain
+forms: one log_gamma_vec_masked call per gamma factor, the masked route
+throughout, one array per level built by doubling, and np.trapezoid at
+every step (eval_h_per_level, also the reference for the loop alone on
+warm lines and under lowered node caps).  Every output must match them
+bit for bit.
 
-H values, H on moment_check's Gauss-Kronrod subintervals, finished
-moment checks and the nu node sets (log rho at Gauss-Kronrod nodes, on
-tanh-sinh levels and on _e_max's grids) are memoized; each output must
-also match the same call with the memos bypassed (their `__wrapped__`
-functions), cold and warm.
+Contour levels, H values, H on moment_check's Gauss-Kronrod
+subintervals, finished moment checks and the nu node sets (log rho at
+Gauss-Kronrod nodes, on tanh-sinh levels and on _e_max's grids) are
+memoized; each output must also match the same call with the memos
+bypassed (their `__wrapped__` functions), cold and warm.
 """
 
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,9 +48,10 @@ from fwstates.gammafn import log_gamma_vec
 from fwstates.hfunction import ContourConfig, HWeightParams
 
 _EPS = float(np.finfo(float).eps)
-# the measure memos: H(x), finished moment checks, and the nu node sets
-# (log rho at nodes and on grids)
+# the measure memos: contour levels, H(x), finished moment checks, and the
+# nu node sets (log rho at nodes and on grids)
 _MEMOS = (
+    (hfunction, "_level"),
     (hfunction, "_h_value"),
     (hfunction, "_moment"),
     (continuum, "_node_sets"),
@@ -168,24 +171,23 @@ def test_eval_h_bits(model, xs, cc):
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(_models(), _CONTOURS)
-def test_contour_levels_are_views_of_the_finest_grid(model, cc):
-    """Each cached level is a strided view of the state's finest arrays,
-    with the nodes and step the per-level arrays had; each floor formed is
-    the one the per-level arrays give."""
+def test_level_even_nodes_are_the_level_below(model, cc):
+    """Each level's even nodes and heights are the level below's, bit for
+    bit, and each level holds the line, nodes and heights the per-level
+    arrays have."""
     hp = HWeightParams.from_model(model)
     cc = ContourConfig(c_offset=cc.c_offset, n_nodes=8)
-    hfunction.eval_h(hp, 0.9, cc)
-    st_ = hfunction._contour_state(hp, cc, hfunction._abscissa_level(hp, cc, 0.9))
-    assert len(st_._levels) >= 3
+    level = hfunction._abscissa_level(hp, cc, 0.9)
     ref = ContourPerLevel(hp, contour_abscissa(hp, cc, 0.9))
-    for n, (vals, t, h) in st_._levels.items():
-        assert np.shares_memory(vals, st_.vals) and np.shares_memory(t, st_.t)
+    below = None
+    for n in (16, 32, 64, 128):
+        c, log_m0, T, vals, t, _ = ours = hfunction._level(hp, cc, level, n)
+        assert _bits((c, log_m0, T)) == _bits((ref.c, ref.log_m0, ref.T))
         assert _bits(vals) == _bits(ref.values(n))
         assert _bits(t) == _bits(np.linspace(0.0, ref.T, n + 1))
-        assert h == ref.T / n
-    for n, floor in st_._floors.items():
-        assert floor == ref.floor(n)
-    assert len(st_.t) - 1 == max(st_._levels)
+        if below is not None:
+            assert _bits(vals[0::2]) == _bits(below[3]) and _bits(t[0::2]) == _bits(below[4])
+        below = ours
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -205,77 +207,95 @@ def test_grid_is_linspace(T, n):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(_models(), _CONTOURS)
 def test_floor_is_trapezoid_of_abs(model, cc):
-    """The roundoff floor formed inline has np.trapezoid's bits on every level."""
+    """Each level's roundoff floor, formed inline when the level is built,
+    is 16 eps times np.trapezoid of |vals| at the level's step T/n."""
     hp = HWeightParams.from_model(model)
-    st_ = hfunction._contour_state(hp, cc, hfunction._abscissa_level(hp, cc, 0.9))
-    for n in (cc.n_nodes, 2 * cc.n_nodes, 4 * cc.n_nodes, 8 * cc.n_nodes):
-        vals, _, h = st_.level(n)
-        assert st_.floor(n) == 16.0 * _EPS * float(np.trapezoid(np.abs(vals), dx=h))
+    level = hfunction._abscissa_level(hp, cc, 0.9)
+    for n in (2 * cc.n_nodes, 4 * cc.n_nodes, 8 * cc.n_nodes, 16 * cc.n_nodes):
+        _, _, T, vals, _, floor = hfunction._level(hp, cc, level, n)
+        assert floor == 16.0 * _EPS * float(np.trapezoid(np.abs(vals), dx=T / n))
 
 
 def test_eval_h_stops_on_the_cached_floor():
-    """The stop compares with the floor each level carries, computed once
-    from |vals|: with every level's floor set to inf, eval_h stops at its
-    first test, as the plain loop does with an infinite floor."""
-    hp = HWeightParams.from_model(CoherentModel(FWParams([(1.3, 0.8)], [(2.1, 1.1)])))
+    """The stop compares with the floor each level carries: with every
+    level's floor read as inf, eval_h stops at its first test, as the
+    plain loop does with an infinite floor."""
+    hp = HWeightParams.from_model(_WRIGHT)
     cc = ContourConfig(n_nodes=8)
     x = 0.7
     converged = hfunction.eval_h(hp, x, cc)
-    st_ = hfunction._contour_state(hp, cc, hfunction._abscissa_level(hp, cc, x))
-    saved = dict(st_._floors)
+    level_of = hfunction._level
     # the H memo would answer from the converged value without running the loop
     hfunction._h_value.cache_clear()
     try:
-        st_._floors.update((n, math.inf) for n in st_._levels)
-        early = hfunction.eval_h(hp, x, cc)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hfunction, "_level", lambda *key: level_of(*key)[:5] + (math.inf,))
+            early = hfunction.eval_h(hp, x, cc)
     finally:
-        st_._floors.clear()
-        st_._floors.update(saved)
         hfunction._h_value.cache_clear()
     assert _bits(early) == _bits(eval_h_per_level(hp, x, cc, floor=math.inf))
     assert early != converged
     assert _bits(hfunction.eval_h(hp, x, cc)) == _bits(converged)
 
 
-def test_floor_is_formed_only_where_the_relative_test_fails():
-    """A line's floors are those of the levels whose relative stop test
-    failed, formed once; a warm call forms none."""
-    hp = HWeightParams.from_model(CoherentModel(FWParams([(1.3, 0.8)], [(2.1, 1.1)])))
+def test_warm_eval_h_builds_no_level(monkeypatch):
+    """With its H values dropped and its lines' levels kept, eval_h reads
+    every level from the level memo: it builds none, makes no
+    _log_mellin_vec call and returns the cold call's bits."""
+    hp = HWeightParams.from_model(_WRIGHT)
     cc = ContourConfig(n_nodes=8)
-    hfunction._contour_state.cache_clear()
+    xs = [0.3, 0.9, 2.0, 3.0, 0.7]
+    hfunction._level.cache_clear()
     hfunction._h_value.cache_clear()
-    x = 0.7
-    hfunction.eval_h(hp, x, cc)
-    st_ = hfunction._contour_state(hp, cc, hfunction._abscissa_level(hp, cc, x))
-    assert cc.n_nodes not in st_._levels and cc.n_nodes not in st_._floors
-    # the levels below the last one failed both tests; the last passed one
-    levels = sorted(st_._levels)
-    assert set(levels[:-1]) <= set(st_._floors)
-    floors = dict(st_._floors)
+    cold = [hfunction.eval_h(hp, x, cc) for x in xs]
+    built = hfunction._level.cache_info()
+    assert built.misses == built.currsize >= 2 * len({hfunction._abscissa_level(hp, cc, x) for x in xs})
+    sizes = []
+    log_mellin = hfunction._log_mellin_vec
+    monkeypatch.setattr(hfunction, "_log_mellin_vec", lambda hp, s: sizes.append(s.size) or log_mellin(hp, s))
     hfunction._h_value.cache_clear()
-    hfunction.eval_h(hp, x, cc)
-    assert st_._floors == floors
+    assert _bits([hfunction.eval_h(hp, x, cc) for x in xs]) == _bits(cold)
+    info = hfunction._level.cache_info()
+    assert sizes == [] and (info.misses, info.currsize) == (built.misses, built.currsize)
+    assert info.hits > built.hits
 
 
-def _owner(a):
-    """The array that owns a's memory (numpy points a view's base there)."""
-    return a if a.base is None else a.base
-
-
-def test_contour_memory_after_several_doublings():
-    """No level holds its own copy: the only arrays are the finest vals and t."""
-    hp = HWeightParams.from_model(CoherentModel(FWParams([(1.3, 0.8)], [(2.1, 1.1)])))
+def test_level_arrays_are_read_only():
+    """Every cached level's node values and heights are read-only, so no
+    reader can change a stored level."""
+    hp = HWeightParams.from_model(_WRIGHT)
     cc = ContourConfig(n_nodes=8)
     xs = [0.3, 0.9, 2.0, 3.0]
     for x in xs:
         hfunction.eval_h(hp, x, cc)
-    levels = {hfunction._abscissa_level(hp, cc, x) for x in xs}
-    for level in levels:
-        st_ = hfunction._contour_state(hp, cc, level)
-        assert len(st_._levels) >= 3
-        for vals, t, _ in st_._levels.values():
-            assert not vals.flags.owndata and not t.flags.owndata
-            assert _owner(vals) is _owner(st_.vals) and _owner(t) is _owner(st_.t)
+    misses = hfunction._level.cache_info().misses
+    for level in {hfunction._abscissa_level(hp, cc, x) for x in xs}:
+        for n in (16, 32):
+            _, _, _, vals, t, _ = hfunction._level(hp, cc, level, n)
+            assert not vals.flags.writeable and not t.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                vals[1] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                t[1] = 0.0
+    assert hfunction._level.cache_info().misses == misses
+
+
+def test_contour_past_max_nodes_is_refused_before_any_level():
+    """Where 2n passes MAX_NODES no level can be summed: eval_h raises the
+    loop's error without building one (a whole line of 2^20 + 1 nodes
+    took 0.36 s, peaked at 110 MB and stayed in the memo)."""
+    hp = HWeightParams.from_model(_UNIT)
+    size = hfunction._level.cache_info().currsize
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContourFailure) as exc:
+            hfunction.eval_h(hp, 1.0, ContourConfig(n_nodes=hfunction.MAX_NODES))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "node doubling stalled below tolerance at n=1048576 for x=1"
+    assert peak < 1 << 20
+    assert hfunction._level.cache_info().currsize == size
 
 
 def _uncached(monkeypatch):
@@ -436,15 +456,19 @@ def test_warm_h_loop_matches_the_two_pass_loop(cc):
 
 @pytest.mark.parametrize("max_nodes", [8, 16, 32, 64])
 def test_h_loop_under_a_lowered_node_cap(monkeypatch, max_nodes):
-    """With MAX_NODES at 8, 2n passes the cap: the first grid is level n
-    and both loops raise at n=8.  Under caps of 16 to 64, doubling stops
-    at the cap.  Values and failures match the plain loop's."""
+    """With MAX_NODES at 8, 2n passes the cap: both loops raise at n=8,
+    and the live one builds no level.  Under caps of 16 to 64, doubling
+    stops at the cap.  Values and failures match the plain loop's."""
     monkeypatch.setattr(hfunction, "MAX_NODES", max_nodes)
     cc = ContourConfig(n_nodes=8)
     outcomes = set()
-    # the memos hold lines and values built under the live cap, and must
+    # the level sizes asked for
+    ns = []
+    level_of = hfunction._level
+    monkeypatch.setattr(hfunction, "_level", lambda *key: ns.append(key[3]) or level_of(*key))
+    # the memos hold levels and values built under the live cap, and must
     # not keep the lowered cap's
-    hfunction._contour_state.cache_clear()
+    level_of.cache_clear()
     hfunction._h_value.cache_clear()
     try:
         for model, x_max in _MEASURE_MODELS:
@@ -455,12 +479,10 @@ def test_h_loop_under_a_lowered_node_cap(monkeypatch, max_nodes):
                 outcomes.add("ContourFailure" in ours)
                 if max_nodes == 8:
                     assert ours.endswith(f"at n=8 for x={x:g}']"), ours
-            # the finest grid any line reached: level n alone under a cap of 8
-            level = hfunction._abscissa_level(hp, cc, 1.0)
-            finest = len(hfunction._contour_state(hp, cc, level).t) - 1
-            assert finest == 8 if max_nodes == 8 else 16 <= finest <= max_nodes
+        # no level under a cap of 8; else levels from 2n = 16 up to the cap
+        assert set(ns) == {16 << i for i in range(max_nodes.bit_length() - 4)}
     finally:
-        hfunction._contour_state.cache_clear()
+        level_of.cache_clear()
         hfunction._h_value.cache_clear()
     # two levels (8 and 16 nodes) never agree here; from 32 up some x converge
     assert True in outcomes and (False in outcomes) == (max_nodes >= 32)
@@ -472,9 +494,9 @@ def test_h_loop_underflow_under_raise():
     raises nothing and returns the plain loop's bits."""
     hp = HWeightParams.from_model(_MEASURE_MODELS[0][0])
     cc, x = hfunction.DEFAULT_CONTOUR, 720.0
-    hfunction.eval_h(hp, x, cc)  # builds the line outside the raise
-    st_ = hfunction._contour_state(hp, cc, hfunction._abscissa_level(hp, cc, x))
-    assert st_.log_m0 - st_.c * math.log(x) - math.log(math.pi) < -700.0
+    hfunction.eval_h(hp, x, cc)  # builds the levels outside the raise
+    c, log_m0 = hfunction._level(hp, cc, hfunction._abscissa_level(hp, cc, x), 2 * cc.n_nodes)[:2]
+    assert log_m0 - c * math.log(x) - math.log(math.pi) < -700.0
     with np.errstate(under="raise"):
         ours, ref = _loop_bits(hp, x, cc)
     assert ours == ref
