@@ -65,6 +65,9 @@ _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
 
 POLE_TOL = 1e-12
+_UNIT_ROUNDOFF = 2.0**-53
+# relative accuracy that log_gamma_ratio's reflected entries must keep
+_REFLECTED_TOL = 1e-8
 
 
 def is_gamma_pole(w: complex) -> bool:
@@ -238,8 +241,9 @@ def log_gamma_ratio(a: complex, A: float, k: int | np.ndarray) -> complex | np.n
     threshold (_reflected_ratios), while the cmath remainder above runs
     per entry.  A non-finite a, A or k raises ValidationError; an int k,
     a w or w + A past the float range, a w right of the threshold so
-    large that A/t overflows, or a result past the float range, raises
-    OverflowError.
+    large that A/t overflows, a w left of it where the difference's
+    rounding passes 1e-8 of its value, or a result past the float range,
+    raises OverflowError.
     """
     if not cmath.isfinite(complex(a)):
         raise ValidationError(f"a must be finite, got {a!r}")
@@ -285,8 +289,9 @@ def _log_gamma_ratios(a: complex, A: float, kl: list) -> list[complex]:
     for w, r in zip(ws, right):
         if r and 1.0 / (w + (_LANCZOS_G - 0.5)) == 0 and cmath.isfinite(w):
             raise OverflowError(f"A/(w + {_LANCZOS_G - 0.5}) overflows at w = a + kA = {w} (A={A})")
-    sums = _lanczos_series(args).tolist()
+    # the reflected entries first: they refuse a w so large that its sums would overflow
     left = iter(() if all(right) else _reflected_ratios([w for w, r in zip(ws, right) if not r], A))
+    sums = _lanczos_series(args).tolist()
     out = [
         _ratio_remainder(w, A, s_w, s_wA) if r else next(left)
         for w, r, s_w, s_wA in zip(ws, right, sums[:n], sums[n:])
@@ -308,10 +313,28 @@ def _log_gamma_ratios(a: complex, A: float, kl: list) -> list[complex]:
 def _reflected_ratios(ws: list, A: float) -> list:
     """log_gamma(w + A) - log_gamma(w) for each w, from one log_gamma_vec
     call over every w + A and w; each entry has the bits of the two scalar
-    calls, whose pole screen log_gamma_ratio's has already passed."""
+    calls, whose pole screen log_gamma_ratio's has already passed.
+
+    The difference keeps the absolute rounding of its two terms, about
+    u (|log_gamma(w + A)| + |log_gamma(w)|) with u = 2^-53, which grows
+    like |w| log |w| (at w = 0.3 + 1e16j it is larger than the value).
+    Where that estimate passes 1e-8 max(1, |difference|), or a term is not
+    finite (near DBL_MAX), the entry is refused with OverflowError.
+    """
     args = [w + A for w in ws] + ws
-    lg = log_gamma_vec(np.array(args, dtype=complex)).tolist()
-    return [wA - w for wA, w in zip(lg, lg[len(ws) :])]
+    with np.errstate(over="ignore", invalid="ignore"):  # what overflows is refused below
+        lg = log_gamma_vec(np.array(args, dtype=complex)).tolist()
+    lg_wA, lg_w = lg[: len(ws)], lg[len(ws) :]
+    out = [wA - w for wA, w in zip(lg_wA, lg_w)]
+    for w, r, wA_term, w_term in zip(ws, out, lg_wA, lg_w):
+        est = _UNIT_ROUNDOFF * (abs(wA_term) + abs(w_term))
+        # a term past the float range makes est inf or NaN, and is refused too
+        if not (est <= _REFLECTED_TOL * max(1.0, abs(r)) and est < math.inf):
+            raise OverflowError(
+                f"log Gamma(w + A) - log Gamma(w) cannot be formed to {_REFLECTED_TOL:g}"
+                f" in float64 at w = a + kA = {w} (A={A})"
+            )
+    return out
 
 
 def _not_finite(a, A, k, w) -> OverflowError:

@@ -42,15 +42,25 @@ np.add.reduce, reads each level's roundoff floor, formed by
 np.trapezoid's arithmetic when the level was built, and enters
 np.errstate only where H(x) may underflow.
 
-Four bounded LRU caches hold what depends only on the parameters: the
+Five bounded LRU caches hold what depends only on the parameters: the
 256 most recent models' parameter blocks (`_model_block`, which
 HWeightParams.from_model returns, so weight does not rebuild its block
 on every call), the 320 most recent contour levels, keyed on (parameter
-block, contour config, abscissa level, n) (`_level`), the 4,096 most
-recent H values, keyed on (parameter block, x, contour config)
-(`_h_value`), and the 256 most recent finished moment checks, keyed on
-(parameter set, k) (`_moment`; K enters nothing, so models that differ
-only in K share an entry).  Quadratures revisit their nodes: one
+block, contour config, abscissa level, n) (`_level`), a call counter
+for each of the 256 most recent (parameter block, contour config) pairs
+(`_pair_calls`), the 4,096 most recent H values, keyed on (parameter
+block, x, contour config) (`_h_value`), and the 256 most recent
+finished moment checks, keyed on (parameter set, k) (`_moment`; K
+enters nothing, so models that differ only in K share an entry).
+
+A pair's first H value builds its line's levels with the same function
+(_build_level) and keeps none of them; from its second on, the levels
+are read from `_level`, which keeps them.  So a block asked for once, as
+a fresh kernel is, stores nothing and evicts no line of a block in
+steady use (a 2Q or TinyLFU doorkeeper), and since every level comes
+from _build_level, every H value keeps its bits either way.  The count is
+per pair, not per abscissa level, so a model's first call at a new
+abscissa level is kept at once.  Quadratures revisit their nodes: one
 `measure check --k 0..6` on the unit-weight model reads H 1,134 times at
 193 distinct x, and `_h_value` answers the other 941, 882 of them on
 revisits of the 9 distinct Gauss-Kronrod subintervals; a second such
@@ -67,6 +77,7 @@ subinterval: moment_check reads H on its nodes from `_h_value` and forms
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -74,7 +85,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bicomplex import Hyperbolic, componentwise
+from .bicomplex import Hyperbolic, _check_finite_real, componentwise
 from .coherent import BCCoherentModel, CoherentModel, rho
 from .continuum import DEFAULT_QUAD, _integrate
 from .errors import (
@@ -93,6 +104,7 @@ _EPS = float(np.finfo(float).eps)
 MAX_NODES = 1 << 20  # node doubling gives up past this many nodes
 _MOMENT_CACHE = 256  # (parameter set, k) pairs whose moment_check result is kept
 _LEVEL_CACHE = 320  # contour levels kept, each keyed on (block, contour, abscissa level, n)
+_PAIR_CACHE = 256  # (block, contour) pairs whose _h_value calls are counted
 
 
 def _real_pairs(pairs, side: str) -> tuple[tuple[float, float], ...]:
@@ -178,12 +190,16 @@ class ContourConfig:
     n_nodes: int = 64
 
     def __post_init__(self):
-        if self.c_offset <= 0:
+        c_offset = _check_finite_real(self.c_offset, "c_offset")
+        if c_offset <= 0:
             raise ValidationError("c_offset must be > 0 to clear the pole at the abscissa")
-        if self.n_nodes < 8 or MAX_NODES < self.n_nodes:
+        n_nodes = _whole_number(self.n_nodes, "n_nodes", 8)
+        if MAX_NODES < n_nodes:
             raise ValidationError(f"need 8 <= n_nodes <= {MAX_NODES}")
+        object.__setattr__(self, "c_offset", c_offset)
+        object.__setattr__(self, "n_nodes", n_nodes)
         # the field hash, formed once, as in HWeightParams
-        object.__setattr__(self, "_hash", hash((self.c_offset, self.n_nodes)))
+        object.__setattr__(self, "_hash", hash((c_offset, n_nodes)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -250,8 +266,7 @@ def _scaled(hp: HWeightParams, c: float, log_m0: float, t: np.ndarray) -> np.nda
         return np.exp(_log_mellin_vec(hp, c + 1j * t) - log_m0)
 
 
-@lru_cache(maxsize=_LEVEL_CACHE)
-def _level(hp: HWeightParams, cc: ContourConfig, level: int, n: int) -> tuple:
+def _build_level(hp: HWeightParams, cc: ContourConfig, level: int, n: int, below) -> tuple:
     """Level n of this abscissa level's line: (c, log M(c), T, vals, t,
     floor), with the node values vals = M(c + it) / M(c) on t = _grid(T,
     n), read-only, and the roundoff floor of their node sum.
@@ -259,13 +274,13 @@ def _level(hp: HWeightParams, cc: ContourConfig, level: int, n: int) -> tuple:
     Node values are scaled by the on-axis peak M(c), so they stay inside
     float range even when the shifted abscissa makes M(c) astronomically
     large; the log of the scale is reapplied at the end.  The first level
-    is n = 2 cc.n_nodes: it runs the height search, and if M(c) = 0, so
-    that no height can fall below 1e-18 of it, it moves the line half an
-    offset right.  Each further level takes the level below as its even
-    nodes, since _grid gives (2m)(T/2n) == m(T/n), and forms only its odd
-    ones.
+    (below is None) is n = 2 cc.n_nodes: it runs the height search, and
+    if M(c) = 0, so that no height can fall below 1e-18 of it, it moves
+    the line half an offset right.  Each further level takes the level
+    below, level n/2, as its even nodes, since _grid gives (2m)(T/2n) ==
+    m(T/n), and forms only its odd ones.
     """
-    if n == 2 * cc.n_nodes:
+    if below is None:
         c = hp._right + cc.c_offset + _ABSCISSA_STEP * level
         try:
             log_m0, T = _truncation(hp, c)
@@ -277,16 +292,29 @@ def _level(hp: HWeightParams, cc: ContourConfig, level: int, n: int) -> tuple:
         t = _grid(T, n)
         vals = _scaled(hp, c, log_m0, t)
     else:
-        c, log_m0, T, below, _, _ = _level(hp, cc, level, n // 2)
+        c, log_m0, T, below_vals, _, _ = below
         t = _grid(T, n)
         vals = np.empty(n + 1, dtype=complex)
-        vals[0::2] = below
+        vals[0::2] = below_vals
         vals[1::2] = _scaled(hp, c, log_m0, t[1::2])
     vals.flags.writeable = t.flags.writeable = False
     a = np.abs(vals)
     # 16 eps np.trapezoid(a, dx=T/n), its arithmetic inline
     floor = 16.0 * _EPS * float(np.add.reduce((T / n) * (a[1:] + a[:-1]) / 2.0))
     return c, log_m0, T, vals, t, floor
+
+
+@lru_cache(maxsize=_LEVEL_CACHE)
+def _level(hp: HWeightParams, cc: ContourConfig, level: int, n: int) -> tuple:
+    """_build_level, memoized: each level is built once from the memo's level below."""
+    below = None if n == 2 * cc.n_nodes else _level(hp, cc, level, n // 2)
+    return _build_level(hp, cc, level, n, below)
+
+
+@lru_cache(maxsize=_PAIR_CACHE)
+def _pair_calls(hp: HWeightParams, cc: ContourConfig) -> itertools.count:
+    """A counter of _h_value's calls on this (block, contour) pair: next() is 0 on the first."""
+    return itertools.count()
 
 
 def eval_h(hp: HWeightParams, x: float, cc: ContourConfig = DEFAULT_CONTOUR) -> float:
@@ -311,14 +339,18 @@ def _h_value(hp: HWeightParams, x: float, cc: ContourConfig) -> float:
 
     It starts on level 2n, and sums level n on its stride-2 view, at its
     own step T/n = 2h.  Where 2n passes MAX_NODES it raises before any
-    level is built."""
+    level is built.  A (block, contour) pair's first call builds each
+    level from the one before and keeps none; from its second call on,
+    the line's levels are read from, and kept in, `_level`."""
     level = _abscissa_level(hp, cc, x)
+    first = next(_pair_calls(hp, cc)) == 0
     log_x = math.log(x)
     # t * (-1j log x) has the imaginary bits of -1j * (t * log x), and a real part of +-0
     phase = -1j * log_x
-    n, f = 2 * cc.n_nodes, None
+    n, f, lv = 2 * cc.n_nodes, None, None
     while n <= MAX_NODES:
-        c, log_m0, T, vals, t, floor = _level(hp, cc, level, n)
+        lv = _build_level(hp, cc, level, n, lv) if first else _level(hp, cc, level, n)
+        c, log_m0, T, vals, t, floor = lv
         h = T / n
         if f is None:
             f = vals * np.exp(t * phase)

@@ -286,6 +286,38 @@ def test_log_gamma_ratio_reflection_side_takes_one_log_gamma_vec_call(monkeypatc
     assert [repr(v) for v in out.tolist()[:5]] == want
 
 
+def test_log_gamma_ratio_reflection_side_keeps_its_bits_at_im_w_1e6():
+    """At w = 0.3 + 1e6j the plain difference's rounding, about 2.9e-9,
+    stays below 1e-8 of the value: the entry keeps the two scalar calls' bits."""
+    w = 0.3 + 1e6j
+    assert repr(log_gamma_ratio(w, 0.5, 0)) == repr(log_gamma(w + 0.5) - log_gamma(w))
+
+
+@pytest.mark.parametrize(
+    "a",
+    [0.3 + 1e8j, 0.3 + 1e10j, 0.3 + 1e16j, 0.3 + 1e200j, 0.3 + 1e308j, -1e308 + 1e308j, -1e10 + 0.5j],
+)
+def test_log_gamma_ratio_refuses_a_reflected_entry_that_rounding_swamps(a):
+    """Left of the reflection threshold the value is a plain difference of
+    two log-gammas of size |w| log |w|.  Where their rounding passes 1e-8
+    of the value (against 60-digit mpmath the error at 0.3 + 1e16j was
+    1.8, and 0.3 + 1e200j returned 0j), or a log-gamma passes the float
+    range, the entry is refused by name, with no numpy warning; so is an
+    array holding it."""
+    text = (
+        "log Gamma(w + A) - log Gamma(w) cannot be formed to 1e-08 in float64"
+        f" at w = a + kA = {complex(a)} (A=0.5)"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError) as caught:
+            log_gamma_ratio(a, 0.5, 0)
+        assert str(caught.value) == text
+        with pytest.raises(OverflowError) as caught:
+            log_gamma_ratio(a, 0.5, np.array([0.0, 0.0]))
+        assert str(caught.value) == text
+
+
 @pytest.mark.parametrize("k, shown", [(math.nan, "nan"), (math.inf, "inf"), (np.array([1.0, -math.inf]), "-inf")])
 def test_log_gamma_ratio_refuses_non_finite_k(k, shown):
     with pytest.raises(ValidationError, match=f"^k must be finite, got {shown}$"):

@@ -255,3 +255,41 @@ def test_contour_config_validation():
         ContourConfig(n_nodes=4)
     with pytest.raises(ValidationError):
         ContourConfig(n_nodes=2 * MAX_NODES)
+
+
+@pytest.mark.parametrize(
+    "field, value, text",
+    [
+        ("c_offset", math.nan, "c_offset must be finite, got nan"),
+        ("c_offset", math.inf, "c_offset must be finite, got inf"),
+        ("c_offset", -math.inf, "c_offset must be finite, got -inf"),
+        ("c_offset", 1j, "c_offset must be a real number, got 1j"),
+        ("c_offset", None, "c_offset must be a real number, got None"),
+        ("c_offset", 0.0, "c_offset must be > 0 to clear the pole at the abscissa"),
+        ("c_offset", -0.5, "c_offset must be > 0 to clear the pole at the abscissa"),
+        ("n_nodes", 8.5, "n_nodes must be a whole number, got 8.5"),
+        ("n_nodes", "64", "n_nodes must be a whole number, got '64'"),
+        ("n_nodes", math.nan, "n_nodes must be >= 8"),
+        ("n_nodes", math.inf, "n_nodes must be a whole number, got inf"),
+        ("n_nodes", 7, "n_nodes must be >= 8"),
+        ("n_nodes", MAX_NODES + 1, f"need 8 <= n_nodes <= {MAX_NODES}"),
+        ("n_nodes", float(2 * MAX_NODES), f"need 8 <= n_nodes <= {MAX_NODES}"),
+    ],
+)
+def test_contour_config_refuses_malformed_fields(field, value, text):
+    """Each malformed field is refused at construction with ValidationError,
+    before eval_h could raise a bare ValueError or numpy warning from it;
+    the suite turns any RuntimeWarning into an error."""
+    with pytest.raises(ValidationError) as exc:
+        ContourConfig(**{field: value})
+    assert str(exc.value) == text
+
+
+def test_contour_config_takes_whole_floats_as_ints():
+    """n_nodes = 64.0 is the default contour: the same fields, hash and H values."""
+    cc = ContourConfig(c_offset=1, n_nodes=64.0)
+    assert (cc.c_offset, cc.n_nodes) == (1.0, 64) and type(cc.n_nodes) is int
+    assert ContourConfig(n_nodes=64.0) == DEFAULT_CONTOUR
+    assert hash(ContourConfig(n_nodes=64.0)) == hash(DEFAULT_CONTOUR)
+    hp = HWeightParams([], [(0.0, 1.0)])
+    assert eval_h(hp, 0.7, ContourConfig(n_nodes=64.0)) == eval_h(hp, 0.7)

@@ -69,6 +69,7 @@ def _outcome(fn, *args):
 def _clear_memos():
     for memo in (
         hfunction._level,
+        hfunction._pair_calls,
         hfunction._h_value,
         hfunction._moment,
         per_level_line,
@@ -256,23 +257,33 @@ def test_height_search_bits(model, level, c_offset):
 
 
 def _compare_lines(hp, cc, xs):
-    """eval_h at each x in turn (the first call on a line cold, later ones
-    warm); then every level each line built, (c, log M(c), T, vals, t,
-    floor), against the plain loop's, which starts at level n and reaches
-    the same levels.  Reading them back builds none."""
+    """eval_h at each x in turn: the pair's first call keeps no level, and
+    each later one reads its line's levels from `_level`, which keeps them.
+    Then every level of each line, (c, log M(c), T, vals, t, floor),
+    against the plain loop's, which starts at level n and reaches the same
+    levels.  Reading them back builds only the levels no later call read."""
     _clear_memos()
-    for x in xs:
-        assert _bits(_outcome(hfunction.eval_h, hp, x, cc)) == _bits(
-            _outcome(eval_h_per_level, hp, x, cc)
-        ), x
-    misses = hfunction._level.cache_info().misses
+    level_of = hfunction._level
+    read = set()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hfunction, "_level", lambda *key: read.add(key[2:]) or level_of(*key))
+        for x in xs:
+            first = hfunction._h_value.cache_info().misses == 0
+            assert _bits(_outcome(hfunction.eval_h, hp, x, cc)) == _bits(
+                _outcome(eval_h_per_level, hp, x, cc)
+            ), x
+            if first:
+                assert not read and level_of.cache_info().currsize == 0
+    misses = level_of.cache_info().misses
+    keys = set()
     for level in {hfunction._abscissa_level(hp, cc, x) for x in xs}:
         ref = per_level_line(hp, line_abscissa(hp, cc, level))
         for n in sorted(ref._vals.keys() - {cc.n_nodes}):
             want = (ref.c, ref.log_m0, ref.T, ref.values(n), np.linspace(0.0, ref.T, n + 1), ref.floor(n))
-            ours = hfunction._level(hp, cc, level, n)
+            ours = level_of(hp, cc, level, n)
             assert [_bits(v) for v in ours] == [_bits(v) for v in want], n
-    assert hfunction._level.cache_info().misses == misses
+            keys.add((level, n))
+    assert level_of.cache_info().misses - misses == len(keys - read)
 
 
 @pytest.mark.parametrize("n_nodes", [8, 64, 100])

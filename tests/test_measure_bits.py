@@ -48,10 +48,12 @@ from fwstates.gammafn import log_gamma_vec
 from fwstates.hfunction import ContourConfig, HWeightParams
 
 _EPS = float(np.finfo(float).eps)
-# the measure memos: contour levels, H(x), finished moment checks, and the
-# nu node sets (log rho at nodes and on grids)
+# the measure memos: contour levels, the calls per (block, contour) pair,
+# H(x), finished moment checks, and the nu node sets (log rho at nodes and
+# on grids)
 _MEMOS = (
     (hfunction, "_level"),
+    (hfunction, "_pair_calls"),
     (hfunction, "_h_value"),
     (hfunction, "_moment"),
     (continuum, "_node_sets"),
@@ -238,15 +240,40 @@ def test_eval_h_stops_on_the_cached_floor():
     assert _bits(hfunction.eval_h(hp, x, cc)) == _bits(converged)
 
 
+def _clear_contour_memos():
+    for memo in (hfunction._level, hfunction._pair_calls, hfunction._h_value):
+        memo.cache_clear()
+
+
+@pytest.mark.parametrize("cc", _CONTOURS.elements, ids=["default", "offset-1.5", "n-8"])
+def test_a_pairs_first_call_keeps_no_level(cc):
+    """A (block, contour) pair's first eval_h call builds its line and
+    leaves the level memo as it was; its second call, on the same line,
+    reads the levels through the memo, which keeps them.  Both calls have
+    the plain loop's bits."""
+    hp = HWeightParams.from_model(_WRIGHT)
+    _clear_contour_memos()
+    assert hfunction._abscissa_level(hp, cc, 0.7) == hfunction._abscissa_level(hp, cc, 0.9)
+    before = hfunction._level.cache_info()
+    assert _bits(hfunction.eval_h(hp, 0.7, cc)) == _bits(eval_h_per_level(hp, 0.7, cc))
+    assert hfunction._level.cache_info() == before
+    assert _bits(hfunction.eval_h(hp, 0.9, cc)) == _bits(eval_h_per_level(hp, 0.9, cc))
+    info = hfunction._level.cache_info()
+    assert info.misses == info.currsize >= 1 and hfunction._pair_calls.cache_info().currsize == 1
+
+
 def test_warm_eval_h_builds_no_level(monkeypatch):
     """With its H values dropped and its lines' levels kept, eval_h reads
     every level from the level memo: it builds none, makes no
-    _log_mellin_vec call and returns the cold call's bits."""
+    _log_mellin_vec call and returns the cold call's bits.  The pair's
+    first call, at an x of its own, keeps no level, so the levels are
+    those the later calls read."""
     hp = HWeightParams.from_model(_WRIGHT)
     cc = ContourConfig(n_nodes=8)
     xs = [0.3, 0.9, 2.0, 3.0, 0.7]
-    hfunction._level.cache_clear()
-    hfunction._h_value.cache_clear()
+    _clear_contour_memos()
+    hfunction.eval_h(hp, 5.0, cc)
+    assert hfunction._level.cache_info().currsize == 0
     cold = [hfunction.eval_h(hp, x, cc) for x in xs]
     built = hfunction._level.cache_info()
     assert built.misses == built.currsize >= 2 * len({hfunction._abscissa_level(hp, cc, x) for x in xs})
@@ -266,7 +293,9 @@ def test_level_arrays_are_read_only():
     hp = HWeightParams.from_model(_WRIGHT)
     cc = ContourConfig(n_nodes=8)
     xs = [0.3, 0.9, 2.0, 3.0]
-    for x in xs:
+    _clear_contour_memos()
+    # the pair's first call keeps no level; the later ones keep theirs
+    for x in [5.0] + xs:
         hfunction.eval_h(hp, x, cc)
     misses = hfunction._level.cache_info().misses
     for level in {hfunction._abscissa_level(hp, cc, x) for x in xs}:
@@ -462,14 +491,13 @@ def test_h_loop_under_a_lowered_node_cap(monkeypatch, max_nodes):
     monkeypatch.setattr(hfunction, "MAX_NODES", max_nodes)
     cc = ContourConfig(n_nodes=8)
     outcomes = set()
-    # the level sizes asked for
+    # the level sizes built, kept or not
     ns = []
-    level_of = hfunction._level
-    monkeypatch.setattr(hfunction, "_level", lambda *key: ns.append(key[3]) or level_of(*key))
+    build = hfunction._build_level
+    monkeypatch.setattr(hfunction, "_build_level", lambda *key: ns.append(key[3]) or build(*key))
     # the memos hold levels and values built under the live cap, and must
     # not keep the lowered cap's
-    level_of.cache_clear()
-    hfunction._h_value.cache_clear()
+    _clear_contour_memos()
     try:
         for model, x_max in _MEASURE_MODELS:
             hp = HWeightParams.from_model(model)
@@ -482,8 +510,7 @@ def test_h_loop_under_a_lowered_node_cap(monkeypatch, max_nodes):
         # no level under a cap of 8; else levels from 2n = 16 up to the cap
         assert set(ns) == {16 << i for i in range(max_nodes.bit_length() - 4)}
     finally:
-        level_of.cache_clear()
-        hfunction._h_value.cache_clear()
+        _clear_contour_memos()
     # two levels (8 and 16 nodes) never agree here; from 32 up some x converge
     assert True in outcomes and (False in outcomes) == (max_nodes >= 32)
 
