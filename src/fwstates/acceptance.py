@@ -33,8 +33,10 @@ from .coherent import (
     log_rho,
     make_state,
     make_state_b,
+    photon_distribution,
     recurrence_worst,
 )
+from .errors import ValidationError
 from .foxwright import (
     FWParams,
     as_pfq,
@@ -220,8 +222,7 @@ def criterion_nine_case(seed: int = DEFAULT_SEED) -> CriterionResult:
     for _ in range(1000):
         lam1 = complex(rng.uniform(-2, 3), rng.uniform(-2, 2))
         lam2 = complex(rng.uniform(-2, 3), rng.uniform(-2, 2))
-        cap1 = (lam1 + lam2) / 2.0
-        cap2 = 0.5j * (lam1 - lam2)
+        cap1, cap2 = Bicomplex(lam1, lam2).cartesian
         lhs = cap1.real - 0.5 > abs(cap2.imag)
         rhs = lam1.real > 0.5 and lam2.real > 0.5
         mismatches += lhs != rhs
@@ -325,7 +326,7 @@ def criterion_state_structure(seed: int = DEFAULT_SEED) -> CriterionResult:
             for theta in (0.0, 2.1, 4.2):
                 z = r * cmath.exp(1j * theta)
                 state = make_state(model, z)
-                norm_sq = sum(abs(c) ** 2 for c in state.coeffs)
+                norm_sq = sum(photon_distribution(state))
                 worst_norm = max(worst_norm, abs(norm_sq - 1.0))
                 worst_res = max(worst_res, annihilation_residual(model, state))
     for _ in range(4):
@@ -340,7 +341,7 @@ def criterion_state_structure(seed: int = DEFAULT_SEED) -> CriterionResult:
         )
         for cmodel, st in zip(bmodel.decompose(), make_state_b(bmodel, Z).components):
             worst_rec = max(worst_rec, recurrence_worst(cmodel))
-            norm_sq = sum(abs(c) ** 2 for c in st.coeffs)
+            norm_sq = sum(photon_distribution(st))
             worst_norm = max(worst_norm, abs(norm_sq - 1.0))
             worst_res = max(worst_res, annihilation_residual(cmodel, st))
     ok = worst_rec <= 1e-11 and worst_norm <= 1e-10 and worst_res <= 1e-8
@@ -495,7 +496,7 @@ def run_all(seed: int = DEFAULT_SEED, only=None) -> list[CriterionResult]:
     if only:
         unknown = sorted(set(only) - set(names))
         if unknown:
-            raise ValueError(f"unknown criteria: {', '.join(unknown)}")
+            raise ValidationError(f"unknown criteria: {', '.join(unknown)}")
         names = [n for n in names if n in set(only)]
     full = set(names) == set(CRITERIA)
     results = []

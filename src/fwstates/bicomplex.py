@@ -25,6 +25,7 @@ used by the bicomplex Fox-Wright series, gamma, states, nu and measure.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from typing import Union
 
@@ -51,6 +52,15 @@ def _check_finite_real(value: float, what: str) -> float:
     if not math.isfinite(x):
         raise ValidationError(f"{what} must be finite, got {x!r}")
     return x
+
+
+def _check_real(value, what: str):
+    """value itself, refused unless a numbers.Real: numpy's real scalars are, a str,
+    None or a complex (numpy's too, which numpy orders) is not."""
+    # float and int first: the numbers.Real test alone costs about 0.4 us a call
+    if not (isinstance(value, (float, int)) or isinstance(value, numbers.Real)):
+        raise ValidationError(f"{what} must be a real number, got {value!r}")
+    return value
 
 
 def _squared_modulus(z: complex, what: str) -> float:

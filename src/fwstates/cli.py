@@ -32,6 +32,7 @@ from .coherent import (
     annihilation_residual,
     make_state,
     overlap,
+    photon_distribution,
     recurrence_worst,
 )
 from .continuum import DEFAULT_QUAD, SCHEMES, QuadConfig, nu_with_error
@@ -243,7 +244,7 @@ def _verify_model(label: str, model: CoherentModel) -> list[tuple[str, str, floa
     worst["recurrence"] = recurrence_worst(model, min(100, 4 * model.K))
     for z in zs:
         state = make_state(model, z)
-        total = sum(abs(c) ** 2 for c in state.coeffs) + state.tail_mass
+        total = sum(photon_distribution(state)) + state.tail_mass
         worst["norm"] = max(worst["norm"], abs(total - 1.0))
         worst["self_overlap"] = max(worst["self_overlap"], abs(overlap(model, z, z) - 1.0))
         worst["residual"] = max(worst["residual"], annihilation_residual(model, state))
@@ -348,31 +349,29 @@ def build_parser() -> argparse.ArgumentParser:
     fe.add_argument("--z", required=True, help="point, re or re,im")
     fe.add_argument("--tol", type=float, default=DEFAULT_TOL)
     fe.add_argument("--allow-boundary", action="store_true")
-    fe.set_defaults(func=cmd_fw_eval, manifest_command="fw eval", output_format="json")
+    fe.set_defaults(func=cmd_fw_eval, output_format="json")
     fr = fwsub.add_parser("radius", help="radius, margin, boundary exponent")
     fr.add_argument("--params", required=True, help="parameter file (JSON)")
-    fr.set_defaults(func=cmd_fw_radius, manifest_command="fw radius", output_format="json")
+    fr.set_defaults(func=cmd_fw_radius, output_format="json")
 
     bc = sub.add_parser("bcfw", help="bicomplex extension")
     bcsub = bc.add_subparsers(dest="subcommand", metavar="subcommand")
     bcc = bcsub.add_parser("classify", help="nine-case convergence report")
     bcc.add_argument("--params", required=True, help="bicomplex parameter file (JSON)")
-    bcc.set_defaults(
-        func=cmd_bcfw_classify, manifest_command="bcfw classify", output_format="json"
-    )
+    bcc.set_defaults(func=cmd_bcfw_classify, output_format="json")
     bce = bcsub.add_parser("eval", help="evaluate at a bicomplex point")
     bce.add_argument("--params", required=True, help="bicomplex parameter file (JSON)")
     bce.add_argument("--z", required=True, help="z1_re,z1_im,z2_re,z2_im or re,im or re")
     bce.add_argument("--tol", type=float, default=DEFAULT_TOL)
     bce.add_argument("--allow-boundary", action="store_true")
-    bce.set_defaults(func=cmd_bcfw_eval, manifest_command="bcfw eval", output_format="json")
+    bce.set_defaults(func=cmd_bcfw_eval, output_format="json")
     bcr = bcsub.add_parser("region", help="convergence-region membership grid")
     bcr.add_argument("--params", required=True, help="bicomplex parameter file (JSON)")
     bcr.add_argument("--r1-max", type=float, required=True)
     bcr.add_argument("--r2-max", type=float, required=True)
     bcr.add_argument("--n1", type=int, default=21)
     bcr.add_argument("--n2", type=int, default=21)
-    bcr.set_defaults(func=cmd_bcfw_region, manifest_command="bcfw region", output_format="csv")
+    bcr.set_defaults(func=cmd_bcfw_region, output_format="csv")
 
     cs = sub.add_parser("cs", help="coherent states")
     cssub = cs.add_subparsers(dest="subcommand", metavar="subcommand")
@@ -380,17 +379,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flag(csc, "--params")
     csc.add_argument("--z", required=True, help="label, re or re,im")
     csc.add_argument("--tail", type=float, default=1e-12, help="truncated-mass target")
-    csc.set_defaults(func=cmd_cs_coeffs, manifest_command="cs coeffs", output_format="json")
+    csc.set_defaults(func=cmd_cs_coeffs, output_format="json")
     cso = cssub.add_parser("overlap", help="overlap of two states")
     _add_model_flag(cso, "--params")
     cso.add_argument("--z", required=True)
     cso.add_argument("--zp", required=True)
-    cso.set_defaults(func=cmd_cs_overlap, manifest_command="cs overlap", output_format="csv")
+    cso.set_defaults(func=cmd_cs_overlap, output_format="csv")
     csv_ = cssub.add_parser("verify", help="recurrence / norm / eigenstate checks")
     _add_model_flag(csv_, "--params")
     csv_.add_argument("--random", type=int, default=0, help="extra random models")
     csv_.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
-    csv_.set_defaults(func=cmd_cs_verify, manifest_command="cs verify", output_format="csv")
+    csv_.set_defaults(func=cmd_cs_verify, output_format="csv")
 
     nu = sub.add_parser("nu", help="continuous-spectrum normalization")
     nusub = nu.add_subparsers(dest="subcommand", metavar="subcommand")
@@ -400,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     nue.add_argument("--scheme", choices=SCHEMES, default="gk")
     nue.add_argument("--rel-tol", type=float, default=DEFAULT_QUAD.rel_tol)
     nue.add_argument("--abs-tol", type=float, default=DEFAULT_QUAD.abs_tol)
-    nue.set_defaults(func=cmd_nu_eval, manifest_command="nu eval", output_format="json")
+    nue.set_defaults(func=cmd_nu_eval, output_format="json")
 
     me = sub.add_parser("measure", help="resolution-of-unity measure")
     mesub = me.add_subparsers(dest="subcommand", metavar="subcommand")
@@ -408,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flag(mec, "--model")
     mec.add_argument("--k", required=True, help="orders: 0..6, 3, or 0,2,4")
     mec.add_argument("--tol", type=float, default=1e-6)
-    mec.set_defaults(func=cmd_measure_check, manifest_command="measure check", output_format="csv")
+    mec.set_defaults(func=cmd_measure_check, output_format="csv")
 
     st = sub.add_parser("selftest", help="run the acceptance battery")
     st.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
@@ -418,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(acceptance.CRITERIA),
         help="restrict to named criteria (repeatable)",
     )
-    st.set_defaults(func=cmd_selftest, manifest_command="selftest", output_format="text")
+    st.set_defaults(func=cmd_selftest, output_format="text")
 
     return top
 
@@ -437,7 +436,7 @@ def _manifest(args) -> dict:
         if value is not None:
             tols[key] = value
     return {
-        "command": getattr(args, "manifest_command", "help"),
+        "command": " ".join(filter(None, (args.command, getattr(args, "subcommand", None)))),
         "params_file": getattr(args, "params", None) or getattr(args, "model", None),
         "tolerances": tols,
         "seed": getattr(args, "seed", None),

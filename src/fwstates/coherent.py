@@ -21,9 +21,10 @@ log_gamma_ratio.
 Parameters are restricted to real a_l, b_r > 0 with positive margin;
 that keeps rho positive and N entire.  log_rho and rho accept any finite
 real k >= 0 (f_factor any finite s >= 0), so they are also the
-continuous interpolation rho_tilde(E) of `continuum`.  The array form
-(Lanczos log-gamma, which may differ from the scalar math.lgamma form in
-the last bits) adds its rows in _log_rho_rows, in log_rho's order.
+continuous interpolation rho_tilde(E) of `continuum`.  One function,
+_log_rho_rows, adds the log-gamma values: log_rho's math.lgamma floats,
+and the array form's rows (Lanczos log-gamma, which may differ from
+math.lgamma in the last bits).
 make_state reads those rows for integer k as one real view of the
 series' cached column table (`foxwright.log_gamma_rows`, which grows it
 by whole series blocks); _log_rho_vec forms them afresh for real E from the same table's
@@ -48,6 +49,7 @@ from .bicomplex import (
     Hyperbolic,
     _check_finite_complex,
     _check_finite_real,
+    _check_real,
     _squared_modulus,
     componentwise,
 )
@@ -68,26 +70,16 @@ K_MAX = 1 << 16
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
-def _real_positive_pairs(params: FWParams, side: str) -> tuple[tuple[float, float], ...]:
-    pairs = params.upper if side == "upper" else params.lower
-    out = []
-    for v, w in pairs:
-        if v.imag != 0.0 or v.real <= 0.0:
-            raise ValidationError(
-                f"coherent models need real {side} parameters > 0, got {v}"
-            )
-        out.append((v.real, w))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class CoherentModel:
     params: FWParams
     K: int = 32
 
     def __post_init__(self):
-        _real_positive_pairs(self.params, "upper")
-        _real_positive_pairs(self.params, "lower")
+        for side, pairs in (("upper", self.params.upper), ("lower", self.params.lower)):
+            for v, _ in pairs:
+                if v.imag != 0.0 or v.real <= 0.0:
+                    raise ValidationError(f"coherent models need real {side} parameters > 0, got {v}")
         if margin(self.params) <= CLASSIFY_TOL:
             raise ValidationError(
                 f"coherent model needs margin > 0, got {margin(self.params)}"
@@ -131,22 +123,19 @@ def _log_prefactor(model: CoherentModel) -> float:
 
 
 def log_rho(model: CoherentModel, k: float) -> float:
-    """log rho(k) for real k >= 0; k must be finite."""
-    if k < 0:
+    """log rho(k) for real k >= 0, a float from math.lgamma's values; k must be finite."""
+    if _check_real(k, "k") < 0:
         raise ValidationError("k must be >= 0")
     if not math.isfinite(k):
         raise ValidationError(f"k must be finite, got {float(k)!r}")
-    s = math.lgamma(k + 1.0)
-    for a, A in model.params.upper:
-        s += math.lgamma(a.real) - math.lgamma(a.real + k * A)
-    for b, B in model.params.lower:
-        s += math.lgamma(b.real + k * B) - math.lgamma(b.real)
-    return s
+    p = model.params
+    args = [k + 1.0] + [a.real + k * A for a, A in p.upper] + [b.real + k * B for b, B in p.lower]
+    return _log_rho_rows(p, [math.lgamma(v) for v in args])
 
 
-def _log_rho_rows(params: FWParams, lg) -> np.ndarray:
-    """log rho from real log Gamma rows at k+1, a_l + k A_l, b_r + k B_r, in log_rho's order."""
-    s = lg[0].copy()
+def _log_rho_rows(params: FWParams, lg):
+    """log rho from real log Gamma floats or rows at k+1, a_l + k A_l, b_r + k B_r."""
+    s = +lg[0]  # a new array for a row, the float itself for a float
     for j, (a, _) in enumerate(params.upper, 1):
         s += math.lgamma(a.real) - lg[j]
     for j, (b, _) in enumerate(params.lower, 1 + params.p):
@@ -189,11 +178,13 @@ def f_factor(model: CoherentModel, s: int | np.ndarray) -> float | np.ndarray:
     c + (s+1)C past the float range raises OverflowError.
     """
     ss = np.asarray(s)
-    flat = ss.ravel()
-    if (flat < 0).any():
-        raise ValidationError("s must be >= 0")
-    ks = flat.tolist()
-    bad = [v for v in ks if not math.isfinite(v)]
+    ks = ss.ravel().tolist()
+    try:
+        if (ss < 0).any():
+            raise ValidationError("s must be >= 0")
+        bad = [v for v in ks if not math.isfinite(v)]
+    except TypeError as exc:  # a complex s passes numpy's order test, not math.isfinite
+        raise ValidationError(f"s must be a real number, got {s!r}") from exc
     if bad:
         raise ValidationError(f"s must be finite, got {float(bad[0])!r}")
     q = model.params.q
@@ -252,7 +243,7 @@ def make_state(model: CoherentModel, z: complex, tail_target: float = 1e-12) -> 
     probability mass 1 - sum |c_k|^2 drops below tail_target, capped at
     K_MAX.
     """
-    if not tail_target >= 0:  # NaN fails this test too
+    if not _check_real(tail_target, "tail_target") >= 0:  # NaN fails this test too
         raise ValidationError("tail_target must be >= 0")
     z = _check_finite_complex(z, "z")
     zeta = _squared_modulus(z, "z")

@@ -61,8 +61,8 @@ from functools import partial
 
 import numpy as np
 
-from .bicomplex import (Hyperbolic, _check_finite_complex, _check_finite_real, _squared_modulus,
-                        componentwise)
+from .bicomplex import (Hyperbolic, _check_finite_complex, _check_finite_real, _check_real,
+                        _squared_modulus, componentwise)
 from .coherent import _LOG_FLOAT_MAX, BCCoherentModel, CoherentModel, _log_rho_vec, log_rho, rho
 from .errors import QuadratureFailure, ValidationError
 from .foxwright import FWParams
@@ -90,7 +90,8 @@ class QuadConfig:
     abs_tol: float = 1e-12
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):  # NaN fails this test too
+        tols = (_check_real(self.rel_tol, "rel_tol"), _check_real(self.abs_tol, "abs_tol"))
+        if not all(t > 0 for t in tols):  # NaN fails this test too
             raise ValidationError("quadrature tolerances must be > 0")
 
 

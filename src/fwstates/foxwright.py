@@ -75,14 +75,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bicomplex import _check_finite_complex
+from .bicomplex import _check_finite_complex, _check_real
 from .errors import (
     DomainViolation,
     MaxTermsExceeded,
     PoleError,
     ValidationError,
 )
-from .gammafn import POLE_TOL, is_gamma_pole, log_gamma, log_gamma_vec, pole_mask
+from .gammafn import _UNIT_ROUNDOFF, POLE_TOL, is_gamma_pole, log_gamma, log_gamma_vec, pole_mask
 
 # classification tolerance for margin == 0 and weight == 1 tests
 CLASSIFY_TOL = 1e-12
@@ -106,7 +106,6 @@ _LEVIN_ORDER = 30
 _LEVIN_SAFETY = 4.0
 _LEVIN_MIN_PHASE = 0.02
 _LEVIN_MAX_SHARE = 0.01
-_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -119,12 +118,10 @@ class FWParams:
     def __init__(self, upper=(), lower=()):
         object.__setattr__(self, "upper", _normalize_pairs(upper, "upper"))
         object.__setattr__(self, "lower", _normalize_pairs(lower, "lower"))
-        for a, _ in self.upper:
-            if is_gamma_pole(a):
-                raise ValidationError(f"upper parameter a={a} is a gamma pole at k=0")
-        for b, _ in self.lower:
-            if is_gamma_pole(b):
-                raise ValidationError(f"lower parameter b={b} is a gamma pole at k=0")
+        for side, name, pairs in (("upper", "a", self.upper), ("lower", "b", self.lower)):
+            for v, _ in pairs:
+                if is_gamma_pole(v):
+                    raise ValidationError(f"{side} parameter {name}={v} is a gamma pole at k=0")
         # the dataclass's field hash, formed once: every memo lookup hashes the
         # parameters; not a field, so equality and repr stay on upper and lower
         object.__setattr__(self, "_hash", hash((self.upper, self.lower)))
@@ -599,18 +596,13 @@ def _boundary_plan(params: FWParams, max_terms: int) -> _BoundaryPlan | None:
     cols = cache.upto(end)
     if any(pole is not None for pole in cols.upper_poles + cols.lower_first_pole):
         return None
-    log_coeff = -cols.log_fact[:end]
-    mag = np.abs(cols.log_fact[:end])
-    for sign, group in ((1.0, cols.upper), (-1.0, cols.lower)):
-        for col in group:
-            log_coeff = log_coeff + sign * col[:end]
-            mag = mag + np.abs(col[:end])
+    mag = sum(np.abs(row) for row in cols.lg[:, :end])
     window = np.add.outer(starts, np.arange(_LEVIN_ORDER + 1))
     lg = log_gamma_vec(cache.off[:, 0] + cache.wt[:, 0] * (max_terms - 1)).real
     plan = _BoundaryPlan(
         starts,
         cols.k[:end],
-        log_coeff,
+        _block_terms(cols, 0.0, 0, end),  # log t_k at log z = 0
         _UNIT_ROUNDOFF * (32.0 * (1 + params.p + params.q) + 8.0 * mag),
         window,
         window + 1.0,
@@ -801,7 +793,7 @@ def evaluate(
     The one-point call of _psi.  max_terms must be a whole number >= 1;
     integral floats such as 1e4 are accepted.  z must be finite.
     """
-    if not tol > 0:  # NaN fails this test too
+    if not _check_real(tol, "tol") > 0:  # NaN fails this test too
         raise ValidationError("tol must be > 0")
     max_terms = _whole_number(max_terms, "max_terms", 1)
     z = _check_finite_complex(z, "z")
@@ -817,12 +809,8 @@ def as_pfq(params: FWParams):
     In that case psi(z) = prefactor * pFq(a; b; z) with the prefactor
     prod Gamma(a) / prod Gamma(b).
     """
-    for _, A in params.upper:
-        if abs(A - 1.0) > CLASSIFY_TOL:
-            return None
-    for _, B in params.lower:
-        if abs(B - 1.0) > CLASSIFY_TOL:
-            return None
+    if any(abs(w - 1.0) > CLASSIFY_TOL for _, w in params.upper + params.lower):
+        return None
     return (
         _term_zero(params),
         [a for a, _ in params.upper],

@@ -29,7 +29,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .bicomplex import Bicomplex, Hyperbolic, componentwise
+from .bicomplex import Bicomplex, Hyperbolic, _check_real, componentwise
 from .errors import DomainViolation, ValidationError
 from .foxwright import (
     CLASSIFY_TOL,
@@ -38,6 +38,7 @@ from .foxwright import (
     FWParams,
     _circle_side,
     _radius_for_sign,
+    _whole_number,
     boundary_exponent,
     margin_sign,
     radius,
@@ -193,7 +194,7 @@ def classify(params: BCFWParams) -> ConvergenceReport:
         upsilon=upsilon,
         v_radius=tuple(_radius_for_sign(P, s) for P, s in zip(comps, signs)),
         lambda_idem=(lam1, lam2),
-        lambda_cart=((lam1 + lam2) / 2.0, 0.5j * (lam1 - lam2)),
+        lambda_cart=Bicomplex(lam1, lam2).cartesian,
         domain=_DOMAIN_BY_SIGNS[signs],
         boundary_abs_convergent=(lam1.real > 0.5 and lam2.real > 0.5),
     )
@@ -254,9 +255,11 @@ class GridSpec:
     n2: int = 21
 
     def __post_init__(self):
-        extents_ok = 0 <= self.r1_max < math.inf and 0 <= self.r2_max < math.inf  # NaN fails too
-        if not extents_ok or self.n1 < 2 or self.n2 < 2:
+        r1, r2, n1, n2 = (_check_real(getattr(self, f), f) for f in ("r1_max", "r2_max", "n1", "n2"))
+        if not (0 <= r1 < math.inf and 0 <= r2 < math.inf) or n1 < 2 or n2 < 2:  # NaN fails too
             raise ValidationError("grid needs finite nonnegative extents and >= 2 points per axis")
+        object.__setattr__(self, "n1", _whole_number(n1, "n1", 2))
+        object.__setattr__(self, "n2", _whole_number(n2, "n2", 2))
 
 
 def region_sample(params: BCFWParams, grid_spec: GridSpec) -> list[tuple[float, float, bool]]:

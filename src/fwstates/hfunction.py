@@ -85,7 +85,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bicomplex import Hyperbolic, _check_finite_real, componentwise
+from .bicomplex import Hyperbolic, _check_finite_real, _check_real, componentwise
 from .coherent import BCCoherentModel, CoherentModel, rho
 from .continuum import DEFAULT_QUAD, _integrate
 from .errors import (
@@ -322,12 +322,12 @@ def eval_h(hp: HWeightParams, x: float, cc: ContourConfig = DEFAULT_CONTOUR) -> 
 
     The parameters are real, so M(c-it) = conj(M(c+it)) and the two
     half-lines combine into twice the real part of the upper one.  Node
-    doubling stops when successive values agree to 1e-10 relative; a
-    secondary stop fires if the difference reaches the roundoff floor of
-    the node sum, where further refinement cannot change the float64
-    answer.
+    doubling stops when successive values agree to 1e-10 relative, or
+    differ by no more than the node sum's roundoff floor, which further
+    refinement cannot get under; a floor past 1% of the sum there leaves
+    no correct digit, and raises ContourFailure naming x.
     """
-    x = float(x)
+    x = float(_check_real(x, "x"))
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"eval_h requires x > 0, got {x}")
     return _h_value(hp, x, cc)
@@ -363,6 +363,9 @@ def _h_value(hp: HWeightParams, x: float, cc: ContourConfig) -> float:
         # max(_REL_STOP |bracket|, floor) as two tests; a NaN fails both
         diff = abs(bracket - prev)
         if diff <= _REL_STOP * abs(bracket) or diff <= floor:
+            if bracket and floor > 0.01 * abs(bracket):
+                raise ContourFailure(f"no correct digit in H({x:g}): the line sum's roundoff floor "
+                                     f"{floor:.3g} passes 0.01 of its value {abs(bracket):.3g}")
             log_scale = log_m0 - c * log_x - math.log(math.pi)
             if bracket and log_scale + min(0.0, math.log(abs(bracket))) > -700.0:
                 return float(bracket * np.exp(log_scale))
@@ -376,21 +379,20 @@ def _h_value(hp: HWeightParams, x: float, cc: ContourConfig) -> float:
 def _h_at_zero(model: CoherentModel) -> float:
     """Limit of H at the origin: residue of the kernel at s = 0.
 
-    The structural Gamma(s) factor contributes residue 1; the limit is
-    finite only when every remaining lower gamma is regular at 0, i.e.
-    every b > B.
+    The structural Gamma(s) factor, the block's first lower pair,
+    contributes residue 1; the limit is finite only when every remaining
+    lower gamma is regular at 0, i.e. every beta = b - B > 0.
     """
+    hp = _model_block(model.params)
     log_num = 0.0
-    for b, B in model.params.lower:
-        beta = b.real - B
+    for beta, _ in hp.lower[1:]:
         if beta <= 0.0:
             raise DomainError(
                 "weight has no finite limit at x = 0 (needs b > B in every lower pair)"
             )
         log_num += math.lgamma(beta)
     den = 1.0
-    for a, A in model.params.upper:
-        alpha = complex(a.real - A, 0.0)
+    for alpha, _ in hp.upper:
         if is_gamma_pole(alpha):
             return 0.0
         den *= gamma(alpha).real
@@ -399,7 +401,7 @@ def _h_at_zero(model: CoherentModel) -> float:
 
 def weight(model: CoherentModel, x: float) -> float:
     """Radial weight W(x) = psi(x) H(x) of the resolution-of-unity measure."""
-    x = float(x)
+    x = float(_check_real(x, "x"))
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"weight requires x >= 0, got {x}")
     psi = fw_evaluate(model.params, x).value.real
@@ -472,10 +474,10 @@ def _moment(p: FWParams, k: int) -> MomentResult:
     hp = _model_block(p)
 
     def density(x: float) -> float:
-        return pref * eval_h(hp, x)
+        return pref * _h_value(hp, x, DEFAULT_CONTOUR)
 
     def on_sub(a: float, b: float) -> list[float]:
-        return [(x ** k) * (pref * _h_value(hp, x, DEFAULT_CONTOUR)) for x in nodes(a, b).tolist()]
+        return [(x ** k) * density(x) for x in nodes(a, b).tolist()]
 
     x_max = _density_scan(density, k)
     lhs, _ = _integrate(None, on_sub, 0.0, x_max, DEFAULT_QUAD, "gk")

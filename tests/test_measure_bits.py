@@ -218,26 +218,40 @@ def test_floor_is_trapezoid_of_abs(model, cc):
         assert floor == 16.0 * _EPS * float(np.trapezoid(np.abs(vals), dx=T / n))
 
 
-def test_eval_h_stops_on_the_cached_floor():
-    """The stop compares with the floor each level carries: with every
-    level's floor read as inf, eval_h stops at its first test, as the
-    plain loop does with an infinite floor."""
-    hp = HWeightParams.from_model(_WRIGHT)
-    cc = ContourConfig(n_nodes=8)
-    x = 0.7
-    converged = hfunction.eval_h(hp, x, cc)
+def _eval_h_with_floor(hp, x, cc, floor):
+    """eval_h with every level's floor read as floor, on a new line."""
     level_of = hfunction._level
     # the H memo would answer from the converged value without running the loop
     hfunction._h_value.cache_clear()
     try:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(hfunction, "_level", lambda *key: level_of(*key)[:5] + (math.inf,))
-            early = hfunction.eval_h(hp, x, cc)
+            mp.setattr(hfunction, "_level", lambda *key: level_of(*key)[:5] + (floor,))
+            return hfunction.eval_h(hp, x, cc)
     finally:
         hfunction._h_value.cache_clear()
-    assert _bits(early) == _bits(eval_h_per_level(hp, x, cc, floor=math.inf))
+
+
+def test_eval_h_stops_on_the_cached_floor():
+    """The stop compares with the floor each level carries: with every
+    level's floor read as 1e-6, eval_h stops at n = 64 (|bracket| is
+    1.4e-3, so the floor stays below the 1% refusal), as the plain loop
+    does with that floor, before the 128 nodes it needs alone."""
+    hp = HWeightParams.from_model(_WRIGHT)
+    cc = ContourConfig(n_nodes=8)
+    x = 0.7
+    converged = hfunction.eval_h(hp, x, cc)
+    early = _eval_h_with_floor(hp, x, cc, 1e-6)
+    assert _bits(early) == _bits(eval_h_per_level(hp, x, cc, floor=1e-6))
     assert early != converged
     assert _bits(hfunction.eval_h(hp, x, cc)) == _bits(converged)
+
+
+def test_eval_h_refuses_a_floor_past_one_percent_of_the_sum():
+    """With every level's floor read as inf, the first test stops the
+    loop with no correct digit left, so eval_h refuses, naming x."""
+    hp = HWeightParams.from_model(_WRIGHT)
+    with pytest.raises(ContourFailure, match=r"^no correct digit in H\(0\.7\): .* floor inf passes 0\.01"):
+        _eval_h_with_floor(hp, 0.7, ContourConfig(n_nodes=8), math.inf)
 
 
 def _clear_contour_memos():
