@@ -34,9 +34,18 @@ from .errors import DomainError, FWError, SingularElement, ValidationError
 Scalar = Union[int, float, complex]
 
 
+def _check_number(value, what: str):
+    """value itself, refused unless a numbers.Number: a str, which complex()
+    would parse, None or a list is not."""
+    # float, int and complex first, as in _check_real: Bicomplex checks each component
+    if not (isinstance(value, (float, int, complex)) or isinstance(value, numbers.Number)):
+        raise ValidationError(f"{what} must be a complex number, got {value!r}")
+    return value
+
+
 def _check_finite_complex(value: complex, what: str) -> complex:
     try:
-        z = complex(value)
+        z = complex(_check_number(value, what))
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what} must be a complex number, got {value!r}") from exc
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):

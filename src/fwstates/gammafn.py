@@ -37,7 +37,8 @@ import math
 
 import numpy as np
 
-from .bicomplex import Bicomplex, _check_finite_complex, _check_finite_real, _check_real, componentwise
+from .bicomplex import (Bicomplex, _check_finite_complex, _check_finite_real, _check_number, _check_real,
+                        componentwise)
 from .errors import PoleError, ValidationError
 
 # Godfrey's coefficient set for g = 7, 9 terms; relative error ~1e-15 on
@@ -239,14 +240,14 @@ def log_gamma_ratio(a: complex, A: float, k: int | np.ndarray) -> complex | np.n
     every w and w + A for poles, one array call forms their Lanczos sums
     and one log_gamma_vec call the log-gammas of the entries left of the
     threshold (_reflected_ratios), while the cmath remainder above runs
-    per entry.  A non-finite a, A or k, or an A or k with no order (a
-    str, a complex), raises ValidationError; an int k, a w or w + A past
-    the float range, a w right of the threshold so large that A/t
-    overflows, a w left of it where the difference's rounding passes
-    1e-8 of its value, or a result past the float range, raises
-    OverflowError.
+    per entry.  A non-finite a, A or k, an a that is no number (a str,
+    None), or an A or k with no order (a str, a complex), raises
+    ValidationError; an int k, a w or w + A past the float range, a w
+    right of the threshold so large that A/t overflows, a w left of it
+    where the difference's rounding passes 1e-8 of its value, or a
+    result past the float range, raises OverflowError.
     """
-    if not cmath.isfinite(complex(a)):
+    if not cmath.isfinite(complex(_check_number(a, "a"))):
         raise ValidationError(f"a must be finite, got {a!r}")
     if not cmath.isfinite(_check_real(A, "A")):
         raise ValidationError(f"A must be finite, got {A!r}")

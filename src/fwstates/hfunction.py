@@ -48,26 +48,30 @@ HWeightParams.from_model returns, so weight does not rebuild its block
 on every call), the 320 most recent contour levels, keyed on (parameter
 block, contour config, abscissa level, n) (`_level`), a call counter
 for each of the 256 most recent (parameter block, contour config) pairs
-(`_pair_calls`), the 4,096 most recent H values, keyed on (parameter
-block, x, contour config) (`_h_value`), and the 256 most recent
-finished moment checks, keyed on (parameter set, k) (`_moment`; K
-enters nothing, so models that differ only in K share an entry).
+(`_pair_calls`), the 4,096 most recent H values of moment quadratures,
+keyed on (parameter block, x, contour config) (`_h_value`), and the 256
+most recent finished moment checks, keyed on (parameter set, k)
+(`_moment`; K enters nothing, so models that differ only in K share an
+entry).
 
-A pair's first H value builds its line's levels with the same function
-(_build_level) and keeps none of them; from its second on, the levels
-are read from `_level`, which keeps them.  So a block asked for once, as
-a fresh kernel is, stores nothing and evicts no line of a block in
-steady use (a 2Q or TinyLFU doorkeeper), and since every level comes
-from _build_level, every H value keeps its bits either way.  The count is
-per pair, not per abscissa level, so a model's first call at a new
-abscissa level is kept at once.  Quadratures revisit their nodes: one
-`measure check --k 0..6` on the unit-weight model reads H 1,134 times at
-193 distinct x, and `_h_value` answers the other 941, 882 of them on
-revisits of the 9 distinct Gauss-Kronrod subintervals; a second such
-check repeats all 7 (parameter set, k) pairs, which `_moment` answers
-without a quadrature.  moment_check, weight and repeated eval_h calls
-share the H values, and a hit returns the float, or the MomentResult,
-that was computed, so every output keeps its bits; errors are not kept.
+The contour loop (_h_line) counts a pair's calls: its first H value
+builds the line's levels with the same function (_build_level) and keeps
+none of them; from its second on, the levels are read from `_level`,
+which keeps them.  So a block asked for once, as a fresh kernel is,
+stores nothing and evicts no line of a block in steady use (a 2Q or
+TinyLFU doorkeeper), and since every level comes from _build_level,
+every H value keeps its bits either way.  The count is per pair, not per
+abscissa level, so a model's first call at a new abscissa level is kept
+at once.  Only the moment quadrature revisits its nodes, so only it
+reads H through `_h_value`: one `measure check --k 0..6` on the
+unit-weight model reads H 1,134 times at 193 distinct x, and `_h_value`
+answers the other 941, 882 of them on revisits of the 9 distinct
+Gauss-Kronrod subintervals; a second such check repeats all 7 (parameter
+set, k) pairs, which `_moment` answers without a quadrature.  eval_h,
+which weight and the measure densities call, revisits no x, so it runs
+the loop itself and keeps no H value.  A hit returns the float, or the
+MomentResult, that was computed, so every output keeps its bits; errors
+are not kept.
 
 The moment integral runs through `continuum._integrate`'s Gauss-Kronrod
 (`quadpack.qags`, imported on first use), whose integrand takes a
@@ -104,7 +108,7 @@ _EPS = float(np.finfo(float).eps)
 MAX_NODES = 1 << 20  # node doubling gives up past this many nodes
 _MOMENT_CACHE = 256  # (parameter set, k) pairs whose moment_check result is kept
 _LEVEL_CACHE = 320  # contour levels kept, each keyed on (block, contour, abscissa level, n)
-_PAIR_CACHE = 256  # (block, contour) pairs whose _h_value calls are counted
+_PAIR_CACHE = 256  # (block, contour) pairs whose _h_line calls are counted
 
 
 def _real_pairs(pairs, side: str) -> tuple[tuple[float, float], ...]:
@@ -313,7 +317,8 @@ def _level(hp: HWeightParams, cc: ContourConfig, level: int, n: int) -> tuple:
 
 @lru_cache(maxsize=_PAIR_CACHE)
 def _pair_calls(hp: HWeightParams, cc: ContourConfig) -> itertools.count:
-    """A counter of _h_value's calls on this (block, contour) pair: next() is 0 on the first."""
+    """A counter of _h_line's calls on this (block, contour) pair, through
+    eval_h or the moment memo's misses: next() is 0 on the first."""
     return itertools.count()
 
 
@@ -330,12 +335,12 @@ def eval_h(hp: HWeightParams, x: float, cc: ContourConfig = DEFAULT_CONTOUR) -> 
     x = float(_check_real(x, "x"))
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"eval_h requires x > 0, got {x}")
-    return _h_value(hp, x, cc)
+    return _h_line(hp, x, cc)
 
 
-@lru_cache(maxsize=4096)
-def _h_value(hp: HWeightParams, x: float, cc: ContourConfig) -> float:
-    """The contour loop behind eval_h, memoized: quadratures revisit their nodes.
+def _h_line(hp: HWeightParams, x: float, cc: ContourConfig) -> float:
+    """The contour loop behind eval_h; `_h_value` is its memo for the
+    moment quadrature, which revisits its nodes.
 
     It starts on level 2n, and sums level n on its stride-2 view, at its
     own step T/n = 2h.  Where 2n passes MAX_NODES it raises before any
@@ -374,6 +379,9 @@ def _h_value(hp: HWeightParams, x: float, cc: ContourConfig) -> float:
         prev = bracket
         n *= 2
     raise ContourFailure(f"node doubling stalled below tolerance at n={n // 2} for x={x:g}")
+
+
+_h_value = lru_cache(maxsize=4096)(_h_line)
 
 
 def _h_at_zero(model: CoherentModel) -> float:

@@ -32,7 +32,7 @@ foxwright_bc.evaluate          reference_evaluate_bc            test_bcfoxwright
 hfunction._log_mellin_vec      log_mellin_vec_per_factor        test_measure_bits
 hfunction._level               ContourPerLevel, per_level_line, test_log_gamma_batching,
                                line_abscissa, contour_abscissa  test_measure_bits
-hfunction._h_value (eval_h)    eval_h_per_level                 test_log_gamma_batching,
+hfunction._h_line (eval_h)     eval_h_per_level                 test_log_gamma_batching,
                                                                 test_measure_bits
 continuum._tanh_sinh           tanh_sinh_per_side               test_log_gamma_batching
 continuum._nu_integral         nu_integral, e_max, integrands   test_node_table, test_quadpack,

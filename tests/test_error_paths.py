@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import re
 import runpy
 import sys
 
@@ -43,7 +44,7 @@ from fwstates.errors import (
 from fwstates.foxwright import FWParams, as_pfq, evaluate, oracle_bessel_j, oracle_pfq
 from fwstates.foxwright_bc import BCFWParams, Domain, GridSpec, region_sample
 from fwstates.foxwright_bc import evaluate as evaluate_bc
-from fwstates.gammafn import log_gamma_ratio, pochhammer
+from fwstates.gammafn import log_gamma, log_gamma_ratio, pochhammer
 from fwstates.hfunction import ContourConfig, HWeightParams, eval_h, weight
 from fwstates.schemas import load_fw_params
 
@@ -131,6 +132,29 @@ def test_f_factor_refuses_an_s_that_is_not_real(s):
 def test_log_gamma_ratio_refuses_an_A_or_k_that_is_not_real(A, k, message):
     with pytest.raises(ValidationError, match=message):
         log_gamma_ratio(1.0, A, k)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda v: log_gamma_ratio(v, 1.0, 2), "a"),
+        (lambda v: pochhammer(v, 1.0), "a"),
+        (lambda v: log_gamma(v), "w"),
+        (lambda v: evaluate(_UNIT.params, v), "z"),
+    ],
+    ids=["log_gamma_ratio", "pochhammer", "log_gamma", "evaluate"],
+)
+@pytest.mark.parametrize("value", ["x", "0.5", None, [1.0]])
+def test_complex_arguments_refuse_what_is_not_a_number(call, name, value):
+    # log_gamma_ratio raised a bare ValueError or TypeError, and a numeric
+    # str was parsed as its number everywhere
+    with pytest.raises(ValidationError, match=f"^{name} must be a complex number, got {re.escape(repr(value))}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("a", [np.float32(1.5), np.int64(2), np.complex128(1.5 + 0.5j), 3])
+def test_log_gamma_ratio_takes_a_numeric_scalar_a(a):
+    assert log_gamma_ratio(a, 1.0, 2) == log_gamma_ratio(complex(a), 1.0, 2)
 
 
 def test_run_all_refuses_an_unknown_criterion():

@@ -40,7 +40,7 @@ from hypothesis import strategies as st
 from fwstates import coherent, continuum, hfunction, quadpack
 from fwstates.bicomplex import Bicomplex, Hyperbolic
 from fwstates.cli import main
-from fwstates.coherent import CoherentModel
+from fwstates.coherent import BCCoherentModel, CoherentModel
 from fwstates.errors import ContourFailure, QuadratureFailure, ValidationError
 from fwstates.foxwright import FWParams, boundary_exponent, margin_sign, radius
 from fwstates.foxwright_bc import _DOMAIN_BY_SIGNS, BCFWParams, classify
@@ -219,16 +219,15 @@ def test_floor_is_trapezoid_of_abs(model, cc):
 
 
 def _eval_h_with_floor(hp, x, cc, floor):
-    """eval_h with every level's floor read as floor, on a new line."""
+    """eval_h with every level's floor read as floor.  A (block, contour)
+    pair's first call builds its levels without reading `_level`, so an
+    unpatched call comes first; eval_h keeps no H value, so the patched
+    call runs the loop on the levels it reads."""
+    hfunction.eval_h(hp, x, cc)
     level_of = hfunction._level
-    # the H memo would answer from the converged value without running the loop
-    hfunction._h_value.cache_clear()
-    try:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(hfunction, "_level", lambda *key: level_of(*key)[:5] + (floor,))
-            return hfunction.eval_h(hp, x, cc)
-    finally:
-        hfunction._h_value.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hfunction, "_level", lambda *key: level_of(*key)[:5] + (floor,))
+        return hfunction.eval_h(hp, x, cc)
 
 
 def test_eval_h_stops_on_the_cached_floor():
@@ -277,8 +276,8 @@ def test_a_pairs_first_call_keeps_no_level(cc):
 
 
 def test_warm_eval_h_builds_no_level(monkeypatch):
-    """With its H values dropped and its lines' levels kept, eval_h reads
-    every level from the level memo: it builds none, makes no
+    """eval_h keeps no H value, so with its lines' levels kept, a second
+    pass reads every level from the level memo: it builds none, makes no
     _log_mellin_vec call and returns the cold call's bits.  The pair's
     first call, at an x of its own, keeps no level, so the levels are
     those the later calls read."""
@@ -294,7 +293,6 @@ def test_warm_eval_h_builds_no_level(monkeypatch):
     sizes = []
     log_mellin = hfunction._log_mellin_vec
     monkeypatch.setattr(hfunction, "_log_mellin_vec", lambda hp, s: sizes.append(s.size) or log_mellin(hp, s))
-    hfunction._h_value.cache_clear()
     assert _bits([hfunction.eval_h(hp, x, cc) for x in xs]) == _bits(cold)
     info = hfunction._level.cache_info()
     assert sizes == [] and (info.misses, info.currsize) == (built.misses, built.currsize)
@@ -455,13 +453,15 @@ def test_memo_bits_cold_and_warm(name, model):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_models(), st.lists(st.floats(0.02, 80.0), min_size=1, max_size=6))
 def test_eval_h_memo_bits(model, xs):
-    """eval_h, cold and then warm, gives the bits of the uncached loop."""
+    """eval_h, and the H memo, cold and then warm, give the bits of the
+    loop the memo wraps."""
     hp = HWeightParams.from_model(model)
     loop = hfunction._h_value.__wrapped__
+    cc = hfunction.DEFAULT_CONTOUR
     for x in xs + xs:
-        assert _bits(_each([lambda: hfunction.eval_h(hp, x)])) == _bits(
-            _each([lambda: loop(hp, x, hfunction.DEFAULT_CONTOUR)])
-        ), x
+        want = _bits(_each([lambda: loop(hp, x, cc)]))
+        assert _bits(_each([lambda: hfunction.eval_h(hp, x)])) == want, x
+        assert _bits(_each([lambda: hfunction._h_value(hp, x, cc)])) == want, x
 
 
 # the measure workload's four models, with their largest x
@@ -605,6 +605,26 @@ def test_measure_check_memo_counts(tmp_path, capsys):
     assert hfunction._h_value.cache_info() == h_info
     info = hfunction._moment.cache_info()
     assert (info.misses, info.hits, info.currsize) == (7, 7, 7)
+
+
+def test_only_the_moment_quadrature_fills_the_h_memo():
+    """eval_h, weight and measure_density_b run the contour loop and leave
+    the H memo as it was, over a few hundred x; moment_check, whose
+    quadrature revisits its nodes, reads H through it and fills it."""
+    hfunction._h_value.cache_clear()
+    hfunction._moment.cache_clear()
+    hp = HWeightParams.from_model(_WRIGHT)
+    bc = BCCoherentModel(BCFWParams.from_components(_UNIT.params, _WRIGHT.params))
+    xs = np.geomspace(0.05, 30.0, 300).tolist()
+    before = hfunction._h_value.cache_info()
+    for x in xs:
+        hfunction.eval_h(hp, x)
+        hfunction.weight(_WRIGHT, x)
+        hfunction.measure_density_b(bc, Hyperbolic(x, 0.5 * x))
+    assert hfunction._h_value.cache_info() == before
+    hfunction.moment_check(_WRIGHT, 2)
+    info = hfunction._h_value.cache_info()
+    assert info.currsize > 0 and info.hits > 0
 
 
 def _count_quadratures(monkeypatch) -> list:
