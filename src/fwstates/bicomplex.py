@@ -54,10 +54,7 @@ def _check_finite_complex(value: complex, what: str) -> complex:
 
 
 def _check_finite_real(value: float, what: str) -> float:
-    try:
-        x = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{what} must be a real number, got {value!r}") from exc
+    x = float(_check_real(value, what))
     if not math.isfinite(x):
         raise ValidationError(f"{what} must be finite, got {x!r}")
     return x
@@ -78,6 +75,11 @@ def _squared_modulus(z: complex, what: str) -> float:
         return abs(z) ** 2
     except OverflowError:
         raise OverflowError(f"|{what}|^2 is past the float range, {what} = {z!r}") from None
+
+
+def _log_squared_modulus(z: complex, zeta: float) -> float:
+    """log zeta of zeta = |z|^2, or 2 log|z| where zeta underflowed to 0 for a nonzero z."""
+    return math.log(zeta) if zeta else 2.0 * math.log(abs(z))
 
 
 def _rsub(a, b):

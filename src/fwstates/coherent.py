@@ -50,6 +50,7 @@ from .bicomplex import (
     _check_finite_complex,
     _check_finite_real,
     _check_real,
+    _log_squared_modulus,
     _squared_modulus,
     componentwise,
 )
@@ -251,11 +252,11 @@ def make_state(model: CoherentModel, z: complex, tail_target: float = 1e-12) -> 
     pref = math.exp(-0.5 * log_n)
 
     K = model.K
-    if zeta == 0.0:
+    if z == 0:
         coeffs = (1.0 + 0j,) + (0j,) * K
         return StateVector(coeffs=coeffs, norm_prefactor=pref, z=z, tail_mass=0.0)
 
-    log_zeta = math.log(zeta)
+    log_zeta = _log_squared_modulus(z, zeta)
     while True:
         ks = np.arange(K + 1)
         log_rho_k = _log_rho_rows(model.params, log_gamma_rows(model.params, K + 1).real)

@@ -62,7 +62,7 @@ from functools import partial
 import numpy as np
 
 from .bicomplex import (Hyperbolic, _check_finite_complex, _check_finite_real, _check_real,
-                        _squared_modulus, componentwise)
+                        _log_squared_modulus, _squared_modulus, componentwise)
 from .coherent import _LOG_FLOAT_MAX, BCCoherentModel, CoherentModel, _log_rho_vec, log_rho, rho
 from .errors import QuadratureFailure, ValidationError
 from .foxwright import FWParams
@@ -397,7 +397,8 @@ def overlap_tilde(
 
     The complex-argument nu is the nu integral at log zeta = Log(conj(z) z'),
     the principal branch, so zeta^E = exp(E Log zeta).  z, z' and
-    conj(z) z' must be finite.
+    conj(z) z' must be finite.  Where conj(z) z' or a |z|^2 underflows to
+    0, its log is formed from log|z|, log|z'| and the phases.
     """
     z = _check_finite_complex(z, "z")
     zp = _check_finite_complex(zp, "zp")
@@ -406,8 +407,12 @@ def overlap_tilde(
     zeta = _check_finite_complex(z.conjugate() * zp, "conj(z) zp")
     n1, n2 = _squared_modulus(z, "z"), _squared_modulus(zp, "zp")
     _check_scheme(scheme)
-    num, _ = _nu_integral(model, cmath.log(zeta), cfg, scheme)
-    return num / math.sqrt(nu(model, n1, cfg, scheme) * nu(model, n2, cfg, scheme))
+    log_zeta = cmath.log(zeta) if zeta else complex(  # the phase of conj(z) z' on unit moduli
+        math.log(abs(z)) + math.log(abs(zp)), cmath.phase((z / abs(z)).conjugate() * (zp / abs(zp))))
+    num, _ = _nu_integral(model, log_zeta, cfg, scheme)
+    nu1, nu2 = (_nu_integral(model, _log_squared_modulus(w, n), cfg, scheme)[0]
+                for w, n in ((z, n1), (zp, n2)))
+    return num / math.sqrt(nu1 * nu2)
 
 
 def state_density(
@@ -424,5 +429,6 @@ def state_density(
     if E < 0:
         raise ValidationError("E must be >= 0")
     log_z = cmath.log(z)
-    log_nu = math.log(nu(model, _squared_modulus(z, "z"), cfg))
+    log_zeta = _log_squared_modulus(z, _squared_modulus(z, "z"))
+    log_nu = math.log(_nu_integral(model, log_zeta, cfg, "gk")[0])
     return cmath.exp(E * log_z - 0.5 * log_rho_tilde(model, E) - 0.5 * log_nu)

@@ -16,17 +16,17 @@ moment integral into rho(k).
 The contour integrand decays like exp(-(pi/2)(1+sum B-sum A)|t|), so a
 trapezoid rule on a truncated line converges spectrally; the line is cut
 at the first height T = 8 * 1.5^j where the integrand has fallen to 1e-18
-of its on-axis value.  Its trapezoid levels double from 2n nodes up to
-MAX_NODES, and each is a finished, read-only array (_level).
-ContourConfig sets the abscissa offset and the first node count n.  A
-line whose abscissa is a zero of M (a pole of an upper gamma) has no
-scale to decay from, so that line alone moves half an offset right.
+of its on-axis value.  Its trapezoid levels double from _FIRST_N = 128
+up to MAX_NODES, each a finished, read-only array (_level).
+ContourConfig sets only the abscissa offset.  A line whose abscissa is
+a zero of M (a pole of an upper gamma) has no scale to decay from, so
+that line alone moves half an offset right, and fails if M vanishes there.
 
 The log-gamma work comes in few, large calls, because each call has a
 fixed cost that small arrays do not repay: a new line tests M(c) and its
 first eight heights in one call (and each further eight in one more),
-its first level holds the 2n + 1 nodes of level 2n, which every H value
-needs, with level n as its stride-2 view, and each doubling forms only
+its first level holds the 129 nodes of level 128, which every H value
+needs, with level 64 as its stride-2 view, and each doubling forms only
 the new odd nodes.  Each call has one Lanczos row per distinct (offset,
 weight) pair of the block, not one per factor: the unit-weight and
 Mittag-Leffler blocks carry Gamma(s) as upper (0, 1) and lower (0, 1),
@@ -35,7 +35,7 @@ subtracted as often as its pair is used, in block order, so the sum has
 the bits of one row per factor; the pair is never cancelled, which
 would move bits.  Grids are np.linspace's arithmetic without its Python
 wrapper (_grid).  The trapezoid loop likewise forms the integrand on
-level 2n in one pass, sums level n on its stride-2 view, and then forms
+level 128 in one pass, sums level 64 on its stride-2 view, and then forms
 only each level's odd nodes; for few numpy calls it halves steps, not
 complex sums, forms the phase as t * (-1j log x), reduces with
 np.add.reduce, reads each level's roundoff floor, formed by
@@ -106,6 +106,7 @@ _LOG_DECAY_TARGET = math.log(1e-18)
 _REL_STOP = 1e-10
 _EPS = float(np.finfo(float).eps)
 MAX_NODES = 1 << 20  # node doubling gives up past this many nodes
+_FIRST_N = 128  # a line's first level; its stride-2 view is the 64-interval level
 _MOMENT_CACHE = 256  # (parameter set, k) pairs whose moment_check result is kept
 _LEVEL_CACHE = 320  # contour levels kept, each keyed on (block, contour, abscissa level, n)
 _PAIR_CACHE = 256  # (block, contour) pairs whose _h_line calls are counted
@@ -191,19 +192,14 @@ def _log_mellin_vec(hp: HWeightParams, s: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class ContourConfig:
     c_offset: float = 0.5
-    n_nodes: int = 64
 
     def __post_init__(self):
         c_offset = _check_finite_real(self.c_offset, "c_offset")
         if c_offset <= 0:
             raise ValidationError("c_offset must be > 0 to clear the pole at the abscissa")
-        n_nodes = _whole_number(self.n_nodes, "n_nodes", 8)
-        if MAX_NODES < n_nodes:
-            raise ValidationError(f"need 8 <= n_nodes <= {MAX_NODES}")
         object.__setattr__(self, "c_offset", c_offset)
-        object.__setattr__(self, "n_nodes", n_nodes)
         # the field hash, formed once, as in HWeightParams
-        object.__setattr__(self, "_hash", hash((c_offset, n_nodes)))
+        object.__setattr__(self, "_hash", hash((c_offset,)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -244,9 +240,10 @@ def _abscissa_level(hp: HWeightParams, cc: ContourConfig, x: float) -> int:
     return math.ceil((sigma - base) / _ABSCISSA_STEP)
 
 
-def _truncation(hp: HWeightParams, c: float) -> tuple[float, float]:
+def _truncation(hp: HWeightParams, c: float) -> tuple[float, float | None]:
     """log M(c) and the first height T = 8 * 1.5^j, j < 120, where the
-    integrand on the line Re s = c has fallen to 1e-18 of M(c)."""
+    integrand on the line Re s = c has fallen to 1e-18 of M(c); T is None
+    where the first batch finds M(c) = 0, which no height can fall below."""
     heights = [0.0]  # M(c) rides with the first batch
     T = 8.0
     log_m0 = None
@@ -257,6 +254,8 @@ def _truncation(hp: HWeightParams, c: float) -> tuple[float, float]:
         logs = _log_mellin_vec(hp, np.array([complex(c, h) for h in heights])).real
         if log_m0 is None:
             log_m0 = float(logs[0])
+            if log_m0 == -math.inf:
+                return log_m0, None
         hit = np.flatnonzero(logs[-_HEIGHT_BATCH:] <= log_m0 + _LOG_DECAY_TARGET)
         if hit.size:
             return log_m0, heights[hit[0] - _HEIGHT_BATCH]
@@ -278,21 +277,19 @@ def _build_level(hp: HWeightParams, cc: ContourConfig, level: int, n: int, below
     Node values are scaled by the on-axis peak M(c), so they stay inside
     float range even when the shifted abscissa makes M(c) astronomically
     large; the log of the scale is reapplied at the end.  The first level
-    (below is None) is n = 2 cc.n_nodes: it runs the height search, and
-    if M(c) = 0, so that no height can fall below 1e-18 of it, it moves
-    the line half an offset right.  Each further level takes the level
-    below, level n/2, as its even nodes, since _grid gives (2m)(T/2n) ==
-    m(T/n), and forms only its odd ones.
+    (below is None) is n = _FIRST_N: it runs the height search, and if
+    that finds M(c) = 0 it moves the line half an offset right, once.  Each
+    further level takes the level below, level n/2, as its even nodes,
+    since _grid gives (2m)(T/2n) == m(T/n), and forms only its odd ones.
     """
     if below is None:
-        c = hp._right + cc.c_offset + _ABSCISSA_STEP * level
-        try:
+        cs = [hp._right + shift * cc.c_offset + _ABSCISSA_STEP * level for shift in (1.0, 1.5)]
+        for c in cs:
             log_m0, T = _truncation(hp, c)
-        except ContourFailure:
-            if hp.log_mellin(c).real != -math.inf:
-                raise
-            c = hp._right + 1.5 * cc.c_offset + _ABSCISSA_STEP * level
-            log_m0, T = _truncation(hp, c)
+            if T is not None:
+                break
+        else:
+            raise ContourFailure(f"M(s) vanishes on both abscissae, Re s = {cs[0]:g} and {cs[1]:g}")
         t = _grid(T, n)
         vals = _scaled(hp, c, log_m0, t)
     else:
@@ -310,8 +307,9 @@ def _build_level(hp: HWeightParams, cc: ContourConfig, level: int, n: int, below
 
 @lru_cache(maxsize=_LEVEL_CACHE)
 def _level(hp: HWeightParams, cc: ContourConfig, level: int, n: int) -> tuple:
-    """_build_level, memoized: each level is built once from the memo's level below."""
-    below = None if n == 2 * cc.n_nodes else _level(hp, cc, level, n // 2)
+    """_build_level, memoized on (block, contour, abscissa level, n): each
+    level from _FIRST_N up is built once from the memo's level below."""
+    below = None if n == _FIRST_N else _level(hp, cc, level, n // 2)
     return _build_level(hp, cc, level, n, below)
 
 
@@ -342,17 +340,17 @@ def _h_line(hp: HWeightParams, x: float, cc: ContourConfig) -> float:
     """The contour loop behind eval_h; `_h_value` is its memo for the
     moment quadrature, which revisits its nodes.
 
-    It starts on level 2n, and sums level n on its stride-2 view, at its
-    own step T/n = 2h.  Where 2n passes MAX_NODES it raises before any
-    level is built.  A (block, contour) pair's first call builds each
-    level from the one before and keeps none; from its second call on,
-    the line's levels are read from, and kept in, `_level`."""
+    It starts on level _FIRST_N, and sums level _FIRST_N/2 on its stride-2
+    view, at its own step 2h.  Where _FIRST_N passes MAX_NODES it raises
+    before any level is built.  A (block, contour) pair's first call builds
+    each level from the one before and keeps none; from its second call
+    on, the line's levels are read from, and kept in, `_level`."""
     level = _abscissa_level(hp, cc, x)
     first = next(_pair_calls(hp, cc)) == 0
     log_x = math.log(x)
     # t * (-1j log x) has the imaginary bits of -1j * (t * log x), and a real part of +-0
     phase = -1j * log_x
-    n, f, lv = 2 * cc.n_nodes, None, None
+    n, f, lv = _FIRST_N, None, None
     while n <= MAX_NODES:
         lv = _build_level(hp, cc, level, n, lv) if first else _level(hp, cc, level, n)
         c, log_m0, T, vals, t, floor = lv

@@ -638,12 +638,14 @@ per_level_line = lru_cache(maxsize=None)(ContourPerLevel)
 
 
 def eval_h_per_level(hp, x, cc=hfunction.DEFAULT_CONTOUR, floor=None):
-    """The plain eval_h loop; a given floor replaces the computed one."""
+    """The plain eval_h loop, from the level below the live loop's first
+    (hfunction._FIRST_N, read at each call); a given floor replaces the
+    computed one."""
     x = float(x)
     st_ = per_level_line(hp, contour_abscissa(hp, cc, x))
     log_x = math.log(x)
     log_scale = st_.log_m0 - st_.c * log_x - math.log(math.pi)
-    n = cc.n_nodes
+    n = hfunction._FIRST_N // 2
     prev = None
     while n <= hfunction.MAX_NODES:
         vals = st_.values(n)

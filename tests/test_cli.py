@@ -288,6 +288,16 @@ def test_cs_coeffs_output_and_k(files, capsys):
     assert len(json.loads(out)["coeffs"]) == 9
 
 
+def test_cs_coeffs_at_a_z_whose_square_underflows(files, capsys):
+    # |z|^2 = 1e-400 underflows to 0.0, and c_1 printed as 0.0 although
+    # c_1 = z e^{-|z|^2/2} on the vacuum model is the normal float 1e-200
+    code, out, err = run_cli(capsys, "cs", "coeffs", "--params", files["vacuum"], "--z", "1e-200", "--K", "2")
+    assert (code, err) == (0, "")
+    c0, c1, c2 = json.loads(out)["coeffs"]
+    assert c0 == [pytest.approx(1.0, rel=1e-15), 0.0] and c2 == [0.0, 0.0]
+    assert c1 == [pytest.approx(1e-200, rel=1e-10), 0.0]
+
+
 def _shift_with_k(tmp_path, K):
     path = tmp_path / "shift_k.json"
     path.write_text(

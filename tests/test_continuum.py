@@ -301,3 +301,37 @@ def test_state_density_validation():
     with pytest.raises(OverflowError, match=r"^\|z\|\^2 is past the float range, z = \(1e\+200\+0j\)$"):
         state_density(VACUUM, 1e200, 1.0)
     assert continuum._node_sets.nbytes == 0
+
+
+def _vacuum_nu_by_quad(log_zeta):
+    """integral_0^1 exp(E log zeta) / Gamma(E+1) dE by scipy's quad; past
+    E = 1 the integrand of a log zeta below -400 is under e^-400."""
+    def part(f):
+        return si.quad(lambda E: f(cmath.exp(E * log_zeta - math.lgamma(E + 1.0))), 0.0, 1.0,
+                       epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return complex(part(lambda v: v.real), part(lambda v: v.imag))
+
+
+_TINY = 1e-200  # |z|^2 = 1e-400 underflows to 0.0
+
+
+@pytest.mark.parametrize("scheme", ["gk", "ts"])
+def test_a_tiny_z_whose_square_underflows(scheme):
+    # these raised a bare ValueError or ZeroDivisionError: nu(0.0) is 0, and log(0) has no value
+    log_sq = 2.0 * math.log(_TINY)
+    nu_sq, nu_one = _vacuum_nu_by_quad(log_sq).real, NU_VACUUM_AT_1
+    assert continuum._nu_integral(VACUUM, log_sq, QuadConfig(), scheme)[0] == pytest.approx(nu_sq, rel=1e-10)
+    assert overlap_tilde(VACUUM, _TINY, _TINY, scheme=scheme) == pytest.approx(1.0, rel=1e-10)
+    ref = _vacuum_nu_by_quad(math.log(_TINY)) / math.sqrt(nu_sq * nu_one)
+    assert overlap_tilde(VACUUM, _TINY, 1.0, scheme=scheme) == pytest.approx(ref, rel=1e-10)
+    # conj(z) z' underflows too; the phase difference -3.2 is brought to 2 pi - 3.2
+    z, zp = _TINY * cmath.exp(0.3j), _TINY * cmath.exp(-2.9j)
+    ref = _vacuum_nu_by_quad(complex(log_sq, 2.0 * math.pi - 3.2)) / nu_sq
+    assert overlap_tilde(VACUUM, z, zp, scheme=scheme) == pytest.approx(ref, rel=1e-10)
+    assert overlap_tilde(VACUUM, z, z, scheme=scheme) == pytest.approx(1.0, rel=1e-10)
+
+
+def test_state_density_at_a_tiny_z():
+    ref = cmath.exp(0.5 * math.log(_TINY) - 0.5 * math.lgamma(1.5)) / math.sqrt(
+        _vacuum_nu_by_quad(2.0 * math.log(_TINY)).real)
+    assert state_density(VACUUM, _TINY, 0.5) == pytest.approx(ref, rel=1e-10)

@@ -30,6 +30,7 @@ from fwstates.coherent import (
     f_factor,
     log_rho,
     make_state,
+    normalization,
     rho,
 )
 from fwstates.continuum import QuadConfig
@@ -111,6 +112,27 @@ def test_log_rho_refuses_a_k_that_is_not_real(fn, k):
 def test_kernel_refuses_an_x_that_is_not_real(call, x):
     with pytest.raises(ValidationError, match=f"^x must be a real number, got {x!r}$"):
         call(x)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # each parsed the string: nu(_VACUUM, "2.0") returned 6.9975796291756645
+        (lambda: continuum.nu(_VACUUM, "2.0"), "zeta must be a real number, got '2.0'"),
+        (lambda: normalization(_VACUUM, "2.0"), "zeta must be a real number, got '2.0'"),
+        (lambda: continuum.state_density(_VACUUM, 1.0, "0.5"), "E must be a real number, got '0.5'"),
+        (lambda: pochhammer(1.5, "0.5"), "E must be a real number, got '0.5'"),
+        (lambda: Hyperbolic("1", 2.0), "c1 must be a real number, got '1'"),
+        (lambda: Hyperbolic(1.0, "2"), "c2 must be a real number, got '2'"),
+        (lambda: ContourConfig(c_offset="1.5"), "c_offset must be a real number, got '1.5'"),
+    ],
+    ids=["nu", "normalization", "state_density", "pochhammer", "hyperbolic-c1", "hyperbolic-c2",
+         "contour_config"],
+)
+def test_a_numeric_string_is_not_a_real_number(call, message):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("s", [1j, "a", None, [1.0, 2j]])

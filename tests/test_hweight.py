@@ -13,9 +13,9 @@ from fwstates.coherent import BCCoherentModel, CoherentModel
 from fwstates.errors import ContourFailure, DomainError, ValidationError
 from fwstates.foxwright import FWParams
 from fwstates.foxwright_bc import BCFWParams
+from fwstates import hfunction
 from fwstates.hfunction import (
     DEFAULT_CONTOUR,
-    MAX_NODES,
     ContourConfig,
     HWeightParams,
     _level,
@@ -156,11 +156,15 @@ def test_mellin_round_trip():
     assert VACUUM_HP.mellin(1.5) == pytest.approx(math.gamma(1.5), rel=1e-13)
 
 
-def test_contour_node_start_insensitive():
+def test_contour_node_start_insensitive(monkeypatch):
+    # lines from a first level of 32, 128 (the live one) and 512 intervals
     for n in (16, 64, 256):
-        cc = ContourConfig(n_nodes=n)
-        assert eval_h(VACUUM_HP, 1.7, cc) == pytest.approx(math.exp(-1.7), rel=1e-10)
-        assert eval_h(BESSEL_HP, 1.0, cc) == pytest.approx(TWO_K0_AT_2, rel=1e-10)
+        for memo in (hfunction._level, hfunction._pair_calls):
+            memo.cache_clear()
+        monkeypatch.setattr(hfunction, "_FIRST_N", 2 * n)
+        assert eval_h(VACUUM_HP, 1.7) == pytest.approx(math.exp(-1.7), rel=1e-10)
+        assert eval_h(BESSEL_HP, 1.0) == pytest.approx(TWO_K0_AT_2, rel=1e-10)
+    _level.cache_clear()
 
 
 def test_eval_h_domain_errors():
@@ -229,10 +233,17 @@ def test_malformed_pairs_are_validation_errors(upper, text):
         assert str(exc.value) == text
 
 
-def test_kernel_zero_on_the_line_moves_only_that_line():
+def test_kernel_zero_on_the_line_moves_only_that_line(monkeypatch):
     # 1/Gamma(-0.25 + s/2) vanishes at the level-0 abscissa 0.5
     hp = HWeightParams([(-0.25, 0.5)], [(0.0, 1.0), (0.0, 1.0)])
+    # the height search sees M(0.5) = 0 in its first log-gamma call, and stops
+    on_zero = []
+    log_mellin = hfunction._log_mellin_vec
+    monkeypatch.setattr(hfunction, "_log_mellin_vec",
+                        lambda hp, s: on_zero.append(s[0].real == 0.5) or log_mellin(hp, s))
+    _level.cache_clear()
     assert _level(hp, DEFAULT_CONTOUR, 0, 128)[0] == 0.75
+    assert on_zero.count(True) == 1
     assert _level(hp, DEFAULT_CONTOUR, 1, 128)[0] == 4.5
     assert _level(hp, ContourConfig(c_offset=1.5), 0, 128)[0] == 1.5
     far = eval_h(hp, 0.3, ContourConfig(c_offset=1.5))
@@ -244,17 +255,18 @@ def test_kernel_zero_on_both_lines_still_fails():
     # 1/Gamma(-0.125 + s/4) vanishes at 0.5 and 1/Gamma(-0.1875 + s/4) at
     # 0.75, the moved line; a second move is not tried
     hp = HWeightParams([(-0.125, 0.25), (-0.1875, 0.25)], [(0.0, 1.0), (0.0, 1.0)])
-    with pytest.raises(ContourFailure, match="kernel decays too slowly"):
+    with pytest.raises(ContourFailure, match=r"^M\(s\) vanishes on both abscissae, Re s = 0\.5 and 0\.75$"):
         eval_h(hp, 0.3)
 
 
 def test_contour_config_validation():
     with pytest.raises(ValidationError):
         ContourConfig(c_offset=0.0)
-    with pytest.raises(ValidationError):
-        ContourConfig(n_nodes=4)
-    with pytest.raises(ValidationError):
-        ContourConfig(n_nodes=2 * MAX_NODES)
+    # the offset is the one setting; a whole number is taken as its float
+    cc = ContourConfig(c_offset=1)
+    assert type(cc.c_offset) is float and cc == ContourConfig(1.0) and hash(cc) == hash(ContourConfig(1.0))
+    with pytest.raises(TypeError):
+        ContourConfig(n_nodes=64)
 
 
 @pytest.mark.parametrize(
@@ -267,13 +279,8 @@ def test_contour_config_validation():
         ("c_offset", None, "c_offset must be a real number, got None"),
         ("c_offset", 0.0, "c_offset must be > 0 to clear the pole at the abscissa"),
         ("c_offset", -0.5, "c_offset must be > 0 to clear the pole at the abscissa"),
-        ("n_nodes", 8.5, "n_nodes must be a whole number, got 8.5"),
-        ("n_nodes", "64", "n_nodes must be a whole number, got '64'"),
-        ("n_nodes", math.nan, "n_nodes must be >= 8"),
-        ("n_nodes", math.inf, "n_nodes must be a whole number, got inf"),
-        ("n_nodes", 7, "n_nodes must be >= 8"),
-        ("n_nodes", MAX_NODES + 1, f"need 8 <= n_nodes <= {MAX_NODES}"),
-        ("n_nodes", float(2 * MAX_NODES), f"need 8 <= n_nodes <= {MAX_NODES}"),
+        # float() parsed it, and the contour ran at 1.5
+        ("c_offset", "1.5", "c_offset must be a real number, got '1.5'"),
     ],
 )
 def test_contour_config_refuses_malformed_fields(field, value, text):
@@ -283,13 +290,3 @@ def test_contour_config_refuses_malformed_fields(field, value, text):
     with pytest.raises(ValidationError) as exc:
         ContourConfig(**{field: value})
     assert str(exc.value) == text
-
-
-def test_contour_config_takes_whole_floats_as_ints():
-    """n_nodes = 64.0 is the default contour: the same fields, hash and H values."""
-    cc = ContourConfig(c_offset=1, n_nodes=64.0)
-    assert (cc.c_offset, cc.n_nodes) == (1.0, 64) and type(cc.n_nodes) is int
-    assert ContourConfig(n_nodes=64.0) == DEFAULT_CONTOUR
-    assert hash(ContourConfig(n_nodes=64.0)) == hash(DEFAULT_CONTOUR)
-    hp = HWeightParams([], [(0.0, 1.0)])
-    assert eval_h(hp, 0.7, ContourConfig(n_nodes=64.0)) == eval_h(hp, 0.7)

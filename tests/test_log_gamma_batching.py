@@ -80,6 +80,13 @@ def _clear_memos():
         memo.cache_clear()
 
 
+def _first_level(mp, n):
+    """Lines from a first level of n intervals (hfunction._FIRST_N), with
+    the memos emptied, so no level built under another first level is read."""
+    _clear_memos()
+    mp.setattr(hfunction, "_FIRST_N", n)
+
+
 def _reference(mp):
     """Route the package through the frozen copies, with every memo empty."""
     _clear_memos()
@@ -202,7 +209,7 @@ def test_log_gamma_vec_matches_cumsum_kernel_at_every_length(ndim):
 
 # (upper, lower): the model blocks, slowly decaying kernels whose search
 # passes 8 heights (to j = 11, 15 and 54), and an upper gamma with its
-# pole at c, which makes M(c) zero, so no height passes
+# pole at the level-0 abscissa 0.5, which makes M(c) zero there
 _BLOCKS = [
     ([], [(0.0, 1.0)]),
     ([(0.0, 1.0)], [(0.0, 1.0), (1.0, 1.0)]),
@@ -220,7 +227,8 @@ def _one_point_search(hp, c):
 
 
 def _lines(hp, cc, level):
-    """The live search's (c, log M(c), T) or failure, and the one-point search's."""
+    """The live search's (c, log M(c), T) or failure, and the one-point
+    search's; they agree off the zeros of M, where only the live one stops."""
     c = line_abscissa(hp, cc, level)
     out = []
     for search in (hfunction._truncation, _one_point_search):
@@ -234,23 +242,34 @@ def _lines(hp, cc, level):
 @pytest.mark.parametrize("upper, lower", _BLOCKS)
 @pytest.mark.parametrize("level", [0, 1, 3])
 def test_height_search_matches_one_point_search(upper, lower, level):
-    ours, ref = _lines(HWeightParams(upper, lower), ContourConfig(n_nodes=8), level)
+    hp, cc = HWeightParams(upper, lower), ContourConfig()
+    c = line_abscissa(hp, cc, level)
+    if hp.log_mellin(c).real == -math.inf:
+        # a zero of M: the live search stops with no height, the one-point search refuses
+        assert hfunction._truncation(hp, c) == (-math.inf, None)
+        with pytest.raises(ContourFailure, match="^could not truncate the contour; kernel decays too slowly$"):
+            _one_point_search(hp, c)
+        return
+    ours, ref = _lines(hp, cc, level)
     assert ours == ref
 
 
-def test_height_search_batches():
-    """The search reaches past the first batch of heights, and raises
-    ContourFailure when none of the 120 heights passes."""
+def test_height_search_batches(monkeypatch):
+    """The search reaches past the first batch of heights, and stops in its
+    first batch, with no height, where M(c) = 0."""
     _, T = hfunction._truncation(HWeightParams([(0.5, 1.0 - 1e-9)], [(0.0, 1.0)]), 0.5)
     assert T > 8.0 * 1.5**50
-    with pytest.raises(ContourFailure, match="^could not truncate the contour; kernel decays too slowly$"):
-        hfunction._truncation(HWeightParams([(-0.25, 0.5)], [(0.0, 1.0)]), 0.5)
+    sizes = []
+    log_mellin = hfunction._log_mellin_vec
+    monkeypatch.setattr(hfunction, "_log_mellin_vec", lambda hp, s: sizes.append(s.size) or log_mellin(hp, s))
+    assert hfunction._truncation(HWeightParams([(-0.25, 0.5)], [(0.0, 1.0)]), 0.5) == (-math.inf, None)
+    assert sizes == [1 + hfunction._HEIGHT_BATCH]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_models(), st.integers(0, 4), st.sampled_from([0.5, 1.5, 3.0]))
 def test_height_search_bits(model, level, c_offset):
-    ours, ref = _lines(HWeightParams.from_model(model), ContourConfig(c_offset=c_offset, n_nodes=8), level)
+    ours, ref = _lines(HWeightParams.from_model(model), ContourConfig(c_offset=c_offset), level)
     assert ours == ref
 
 
@@ -261,8 +280,8 @@ def _compare_lines(hp, cc, xs):
     """eval_h at each x in turn: the pair's first call keeps no level, and
     each later one reads its line's levels from `_level`, which keeps them.
     Then every level of each line, (c, log M(c), T, vals, t, floor),
-    against the plain loop's, which starts at level n and reaches the same
-    levels.  Reading them back builds only the levels no later call read."""
+    against the plain loop's, which starts at level _FIRST_N/2 and reaches
+    the same levels.  Reading them back builds only the levels no later call read."""
     _clear_memos()
     level_of = hfunction._level
     read = set()
@@ -279,7 +298,7 @@ def _compare_lines(hp, cc, xs):
     keys = set()
     for level in {hfunction._abscissa_level(hp, cc, x) for x in xs}:
         ref = per_level_line(hp, line_abscissa(hp, cc, level))
-        for n in sorted(ref._vals.keys() - {cc.n_nodes}):
+        for n in sorted(ref._vals.keys() - {hfunction._FIRST_N // 2}):
             want = (ref.c, ref.log_m0, ref.T, ref.values(n), np.linspace(0.0, ref.T, n + 1), ref.floor(n))
             ours = level_of(hp, cc, level, n)
             assert [_bits(v) for v in ours] == [_bits(v) for v in want], n
@@ -287,10 +306,12 @@ def _compare_lines(hp, cc, xs):
     assert level_of.cache_info().misses - misses == len(keys - read)
 
 
+# n: half the first level's intervals, 64 being the live one
 @pytest.mark.parametrize("n_nodes", [8, 64, 100])
 @pytest.mark.parametrize("upper, lower", _BLOCKS[:4])
-def test_contour_levels_match_first_grid_at_n(upper, lower, n_nodes):
-    _compare_lines(HWeightParams(upper, lower), ContourConfig(n_nodes=n_nodes), [0.05, 0.9, 0.3, 6.5])
+def test_contour_levels_match_first_grid_at_n(monkeypatch, upper, lower, n_nodes):
+    _first_level(monkeypatch, 2 * n_nodes)
+    _compare_lines(HWeightParams(upper, lower), ContourConfig(), [0.05, 0.9, 0.3, 6.5])
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -301,14 +322,18 @@ def test_contour_levels_match_first_grid_at_n(upper, lower, n_nodes):
     st.sampled_from([0.5, 1.5]),
 )
 def test_eval_h_and_levels_bits(model, xs, n_nodes, c_offset):
-    _compare_lines(HWeightParams.from_model(model), ContourConfig(c_offset, n_nodes), xs)
+    with pytest.MonkeyPatch.context() as mp:
+        _first_level(mp, 2 * n_nodes)
+        _compare_lines(HWeightParams.from_model(model), ContourConfig(c_offset), xs)
 
 
-def test_contour_at_max_nodes():
-    """n_nodes = MAX_NODES leaves no level to double to: eval_h raises the
-    plain loop's error, at n = MAX_NODES, and builds no level."""
+def test_contour_at_max_nodes(monkeypatch):
+    """A first level of 2 MAX_NODES intervals leaves no level to double to:
+    eval_h raises the plain loop's error, at n = MAX_NODES, and builds no
+    level."""
     hp = HWeightParams([], [(0.0, 1.0)])
-    cc = ContourConfig(n_nodes=MAX_NODES)
+    cc = ContourConfig()
+    _first_level(monkeypatch, 2 * MAX_NODES)
     try:
         _compare_lines(hp, cc, [0.7])
         assert hfunction._level.cache_info().currsize == 0
@@ -319,13 +344,13 @@ def test_contour_at_max_nodes():
 
 
 @pytest.mark.parametrize("n_nodes", [8, 100, MAX_NODES // 2, MAX_NODES // 2 + 1])
-def test_first_grid_is_level_2n_and_level_n_its_view(n_nodes):
-    """The first level is 2n, and level n, which the loop sums on its
-    stride-2 view, holds the nodes of a grid on n + 1 nodes.  Where 2n
+def test_first_grid_is_level_2n_and_level_n_its_view(monkeypatch, n_nodes):
+    """With a first level of 2n intervals, level n, which the loop sums on
+    its stride-2 view, holds the nodes of a grid on n + 1 nodes.  Where 2n
     passes MAX_NODES, eval_h raises and builds no level."""
     hp = HWeightParams([], [(0.0, 1.0)])
-    cc = ContourConfig(n_nodes=n_nodes)
-    _clear_memos()
+    cc = ContourConfig()
+    _first_level(monkeypatch, 2 * n_nodes)
     try:
         if 2 * n_nodes > MAX_NODES:
             with pytest.raises(ContourFailure, match=f"at n={n_nodes} for x=0.7$"):
@@ -590,10 +615,10 @@ def test_fw_params_and_contour_config_hash_once():
     assert p == q and hash(p) == hash(q) == hash((p.upper, p.lower))
     assert p != FWParams([(1.5, 1.0)], [(2.0j, 0.75)])
     assert repr(q) == "FWParams(upper=(((1.5+0j), 1.0),), lower=((2j, 0.5),))"
-    cc = ContourConfig(c_offset=1.5, n_nodes=8)
-    assert cc == ContourConfig(1.5, 8) and hash(cc) == hash((1.5, 8))
-    assert cc != ContourConfig(1.5, 16)
-    assert repr(cc) == "ContourConfig(c_offset=1.5, n_nodes=8)"
+    cc = ContourConfig(c_offset=1.5)
+    assert cc == ContourConfig(1.5) and hash(cc) == hash((1.5,))
+    assert cc != ContourConfig(2.5)
+    assert repr(cc) == "ContourConfig(c_offset=1.5)"
 
 
 # -- bad tolerances ------------------------------------------------------------

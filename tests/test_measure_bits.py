@@ -158,8 +158,12 @@ def test_log_gamma_vec_all_right_matches_mixed(right, left):
 # x spans several abscissa levels; each list is evaluated in order, so the
 # first call on a contour is cold and the later ones warm
 _XS = st.lists(st.floats(0.02, 80.0), min_size=1, max_size=8)
-_CONTOURS = st.sampled_from(
-    [hfunction.DEFAULT_CONTOUR, ContourConfig(c_offset=1.5), ContourConfig(n_nodes=8)]
+_CONTOURS = st.sampled_from([hfunction.DEFAULT_CONTOUR, ContourConfig(c_offset=1.5)])
+# the contours, and a first level of 16 intervals, where lines double early
+_FIRST_LEVELS = pytest.mark.parametrize(
+    "cc, first_n",
+    [(hfunction.DEFAULT_CONTOUR, 128), (ContourConfig(c_offset=1.5), 128), (hfunction.DEFAULT_CONTOUR, 16)],
+    ids=["default", "offset-1.5", "n-8"],
 )
 
 
@@ -178,11 +182,10 @@ def test_level_even_nodes_are_the_level_below(model, cc):
     bit, and each level holds the line, nodes and heights the per-level
     arrays have."""
     hp = HWeightParams.from_model(model)
-    cc = ContourConfig(c_offset=cc.c_offset, n_nodes=8)
     level = hfunction._abscissa_level(hp, cc, 0.9)
     ref = ContourPerLevel(hp, contour_abscissa(hp, cc, 0.9))
     below = None
-    for n in (16, 32, 64, 128):
+    for n in (128, 256, 512, 1024):
         c, log_m0, T, vals, t, _ = ours = hfunction._level(hp, cc, level, n)
         assert _bits((c, log_m0, T)) == _bits((ref.c, ref.log_m0, ref.T))
         assert _bits(vals) == _bits(ref.values(n))
@@ -213,9 +216,23 @@ def test_floor_is_trapezoid_of_abs(model, cc):
     is 16 eps times np.trapezoid of |vals| at the level's step T/n."""
     hp = HWeightParams.from_model(model)
     level = hfunction._abscissa_level(hp, cc, 0.9)
-    for n in (2 * cc.n_nodes, 4 * cc.n_nodes, 8 * cc.n_nodes, 16 * cc.n_nodes):
+    for n in (128, 256, 512, 1024):
         _, _, T, vals, _, floor = hfunction._level(hp, cc, level, n)
         assert floor == 16.0 * _EPS * float(np.trapezoid(np.abs(vals), dx=T / n))
+
+
+def _clear_contour_memos():
+    for memo in (hfunction._level, hfunction._pair_calls, hfunction._h_value):
+        memo.cache_clear()
+
+
+def _first_level(monkeypatch, n):
+    """Lines from a first level of n intervals (hfunction._FIRST_N), with
+    the contour memos emptied first.  A level left from another first
+    level has the bits of the level built afresh, since each level's even
+    nodes are the level below's."""
+    _clear_contour_memos()
+    monkeypatch.setattr(hfunction, "_FIRST_N", n)
 
 
 def _eval_h_with_floor(hp, x, cc, floor):
@@ -230,13 +247,15 @@ def _eval_h_with_floor(hp, x, cc, floor):
         return hfunction.eval_h(hp, x, cc)
 
 
-def test_eval_h_stops_on_the_cached_floor():
-    """The stop compares with the floor each level carries: with every
-    level's floor read as 1e-6, eval_h stops at n = 64 (|bracket| is
-    1.4e-3, so the floor stays below the 1% refusal), as the plain loop
-    does with that floor, before the 128 nodes it needs alone."""
+def test_eval_h_stops_on_the_cached_floor(monkeypatch):
+    """The stop compares with the floor each level carries: from a first
+    level of 16 intervals, with every level's floor read as 1e-6, eval_h
+    stops at n = 64 (|bracket| is 1.4e-3, so the floor stays below the 1%
+    refusal), as the plain loop does with that floor, before the 128 nodes
+    it needs alone."""
+    _first_level(monkeypatch, 16)
     hp = HWeightParams.from_model(_WRIGHT)
-    cc = ContourConfig(n_nodes=8)
+    cc = hfunction.DEFAULT_CONTOUR
     x = 0.7
     converged = hfunction.eval_h(hp, x, cc)
     early = _eval_h_with_floor(hp, x, cc, 1e-6)
@@ -250,22 +269,17 @@ def test_eval_h_refuses_a_floor_past_one_percent_of_the_sum():
     loop with no correct digit left, so eval_h refuses, naming x."""
     hp = HWeightParams.from_model(_WRIGHT)
     with pytest.raises(ContourFailure, match=r"^no correct digit in H\(0\.7\): .* floor inf passes 0\.01"):
-        _eval_h_with_floor(hp, 0.7, ContourConfig(n_nodes=8), math.inf)
+        _eval_h_with_floor(hp, 0.7, hfunction.DEFAULT_CONTOUR, math.inf)
 
 
-def _clear_contour_memos():
-    for memo in (hfunction._level, hfunction._pair_calls, hfunction._h_value):
-        memo.cache_clear()
-
-
-@pytest.mark.parametrize("cc", _CONTOURS.elements, ids=["default", "offset-1.5", "n-8"])
-def test_a_pairs_first_call_keeps_no_level(cc):
+@_FIRST_LEVELS
+def test_a_pairs_first_call_keeps_no_level(monkeypatch, cc, first_n):
     """A (block, contour) pair's first eval_h call builds its line and
     leaves the level memo as it was; its second call, on the same line,
     reads the levels through the memo, which keeps them.  Both calls have
     the plain loop's bits."""
     hp = HWeightParams.from_model(_WRIGHT)
-    _clear_contour_memos()
+    _first_level(monkeypatch, first_n)
     assert hfunction._abscissa_level(hp, cc, 0.7) == hfunction._abscissa_level(hp, cc, 0.9)
     before = hfunction._level.cache_info()
     assert _bits(hfunction.eval_h(hp, 0.7, cc)) == _bits(eval_h_per_level(hp, 0.7, cc))
@@ -280,11 +294,12 @@ def test_warm_eval_h_builds_no_level(monkeypatch):
     pass reads every level from the level memo: it builds none, makes no
     _log_mellin_vec call and returns the cold call's bits.  The pair's
     first call, at an x of its own, keeps no level, so the levels are
-    those the later calls read."""
+    those the later calls read.  Lines start at 16 intervals, so each
+    doubles."""
     hp = HWeightParams.from_model(_WRIGHT)
-    cc = ContourConfig(n_nodes=8)
+    cc = hfunction.DEFAULT_CONTOUR
     xs = [0.3, 0.9, 2.0, 3.0, 0.7]
-    _clear_contour_memos()
+    _first_level(monkeypatch, 16)
     hfunction.eval_h(hp, 5.0, cc)
     assert hfunction._level.cache_info().currsize == 0
     cold = [hfunction.eval_h(hp, x, cc) for x in xs]
@@ -299,13 +314,13 @@ def test_warm_eval_h_builds_no_level(monkeypatch):
     assert info.hits > built.hits
 
 
-def test_level_arrays_are_read_only():
+def test_level_arrays_are_read_only(monkeypatch):
     """Every cached level's node values and heights are read-only, so no
     reader can change a stored level."""
     hp = HWeightParams.from_model(_WRIGHT)
-    cc = ContourConfig(n_nodes=8)
+    cc = hfunction.DEFAULT_CONTOUR
     xs = [0.3, 0.9, 2.0, 3.0]
-    _clear_contour_memos()
+    _first_level(monkeypatch, 16)
     # the pair's first call keeps no level; the later ones keep theirs
     for x in [5.0] + xs:
         hfunction.eval_h(hp, x, cc)
@@ -321,20 +336,22 @@ def test_level_arrays_are_read_only():
     assert hfunction._level.cache_info().misses == misses
 
 
-def test_contour_past_max_nodes_is_refused_before_any_level():
-    """Where 2n passes MAX_NODES no level can be summed: eval_h raises the
-    loop's error without building one (a whole line of 2^20 + 1 nodes
-    took 0.36 s, peaked at 110 MB and stayed in the memo)."""
+def test_contour_past_max_nodes_is_refused_before_any_level(monkeypatch):
+    """Where the first level passes MAX_NODES, here lowered to 64, no level
+    can be summed: eval_h raises the loop's error without building one (a
+    first level past a cap of 2^20 nodes took 0.36 s, peaked at 110 MB and
+    stayed in the memo)."""
+    monkeypatch.setattr(hfunction, "MAX_NODES", 64)
     hp = HWeightParams.from_model(_UNIT)
     size = hfunction._level.cache_info().currsize
     tracemalloc.start()
     try:
         with pytest.raises(ContourFailure) as exc:
-            hfunction.eval_h(hp, 1.0, ContourConfig(n_nodes=hfunction.MAX_NODES))
+            hfunction.eval_h(hp, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert str(exc.value) == "node doubling stalled below tolerance at n=1048576 for x=1"
+    assert str(exc.value) == "node doubling stalled below tolerance at n=64 for x=1"
     assert peak < 1 << 20
     assert hfunction._level.cache_info().currsize == size
 
@@ -482,11 +499,12 @@ def _loop_bits(hp, x, cc):
     )
 
 
-@pytest.mark.parametrize("cc", _CONTOURS.elements, ids=["default", "offset-1.5", "n-8"])
-def test_warm_h_loop_matches_the_two_pass_loop(cc):
+@_FIRST_LEVELS
+def test_warm_h_loop_matches_the_two_pass_loop(monkeypatch, cc, first_n):
     """On lines warmed as a measure pass warms them (120 geometric x per
     model), the loop gives the plain loop's bits at 250 log-uniform x per
     model, mostly on warm lines."""
+    _first_level(monkeypatch, first_n)
     rng = np.random.default_rng(20261019)
     for model, x_max in _MEASURE_MODELS:
         hp = HWeightParams.from_model(model)
@@ -501,9 +519,11 @@ def test_warm_h_loop_matches_the_two_pass_loop(cc):
 def test_h_loop_under_a_lowered_node_cap(monkeypatch, max_nodes):
     """With MAX_NODES at 8, 2n passes the cap: both loops raise at n=8,
     and the live one builds no level.  Under caps of 16 to 64, doubling
-    stops at the cap.  Values and failures match the plain loop's."""
+    stops at the cap.  Lines start at 16 intervals.  Values and failures
+    match the plain loop's."""
     monkeypatch.setattr(hfunction, "MAX_NODES", max_nodes)
-    cc = ContourConfig(n_nodes=8)
+    monkeypatch.setattr(hfunction, "_FIRST_N", 16)
+    cc = hfunction.DEFAULT_CONTOUR
     outcomes = set()
     # the level sizes built, kept or not
     ns = []
@@ -536,7 +556,7 @@ def test_h_loop_underflow_under_raise():
     hp = HWeightParams.from_model(_MEASURE_MODELS[0][0])
     cc, x = hfunction.DEFAULT_CONTOUR, 720.0
     hfunction.eval_h(hp, x, cc)  # builds the levels outside the raise
-    c, log_m0 = hfunction._level(hp, cc, hfunction._abscissa_level(hp, cc, x), 2 * cc.n_nodes)[:2]
+    c, log_m0 = hfunction._level(hp, cc, hfunction._abscissa_level(hp, cc, x), hfunction._FIRST_N)[:2]
     assert log_m0 - c * math.log(x) - math.log(math.pi) < -700.0
     with np.errstate(under="raise"):
         ours, ref = _loop_bits(hp, x, cc)
