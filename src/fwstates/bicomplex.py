@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from typing import Union
 
 from .errors import DomainError, FWError, SingularElement, ValidationError
@@ -78,8 +79,8 @@ def _squared_modulus(z: complex, what: str) -> float:
 
 
 def _log_squared_modulus(z: complex, zeta: float) -> float:
-    """log zeta of zeta = |z|^2, or 2 log|z| where zeta underflowed to 0 for a nonzero z."""
-    return math.log(zeta) if zeta else 2.0 * math.log(abs(z))
+    """log zeta of zeta = |z|^2, or 2 log|z| where zeta is subnormal or 0 for a nonzero z."""
+    return math.log(zeta) if zeta >= sys.float_info.min else 2.0 * math.log(abs(z))
 
 
 def _rsub(a, b):

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -397,7 +398,7 @@ def overlap_tilde(
 
     The complex-argument nu is the nu integral at log zeta = Log(conj(z) z'),
     the principal branch, so zeta^E = exp(E Log zeta).  z, z' and
-    conj(z) z' must be finite.  Where conj(z) z' or a |z|^2 underflows to
+    conj(z) z' must be finite.  Where conj(z) z' or a |z|^2 is subnormal or
     0, its log is formed from log|z|, log|z'| and the phases.
     """
     z = _check_finite_complex(z, "z")
@@ -407,7 +408,8 @@ def overlap_tilde(
     zeta = _check_finite_complex(z.conjugate() * zp, "conj(z) zp")
     n1, n2 = _squared_modulus(z, "z"), _squared_modulus(zp, "zp")
     _check_scheme(scheme)
-    log_zeta = cmath.log(zeta) if zeta else complex(  # the phase of conj(z) z' on unit moduli
+    # a subnormal or zero conj(z) z' takes the phase of conj(z) z' on unit moduli
+    log_zeta = cmath.log(zeta) if abs(zeta) >= sys.float_info.min else complex(
         math.log(abs(z)) + math.log(abs(zp)), cmath.phase((z / abs(z)).conjugate() * (zp / abs(zp))))
     num, _ = _nu_integral(model, log_zeta, cfg, scheme)
     nu1, nu2 = (_nu_integral(model, _log_squared_modulus(w, n), cfg, scheme)[0]

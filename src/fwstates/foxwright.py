@@ -29,7 +29,7 @@ parameter sets, so equal parameters built anywhere share one entry, and
 this one table serves both evaluate and coherent.make_state (through
 log_gamma_rows), so a model's states reuse the gamma values of its
 normalization.  An entry grows to the end of the block a call asks for:
-evaluate never past its max_terms, make_state to the end of the series
+evaluate never past MAX_TERMS, make_state to the end of the series
 block that holds its K+1 columns, where its normalization's next block
 would grow it.  It grows into new read-only arrays published by one
 assignment per call, so threads never see a half-grown entry.  Terms
@@ -53,12 +53,12 @@ On the circle |z| = V with allow_boundary, _psi first tries Levin
 u transforms (_boundary_sum): two windows of 31 partial sums from the
 same column table, each order's value with an error bound from the
 spread of successive orders and the rounding the transform amplifies,
-the two windows cross-checked; what they need beyond z is one memo per
-(parameter set, max_terms), _boundary_plan.  The sum capped at
-max_terms with its majorant tail still runs, bit for bit, where the
+the two windows cross-checked; what they need beyond z is a plan that
+the parameter set's column table entry holds with its radius, so the
+three are dropped together (_boundary_plan).  The sum capped at
+MAX_TERMS with its majorant tail still runs, bit for bit, where the
 transforms cannot be trusted: phases 0 < |arg z| < _LEVIN_MIN_PHASE,
-gamma poles, a max_terms too short for the windows, or a bound no
-better than the majorant's.
+gamma poles, or a bound no better than the majorant's.
 
 The oracle_* functions are deliberately independent evaluation routes
 (raw Pochhammer products, and CPython's math.gamma rather than gammafn)
@@ -88,7 +88,8 @@ from .gammafn import _UNIT_ROUNDOFF, POLE_TOL, is_gamma_pole, log_gamma, log_gam
 CLASSIFY_TOL = 1e-12
 
 DEFAULT_TOL = 1e-14
-DEFAULT_MAX_TERMS = 10000
+# the series length: a sum not stopped by then is refused, or capped on the circle
+MAX_TERMS = 10000
 
 # parameter sets whose log-gamma columns stay cached
 _COLUMN_CACHE_SIZE = 32
@@ -106,6 +107,8 @@ _LEVIN_ORDER = 30
 _LEVIN_SAFETY = 4.0
 _LEVIN_MIN_PHASE = 0.02
 _LEVIN_MAX_SHARE = 0.01
+# an entry's plan before its first boundary call (None means the route cannot run)
+_UNBUILT = object()
 
 
 @dataclass(frozen=True)
@@ -208,13 +211,12 @@ def margin_sign(params: FWParams) -> int:
     return (d > CLASSIFY_TOL) - (d < -CLASSIFY_TOL)
 
 
-@lru_cache(maxsize=_COLUMN_CACHE_SIZE)
 def radius(params: FWParams) -> float:
     """Convergence radius: inf (Delta>0), prod B^B prod A^(-A) (Delta=0), 0.
 
-    Cached per parameter set, as every evaluate call asks for it.
+    Held in its _column_cache entry, as every evaluate call asks for it.
     """
-    return _radius_for_sign(params, margin_sign(params))
+    return _column_cache(params).radius
 
 
 def _radius_for_sign(params: FWParams, sign: int) -> float:
@@ -266,13 +268,16 @@ class _Columns(NamedTuple):
 
 
 class _ColumnCache:
-    """Columns of one FWParams, grown on demand to the block end asked for."""
+    """The record of one FWParams: its radius, its columns, grown on demand
+    to the block end asked for, and its Levin plan (_boundary_plan)."""
 
-    __slots__ = ("params", "cols", "off", "wt")
+    __slots__ = ("params", "radius", "cols", "plan", "off", "wt")
 
     def __init__(self, params: FWParams):
         self.params = params
+        self.radius = _radius_for_sign(params, margin_sign(params))
         self.cols = None  # no record until the first growth
+        self.plan = _UNBUILT
         # offsets and weights of the gamma arguments k+1, a_l + k A_l, b_r + k B_r;
         # coherent._log_rho_vec reads them too
         pairs = ((1.0, 1.0),) + params.upper + params.lower
@@ -438,7 +443,7 @@ class _RowSum:
 
     def finish(self, z: complex, tol: float, lam_re: float | None):
         """The row, or the error evaluate raises for it; lam_re is Re(lambda)
-        on the circle, where a sum that reached max_terms is capped, not refused."""
+        on the circle, where a sum that reached MAX_TERMS is capped, not refused."""
         if self.error is None and not cmath.isfinite(self.value):
             self.error = OverflowError(_TOO_LARGE)
         if self.error is None and not self.stopped and lam_re is None:
@@ -462,7 +467,7 @@ class _RowSum:
         return EvalResult(self.value, self.used, np.float64(tail))
 
 
-def _block_sums(cache: _ColumnCache, log_zs: list, tol: float, max_terms: int) -> list[_RowSum]:
+def _block_sums(cache: _ColumnCache, log_zs: list, tol: float) -> list[_RowSum]:
     """Sum the series at each log z of log_zs; one _RowSum per series.
 
     Blocks of 32, 64, ... up to _BLOCK_CAP terms.  One series is summed
@@ -486,8 +491,8 @@ def _block_sums(cache: _ColumnCache, log_zs: list, tol: float, max_terms: int) -
     k0 = 0
     block = 32
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        while k0 < max_terms:
-            end = min(k0 + block, max_terms)
+        while k0 < MAX_TERMS:
+            end = min(k0 + block, MAX_TERMS)
             try:
                 logt = _block_terms(cache.upto(end), log_z, k0, end)
             except PoleError as exc:
@@ -552,7 +557,7 @@ def _levin_weights(starts) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _BoundaryPlan(NamedTuple):
-    """What the Levin route needs of one FWParams and max_terms beyond z (see _boundary_sum)."""
+    """What the Levin route needs of one FWParams beyond z (see _boundary_sum)."""
 
     starts: np.ndarray  # the two windows' first partial sums n0, n1
     k: np.ndarray  # 0 .. end-1, the terms read
@@ -563,19 +568,18 @@ class _BoundaryPlan(NamedTuple):
     weights: np.ndarray  # _levin_weights of the two windows
     moduli: np.ndarray
     lam_re: float
-    log_last: float  # log |t_N-1 / z^N-1|, N = max_terms, for the capped sum's majorant
+    log_last: float  # log |t_N-1 / z^N-1|, N = MAX_TERMS, for the capped sum's majorant
 
 
-@lru_cache(maxsize=_COLUMN_CACHE_SIZE)
-def _boundary_plan(params: FWParams, max_terms: int) -> _BoundaryPlan | None:
+def _boundary_plan(cache: _ColumnCache) -> _BoundaryPlan | None:
     """The windows, the term error model and the majorant's coefficient of
-    one parameter set and max_terms, or None where the route cannot run.
+    the entry's parameter set, or None where the route cannot run.
 
     n0 is the first k with k A >= |a| + 1 for every gamma argument a + k A
     (k + 1 included): from there on every argument is past its poles and
     large against its own offset, so the terms follow their expansion in
     powers of 1/k, which the u transform assumes.  The second window
-    starts at 2 n0 + 8.  None if max_terms cannot hold both windows,
+    starts at 2 n0 + 8.  None if MAX_TERMS cannot hold both windows,
     tested before the column table grows to their end.  A pole needs
     Re(a + k A) < 1/2, so only k below (1/2 - Re a) / A, which is below
     n0, can meet one (k = 0 is refused by FWParams), so the grown table
@@ -584,21 +588,21 @@ def _boundary_plan(params: FWParams, max_terms: int) -> _BoundaryPlan | None:
     |k log z| and the moduli of its log-gamma values: against mpmath on
     9,300 terms of random parameter sets the error never passed 0.64 of
     that.  log_last comes from one log_gamma_vec call on the arguments
-    at k = max_terms - 1.
+    at k = MAX_TERMS - 1.
     """
+    params = cache.params
     pairs = ((1.0, 1.0),) + params.upper + params.lower
     n0 = max(math.ceil((abs(a) + 1.0) / A) for a, A in pairs)
     starts = np.array((n0, 2 * n0 + 8))
     end = int(starts[1]) + _LEVIN_ORDER + 1
-    if end > max_terms:
+    if end > MAX_TERMS:
         return None
-    cache = _column_cache(params)
     cols = cache.upto(end)
     if any(pole is not None for pole in cols.upper_poles + cols.lower_first_pole):
         return None
     mag = sum(np.abs(row) for row in cols.lg[:, :end])
     window = np.add.outer(starts, np.arange(_LEVIN_ORDER + 1))
-    lg = log_gamma_vec(cache.off[:, 0] + cache.wt[:, 0] * (max_terms - 1)).real
+    lg = log_gamma_vec(cache.off[:, 0] + cache.wt[:, 0] * (MAX_TERMS - 1)).real
     plan = _BoundaryPlan(
         starts,
         cols.k[:end],
@@ -675,15 +679,16 @@ def _levin_windows(terms, eps, plan):
     return values[rows, best + 3], plan.starts + best + 4, bounds[rows, best]
 
 
-def _boundary_sum(params: FWParams, z: complex, log_z: complex, max_terms: int, r: float):
-    """The Levin route on the circle |z| = r = V, or None to keep the capped sum.
+def _boundary_sum(cache: _ColumnCache, z: complex, log_z: complex):
+    """The Levin route on the circle |z| = V of the entry, or None to keep the capped sum.
 
     Two windows of K + 1 partial sums each give their best transform
     (_levin_windows).  The one with the smaller bound is returned, and
     its bound is raised to the other's bound plus their distance, so it
     holds when either window's bound does.  The windows, the term error
-    model and the majorant's coefficient come from one memo per
-    (parameter set, max_terms), _boundary_plan.  Sweeps against mpmath
+    model and the majorant's coefficient come from the entry's plan,
+    which its first boundary call builds (_boundary_plan) and publishes
+    by one assignment, as upto publishes columns.  Sweeps against mpmath
     sums (13,400 accepted points on random Delta = 0 models with lambda
     in (0.52, 3), some with lower arguments near poles, phases from 0.02
     to pi and z = V) found no error above the bound; the largest ratio
@@ -693,14 +698,16 @@ def _boundary_sum(params: FWParams, z: complex, log_z: complex, max_terms: int, 
     _LEVIN_MIN_PHASE the transform converges to the value at V instead.
     So the capped sum still runs at 0 < |arg z| < _LEVIN_MIN_PHASE, at
     z = V unless z is exactly the float radius, where the plan is None
-    (max_terms cannot hold both windows, or the parameters meet a gamma
+    (MAX_TERMS cannot hold both windows, or the parameters meet a gamma
     pole), and when the bound (inf or NaN if a term leaves the float
     range) is not below both _LEVIN_MAX_SHARE |value| and the capped
-    sum's own majorant |t_N-1| N / (Re(lambda) - 1/2), N = max_terms.
+    sum's own majorant |t_N-1| N / (Re(lambda) - 1/2), N = MAX_TERMS.
     """
-    if abs(log_z.imag) < _LEVIN_MIN_PHASE and z != r:
+    if abs(log_z.imag) < _LEVIN_MIN_PHASE and z != cache.radius:
         return None
-    plan = _boundary_plan(params, max_terms)
+    plan = cache.plan
+    if plan is _UNBUILT:
+        plan = cache.plan = _boundary_plan(cache)
     if plan is None:
         return None
     # a term past the float range is inf, which makes every bound inf or
@@ -710,26 +717,22 @@ def _boundary_sum(params: FWParams, z: complex, log_z: complex, max_terms: int, 
     values, used, bounds = _levin_windows(terms, eps, plan)
     best = int(bounds.argmin())
     bound = max(bounds[best], abs(values[0] - values[1]) + bounds[1 - best])
-    log_last = plan.log_last + (max_terms - 1) * log_z.real
-    majorant = math.exp(min(log_last, 709.0)) * max_terms / (plan.lam_re - 0.5)
+    log_last = plan.log_last + (MAX_TERMS - 1) * log_z.real
+    majorant = math.exp(min(log_last, 709.0)) * MAX_TERMS / (plan.lam_re - 0.5)
     if not bound < min(majorant, _LEVIN_MAX_SHARE * abs(values[best])):
         return None
     return EvalResult(values[best], int(used[best]), bound)
 
 
-def _psi(
-    params: FWParams,
-    zs: list,
-    tol: float = DEFAULT_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
-    allow_boundary: bool = False,
-) -> list:
-    """evaluate(params, z, tol, max_terms, allow_boundary) at each z of zs, in
-    order, for callers that have made its argument checks: the error it raises,
-    its EvalResult, or the finished _RowSum whose result() that is (either holds
-    the value).  One _block_sums pass, made only if some z needs it, sums them all.
+def _psi(params: FWParams, zs: list, tol: float = DEFAULT_TOL, allow_boundary: bool = False) -> list:
+    """evaluate(params, z, tol, allow_boundary) at each z of zs, in order, for
+    callers that have made its argument checks: the error it raises, its
+    EvalResult, or the finished _RowSum whose result() that is (either holds
+    the value).  The parameter set's entry is looked up once, and one
+    _block_sums pass, made only if some z needs it, sums them all.
     """
-    r = radius(params)
+    cache = _column_cache(params)
+    r = cache.radius
     out = []
     log_zs, series = [], []  # the series' log z, and (index in out, z, Re(lambda) or None)
     for z in zs:
@@ -756,24 +759,20 @@ def _psi(
             log_z = cmath.log(z)
             if lam_re is not None:
                 with np.errstate(all="ignore"):
-                    res = _boundary_sum(params, z, log_z, max_terms, r)
+                    res = _boundary_sum(cache, z, log_z)
             if res is None:
                 log_zs.append(log_z)
                 series.append((len(out), z, lam_re))
         out.append(res)
     if series:
-        rows = _block_sums(_column_cache(params), log_zs, tol, max_terms)
+        rows = _block_sums(cache, log_zs, tol)
         for (i, z, lam_re), row in zip(series, rows):
             out[i] = row.finish(z, tol, lam_re)
     return out
 
 
 def evaluate(
-    params: FWParams,
-    z: complex,
-    tol: float = DEFAULT_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
-    allow_boundary: bool = False,
+    params: FWParams, z: complex, tol: float = DEFAULT_TOL, allow_boundary: bool = False
 ) -> EvalResult:
     """Partial sum of the Fox-Wright series with a geometric tail bound.
 
@@ -786,18 +785,17 @@ def evaluate(
     heuristic bound: the spread of successive orders times a safety
     factor, plus the rounding they amplify), and terms_used counts the
     terms the returned transform read.  Where that route does not apply
-    (see _boundary_sum) the sum is capped at max_terms and tail_bound is
-    the majorant |t_N-1| N / (Re(lambda) - 1/2) of the truncated tail,
-    without the rounding of the summed terms.
+    (see _boundary_sum) the sum is capped at N = MAX_TERMS terms and
+    tail_bound is the majorant |t_N-1| N / (Re(lambda) - 1/2) of the
+    truncated tail, without the rounding of the summed terms.  Off the
+    circle a sum not stopped by then raises MaxTermsExceeded.
 
-    The one-point call of _psi.  max_terms must be a whole number >= 1;
-    integral floats such as 1e4 are accepted.  z must be finite.
+    The one-point call of _psi.  z must be finite.
     """
     if not _check_real(tol, "tol") > 0:  # NaN fails this test too
         raise ValidationError("tol must be > 0")
-    max_terms = _whole_number(max_terms, "max_terms", 1)
     z = _check_finite_complex(z, "z")
-    res = _psi(params, [z], tol, max_terms, allow_boundary)[0]
+    res = _psi(params, [z], tol, allow_boundary)[0]
     if isinstance(res, Exception):
         raise res
     return res.result() if type(res) is _RowSum else res

@@ -33,7 +33,6 @@ from .bicomplex import Bicomplex, Hyperbolic, _check_real, componentwise
 from .errors import DomainViolation, ValidationError
 from .foxwright import (
     CLASSIFY_TOL,
-    DEFAULT_MAX_TERMS,
     DEFAULT_TOL,
     FWParams,
     _circle_side,
@@ -219,7 +218,6 @@ def evaluate(
     params: BCFWParams,
     Z: Bicomplex,
     tol: float = DEFAULT_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
     allow_boundary: bool = False,
 ) -> Bicomplex:
     """The complex series run on each idempotent component.
@@ -243,7 +241,7 @@ def evaluate(
                     "mixed boundary point of the hyperbolic ball (one component on its "
                     "circle, one inside) is not covered by the convergence theorem"
                 )
-    r1, r2 = componentwise(evaluate_complex, params, Z, tol, max_terms, allow_boundary)
+    r1, r2 = componentwise(evaluate_complex, params, Z, tol, allow_boundary)
     return Bicomplex(r1.value, r2.value)
 
 

@@ -56,12 +56,16 @@ returns the majorant tail.  evaluate still does that wherever its Levin
 route does not apply; takes_levin_route says which boundary calls leave
 the frozen copy, so those are checked against mpmath (gauss_psi) or
 against the capped sum within both bounds (assert_levin_within_capped).
+evaluate sums up to foxwright.MAX_TERMS terms; series_length sets that
+length for a test, as evaluate_per_term's max_terms sets the copy's.
 """
 
 import cmath
+import contextlib
 import math
 from functools import lru_cache
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 from scipy import integrate
@@ -92,17 +96,30 @@ from fwstates.gammafn import (
 from fwstates.hfunction import HWeightParams, MomentResult
 
 
-def takes_levin_route(params, z, max_terms=10000):
-    """True if evaluate(params, z, allow_boundary=True, max_terms=...) sums
-    by Levin transforms rather than the capped sum of the frozen copy."""
+@contextlib.contextmanager
+def series_length(n):
+    """evaluate's series length foxwright.MAX_TERMS set to n, with the
+    column table emptied on entry and exit, as its entries hold Levin
+    plans made for one length."""
+    with mock.patch.object(foxwright, "MAX_TERMS", n):
+        foxwright._column_cache.cache_clear()
+        try:
+            yield
+        finally:
+            foxwright._column_cache.cache_clear()
+
+
+def takes_levin_route(params, z):
+    """True if evaluate(params, z, allow_boundary=True) sums by Levin
+    transforms rather than the capped sum of the frozen copy."""
     z = complex(z)
     r = radius(params)
     if z == 0 or not 0.0 < r < math.inf or foxwright._circle_side(abs(z), r) != 0:
         return False
-    if boundary_exponent(params).real <= 0.5 or max_terms < 1:
+    if boundary_exponent(params).real <= 0.5:
         return False
     with np.errstate(all="ignore"):
-        return foxwright._boundary_sum(params, z, cmath.log(z), max_terms, r) is not None
+        return foxwright._boundary_sum(foxwright._column_cache(params), z, cmath.log(z)) is not None
 
 
 def gauss_psi(params, z):
@@ -141,10 +158,10 @@ def mittag_leffler(B1, b1, z):
 
 
 def assert_levin_within_capped(copy, params, z, **kwargs):
-    """A Levin-route result and a frozen copy's capped sum lie within the
-    sum of their two bounds of each other."""
+    """A Levin-route result and a frozen copy's capped sum, at the same
+    series length, lie within the sum of their two bounds of each other."""
     got = evaluate(params, z, **kwargs)
-    capped = copy(params, z, **kwargs)
+    capped = copy(params, z, max_terms=foxwright.MAX_TERMS, **kwargs)
     assert abs(got.value - capped.value) <= got.tail_bound + capped.tail_bound
     return got
 
@@ -737,7 +754,7 @@ def ref_moment_check(model, k):
 # -- earlier references, kept from the test files that first held them ----------
 
 
-def reference_evaluate_bc(params, Z, tol=1e-14, max_terms=10000, allow_boundary=False):
+def reference_evaluate_bc(params, Z, tol=1e-14, allow_boundary=False):
     """Reference: each component placed against classify's radii before either is summed."""
     if not isinstance(Z, Bicomplex):
         Z = Bicomplex.from_scalar(Z)
@@ -756,7 +773,7 @@ def reference_evaluate_bc(params, Z, tol=1e-14, max_terms=10000, allow_boundary=
             raise DomainViolation("mixed boundary point of the hyperbolic ball")
         if not allow_boundary:
             raise DomainViolation("component on its convergence circle")
-    r1, r2 = componentwise(evaluate, params, Z, tol, max_terms, allow_boundary)
+    r1, r2 = componentwise(evaluate, params, Z, tol, allow_boundary)
     return Bicomplex(r1.value, r2.value)
 
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from _frozen import gauss_psi, reference_evaluate_bc, takes_levin_route
+from _frozen import gauss_psi, reference_evaluate_bc, series_length, takes_levin_route
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -276,8 +276,9 @@ def test_ball_majorant_tail_is_cauchy():
     # and the actual boundary partial sums are consistent with it; a phase
     # below the Levin route's keeps the capped sums at z = 0.25 e^{0.01i}
     z = 0.25 * cmath.exp(0.01j)
-    r1 = evaluate_c(params, z, allow_boundary=True, max_terms=5000)
-    r2 = evaluate_c(params, z, allow_boundary=True, max_terms=10000)
+    with series_length(5000):
+        r1 = evaluate_c(params, z, allow_boundary=True)
+    r2 = evaluate_c(params, z, allow_boundary=True)
     assert (r1.terms_used, r2.terms_used) == (5000, 10000)
     assert abs(r1.value - r2.value) <= r1.tail_bound
 
@@ -430,4 +431,5 @@ def test_evaluate_matches_reference_random(
     for r, x in zip((radius_c(P) for P in params.decompose()), rel):
         moduli.append(4.0 * x if math.isinf(r) else r * x if r > 0 else 0.3 * (x > 0.7))
     Z = Bicomplex(moduli[0] * cmath.exp(1j * angle), moduli[1] * cmath.exp(-2j * angle))
-    _assert_parity(params, Z, tol=tol, max_terms=max_terms, allow_boundary=allow_boundary)
+    with series_length(max_terms):
+        _assert_parity(params, Z, tol=tol, allow_boundary=allow_boundary)

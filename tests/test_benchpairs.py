@@ -12,24 +12,25 @@ benchpairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(benchpairs)
 
 
-def _line(rss, wall, failed=1):
+def _line(rss, wall, failed=1, cold_start=0.25):
     return {
         "correct": True,
         "attempted": 100,
         "failed": failed,
         "metrics": {"peak_rss_mb": {"value": rss, "unit": "MB"}, "wall_s": {"value": wall, "unit": "s"}},
+        "cold_start_s": cold_start,
     }
 
 
 # ten pairs: the change's RSS is 1 MB lower in nine and 1 MB higher in one;
-# its wall time is 30% higher in every pair
+# its wall time is 30% higher in every pair, and its cold start 1/32 s
 _PARENT_RSS = [60.0, 61.0, 62.0, 63.0, 64.0, 65.0, 66.0, 67.0, 68.0, 69.0]
 _CHANGE_RSS = [59.0, 60.0, 61.0, 62.0, 63.0, 64.0, 65.0, 66.0, 67.0, 70.0]
 _RUNS = {
     f"measure-{seed}": {
         "order": benchpairs.order(seed),
-        "parent": _line(p, 1.0 + i / 10),
-        "change": _line(c, 1.3 * (1.0 + i / 10)),
+        "parent": _line(p, 1.0 + i / 10, cold_start=0.25 + i / 16),
+        "change": _line(c, 1.3 * (1.0 + i / 10), cold_start=0.28125 + i / 16),
     }
     for i, (seed, p, c) in enumerate(zip(range(3900, 3910), _PARENT_RSS, _CHANGE_RSS))
 }
@@ -60,6 +61,25 @@ def test_summary_arithmetic():
     }
     assert summary["measure"]["wall_s"]["change_wins"] == 0
     assert summary["measure"]["failed_equal_every_pair"] is True
+
+
+def test_cold_start_summary_without_a_verdict():
+    summary = benchpairs.summarize(_RUNS, _BETTER)
+    # exclusive quartiles of 0.25 + i/16, i < 10, and of the same plus 1/32
+    assert summary["measure"]["cold_start_s"] == {
+        "parent_median": 0.53125,
+        "change_median": 0.5625,
+        "change_over_parent": 0.5625 / 0.53125,
+        "parent_q1": 0.359375,
+        "parent_q3": 0.703125,
+        "parent_iqr": 0.34375,
+        "change_q1": 0.390625,
+        "change_q3": 0.734375,
+        "change_wins": 0,
+        "pairs": 10,
+    }
+    lines = benchpairs.verdict_lines(summary, {"peak_rss_mb": ("lower", 0.1), "wall_s": ("lower", 0.2)})
+    assert len(lines) == 3 and not any("cold_start_s" in line for line in lines)
 
 
 def test_verdicts():

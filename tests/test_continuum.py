@@ -5,6 +5,7 @@ import math
 import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate as si
@@ -335,3 +336,29 @@ def test_state_density_at_a_tiny_z():
     ref = cmath.exp(0.5 * math.log(_TINY) - 0.5 * math.lgamma(1.5)) / math.sqrt(
         _vacuum_nu_by_quad(2.0 * math.log(_TINY)).real)
     assert state_density(VACUUM, _TINY, 0.5) == pytest.approx(ref, rel=1e-10)
+
+
+def _vacuum_nu_mp(zeta):
+    """integral_0^inf zeta^E / Gamma(E+1) dE by mpmath's quad, at the caller's precision."""
+    log_zeta = mpmath.log(zeta)
+    return mpmath.quad(lambda E: mpmath.exp(E * log_zeta) / mpmath.gamma(E + 1),
+                       [0, mpmath.mpf("0.001"), mpmath.mpf("0.01"), mpmath.mpf("0.1"), 1, mpmath.inf])
+
+
+@pytest.mark.parametrize("z, w", [(1e-160, None), (1e-160, 0.5), (2e-159 + 1e-159j, 3e-160 - 1e-160j),
+                                  (1e-160, 1e-160j)])
+def test_a_subnormal_square_or_product(z, w):
+    # |z|^2, |z'|^2 or conj(z) z' is a subnormal that has lost bits: these
+    # were 3.2e-11 to 7.6e-9 off; w None is state_density at E = 0.5
+    with mpmath.workdps(40):
+        zm = mpmath.mpc(z)
+        if w is None:
+            got = state_density(VACUUM, z, 0.5)
+            ref = zm ** 0.5 / mpmath.sqrt(mpmath.gamma(1.5) * _vacuum_nu_mp(abs(zm) ** 2))
+        else:
+            wm = mpmath.mpc(w)
+            got = overlap_tilde(VACUUM, z, w)
+            ref = _vacuum_nu_mp(mpmath.conj(zm) * wm) / mpmath.sqrt(
+                _vacuum_nu_mp(abs(zm) ** 2) * _vacuum_nu_mp(abs(wm) ** 2))
+        ref = complex(ref)
+    assert abs(got - ref) <= 1e-12 * abs(ref)

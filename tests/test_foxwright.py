@@ -15,6 +15,7 @@ from _frozen import (
     evaluate_per_term,
     gauss_psi,
     mittag_leffler,
+    series_length,
     takes_levin_route,
 )
 from hypothesis import assume, example, given, settings
@@ -266,10 +267,11 @@ def test_non_finite_and_malformed_points_are_refused(params, z, text, monkeypatc
 # -- the Levin route on the convergence circle -------------------------------
 
 
-def _assert_levin_covers(params, z, ref, **kwargs):
+def _assert_levin_covers(params, z, ref, max_terms=10000):
     """The Levin route: the error is within tail_bound, itself within 1e-6 |value|."""
-    assert takes_levin_route(params, z, kwargs.get("max_terms", 10000))
-    res = evaluate(params, z, allow_boundary=True, **kwargs)
+    with series_length(max_terms):
+        assert takes_levin_route(params, z)
+        res = evaluate(params, z, allow_boundary=True)
     assert abs(res.value - ref) <= res.tail_bound <= 1e-6 * abs(res.value)
     assert res.terms_used < 100
     return res
@@ -342,14 +344,14 @@ def _outcome(fn, *args, **kwargs):
         return type(exc)
 
 
-def _assert_same_as_reference(params, z, **kwargs):
-    """Bit identity with the frozen per-term loop, except on the Levin route."""
-    if kwargs.get("allow_boundary") and takes_levin_route(
-        params, z, kwargs.get("max_terms", 10000)
-    ):
-        return repr(assert_levin_within_capped(evaluate_per_term, params, z, **kwargs))
-    got = _outcome(evaluate, params, z, **kwargs)
-    assert got == _outcome(evaluate_per_term, params, z, **kwargs)
+def _assert_same_as_reference(params, z, max_terms=10000, **kwargs):
+    """Bit identity with the frozen per-term loop at one series length,
+    except on the Levin route."""
+    with series_length(max_terms):
+        if kwargs.get("allow_boundary") and takes_levin_route(params, z):
+            return repr(assert_levin_within_capped(evaluate_per_term, params, z, **kwargs))
+        got = _outcome(evaluate, params, z, **kwargs)
+    assert got == _outcome(evaluate_per_term, params, z, max_terms=max_terms, **kwargs)
     return got
 
 
@@ -424,13 +426,16 @@ def test_fixed_boundary_cases_keep_the_capped_sum():
     boundary = [(p, z, kw) for p, z, kw in FIXED_CASES if kw.get("allow_boundary")]
     assert len(boundary) == 3
     for params, z, kwargs in boundary:
-        assert not takes_levin_route(params, z, kwargs.get("max_terms", 10000))
+        with series_length(kwargs["max_terms"]):
+            assert not takes_levin_route(params, z)
 
 
 def test_fixed_cases_cover_every_outcome():
-    outcomes = {
-        _outcome(evaluate, params, z, **kwargs) for params, z, kwargs in FIXED_CASES
-    }
+    outcomes = set()
+    for params, z, kwargs in FIXED_CASES:
+        kwargs = dict(kwargs)
+        with series_length(kwargs.pop("max_terms", 10000)):
+            outcomes.add(_outcome(evaluate, params, z, **kwargs))
     for exc in (PoleError, MaxTermsExceeded, OverflowError, DomainViolation):
         assert exc in outcomes
     assert sum(isinstance(o, str) for o in outcomes) >= 10
@@ -545,9 +550,9 @@ def test_front_door_sums_several_routes_in_one_pass(monkeypatch):
     calls = []
     real = foxwright._block_sums
 
-    def counted(cache, log_zs, tol, max_terms):
+    def counted(cache, log_zs, tol):
         calls.append(len(log_zs))
-        return real(cache, log_zs, tol, max_terms)
+        return real(cache, log_zs, tol)
 
     monkeypatch.setattr(foxwright, "_block_sums", counted)
     zs = [0.5j, cmath.exp(0.01j), 0j, cmath.exp(1.0j), 2.0]
@@ -596,17 +601,23 @@ def test_columns_stop_at_max_terms():
     params = FWParams(upper=[(0.9, 1.0), (0.6, 1.0)], lower=[(1.8, 1.0)])  # radius 1
     cache = _column_cache(params)
     assert cache.cols is None  # no record before the first growth
-    with pytest.raises(MaxTermsExceeded):
-        evaluate(params, 0.3, max_terms=10)
-    assert cache.cols.n == 10
     evaluate(params, 0.3)
     assert cache.cols.n == 32  # the first block's end
-    with pytest.raises(MaxTermsExceeded):
-        evaluate(params, 0.999, max_terms=100)
-    assert cache.cols.n == 100
-    # a phase below _LEVIN_MIN_PHASE keeps the capped sum, to max_terms
-    res = evaluate(params, cmath.exp(0.01j), allow_boundary=True, max_terms=1000)
-    assert res.terms_used == 1000 and cache.cols.n == 1000
+    with series_length(10):
+        cache = _column_cache(params)
+        with pytest.raises(MaxTermsExceeded):
+            evaluate(params, 0.3)
+        assert cache.cols.n == 10
+    with series_length(100):
+        cache = _column_cache(params)
+        with pytest.raises(MaxTermsExceeded):
+            evaluate(params, 0.999)
+        assert cache.cols.n == 100
+    # a phase below _LEVIN_MIN_PHASE keeps the capped sum, to MAX_TERMS
+    with series_length(1000):
+        cache = _column_cache(params)
+        res = evaluate(params, cmath.exp(0.01j), allow_boundary=True)
+        assert res.terms_used == 1000 and cache.cols.n == 1000
     cols = cache.cols
     for col in (cols.log_fact, *cols.upper, *cols.lower, *cols.lower_poles):
         assert col.shape == (1000,)
@@ -615,12 +626,46 @@ def test_columns_stop_at_max_terms():
 def test_levin_route_grows_the_table_only_to_its_windows():
     # windows from n0 = 3 and n1 = 14, so the route reads 45 terms
     params = FWParams(upper=[(0.9, 1.0), (0.65, 1.0)], lower=[(1.85, 1.0)])
+    with series_length(44):
+        cache = _column_cache(params)
+        res = evaluate(params, -1.0, allow_boundary=True)
+        assert res.terms_used == 44 and cache.cols.n == 44  # the capped sum
+    with series_length(45):
+        cache = _column_cache(params)
+        assert takes_levin_route(params, -1.0) and cache.cols.n == 45
     cache = _column_cache(params)
-    res = evaluate(params, -1.0, allow_boundary=True, max_terms=44)
-    assert res.terms_used == 44 and cache.cols.n == 44  # the capped sum
-    assert takes_levin_route(params, -1.0, 45) and cache.cols.n == 45
     res = evaluate(params, -1.0, allow_boundary=True)
     assert res.terms_used < 45 and cache.cols.n == 45
+
+
+def test_one_entry_holds_the_radius_the_columns_and_the_plan():
+    # frozen reprs of a Levin point, a capped point and the radius, from a
+    # cold table; the one entry then holds all that they used
+    _column_cache.cache_clear()
+    levin = evaluate(GAUSS_A, cmath.exp(0.3j), allow_boundary=True)
+    assert repr(levin) == (
+        "EvalResult(value=np.complex128(2.8333737542660224+0.43601816139424376j), "
+        "terms_used=26, tail_bound=np.float64(4.3046857962821913e-08))"
+    )
+    capped = evaluate(GAUSS_A, cmath.exp(0.01j), allow_boundary=True)
+    assert repr(capped) == (
+        "EvalResult(value=np.complex128(3.3238231478886826+0.07845180748885908j), "
+        "terms_used=10000, tail_bound=np.float64(0.0007887416389881244))"
+    )
+    assert repr(radius(GAUSS_A)) == "1.0"
+    cache = _column_cache(GAUSS_A)
+    assert _column_cache.cache_info().currsize == 1
+    assert cache.radius == 1.0 and type(cache.plan) is foxwright._BoundaryPlan
+    assert cache.cols.n == 10000
+
+
+@pytest.mark.parametrize("fn, params, z", [
+    (evaluate, GAUSS_A, 0.5),
+    (evaluate_bc, BCFWParams.from_components(GAUSS_A, GAUSS_A), compose_idempotent(0.5, 0.5)),
+])
+def test_max_terms_is_no_argument(fn, params, z):
+    with pytest.raises(TypeError, match="max_terms"):
+        fn(params, z, max_terms=10000)
 
 
 def test_concurrent_evaluation_matches_serial():
@@ -631,30 +676,23 @@ def test_concurrent_evaluation_matches_serial():
         )
         for i in range(6)
     ]
-    jobs = [
-        (params, z, max_terms)
-        for params in models
-        for z in (0.4, -0.7 + 0.2j, 1.0j)
-        for max_terms in (10000, 300, 2000)
-    ]
+    jobs = [(params, z) for params in models for z in (0.4, -0.7 + 0.2j, 1.0j)]
     # the frozen copy, or on the Levin route (every job at 1.0j) the
     # serial result, checked against that copy's capped sum
     expect = [
-        repr(assert_levin_within_capped(evaluate_per_term, p, z, max_terms=m, allow_boundary=True))
-        if takes_levin_route(p, z, m)
-        else _outcome(evaluate_per_term, p, z, max_terms=m, allow_boundary=True)
-        for p, z, m in jobs
+        repr(assert_levin_within_capped(evaluate_per_term, p, z, allow_boundary=True))
+        if takes_levin_route(p, z)
+        else _outcome(evaluate_per_term, p, z, allow_boundary=True)
+        for p, z in jobs
     ]
-    assert sum(takes_levin_route(p, z, m) for p, z, m in jobs) == 18
+    assert sum(takes_levin_route(p, z) for p, z in jobs) == 6
     _column_cache.cache_clear()
-    foxwright._boundary_plan.cache_clear()
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
             futures = [
-                pool.submit(_outcome, evaluate, p, z, max_terms=m, allow_boundary=True)
-                for p, z, m in jobs
+                pool.submit(_outcome, evaluate, p, z, allow_boundary=True) for p, z in jobs
             ]
             got = [f.result(timeout=120) for f in futures]
     finally:

@@ -75,7 +75,6 @@ def _clear_memos():
         per_level_line,
         continuum._node_sets,
         foxwright._column_cache,
-        foxwright._boundary_plan,
     ):
         memo.cache_clear()
 

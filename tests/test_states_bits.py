@@ -32,6 +32,7 @@ from _frozen import (
     overlap_three_calls,
     ref_log_gamma_ratio_screen,
     ref_make_state,
+    series_length,
     takes_levin_route,
 )
 from hypothesis import assume, example, given, settings
@@ -296,8 +297,8 @@ def test_overlap_sums_three_rows_per_block(monkeypatch):
 def test_overlap_raises_the_first_error_in_row_order(monkeypatch, z, failing, raised):
     real = foxwright._block_sums
 
-    def with_errors(cache, log_z, tol, max_terms):
-        rows = real(cache, log_z, tol, max_terms)
+    def with_errors(cache, log_z, tol):
+        rows = real(cache, log_z, tol)
         for i in failing:
             rows[i].error = OverflowError(f"row {i}")
         return rows
@@ -356,14 +357,15 @@ def test_block_loop_matches_parent_loop(params, scale, angle, tol, max_terms, al
     else:
         modulus = 40.0 * scale
     z = modulus * cmath.exp(1j * angle)
-    kwargs = dict(tol=tol, max_terms=max_terms, allow_boundary=allow_boundary)
-    if allow_boundary and takes_levin_route(params, z, max_terms):
-        assert_levin_within_capped(evaluate_per_term, params, z, **kwargs)
-        return
-    want = _outcome(evaluate_per_term, params, z, **kwargs)
-    _column_cache.cache_clear()
-    assert _outcome(evaluate, params, z, **kwargs) == want
-    assert _outcome(evaluate, params, z, **kwargs) == want
+    kwargs = dict(tol=tol, allow_boundary=allow_boundary)
+    with series_length(max_terms):
+        if allow_boundary and takes_levin_route(params, z):
+            assert_levin_within_capped(evaluate_per_term, params, z, **kwargs)
+            return
+        want = _outcome(evaluate_per_term, params, z, max_terms=max_terms, **kwargs)
+        _column_cache.cache_clear()
+        assert _outcome(evaluate, params, z, **kwargs) == want
+        assert _outcome(evaluate, params, z, **kwargs) == want
 
 
 _CAPPED = {"allow_boundary": True, "max_terms": 44}
@@ -389,10 +391,13 @@ _CAPPED = {"allow_boundary": True, "max_terms": 44}
     ],
 )
 def test_block_loop_matches_parent_loop_on_fixed_points(params, z, kwargs):
-    assert not (kwargs and takes_levin_route(params, z, kwargs["max_terms"]))
-    want = _outcome(evaluate_per_term, params, z, **kwargs)
-    assert want[0][0] == "complex128"  # a sum, not an error
-    assert _outcome(evaluate, params, z, **kwargs) == want
+    kwargs = dict(kwargs)
+    max_terms = kwargs.pop("max_terms", 10000)
+    with series_length(max_terms):
+        assert not (kwargs and takes_levin_route(params, z))
+        want = _outcome(evaluate_per_term, params, z, max_terms=max_terms, **kwargs)
+        assert want[0][0] == "complex128"  # a sum, not an error
+        assert _outcome(evaluate, params, z, **kwargs) == want
 
 
 # -- log_gamma_ratio's batched pole screen ----------------------------------

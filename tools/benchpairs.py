@@ -13,16 +13,21 @@ second copy's position costs on its own.
 
 The runs and their summary go under the set's name in --out, in the
 layout of the checked-in BENCH_*.json files (`about`, `summary`,
-`runs`); other sets already in the file are kept.  The summary gives, per workload and end-to-end
-metric, the medians, quartiles and interquartile range of each side, the
-change's median over the parent's, how many pairs the change won, and
-whether `failed` was equal in every pair.  The script then prints the
+`runs`); other sets already in the file are kept.  After its perfbench
+run, each side of a pair also times the CLI's cold start: the median
+wall time of COLD_STARTS fresh `python -c "import fwstates.cli"`
+processes on that copy's src, interpreter start-up included, kept as the
+side's cold_start_s.  The summary gives, per workload, end-to-end metric
+and cold_start_s, the medians, quartiles and interquartile range of each
+side, the change's median over the parent's, how many pairs the change
+won, and whether `failed` was equal in every pair.  The script then prints the
 gain-rule verdict for each metric: a gain needs at least 10 pairs, the
 change better in at least 9 of each 10, a median gap past the parent's
 interquartile range and `failed` equal in every pair; a metric whose
 median moved the wrong way by more than its bound in BENCHMARK.json is
 past its bound, and one whose parent IQR is wider than that bound is
-unresolved.
+unresolved.  cold_start_s has no bound in BENCHMARK.json and gets no
+verdict.
 """
 
 from __future__ import annotations
@@ -35,11 +40,13 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MIN_PAIRS = 10
 WIN_SHARE = 0.9  # pairs the change must win, as a share of all pairs
+COLD_STARTS = 5  # fresh CLI imports per side of a pair
 
 
 def export(rev: str, dest: Path) -> str:
@@ -68,6 +75,17 @@ def run_once(copy: Path, workload: str, seed: int, seconds: int) -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
 
+def cold_start(copy: Path) -> float:
+    """Median wall seconds of COLD_STARTS fresh `python -c "import fwstates.cli"` runs on copy's src."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+    times = []
+    for _ in range(COLD_STARTS):
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "import fwstates.cli"], cwd=copy, env=env, check=True)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
 def order(seed: int) -> list[str]:
     return ["parent", "change"] if seed % 2 == 0 else ["change", "parent"]
 
@@ -78,12 +96,32 @@ def _stats(values: list[float]) -> tuple[float, float, float]:
     return median, q1, q3
 
 
+def _compare(p: list[float], c: list[float], direction: str) -> dict:
+    """Medians, quartiles and wins of the parent's values p against the change's c, pair by pair."""
+    p_med, p_q1, p_q3 = _stats(p)
+    c_med, c_q1, c_q3 = _stats(c)
+    sign = 1.0 if direction == "lower" else -1.0
+    return {
+        "parent_median": p_med,
+        "change_median": c_med,
+        "change_over_parent": c_med / p_med,
+        "parent_q1": p_q1,
+        "parent_q3": p_q3,
+        "parent_iqr": p_q3 - p_q1,
+        "change_q1": c_q1,
+        "change_q3": c_q3,
+        "change_wins": sum(sign * (pv - cv) > 0.0 for pv, cv in zip(p, c)),
+        "pairs": len(p),
+    }
+
+
 def summarize(runs: dict, better: dict[str, str]) -> dict:
     """Per workload, the summary of its pairs for each metric of better
-    ({name: "lower" or "higher"}), and whether failed was equal in every pair.
+    ({name: "lower" or "higher"}) and for cold_start_s, and whether failed
+    was equal in every pair.
 
     runs maps "<workload>-<seed>" to {"order", "parent", "change"}, each side
-    a perfbench result line."""
+    a perfbench result line with the side's cold_start_s added."""
     by_workload: dict[str, list[dict]] = {}
     for key, pair in runs.items():
         by_workload.setdefault(key.rsplit("-", 1)[0], []).append(pair)
@@ -93,21 +131,10 @@ def summarize(runs: dict, better: dict[str, str]) -> dict:
         for name, direction in better.items():
             p = [pair["parent"]["metrics"][name]["value"] for pair in pairs]
             c = [pair["change"]["metrics"][name]["value"] for pair in pairs]
-            p_med, p_q1, p_q3 = _stats(p)
-            c_med, c_q1, c_q3 = _stats(c)
-            sign = 1.0 if direction == "lower" else -1.0
-            entry[name] = {
-                "parent_median": p_med,
-                "change_median": c_med,
-                "change_over_parent": c_med / p_med,
-                "parent_q1": p_q1,
-                "parent_q3": p_q3,
-                "parent_iqr": p_q3 - p_q1,
-                "change_q1": c_q1,
-                "change_q3": c_q3,
-                "change_wins": sum(sign * (pv - cv) > 0.0 for pv, cv in zip(p, c)),
-                "pairs": len(pairs),
-            }
+            entry[name] = _compare(p, c, direction)
+        p = [pair["parent"]["cold_start_s"] for pair in pairs]
+        c = [pair["change"]["cold_start_s"] for pair in pairs]
+        entry["cold_start_s"] = _compare(p, c, "lower")
         entry["failed_equal_every_pair"] = all(
             pair["parent"]["failed"] == pair["change"]["failed"] for pair in pairs
         )
@@ -134,11 +161,11 @@ def verdict(stats: dict, direction: str, bound: float, failed_equal: bool) -> st
 
 
 def verdict_lines(summary: dict, spec: dict) -> list[str]:
-    """One line per workload and metric: medians, wins, IQR and verdict."""
+    """One line per workload and metric of spec: medians, wins, IQR and verdict."""
     lines = []
     for workload, entry in summary.items():
         for name, stats in entry.items():
-            if name == "failed_equal_every_pair":
+            if name not in spec:
                 continue
             direction, bound = spec[name]
             lines.append(
@@ -188,9 +215,11 @@ def main(argv=None) -> int:
                 pair = {"order": order(seed)}
                 for side in pair["order"]:
                     pair[side] = run_once(copies[side], workload, seed, seconds)
+                    pair[side]["cold_start_s"] = cold_start(copies[side])
                 runs[f"{workload}-{seed}"] = pair
                 print(f"{workload}-{seed}: " + ", ".join(
-                    f"{side} {pair[side]['metrics']['wall_s']['value']:.4g} s" for side in pair["order"]
+                    f"{side} {pair[side]['metrics']['wall_s']['value']:.4g} s, "
+                    f"cold start {pair[side]['cold_start_s']:.4g} s" for side in pair["order"]
                 ), file=sys.stderr)
     summary = summarize(runs, {name: better for name, (better, _) in spec.items()})
     doc.setdefault("summary", {})[args.set] = summary
