@@ -404,8 +404,8 @@ def criterion_nu() -> CriterionResult:
     worst_norm = 0.0
     for model in models:
         for z_abs in (0.7, 1.8):
-            log_nu = math.log(continuum.nu(model, z_abs**2, cfg))
-            e_hi = continuum._e_max(model, 2.0 * math.log(z_abs))
+            log_nu = math.log(continuum.nu(model, z_abs**2))
+            e_hi = continuum._e_max(model, 2.0 * math.log(z_abs))[0]
 
             def dens_sq(E, model=model, log_nu=log_nu, z_abs=z_abs):
                 # |z^E / sqrt(rho_tilde nu)|^2, written in logs

@@ -16,8 +16,9 @@ Two independent quadrature schemes are provided on purpose: "gk"
 nu value.  Both run in the package, on array integrands: tanh-sinh on a
 level's nodes, Gauss-Kronrod on a subinterval's 21 nodes, with the bits
 scipy.integrate.quad gives on the same point values.  QuadConfig sets
-their two tolerances; the Gauss-Kronrod subinterval limit
-MAX_SUBDIVISIONS and the tanh-sinh level cap are fixed.  `_integrate` is
+their two tolerances, and only nu_with_error takes one; the Gauss-Kronrod
+subinterval limit MAX_SUBDIVISIONS and the tanh-sinh level cap are
+fixed.  `_integrate` is
 the package's one quadrature driver: nu, overlap_tilde (the nu integral
 at the complex log zeta = Log(conj(z) z')) and hfunction.moment_check
 all run through it.  Gauss-Kronrod takes a complex integrand as two real
@@ -25,8 +26,8 @@ passes; a QUADPACK failure (ier > 0) in any pass raises
 QuadratureFailure with scipy's text, and a non-finite integral raises
 OverflowError.  `quadpack` is imported on the first "gk" integral.
 A nu integral within 2^64 of DBL_MAX may overflow inside either scheme
-although it fits in float64; where it fails, it runs once more on the
-integrand times 2^-64 (`_nu_integral`), so both schemes return every nu
+although it fits in float64, so there its one run takes the integrand
+and abs_tol times 2^-64 (`_nu_integral`): both schemes return every nu
 that fits in float64 and refuse the rest as the range search does.
 
 rho_tilde and log_rho_tilde are `coherent.rho` and `coherent.log_rho`,
@@ -74,7 +75,7 @@ from .foxwright import FWParams
 MAX_SUBDIVISIONS = 200
 E_MAX_DROP = 40.0
 _TS_MAX_LEVEL = 12
-# the exact scale of a nu integral retried near DBL_MAX (_nu_integral)
+# the exact scale of a nu integral near DBL_MAX (_nu_integral)
 _SCALE_BITS = 64
 
 # the node sets' retained bytes: at most _TABLE_BYTES, counting each set as
@@ -111,8 +112,9 @@ def _past_range(peak: float) -> OverflowError:
     return OverflowError(f"nu(zeta) is past the float range (log-integrand peak {peak:.6g})")
 
 
-def _e_max(model: CoherentModel, log_zeta: float) -> float:
-    """Upper truncation: log-integrand fallen E_MAX_DROP below its peak."""
+def _e_max(model: CoherentModel, log_zeta: float) -> tuple[float, float]:
+    """(hi, peak): the range [0, hi], where the log-integrand has fallen
+    E_MAX_DROP below its peak, and that peak on the range's grid."""
     hi = 8.0
     for _ in range(80):
         grid, log_rho_grid = _node_sets(_rho_grid, model.params, hi)
@@ -121,7 +123,7 @@ def _e_max(model: CoherentModel, log_zeta: float) -> float:
         if peak > _LOG_FLOAT_MAX:  # then so is nu: refused before a longer range is built
             raise _past_range(peak)
         if logf[-1] <= peak - E_MAX_DROP:
-            return hi
+            return hi, peak
         hi *= 1.5
     raise QuadratureFailure("could not locate a decaying tail for the nu integrand")
 
@@ -312,18 +314,17 @@ def _nu_integral(model: CoherentModel, log_zeta, cfg: QuadConfig, scheme: str):
     An integral near DBL_MAX can overflow inside a scheme although it
     fits in float64: tanh-sinh's running sum leaves out its step, and
     QUADPACK's error terms pass the float range first.  So where the
-    first run fails and the range's peak times its length lies within
-    2^_SCALE_BITS of DBL_MAX, the integral runs once more on the
-    integrand times 2^-_SCALE_BITS, an exact scale, and is scaled back;
-    what is then past the float range is refused by _past_range.  Every
-    integral the first run settles keeps its bits.  The callers have
-    refused an unknown scheme (_check_scheme), before any node set is built.
+    range's peak times its length lies within 2^_SCALE_BITS of DBL_MAX,
+    the one run takes the integrand and abs_tol times 2^-_SCALE_BITS, an
+    exact scale that keeps every stop decision, and is scaled back; what
+    is then past the float range is refused by _past_range.  The callers
+    have refused an unknown scheme (_check_scheme), before any node set is built.
     """
     params = model.params
-    hi = _e_max(model, log_zeta.real)
+    hi, peak = _e_max(model, log_zeta.real)
     on_nodes, on_sub = _integrands(params, log_zeta)
 
-    def run(on_nodes, on_sub):
+    def run(on_nodes, on_sub, cfg):
         # an overflow (inf, or inf+nanj from the complex exp) surfaces as a
         # non-finite integral, which _integrate rejects
         with np.errstate(under="ignore", over="ignore", invalid="ignore"):
@@ -332,16 +333,14 @@ def _nu_integral(model: CoherentModel, log_zeta, cfg: QuadConfig, scheme: str):
                 partial(_node_sets, _ts_level, params, hi),
             )
 
-    try:
-        return run(on_nodes, on_sub)
-    except (OverflowError, QuadratureFailure):
-        grid, log_rho_grid = _node_sets(_rho_grid, params, hi)
-        peak = float((grid * log_zeta.real - log_rho_grid).max())
-        if peak + math.log(hi) <= _LOG_FLOAT_MAX - _SCALE_BITS * math.log(2.0):
-            raise
+    if peak + math.log(hi) <= _LOG_FLOAT_MAX - _SCALE_BITS * math.log(2.0):
+        return run(on_nodes, on_sub, cfg)
     down, up = 2.0**-_SCALE_BITS, 2.0**_SCALE_BITS
+    # a scaled abs_tol of 0, which QuadConfig refuses, takes the least
+    # subnormal: at this scale rel_tol * |value| sets every stop either way
+    cfg = QuadConfig(cfg.rel_tol, cfg.abs_tol * down or math.ulp(0.0))
     try:
-        value, err = run(lambda *nodes: on_nodes(*nodes) * down, lambda a, b: on_sub(a, b) * down)
+        value, err = run(lambda *nodes: on_nodes(*nodes) * down, lambda a, b: on_sub(a, b) * down, cfg)
     except OverflowError:
         raise _past_range(peak) from None
     with np.errstate(over="ignore"):  # tanh-sinh's value is a numpy scalar
@@ -375,23 +374,21 @@ def nu_with_error(
 def nu(
     model: CoherentModel,
     zeta: float,
-    cfg: QuadConfig = DEFAULT_QUAD,
     scheme: str = "gk",
 ) -> float:
-    """nu(zeta) = integral_0^inf zeta^E / rho_tilde(E) dE."""
-    return nu_with_error(model, zeta, cfg, scheme)[0]
+    """nu(zeta) = integral_0^inf zeta^E / rho_tilde(E) dE, at DEFAULT_QUAD."""
+    return nu_with_error(model, zeta, DEFAULT_QUAD, scheme)[0]
 
 
 def nu_bicomplex(model: BCCoherentModel, W: Hyperbolic, scheme: str = "gk") -> Hyperbolic:
     """Componentwise nu on a hyperbolic argument in D+ (nu rejects zeta < 0)."""
-    return Hyperbolic(*componentwise(nu, model, Hyperbolic.of(W), DEFAULT_QUAD, scheme))
+    return Hyperbolic(*componentwise(nu, model, Hyperbolic.of(W), scheme))
 
 
 def overlap_tilde(
     model: CoherentModel,
     z: complex,
     zp: complex,
-    cfg: QuadConfig = DEFAULT_QUAD,
     scheme: str = "gk",
 ) -> complex:
     """Continuous-state overlap nu(conj(z) z') / sqrt(nu(|z|^2) nu(|z'|^2)).
@@ -411,8 +408,8 @@ def overlap_tilde(
     # a subnormal or zero conj(z) z' takes the phase of conj(z) z' on unit moduli
     log_zeta = cmath.log(zeta) if abs(zeta) >= sys.float_info.min else complex(
         math.log(abs(z)) + math.log(abs(zp)), cmath.phase((z / abs(z)).conjugate() * (zp / abs(zp))))
-    num, _ = _nu_integral(model, log_zeta, cfg, scheme)
-    nu1, nu2 = (_nu_integral(model, _log_squared_modulus(w, n), cfg, scheme)[0]
+    num, _ = _nu_integral(model, log_zeta, DEFAULT_QUAD, scheme)
+    nu1, nu2 = (_nu_integral(model, _log_squared_modulus(w, n), DEFAULT_QUAD, scheme)[0]
                 for w, n in ((z, n1), (zp, n2)))
     return num / math.sqrt(nu1 * nu2)
 
@@ -421,7 +418,6 @@ def state_density(
     model: CoherentModel,
     z: complex,
     E: float,
-    cfg: QuadConfig = DEFAULT_QUAD,
 ) -> complex:
     """Continuous-state coefficient density z^E / sqrt(rho_tilde(E) nu(|z|^2))."""
     z = _check_finite_complex(z, "z")
@@ -432,5 +428,5 @@ def state_density(
         raise ValidationError("E must be >= 0")
     log_z = cmath.log(z)
     log_zeta = _log_squared_modulus(z, _squared_modulus(z, "z"))
-    log_nu = math.log(_nu_integral(model, log_zeta, cfg, "gk")[0])
+    log_nu = math.log(_nu_integral(model, log_zeta, DEFAULT_QUAD, "gk")[0])
     return cmath.exp(E * log_z - 0.5 * log_rho_tilde(model, E) - 0.5 * log_nu)

@@ -23,11 +23,11 @@ and math, because numpy's log and exp differ from them in the last bit
 (vectorising it moved 7 of 32 ladder factors by 1 ulp).
 _log_gamma_ratio_real serves the ladder factors of coherent models,
 whose arguments are real: one Lanczos call for all of a model's pairs,
-then the same formula on floats, with cmath.log replaced by CPython's
-rule for its real part on the real axis.  Every imaginary
-part in that complex formula is then a zero, so the real parts keep
-their bits.  That rule copies CPython's complex arithmetic and cmath,
-which is why the test matrix runs every supported interpreter.
+then the same formula on floats, with the real part of cmath.log.  Every
+imaginary part in that complex formula is then a zero, so the real parts
+keep their bits as long as CPython's complex arithmetic gives the float
+result on the real axis, which is why the test matrix runs every
+supported interpreter.
 """
 
 from __future__ import annotations
@@ -345,22 +345,9 @@ def _not_finite(a, A, k, w) -> OverflowError:
     return OverflowError(f"gamma argument {name} = {v} is not finite (a={a}, A={A}, k={float(k)!r})")
 
 
-# the float route of _log_gamma_ratio_real covers w + A up to this bound,
-# far inside the range where cmath.log's real part is log1p or log
+# the float route of _log_gamma_ratio_real covers w + A up to this bound;
+# past it an entry takes the checked complex route, _log_gamma_ratios
 _REAL_RATIO_MAX = 2.0**1000
-
-
-def _cmath_log_real(v: float) -> float:
-    """cmath.log(complex(v, 0.0)).real for normal v > 0 up to DBL_MAX / 4.
-
-    CPython's rule there, in the same libm calls: log1p((v - 1)(v + 1) +
-    0.0) / 2 for 0.71 <= v <= 1.73, else log v.  The float route's
-    arguments (1 + A/t, t + A and a ratio of Lanczos sums near 1) lie
-    well inside that range.
-    """
-    if 0.71 <= v <= 1.73:
-        return math.log1p((v - 1.0) * (v + 1.0) + 0.0) / 2.0
-    return math.log(v)
 
 
 def _log_gamma_ratio_real(pairs, ks: list) -> list[list[float]]:
@@ -372,9 +359,10 @@ def _log_gamma_ratio_real(pairs, ks: list) -> list[list[float]]:
     _ratio_remainder runs on floats: for real w the sums are real, so
     every imaginary part in the complex formula is a zero, each complex
     product, quotient and sum has the float result as its real part, and
-    cmath.log's real part is _cmath_log_real.  A pair's other entries
-    take one _log_gamma_ratios call together.
+    each log is cmath.log's real part.  A pair's other entries take one
+    _log_gamma_ratios call together.
     """
+    real_log = lambda v: cmath.log(v).real  # noqa: E731
     ws = [[a + kk * A for kk in ks] for a, A in pairs]
     sums = _lanczos_series(np.array(ws + [[w + A for w in row] for row, (_, A) in zip(ws, pairs)]))
     sums = sums.real.tolist()
@@ -390,7 +378,7 @@ def _log_gamma_ratio_real(pairs, ks: list) -> list[list[float]]:
             rest = [r.real for r in _log_gamma_ratios(a, A, slow)]
         rest = iter(rest)
         out.append([
-            _ratio_remainder(w, A, s_w, s_wA, _cmath_log_real)
+            _ratio_remainder(w, A, s_w, s_wA, real_log)
             if w >= 0.5 and w + A <= _REAL_RATIO_MAX
             else next(rest)
             for w, s_w, s_wA in zip(row, s_ws, s_wAs)

@@ -71,7 +71,7 @@ import numpy as np
 from scipy import integrate
 
 from fwstates import coherent, continuum, foxwright, hfunction
-from fwstates.bicomplex import Bicomplex, componentwise
+from fwstates.bicomplex import Bicomplex, _log_squared_modulus, componentwise
 from fwstates.coherent import StateVector, _log_rho_vec, normalization, rho
 from fwstates.continuum import DEFAULT_QUAD
 from fwstates.errors import (
@@ -714,7 +714,8 @@ def ref_overlap_tilde(model, z, zp, cfg=DEFAULT_QUAD, scheme="gk"):
             out = tanh_sinh_per_side(on_nodes, 0.0, e_hi, cfg.rel_tol, cfg.abs_tol)
     num, _ = continuum._finite(*out)
     den = math.sqrt(
-        continuum.nu(model, abs(z) ** 2, cfg, scheme) * continuum.nu(model, abs(zp) ** 2, cfg, scheme)
+        continuum.nu_with_error(model, abs(z) ** 2, cfg, scheme)[0]
+        * continuum.nu_with_error(model, abs(zp) ** 2, cfg, scheme)[0]
     )
     return num / den
 
@@ -778,16 +779,17 @@ def reference_evaluate_bc(params, Z, tol=1e-14, allow_boundary=False):
 
 
 def ref_make_state(model, z, tail_target=1e-12):
-    """make_state with log rho(k) from its own _log_rho_vec call per K."""
+    """make_state with log rho(k) from its own _log_rho_vec call per K;
+    a nonzero z whose |z|^2 is subnormal or 0 takes 2 log|z|, as make_state does."""
     z = complex(z)
     zeta = abs(z) ** 2
     log_n = math.log(normalization(model, zeta))
     pref = math.exp(-0.5 * log_n)
     K = model.K
-    if zeta == 0.0:
+    if z == 0:
         coeffs = (1.0 + 0j,) + (0j,) * K
         return StateVector(coeffs=coeffs, norm_prefactor=pref, z=z, tail_mass=0.0)
-    log_zeta = math.log(zeta)
+    log_zeta = _log_squared_modulus(z, zeta)
     while True:
         ks = np.arange(K + 1)
         log_rho_k = coherent._log_rho_vec(model.params, ks)

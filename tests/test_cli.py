@@ -434,8 +434,20 @@ def test_nu_eval_single(files, capsys):
 # scheme integrates
 NU_OVERFLOW_MESSAGE = "nu(zeta) is past the float range (log-integrand peak 711.3)"
 # nu(711): every integrand value is finite, their sum is not; the scheme's
-# retry on the scaled integrand finds it past the float range
+# one run, on the scaled integrand, finds it past the float range
 NU_IN_GAP_MESSAGE = "nu(zeta) is past the float range (log-integrand peak 706.797)"
+
+
+@pytest.mark.parametrize("scheme, out", [
+    ("gk", '{"err_est": 2.1760950339359204e+297, "scheme": "gk", "value": 4.984716099444752e+307}\n'),
+    ("ts", '{"err_est": 1.5037758604204823e+297, "scheme": "ts", "value": 4.984716099444482e+307}\n'),
+])
+def test_nu_eval_least_abs_tol_near_dbl_max(files, capsys, scheme, out):
+    # nu(708.5) runs on the integrand times 2^-64, where --abs-tol 5e-324
+    # times 2^-64 underflows to 0, which QuadConfig refuses: it takes the
+    # least subnormal and prints what the unscaled tolerance gave
+    argv = ("nu", "eval", "--model", files["vacuum"], "--zeta", "708.5", "--scheme", scheme, "--abs-tol", "5e-324")
+    assert run_cli(capsys, *argv) == (0, out, "")
 
 
 @pytest.mark.parametrize("scheme", ["gk", "ts"])

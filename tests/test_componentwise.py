@@ -168,7 +168,7 @@ def test_nu_bicomplex_overflow_names_component():
         (800.0, "gk", OverflowError, refusal.format("711.3")),
         (800.0, "ts", OverflowError, refusal.format("711.3")),
         # e^711 passes it: every integrand value is finite, their sum is
-        # not, and the retry on the scaled integrand refuses it
+        # not, and the one run, on the scaled integrand, refuses it
         (711.0, "gk", OverflowError, refusal.format("706.797")),
         (711.0, "ts", OverflowError, refusal.format("706.797")),
     ]

@@ -14,6 +14,7 @@ from fwstates import continuum
 from fwstates.bicomplex import Bicomplex, Hyperbolic
 from fwstates.coherent import BCCoherentModel, CoherentModel, _log_rho_vec, log_rho, rho
 from fwstates.continuum import (
+    DEFAULT_QUAD,
     QuadConfig,
     log_rho_tilde,
     nu,
@@ -23,7 +24,7 @@ from fwstates.continuum import (
     rho_tilde,
     state_density,
 )
-from fwstates.errors import ValidationError
+from fwstates.errors import QuadratureFailure, ValidationError
 from fwstates.foxwright import FWParams
 from fwstates.foxwright_bc import BCFWParams
 
@@ -203,20 +204,20 @@ def test_nu_bicomplex_rejects_outside_dplus():
 
 
 def test_overlap_tilde_normalized():
-    cfg = QuadConfig()
+    cfg = continuum.DEFAULT_QUAD
     for model in (VACUUM, GENERIC):
         for z in (0.7, 1.3 + 0.4j):
-            got = overlap_tilde(model, z, z, cfg)
+            got = overlap_tilde(model, z, z)
             assert abs(got - 1.0) <= 10 * cfg.rel_tol
 
 
 def test_overlap_tilde_bound_and_validation():
-    cfg = QuadConfig()
+    cfg = continuum.DEFAULT_QUAD
     rng = np.random.default_rng(4410)
     for _ in range(12):
         z = rng.uniform(0.3, 2.0) * cmath.exp(1j * rng.uniform(-1.2, 1.2))
         zp = rng.uniform(0.3, 2.0) * cmath.exp(1j * rng.uniform(-1.2, 1.2))
-        assert abs(overlap_tilde(GENERIC, z, zp, cfg)) <= 1.0 + 10 * cfg.rel_tol
+        assert abs(overlap_tilde(GENERIC, z, zp)) <= 1.0 + 10 * cfg.rel_tol
     with pytest.raises(ValidationError):
         overlap_tilde(GENERIC, 0.0, 1.0)
     # |z|^2 past the float range, although conj(z) z' = 1: refused before any
@@ -242,8 +243,8 @@ def test_overlap_tilde_vacuum_ratio():
 def test_overlap_tilde_overflow_raises_without_warnings(scheme):
     # about e^800, past float64: the range search refuses it before any
     # integral; about e^711: every integrand value is finite but their sum
-    # is not, and the retry on the scaled integrand refuses it.  Either way
-    # numpy's overflow warnings stay inside, and nothing reaches stderr.
+    # is not, and the one run, on the scaled integrand, refuses it.  Either
+    # way numpy's overflow warnings stay inside, and nothing reaches stderr.
     for z, peak in ((28.3, "711.813"), (math.sqrt(711.0), "706.797")):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -284,13 +285,13 @@ def test_state_density_real_positive():
 
 
 def test_state_density_normalized():
-    cfg = QuadConfig(rel_tol=1e-9, abs_tol=1e-11)
+    # at DEFAULT_QUAD, with the bound this test held at rel_tol 1e-9
     for r in (0.5, 1.0, 2.0):
         z = r * cmath.exp(0.4j)
         total, _ = si.quad(
-            lambda E: abs(state_density(VACUUM, z, E, cfg)) ** 2, 0.0, 60.0, limit=200
+            lambda E: abs(state_density(VACUUM, z, E)) ** 2, 0.0, 60.0, limit=200
         )
-        assert abs(total - 1.0) <= 10 * cfg.rel_tol + 1e-9
+        assert abs(total - 1.0) <= 10 * 1e-9 + 1e-9
 
 
 def test_state_density_validation():
@@ -362,3 +363,88 @@ def test_a_subnormal_square_or_product(z, w):
                 _vacuum_nu_mp(abs(zm) ** 2) * _vacuum_nu_mp(abs(wm) ** 2))
         ref = complex(ref)
     assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+# -- one run per nu integral, with tolerances at nu_with_error ------------------
+
+# nu(705) on the vacuum model, 40-digit mpmath: e^705 - 0.1257069638360890,
+# from nu(x) = e^x - integral_0^inf e^{-xt} / (t (pi^2 + ln^2 t)) dt
+NU_VACUUM_AT_705 = 1.5052538330631940638e306
+
+
+def _scaled_range(model, log_zeta):
+    """(hi, peak) of the range search, and whether the one run takes the scaled integrand."""
+    hi, peak = continuum._e_max(model, log_zeta)
+    return hi, peak, peak + math.log(hi) > continuum._LOG_FLOAT_MAX - continuum._SCALE_BITS * math.log(2.0)
+
+
+@pytest.mark.parametrize("scheme", ["gk", "ts"])
+@pytest.mark.parametrize("zeta", [705.0, 708.5, 709.7])
+def test_an_in_gap_nu_integral_runs_once(monkeypatch, zeta, scheme):
+    # a failed first run ran again on the scaled integrand, with the
+    # caller's unscaled abs_tol; now the range search picks the scale first
+    assert _scaled_range(VACUUM, math.log(zeta))[2]
+    calls = []
+    integrate = continuum._integrate
+
+    def counted(*args):
+        calls.append(args[4])
+        return integrate(*args)
+
+    monkeypatch.setattr(continuum, "_integrate", counted)
+    for cfg in (DEFAULT_QUAD, QuadConfig(1e-10, 1e290), QuadConfig(1e-10, 5e-324)):
+        calls.clear()
+        value, err = nu_with_error(VACUUM, zeta, cfg, scheme)
+        assert math.isfinite(value) and math.isfinite(err)
+        assert len(calls) == 1
+        assert calls[0].rel_tol == cfg.rel_tol
+        assert calls[0].abs_tol == (math.ldexp(cfg.abs_tol, -continuum._SCALE_BITS) or math.ulp(0.0))
+
+
+@pytest.mark.parametrize("scheme", ["gk", "ts"])
+@pytest.mark.parametrize(
+    "cfg", [DEFAULT_QUAD, QuadConfig(1e-6, 1e-9), QuadConfig(1e-13, 1e-300), QuadConfig(1e-10, 1e250)]
+)
+def test_the_scaled_run_keeps_the_bits_of_an_unscaled_run(scheme, cfg):
+    # 2^-64 scales the integrand and abs_tol exactly, so wherever the
+    # unscaled run settles an in-gap integral, the scaled run returns the
+    # same value and error estimate
+    params = VACUUM.params
+    settled = 0
+    for log_zeta in [math.log(x) for x in np.linspace(640.0, 713.0, 30)] + [complex(math.log(705.0), 0.3)]:
+        hi, _, scaled = _scaled_range(VACUUM, log_zeta.real)
+        if not scaled:
+            continue
+        on_nodes, on_sub = continuum._integrands(params, log_zeta)
+        try:
+            with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+                want = continuum._integrate(
+                    on_nodes, on_sub, 0.0, hi, cfg, scheme, isinstance(log_zeta, complex),
+                    lambda level: continuum._ts_level(params, hi, level),
+                )
+        except (OverflowError, QuadratureFailure):
+            continue  # what the scale is for
+        assert continuum._nu_integral(VACUUM, log_zeta, cfg, scheme) == want
+        settled += 1
+    assert settled >= 15
+
+
+@pytest.mark.parametrize("zeta, scheme", [(705.0, "ts"), (709.7, "gk")])
+def test_an_in_gap_nu_with_a_loose_abs_tol(zeta, scheme):
+    # these printed 1.0178016411077975e+299 (ts at 705) and refused (gk at
+    # 709.7): a retry kept abs_tol 1e290 on an integrand 2^64 smaller.  At
+    # 709.7 the reference is e^zeta, whose correction (below 1) is far
+    # under the bound.
+    ref = NU_VACUUM_AT_705 if zeta == 705.0 else float(mpmath.exp(mpmath.mpf(zeta)))
+    value, _ = nu_with_error(VACUUM, zeta, QuadConfig(1e-10, 1e290), scheme)
+    assert abs(value - ref) <= 1e-10 * ref
+
+
+@pytest.mark.parametrize("call", [
+    lambda: nu(VACUUM, 1.0, cfg=DEFAULT_QUAD),
+    lambda: overlap_tilde(VACUUM, 1.0, 0.5j, cfg=DEFAULT_QUAD),
+    lambda: state_density(VACUUM, 1.0, 0.5, cfg=DEFAULT_QUAD),
+])
+def test_only_nu_with_error_takes_tolerances(call):
+    with pytest.raises(TypeError, match="cfg"):
+        call()

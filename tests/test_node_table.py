@@ -93,7 +93,7 @@ def test_second_nu_on_a_range_makes_no_log_rho_call(monkeypatch):
     continuum._node_sets.cache_clear()
     monkeypatch.setattr(continuum, "_log_rho_vec", counted)
     zeta, other = 2.5, 2.6
-    assert continuum._e_max(_WRIGHT, math.log(other)) == continuum._e_max(_WRIGHT, math.log(zeta))
+    assert continuum._e_max(_WRIGHT, math.log(other))[0] == continuum._e_max(_WRIGHT, math.log(zeta))[0]
     continuum.nu(_WRIGHT, zeta, scheme="ts")
     continuum.nu(_WRIGHT, zeta, scheme="gk")
     assert sizes

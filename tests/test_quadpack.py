@@ -201,7 +201,7 @@ def test_nu_overflow_at_800_keeps_its_text():
     )
     # nu(711) passes the range search: every integrand value is finite, their
     # sum is not, and the scipy route ends in QUADPACK's roundoff flag, where
-    # the retry on the scaled integrand refuses it
+    # the one run, on the scaled integrand, refuses it
     assert _outcome(nu, _VACUUM, 711.0) == (
         "OverflowError: nu(zeta) is past the float range (log-integrand peak 706.797)"
     )

@@ -159,6 +159,8 @@ _Z = st.one_of(
 @given(_models(), _Z, st.sampled_from([1e-12, 1e-15, 1e-6]))
 @example(CoherentModel(FWParams(upper=[], lower=[]), 1), 2.4 + 0.3j, 1e-12)  # K doubles
 @example(CoherentModel(FWParams(upper=[(1.2, 0.9)], lower=[(2.0, 1.1)]), 4), 0j, 1e-12)
+# |z|^2 underflows to 0 for a nonzero z: log zeta is 2 log|z|
+@example(CoherentModel(FWParams(upper=[], lower=[]), 1), complex(2.2250738585072014e-308), 1e-12)
 def test_make_state_matches_log_rho_vec_route(model, z, tail_target):
     want = _outcome(ref_make_state, model, z, tail_target)
     _column_cache.cache_clear()
