@@ -204,7 +204,7 @@ def test_nu_bicomplex_rejects_outside_dplus():
 
 
 def test_overlap_tilde_normalized():
-    cfg = continuum.DEFAULT_QUAD
+    cfg = DEFAULT_QUAD
     for model in (VACUUM, GENERIC):
         for z in (0.7, 1.3 + 0.4j):
             got = overlap_tilde(model, z, z)
@@ -212,7 +212,7 @@ def test_overlap_tilde_normalized():
 
 
 def test_overlap_tilde_bound_and_validation():
-    cfg = continuum.DEFAULT_QUAD
+    cfg = DEFAULT_QUAD
     rng = np.random.default_rng(4410)
     for _ in range(12):
         z = rng.uniform(0.3, 2.0) * cmath.exp(1j * rng.uniform(-1.2, 1.2))
@@ -381,8 +381,8 @@ def _scaled_range(model, log_zeta):
 @pytest.mark.parametrize("scheme", ["gk", "ts"])
 @pytest.mark.parametrize("zeta", [705.0, 708.5, 709.7])
 def test_an_in_gap_nu_integral_runs_once(monkeypatch, zeta, scheme):
-    # a failed first run ran again on the scaled integrand, with the
-    # caller's unscaled abs_tol; now the range search picks the scale first
+    # the range search picks the scale before the one run; a failed first
+    # run used to run again on the scaled integrand, with abs_tol unscaled
     assert _scaled_range(VACUUM, math.log(zeta))[2]
     calls = []
     integrate = continuum._integrate
