@@ -236,9 +236,10 @@ def _ts_nodes(a: float, b: float, level: int):
     return w, np.concatenate((mid + x_off, mid - x_off))
 
 
-def _tanh_sinh(f, nodes, rel_tol: float, abs_tol: float):
+def _tanh_sinh(f, nodes, rel_tol: float, abs_tol: float, up: float = 1.0):
     """Tanh-sinh rule: nodes(level) gives the weights and then the
-    arguments f takes, as _ts_nodes does; f must return numpy arrays.
+    arguments f takes, as _ts_nodes does; f must return numpy arrays; a
+    failure quotes its last step error times up, which undoes a scaled f.
 
     Returns (value, error_estimate).  Halving the step h keeps the running
     sum, so each level adds only its new (odd) nodes, and it converges
@@ -268,12 +269,12 @@ def _tanh_sinh(f, nodes, rel_tol: float, abs_tol: float):
                 return new_value, err
         value = new_value
     raise QuadratureFailure(
-        f"tanh-sinh did not reach tolerance (last step error {err:.3g})"
+        f"tanh-sinh did not reach tolerance (last step error {err * up:.3g})"
     )
 
 
 def _integrate(f, f_sub, a, b, cfg: QuadConfig, scheme: str, complex_func: bool = False,
-               nodes=None):
+               nodes=None, up: float = 1.0):
     """Integral over [a, b] and its error estimate: for "ts", f on what
     nodes(level) gives (see _tanh_sinh); for "gk", f_sub on a subinterval
     (lo, hi), giving its values on quadpack.nodes(lo, hi).  The caller
@@ -294,7 +295,7 @@ def _integrate(f, f_sub, a, b, cfg: QuadConfig, scheme: str, complex_func: bool 
         # (value, err), or the real pass's plus 1j times the imaginary pass's
         out = outs[0] if len(outs) == 1 else [re + 1j * im for re, im in zip(*outs)]
     else:
-        out = _tanh_sinh(f, nodes, cfg.rel_tol, cfg.abs_tol)
+        out = _tanh_sinh(f, nodes, cfg.rel_tol, cfg.abs_tol, up)
     return _finite(out[0], out[1])
 
 
@@ -316,21 +317,22 @@ def _nu_integral(model: CoherentModel, log_zeta, cfg: QuadConfig, scheme: str):
     QUADPACK's error terms pass the float range first.  So where the
     range's peak times its length lies within 2^_SCALE_BITS of DBL_MAX,
     the one run takes the integrand and abs_tol times 2^-_SCALE_BITS, an
-    exact scale that keeps every stop decision, and is scaled back; what
-    is then past the float range is refused by _past_range.  The callers
-    have refused an unknown scheme (_check_scheme), before any node set is built.
+    exact scale that keeps every stop decision, and is scaled back, as is
+    a tanh-sinh refusal's step error; what is then past the float range is
+    refused by _past_range.  The callers have refused an unknown scheme
+    (_check_scheme), before any node set is built.
     """
     params = model.params
     hi, peak = _e_max(model, log_zeta.real)
     on_nodes, on_sub = _integrands(params, log_zeta)
 
-    def run(on_nodes, on_sub, cfg):
+    def run(on_nodes, on_sub, cfg, up=1.0):
         # an overflow (inf, or inf+nanj from the complex exp) surfaces as a
         # non-finite integral, which _integrate rejects
         with np.errstate(under="ignore", over="ignore", invalid="ignore"):
             return _integrate(
                 on_nodes, on_sub, 0.0, hi, cfg, scheme, isinstance(log_zeta, complex),
-                partial(_node_sets, _ts_level, params, hi),
+                partial(_node_sets, _ts_level, params, hi), up,
             )
 
     if peak + math.log(hi) <= _LOG_FLOAT_MAX - _SCALE_BITS * math.log(2.0):
@@ -340,7 +342,7 @@ def _nu_integral(model: CoherentModel, log_zeta, cfg: QuadConfig, scheme: str):
     # subnormal: at this scale rel_tol * |value| sets every stop either way
     cfg = QuadConfig(cfg.rel_tol, cfg.abs_tol * down or math.ulp(0.0))
     try:
-        value, err = run(lambda *nodes: on_nodes(*nodes) * down, lambda a, b: on_sub(a, b) * down, cfg)
+        value, err = run(lambda *nodes: on_nodes(*nodes) * down, lambda a, b: on_sub(a, b) * down, cfg, up)
     except OverflowError:
         raise _past_range(peak) from None
     with np.errstate(over="ignore"):  # tanh-sinh's value is a numpy scalar

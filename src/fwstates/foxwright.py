@@ -39,15 +39,15 @@ the same columns with the same operations in the same order, and a
 zero's sign in a parameter (the one thing FWParams equality ignores) is
 dropped by the addition a + k A.
 
-One front door, _psi, gives each z of a list what evaluate gives it
-(evaluate is its one-point call; coherent's normalizations, and so
-make_state and overlap, call it too).  It applies the z = 0, radius and
-circle rules and the Levin route per z, and sums the other z in one
-pass of the block loop (_block_sums), whose running sums are a
-sequential cumsum from the carried total: they add in the order a
-per-term loop would, and the stop streak does not depend on where
-blocks start or end, so block length moves no bit of the value, the
-terms used or the tail, and each row gets the bits of its own call.
+_psi gives each z of a list what evaluate gives it: the z = 0, radius
+and circle rules and the Levin route per z (_route), then a lone series
+in _lone_sum (evaluate, and so evaluate_bc and hfunction.weight, and
+normalizations with one nonzero argument) and several in one (m, block)
+pass (_block_sums: overlap's three N).  Both loops take _block_terms and
+_streak_end, and their running sums are a cumsum from the carried total:
+they add in the order a per-term loop would, and the stop streak does not
+depend on where blocks start or end, so block length moves no bit of the
+value, the terms used or the tail, and each row gets its own call's bits.
 
 On the circle |z| = V with allow_boundary, _psi first tries Levin
 u transforms (_boundary_sum): two windows of 31 partial sums from the
@@ -410,23 +410,78 @@ def _block_terms(cols: _Columns, log_z, k0: int, end: int) -> np.ndarray:
 _TOO_LARGE = "series term exceeds the floating-point range; value not representable"
 
 
+class _Sum(NamedTuple):
+    """A finished sum: value, terms used, its last (up to) three, Re(lambda) if capped."""
+
+    value: complex
+    used: int
+    recent: np.ndarray
+    lam_re: float | None
+
+    def result(self) -> EvalResult:
+        """The EvalResult, with the majorant tail if capped, else the geometric estimate."""
+        mag_hist = [0.0] * (3 - self.recent.size) + [abs(t) for t in self.recent.tolist()]
+        _, prev, last = mag_hist
+        if self.lam_re is not None:
+            tail = last * self.used / (self.lam_re - 0.5)
+        else:
+            ratio = min(max(last / prev if prev > 0 else 0.5, 0.0), 0.9)
+            tail = max(4.0 * max(mag_hist) * ratio / (1.0 - ratio), max(mag_hist))
+        # Python floats and complex abs() give numpy scalars' bits; the record keeps np.float64
+        return EvalResult(self.value, self.used, np.float64(tail))
+
+
+def _refusal(value, used: int, stopped: bool, z: complex, tol: float, lam_re):
+    """The error evaluate raises for a sum that met none in its blocks, or None;
+    lam_re is Re(lambda) on the circle, where MAX_TERMS caps a sum, not refuses it."""
+    if not cmath.isfinite(value):
+        return OverflowError(_TOO_LARGE)
+    if not stopped and lam_re is None:
+        return MaxTermsExceeded(f"no convergence after {used} terms (tol={tol:g}, |z|={abs(z):.6g})")
+
+
+def _lone_sum(cache: _ColumnCache, z: complex, log_z: complex, lam_re: float | None, tol: float):
+    """The series at one z, its _Sum or its error: _block_sums's loop for one
+    row, its state in locals, with the same blocks, terms, carried sums, stop
+    test and checks in the same order, so it gets the bits a row gets there."""
+    carry, terms, streak, k0, block = 0j, None, 0, 0, 32
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        while k0 < MAX_TERMS:
+            end = min(k0 + block, MAX_TERMS)
+            try:
+                logt = _block_terms(cache.upto(end), log_z, k0, end)
+            except PoleError as exc:
+                return exc
+            # ndarray.max without its Python wrapper; no NaN reaches logt
+            if np.maximum.reduce(logt.real) > 709.0:
+                return OverflowError(_TOO_LARGE)
+            prev, terms = terms, np.exp(logt)
+            sums = terms.copy()
+            sums[0] += carry
+            sums = _cumsum(sums)
+            stop, streak = _streak_end(_abs(terms) <= tol * _abs(sums), streak)
+            if stop >= 0:
+                recent = terms[stop - 2 : stop + 1]
+                if stop < 2:  # the first recent terms are the last block's
+                    recent = np.concatenate((prev[stop - 2 :], terms[: stop + 1]))
+                value, used = sums[stop], k0 + stop + 1
+                return _refusal(value, used, True, z, tol, lam_re) or _Sum(value, used, recent, None)
+            carry = sums[-1]
+            k0, block = end, min(2 * block, _BLOCK_CAP)
+    return _refusal(carry, MAX_TERMS, False, z, tol, lam_re) or _Sum(carry, MAX_TERMS, terms[-3:], lam_re)
+
+
 class _RowSum:
-    """One series in the block loop: its running sum and how it ended.
+    """One series in the (m, block) pass: its running sum and how it ended.
 
     value is the sum of the terms taken so far, used their count, streak
     the run of small terms carried into the next block and recent the
-    last (up to) three terms taken; error is what the sum raises.
+    last (up to) three terms taken; error is what the sum raises, and
+    lam_re what finish records for result().  A new row holds the class
+    values; add and finish set each on the row.
     """
 
-    __slots__ = ("value", "used", "streak", "recent", "stopped", "error", "lam_re")
-
-    def __init__(self):
-        self.value = 0j
-        self.used = 0
-        self.streak = 0
-        self.recent = ()
-        self.stopped = False
-        self.error = None
+    value, used, streak, recent, stopped, error, lam_re = 0j, 0, 0, (), False, None, None
 
     def add(self, terms: np.ndarray, sums: np.ndarray, ok: np.ndarray) -> bool:
         """Take in this row of one block; True once the row is done."""
@@ -442,54 +497,30 @@ class _RowSum:
         return self.stopped
 
     def finish(self, z: complex, tol: float, lam_re: float | None):
-        """The row, or the error evaluate raises for it; lam_re is Re(lambda)
-        on the circle, where a sum that reached MAX_TERMS is capped, not refused."""
-        if self.error is None and not cmath.isfinite(self.value):
-            self.error = OverflowError(_TOO_LARGE)
-        if self.error is None and not self.stopped and lam_re is None:
-            self.error = MaxTermsExceeded(
-                f"no convergence after {self.used} terms (tol={tol:g}, |z|={abs(z):.6g})"
-            )
-        self.lam_re = lam_re
-        return self if self.error is None else self.error
+        """The row, or the error evaluate raises for it; lam_re as for _refusal."""
+        self.lam_re = None if self.stopped else lam_re
+        return self.error or _refusal(self.value, self.used, self.stopped, z, tol, lam_re) or self
 
-    def result(self) -> EvalResult:
-        """The finished row's EvalResult: a sum capped on the circle gets the
-        majorant tail, a stopped one the geometric estimate of its last terms."""
-        mag_hist = [0.0] * (3 - self.recent.size) + [abs(t) for t in self.recent.tolist()]
-        _, prev, last = mag_hist
-        if not self.stopped:
-            tail = last * self.used / (self.lam_re - 0.5)
-        else:
-            ratio = min(max(last / prev if prev > 0 else 0.5, 0.0), 0.9)
-            tail = max(4.0 * max(mag_hist) * ratio / (1.0 - ratio), max(mag_hist))
-        # Python floats and complex abs() give numpy scalars' bits; the record keeps np.float64
-        return EvalResult(self.value, self.used, np.float64(tail))
+    result = _Sum.result  # a finished row has the four fields _Sum.result reads
 
 
 def _block_sums(cache: _ColumnCache, log_zs: list, tol: float) -> list[_RowSum]:
-    """Sum the series at each log z of log_zs; one _RowSum per series.
+    """Sum the series at each log z of log_zs in one pass; one _RowSum per series.
 
-    Blocks of 32, 64, ... up to _BLOCK_CAP terms.  One series is summed
-    over 1-d blocks; several are summed together over (m, block) arrays,
-    which would cost a lone series up to 70% more.  A block's terms are
-    formed, added from each row's carried total by a cumsum along the
-    row, and stop-tested, all elementwise or in sequence within a row,
-    so a row gets the bits it gets alone.  A row leaves once it stops or
-    meets its error: an upper pole (every row meets it in the same
-    block) or a term past the float range (the row is nulled before exp,
-    so no other row sees the overflow).
+    Blocks of 32, 64, ... up to _BLOCK_CAP terms over (m, block) arrays,
+    for two or more series (a lone one takes _lone_sum).  A block's terms
+    are formed, added from each row's carried total by a cumsum along the
+    row, and stop-tested, all elementwise or in sequence within a row, so
+    a row gets the bits it gets alone.  A row leaves once it stops or
+    meets its error: an upper pole (every row meets it in the same block)
+    or a term past the float range (the row is nulled before exp, so no
+    other row sees the overflow).
     """
-    several = len(log_zs) > 1
-    log_z = np.array(log_zs)[:, None] if several else log_zs[0]
+    log_z = np.array(log_zs)[:, None]
     rows = [_RowSum() for _ in log_zs]
     live = rows
-    # what picks a row out of a block: its number, or for one series
-    # the whole 1-d block
-    index = range(len(rows)) if several else (...,)
-    carry = np.zeros(len(rows), dtype=complex) if several else 0j
-    k0 = 0
-    block = 32
+    carry = np.zeros(len(rows), dtype=complex)
+    k0, block = 0, 32
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         while k0 < MAX_TERMS:
             end = min(k0 + block, MAX_TERMS)
@@ -502,30 +533,26 @@ def _block_sums(cache: _ColumnCache, log_zs: list, tol: float) -> list[_RowSum]:
             # no NaN reaches logt (pole entries are written as -inf), so
             # the max tests what any() of the comparison would, faster
             if logt.real.max() > 709.0:
-                per_row = logt.reshape(len(live), -1)
-                past = (per_row.real > 709.0).any(axis=1)
-                for row, bad in zip(live, past):
-                    if bad:
-                        row.error = OverflowError(_TOO_LARGE)
-                per_row[past] = complex(-math.inf, 0.0)
+                past = (logt.real > 709.0).any(axis=1)
+                for i in np.flatnonzero(past):
+                    live[i].error = OverflowError(_TOO_LARGE)
+                logt[past] = complex(-math.inf, 0.0)
             terms = np.exp(logt)
             # the carried totals are added to the first terms, so the sums
             # add in sequence from them
             sums = terms.copy()
-            sums.T[0] += carry
+            sums[:, 0] += carry
             sums = _cumsum(sums, -1)
             ok = _abs(terms) <= tol * _abs(sums)
-            keep = [i for i, row in zip(index, live) if not row.add(terms[i], sums[i], ok[i])]
+            keep = [i for i, row in enumerate(live) if not row.add(terms[i], sums[i], ok[i])]
             if not keep:
                 break
             if len(keep) < len(live):
                 live = [live[i] for i in keep]
-                index = range(len(keep))
                 log_z = log_z[keep]
                 sums = sums[keep]
-            carry = sums.T[-1]
-            k0 = end
-            block = min(2 * block, _BLOCK_CAP)
+            carry = sums[:, -1]
+            k0, block = end, min(2 * block, _BLOCK_CAP)
     return rows
 
 
@@ -679,6 +706,7 @@ def _levin_windows(terms, eps, plan):
     return values[rows, best + 3], plan.starts + best + 4, bounds[rows, best]
 
 
+@np.errstate(all="ignore")
 def _boundary_sum(cache: _ColumnCache, z: complex, log_z: complex):
     """The Levin route on the circle |z| = V of the entry, or None to keep the capped sum.
 
@@ -724,50 +752,47 @@ def _boundary_sum(cache: _ColumnCache, z: complex, log_z: complex):
     return EvalResult(values[best], int(used[best]), bound)
 
 
+def _route(cache: _ColumnCache, z: complex, allow_boundary: bool):
+    """evaluate's EvalResult or error at z short of a series sum, else
+    (log z, Re(lambda) on the circle or None) for the series."""
+    params, r, lam_re = cache.params, cache.radius, None
+    if z == 0:
+        return EvalResult(_term_zero(params), 1, 0.0)
+    if not math.isinf(r):
+        az = abs(z)
+        side = _circle_side(az, r)
+        if side > 0:
+            return DomainViolation(f"|z|={az:.6g} outside convergence radius {r:.6g}")
+        if side == 0:
+            lam_re = boundary_exponent(params).real
+            if not allow_boundary:
+                return DomainViolation(
+                    f"|z|={az:.6g} lies on the convergence circle (radius {r:.6g}); "
+                    "pass allow_boundary to evaluate under the Re(lambda) > 1/2 condition"
+                )
+            if lam_re <= 0.5:
+                return DomainViolation(f"boundary evaluation needs Re(lambda) > 1/2, got {lam_re:.6g}")
+    log_z = cmath.log(z)
+    res = _boundary_sum(cache, z, log_z) if lam_re is not None else None
+    return (log_z, lam_re) if res is None else res
+
+
 def _psi(params: FWParams, zs: list, tol: float = DEFAULT_TOL, allow_boundary: bool = False) -> list:
     """evaluate(params, z, tol, allow_boundary) at each z of zs, in order, for
     callers that have made its argument checks: the error it raises, its
-    EvalResult, or the finished _RowSum whose result() that is (either holds
-    the value).  The parameter set's entry is looked up once, and one
-    _block_sums pass, made only if some z needs it, sums them all.
+    EvalResult, or the _Sum or _RowSum whose result() that is (each holds
+    the value).  The parameter set's entry is looked up once; a lone series is
+    summed by _lone_sum, several by one _block_sums pass.
     """
     cache = _column_cache(params)
-    r = cache.radius
-    out = []
-    log_zs, series = [], []  # the series' log z, and (index in out, z, Re(lambda) or None)
-    for z in zs:
-        res = lam_re = None
-        if z == 0:
-            res = EvalResult(_term_zero(params), 1, 0.0)
-        elif not math.isinf(r):
-            az = abs(z)
-            side = _circle_side(az, r)
-            if side > 0:
-                res = DomainViolation(f"|z|={az:.6g} outside convergence radius {r:.6g}")
-            elif side == 0:
-                lam_re = boundary_exponent(params).real
-                if not allow_boundary:
-                    res = DomainViolation(
-                        f"|z|={az:.6g} lies on the convergence circle (radius {r:.6g}); "
-                        "pass allow_boundary to evaluate under the Re(lambda) > 1/2 condition"
-                    )
-                elif lam_re <= 0.5:
-                    res = DomainViolation(
-                        f"boundary evaluation needs Re(lambda) > 1/2, got {lam_re:.6g}"
-                    )
-        if res is None:
-            log_z = cmath.log(z)
-            if lam_re is not None:
-                with np.errstate(all="ignore"):
-                    res = _boundary_sum(cache, z, log_z)
-            if res is None:
-                log_zs.append(log_z)
-                series.append((len(out), z, lam_re))
-        out.append(res)
-    if series:
-        rows = _block_sums(cache, log_zs, tol)
-        for (i, z, lam_re), row in zip(series, rows):
-            out[i] = row.finish(z, tol, lam_re)
+    out = [_route(cache, z, allow_boundary) for z in zs]
+    series = [i for i, res in enumerate(out) if type(res) is tuple]
+    if len(series) == 1:
+        i = series[0]
+        out[i] = _lone_sum(cache, zs[i], *out[i], tol)
+    elif series:
+        for i, row in zip(series, _block_sums(cache, [out[i][0] for i in series], tol)):
+            out[i] = row.finish(zs[i], tol, out[i][1])
     return out
 
 
@@ -790,15 +815,18 @@ def evaluate(
     truncated tail, without the rounding of the summed terms.  Off the
     circle a sum not stopped by then raises MaxTermsExceeded.
 
-    The one-point call of _psi.  z must be finite.
+    _psi at one point, without its lists.  z must be finite.
     """
     if not _check_real(tol, "tol") > 0:  # NaN fails this test too
         raise ValidationError("tol must be > 0")
     z = _check_finite_complex(z, "z")
-    res = _psi(params, [z], tol, allow_boundary)[0]
+    cache = _column_cache(params)
+    res = _route(cache, z, allow_boundary)
+    if type(res) is tuple:
+        res = _lone_sum(cache, z, *res, tol)
     if isinstance(res, Exception):
         raise res
-    return res.result() if type(res) is _RowSum else res
+    return res.result() if type(res) is _Sum else res
 
 
 def as_pfq(params: FWParams):

@@ -429,6 +429,25 @@ def test_the_scaled_run_keeps_the_bits_of_an_unscaled_run(scheme, cfg):
     assert settled >= 15
 
 
+def test_a_scaled_tanh_sinh_refusal_quotes_the_unscaled_step_error():
+    # the scaled run quoted its own step error, 2^64 too small: "last step
+    # error 1.59e+259" for an integral near 1.5e292.  The unscaled run,
+    # which meets no overflow here, refuses with the same step error.
+    zeta, cfg = 672.7241379310345, QuadConfig(1e-14, 1e-300)
+    hi, _, scaled = _scaled_range(VACUUM, math.log(zeta))
+    assert scaled
+    on_nodes, on_sub = continuum._integrands(VACUUM.params, math.log(zeta))
+    with pytest.raises(QuadratureFailure) as unscaled, np.errstate(under="ignore"):
+        continuum._integrate(
+            on_nodes, on_sub, 0.0, hi, cfg, "ts", False,
+            lambda level: continuum._ts_level(VACUUM.params, hi, level),
+        )
+    text = "tanh-sinh did not reach tolerance (last step error 2.92e+278)"
+    assert str(unscaled.value) == text
+    with pytest.raises(QuadratureFailure, match=f"^{re.escape(text)}$"):
+        nu_with_error(VACUUM, zeta, cfg, "ts")
+
+
 @pytest.mark.parametrize("zeta, scheme", [(705.0, "ts"), (709.7, "gk")])
 def test_an_in_gap_nu_with_a_loose_abs_tol(zeta, scheme):
     # these printed 1.0178016411077975e+299 (ts at 705) and refused (gk at

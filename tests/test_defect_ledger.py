@@ -575,3 +575,32 @@ _SEED_2921_OVERLAPS = [
 def test_benchmark_overlap_miss_at_seed_2921(upper, lower, z, zp, ref):
     model = CoherentModel(FWParams(upper=upper, lower=lower))
     _holds(lambda: overlap(model, z, zp), ref)
+
+
+# -- item 1(b): the `complex`-slice overlap miss of `states` at seed 14028 ---
+
+# pass 3, operation 751 of the seeded draw, the one miss outside the
+# cancellation slice: N(conj(z) z') cancels by sum|t_k| / |N| = 7.3e3,
+# under the benchmark's 1e4 cut, and its terms' log-gamma rounding, times
+# that, leaves 1.7e-10; both denominators hold 6e-14.  The overlap by
+# mpmath at 80 and 120 digits with conj(z) z' formed exactly (they agree
+# to 78 digits).
+_SEED_14028_MODEL = CoherentModel(
+    FWParams(
+        upper=[(2.458668245083436, 1.3696524607932372), (2.8610074126463423, 1.4474652541407216)],
+        lower=[(0.354318991901187, 1.215483887281638), (2.5547687690161816, 1.0879644791030558)],
+    )
+)
+_SEED_14028_OVERLAP = 7.98723174780457009515901676234e-6 - 1.11538927679346311225996767794e-5j
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="log-gamma term rounding times a condition number of 7.3e3 in N(conj(z) z'): "
+    "relative error 1.7e-10 with exit 0 (ROADMAP item 1(b))",
+)
+def test_benchmark_overlap_miss_at_seed_14028():
+    z = -1.4832531000006495 + 0.45234135497372296j
+    zp = -1.9331234356864224 - 0.40815856176441406j
+    _holds(lambda: overlap(_SEED_14028_MODEL, z, zp), _SEED_14028_OVERLAP)

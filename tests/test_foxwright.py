@@ -259,7 +259,8 @@ def test_param_validation():
 )
 @pytest.mark.parametrize("params", [FWParams(upper=[], lower=[]), DISK_PARAMS, BOUNDARY_PARAMS])
 def test_non_finite_and_malformed_points_are_refused(params, z, text, monkeypatch):
-    monkeypatch.setattr(foxwright, "_block_sums", lambda *a: pytest.fail("the series ran"))
+    for loop in ("_block_sums", "_lone_sum"):
+        monkeypatch.setattr(foxwright, loop, lambda *a: pytest.fail("the series ran"))
     with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
         evaluate(params, z, allow_boundary=True)
 
@@ -517,7 +518,7 @@ _FRONT_DOOR_POINTS = st.tuples(
 def _front_door_outcome(res):
     if isinstance(res, Exception):
         return type(res), str(res)
-    return repr(res.result() if isinstance(res, foxwright._RowSum) else res)
+    return repr(res.result() if isinstance(res, (foxwright._Sum, foxwright._RowSum)) else res)
 
 
 def _evaluate_outcome(params, z, **kwargs):
@@ -562,10 +563,60 @@ def test_front_door_sums_several_routes_in_one_pass(monkeypatch):
         foxwright._RowSum, foxwright._RowSum, foxwright.EvalResult, foxwright.EvalResult,
         DomainViolation,
     ]
-    monkeypatch.setattr(foxwright, "_block_sums", lambda *a: pytest.fail("a series ran"))
+    for loop in ("_block_sums", "_lone_sum"):
+        monkeypatch.setattr(foxwright, loop, lambda *a: pytest.fail("a series ran"))
     assert [type(res) for res in foxwright._psi(GAUSS_A, [0j, cmath.exp(1.0j), 2.0])] == [
         foxwright.EvalResult, DomainViolation, DomainViolation,
     ]
+
+
+# gamma arguments: real, complex, and -1.5 or -0.5, which weight 0.5
+# takes to a pole at k = 1 (an upper one raises, a lower one nulls)
+_ROW_VALUES = (
+    st.floats(0.1, 3.0)
+    | st.builds(complex, st.floats(0.1, 3.0), st.floats(-1.0, 1.0))
+    | st.sampled_from([-1.5, -0.5])
+)
+_ROW_PAIRS = st.lists(st.tuples(_ROW_VALUES, st.floats(0.3, 1.5) | st.just(0.5)), max_size=2)
+
+
+@st.composite
+def _row_models(draw):
+    """An entire model, or one of radius V, its upper weights scaled to sum A = 1 + sum B."""
+    upper, lower = draw(_ROW_PAIRS), draw(_ROW_PAIRS)
+    if upper and draw(st.booleans()):
+        scale = (1.0 + sum(B for _, B in lower)) / sum(A for _, A in upper)
+        upper = [(a, A * scale) for a, A in upper]
+    params = FWParams(upper, lower)
+    assume(foxwright.margin_sign(params) >= 0)
+    return params
+
+
+def _row_point(draw, r, far):
+    """A point inside radius r, or within 30 for an entire model; far adds
+    zero, points past the radius or on its circle, points whose sum
+    reaches MAX_TERMS and terms past the float range."""
+    if not far:
+        size = st.floats(0.05, 30.0) if math.isinf(r) else st.floats(0.05 * r, 0.9 * r)
+    elif math.isinf(r):
+        size = st.floats(0.0, 30.0) | st.just(800.0)
+    else:
+        size = st.floats(0.0, 1.2 * r) | st.sampled_from([0.9999 * r, r])
+    return cmath.rect(draw(size), draw(st.floats(-math.pi, math.pi)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(params=_row_models(), data=st.data(), allow_boundary=st.booleans())
+def test_a_row_of_two_gets_the_bits_of_its_lone_sum(params, data, allow_boundary):
+    # evaluate sums a lone series in _lone_sum, a two-row _psi call in one
+    # _block_sums pass: each row gets evaluate's value bits, terms and tail,
+    # or its error's type and text
+    r = radius(params)
+    z = _row_point(data.draw, r, far=True)
+    w = _row_point(data.draw, r, far=False)
+    got = foxwright._psi(params, [z, w], allow_boundary=allow_boundary)
+    for res, point in zip(got, (z, w)):
+        assert _front_door_outcome(res) == _evaluate_outcome(params, point, allow_boundary=allow_boundary), point
 
 
 # -- the per-parameter column cache ---------------------------------------

@@ -411,7 +411,8 @@ def test_bicomplex_overlap_delegates():
     ],
 )
 def test_malformed_and_non_finite_arguments_are_refused(call, text, monkeypatch):
-    monkeypatch.setattr(foxwright, "_block_sums", lambda *a: pytest.fail("a series ran"))
+    for loop in ("_block_sums", "_lone_sum"):
+        monkeypatch.setattr(foxwright, loop, lambda *a: pytest.fail("a series ran"))
     with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
         call()
 

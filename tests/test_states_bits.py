@@ -292,12 +292,13 @@ def test_overlap_sums_three_rows_per_block(monkeypatch):
         (0.5, (1, 2), "row 1"),
         (0.5, (0, 1, 2), "row 0"),
         (0.5, (2,), "row 2"),
-        # N(conj(z) z') and N(|z|^2) are 1 at zero, so N(|z'|^2) is row 0
+        # N(conj(z) z') and N(|z|^2) are 1 at zero, so N(|z'|^2) is row 0,
+        # the lone series, which _lone_sum sums
         (0.0, (0,), "row 0"),
     ],
 )
 def test_overlap_raises_the_first_error_in_row_order(monkeypatch, z, failing, raised):
-    real = foxwright._block_sums
+    real, real_lone = foxwright._block_sums, foxwright._lone_sum
 
     def with_errors(cache, log_z, tol):
         rows = real(cache, log_z, tol)
@@ -305,7 +306,12 @@ def test_overlap_raises_the_first_error_in_row_order(monkeypatch, z, failing, ra
             rows[i].error = OverflowError(f"row {i}")
         return rows
 
+    def lone_with_error(*args):
+        res = real_lone(*args)
+        return OverflowError("row 0") if 0 in failing else res
+
     monkeypatch.setattr(foxwright, "_block_sums", with_errors)
+    monkeypatch.setattr(foxwright, "_lone_sum", lone_with_error)
     with pytest.raises(OverflowError, match=f"^{raised}$"):
         overlap(VACUUM, z, 1.5j)
 

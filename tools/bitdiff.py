@@ -11,9 +11,19 @@ this file's corpus, so both sides make the same calls:
   800, the values within 2^64 of DBL_MAX among them;
 - `nu`, `overlap_tilde`, `state_density` and `nu_bicomplex`;
 - `f_factor` and `ladder_elements`;
+- `evaluate` on the benchmark's four series models (`tight`'s upper a is
+  complex) at right and left half-plane points, z = 0 and tiny |z|; on
+  its two Gauss models at interior points and on the circle, where the
+  Levin route or the capped sum runs; and its refusals: outside the
+  radius, on the circle without allow_boundary, an upper pole, no
+  convergence in MAX_TERMS terms, a term past the float range;
+- `evaluate_bc` on the benchmark's two bicomplex models;
+- `normalization`, `normalization_at`, `make_state` and `overlap` (its
+  N(|z|^2) N(|z'|^2) past the float range among them);
 - the CLI's `nu eval` (gk and ts, comma lists, --zeta 800, the values
-  near DBL_MAX), `measure check` and `cs coeffs`, each in its own
-  process: stdout, stderr and exit code;
+  near DBL_MAX), `measure check`, `fw eval`, `bcfw eval`, `cs coeffs`
+  and `cs overlap`, each in its own process: stdout, stderr and exit
+  code;
 - the acceptance battery at seeds 20260823 and 7: each criterion's
   verdict, detail (times cut out) and fingerprint, and the sample
   fingerprint.
@@ -31,7 +41,9 @@ exits 1 where anything moved.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import os
 import re
 import subprocess
@@ -47,14 +59,39 @@ _CORPUS_SEED = 4102
 # the quadrature settings every nu_with_error id runs under: (rel_tol, abs_tol)
 _CFGS = ((1e-10, 1e-12), (1e-6, 1e-9), (1e-14, 1e-300), (1e-10, 1e250), (1e-10, 1e290))
 # vacuum zeta: small, moderate, within 2^64 of DBL_MAX, and past it
-_VACUUM_ZETAS = (0.0, 1e-3, 0.4, 2.5, 9.0, 60.0, 600.0, 680.0, 700.0, 705.0, 708.5, 709.7, 711.0, 800.0)
+_VACUUM_ZETAS = (0.0, 1e-3, 0.4, 2.5, 9.0, 60.0, 600.0, 672.7241379310345, 680.0, 700.0, 705.0, 708.5, 709.7, 711.0, 800.0)
 _FIXED = {
     "vacuum": ([], []),
     "shift": ([(1.0, 1.0)], [(2.0, 1.0)]),
     "wright": ([(1.3, 0.8)], [(2.1, 1.1)]),
     "generic": ([(0.9, 0.4)], [(1.3, 0.8), (0.7, 0.5)]),
 }
-# CLI commands; VACUUM and SHIFT stand for parameter files the run writes
+_SERIES_SEED = 4201
+# the series and Gauss models of perfbench's series workload: (upper, lower, right-half-plane radius)
+_SERIES = {
+    "exp": ([(1.0, 1.0)], [(1.0, 1.0)], 10.0),
+    "wright": ([(1.3, 0.8)], [(2.1, 1.1)], 10.0),
+    "bessel": ([], [(1.5, 0.5)], 10.0),
+    "tight": ([(0.7 + 0.4j, 0.9), (1.1, 0.6)], [(1.9 - 0.2j, 0.9)], 4.0),
+}
+_GAUSS = {
+    "gauss-a": ([(0.5, 1.0), (0.7, 1.0)], [(2.0, 1.0)]),  # lambda = 1.3
+    "gauss-b": ([(0.6, 1.0), (0.8, 1.0)], [(1.9, 1.0)]),  # lambda = 1.0
+}
+# Gauss points: Levin phases, capped phases (|arg z| < 0.02), V itself and
+# within 1e-12 of it, inside, outside, and slow enough to pass MAX_TERMS
+_GAUSS_POINTS = (
+    cmath.exp(0.3j), cmath.exp(1.0j), cmath.exp(2.5j), -1.0, cmath.exp(0.01j), cmath.exp(-0.005j),
+    1.0, 1.0 - 5e-13, 0.5, 0.9 + 0.3j, 2.0, 0.9999,
+)
+# points in every series model's domain: zero, tiny, and where terms pass the float range
+_TINY_POINTS = (0j, 1e-200, 1e-300j, 5e-324)
+_COHERENT_ZETAS = (0.0, 1e-300, 0.4, 9.0, 60.0, 800.0)
+_COHERENT_POINTS = (0j, 1e-200, 0.5 + 0.5j, 3.0, -2.0 + 1.0j)
+# overlap pairs: one nonzero argument, equal points, N(|z|^2) N(|z'|^2)
+# past the float range on the vacuum model, and every N past it
+_OVERLAP_PAIRS = ((0j, 1.5j), (1.5j, 0j), (0.5, 0.5), (0.1, 3.0), (0.5 + 0.2j, 1.1), (20.0, 20.0), (60.0, 60.0))
+# CLI commands; VACUUM, SHIFT, EXP, GAUSS and BC stand for parameter files the run writes
 _CLI = [
     ("nu", "eval", "--model", "SHIFT", "--zeta", "0.5,2.5,9", "--scheme", "gk"),
     ("nu", "eval", "--model", "SHIFT", "--zeta", "0.5,2.5,9", "--scheme", "ts"),
@@ -68,10 +105,32 @@ _CLI = [
     ("nu", "eval", "--model", "VACUUM", "--zeta", "708.5", "--scheme", "gk", "--abs-tol", "5e-324"),
     ("nu", "eval", "--model", "VACUUM", "--zeta", "708.5", "--scheme", "ts", "--abs-tol", "5e-324"),
     ("nu", "eval", "--model", "VACUUM", "--zeta", "711", "--scheme", "ts"),
+    ("nu", "eval", "--model", "VACUUM", "--zeta", "672.7241379310345", "--scheme", "ts",
+     "--rel-tol", "1e-14", "--abs-tol", "1e-300"),
     ("measure", "check", "--model", "SHIFT", "--k", "0..4"),
     ("cs", "coeffs", "--params", "SHIFT", "--z", "0.5"),
     ("cs", "coeffs", "--params", "VACUUM", "--z", "1e-200", "--K", "2"),
+    ("cs", "coeffs", "--params", "SHIFT", "--z", "2.5,-1"),
+    ("cs", "overlap", "--params", "SHIFT", "--z", "0.5", "--zp", "1.5,0.5"),
+    ("cs", "overlap", "--params", "VACUUM", "--z", "0", "--zp", "1.5"),
+    ("cs", "overlap", "--params", "VACUUM", "--z", "20", "--zp", "20"),
+    ("cs", "overlap", "--params", "VACUUM", "--z", "60", "--zp", "60"),
+    ("fw", "eval", "--params", "EXP", "--z", "2.5"),
+    ("fw", "eval", "--params", "EXP", "--z=-10,0.5"),
+    ("fw", "eval", "--params", "EXP", "--z", "800"),
+    ("fw", "eval", "--params", "EXP", "--z", "3", "--tol", "1e-6"),
+    ("fw", "eval", "--params", "GAUSS", "--z", "0.5403023058681398,0.8414709848078965", "--allow-boundary"),
+    ("fw", "eval", "--params", "GAUSS", "--z", "0.9999500004166653,0.009999833334166664", "--allow-boundary"),
+    ("fw", "eval", "--params", "GAUSS", "--z", "0.5403023058681398,0.8414709848078965"),
+    ("fw", "eval", "--params", "GAUSS", "--z", "2"),
+    ("fw", "eval", "--params", "GAUSS", "--z", "0.9999"),
+    ("bcfw", "eval", "--params", "BC", "--z", "0.5,0,0.1,0"),
+    ("bcfw", "eval", "--params", "BC", "--z", "1.5,-0.5"),
 ]
+_BC_FILE = (
+    '{"upper": [{"value": {"z1": [1.2, 0.0], "z2": [0.8, 0.0]}, "weight": {"c1": 1.0, "c2": 0.9}}], '
+    '"lower": [{"value": {"z1": [2.0, 0.0], "z2": [2.5, 0.0]}, "weight": {"c1": 1.1, "c2": 1.3}}]}\n'
+)
 _TIMES = re.compile(r"\d+(\.\d+)?s\b")
 
 
@@ -138,19 +197,80 @@ def _calls():
     for w in ((1.5, 0.7), (0.2, 2.5), (9.0, 60.0)):
         for scheme in continuum.SCHEMES:
             yield f"nu_bicomplex/shift/{w!r}/{scheme}", continuum.nu_bicomplex, (bc, Hyperbolic(*w), scheme), {}
+    yield from _series_calls(models)
     for seed in SEEDS:
         yield f"sample_fingerprint/{seed}", acceptance._sample_fingerprint, (seed,), {}
         for r in acceptance.run_all(seed=seed):
             yield f"selftest/{seed}/{r.name}", _selftest, (r,), {}
 
 
+def _series_calls(models):
+    """(id, fn, args, kwargs) for the series and coherent entry points."""
+    import numpy as np
+
+    from fwstates import coherent
+    from fwstates.bicomplex import Hyperbolic, compose_idempotent
+    from fwstates.foxwright import FWParams, evaluate
+    from fwstates.foxwright_bc import BCFWParams
+    from fwstates.foxwright_bc import evaluate as evaluate_bc
+
+    rng = np.random.default_rng(_SERIES_SEED)
+    for name, (upper, lower, r) in _SERIES.items():
+        params = FWParams(upper, lower)
+        right = [cmath.rect(r * rng.uniform(0.05, 1.0), rng.uniform(-1.5, 1.5)) for _ in range(8)]
+        left = [complex(-rng.uniform(1.0, 30.0), rng.uniform(-2.0, 2.0)) for _ in range(4)]
+        for z in right + left + list(_TINY_POINTS):
+            yield f"evaluate/{name}/{z!r}", evaluate, (params, z), {}
+        yield f"evaluate/{name}/{right[0]!r}/tol=1e-6", evaluate, (params, right[0]), {"tol": 1e-6}
+    exp = FWParams(*_SERIES["exp"][:2])
+    for z in (800.0, 1e6):
+        yield f"evaluate/exp/{z!r}", evaluate, (exp, z), {}
+    pole = FWParams([(-1.5, 0.5)], [(1.0, 1.0)])  # -1.5 + k/2 is a pole at k = 1
+    yield "evaluate/upper-pole/0.5", evaluate, (pole, 0.5), {}
+    for name, (upper, lower) in _GAUSS.items():
+        params = FWParams(upper, lower)
+        for z in _GAUSS_POINTS:
+            for allow in (True, False):
+                yield f"evaluate/{name}/{z!r}/allow_boundary={allow}", evaluate, (params, z), {"allow_boundary": allow}
+    bcs = {
+        "bc-a": BCFWParams(
+            upper=[(compose_idempotent(1.2, 0.8), Hyperbolic(1.0, 0.9))],
+            lower=[(compose_idempotent(2.0, 2.5), Hyperbolic(1.1, 1.3))],
+        ),
+        "bc-b": BCFWParams(
+            upper=[(compose_idempotent(0.9 + 0.2j, 1.4), Hyperbolic(0.7, 1.2))],
+            lower=[(compose_idempotent(1.6, 2.2), Hyperbolic(1.0, 0.8))],
+        ),
+    }
+    for name, params in bcs.items():
+        for _ in range(6):
+            z1, z2 = (cmath.rect(4.0 * rng.uniform(0.0, 1.0), rng.uniform(-math.pi, math.pi)) for _ in range(2))
+            Z = compose_idempotent(z1, z2)
+            yield f"evaluate_bc/{name}/{z1!r},{z2!r}", evaluate_bc, (params, Z), {}
+    for name, model in models.items():
+        for zeta in _COHERENT_ZETAS:
+            yield f"normalization/{name}/{zeta!r}", coherent.normalization, (model, zeta), {}
+        for z in _COHERENT_POINTS:
+            yield f"normalization_at/{name}/{z!r}", coherent.normalization_at, (model, z), {}
+            yield f"make_state/{name}/{z!r}", coherent.make_state, (model, z), {}
+        for z, zp in _OVERLAP_PAIRS:
+            yield f"overlap/{name}/{z!r},{zp!r}", coherent.overlap, (model, z, zp), {}
+
+
 def run_corpus() -> list[dict]:
     """Every record of the corpus, for the package on sys.path."""
     records = [{"id": cid, "out": _outcome(fn, args, kwargs)} for cid, fn, args, kwargs in _calls()]
     with tempfile.TemporaryDirectory(prefix="bitdiff-") as tmp:
-        files = {"VACUUM": Path(tmp) / "vacuum.json", "SHIFT": Path(tmp) / "shift.json"}
-        files["VACUUM"].write_text('{"upper": [], "lower": []}\n', encoding="utf-8")
-        files["SHIFT"].write_text('{"upper": [[1.0, 0.0, 1.0]], "lower": [[2.0, 0.0, 1.0]]}\n', encoding="utf-8")
+        texts = {
+            "VACUUM": '{"upper": [], "lower": []}\n',
+            "SHIFT": '{"upper": [[1.0, 0.0, 1.0]], "lower": [[2.0, 0.0, 1.0]]}\n',
+            "EXP": '{"upper": [[1.0, 0.0, 1.0]], "lower": [[1.0, 0.0, 1.0]]}\n',
+            "GAUSS": '{"upper": [[0.5, 0.0, 1.0], [0.7, 0.0, 1.0]], "lower": [[2.0, 0.0, 1.0]]}\n',
+            "BC": _BC_FILE,
+        }
+        files = {key: Path(tmp) / f"{key.lower()}.json" for key in texts}
+        for key, text in texts.items():
+            files[key].write_text(text, encoding="utf-8")
         for argv in _CLI:
             proc = subprocess.run(
                 [sys.executable, "-m", "fwstates.cli", *(str(files.get(a, a)) for a in argv)],
