@@ -94,6 +94,19 @@ def _floats(text: str, what: str) -> list[float]:
         raise ValidationError(f"cannot parse {text!r} as {what}") from exc
 
 
+def _attach_point_values(argv: list[str]) -> list[str]:
+    """argv with each `--z -10,0.5` (or --zp) written `--z=-10,0.5`: argparse
+    takes a token that starts with "-" for an option unless it reads as one
+    negative number, and which forms it reads so differs between versions."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in ("--z", "--zp") and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def _parse_complex(text: str) -> complex:
     nums = _floats(text, "re[,im]")
     if len(nums) == 1:
@@ -447,7 +460,7 @@ def _manifest(args) -> dict:
 def main(argv=None) -> int:
     parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_point_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     if not hasattr(args, "func"):

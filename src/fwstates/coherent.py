@@ -30,8 +30,8 @@ series' cached column table (`foxwright.log_gamma_rows`, which grows it
 by whole series blocks); _log_rho_vec forms them afresh for real E from the same table's
 gamma-argument offsets and weights, and serves `continuum` (its node
 values and its log-rho grids) and the acceptance battery.
-overlap's N at conj(z) z', |z|^2 and |z'|^2 come from one foxwright._psi
-call, each with the bits of its own sum.
+N at nonzero arguments comes from foxwright._psi, overlap's three from
+one call, each with the bits of its own series sum and no tail estimate.
 Bicomplex models run each complex routine per idempotent component
 through `bicomplex.componentwise`.
 """
@@ -214,14 +214,10 @@ def recurrence_worst(model: CoherentModel, k_max: int = 100) -> float:
 def _normalizations(model: CoherentModel, zetas: list[complex]) -> list[complex]:
     """N at each finite zeta of zetas, psi at the nonzero ones from one
     foxwright._psi call; the first error in the order of zetas is raised."""
-    results = _psi(model.params, [zeta for zeta in zetas if zeta != 0])
-    for res in results:
-        if isinstance(res, Exception):
-            raise res
-    values = iter(results)
+    values = iter(_psi(model.params, [zeta for zeta in zetas if zeta != 0]))
     pref = cmath.exp(_log_prefactor(model))
     # rho(0) = 1: the prefactor cancels the k=0 term exactly
-    return [pref * next(values).value if zeta != 0 else 1.0 + 0j for zeta in zetas]
+    return [pref * next(values) if zeta != 0 else 1.0 + 0j for zeta in zetas]
 
 
 def normalization_at(model: CoherentModel, zeta: complex) -> complex:
@@ -283,7 +279,7 @@ def make_state(model: CoherentModel, z: complex, tail_target: float = 1e-12) -> 
 
 
 def overlap(model: CoherentModel, z: complex, zp: complex) -> complex:
-    """<z|z'> = N(conj(z) z') / sqrt(N(|z|^2) N(|z'|^2)), the three N in one block pass.
+    """<z|z'> = N(conj(z) z') / sqrt(N(|z|^2) N(|z'|^2)), the three N from one _psi call.
 
     z and z' must be finite, and so must conj(z) z'.  Each N has the
     bits of its own series sum, and the first error in the order

@@ -39,17 +39,17 @@ the same columns with the same operations in the same order, and a
 zero's sign in a parameter (the one thing FWParams equality ignores) is
 dropped by the addition a + k A.
 
-_psi gives each z of a list what evaluate gives it: the z = 0, radius
-and circle rules and the Levin route per z (_route), then a lone series
-in _lone_sum (evaluate, and so evaluate_bc and hfunction.weight, and
-normalizations with one nonzero argument) and several in one (m, block)
-pass (_block_sums: overlap's three N).  Both loops take _block_terms and
+_psi gives the values of coherent models' series (entire, real a_l,
+b_r > 0, so no pole) at nonzero points, for their normalizations and
+hfunction.weight.  A lone series is summed by _lone_sum (evaluate, and
+so evaluate_bc, and _psi at one point), several in one (m, block) pass
+(_block_sums: overlap's three N).  Both loops take _block_terms and
 _streak_end, and their running sums are a cumsum from the carried total:
 they add in the order a per-term loop would, and the stop streak does not
 depend on where blocks start or end, so block length moves no bit of the
 value, the terms used or the tail, and each row gets its own call's bits.
 
-On the circle |z| = V with allow_boundary, _psi first tries Levin
+On the circle |z| = V with allow_boundary, evaluate first tries Levin
 u transforms (_boundary_sum): two windows of 31 partial sums from the
 same column table, each order's value with an error bound from the
 spread of successive orders and the rounding the transform amplifies,
@@ -431,30 +431,27 @@ class _Sum(NamedTuple):
         return EvalResult(self.value, self.used, np.float64(tail))
 
 
-def _refusal(value, used: int, stopped: bool, z: complex, tol: float, lam_re):
-    """The error evaluate raises for a sum that met none in its blocks, or None;
+def _check_sum(value, used: int, stopped: bool, z: complex, tol: float, lam_re) -> None:
+    """Raise what evaluate raises for a sum that met no error in its blocks;
     lam_re is Re(lambda) on the circle, where MAX_TERMS caps a sum, not refuses it."""
     if not cmath.isfinite(value):
-        return OverflowError(_TOO_LARGE)
+        raise OverflowError(_TOO_LARGE)
     if not stopped and lam_re is None:
-        return MaxTermsExceeded(f"no convergence after {used} terms (tol={tol:g}, |z|={abs(z):.6g})")
+        raise MaxTermsExceeded(f"no convergence after {used} terms (tol={tol:g}, |z|={abs(z):.6g})")
 
 
-def _lone_sum(cache: _ColumnCache, z: complex, log_z: complex, lam_re: float | None, tol: float):
-    """The series at one z, its _Sum or its error: _block_sums's loop for one
+def _lone_sum(cache: _ColumnCache, z: complex, log_z: complex, lam_re: float | None, tol: float) -> _Sum:
+    """The series at one z, or raise its error: _block_sums's loop for one
     row, its state in locals, with the same blocks, terms, carried sums, stop
     test and checks in the same order, so it gets the bits a row gets there."""
     carry, terms, streak, k0, block = 0j, None, 0, 0, 32
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         while k0 < MAX_TERMS:
             end = min(k0 + block, MAX_TERMS)
-            try:
-                logt = _block_terms(cache.upto(end), log_z, k0, end)
-            except PoleError as exc:
-                return exc
+            logt = _block_terms(cache.upto(end), log_z, k0, end)
             # ndarray.max without its Python wrapper; no NaN reaches logt
             if np.maximum.reduce(logt.real) > 709.0:
-                return OverflowError(_TOO_LARGE)
+                raise OverflowError(_TOO_LARGE)
             prev, terms = terms, np.exp(logt)
             sums = terms.copy()
             sums[0] += carry
@@ -465,56 +462,54 @@ def _lone_sum(cache: _ColumnCache, z: complex, log_z: complex, lam_re: float | N
                 if stop < 2:  # the first recent terms are the last block's
                     recent = np.concatenate((prev[stop - 2 :], terms[: stop + 1]))
                 value, used = sums[stop], k0 + stop + 1
-                return _refusal(value, used, True, z, tol, lam_re) or _Sum(value, used, recent, None)
+                _check_sum(value, used, True, z, tol, lam_re)
+                return _Sum(value, used, recent, None)
             carry = sums[-1]
             k0, block = end, min(2 * block, _BLOCK_CAP)
-    return _refusal(carry, MAX_TERMS, False, z, tol, lam_re) or _Sum(carry, MAX_TERMS, terms[-3:], lam_re)
+    _check_sum(carry, MAX_TERMS, False, z, tol, lam_re)
+    return _Sum(carry, MAX_TERMS, terms[-3:], lam_re)
 
 
 class _RowSum:
     """One series in the (m, block) pass: its running sum and how it ended.
 
-    value is the sum of the terms taken so far, used their count, streak
-    the run of small terms carried into the next block and recent the
-    last (up to) three terms taken; error is what the sum raises, and
-    lam_re what finish records for result().  A new row holds the class
-    values; add and finish set each on the row.
+    value is the sum of the terms taken so far, used their count and
+    streak the run of small terms carried into the next block; error is
+    a term past the float range.  A new row holds the class values; add
+    sets each on the row.
     """
 
-    value, used, streak, recent, stopped, error, lam_re = 0j, 0, 0, (), False, None, None
+    value, used, streak, stopped, error = 0j, 0, 0, False, None
 
-    def add(self, terms: np.ndarray, sums: np.ndarray, ok: np.ndarray) -> bool:
+    def add(self, sums: np.ndarray, ok: np.ndarray) -> bool:
         """Take in this row of one block; True once the row is done."""
         if self.error is not None:
             return True
         stop, self.streak = _streak_end(ok, self.streak)
         self.stopped = stop >= 0
-        used = stop + 1 if self.stopped else terms.size
+        used = stop + 1 if self.stopped else sums.size
         self.value = sums[used - 1]
         self.used += used
-        summed = terms[:used]
-        self.recent = summed[-3:] if used >= 3 else np.concatenate((self.recent, summed))[-3:]
         return self.stopped
 
-    def finish(self, z: complex, tol: float, lam_re: float | None):
-        """The row, or the error evaluate raises for it; lam_re as for _refusal."""
-        self.lam_re = None if self.stopped else lam_re
-        return self.error or _refusal(self.value, self.used, self.stopped, z, tol, lam_re) or self
+    def finish(self, z: complex):
+        """The row's value; raises the error evaluate raises for it."""
+        if self.error is not None:
+            raise self.error
+        _check_sum(self.value, self.used, self.stopped, z, DEFAULT_TOL, None)
+        return self.value
 
-    result = _Sum.result  # a finished row has the four fields _Sum.result reads
 
-
-def _block_sums(cache: _ColumnCache, log_zs: list, tol: float) -> list[_RowSum]:
-    """Sum the series at each log z of log_zs in one pass; one _RowSum per series.
+def _block_sums(cache: _ColumnCache, log_zs: list) -> list[_RowSum]:
+    """Sum _psi's series at each log z of log_zs in one pass; one _RowSum each.
 
     Blocks of 32, 64, ... up to _BLOCK_CAP terms over (m, block) arrays,
     for two or more series (a lone one takes _lone_sum).  A block's terms
     are formed, added from each row's carried total by a cumsum along the
-    row, and stop-tested, all elementwise or in sequence within a row, so
-    a row gets the bits it gets alone.  A row leaves once it stops or
-    meets its error: an upper pole (every row meets it in the same block)
-    or a term past the float range (the row is nulled before exp, so no
-    other row sees the overflow).
+    row, and stop-tested at DEFAULT_TOL, all elementwise or in sequence
+    within a row, so a row gets the bits it gets alone.  A row leaves
+    once it stops or meets a term past the float range (the row is
+    nulled before exp, so no other row sees the overflow).
     """
     log_z = np.array(log_zs)[:, None]
     rows = [_RowSum() for _ in log_zs]
@@ -524,14 +519,9 @@ def _block_sums(cache: _ColumnCache, log_zs: list, tol: float) -> list[_RowSum]:
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         while k0 < MAX_TERMS:
             end = min(k0 + block, MAX_TERMS)
-            try:
-                logt = _block_terms(cache.upto(end), log_z, k0, end)
-            except PoleError as exc:
-                for row in live:
-                    row.error = exc
-                break
-            # no NaN reaches logt (pole entries are written as -inf), so
-            # the max tests what any() of the comparison would, faster
+            logt = _block_terms(cache.upto(end), log_z, k0, end)
+            # no NaN reaches logt, so the max tests what any() of the
+            # comparison would, faster
             if logt.real.max() > 709.0:
                 past = (logt.real > 709.0).any(axis=1)
                 for i in np.flatnonzero(past):
@@ -543,8 +533,8 @@ def _block_sums(cache: _ColumnCache, log_zs: list, tol: float) -> list[_RowSum]:
             sums = terms.copy()
             sums[:, 0] += carry
             sums = _cumsum(sums, -1)
-            ok = _abs(terms) <= tol * _abs(sums)
-            keep = [i for i, row in enumerate(live) if not row.add(terms[i], sums[i], ok[i])]
+            ok = _abs(terms) <= DEFAULT_TOL * _abs(sums)
+            keep = [i for i, row in enumerate(live) if not row.add(sums[i], ok[i])]
             if not keep:
                 break
             if len(keep) < len(live):
@@ -752,48 +742,17 @@ def _boundary_sum(cache: _ColumnCache, z: complex, log_z: complex):
     return EvalResult(values[best], int(used[best]), bound)
 
 
-def _route(cache: _ColumnCache, z: complex, allow_boundary: bool):
-    """evaluate's EvalResult or error at z short of a series sum, else
-    (log z, Re(lambda) on the circle or None) for the series."""
-    params, r, lam_re = cache.params, cache.radius, None
-    if z == 0:
-        return EvalResult(_term_zero(params), 1, 0.0)
-    if not math.isinf(r):
-        az = abs(z)
-        side = _circle_side(az, r)
-        if side > 0:
-            return DomainViolation(f"|z|={az:.6g} outside convergence radius {r:.6g}")
-        if side == 0:
-            lam_re = boundary_exponent(params).real
-            if not allow_boundary:
-                return DomainViolation(
-                    f"|z|={az:.6g} lies on the convergence circle (radius {r:.6g}); "
-                    "pass allow_boundary to evaluate under the Re(lambda) > 1/2 condition"
-                )
-            if lam_re <= 0.5:
-                return DomainViolation(f"boundary evaluation needs Re(lambda) > 1/2, got {lam_re:.6g}")
-    log_z = cmath.log(z)
-    res = _boundary_sum(cache, z, log_z) if lam_re is not None else None
-    return (log_z, lam_re) if res is None else res
-
-
-def _psi(params: FWParams, zs: list, tol: float = DEFAULT_TOL, allow_boundary: bool = False) -> list:
-    """evaluate(params, z, tol, allow_boundary) at each z of zs, in order, for
-    callers that have made its argument checks: the error it raises, its
-    EvalResult, or the _Sum or _RowSum whose result() that is (each holds
-    the value).  The parameter set's entry is looked up once; a lone series is
-    summed by _lone_sum, several by one _block_sums pass.
+def _psi(params: FWParams, zs: list) -> list:
+    """evaluate(params, z).value at each nonzero z of zs, in order, for the
+    parameters of a coherent model, whose series is entire with no pole;
+    the first error in the order of zs is raised.  A lone z is summed by
+    _lone_sum, several by one _block_sums pass.
     """
     cache = _column_cache(params)
-    out = [_route(cache, z, allow_boundary) for z in zs]
-    series = [i for i, res in enumerate(out) if type(res) is tuple]
-    if len(series) == 1:
-        i = series[0]
-        out[i] = _lone_sum(cache, zs[i], *out[i], tol)
-    elif series:
-        for i, row in zip(series, _block_sums(cache, [out[i][0] for i in series], tol)):
-            out[i] = row.finish(zs[i], tol, out[i][1])
-    return out
+    if len(zs) == 1:
+        return [_lone_sum(cache, zs[0], cmath.log(zs[0]), None, DEFAULT_TOL).value]
+    rows = _block_sums(cache, [cmath.log(z) for z in zs]) if zs else []
+    return [row.finish(z) for z, row in zip(zs, rows)]
 
 
 def evaluate(
@@ -815,18 +774,33 @@ def evaluate(
     truncated tail, without the rounding of the summed terms.  Off the
     circle a sum not stopped by then raises MaxTermsExceeded.
 
-    _psi at one point, without its lists.  z must be finite.
+    z must be finite.
     """
     if not _check_real(tol, "tol") > 0:  # NaN fails this test too
         raise ValidationError("tol must be > 0")
     z = _check_finite_complex(z, "z")
     cache = _column_cache(params)
-    res = _route(cache, z, allow_boundary)
-    if type(res) is tuple:
-        res = _lone_sum(cache, z, *res, tol)
-    if isinstance(res, Exception):
-        raise res
-    return res.result() if type(res) is _Sum else res
+    # the entry's parameters, whose zeros' signs may differ from an equal set's
+    params, r, lam_re = cache.params, cache.radius, None
+    if z == 0:
+        return EvalResult(_term_zero(params), 1, 0.0)
+    if not math.isinf(r):
+        az = abs(z)
+        side = _circle_side(az, r)
+        if side > 0:
+            raise DomainViolation(f"|z|={az:.6g} outside convergence radius {r:.6g}")
+        if side == 0:
+            lam_re = boundary_exponent(params).real
+            if not allow_boundary:
+                raise DomainViolation(
+                    f"|z|={az:.6g} lies on the convergence circle (radius {r:.6g}); "
+                    "pass allow_boundary to evaluate under the Re(lambda) > 1/2 condition"
+                )
+            if lam_re <= 0.5:
+                raise DomainViolation(f"boundary evaluation needs Re(lambda) > 1/2, got {lam_re:.6g}")
+    log_z = cmath.log(z)
+    res = _boundary_sum(cache, z, log_z) if lam_re is not None else None
+    return _lone_sum(cache, z, log_z, lam_re, tol).result() if res is None else res
 
 
 def as_pfq(params: FWParams):

@@ -98,8 +98,7 @@ from .errors import (
     QuadratureFailure,
     ValidationError,
 )
-from .foxwright import FWParams, _log_radius, _normalize_pairs, _whole_number
-from .foxwright import evaluate as fw_evaluate
+from .foxwright import FWParams, _log_radius, _normalize_pairs, _psi, _term_zero, _whole_number
 from .gammafn import gamma, is_gamma_pole, log_gamma_vec
 
 _LOG_DECAY_TARGET = math.log(1e-18)
@@ -410,11 +409,9 @@ def weight(model: CoherentModel, x: float) -> float:
     x = float(_check_real(x, "x"))
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"weight requires x >= 0, got {x}")
-    psi = fw_evaluate(model.params, x).value.real
     if x == 0.0:
-        return psi * _h_at_zero(model)
-    hp = HWeightParams.from_model(model)
-    return psi * eval_h(hp, x)
+        return _term_zero(model.params).real * _h_at_zero(model)
+    return _psi(model.params, [x])[0].real * eval_h(HWeightParams.from_model(model), x)
 
 
 # the density of the measure over x = |z|^2, angular factor integrated out

@@ -671,6 +671,23 @@ def test_bad_point_error_text(files, capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv, attached",
+    [
+        (("fw", "eval", "--params", "exp", "--z", "-10,0.5"), ("fw", "eval", "--params", "exp", "--z=-10,0.5")),
+        (
+            ("cs", "overlap", "--params", "shift", "--z", "-0.5,0.2", "--zp", "-0.3,0.1"),
+            ("cs", "overlap", "--params", "shift", "--z=-0.5,0.2", "--zp=-0.3,0.1"),
+        ),
+    ],
+)
+def test_a_point_with_a_negative_real_part_is_a_value(files, capsys, argv, attached):
+    # argparse took "-10,0.5" after --z for an option: "expected one argument", exit 1
+    got = run_cli(capsys, *(files.get(a, a) for a in argv))
+    assert got[0] == 0 and got[1] and got[2] == ""
+    assert got == run_cli(capsys, *(files.get(a, a) for a in attached))
+
+
+@pytest.mark.parametrize(
     "orders, message",
     [
         ("0..1000000", "moment order k must lie in 0..8"),

@@ -385,6 +385,14 @@ FIXED_CASES = [
     (FWParams(upper=[(1.0, 1.0)], lower=[(1.0, 1.0)]), 800.0, {}),
     (DISK_PARAMS, 0.3, {}),
     (BOUNDARY_PARAMS, 0.25, {}),
+    # circle points whose Levin route refuses and the capped sum runs:
+    # a bound no better than the majorant, and an upper pole at k = 2
+    (GAUSS_A, cmath.exp(0.02j), {"allow_boundary": True}),
+    (
+        FWParams(upper=[(1.0, 1.0), (-7.5, 0.25)], lower=[(2.0, 0.25)]),
+        cmath.exp(1.0j),
+        {"allow_boundary": True},
+    ),
 ]
 
 
@@ -425,9 +433,9 @@ def test_magnitudes_match_scalar_abs():
 
 def test_fixed_boundary_cases_keep_the_capped_sum():
     boundary = [(p, z, kw) for p, z, kw in FIXED_CASES if kw.get("allow_boundary")]
-    assert len(boundary) == 3
+    assert len(boundary) == 5
     for params, z, kwargs in boundary:
-        with series_length(kwargs["max_terms"]):
+        with series_length(kwargs.get("max_terms", 10000)):
             assert not takes_levin_route(params, z)
 
 
@@ -489,134 +497,45 @@ def test_block_kernel_matches_per_term_loop_random(
     )
 
 
-# -- the front door: several routes in one call ----------------------------
+# -- _psi: a coherent model's series at several points in one pass --------
 
-# Delta = 0, V = 1, Re(lambda) = 0.8; and Delta = 0, V = 1, Re(lambda) = 9
-# with an upper gamma pole at k = 2, which every nonzero z meets
-_FRONT_DOOR_MODELS = [
-    GAUSS_A,
-    FWParams(upper=[(1.0, 1.0), (-7.5, 0.25)], lower=[(2.0, 0.25)]),
-]
-
-
-# one point of each kind per list, in a drawn order
-_FRONT_DOOR_POINTS = st.tuples(
-    st.just(0j),
-    # inside the radius
-    st.builds(cmath.rect, st.floats(0.01, 0.9), st.floats(-math.pi, math.pi)),
-    # on the circle at the Levin route's phases, |arg z| >= 0.02
-    st.builds(cmath.rect, st.just(1.0), st.floats(0.02, math.pi) | st.floats(-math.pi, -0.02)),
-    # on the circle at the capped sum's phases, 0 < |arg z| < 0.02, and at
-    # V itself: the float radius and a point within 1e-12 of it
-    st.builds(cmath.rect, st.just(1.0), st.floats(1e-9, 0.0199) | st.floats(-0.0199, -1e-9)),
-    st.sampled_from([1.0, 1.0 - 5e-13]),
-    # outside the radius
-    st.builds(cmath.rect, st.floats(1.1, 3.0), st.floats(-math.pi, math.pi)),
-).flatmap(lambda points: st.permutations(list(points)))
-
-
-def _front_door_outcome(res):
-    if isinstance(res, Exception):
-        return type(res), str(res)
-    return repr(res.result() if isinstance(res, (foxwright._Sum, foxwright._RowSum)) else res)
-
-
-def _evaluate_outcome(params, z, **kwargs):
-    try:
-        return repr(evaluate(params, z, **kwargs))
-    except (FWError, OverflowError) as exc:
-        return type(exc), str(exc)
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(
-    model=st.sampled_from(range(len(_FRONT_DOOR_MODELS))),
-    zs=_FRONT_DOOR_POINTS,
-    allow_boundary=st.booleans(),
+# a coherent model's parameters: real a_l, b_r > 0 and Delta > 0
+_ROW_PAIRS = st.lists(st.tuples(st.floats(0.1, 3.0), st.floats(0.3, 1.5)), max_size=2)
+# nonzero points within 30, and terms past the float range at 800
+_ROW_POINTS = st.builds(
+    cmath.rect, st.floats(0.0, 30.0, exclude_min=True) | st.just(800.0), st.floats(-math.pi, math.pi)
 )
-def test_front_door_matches_one_evaluate_call_per_point(model, zs, allow_boundary):
-    params = _FRONT_DOOR_MODELS[model]
-    assert radius(params) == 1.0
-    got = foxwright._psi(params, zs, allow_boundary=allow_boundary)
-    assert len(got) == len(zs)
-    for res, z in zip(got, zs):
-        assert _front_door_outcome(res) == _evaluate_outcome(
-            params, z, allow_boundary=allow_boundary
-        ), z
-
-
-def test_front_door_sums_several_routes_in_one_pass(monkeypatch):
-    # an interior point and a capped circle point share one block pass; the
-    # Levin point, the z = 0 term and the refused point take no row
-    calls = []
-    real = foxwright._block_sums
-
-    def counted(cache, log_zs, tol):
-        calls.append(len(log_zs))
-        return real(cache, log_zs, tol)
-
-    monkeypatch.setattr(foxwright, "_block_sums", counted)
-    zs = [0.5j, cmath.exp(0.01j), 0j, cmath.exp(1.0j), 2.0]
-    got = foxwright._psi(GAUSS_A, zs, allow_boundary=True)
-    assert calls == [2]
-    assert [type(res) for res in got] == [
-        foxwright._RowSum, foxwright._RowSum, foxwright.EvalResult, foxwright.EvalResult,
-        DomainViolation,
-    ]
-    for loop in ("_block_sums", "_lone_sum"):
-        monkeypatch.setattr(foxwright, loop, lambda *a: pytest.fail("a series ran"))
-    assert [type(res) for res in foxwright._psi(GAUSS_A, [0j, cmath.exp(1.0j), 2.0])] == [
-        foxwright.EvalResult, DomainViolation, DomainViolation,
-    ]
-
-
-# gamma arguments: real, complex, and -1.5 or -0.5, which weight 0.5
-# takes to a pole at k = 1 (an upper one raises, a lower one nulls)
-_ROW_VALUES = (
-    st.floats(0.1, 3.0)
-    | st.builds(complex, st.floats(0.1, 3.0), st.floats(-1.0, 1.0))
-    | st.sampled_from([-1.5, -0.5])
-)
-_ROW_PAIRS = st.lists(st.tuples(_ROW_VALUES, st.floats(0.3, 1.5) | st.just(0.5)), max_size=2)
 
 
 @st.composite
 def _row_models(draw):
-    """An entire model, or one of radius V, its upper weights scaled to sum A = 1 + sum B."""
-    upper, lower = draw(_ROW_PAIRS), draw(_ROW_PAIRS)
-    if upper and draw(st.booleans()):
-        scale = (1.0 + sum(B for _, B in lower)) / sum(A for _, A in upper)
-        upper = [(a, A * scale) for a, A in upper]
-    params = FWParams(upper, lower)
-    assume(foxwright.margin_sign(params) >= 0)
+    params = FWParams(draw(_ROW_PAIRS), draw(_ROW_PAIRS))
+    assume(foxwright.margin_sign(params) > 0)
     return params
 
 
-def _row_point(draw, r, far):
-    """A point inside radius r, or within 30 for an entire model; far adds
-    zero, points past the radius or on its circle, points whose sum
-    reaches MAX_TERMS and terms past the float range."""
-    if not far:
-        size = st.floats(0.05, 30.0) if math.isinf(r) else st.floats(0.05 * r, 0.9 * r)
-    elif math.isinf(r):
-        size = st.floats(0.0, 30.0) | st.just(800.0)
-    else:
-        size = st.floats(0.0, 1.2 * r) | st.sampled_from([0.9999 * r, r])
-    return cmath.rect(draw(size), draw(st.floats(-math.pi, math.pi)))
+def _value_outcome(fn, *args):
+    """repr of fn's value, or its error's type and text."""
+    try:
+        return repr(fn(*args))
+    except (FWError, OverflowError) as exc:
+        return type(exc), str(exc)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(params=_row_models(), data=st.data(), allow_boundary=st.booleans())
-def test_a_row_of_two_gets_the_bits_of_its_lone_sum(params, data, allow_boundary):
-    # evaluate sums a lone series in _lone_sum, a two-row _psi call in one
-    # _block_sums pass: each row gets evaluate's value bits, terms and tail,
-    # or its error's type and text
-    r = radius(params)
-    z = _row_point(data.draw, r, far=True)
-    w = _row_point(data.draw, r, far=False)
-    got = foxwright._psi(params, [z, w], allow_boundary=allow_boundary)
-    for res, point in zip(got, (z, w)):
-        assert _front_door_outcome(res) == _evaluate_outcome(params, point, allow_boundary=allow_boundary), point
+@given(params=_row_models(), zs=st.lists(_ROW_POINTS, min_size=2, max_size=3))
+def test_a_row_of_two_gets_the_bits_of_its_lone_sum(params, zs):
+    # evaluate sums a lone series in _lone_sum, _psi's two or three in one
+    # _block_sums pass: each row gets evaluate's value bits, or its error's
+    # type and text, and _psi raises the first error in the order of zs
+    want = [_value_outcome(lambda z=z: evaluate(params, z).value) for z in zs]
+    rows = foxwright._block_sums(_column_cache(params), [cmath.log(z) for z in zs])
+    assert [_value_outcome(row.finish, z) for row, z in zip(rows, zs)] == want
+    errors = [out for out in want if type(out) is tuple]
+    if errors:
+        assert _value_outcome(foxwright._psi, params, zs) == errors[0]
+    else:
+        assert [repr(value) for value in foxwright._psi(params, zs)] == want
 
 
 # -- the per-parameter column cache ---------------------------------------

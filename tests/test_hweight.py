@@ -11,9 +11,9 @@ from scipy import integrate as si
 from fwstates.bicomplex import Bicomplex, Hyperbolic
 from fwstates.coherent import BCCoherentModel, CoherentModel
 from fwstates.errors import ContourFailure, DomainError, ValidationError
-from fwstates.foxwright import FWParams
+from fwstates.foxwright import FWParams, evaluate
 from fwstates.foxwright_bc import BCFWParams
-from fwstates import hfunction
+from fwstates import foxwright, hfunction
 from fwstates.hfunction import (
     DEFAULT_CONTOUR,
     ContourConfig,
@@ -101,6 +101,15 @@ def test_weight_nonnegative_on_grid():
     for model in (ML, TWO_LOWER, SHIFT):
         for x in np.geomspace(0.05, 12.0, 8):
             assert weight(model, float(x)) >= -1e-10
+
+
+@pytest.mark.parametrize("model", [VACUUM, ML, TWO_LOWER])
+def test_weight_reads_psi_without_its_tail(model, monkeypatch):
+    # evaluate's value times H, bit for bit, with no tail estimate formed
+    want = [repr(evaluate(model.params, x).value.real * eval_h(HWeightParams.from_model(model), x))
+            for x in (0.3, 2.2, 40.0)]
+    monkeypatch.setattr(foxwright._Sum, "result", lambda self: pytest.fail("a tail was formed"))
+    assert [repr(weight(model, x)) for x in (0.3, 2.2, 40.0)] == want
 
 
 def test_weight_at_zero_branches():

@@ -300,15 +300,17 @@ def test_overlap_sums_three_rows_per_block(monkeypatch):
 def test_overlap_raises_the_first_error_in_row_order(monkeypatch, z, failing, raised):
     real, real_lone = foxwright._block_sums, foxwright._lone_sum
 
-    def with_errors(cache, log_z, tol):
-        rows = real(cache, log_z, tol)
+    def with_errors(cache, log_zs):
+        rows = real(cache, log_zs)
         for i in failing:
             rows[i].error = OverflowError(f"row {i}")
         return rows
 
     def lone_with_error(*args):
         res = real_lone(*args)
-        return OverflowError("row 0") if 0 in failing else res
+        if 0 in failing:
+            raise OverflowError("row 0")
+        return res
 
     monkeypatch.setattr(foxwright, "_block_sums", with_errors)
     monkeypatch.setattr(foxwright, "_lone_sum", lone_with_error)

@@ -20,6 +20,14 @@ this file's corpus, so both sides make the same calls:
 - `evaluate_bc` on the benchmark's two bicomplex models;
 - `normalization`, `normalization_at`, `make_state` and `overlap` (its
   N(|z|^2) N(|z'|^2) past the float range among them);
+- `radius` on the series, Gauss, a divergent and the coherent models'
+  parameters, and `classify` on four bicomplex parameter sets (entire,
+  a circle component, divergent);
+- `weight` and `eval_h` on every coherent model at x = 0 (weight's
+  residue value or refusal) and x from 1e-3 to 800 (psi past the float
+  range there), `moment_check` at orders 0, 1 and 3, and
+  `measure_density_b` on two bicomplex models, a radius pair outside D+
+  among them;
 - the CLI's `nu eval` (gk and ts, comma lists, --zeta 800, the values
   near DBL_MAX), `measure check`, `fw eval`, `bcfw eval`, `cs coeffs`
   and `cs overlap`, each in its own process: stdout, stderr and exit
@@ -88,6 +96,10 @@ _GAUSS_POINTS = (
 _TINY_POINTS = (0j, 1e-200, 1e-300j, 5e-324)
 _COHERENT_ZETAS = (0.0, 1e-300, 0.4, 9.0, 60.0, 800.0)
 _COHERENT_POINTS = (0j, 1e-200, 0.5 + 0.5j, 3.0, -2.0 + 1.0j)
+# the measure's x, zero among them, and hyperbolic radius pairs, one outside D+
+_WEIGHT_XS = (0.0, 1e-3, 0.4, 2.5, 9.0, 40.0, 800.0)
+_MOMENT_ORDERS = (0, 1, 3)
+_RADIUS_PAIRS = ((0.0, 0.0), (1.5, 0.7), (0.2, 9.0), (-1.0, 1.0))
 # overlap pairs: one nonzero argument, equal points, N(|z|^2) N(|z'|^2)
 # past the float range on the vacuum model, and every N past it
 _OVERLAP_PAIRS = ((0j, 1.5j), (1.5j, 0j), (0.5, 0.5), (0.1, 3.0), (0.5 + 0.2j, 1.1), (20.0, 20.0), (60.0, 60.0))
@@ -198,6 +210,7 @@ def _calls():
         for scheme in continuum.SCHEMES:
             yield f"nu_bicomplex/shift/{w!r}/{scheme}", continuum.nu_bicomplex, (bc, Hyperbolic(*w), scheme), {}
     yield from _series_calls(models)
+    yield from _measure_calls(models, bc)
     for seed in SEEDS:
         yield f"sample_fingerprint/{seed}", acceptance._sample_fingerprint, (seed,), {}
         for r in acceptance.run_all(seed=seed):
@@ -210,8 +223,8 @@ def _series_calls(models):
 
     from fwstates import coherent
     from fwstates.bicomplex import Hyperbolic, compose_idempotent
-    from fwstates.foxwright import FWParams, evaluate
-    from fwstates.foxwright_bc import BCFWParams
+    from fwstates.foxwright import FWParams, evaluate, radius
+    from fwstates.foxwright_bc import BCFWParams, classify
     from fwstates.foxwright_bc import evaluate as evaluate_bc
 
     rng = np.random.default_rng(_SERIES_SEED)
@@ -242,7 +255,23 @@ def _series_calls(models):
             lower=[(compose_idempotent(1.6, 2.2), Hyperbolic(1.0, 0.8))],
         ),
     }
+    for name, (upper, lower) in {**{k: v[:2] for k, v in _SERIES.items()}, **_GAUSS}.items():
+        yield f"radius/{name}", radius, (FWParams(upper, lower),), {}
+    yield "radius/divergent", radius, (FWParams([(1.0, 2.0)], [(1.5, 0.5)]),), {}
+    for name, model in models.items():
+        yield f"radius/model/{name}", radius, (model.params,), {}
+    bcs["bc-circle"] = BCFWParams(
+        upper=[(compose_idempotent(1.5, 1.5), Hyperbolic(2.0, 1.0))],
+        lower=[(compose_idempotent(1.0, 1.0), Hyperbolic(1.0, 1.0))],
+    )
+    bcs["bc-divergent"] = BCFWParams(
+        upper=[(compose_idempotent(1.5, 0.5 + 0.5j), Hyperbolic(2.5, 2.5))],
+        lower=[(compose_idempotent(1.0, 2.0), Hyperbolic(1.0, 1.0))],
+    )
     for name, params in bcs.items():
+        yield f"classify/{name}", classify, (params,), {}
+    for name in ("bc-a", "bc-b"):
+        params = bcs[name]
         for _ in range(6):
             z1, z2 = (cmath.rect(4.0 * rng.uniform(0.0, 1.0), rng.uniform(-math.pi, math.pi)) for _ in range(2))
             Z = compose_idempotent(z1, z2)
@@ -255,6 +284,29 @@ def _series_calls(models):
             yield f"make_state/{name}/{z!r}", coherent.make_state, (model, z), {}
         for z, zp in _OVERLAP_PAIRS:
             yield f"overlap/{name}/{z!r},{zp!r}", coherent.overlap, (model, z, zp), {}
+
+
+def _measure_calls(models, bc):
+    """(id, fn, args, kwargs) for the measure's weight, kernel and moments."""
+    from fwstates import hfunction
+    from fwstates.bicomplex import Bicomplex, Hyperbolic
+    from fwstates.coherent import BCCoherentModel
+    from fwstates.foxwright_bc import BCFWParams
+
+    for name, model in models.items():
+        hp = hfunction.HWeightParams.from_model(model)
+        for x in _WEIGHT_XS:
+            yield f"weight/{name}/{x!r}", hfunction.weight, (model, x), {}
+            yield f"eval_h/{name}/{x!r}", hfunction.eval_h, (hp, x), {}
+        for k in _MOMENT_ORDERS:
+            yield f"moment_check/{name}/{k}", hfunction.moment_check, (model, k), {}
+    # the second model's component 2 has b = B, so its weight has no limit at x = 0
+    bcs = {"shift": bc, "mixed": BCCoherentModel(BCFWParams(
+        upper=[(1.0, Hyperbolic(1.0, 0.8))], lower=[(Bicomplex(2.0, 1.0), Hyperbolic(1.0, 1.0))]))}
+    for name, model in bcs.items():
+        for X in _RADIUS_PAIRS:
+            yield (f"measure_density_b/{name}/{X!r}",
+                   hfunction.measure_density_b, (model, Hyperbolic(*X)), {})
 
 
 def run_corpus() -> list[dict]:
