@@ -411,7 +411,8 @@ _TOO_LARGE = "series term exceeds the floating-point range; value not representa
 
 
 class _Sum(NamedTuple):
-    """A finished sum: value, terms used, its last (up to) three, Re(lambda) if capped."""
+    """A finished sum: value, terms used, its last three terms (a stop needs three
+    small ones, a capped sum has run MAX_TERMS), and Re(lambda) if capped."""
 
     value: complex
     used: int
@@ -420,13 +421,14 @@ class _Sum(NamedTuple):
 
     def result(self) -> EvalResult:
         """The EvalResult, with the majorant tail if capped, else the geometric estimate."""
-        mag_hist = [0.0] * (3 - self.recent.size) + [abs(t) for t in self.recent.tolist()]
-        _, prev, last = mag_hist
+        t0, t1, t2 = self.recent.tolist()
+        first, prev, last = abs(t0), abs(t1), abs(t2)
         if self.lam_re is not None:
             tail = last * self.used / (self.lam_re - 0.5)
         else:
             ratio = min(max(last / prev if prev > 0 else 0.5, 0.0), 0.9)
-            tail = max(4.0 * max(mag_hist) * ratio / (1.0 - ratio), max(mag_hist))
+            top = max(first, prev, last)
+            tail = max(4.0 * top * ratio / (1.0 - ratio), top)
         # Python floats and complex abs() give numpy scalars' bits; the record keeps np.float64
         return EvalResult(self.value, self.used, np.float64(tail))
 
@@ -440,32 +442,33 @@ def _check_sum(value, used: int, stopped: bool, z: complex, tol: float, lam_re) 
         raise MaxTermsExceeded(f"no convergence after {used} terms (tol={tol:g}, |z|={abs(z):.6g})")
 
 
+@np.errstate(under="ignore", over="ignore", invalid="ignore")
 def _lone_sum(cache: _ColumnCache, z: complex, log_z: complex, lam_re: float | None, tol: float) -> _Sum:
     """The series at one z, or raise its error: _block_sums's loop for one
     row, its state in locals, with the same blocks, terms, carried sums, stop
-    test and checks in the same order, so it gets the bits a row gets there."""
+    test and checks in the same order, so it gets the bits a row gets there.
+    Its errstate decorator, unlike a with block, builds no object per call."""
     carry, terms, streak, k0, block = 0j, None, 0, 0, 32
-    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        while k0 < MAX_TERMS:
-            end = min(k0 + block, MAX_TERMS)
-            logt = _block_terms(cache.upto(end), log_z, k0, end)
-            # ndarray.max without its Python wrapper; no NaN reaches logt
-            if np.maximum.reduce(logt.real) > 709.0:
-                raise OverflowError(_TOO_LARGE)
-            prev, terms = terms, np.exp(logt)
-            sums = terms.copy()
-            sums[0] += carry
-            sums = _cumsum(sums)
-            stop, streak = _streak_end(_abs(terms) <= tol * _abs(sums), streak)
-            if stop >= 0:
-                recent = terms[stop - 2 : stop + 1]
-                if stop < 2:  # the first recent terms are the last block's
-                    recent = np.concatenate((prev[stop - 2 :], terms[: stop + 1]))
-                value, used = sums[stop], k0 + stop + 1
-                _check_sum(value, used, True, z, tol, lam_re)
-                return _Sum(value, used, recent, None)
-            carry = sums[-1]
-            k0, block = end, min(2 * block, _BLOCK_CAP)
+    while k0 < MAX_TERMS:
+        end = min(k0 + block, MAX_TERMS)
+        logt = _block_terms(cache.upto(end), log_z, k0, end)
+        # ndarray.max without its Python wrapper; no NaN reaches logt
+        if np.maximum.reduce(logt.real) > 709.0:
+            raise OverflowError(_TOO_LARGE)
+        prev, terms = terms, np.exp(logt)
+        sums = terms.copy()
+        sums[0] += carry
+        sums = _cumsum(sums)
+        stop, streak = _streak_end(_abs(terms) <= tol * _abs(sums), streak)
+        if stop >= 0:
+            recent = terms[stop - 2 : stop + 1]
+            if stop < 2:  # the first recent terms are the last block's
+                recent = np.concatenate((prev[stop - 2 :], terms[: stop + 1]))
+            value, used = sums[stop], k0 + stop + 1
+            _check_sum(value, used, True, z, tol, lam_re)
+            return _Sum(value, used, recent, None)
+        carry = sums[-1]
+        k0, block = end, min(2 * block, _BLOCK_CAP)
     _check_sum(carry, MAX_TERMS, False, z, tol, lam_re)
     return _Sum(carry, MAX_TERMS, terms[-3:], lam_re)
 
@@ -500,6 +503,7 @@ class _RowSum:
         return self.value
 
 
+@np.errstate(under="ignore", over="ignore", invalid="ignore")
 def _block_sums(cache: _ColumnCache, log_zs: list) -> list[_RowSum]:
     """Sum _psi's series at each log z of log_zs in one pass; one _RowSum each.
 
@@ -516,33 +520,32 @@ def _block_sums(cache: _ColumnCache, log_zs: list) -> list[_RowSum]:
     live = rows
     carry = np.zeros(len(rows), dtype=complex)
     k0, block = 0, 32
-    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        while k0 < MAX_TERMS:
-            end = min(k0 + block, MAX_TERMS)
-            logt = _block_terms(cache.upto(end), log_z, k0, end)
-            # no NaN reaches logt, so the max tests what any() of the
-            # comparison would, faster
-            if logt.real.max() > 709.0:
-                past = (logt.real > 709.0).any(axis=1)
-                for i in np.flatnonzero(past):
-                    live[i].error = OverflowError(_TOO_LARGE)
-                logt[past] = complex(-math.inf, 0.0)
-            terms = np.exp(logt)
-            # the carried totals are added to the first terms, so the sums
-            # add in sequence from them
-            sums = terms.copy()
-            sums[:, 0] += carry
-            sums = _cumsum(sums, -1)
-            ok = _abs(terms) <= DEFAULT_TOL * _abs(sums)
-            keep = [i for i, row in enumerate(live) if not row.add(sums[i], ok[i])]
-            if not keep:
-                break
-            if len(keep) < len(live):
-                live = [live[i] for i in keep]
-                log_z = log_z[keep]
-                sums = sums[keep]
-            carry = sums[:, -1]
-            k0, block = end, min(2 * block, _BLOCK_CAP)
+    while k0 < MAX_TERMS:
+        end = min(k0 + block, MAX_TERMS)
+        logt = _block_terms(cache.upto(end), log_z, k0, end)
+        # no NaN reaches logt, so the max tests what any() of the
+        # comparison would, faster
+        if logt.real.max() > 709.0:
+            past = (logt.real > 709.0).any(axis=1)
+            for i in np.flatnonzero(past):
+                live[i].error = OverflowError(_TOO_LARGE)
+            logt[past] = complex(-math.inf, 0.0)
+        terms = np.exp(logt)
+        # the carried totals are added to the first terms, so the sums
+        # add in sequence from them
+        sums = terms.copy()
+        sums[:, 0] += carry
+        sums = _cumsum(sums, -1)
+        ok = _abs(terms) <= DEFAULT_TOL * _abs(sums)
+        keep = [i for i, row in enumerate(live) if not row.add(sums[i], ok[i])]
+        if not keep:
+            break
+        if len(keep) < len(live):
+            live = [live[i] for i in keep]
+            log_z = log_z[keep]
+            sums = sums[keep]
+        carry = sums[:, -1]
+        k0, block = end, min(2 * block, _BLOCK_CAP)
     return rows
 
 
@@ -774,8 +777,16 @@ def evaluate(
     truncated tail, without the rounding of the summed terms.  Off the
     circle a sum not stopped by then raises MaxTermsExceeded.
 
-    z must be finite.
+    z must be finite.  Checks and route are _evaluate's, which evaluate_bc
+    calls for each component's value alone, so it forms no tail.
     """
+    res = _evaluate(params, z, tol, allow_boundary)
+    return res.result() if isinstance(res, _Sum) else res
+
+
+def _evaluate(params: FWParams, z: complex, tol: float, allow_boundary: bool) -> EvalResult | _Sum:
+    """evaluate's checks and route, with no tail formed: the EvalResult at
+    z = 0 or of the Levin route, else the _Sum whose result() evaluate returns."""
     if not _check_real(tol, "tol") > 0:  # NaN fails this test too
         raise ValidationError("tol must be > 0")
     z = _check_finite_complex(z, "z")
@@ -800,7 +811,7 @@ def evaluate(
                 raise DomainViolation(f"boundary evaluation needs Re(lambda) > 1/2, got {lam_re:.6g}")
     log_z = cmath.log(z)
     res = _boundary_sum(cache, z, log_z) if lam_re is not None else None
-    return _lone_sum(cache, z, log_z, lam_re, tol).result() if res is None else res
+    return _lone_sum(cache, z, log_z, lam_re, tol) if res is None else res
 
 
 def as_pfq(params: FWParams):

@@ -36,13 +36,13 @@ from .foxwright import (
     DEFAULT_TOL,
     FWParams,
     _circle_side,
+    _evaluate,
     _radius_for_sign,
     _whole_number,
     boundary_exponent,
     margin_sign,
     radius,
 )
-from .foxwright import evaluate as evaluate_complex
 
 
 class Domain(enum.Enum):
@@ -241,7 +241,7 @@ def evaluate(
                     "mixed boundary point of the hyperbolic ball (one component on its "
                     "circle, one inside) is not covered by the convergence theorem"
                 )
-    r1, r2 = componentwise(evaluate_complex, params, Z, tol, allow_boundary)
+    r1, r2 = componentwise(_evaluate, params, Z, tol, allow_boundary)
     return Bicomplex(r1.value, r2.value)
 
 

@@ -9,6 +9,7 @@ from _frozen import gauss_psi, reference_evaluate_bc, series_length, takes_levin
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fwstates import foxwright
 from fwstates.bicomplex import Bicomplex, Hyperbolic, compose_idempotent
 from fwstates.errors import DomainViolation, FWError, ValidationError
 from fwstates.foxwright import FWParams
@@ -36,6 +37,7 @@ ENTIRE = _bc([(1.5, H(1, 1))], [(1.0, H(1, 1))])
 DISK1_PLANE2 = _bc([(1.5, H(2, 1))], [(1.0, H(1, 1))])
 BALL = _bc([(1.5, H(2, 2))], [(1.0, H(1, 1))])
 DIVERGENT = _bc([(1.5, H(3, 3))], [])
+BALL_LAMBDA = _bc([(0.8, H(2, 2))], [(2.0, H(1, 1))])
 
 
 def test_classify_entire():
@@ -290,6 +292,25 @@ def test_domain_violation_names_component():
         evaluate(_bc([(1.5, H(1, 2))], [(1.0, H(1, 1))]), Bicomplex(5.0, 0.3))
     with pytest.raises(DomainViolation, match="component 1"):
         evaluate(DISK1_PLANE2, Bicomplex(0.3, 5.0))
+
+
+@pytest.mark.parametrize(
+    "params, Z, allow_boundary",
+    [
+        (ENTIRE, Bicomplex(0.5 + 0.2j, -3.0 + 1.0j), False),
+        # on a ball with V = 0.25 and lambda = 1.2: a zero component, then the
+        # Levin route and the capped sum on the circles
+        (BALL_LAMBDA, Bicomplex(0.0, 0.1j), False),
+        (BALL_LAMBDA, Bicomplex(0.25 * cmath.exp(0.7j), 0.25 * cmath.exp(-0.01j)), True),
+    ],
+)
+def test_evaluate_reads_each_component_without_its_tail(params, Z, allow_boundary, monkeypatch):
+    # each component's evaluate value, bit for bit, with no tail estimate formed
+    want = [evaluate_c(params.component_params(p), Z.decompose()[p - 1], allow_boundary=allow_boundary).value
+            for p in (1, 2)]
+    monkeypatch.setattr(foxwright._Sum, "result", lambda self: pytest.fail("a tail was formed"))
+    got = evaluate(params, Z, allow_boundary=allow_boundary)
+    assert [repr(v) for v in got.decompose()] == [repr(complex(v)) for v in want]
 
 
 def test_region_membership():

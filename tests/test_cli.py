@@ -1,5 +1,6 @@
 """Command-line contract: output shapes, exit codes, determinism."""
 
+import argparse
 import json
 import math
 import os
@@ -685,6 +686,39 @@ def test_a_point_with_a_negative_real_part_is_a_value(files, capsys, argv, attac
     got = run_cli(capsys, *(files.get(a, a) for a in argv))
     assert got[0] == 0 and got[1] and got[2] == ""
     assert got == run_cli(capsys, *(files.get(a, a) for a in attached))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("nu", "eval", "--model", "shift", "--zeta", "-0.5,2"), "zeta must be >= 0"),
+        (("fw", "eval", "--params", "exp", "--z", "1", "--tol", "-1e-3"), "tol must be > 0"),
+        (("cs", "coeffs", "--params", "shift", "--z", "0.5", "--tail", "-1e-12"), "tail_target must be >= 0"),
+        (("nu", "eval", "--model", "shift", "--zeta", "1", "--abs-tol", "-1e-12"), "quadrature tolerances must be > 0"),
+    ],
+)
+def test_a_negative_option_value_gets_the_commands_refusal(files, capsys, argv, message):
+    # argparse took each value for an option: "expected one argument", exit 1
+    assert run_cli(capsys, *(files.get(a, a) for a in argv)) == (1, "", f"error: {message}\n")
+
+
+def test_every_option_but_the_flags_takes_one_value():
+    # main attaches a value that starts with "-" to any option not in _FLAGS
+    def actions(parser):
+        for action in parser._actions:
+            yield action
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from actions(sub)
+
+    flags = set()
+    for action in actions(cli.build_parser()):
+        longs = [opt for opt in action.option_strings if opt.startswith("--")]
+        if action.nargs == 0:
+            flags.update(longs)
+        else:
+            assert action.nargs is None or not longs
+    assert flags == set(cli._FLAGS)
 
 
 @pytest.mark.parametrize(

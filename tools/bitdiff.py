@@ -17,7 +17,10 @@ this file's corpus, so both sides make the same calls:
   Levin route or the capped sum runs; and its refusals: outside the
   radius, on the circle without allow_boundary, an upper pole, no
   convergence in MAX_TERMS terms, a term past the float range;
-- `evaluate_bc` on the benchmark's two bicomplex models;
+- `evaluate_bc` on the benchmark's two bicomplex models, and on one whose
+  components are the two Gauss models at a zero component, Levin and
+  capped circle points, outside the radius, on the circle without
+  allow_boundary and at a mixed boundary point;
 - `normalization`, `normalization_at`, `make_state` and `overlap` (its
   N(|z|^2) N(|z'|^2) past the float range among them);
 - `radius` on the series, Gauss, a divergent and the coherent models'
@@ -30,8 +33,8 @@ this file's corpus, so both sides make the same calls:
   among them;
 - the CLI's `nu eval` (gk and ts, comma lists, --zeta 800, the values
   near DBL_MAX), `measure check`, `fw eval`, `bcfw eval`, `cs coeffs`
-  and `cs overlap`, each in its own process: stdout, stderr and exit
-  code;
+  and `cs overlap`, each in its own process, option values that start
+  with "-" among them: stdout, stderr and exit code;
 - the acceptance battery at seeds 20260823 and 7: each criterion's
   verdict, detail (times cut out) and fingerprint, and the sample
   fingerprint.
@@ -92,6 +95,13 @@ _GAUSS_POINTS = (
     cmath.exp(0.3j), cmath.exp(1.0j), cmath.exp(2.5j), -1.0, cmath.exp(0.01j), cmath.exp(-0.005j),
     1.0, 1.0 - 5e-13, 0.5, 0.9 + 0.3j, 2.0, 0.9999,
 )
+# (z1, z2, allow_boundary) on the Gauss components: a zero component, Levin
+# phases, capped phases, outside, the circle without allow_boundary, mixed
+_GAUSS_BC_POINTS = (
+    (0j, 0.5 + 0.3j, False), (cmath.exp(1.0j), cmath.exp(2.5j), True),
+    (cmath.exp(0.01j), cmath.exp(-0.005j), True), (2.0, 0.5, False),
+    (cmath.exp(1.0j), cmath.exp(0.3j), False), (cmath.exp(1.0j), 0.5, True),
+)
 # points in every series model's domain: zero, tiny, and where terms pass the float range
 _TINY_POINTS = (0j, 1e-200, 1e-300j, 5e-324)
 _COHERENT_ZETAS = (0.0, 1e-300, 0.4, 9.0, 60.0, 800.0)
@@ -138,6 +148,10 @@ _CLI = [
     ("fw", "eval", "--params", "GAUSS", "--z", "0.9999"),
     ("bcfw", "eval", "--params", "BC", "--z", "0.5,0,0.1,0"),
     ("bcfw", "eval", "--params", "BC", "--z", "1.5,-0.5"),
+    ("nu", "eval", "--model", "SHIFT", "--zeta", "-0.5,2"),
+    ("nu", "eval", "--model", "SHIFT", "--zeta", "1", "--abs-tol", "-1e-12"),
+    ("fw", "eval", "--params", "EXP", "--z", "1", "--tol", "-1e-3"),
+    ("cs", "coeffs", "--params", "SHIFT", "--z", "0.5", "--tail", "-1e-12"),
 ]
 _BC_FILE = (
     '{"upper": [{"value": {"z1": [1.2, 0.0], "z2": [0.8, 0.0]}, "weight": {"c1": 1.0, "c2": 0.9}}], '
@@ -276,6 +290,10 @@ def _series_calls(models):
             z1, z2 = (cmath.rect(4.0 * rng.uniform(0.0, 1.0), rng.uniform(-math.pi, math.pi)) for _ in range(2))
             Z = compose_idempotent(z1, z2)
             yield f"evaluate_bc/{name}/{z1!r},{z2!r}", evaluate_bc, (params, Z), {}
+    gauss = BCFWParams.from_components(*(FWParams(*pairs) for pairs in _GAUSS.values()))
+    for z1, z2, allow in _GAUSS_BC_POINTS:
+        yield (f"evaluate_bc/gauss/{z1!r},{z2!r}/allow_boundary={allow}",
+               evaluate_bc, (gauss, compose_idempotent(z1, z2)), {"allow_boundary": allow})
     for name, model in models.items():
         for zeta in _COHERENT_ZETAS:
             yield f"normalization/{name}/{zeta!r}", coherent.normalization, (model, zeta), {}
