@@ -48,6 +48,10 @@ _streak_end, and their running sums are a cumsum from the carried total:
 they add in the order a per-term loop would, and the stop streak does not
 depend on where blocks start or end, so block length moves no bit of the
 value, the terms used or the tail, and each row gets its own call's bits.
+Blocks hold 32, 64, 128, ... terms up to _BLOCK_CAP.  Where a parameter
+set's _merge_threshold shows that the first 32 terms cannot hold the
+stop, evaluate's first block holds 96, the first two as one, which
+spares it a pass through the loop's fixed numpy cost.
 
 On the circle |z| = V with allow_boundary, evaluate first tries Levin
 u transforms (_boundary_sum): two windows of 31 partial sums from the
@@ -95,7 +99,7 @@ MAX_TERMS = 10000
 _COLUMN_CACHE_SIZE = 32
 # columns per log_gamma_vec call when a column table grows
 _GROW_CHUNK = 512
-# evaluate's blocks double from 32 terms up to _BLOCK_CAP
+# series blocks double from 32 terms up to _BLOCK_CAP
 _BLOCK_CAP = 512
 
 # the boundary route: Levin u transforms of orders up to _LEVIN_ORDER, a
@@ -269,15 +273,17 @@ class _Columns(NamedTuple):
 
 class _ColumnCache:
     """The record of one FWParams: its radius, its columns, grown on demand
-    to the block end asked for, and its Levin plan (_boundary_plan)."""
+    to the block end asked for, its Levin plan (_boundary_plan) and the
+    log|z| past which evaluate merges its first two blocks (_merge_threshold)."""
 
-    __slots__ = ("params", "radius", "cols", "plan", "off", "wt")
+    __slots__ = ("params", "radius", "cols", "plan", "merge", "off", "wt")
 
     def __init__(self, params: FWParams):
         self.params = params
         self.radius = _radius_for_sign(params, margin_sign(params))
         self.cols = None  # no record until the first growth
         self.plan = _UNBUILT
+        self.merge = None  # _merge_threshold, formed by the first lone sum evaluate runs
         # offsets and weights of the gamma arguments k+1, a_l + k A_l, b_r + k B_r;
         # coherent._log_rho_vec reads them too
         pairs = ((1.0, 1.0),) + params.upper + params.lower
@@ -442,13 +448,48 @@ def _check_sum(value, used: int, stopped: bool, z: complex, tol: float, lam_re) 
         raise MaxTermsExceeded(f"no convergence after {used} terms (tol={tol:g}, |z|={abs(z):.6g})")
 
 
+def _merge_threshold(cache: _ColumnCache) -> float:
+    """The log|z| past which no sum of the entry's series at tol <= DEFAULT_TOL
+    stops within its first 32 terms, so that evaluate sums them with the
+    next 64 as one block; inf where that is not shown.
+
+    Term j fails the stop test when |t_j| > 32 DEFAULT_TOL |t_i| for every
+    i < j, since |S_j| <= (j + 1) max |t_i| over i <= j.  With l_k the log
+    modulus of t_k at |z| = 1, that holds for log|z| above rho_j, the
+    largest (log(32 DEFAULT_TOL) + l_i - l_j) / (j - i); a stop at k <= 31
+    needs terms k - 2, k - 1 and k to pass, so none comes past the largest
+    over k of min(rho_k-2, rho_k-1, rho_k).  inf where MAX_TERMS < 96,
+    which keeps the table within MAX_TERMS; where a lower pole lies below
+    k = 32; and where an upper parameter has Re a <= POLE_TOL, so that no
+    upper pole in the merged block is raised before the first block's
+    overflow.
+    """
+    if MAX_TERMS < 96 or any(a.real <= POLE_TOL for a, _ in cache.params.upper):
+        return math.inf
+    cols = cache.upto(32)
+    if any(first is not None and first < 32 for first in cols.lower_first_pole):
+        return math.inf
+    ell = _block_terms(cols, 0.0, 0, 32).real
+    k = cols.k[:32]
+    gap = k[:, None] - k  # j - i in row j, column i
+    rho = np.divide(
+        math.log(32.0 * DEFAULT_TOL) + ell - ell[:, None], gap, out=np.full((32, 32), -math.inf), where=gap > 0
+    ).max(axis=1)
+    return float(np.minimum(np.minimum(rho[:-2], rho[1:-1]), rho[2:]).max())
+
+
 @np.errstate(under="ignore", over="ignore", invalid="ignore")
-def _lone_sum(cache: _ColumnCache, z: complex, log_z: complex, lam_re: float | None, tol: float) -> _Sum:
+def _lone_sum(
+    cache: _ColumnCache, z: complex, log_z: complex, lam_re: float | None, tol: float, first: int = 32
+) -> _Sum:
     """The series at one z, or raise its error: _block_sums's loop for one
-    row, its state in locals, with the same blocks, terms, carried sums, stop
-    test and checks in the same order, so it gets the bits a row gets there.
-    Its errstate decorator, unlike a with block, builds no object per call."""
-    carry, terms, streak, k0, block = 0j, None, 0, 0, 32
+    row, its state in locals, with the same terms, carried sums, stop test
+    and checks in the same order, so it gets the bits a row gets there.
+    Its blocks are those of _block_sums, except that a first block of 96
+    (evaluate's where _merge_threshold shows no stop below k = 32) takes
+    the first two as one; block length moves no bit.  Its errstate
+    decorator, unlike a with block, builds no object per call."""
+    carry, terms, streak, k0, block = 0j, None, 0, 0, first
     while k0 < MAX_TERMS:
         end = min(k0 + block, MAX_TERMS)
         logt = _block_terms(cache.upto(end), log_z, k0, end)
@@ -468,7 +509,8 @@ def _lone_sum(cache: _ColumnCache, z: complex, log_z: complex, lam_re: float | N
             _check_sum(value, used, True, z, tol, lam_re)
             return _Sum(value, used, recent, None)
         carry = sums[-1]
-        k0, block = end, min(2 * block, _BLOCK_CAP)
+        # 32, 64, 128, ...: each block holds 32 terms more than all before it
+        k0, block = end, min(end + 32, _BLOCK_CAP)
     _check_sum(carry, MAX_TERMS, False, z, tol, lam_re)
     return _Sum(carry, MAX_TERMS, terms[-3:], lam_re)
 
@@ -786,7 +828,9 @@ def evaluate(
 
 def _evaluate(params: FWParams, z: complex, tol: float, allow_boundary: bool) -> EvalResult | _Sum:
     """evaluate's checks and route, with no tail formed: the EvalResult at
-    z = 0 or of the Levin route, else the _Sum whose result() evaluate returns."""
+    z = 0 or of the Levin route, else the _Sum whose result() evaluate returns.
+    At tol <= DEFAULT_TOL past the entry's _merge_threshold, which the first
+    such call forms, the sum's first block takes 96 terms."""
     if not _check_real(tol, "tol") > 0:  # NaN fails this test too
         raise ValidationError("tol must be > 0")
     z = _check_finite_complex(z, "z")
@@ -811,7 +855,12 @@ def _evaluate(params: FWParams, z: complex, tol: float, allow_boundary: bool) ->
                 raise DomainViolation(f"boundary evaluation needs Re(lambda) > 1/2, got {lam_re:.6g}")
     log_z = cmath.log(z)
     res = _boundary_sum(cache, z, log_z) if lam_re is not None else None
-    return _lone_sum(cache, z, log_z, lam_re, tol) if res is None else res
+    if res is not None:
+        return res
+    if tol <= DEFAULT_TOL and cache.merge is None:
+        cache.merge = _merge_threshold(cache)
+    first = 96 if tol <= DEFAULT_TOL and log_z.real > cache.merge else 32
+    return _lone_sum(cache, z, log_z, lam_re, tol, first)
 
 
 def as_pfq(params: FWParams):

@@ -478,6 +478,19 @@ _PAIRS = st.lists(st.tuples(_VALUES, _WEIGHTS), max_size=2)
     max_terms=st.sampled_from([2, 40, 10000]),
     allow_boundary=st.booleans(),
 )
+# past their thresholds, so the first two blocks are taken as one: exp at
+# 5+2j, Wright at 16 and the benchmark's tight model at 3.5
+@example(
+    upper=[(1.0, 1.0)], lower=[(1.0, 1.0)], scale=abs(5 + 2j) / 40.0, angle=cmath.phase(5 + 2j),
+    tol=1e-15, max_terms=10000, allow_boundary=False,
+)
+@example(
+    upper=[(1.3, 0.8)], lower=[(2.1, 1.1)], scale=0.4, angle=0.0, tol=1e-15, max_terms=10000, allow_boundary=False
+)
+@example(
+    upper=[(0.7 + 0.4j, 0.9), (1.1, 0.6)], lower=[(1.9 - 0.2j, 0.9)], scale=3.5 / 40.0, angle=0.0,
+    tol=1e-15, max_terms=10000, allow_boundary=False,
+)
 def test_block_kernel_matches_per_term_loop_random(
     upper, lower, scale, angle, tol, max_terms, allow_boundary
 ):
@@ -691,9 +704,10 @@ def test_long_sums_with_an_upper_pole_match_reference(pole_k, scale, angle, tol)
 
 
 def test_long_boundary_sum_blocks_stop_doubling_at_512(monkeypatch):
-    # 10,000 terms in blocks of 32 .. 512, then 17 more of 512 and one of
-    # 304, each with the two magnitude passes of the stop test; the phase
-    # lies below _LEVIN_MIN_PHASE, so the capped sum runs
+    # 10,000 terms in blocks of 96 (the first two taken as one), 128, 256
+    # and 512, then 17 more of 512 and one of 304, each with the two
+    # magnitude passes of the stop test; the phase lies below
+    # _LEVIN_MIN_PHASE, so the capped sum runs
     calls = []
 
     def counted(x):
@@ -706,7 +720,105 @@ def test_long_boundary_sum_blocks_stop_doubling_at_512(monkeypatch):
     want = repr(evaluate(params, z, allow_boundary=True))
     monkeypatch.setattr(foxwright, "_abs", counted)
     assert repr(evaluate(params, z, allow_boundary=True)) == want
-    assert calls == [32, 32, 64, 64, 128, 128, 256, 256, 512, 512] + [512, 512] * 17 + [304, 304]
+    assert calls == [96, 96, 128, 128, 256, 256, 512, 512] + [512, 512] * 17 + [304, 304]
+
+
+EXP = FWParams(upper=[(1.0, 1.0)], lower=[(1.0, 1.0)])
+
+
+def _block_calls(monkeypatch, call):
+    """The (first k, end) of every _block_terms call that call() makes."""
+    calls = []
+    real = foxwright._block_terms
+
+    def recorded(cols, log_z, k0, end):
+        calls.append((k0, end))
+        return real(cols, log_z, k0, end)
+
+    monkeypatch.setattr(foxwright, "_block_terms", recorded)
+    call()
+    monkeypatch.undo()
+    return calls
+
+
+def test_a_sum_past_its_threshold_takes_its_first_two_blocks_as_one(monkeypatch):
+    # exp's first 32 terms cannot hold the stop past |z| = 4.82: at z = 5
+    # the sum takes 34 terms in one block of 96, at z = 2 it takes 24 in
+    # one block of 32; the first call forms the entry's threshold
+    _column_cache.cache_clear()
+    want = {z: repr(evaluate_per_term(EXP, z)) for z in (5.0, 2.0)}
+    assert repr(evaluate(EXP, 5.0)) == want[5.0]
+    assert math.exp(_column_cache(EXP).merge) == pytest.approx(4.8179, abs=1e-4)
+    for z, blocks in ((5.0, [(0, 96)]), (2.0, [(0, 32)])):
+        assert _block_calls(monkeypatch, lambda z=z: evaluate(EXP, z)) == blocks
+        assert repr(evaluate(EXP, z)) == want[z]
+
+
+@pytest.mark.parametrize(
+    "params, z, tol",
+    [
+        # a lower pole nulls term k = 1
+        (FWParams(upper=[(1.0, 1.0)], lower=[(-0.5, 0.5)]), 20.0, 1e-14),
+        # an upper pole at k = 32, past a term beyond the float range at
+        # k < 32: the overflow of the first block is raised, not the pole
+        (FWParams(upper=[(-0.4, 0.0125)], lower=[]), 1e13, 1e-14),
+        # a looser tol than DEFAULT_TOL
+        (EXP, 5.0, 1e-13),
+    ],
+)
+def test_poles_and_a_loose_tol_keep_a_first_block_of_32(params, z, tol, monkeypatch):
+    _column_cache.cache_clear()
+    want = _outcome(evaluate_per_term, params, z, tol=tol)
+    assert _outcome(evaluate, params, z, tol=tol) == want
+    calls = _block_calls(monkeypatch, lambda: _outcome(evaluate, params, z, tol=tol))
+    assert calls[0] == (0, 32)
+    assert _column_cache(params).merge == (None if tol > foxwright.DEFAULT_TOL else math.inf)
+
+
+def test_psi_keeps_a_first_block_of_32_and_evaluate_bc_merges(monkeypatch):
+    evaluate(EXP, 5.0)  # forms the threshold
+    calls = _block_calls(monkeypatch, lambda: foxwright._psi(EXP, [5.0]))
+    assert calls == [(0, 32), (32, 96)]
+    # component 1 lies past exp's threshold, component 2 short of it
+    bc = BCFWParams.from_components(EXP, EXP)
+    calls = _block_calls(monkeypatch, lambda: evaluate_bc(bc, compose_idempotent(5.0, 2.0)))
+    assert calls == [(0, 96), (0, 32)]
+
+
+_GRID_MODELS = {
+    "exp": (EXP, 30.0),
+    "wright": (FWParams(upper=[(1.3, 0.8)], lower=[(2.1, 1.1)]), 30.0),
+    "bessel": (FWParams(upper=[], lower=[(1.5, 0.5)]), 30.0),
+    "tight": (FWParams(upper=[(0.7 + 0.4j, 0.9), (1.1, 0.6)], lower=[(1.9 - 0.2j, 0.9)]), 20.0),
+    "gauss-a": (GAUSS_A, 0.99),
+    "gauss-b": (FWParams(upper=[(0.6, 1.0), (0.8, 1.0)], lower=[(1.9, 1.0)]), 0.99),
+    "bc-a/1": (FWParams(upper=[(1.2, 1.0)], lower=[(2.0, 1.1)]), 30.0),
+    "bc-a/2": (FWParams(upper=[(0.8, 0.9)], lower=[(2.5, 1.3)]), 30.0),
+    "bc-b/1": (FWParams(upper=[(0.9 + 0.2j, 0.7)], lower=[(1.6, 1.0)]), 30.0),
+    "bc-b/2": (FWParams(upper=[(1.4, 1.2)], lower=[(2.2, 0.8)]), 30.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_GRID_MODELS))
+def test_every_merged_sum_needs_more_than_32_terms(name, monkeypatch):
+    # the benchmark's series models, Gauss models and bicomplex components
+    # on 20 moduli up to r times 20 phases
+    params, r = _GRID_MODELS[name]
+    sums = []
+    real = foxwright._lone_sum
+
+    def recorded(*args):
+        res = real(*args)
+        sums.append((args[-1], res.used))
+        return res
+
+    monkeypatch.setattr(foxwright, "_lone_sum", recorded)
+    for modulus in np.linspace(r / 20, r, 20):
+        for phase in np.linspace(-math.pi, math.pi, 20, endpoint=False):
+            evaluate(params, cmath.rect(modulus, phase))
+    assert len(sums) == 400
+    assert all(used > 32 for first, used in sums if first == 96)
+    assert any(first == 96 for first, _ in sums)
 
 
 def _column_bytes(cols):
