@@ -1,7 +1,8 @@
-"""The pair runner's summary arithmetic and gain-rule verdict, on fixed
-result lines; no benchmark runs."""
+"""The pair runner's summary arithmetic, gain-rule verdict and failed
+table, on fixed result lines; no benchmark runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -113,3 +114,43 @@ def test_unequal_failures_show_in_the_summary_and_the_verdict_lines():
 @pytest.mark.parametrize("text, seeds", [("7", [7]), ("3901-3904", [3901, 3902, 3903, 3904])])
 def test_seed_ranges(text, seeds):
     assert benchpairs._seeds(text) == seeds
+
+
+def _doc(failed_by_set):
+    """A runner-written file whose sets hold pairs with these (parent, change) failed counts."""
+    return {
+        "runs": {
+            name: {key: {"parent": _line(60.0, 1.0, p), "change": _line(60.0, 1.0, c)}
+                   for key, (p, c) in pairs.items()}
+            for name, pairs in failed_by_set.items()
+        }
+    }
+
+
+def test_failed_table_gives_median_and_range_per_workload_and_side():
+    old = _doc({
+        "claim": {"series-1": (438, 437), "series-2": (433, 442), "series-3": (440, 440)},
+        "others": {"states-1": (14, 9), "states-2": (7, 21)},
+    })
+    new = _doc({"no-regression": {"states-5": (3, 3)}, "claim": {"measure-5": (0, 1)}})
+    assert benchpairs.failed_table({"BENCH_44.json": old, "BENCH_45.json": new}) == [
+        "| workload | BENCH_44.json parent | BENCH_44.json change | BENCH_45.json parent | BENCH_45.json change |",
+        "|---|---|---|---|---|",
+        "| `series` | 438 (433–440) | 440 (437–442) | – | – |",
+        "| `states` | 10.5 (7–14) | 15 (9–21) | 3 (3–3) | 3 (3–3) |",
+        "| `measure` | – | – | 0 (0–0) | 1 (1–1) |",
+    ]
+
+
+def test_failed_table_from_the_command_line(tmp_path, capsys):
+    paths = [tmp_path / "BENCH_1.json", tmp_path / "BENCH_2.json"]
+    for path, failed in zip(paths, (4, 5)):
+        path.write_text(json.dumps(_doc({"claim": {"measure-7": (failed, failed)}})), encoding="utf-8")
+    assert benchpairs.main(["--failed-table", *map(str, paths)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "| `measure` | 4 (4–4) | 4 (4–4) | 5 (5–5) | 5 (5–5) |"
+    # an older layout, whose runs are not sets of pairs, is refused
+    paths[0].write_text(json.dumps({"runs": {"measure": [1.0, 2.0]}}), encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        benchpairs.main(["--failed-table", *map(str, paths)])
+    assert exc.value.code == 2
+    assert "BENCH_38.json onward" in capsys.readouterr().err

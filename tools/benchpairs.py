@@ -28,6 +28,13 @@ median moved the wrong way by more than its bound in BENCHMARK.json is
 past its bound, and one whose parent IQR is wider than that bound is
 unresolved.  cold_start_s has no bound in BENCHMARK.json and gets no
 verdict.
+
+    python3 tools/benchpairs.py --failed-table BENCH_44.json BENCH_45.json
+
+prints ROADMAP's Priority table instead: for each workload, the median
+and range of `failed` on each side of every pair in each of two files
+this script wrote (BENCH_38.json onward; the earlier files have other
+layouts), as markdown rows.  It runs no benchmark.
 """
 
 from __future__ import annotations
@@ -178,6 +185,28 @@ def verdict_lines(summary: dict, spec: dict) -> list[str]:
     return lines
 
 
+def failed_table(docs: dict[str, dict]) -> list[str]:
+    """The markdown rows of the failed table: per workload, a cell
+    "median (min-max)" for each side of each file, over all its sets;
+    docs maps a file name to the file's contents."""
+    sides = ("parent", "change")
+    counts: dict[str, dict[tuple[str, str], list[int]]] = {}
+    for name, doc in docs.items():
+        for pairs in doc["runs"].values():
+            for key, pair in pairs.items():
+                cells = counts.setdefault(key.rsplit("-", 1)[0], {})
+                for side in sides:
+                    cells.setdefault((name, side), []).append(pair[side]["failed"])
+    heads = [f"{name} {side}" for name in docs for side in sides]
+    lines = ["| workload | " + " | ".join(heads) + " |", "|---" * (len(heads) + 1) + "|"]
+    for workload, cells in counts.items():
+        row = [cells.get((name, side)) for name in docs for side in sides]
+        lines.append(f"| `{workload}` | " + " | ".join(
+            f"{statistics.median(v):g} ({min(v)}–{max(v)})" if v else "–" for v in row
+        ) + " |")
+    return lines
+
+
 def benchmark_spec() -> tuple[int, dict[str, tuple[str, float]]]:
     """BENCHMARK.json's run_seconds, and {metric: (better, bound)} from its end_to_end list."""
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -191,14 +220,27 @@ def _seeds(text: str) -> list[int]:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
-    ap.add_argument("--parent", required=True, help="revision of the parent side")
+    ap.add_argument("--parent", help="revision of the parent side")
     ap.add_argument("--change", default="HEAD", help="revision of the change side (default HEAD)")
-    ap.add_argument("--workload", action="append", required=True, help="perfbench workload; repeatable")
-    ap.add_argument("--seeds", required=True, type=_seeds, help="a seed or an inclusive range, as 3901-3910")
-    ap.add_argument("--set", required=True, help="name of this set of pairs in --out")
-    ap.add_argument("--out", required=True, type=Path, help="BENCH_<pr>.json to add the set to")
+    ap.add_argument("--workload", action="append", help="perfbench workload; repeatable")
+    ap.add_argument("--seeds", type=_seeds, help="a seed or an inclusive range, as 3901-3910")
+    ap.add_argument("--set", help="name of this set of pairs in --out")
+    ap.add_argument("--out", type=Path, help="BENCH_<pr>.json to add the set to")
     ap.add_argument("--about", help="the file's about text; kept from --out when not given")
+    ap.add_argument("--failed-table", nargs=2, type=Path, metavar=("OLD", "NEW"),
+                    help="print the failed table of two files this script wrote, and run nothing")
     args = ap.parse_args(argv)
+    if args.failed_table:
+        docs = {path.name: json.loads(path.read_text(encoding="utf-8")) for path in args.failed_table}
+        try:
+            lines = failed_table(docs)
+        except (KeyError, TypeError, AttributeError) as exc:
+            ap.error(f"not a file of this script's layout (BENCH_38.json onward): {exc!r}")
+        print("\n".join(lines))
+        return 0
+    missing = [opt for opt in ("parent", "workload", "seeds", "set", "out") if getattr(args, opt) is None]
+    if missing:
+        ap.error("the following arguments are required: " + ", ".join(f"--{opt}" for opt in missing))
 
     seconds, spec = benchmark_spec()
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}

@@ -16,7 +16,9 @@ this file's corpus, so both sides make the same calls:
   its two Gauss models at interior points and on the circle, where the
   Levin route or the capped sum runs; and its refusals: outside the
   radius, on the circle without allow_boundary, an upper pole, no
-  convergence in MAX_TERMS terms, a term past the float range;
+  convergence in MAX_TERMS terms, a term past the float range; and on
+  each of these six models just inside and just past the |z| beyond
+  which its first two blocks are one, at tol 1e-14, 1e-15 and 1e-13;
 - `evaluate_bc` on the benchmark's two bicomplex models, and on one whose
   components are the two Gauss models at a zero component, Levin and
   capped circle points, outside the radius, on the circle without
@@ -32,8 +34,9 @@ this file's corpus, so both sides make the same calls:
   `measure_density_b` on two bicomplex models, a radius pair outside D+
   among them;
 - the CLI's `nu eval` (gk and ts, comma lists, --zeta 800, the values
-  near DBL_MAX), `measure check`, `fw eval`, `bcfw eval`, `cs coeffs`
-  and `cs overlap`, each in its own process, option values that start
+  near DBL_MAX), `measure check`, `fw eval`, `fw radius`, `bcfw eval`,
+  `bcfw classify`, `bcfw region`, `cs coeffs`, `cs overlap` and
+  `cs verify --random 1`, each in its own process, option values that start
   with "-" among them: stdout, stderr and exit code;
 - the acceptance battery at seeds 20260823 and 7: each criterion's
   verdict, detail (times cut out) and fingerprint, and the sample
@@ -102,6 +105,19 @@ _GAUSS_BC_POINTS = (
     (cmath.exp(0.01j), cmath.exp(-0.005j), True), (2.0, 0.5, False),
     (cmath.exp(1.0j), cmath.exp(0.3j), False), (cmath.exp(1.0j), 0.5, True),
 )
+# per series and Gauss model, a point just inside and one just past the
+# |z| beyond which its first 32 terms cannot hold the stop, so that
+# evaluate takes its first two blocks as one (4.818, 15.31, 14.40, 1.490,
+# 0.4710 and 0.4510), and the tolerances they run at
+_THRESHOLD_POINTS = {
+    "exp": (4.4287 + 1.8724j, 4.4465 - 1.8799j),
+    "wright": (14.077 + 5.9519j, 14.134 - 5.9757j),
+    "bessel": (13.241 + 5.598j, 13.294 - 5.6205j),
+    "tight": (1.3692 + 0.5789j, 1.3747 - 0.58122j),
+    "gauss-a": (0.43295 + 0.18305j, 0.43468 - 0.18378j),
+    "gauss-b": (0.41454 + 0.17526j, 0.4162 - 0.17597j),
+}
+_THRESHOLD_TOLS = (1e-14, 1e-15, 1e-13)
 # points in every series model's domain: zero, tiny, and where terms pass the float range
 _TINY_POINTS = (0j, 1e-200, 1e-300j, 5e-324)
 _COHERENT_ZETAS = (0.0, 1e-300, 0.4, 9.0, 60.0, 800.0)
@@ -113,7 +129,7 @@ _RADIUS_PAIRS = ((0.0, 0.0), (1.5, 0.7), (0.2, 9.0), (-1.0, 1.0))
 # overlap pairs: one nonzero argument, equal points, N(|z|^2) N(|z'|^2)
 # past the float range on the vacuum model, and every N past it
 _OVERLAP_PAIRS = ((0j, 1.5j), (1.5j, 0j), (0.5, 0.5), (0.1, 3.0), (0.5 + 0.2j, 1.1), (20.0, 20.0), (60.0, 60.0))
-# CLI commands; VACUUM, SHIFT, EXP, GAUSS and BC stand for parameter files the run writes
+# CLI commands; VACUUM, SHIFT, EXP, GAUSS, BC and BCBALL stand for parameter files the run writes
 _CLI = [
     ("nu", "eval", "--model", "SHIFT", "--zeta", "0.5,2.5,9", "--scheme", "gk"),
     ("nu", "eval", "--model", "SHIFT", "--zeta", "0.5,2.5,9", "--scheme", "ts"),
@@ -152,10 +168,21 @@ _CLI = [
     ("nu", "eval", "--model", "SHIFT", "--zeta", "1", "--abs-tol", "-1e-12"),
     ("fw", "eval", "--params", "EXP", "--z", "1", "--tol", "-1e-3"),
     ("cs", "coeffs", "--params", "SHIFT", "--z", "0.5", "--tail", "-1e-12"),
+    ("fw", "radius", "--params", "GAUSS"),
+    ("fw", "radius", "--params", "EXP"),
+    ("bcfw", "classify", "--params", "BC"),
+    ("bcfw", "classify", "--params", "BCBALL"),
+    ("bcfw", "region", "--params", "BCBALL", "--r1-max", "0.5", "--r2-max", "0.5", "--n1", "3", "--n2", "3"),
+    ("cs", "verify", "--params", "SHIFT", "--random", "1"),
 ]
 _BC_FILE = (
     '{"upper": [{"value": {"z1": [1.2, 0.0], "z2": [0.8, 0.0]}, "weight": {"c1": 1.0, "c2": 0.9}}], '
     '"lower": [{"value": {"z1": [2.0, 0.0], "z2": [2.5, 0.0]}, "weight": {"c1": 1.1, "c2": 1.3}}]}\n'
+)
+# both components' weights 2 over 1: a hyperbolic ball of radii 0.25
+_BCBALL_FILE = (
+    '{"upper": [{"value": {"z1": [1.5, 0.0], "z2": [1.5, 0.0]}, "weight": {"c1": 2.0, "c2": 2.0}}], '
+    '"lower": [{"value": {"z1": [1.0, 0.0], "z2": [1.0, 0.0]}, "weight": {"c1": 1.0, "c2": 1.0}}]}\n'
 )
 _TIMES = re.compile(r"\d+(\.\d+)?s\b")
 
@@ -249,6 +276,11 @@ def _series_calls(models):
         for z in right + left + list(_TINY_POINTS):
             yield f"evaluate/{name}/{z!r}", evaluate, (params, z), {}
         yield f"evaluate/{name}/{right[0]!r}/tol=1e-6", evaluate, (params, right[0]), {"tol": 1e-6}
+    for name, points in _THRESHOLD_POINTS.items():
+        params = FWParams(*{**_SERIES, **_GAUSS}[name][:2])
+        for z in points:
+            for tol in _THRESHOLD_TOLS:
+                yield f"evaluate/{name}/{z!r}/tol={tol!r}", evaluate, (params, z), {"tol": tol}
     exp = FWParams(*_SERIES["exp"][:2])
     for z in (800.0, 1e6):
         yield f"evaluate/exp/{z!r}", evaluate, (exp, z), {}
@@ -337,6 +369,7 @@ def run_corpus() -> list[dict]:
             "EXP": '{"upper": [[1.0, 0.0, 1.0]], "lower": [[1.0, 0.0, 1.0]]}\n',
             "GAUSS": '{"upper": [[0.5, 0.0, 1.0], [0.7, 0.0, 1.0]], "lower": [[2.0, 0.0, 1.0]]}\n',
             "BC": _BC_FILE,
+            "BCBALL": _BCBALL_FILE,
         }
         files = {key: Path(tmp) / f"{key.lower()}.json" for key in texts}
         for key, text in texts.items():
