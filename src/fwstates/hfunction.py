@@ -17,10 +17,11 @@ The contour integrand decays like exp(-(pi/2)(1+sum B-sum A)|t|), so a
 trapezoid rule on a truncated line converges spectrally; the line is cut
 at the first height T = 8 * 1.5^j where the integrand has fallen to 1e-18
 of its on-axis value.  Its trapezoid levels double from _FIRST_N = 128
-up to MAX_NODES, each a finished, read-only array (_level).
-ContourConfig sets only the abscissa offset.  A line whose abscissa is
-a zero of M (a pole of an upper gamma) has no scale to decay from, so
-that line alone moves half an offset right, and fails if M vanishes there.
+up to MAX_NODES, each a finished, read-only record (_Level, which _level
+keeps).  ContourConfig sets only the abscissa offset.  A line whose
+abscissa is a zero of M (a pole of an upper gamma) has no scale to decay
+from, so that line alone moves half an offset right, and fails if M
+vanishes there.
 
 The log-gamma work comes in few, large calls, because each call has a
 fixed cost that small arrays do not repay: a new line tests M(c) and its
@@ -41,6 +42,22 @@ complex sums, forms the phase as t * (-1j log x), reduces with
 np.add.reduce, reads each level's roundoff floor, formed by
 np.trapezoid's arithmetic when the level was built, and enters
 np.errstate only where H(x) may underflow.
+
+A level's record holds what that loop reads of it, its new nodes: all
+129 of the first level, the n/2 odd ones of each level above.  Their
+values and their heights, the heights held as complex t + 0j (the cast
+t * phase would make), are contiguous, so a warm doubling step reads no
+strided view and casts nothing.  It also holds what the next level's
+build reads: c, log M(c), T, and |values| over all n+1 nodes, which the
+next level interleaves with |its new values| to form its floor.  So a
+kept level of n above the first holds 24n + 8 bytes of arrays, 16 fewer
+than its full values and float heights would.  The first holds 24 * 129,
+as they would, besides its complex heights, which it shares with every
+line cut at the same T (_first_heights keeps the 128 most recent such
+grids; a measure run sees about a dozen T).  Most kept levels are first
+levels, as most H values converge on level 128: a line kept from 128 to
+1024 nodes holds 46,128 bytes of arrays of its own, against 46,176, and
+with its first level's heights 48,192.
 
 Five bounded LRU caches hold what depends only on the parameters: the
 256 most recent models' parameter blocks (`_model_block`, which
@@ -109,6 +126,7 @@ _FIRST_N = 128  # a line's first level; its stride-2 view is the 64-interval lev
 _MOMENT_CACHE = 256  # (parameter set, k) pairs whose moment_check result is kept
 _LEVEL_CACHE = 320  # contour levels kept, each keyed on (block, contour, abscissa level, n)
 _PAIR_CACHE = 256  # (block, contour) pairs whose _h_line calls are counted
+_HEIGHTS_CACHE = 128  # first-level height grids kept; T = 8 * 1.5^j takes at most 120 values per n
 
 
 def _real_pairs(pairs, side: str) -> tuple[tuple[float, float], ...]:
@@ -262,16 +280,40 @@ def _truncation(hp: HWeightParams, c: float) -> tuple[float, float | None]:
     raise ContourFailure("could not truncate the contour; kernel decays too slowly")
 
 
+@np.errstate(under="ignore")
 def _scaled(hp: HWeightParams, c: float, log_m0: float, t: np.ndarray) -> np.ndarray:
-    """M(c + it) / M(c) at the heights t."""
-    with np.errstate(under="ignore"):
-        return np.exp(_log_mellin_vec(hp, c + 1j * t) - log_m0)
+    """M(c + it) / M(c) at the heights t, float or complex t + 0j: 1j * t
+    casts a float t to t + 0j.  Its errstate decorator, unlike a with
+    block, builds no object per call."""
+    return np.exp(_log_mellin_vec(hp, c + 1j * t) - log_m0)
 
 
-def _build_level(hp: HWeightParams, cc: ContourConfig, level: int, n: int, below) -> tuple:
-    """Level n of this abscissa level's line: (c, log M(c), T, vals, t,
-    floor), with the node values vals = M(c + it) / M(c) on t = _grid(T,
-    n), read-only, and the roundoff floor of their node sum.
+@lru_cache(maxsize=_HEIGHTS_CACHE)
+def _first_heights(T: float, n: int) -> np.ndarray:
+    """_grid(T, n) as complex t + 0j, read-only: the heights of a first
+    level, one array for every line cut at T."""
+    t = _grid(T, n) + 0j
+    t.flags.writeable = False
+    return t
+
+
+class _Level(NamedTuple):
+    """Level n of a line Re s = c: its new nodes, all n+1 on a first level
+    and the n/2 odd ones above it, as values M(c + it) / M(c) and heights
+    t + 0j; |values| over all n+1 nodes; and their sum's roundoff floor.
+    Every array is contiguous and read-only."""
+
+    c: float
+    log_m0: float
+    T: float
+    floor: float
+    vals: np.ndarray
+    t: np.ndarray
+    mags: np.ndarray
+
+
+def _build_level(hp: HWeightParams, cc: ContourConfig, level: int, n: int, below: _Level | None) -> _Level:
+    """Level n of this abscissa level's line, built on the level below.
 
     Node values are scaled by the on-axis peak M(c), so they stay inside
     float range even when the shifted abscissa makes M(c) astronomically
@@ -279,7 +321,9 @@ def _build_level(hp: HWeightParams, cc: ContourConfig, level: int, n: int, below
     (below is None) is n = _FIRST_N: it runs the height search, and if
     that finds M(c) = 0 it moves the line half an offset right, once.  Each
     further level takes the level below, level n/2, as its even nodes,
-    since _grid gives (2m)(T/2n) == m(T/n), and forms only its odd ones.
+    since _grid gives (2m)(T/2n) == m(T/n), and forms only its odd ones;
+    its mags interleave the level below's with theirs, as np.abs of the
+    interleaved values would give them.
     """
     if below is None:
         cs = [hp._right + shift * cc.c_offset + _ABSCISSA_STEP * level for shift in (1.0, 1.5)]
@@ -289,23 +333,24 @@ def _build_level(hp: HWeightParams, cc: ContourConfig, level: int, n: int, below
                 break
         else:
             raise ContourFailure(f"M(s) vanishes on both abscissae, Re s = {cs[0]:g} and {cs[1]:g}")
-        t = _grid(T, n)
+        t = _first_heights(T, n)
         vals = _scaled(hp, c, log_m0, t)
+        mags = np.abs(vals)
     else:
-        c, log_m0, T, below_vals, _, _ = below
-        t = _grid(T, n)
-        vals = np.empty(n + 1, dtype=complex)
-        vals[0::2] = below_vals
-        vals[1::2] = _scaled(hp, c, log_m0, t[1::2])
-    vals.flags.writeable = t.flags.writeable = False
-    a = np.abs(vals)
-    # 16 eps np.trapezoid(a, dx=T/n), its arithmetic inline
-    floor = 16.0 * _EPS * float(np.add.reduce((T / n) * (a[1:] + a[:-1]) / 2.0))
-    return c, log_m0, T, vals, t, floor
+        c, log_m0, T = below.c, below.log_m0, below.T
+        t = _grid(T, n)[1::2] + 0j
+        vals = _scaled(hp, c, log_m0, t)
+        mags = np.empty(n + 1)
+        mags[0::2] = below.mags
+        mags[1::2] = np.abs(vals)
+    vals.flags.writeable = t.flags.writeable = mags.flags.writeable = False
+    # 16 eps np.trapezoid(mags, dx=T/n), its arithmetic inline
+    floor = 16.0 * _EPS * float(np.add.reduce((T / n) * (mags[1:] + mags[:-1]) / 2.0))
+    return _Level(c, log_m0, T, floor, vals, t, mags)
 
 
 @lru_cache(maxsize=_LEVEL_CACHE)
-def _level(hp: HWeightParams, cc: ContourConfig, level: int, n: int) -> tuple:
+def _level(hp: HWeightParams, cc: ContourConfig, level: int, n: int) -> _Level:
     """_build_level, memoized on (block, contour, abscissa level, n): each
     level from _FIRST_N up is built once from the memo's level below."""
     below = None if n == _FIRST_N else _level(hp, cc, level, n // 2)
@@ -352,15 +397,15 @@ def _h_line(hp: HWeightParams, x: float, cc: ContourConfig) -> float:
     n, f, lv = _FIRST_N, None, None
     while n <= MAX_NODES:
         lv = _build_level(hp, cc, level, n, lv) if first else _level(hp, cc, level, n)
-        c, log_m0, T, vals, t, floor = lv
+        c, log_m0, T, floor, vals, t, _ = lv
         h = T / n
         if f is None:
             f = vals * np.exp(t * phase)
             prev = float(np.add.reduce((f[2::2] + f[:-2:2]) * h).real)  # level n/2: stride 2, step 2h
         else:
             f_even, f = f, np.empty(n + 1, dtype=complex)
-            f[0::2] = f_even  # the level below's nodes; only the odd ones are new
-            f[1::2] = vals[1::2] * np.exp(t[1::2] * phase)
+            f[0::2] = f_even  # the level below's nodes
+            f[1::2] = vals * np.exp(t * phase)  # the level's new, odd ones
         bracket = float(np.add.reduce((f[1:] + f[:-1]) * (h / 2.0)).real)  # np.trapezoid(f, dx=h)
         # max(_REL_STOP |bracket|, floor) as two tests; a NaN fails both
         diff = abs(bracket - prev)

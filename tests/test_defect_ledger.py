@@ -236,6 +236,7 @@ def test_boundary_value_next_to_the_real_axis(phase, ref):
 _ITEM16_BLOCK = HWeightParams(
     upper=[(0.763, 0.840)], lower=[(0.0, 1.0), (1.43, 1.47), (1.02, 1.48)]
 )
+_ITEM16_X = 1.0483
 # the line integral at Re s = 1 by mpmath quadrature at 50 digits (Re s = 2 agrees)
 _ITEM16_H = 0.3199325017612838267558814
 
@@ -246,7 +247,7 @@ _ITEM16_H = 0.3199325017612838267558814
     reason="the 16-eps stop on a cancelling line: relative error 1.2e-8 (ROADMAP item 16)",
 )
 def test_h_on_a_cancelling_line():
-    _holds(lambda: eval_h(_ITEM16_BLOCK, 1.0483), _ITEM16_H)
+    _holds(lambda: eval_h(_ITEM16_BLOCK, _ITEM16_X), _ITEM16_H)
 
 
 # the nine cold blocks of perfbench's `measure` (its draw of a fresh kernel

@@ -17,7 +17,7 @@ bit for bit.
 
 import cmath
 import math
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -81,9 +81,12 @@ def _clear_memos():
 
 def _first_level(mp, n):
     """Lines from a first level of n intervals (hfunction._FIRST_N), with
-    the memos emptied, so no level built under another first level is read."""
+    the memos emptied, so no level built under another first level is
+    read, and the levels kept, until mp is undone, in a level memo of
+    their own, so none built on this first level is read after it."""
     _clear_memos()
     mp.setattr(hfunction, "_FIRST_N", n)
+    mp.setattr(hfunction, "_level", lru_cache(hfunction._LEVEL_CACHE)(hfunction._level.__wrapped__))
 
 
 def _reference(mp):
@@ -275,12 +278,22 @@ def test_height_search_bits(model, level, c_offset):
 # -- contour levels and eval_h -----------------------------------------------
 
 
+def _want_level(ref, n):
+    """The record of level n from the plain loop's per-level arrays: its
+    new nodes (all of the first level's, the odd ones above it), their
+    heights from np.linspace as complex, and |values| over all nodes."""
+    new = slice(None) if n == hfunction._FIRST_N else slice(1, None, 2)
+    vals = ref.values(n)
+    heights = np.linspace(0.0, ref.T, n + 1)[new].astype(complex)
+    return hfunction._Level(ref.c, ref.log_m0, ref.T, ref.floor(n), vals[new], heights, np.abs(vals))
+
+
 def _compare_lines(hp, cc, xs):
     """eval_h at each x in turn: the pair's first call keeps no level, and
     each later one reads its line's levels from `_level`, which keeps them.
-    Then every level of each line, (c, log M(c), T, vals, t, floor),
-    against the plain loop's, which starts at level _FIRST_N/2 and reaches
-    the same levels.  Reading them back builds only the levels no later call read."""
+    Then every field of each level of each line against the record the
+    plain loop's levels give (_want_level); the plain loop starts at level
+    _FIRST_N/2 and reaches the same levels.  Reading them back builds only the levels no later call read."""
     _clear_memos()
     level_of = hfunction._level
     read = set()
@@ -298,8 +311,9 @@ def _compare_lines(hp, cc, xs):
     for level in {hfunction._abscissa_level(hp, cc, x) for x in xs}:
         ref = per_level_line(hp, line_abscissa(hp, cc, level))
         for n in sorted(ref._vals.keys() - {hfunction._FIRST_N // 2}):
-            want = (ref.c, ref.log_m0, ref.T, ref.values(n), np.linspace(0.0, ref.T, n + 1), ref.floor(n))
+            want = _want_level(ref, n)
             ours = level_of(hp, cc, level, n)
+            assert ours._fields == want._fields
             assert [_bits(v) for v in ours] == [_bits(v) for v in want], n
             keys.add((level, n))
     assert level_of.cache_info().misses - misses == len(keys - read)
@@ -356,10 +370,10 @@ def test_first_grid_is_level_2n_and_level_n_its_view(monkeypatch, n_nodes):
                 hfunction.eval_h(hp, 0.7, cc)
             assert hfunction._level.cache_info().currsize == 0
         else:
-            c, _, T, vals, t, _ = hfunction._level(hp, cc, 0, 2 * n_nodes)
-            assert len(t) == 2 * n_nodes + 1 and hfunction._level.cache_info().currsize == 1
-            assert _bits(vals[::2]) == _bits(ContourPerLevel(hp, c).values(n_nodes))
-            assert _bits(t[::2]) == _bits(np.linspace(0.0, T, n_nodes + 1))
+            lv = hfunction._level(hp, cc, 0, 2 * n_nodes)
+            assert len(lv.t) == 2 * n_nodes + 1 and hfunction._level.cache_info().currsize == 1
+            assert _bits(lv.vals[::2]) == _bits(ContourPerLevel(hp, lv.c).values(n_nodes))
+            assert _bits(lv.t.real[::2]) == _bits(np.linspace(0.0, lv.T, n_nodes + 1))
     finally:
         _clear_memos()
 

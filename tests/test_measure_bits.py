@@ -23,6 +23,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -178,21 +179,28 @@ def test_eval_h_bits(model, xs, cc):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(_models(), _CONTOURS)
 def test_level_even_nodes_are_the_level_below(model, cc):
-    """Each level's even nodes and heights are the level below's, bit for
-    bit, and each level holds the line, nodes and heights the per-level
-    arrays have."""
+    """Each level above the first holds only its new, odd nodes: the level
+    below's values, interleaved with them, are the per-level arrays'
+    values bit for bit, the new heights' real parts are linspace's odd
+    nodes (all of them on the first level) and their imaginary parts +0,
+    and each level's |values| are np.abs of the interleaved values."""
     hp = HWeightParams.from_model(model)
     level = hfunction._abscissa_level(hp, cc, 0.9)
     ref = ContourPerLevel(hp, contour_abscissa(hp, cc, 0.9))
-    below = None
+    vals = None
     for n in (128, 256, 512, 1024):
-        c, log_m0, T, vals, t, _ = ours = hfunction._level(hp, cc, level, n)
-        assert _bits((c, log_m0, T)) == _bits((ref.c, ref.log_m0, ref.T))
+        lv = hfunction._level(hp, cc, level, n)
+        assert _bits((lv.c, lv.log_m0, lv.T)) == _bits((ref.c, ref.log_m0, ref.T))
+        heights = np.linspace(0.0, ref.T, n + 1)
+        if vals is None:
+            vals = lv.vals
+        else:
+            vals, below = np.empty(n + 1, dtype=complex), vals
+            vals[0::2], vals[1::2] = below, lv.vals
+            heights = heights[1::2]
         assert _bits(vals) == _bits(ref.values(n))
-        assert _bits(t) == _bits(np.linspace(0.0, ref.T, n + 1))
-        if below is not None:
-            assert _bits(vals[0::2]) == _bits(below[3]) and _bits(t[0::2]) == _bits(below[4])
-        below = ours
+        assert _bits(lv.t.real) == _bits(heights) and _bits(lv.t.imag) == _bits(np.zeros(heights.size))
+        assert _bits(lv.mags) == _bits(np.abs(vals))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -213,12 +221,15 @@ def test_grid_is_linspace(T, n):
 @given(_models(), _CONTOURS)
 def test_floor_is_trapezoid_of_abs(model, cc):
     """Each level's roundoff floor, formed inline when the level is built,
-    is 16 eps times np.trapezoid of |vals| at the level's step T/n."""
+    is 16 eps times np.trapezoid of |values| over all its nodes (the
+    per-level arrays', which the level's values have bit for bit) at the
+    level's step T/n."""
     hp = HWeightParams.from_model(model)
     level = hfunction._abscissa_level(hp, cc, 0.9)
+    ref = ContourPerLevel(hp, contour_abscissa(hp, cc, 0.9))
     for n in (128, 256, 512, 1024):
-        _, _, T, vals, _, floor = hfunction._level(hp, cc, level, n)
-        assert floor == 16.0 * _EPS * float(np.trapezoid(np.abs(vals), dx=T / n))
+        lv = hfunction._level(hp, cc, level, n)
+        assert lv.floor == 16.0 * _EPS * float(np.trapezoid(np.abs(ref.values(n)), dx=lv.T / n))
 
 
 def _clear_contour_memos():
@@ -228,11 +239,13 @@ def _clear_contour_memos():
 
 def _first_level(monkeypatch, n):
     """Lines from a first level of n intervals (hfunction._FIRST_N), with
-    the contour memos emptied first.  A level left from another first
-    level has the bits of the level built afresh, since each level's even
-    nodes are the level below's."""
+    the contour memos emptied first and the levels kept, until the test
+    ends, in a level memo of its own: a first level holds all its nodes
+    and a later one only its odd ones, so no level built on another first
+    level may outlive the test."""
     _clear_contour_memos()
     monkeypatch.setattr(hfunction, "_FIRST_N", n)
+    monkeypatch.setattr(hfunction, "_level", lru_cache(hfunction._LEVEL_CACHE)(hfunction._level.__wrapped__))
 
 
 def _eval_h_with_floor(hp, x, cc, floor):
@@ -243,7 +256,7 @@ def _eval_h_with_floor(hp, x, cc, floor):
     hfunction.eval_h(hp, x, cc)
     level_of = hfunction._level
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hfunction, "_level", lambda *key: level_of(*key)[:5] + (floor,))
+        mp.setattr(hfunction, "_level", lambda *key: level_of(*key)._replace(floor=floor))
         return hfunction.eval_h(hp, x, cc)
 
 
@@ -315,8 +328,8 @@ def test_warm_eval_h_builds_no_level(monkeypatch):
 
 
 def test_level_arrays_are_read_only(monkeypatch):
-    """Every cached level's node values and heights are read-only, so no
-    reader can change a stored level."""
+    """Every array of each cached level, its new node values and heights
+    and its |values|, is read-only, so no reader can change a stored level."""
     hp = HWeightParams.from_model(_WRIGHT)
     cc = hfunction.DEFAULT_CONTOUR
     xs = [0.3, 0.9, 2.0, 3.0]
@@ -327,13 +340,36 @@ def test_level_arrays_are_read_only(monkeypatch):
     misses = hfunction._level.cache_info().misses
     for level in {hfunction._abscissa_level(hp, cc, x) for x in xs}:
         for n in (16, 32):
-            _, _, _, vals, t, _ = hfunction._level(hp, cc, level, n)
-            assert not vals.flags.writeable and not t.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                vals[1] = 0.0
-            with pytest.raises(ValueError, match="read-only"):
-                t[1] = 0.0
+            lv = hfunction._level(hp, cc, level, n)
+            for array in (lv.vals, lv.t, lv.mags):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[1] = 0.0
     assert hfunction._level.cache_info().misses == misses
+
+
+def test_kept_line_is_contiguous_within_its_byte_bound(monkeypatch):
+    """A kept line's arrays are C-contiguous: the first level holds its
+    n+1 new nodes, each later level its n/2 odd ones.  A line kept from
+    128 to 1024 nodes holds no more bytes than full complex values and
+    float heights on each level would, plus 16 bytes for each of the first
+    level's 129 complex heights, which every line cut at the same T
+    shares."""
+    _first_level(monkeypatch, 128)
+    hp = HWeightParams.from_model(_WRIGHT)
+    cc = hfunction.DEFAULT_CONTOUR
+    level = hfunction._abscissa_level(hp, cc, 0.9)
+    ns = (128, 256, 512, 1024)
+    line = [hfunction._level(hp, cc, level, n) for n in ns]
+    for n, lv in zip(ns, line):
+        new = n + 1 if n == 128 else n // 2
+        assert (lv.vals.size, lv.t.size, lv.mags.size) == (new, new, n + 1)
+        assert all(array.flags.c_contiguous for array in (lv.vals, lv.t, lv.mags))
+    kept = sum(array.nbytes for lv in line for array in (lv.vals, lv.t, lv.mags))
+    assert kept <= sum(24 * (n + 1) for n in ns) + 16 * 129
+    # the unit model's level-0 line is cut at Wright's T = 40.5 too
+    other = hfunction._level(HWeightParams.from_model(_UNIT), cc, 0, 128)
+    assert other.T == line[0].T and other.t is line[0].t
 
 
 def test_contour_past_max_nodes_is_refused_before_any_level(monkeypatch):

@@ -33,6 +33,9 @@ this file's corpus, so both sides make the same calls:
   range there), `moment_check` at orders 0, 1 and 3, and
   `measure_density_b` on two bicomplex models, a radius pair outside D+
   among them;
+- `eval_h` on the defect ledger's ten cancelling H lines (ROADMAP item
+  16), their blocks and x read from tests/test_defect_ledger.py beside
+  this file, without importing it;
 - the CLI's `nu eval` (gk and ts, comma lists, --zeta 800, the values
   near DBL_MAX), `measure check`, `fw eval`, `fw radius`, `bcfw eval`,
   `bcfw classify`, `bcfw region`, `cs coeffs`, `cs overlap` and
@@ -50,11 +53,23 @@ exits 1 where anything moved.
 
     python3 tools/bitdiff.py --parent HEAD~1
     python3 tools/bitdiff.py --parent e4c1e41 --change .
+
+With --expect FILE it is a gate on declared moves instead.  FILE lists
+the ids of the records the change moves on purpose, one per line; it is
+empty for a bit-identical change (tools/declared_moves.txt is the
+checked-in one, replaced by each change).  After the report above, the
+tool prints each record present on both sides that moved without being
+declared, and each declared id that did not move, and exits 1 where
+either list is not empty.  A record present on one side only, as where
+the corpus grew, is listed in the report but does not fail the gate.
+
+    python3 tools/bitdiff.py --parent HEAD~1 --change . --expect tools/declared_moves.txt
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import cmath
 import json
 import math
@@ -185,6 +200,7 @@ _BCBALL_FILE = (
     '"lower": [{"value": {"z1": [1.0, 0.0], "z2": [1.0, 0.0]}, "weight": {"c1": 1.0, "c2": 1.0}}]}\n'
 )
 _TIMES = re.compile(r"\d+(\.\d+)?s\b")
+_LEDGER = Path(__file__).resolve().parent.parent / "tests" / "test_defect_ledger.py"
 
 
 def _outcome(fn, args, kwargs) -> str:
@@ -350,6 +366,8 @@ def _measure_calls(models, bc):
             yield f"eval_h/{name}/{x!r}", hfunction.eval_h, (hp, x), {}
         for k in _MOMENT_ORDERS:
             yield f"moment_check/{name}/{k}", hfunction.moment_check, (model, k), {}
+    for name, upper, lower, x in _ledger_lines():
+        yield f"eval_h/{name}/{x!r}", hfunction.eval_h, (hfunction.HWeightParams(upper, lower), x), {}
     # the second model's component 2 has b = B, so its weight has no limit at x = 0
     bcs = {"shift": bc, "mixed": BCCoherentModel(BCFWParams(
         upper=[(1.0, Hyperbolic(1.0, 0.8))], lower=[(Bicomplex(2.0, 1.0), Hyperbolic(1.0, 1.0))]))}
@@ -357,6 +375,21 @@ def _measure_calls(models, bc):
         for X in _RADIUS_PAIRS:
             yield (f"measure_density_b/{name}/{X!r}",
                    hfunction.measure_density_b, (model, Hyperbolic(*X)), {})
+
+
+def _ledger_lines():
+    """(name, upper, lower, x) of the ledger's item-16 cases, its one block
+    (_ITEM16_BLOCK at _ITEM16_X) and its nine cold ones
+    (_ITEM16_COLD_BLOCKS), named as the ledger's test ids; the literals
+    are read from the ledger's source, which imports pytest and mpmath."""
+    source = {}
+    for node in ast.parse(_LEDGER.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            source[node.targets[0].id] = node.value
+    block = {kw.arg: ast.literal_eval(kw.value) for kw in source["_ITEM16_BLOCK"].keywords}
+    yield "ledger-item16", block["upper"], block["lower"], ast.literal_eval(source["_ITEM16_X"])
+    for draw, upper, lower, x, _, _ in ast.literal_eval(source["_ITEM16_COLD_BLOCKS"]):
+        yield f"ledger-item16-cold-draw{draw}", upper, lower, x
 
 
 def run_corpus() -> list[dict]:
@@ -406,6 +439,17 @@ def diff(parent: list[dict], change: list[dict]) -> list[str]:
     return lines
 
 
+def undeclared(parent: list[dict], change: list[dict], declared: set[str]) -> list[str]:
+    """The gate's lines: each record present on both sides that moved but is
+    not in declared, then each declared id that did not move; empty where
+    the moves are the declared ones."""
+    old = {r["id"]: r["out"] for r in parent}
+    new = {r["id"]: r["out"] for r in change}
+    moved = {cid for cid in old.keys() & new.keys() if old[cid] != new[cid]}
+    return ([f"moved, not declared: {cid}" for cid in sorted(moved - declared)]
+            + [f"declared, did not move: {cid}" for cid in sorted(declared - moved)])
+
+
 def _side(spec: str, dest: Path) -> Path:
     """The tree for a revision or a directory."""
     if Path(spec).is_dir():
@@ -428,6 +472,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
     ap.add_argument("--parent", help="revision or directory of the parent side")
     ap.add_argument("--change", default="HEAD", help="revision or directory of the change side (default HEAD)")
+    ap.add_argument("--expect", type=Path, help="file of the record ids the change moves on purpose, one per line")
     ap.add_argument("--run-corpus", action="store_true", help="print this interpreter's records as JSON lines")
     args = ap.parse_args(argv)
     if args.run_corpus:
@@ -436,12 +481,18 @@ def main(argv=None) -> int:
         return 0
     if args.parent is None:
         ap.error("--parent is required")
+    if args.expect is not None:
+        declared = {line.strip() for line in args.expect.read_text(encoding="utf-8").splitlines()} - {""}
     with tempfile.TemporaryDirectory(prefix="bitdiff-") as tmp:
         records = [_records(_side(spec, Path(tmp) / side))
                    for side, spec in (("parent", args.parent), ("change", args.change))]
     lines = diff(*records)
     print("\n".join(lines))
-    return 0 if lines[-1].startswith("0 of ") else 1
+    if args.expect is None:
+        return 0 if lines[-1].startswith("0 of ") else 1
+    gate = undeclared(*records, declared)
+    print("\n".join(gate + [f"{len(gate)} differences from the {len(declared)} moves declared in {args.expect}"]))
+    return 1 if gate else 0
 
 
 if __name__ == "__main__":
